@@ -8,64 +8,137 @@ followed by one ``u v`` line per pair, vertices written as zero-padded
 binary strings of length n with u lexicographically <= v; self-loops appear
 as ``v v``.  Lines are emitted in sorted order so identical graphs always
 serialize to identical bytes.
+
+Every body line is exactly ``2n + 2`` ASCII bytes, so both directions work
+on fixed-width rows, a bounded block of rows at a time.  The reader is
+strict: a line of the wrong shape, a digit other than 0/1, a line out of
+sorted order or repeated, a ``v v`` line under ``loops=0`` and a header
+field without ``=`` all raise :class:`ParameterError`.  A missing newline
+after the last line is accepted; blank lines are not.
 """
 
 from __future__ import annotations
 
 import os
 
+import numpy as np
+
 from .errors import ParameterError
-from .model import KroneckerParams, SampledGraph
+from .model import GRAPH_MAX_N, KroneckerParams, SampledGraph
+
+_BLOCK_ROWS = 1 << 16
+_ZERO, _SPACE, _NEWLINE = ord("0"), ord(" "), ord("\n")
 
 
-def _format_vertex(v: int, n: int) -> str:
-    return format(v, f"0{n}b")
+def _digit_shifts(n: int) -> np.ndarray:
+    """Bit index of each character of an n-digit vertex string, MSB first."""
+    return np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
 def write_edgelist(graph: SampledGraph, path: "str | os.PathLike") -> None:
     p = graph.params
+    n = p.n
     header = (
-        f"kron n={p.n} alpha={p.alpha!r} beta={p.beta!r} gamma={p.gamma!r}"
-        f" loops={1 if graph.include_loops else 0}"
+        f"kron n={n} alpha={p.alpha!r} beta={p.beta!r} gamma={p.gamma!r}"
+        f" loops={1 if graph.include_loops else 0}\n"
     )
-    pairs = sorted(set(graph.edges) | {(v, v) for v in graph.loops})
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
-        for u, v in pairs:
-            fh.write(f"{_format_vertex(u, p.n)} {_format_vertex(v, p.n)}\n")
+    # Each loop line "v v" sorts just before the edges (v, w > v).
+    at = np.searchsorted(graph.edges[:, 0], graph.loops)
+    us = np.insert(graph.edges[:, 0], at, graph.loops)
+    vs = np.insert(graph.edges[:, 1], at, graph.loops)
+    shifts = _digit_shifts(n)
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        for start in range(0, len(us), _BLOCK_ROWS):
+            u = us[start : start + _BLOCK_ROWS, None]
+            v = vs[start : start + _BLOCK_ROWS, None]
+            rows = np.empty((len(u), 2 * n + 2), dtype=np.uint8)
+            rows[:, :n] = (u >> shifts) & 1
+            rows[:, n + 1 : 2 * n + 1] = (v >> shifts) & 1
+            rows += _ZERO
+            rows[:, n] = _SPACE
+            rows[:, 2 * n + 1] = _NEWLINE
+            fh.write(rows.tobytes())
+
+
+def _parse_header(line: bytes) -> tuple[KroneckerParams, bool]:
+    try:
+        header = line.decode("ascii").strip()
+    except UnicodeDecodeError:
+        raise ParameterError("not an edge-list file: header is not ASCII") from None
+    fields = header.split()
+    if not fields or fields[0] != "kron":
+        raise ParameterError(f"not an edge-list file: bad header {header!r}")
+    values = {}
+    for item in fields[1:]:
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ParameterError(f"header field {item!r} is not key=value")
+        values[key] = value
+    try:
+        params = KroneckerParams(
+            alpha=float(values["alpha"]),
+            beta=float(values["beta"]),
+            gamma=float(values["gamma"]),
+            n=int(values["n"]),
+        )
+        loops = values["loops"]
+    except KeyError as missing:
+        raise ParameterError(f"header is missing field {missing}") from None
+    except ValueError as bad:
+        raise ParameterError(f"bad header value: {bad}") from None
+    if loops not in ("0", "1"):
+        raise ParameterError(f"header field loops must be 0 or 1, got {loops!r}")
+    if params.n > GRAPH_MAX_N:
+        raise ParameterError(f"edge lists support n <= {GRAPH_MAX_N}, got {params.n}")
+    return params, loops == "1"
+
+
+def _parse_rows(block: bytes, n: int, first_line: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex pairs of a block of whole ``2n + 2``-byte lines."""
+    width = 2 * n + 2
+    if len(block) % width:
+        line = first_line + len(block) // width
+        raise ParameterError(f"line {line}: expected two {n}-digit vertices")
+    rows = np.frombuffer(block, dtype=np.uint8).reshape(-1, width)
+    digits = rows - np.uint8(_ZERO)
+    bad = (rows[:, n] != _SPACE) | (rows[:, -1] != _NEWLINE)
+    bad |= (digits[:, :n] > 1).any(axis=1) | (digits[:, n + 1 : -1] > 1).any(axis=1)
+    if bad.any():
+        line = first_line + int(np.argmax(bad))
+        text = rows[int(np.argmax(bad))].tobytes().decode("ascii", "replace")
+        raise ParameterError(f"line {line}: expected two {n}-digit vertices, got {text!r}")
+    shifts = _digit_shifts(n)
+    u = (digits[:, :n].astype(np.int64) << shifts).sum(axis=1)
+    v = (digits[:, n + 1 : -1].astype(np.int64) << shifts).sum(axis=1)
+    return u, v
 
 
 def read_edgelist(path: "str | os.PathLike") -> SampledGraph:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        fields = header.split()
-        if not fields or fields[0] != "kron":
-            raise ParameterError(f"not an edge-list file: bad header {header!r}")
-        values = dict(item.split("=", 1) for item in fields[1:])
-        try:
-            params = KroneckerParams(
-                alpha=float(values["alpha"]),
-                beta=float(values["beta"]),
-                gamma=float(values["gamma"]),
-                n=int(values["n"]),
-            )
-            include_loops = bool(int(values["loops"]))
-        except KeyError as missing:
-            raise ParameterError(f"header is missing field {missing}") from None
-        edges = []
-        loops = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            u_text, v_text = line.split()
-            if len(u_text) != params.n or len(v_text) != params.n:
-                raise ParameterError(
-                    f"vertex strings must have length {params.n}: {line!r}"
-                )
-            u, v = int(u_text, 2), int(v_text, 2)
-            if u == v:
-                loops.append(u)
-            else:
-                edges.append((u, v))
-    return SampledGraph.from_pairs(params, edges, loops, include_loops=include_loops)
+    with open(path, "rb") as fh:
+        params, include_loops = _parse_header(fh.readline())
+        n = params.n
+        width = 2 * n + 2
+        us, vs = [], []
+        line = 2
+        while block := fh.read(_BLOCK_ROWS * width):
+            if len(block) < _BLOCK_ROWS * width and not block.endswith(b"\n"):
+                block += b"\n"  # accept a missing final newline
+            u, v = _parse_rows(block, n, line)
+            us.append(u)
+            vs.append(v)
+            line += len(u)
+    u = np.concatenate(us) if us else np.empty(0, dtype=np.int64)
+    v = np.concatenate(vs) if vs else np.empty(0, dtype=np.int64)
+    if np.any(u > v):
+        raise ParameterError(f"line {2 + int(np.argmax(u > v))}: u must not exceed v")
+    if not include_loops and np.any(u == v):
+        raise ParameterError(
+            f"line {2 + int(np.argmax(u == v))}: a loop line under loops=0"
+        )
+    ascending = (u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))
+    if not ascending.all():
+        raise ParameterError(
+            f"line {3 + int(np.argmin(ascending))}: lines must be sorted and distinct"
+        )
+    return SampledGraph.from_pairs(params, u, v, include_loops=include_loops)

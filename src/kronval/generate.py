@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .model import PROB_TOL, KroneckerParams, SampledGraph, weight_array
+from .model import GRAPH_MAX_N, PROB_TOL, KroneckerParams, SampledGraph, weight_array
 from .streams import SeedSpec
 
 NAIVE_MAX_N = 14
@@ -23,6 +23,7 @@ STRATIFIED_MAX_N = 30
 DEFAULT_EDGE_BUDGET = 50_000_000
 _NAIVE_ROW_BLOCK = 128
 _RMAT_CHUNK = 1 << 20
+_RMAT_SUBBLOCK = 1 << 16  # rows per rng.random call: 32 MB of doubles at n = 62
 
 # Binomial coefficients C[i, j] for i, j <= STRATIFIED_MAX_N; exact in int64.
 _COMB = np.array(
@@ -89,16 +90,6 @@ def _draw_loops(params: KroneckerParams, seed: SeedSpec) -> np.ndarray:
     return np.flatnonzero(u < _loop_probabilities(params))
 
 
-def _build_graph(params, edge_u, edge_v, loop_vertices, include_loops):
-    lo = np.minimum(edge_u, edge_v)
-    hi = np.maximum(edge_u, edge_v)
-    edges = frozenset(zip(lo.tolist(), hi.tolist()))
-    loops = frozenset(int(v) for v in loop_vertices) if include_loops else frozenset()
-    return SampledGraph(
-        params=params, edges=edges, loops=loops, include_loops=include_loops
-    )
-
-
 def generate_naive(
     params: KroneckerParams, include_loops: bool = True, seed: SeedSpec = SeedSpec(0)
 ) -> SampledGraph:
@@ -135,7 +126,7 @@ def generate_naive(
     edge_u = np.concatenate(us) if us else np.empty(0, dtype=np.int64)
     edge_v = np.concatenate(vs) if vs else np.empty(0, dtype=np.int64)
     loop_vertices = _draw_loops(params, seed) if include_loops else ()
-    return _build_graph(params, edge_u, edge_v, loop_vertices, include_loops)
+    return SampledGraph.from_pairs(params, edge_u, edge_v, loop_vertices, include_loops)
 
 
 def _unrank_combinations(n_slots: int, k: int, ranks: np.ndarray) -> np.ndarray:
@@ -327,7 +318,7 @@ def generate_stratified(
             else:
                 loop_vertices.append(_unrank_combinations(n, w, ranks))
     loops = np.concatenate(loop_vertices) if loop_vertices else np.empty(0, dtype=np.int64)
-    return _build_graph(params, edge_u, edge_v, loops, include_loops)
+    return SampledGraph.from_pairs(params, edge_u, edge_v, loops, include_loops)
 
 
 def rmat_pairs(rmat: RmatParams, seed: SeedSpec = SeedSpec(0)) -> tuple[np.ndarray, np.ndarray]:
@@ -339,21 +330,27 @@ def rmat_pairs(rmat: RmatParams, seed: SeedSpec = SeedSpec(0)) -> tuple[np.ndarr
     """
     params = rmat.base
     n = params.n
-    if n > 62:
-        raise CapacityError(f"digit sampling packs vertices into int64, so n <= 62; got {n}")
+    if n > GRAPH_MAX_N:
+        raise CapacityError(
+            f"digit sampling packs vertices into int64, so n <= {GRAPH_MAX_N}; got {n}"
+        )
     alpha, beta = params.alpha, params.beta
     powers = (np.int64(1) << np.arange(n, dtype=np.int64)).astype(np.int64)
-    us = []
-    vs = []
+    us = np.empty(rmat.m, dtype=np.int64)
+    vs = np.empty(rmat.m, dtype=np.int64)
     for chunk_index, start in enumerate(range(0, rmat.m, _RMAT_CHUNK)):
-        count = min(_RMAT_CHUNK, rmat.m - start)
+        stop = min(start + _RMAT_CHUNK, rmat.m)
         rng = seed.child("pairs", chunk_index).generator()
-        x = rng.random((count, n))
-        u_bits = x < alpha + beta
-        v_bits = (x < alpha) | ((x >= alpha + beta) & (x < alpha + 2.0 * beta))
-        us.append(u_bits.astype(np.int64) @ powers)
-        vs.append(v_bits.astype(np.int64) @ powers)
-    return np.concatenate(us), np.concatenate(vs)
+        # Consecutive rng.random((rows, n)) calls yield the same doubles as
+        # one call for the whole chunk, so sub-blocks only bound the memory.
+        for block in range(start, stop, _RMAT_SUBBLOCK):
+            rows = min(_RMAT_SUBBLOCK, stop - block)
+            x = rng.random((rows, n))
+            u_bits = x < alpha + beta
+            v_bits = (x < alpha) | ((x >= alpha + beta) & (x < alpha + 2.0 * beta))
+            us[block : block + rows] = u_bits.astype(np.int64) @ powers
+            vs[block : block + rows] = v_bits.astype(np.int64) @ powers
+    return us, vs
 
 
 def generate_rmat(rmat: RmatParams, seed: SeedSpec = SeedSpec(0)) -> SampledGraph:
@@ -363,10 +360,7 @@ def generate_rmat(rmat: RmatParams, seed: SeedSpec = SeedSpec(0)) -> SampledGrap
     in the loops field rather than being discarded.
     """
     u, v = rmat_pairs(rmat, seed)
-    is_loop = u == v
-    return _build_graph(
-        rmat.base, u[~is_loop], v[~is_loop], np.unique(u[is_loop]), include_loops=True
-    )
+    return SampledGraph.from_pairs(rmat.base, u, v, include_loops=True)
 
 
 def degree_histogram(graph: SampledGraph, count_loops: bool = True) -> dict:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .model import SampledGraph, hamming, hamming_array
+from .model import SampledGraph, hamming_array
 from .patterns import PatternGraph
 from .predict import critical_fraction, hamming_window
 
@@ -32,21 +32,15 @@ def _star_leaf_count(pattern: PatternGraph):
 
 
 def _count_star(graph: SampledGraph, k: int) -> int:
-    degrees = graph.degrees(count_loops=False)
-    total = 0
-    for d in degrees:
-        if d >= k:
-            term = 1
-            for step in range(k):
-                term *= int(d) - step
-            total += term
-    return total
+    """Sum of falling factorials d!/(d-k)! over the loop-free degrees."""
+    counts = np.bincount(graph.degrees(count_loops=False)).tolist()
+    return sum(c * math.perm(d, k) for d, c in enumerate(counts) if c)
 
 
 def _count_triangles_labeled(graph: SampledGraph) -> int:
     adj = graph.neighbor_sets
     closing = 0
-    for u, v in graph.edges:
+    for u, v in graph.edge_array.tolist():
         closing += len(adj[u] & adj[v])
     # Each triangle closes each of its 3 edges once; 6 labeled maps apiece.
     return 2 * closing
@@ -150,10 +144,12 @@ def neighbor_hamming_histogram(graph: SampledGraph, u: int) -> np.ndarray:
     """
     if not 0 <= u < graph.vertex_count:
         raise ParameterError(f"vertex {u} out of range for n = {graph.n}")
-    hist = np.zeros(graph.n + 1, dtype=np.int64)
-    for w in graph.neighbor_sets[u]:
-        hist[hamming(u, w)] += 1
-    if u in graph.loops:
+    edges = graph.edge_array
+    start, stop = np.searchsorted(edges[:, 0], [u, u + 1])
+    neighbors = np.concatenate([edges[start:stop, 1], edges[edges[:, 1] == u, 0]])
+    hist = np.bincount(hamming_array(u, neighbors), minlength=graph.n + 1)
+    at = np.searchsorted(graph.loops, u)
+    if at < len(graph.loops) and graph.loops[at] == u:
         hist[0] += 1
     return hist
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,48 +145,96 @@ def edge_probability_array(params: KroneckerParams, u, v) -> np.ndarray:
     return np.exp(a * la + b * lb + c * lg)
 
 
-@dataclass(frozen=True)
+# Vertices are stored as int64; R-MAT packs digits into the same width.
+GRAPH_MAX_N = 62
+
+
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
 class SampledGraph:
     """One realization of the model: an edge set over the 2^n vertices.
 
-    ``edges`` holds unordered pairs stored as (min, max) tuples; ``loops``
-    holds the vertices carrying a self-loop.  ``include_loops`` records
-    whether loop generation was enabled, so that reports can echo it.
-    Instances are immutable and safe to share between workers.
+    ``edges`` is a read-only ``(E, 2)`` int64 array of the unordered pairs,
+    each row ``(lo, hi)`` with ``lo < hi``, rows sorted lexicographically and
+    distinct.  ``loops`` is a read-only sorted array of the distinct vertices
+    carrying a self-loop.  ``include_loops`` records whether loop generation
+    was enabled, so that reports can echo it.  Build instances with
+    :meth:`from_pairs`, which establishes this canonical form; the
+    constructor takes the arrays as given.
+
+    Two graphs are ``==`` when their params, ``include_loops`` flag, edges
+    and loops are equal.  Graphs are unhashable.  Instances are immutable
+    and safe to share between workers.
     """
 
     params: KroneckerParams
-    edges: frozenset
-    loops: frozenset = frozenset()
+    edges: np.ndarray
+    loops: np.ndarray
     include_loops: bool = True
 
     @classmethod
     def from_pairs(
         cls,
         params: KroneckerParams,
-        pairs: Iterable[tuple[int, int]],
-        loops: Iterable[int] = (),
+        u,
+        v=None,
+        loops=(),
         include_loops: bool = True,
     ) -> "SampledGraph":
-        """Build a graph from arbitrary pair iterables, validating endpoints."""
+        """Canonicalize vertex pairs ``(u[i], v[i])`` and loop vertices.
+
+        With ``v`` omitted, ``u`` is a sequence of ``(u, v)`` pairs.  Pairs
+        may come in any order and orientation and may repeat; a pair with
+        ``u == v`` is a loop.  Raises DimensionError when a vertex does not
+        fit ``params.n`` digits.
+        """
         n = params.n
-        edge_set = set()
-        loop_set = set(loops)
-        for u, v in pairs:
-            check_vertex(u, n)
-            check_vertex(v, n)
-            if u == v:
-                loop_set.add(u)
-            else:
-                edge_set.add((u, v) if u < v else (v, u))
-        for v in loop_set:
-            check_vertex(v, n)
+        if n > GRAPH_MAX_N:
+            raise DimensionError(f"graphs store vertices as int64, so n <= {GRAPH_MAX_N}; got {n}")
+        try:
+            if v is None:
+                pairs = np.asarray(u, dtype=np.int64).reshape(-1, 2)
+                u, v = pairs[:, 0], pairs[:, 1]
+            u = np.asarray(u, dtype=np.int64)
+            v = np.asarray(v, dtype=np.int64)
+            loops = np.asarray(loops, dtype=np.int64)
+        except OverflowError:
+            raise DimensionError(f"a vertex does not fit {n} digits") from None
+        for part in (u, v, loops):
+            if len(part) and (part.min() < 0 or part.max() >> n):
+                raise DimensionError(f"a vertex does not fit {n} digits")
+        is_loop = u == v
+        loops = np.unique(np.concatenate([loops, u[is_loop]]))
+        lo = np.minimum(u, v)[~is_loop]
+        hi = np.maximum(u, v)[~is_loop]
+        order = np.lexsort((hi, lo))
+        edges = np.column_stack((lo[order], hi[order]))
+        fresh = np.ones(len(edges), dtype=bool)
+        fresh[1:] = (edges[1:] != edges[:-1]).any(axis=1)
+        if not fresh.all():
+            edges = edges[fresh]
         return cls(
             params=params,
-            edges=frozenset(edge_set),
-            loops=frozenset(loop_set),
+            edges=_readonly(edges),
+            loops=_readonly(loops),
             include_loops=include_loops,
         )
+
+    def __eq__(self, other):
+        if not isinstance(other, SampledGraph):
+            return NotImplemented
+        return (
+            self.params == other.params
+            and self.include_loops == other.include_loops
+            and np.array_equal(self.edges, other.edges)
+            and np.array_equal(self.loops, other.loops)
+        )
+
+    __hash__ = None
 
     @property
     def n(self) -> int:
@@ -198,32 +246,31 @@ class SampledGraph:
 
     @cached_property
     def edge_array(self) -> np.ndarray:
-        """Edges as a sorted (E, 2) int64 array; deterministic order."""
-        if not self.edges:
-            return np.empty((0, 2), dtype=np.int64)
-        arr = np.array(sorted(self.edges), dtype=np.int64)
-        return arr
+        """The ``edges`` array itself: sorted (E, 2) int64, read-only."""
+        return self.edges
 
-    @cached_property
+    @property
     def loop_array(self) -> np.ndarray:
-        return np.array(sorted(self.loops), dtype=np.int64)
+        """The ``loops`` array itself: sorted int64, read-only."""
+        return self.loops
 
     @cached_property
     def neighbor_sets(self) -> list:
-        """Per-vertex neighbor sets from proper edges only (loops excluded)."""
-        adj = [set() for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+        """Per-vertex neighbor sets from proper edges only (loops excluded).
+
+        Python sets for the set-intersection counters; other code reads the
+        edge array directly.
+        """
+        ends = self.edges.ravel()  # (lo0, hi0, lo1, hi1, ...)
+        others = self.edges[:, ::-1].ravel()  # the opposite end of each
+        order = np.argsort(ends, kind="stable")
+        bounds = np.cumsum(np.bincount(ends, minlength=self.vertex_count)).tolist()
+        flat = others[order].tolist()
+        return [set(flat[a:b]) for a, b in zip([0] + bounds[:-1], bounds)]
 
     def degrees(self, count_loops: bool = True) -> np.ndarray:
         """Degree of every vertex; a loop contributes 1 when counted."""
-        deg = np.zeros(self.vertex_count, dtype=np.int64)
-        ea = self.edge_array
-        if len(ea):
-            deg += np.bincount(ea[:, 0], minlength=self.vertex_count)
-            deg += np.bincount(ea[:, 1], minlength=self.vertex_count)
-        if count_loops and len(self.loop_array):
-            deg += np.bincount(self.loop_array, minlength=self.vertex_count)
+        deg = np.bincount(self.edges.ravel(), minlength=self.vertex_count)
+        if count_loops:
+            deg[self.loops] += 1
         return deg

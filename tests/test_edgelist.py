@@ -9,6 +9,8 @@ from kronval import (
     read_edgelist,
     write_edgelist,
 )
+from kronval import edgelist
+from kronval.cli import main
 
 
 def test_round_trip(tmp_path):
@@ -64,3 +66,53 @@ def test_rejects_bad_vertex_width(tmp_path):
     path.write_text("kron n=3 alpha=0.5 beta=0.25 gamma=0.5 loops=1\n01 001\n")
     with pytest.raises(ParameterError):
         read_edgelist(path)
+
+
+HEADER = "kron n=3 alpha=0.5 beta=0.25 gamma=0.5 loops=1\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(HEADER + "000 001 010\n", id="three-tokens"),
+        pytest.param(HEADER + "000 021\n", id="non-binary-digit"),
+        pytest.param(HEADER + "000 001\n0001 0010\n", id="wrong-vertex-width"),
+        pytest.param("kron n=3 alpha=0.5 beta beta=0.25 gamma=0.5 loops=1\n", id="header-field-without-equals"),
+        pytest.param(HEADER.replace("loops=1", "loops=0") + "000 001\n011 011\n", id="loop-under-loops-0"),
+        pytest.param(HEADER + "000 001\n000 001\n", id="duplicate-line"),
+        pytest.param(HEADER + "000 010\n000 001\n", id="out-of-order-line"),
+    ],
+)
+def test_cli_rejects_malformed_file_with_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    with pytest.raises(ParameterError):
+        read_edgelist(path)
+    assert main(["measure", "--input", str(path), "--what", "degrees"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_missing_final_newline_is_accepted(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_text(HEADER + "000 001\n010 010")
+    g = read_edgelist(path)
+    assert g.edges.tolist() == [[0, 1]] and g.loops.tolist() == [2]
+
+
+def test_multi_block_file_round_trips(tmp_path, monkeypatch):
+    monkeypatch.setattr(edgelist, "_BLOCK_ROWS", 7)
+    p = KroneckerParams(alpha=0.8, beta=0.6, gamma=0.7, n=6)
+    g = generate_stratified(p, include_loops=True, seed=SeedSpec(4))
+    assert len(g.edges) > 3 * 7 and len(g.loops) > 0
+    one, two = tmp_path / "a.edges", tmp_path / "b.edges"
+    write_edgelist(g, one)
+    back = read_edgelist(one)
+    write_edgelist(back, two)
+    assert back == g and one.read_bytes() == two.read_bytes()
+    # swap the last row of the second block with the first of the third
+    lines = one.read_text().splitlines()
+    lines[14], lines[15] = lines[15], lines[14]
+    one.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParameterError, match="line 16"):
+        read_edgelist(one)

@@ -8,6 +8,7 @@ from kronval import (
     KroneckerParams,
     ParameterError,
     RmatParams,
+    SampledGraph,
     SeedSpec,
     degree_histogram,
     edge_probability,
@@ -31,7 +32,7 @@ def test_naive_single_pair_frequency():
     # n=1 without loops leaves a single possible edge {0, 1}, present w.p. beta
     p = KroneckerParams(alpha=0.6, beta=0.4, gamma=0.2, n=1)
     hits = sum(
-        bool(generate_naive(p, include_loops=False, seed=SeedSpec(1).child("t", t)).edges)
+        len(generate_naive(p, include_loops=False, seed=SeedSpec(1).child("t", t)).edges) > 0
         for t in range(3000)
     )
     sigma = math.sqrt(3000 * 0.4 * 0.6)
@@ -41,7 +42,7 @@ def test_naive_single_pair_frequency():
 def test_stratified_single_pair_frequency():
     p = KroneckerParams(alpha=0.6, beta=0.4, gamma=0.2, n=1)
     hits = sum(
-        bool(generate_stratified(p, include_loops=False, seed=SeedSpec(2).child("t", t)).edges)
+        len(generate_stratified(p, include_loops=False, seed=SeedSpec(2).child("t", t)).edges) > 0
         for t in range(3000)
     )
     sigma = math.sqrt(3000 * 0.4 * 0.6)
@@ -96,8 +97,8 @@ def test_generators_deterministic_and_loop_toggle_stable():
         assert all(0 <= v < 128 for v in g1.loops)
         g3 = gen(p, include_loops=False, seed=seed)
         # loops draw from their own substream, so edges are unaffected
-        assert g3.edges == g1.edges
-        assert g3.loops == frozenset()
+        assert np.array_equal(g3.edges, g1.edges)
+        assert len(g3.loops) == 0
         assert gen(p, include_loops=True, seed=SeedSpec(32)) != g1
 
 
@@ -147,7 +148,7 @@ class TestRmat:
         trials = 4000
         for t in range(trials):
             g = generate_rmat(r, seed=SeedSpec(6).child("t", t))
-            if g.edges:
+            if len(g.edges):
                 edge += 1
             if 0 in g.loops:
                 loop0 += 1
@@ -196,6 +197,20 @@ class TestRmat:
         assert len(g.edges) + len(g.loops) == distinct
         assert len(g.edges) < r.m
 
+    @pytest.mark.parametrize("n", [20, 62])
+    def test_sub_blocks_match_one_shot_draw(self, n):
+        # one rng.random call per chunk, as the sampler did before sub-blocks
+        from kronval.generate import _RMAT_SUBBLOCK
+
+        r = RmatParams(base=KroneckerParams(0.57, 0.19, 0.05, n), m=_RMAT_SUBBLOCK + 5)
+        x = SeedSpec(14).child("pairs", 0).generator().random((r.m, n))
+        u_bits = x < 0.57 + 0.19
+        v_bits = (x < 0.57) | ((x >= 0.57 + 0.19) & (x < 0.57 + 2 * 0.19))
+        powers = np.int64(1) << np.arange(n, dtype=np.int64)
+        u, v = rmat_pairs(r, seed=SeedSpec(14))
+        assert np.array_equal(u, u_bits.astype(np.int64) @ powers)
+        assert np.array_equal(v, v_bits.astype(np.int64) @ powers)
+
     def test_deterministic(self):
         r = RmatParams(base=KroneckerParams(0.45, 0.2, 0.15, 8), m=5000)
         assert generate_rmat(r, SeedSpec(21)) == generate_rmat(r, SeedSpec(21))
@@ -204,14 +219,10 @@ class TestRmat:
 class TestDegreeHistogram:
     def test_empty_graph(self):
         p = KroneckerParams(0.5, 0.4, 0.3, 5)
-        g = generate_naive(p, seed=SeedSpec(1)).__class__(
-            params=p, edges=frozenset(), loops=frozenset(), include_loops=False
-        )
+        g = SampledGraph.from_pairs(p, [], include_loops=False)
         assert degree_histogram(g) == {0: 32}
 
     def test_single_edge(self):
-        from kronval import SampledGraph
-
         p = KroneckerParams(0.5, 0.4, 0.3, 4)
         g = SampledGraph.from_pairs(p, [(0, 1)])
         assert degree_histogram(g) == {0: 14, 1: 2}

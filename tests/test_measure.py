@@ -19,6 +19,7 @@ from kronval import (
     extremal_edge_scan,
     generate_naive,
     generate_stratified,
+    hamming,
     neighbor_hamming_histogram,
     path,
     star,
@@ -64,6 +65,18 @@ class TestCountLabeledCopies:
         for k in (1, 2, 3):
             expected = sum(falling_factorial(int(d), k) for d in degrees)
             assert count_labeled_copies(g, star(k)) == expected
+
+    def test_star_count_beyond_int64(self):
+        from kronval.measure import _count_star
+
+        # one hub joined to every other vertex of Z_2^17
+        p = KroneckerParams(0.6, 0.4, 0.3, 17)
+        leaves = np.arange(1, 1 << 17)
+        g = SampledGraph.from_pairs(p, np.zeros_like(leaves), leaves)
+        expected = falling_factorial((1 << 17) - 1, 4)
+        assert expected > 2**63
+        assert _count_star(g, 4) == expected
+        assert _count_star(g, 1) == 2 * len(leaves)
 
     def test_path_count_by_hand(self):
         p = KroneckerParams(0.6, 0.4, 0.3, 3)
@@ -118,6 +131,23 @@ class TestNeighborHistogram:
         for k in range(1, 7):
             assert totals[k] == 2 * edge_hist[k]
         assert totals[0] == len(g.loops)
+
+    def test_matches_neighbor_set_definition(self):
+        # reference: neighbors from a plain loop over the edges, then distances
+        for n, seed in ((4, 1), (6, 2), (7, 3)):
+            p = KroneckerParams(0.6, 0.5, 0.4, n)
+            g = generate_stratified(p, include_loops=True, seed=SeedSpec(seed))
+            neighbors = [set() for _ in range(1 << n)]
+            for u, v in g.edges.tolist():
+                neighbors[u].add(v)
+                neighbors[v].add(u)
+            loops = set(g.loops.tolist())
+            for u in range(1 << n):
+                expected = np.zeros(n + 1, dtype=np.int64)
+                for w in neighbors[u]:
+                    expected[hamming(u, w)] += 1
+                expected[0] += u in loops
+                assert np.array_equal(neighbor_hamming_histogram(g, u), expected)
 
 
 class TestConcentrationReport:

@@ -148,12 +148,44 @@ class TestEdgeProbability:
 class TestSampledGraph:
     def test_from_pairs_canonicalizes(self, small_params):
         g = SampledGraph.from_pairs(small_params, [(3, 1), (1, 3), (2, 2)], loops=[5])
-        assert g.edges == frozenset({(1, 3)})
-        assert g.loops == frozenset({2, 5})
+        assert g.edges.tolist() == [[1, 3]]
+        assert g.loops.tolist() == [2, 5]
 
     def test_from_pairs_validates_range(self, small_params):
-        with pytest.raises(DimensionError):
-            SampledGraph.from_pairs(small_params, [(0, 8)])
+        for u, v, loops in ([0], [8], []), ([-1], [2], []), ([0], [1], [8]), ([0], [2**70], []):
+            with pytest.raises(DimensionError):
+                SampledGraph.from_pairs(small_params, u, v, loops)
+            with pytest.raises(DimensionError):
+                SampledGraph.from_pairs(small_params, list(zip(u, v)), loops=loops)
+
+    def test_arrays_are_read_only(self, small_params):
+        g = SampledGraph.from_pairs(small_params, [(3, 1), (0, 2)], loops=[5])
+        for array in (g.edges, g.loops, g.edge_array, g.loop_array):
+            with pytest.raises(ValueError):
+                array[0] = 7
+        assert g.edge_array is g.edges and g.loop_array is g.loops
+
+    def test_equality_across_construction_routes(self, tmp_path):
+        from kronval import SeedSpec, generate_stratified, read_edgelist, write_edgelist
+
+        p = KroneckerParams(alpha=0.7, beta=0.6, gamma=0.5, n=5)
+        g = generate_stratified(p, include_loops=True, seed=SeedSpec(3))
+        assert len(g.edges) > 2 and len(g.loops) > 1
+        flipped = g.edges[::-1, ::-1]  # reversed rows, each pair as (hi, lo)
+        again = SampledGraph.from_pairs(
+            p, flipped[:, 0], flipped[:, 1], g.loops[::-1], include_loops=True
+        )
+        doubled = SampledGraph.from_pairs(
+            p,
+            np.concatenate([g.edges, flipped, np.column_stack([g.loops, g.loops])]).tolist(),
+        )
+        path = tmp_path / "g.edges"
+        write_edgelist(g, path)
+        assert again == g and doubled == g and read_edgelist(path) == g
+        assert SampledGraph.from_pairs(p, g.edges, loops=g.loops[1:]) != g
+        assert SampledGraph.from_pairs(p, g.edges, loops=g.loops, include_loops=False) != g
+        with pytest.raises(TypeError):
+            hash(g)
 
     def test_degrees_loop_convention(self, small_params):
         g = SampledGraph.from_pairs(small_params, [(0, 1)], loops=[0])
