@@ -71,6 +71,7 @@ from .patterns import (
 from .measure import (
     ConcentrationReport,
     ExtremalScan,
+    check_countable,
     concentration_report,
     count_labeled_copies,
     edge_distance_histogram,

@@ -27,7 +27,12 @@ from .generate import (
     generate_stratified,
 )
 from .edgelist import write_edgelist
-from .measure import concentration_report, count_labeled_copies, edge_distance_histogram
+from .measure import (
+    check_countable,
+    concentration_report,
+    count_labeled_copies,
+    edge_distance_histogram,
+)
 from .model import KroneckerParams
 from .patterns import (
     PatternGraph,
@@ -101,7 +106,7 @@ class ExperimentConfig:
         if self.kind in ("subgraph", "thresholds"):
             if not self.pattern:
                 raise ConfigError(f"kind={self.kind} needs a pattern")
-            parse_pattern(self.pattern)
+            check_countable(parse_pattern(self.pattern), self.params.n)
         if self.kind == "hamming":
             if not self.params.alpha_equals_gamma:
                 raise ConfigError("the hamming experiment requires alpha = gamma")
@@ -255,12 +260,16 @@ def _run_degrees(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
 def _run_subgraph(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
     params = config.params
     pattern = parse_pattern(config.pattern)
-    counts = np.zeros(config.trials)
-    for t in range(config.trials):
-        graph = _generate(config, params, seed.child("trial", t), tag=f"trial{t}")
-        counts[t] = count_labeled_copies(graph, pattern)
-    mean = float(counts.mean())
-    sd = float(counts.std(ddof=1)) if config.trials > 1 else 0.0
+    counts = [
+        count_labeled_copies(
+            _generate(config, params, seed.child("trial", t), tag=f"trial{t}"), pattern
+        )
+        for t in range(config.trials)
+    ]
+    # Exact ints go to the report; the statistics use their float64 values.
+    values = np.array(counts, dtype=float)
+    mean = float(values.mean())
+    sd = float(values.std(ddof=1)) if config.trials > 1 else 0.0
     upper = expected_copies_asymptotic(params, pattern)
     analytic = [
         AnalyticValue("base_value", base_value(params, pattern), "pattern base value (labeling sum)"),
@@ -302,9 +311,9 @@ def _run_subgraph(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
         "trials": config.trials,
         "mean_count": mean,
         "sd_count": sd,
-        "counts": [int(c) for c in counts],
+        "counts": counts,
     }
-    rows = tuple((t, int(counts[t])) for t in range(config.trials))
+    rows = tuple(enumerate(counts))
     return ValidationReport(
         kind="subgraph",
         config=config.echo(),

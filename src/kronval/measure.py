@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import CapacityError, ParameterError
 from .model import SampledGraph, hamming_array
@@ -14,7 +15,14 @@ from .patterns import PatternGraph
 from .predict import critical_fraction, hamming_window
 
 COUNT_MAX_PATTERN_VERTICES = 5
+# Backtracking walks Python neighbour sets; the kernel routes (stars,
+# triangles, 4-cycles, 3-edge paths) are array passes and reach further.
 COUNT_MAX_N = 14
+KERNEL_COUNT_MAX_N = 16
+DISCONNECTED_COUNT_MAX_N = 10
+# Row blocks of the codegree pass hold about this many wedges (2-paths), so
+# the block product A[block] @ A stays small whatever the degree sequence.
+_WEDGE_BLOCK = 1 << 16
 
 
 def _star_leaf_count(pattern: PatternGraph):
@@ -31,19 +39,99 @@ def _star_leaf_count(pattern: PatternGraph):
     return None
 
 
+def _shape(pattern: PatternGraph):
+    """'star', 'triangle', 'cycle4' or 'path3' when the pattern has that
+    structure (under any vertex labelling), else None."""
+    if _star_leaf_count(pattern) is not None:
+        return "star"
+    v, e = pattern.vertex_count, pattern.edge_count
+    degs = sorted(pattern.degrees)
+    if v == 3 and e == 3:
+        return "triangle"
+    if v == 4 and e == 4 and degs == [2, 2, 2, 2]:
+        return "cycle4"
+    if v == 4 and e == 3 and degs == [1, 1, 2, 2]:
+        return "path3"
+    return None
+
+
+def _route(pattern: PatternGraph, method: str) -> str:
+    """The counter that serves (pattern, method): a shape name or 'generic'."""
+    if method == "generic":
+        return "generic"
+    shape = _shape(pattern)
+    if method == "auto":
+        return shape or "generic"
+    if method in ("star", "triangle"):
+        if shape != method:
+            raise ParameterError(f"pattern is not a {method}")
+        return method
+    raise ParameterError(f"unknown counting method {method!r}")
+
+
+def check_countable(pattern: PatternGraph, n: int, method: str = "auto") -> None:
+    """Raise CapacityError unless ``count_labeled_copies`` counts the pattern
+    on a host with digit count n; ParameterError for a method that does not
+    fit the pattern.  Needs no graph, so callers can check before sampling."""
+    if pattern.vertex_count > COUNT_MAX_PATTERN_VERTICES:
+        raise CapacityError(
+            f"copy counting caps at {COUNT_MAX_PATTERN_VERTICES} pattern vertices"
+        )
+    if _route(pattern, method) != "generic":
+        if n > KERNEL_COUNT_MAX_N:
+            raise CapacityError(f"copy counting caps at n = {KERNEL_COUNT_MAX_N}")
+    elif not pattern.is_connected():
+        if n > DISCONNECTED_COUNT_MAX_N:
+            raise CapacityError(
+                f"disconnected patterns are only counted at n <= {DISCONNECTED_COUNT_MAX_N}"
+            )
+    elif n > COUNT_MAX_N:
+        raise CapacityError(
+            f"copy counting caps at n = {COUNT_MAX_N} for this pattern;"
+            f" stars, triangles, 4-cycles and 3-edge paths count up to"
+            f" n = {KERNEL_COUNT_MAX_N}"
+        )
+
+
 def _count_star(graph: SampledGraph, k: int) -> int:
     """Sum of falling factorials d!/(d-k)! over the loop-free degrees."""
     counts = np.bincount(graph.degrees(count_loops=False)).tolist()
     return sum(c * math.perm(d, k) for d, c in enumerate(counts) if c)
 
 
-def _count_triangles_labeled(graph: SampledGraph) -> int:
-    adj = graph.neighbor_sets
-    closing = 0
-    for u, v in graph.edge_array.tolist():
-        closing += len(adj[u] & adj[v])
-    # Each triangle closes each of its 3 edges once; 6 labeled maps apiece.
-    return 2 * closing
+def _codegree_sums(graph: SampledGraph):
+    """Exact sums over the loop-free adjacency A with codegrees C = A @ A.
+
+    Returns ``(closed, squares, paths)``:
+    ``closed = sum(A * C)`` (each ordered edge's codegree), ``squares`` the
+    sum of ``c * (c - 1)`` over the off-diagonal entries of C, and
+    ``paths = sum_u (d_u - 1) * sum_{v ~ u} (d_v - 1)``.  Rows go through
+    in blocks of about ``_WEDGE_BLOCK`` wedges; each block's int64 partial
+    sums (far below 2^63 at the kernel cap) add into Python ints.
+    """
+    edges = graph.edges
+    size = graph.vertex_count
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    adj = sparse.csr_matrix(
+        (np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(size, size)
+    )
+    deg = np.diff(adj.indptr).astype(np.int64)
+    wedges = adj @ deg  # 2-paths leaving each vertex, returns included
+    before = np.cumsum(wedges) - wedges
+    cuts = np.flatnonzero(np.diff(before // _WEDGE_BLOCK)) + 1
+    bounds = [0, *cuts.tolist(), size]
+    closed = squares = paths = 0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        block = adj[lo:hi]
+        codeg = block @ adj
+        c = codeg.data
+        closed += int(block.multiply(codeg).sum(dtype=np.int64))
+        squares += int((c * (c - 1)).sum())
+        paths += int(((deg[lo:hi] - 1) * (wedges[lo:hi] - deg[lo:hi])).sum())
+    # the diagonal of C is the degree sequence
+    squares -= _count_star(graph, 2)
+    return closed, squares, paths
 
 
 def _count_backtracking(graph: SampledGraph, pattern: PatternGraph) -> int:
@@ -100,40 +188,40 @@ def count_labeled_copies(
 ) -> int:
     """Number of injective, edge-preserving maps of the pattern into the graph.
 
-    Automorphic images count separately and loops never participate.  Stars
-    are counted from the degree sequence (sum of falling factorials) and
-    triangles from shared neighborhoods; everything else goes through
-    generic backtracking.  All three agree on their shared domains.
+    Automorphic images count separately and loops never participate.  The
+    result is an exact Python int, also above 2^63.
+
+    Routes (``method="auto"``) follow the pattern's structure, not its vertex
+    labels, so a numeric ``@file`` pattern routes like the named builtin:
+
+    - a star K_{1,k} (``star:k``, ``path:2``, a single edge) is the sum of
+      falling factorials d!/(d-k)! over the degree sequence;
+    - a triangle is ``sum(A * (A @ A))`` over the adjacency matrix A;
+    - a 4-cycle is ``sum(c * (c - 1))`` over the codegrees c of distinct
+      vertex pairs;
+    - a 3-edge path is ``2 * sum((d_b - 1) * (d_c - 1))`` over the edges bc,
+      minus the labeled triangles;
+    - every other pattern goes through backtracking over neighbour sets.
+
+    The three matrix routes share one sparse codegree pass in row blocks.
+    ``method="star"`` and ``method="triangle"`` insist on that shape;
+    ``method="generic"`` forces backtracking, the reference the other routes
+    agree with.  Caps (see :func:`check_countable`): patterns have at most
+    ``COUNT_MAX_PATTERN_VERTICES`` vertices; hosts have n <=
+    ``KERNEL_COUNT_MAX_N`` on the star and matrix routes, n <= ``COUNT_MAX_N``
+    under backtracking, and n <= ``DISCONNECTED_COUNT_MAX_N`` for
+    disconnected patterns.
     """
-    if pattern.vertex_count > COUNT_MAX_PATTERN_VERTICES:
-        raise CapacityError(
-            f"copy counting caps at {COUNT_MAX_PATTERN_VERTICES} pattern vertices"
-        )
-    if graph.n > COUNT_MAX_N:
-        raise CapacityError(f"copy counting caps at n = {COUNT_MAX_N}")
-    if not pattern.is_connected() and graph.vertex_count > 1024:
-        raise CapacityError(
-            "disconnected patterns are only counted on hosts with <= 1024 vertices"
-        )
-    if method == "auto":
-        k = _star_leaf_count(pattern)
-        if k is not None:
-            return _count_star(graph, k)
-        if pattern.vertex_count == 3 and pattern.edge_count == 3:
-            return _count_triangles_labeled(graph)
+    check_countable(pattern, graph.n, method)
+    route = _route(pattern, method)
+    if route == "star":
+        return _count_star(graph, _star_leaf_count(pattern))
+    if route == "generic":
         return _count_backtracking(graph, pattern)
-    if method == "star":
-        k = _star_leaf_count(pattern)
-        if k is None:
-            raise ParameterError("pattern is not a star")
-        return _count_star(graph, k)
-    if method == "triangle":
-        if not (pattern.vertex_count == 3 and pattern.edge_count == 3):
-            raise ParameterError("pattern is not a triangle")
-        return _count_triangles_labeled(graph)
-    if method == "generic":
-        return _count_backtracking(graph, pattern)
-    raise ParameterError(f"unknown counting method {method!r}")
+    closed, squares, paths = _codegree_sums(graph)
+    # a 3-edge path is an ordered edge (b, c) plus an end at each side; the
+    # ends coincide exactly on a triangle through b and c
+    return {"triangle": closed, "cycle4": squares, "path3": paths - closed}[route]
 
 
 def neighbor_hamming_histogram(graph: SampledGraph, u: int) -> np.ndarray:

@@ -258,8 +258,8 @@ class SampledGraph:
     def neighbor_sets(self) -> list:
         """Per-vertex neighbor sets from proper edges only (loops excluded).
 
-        Python sets for the set-intersection counters; other code reads the
-        edge array directly.
+        Python sets for the backtracking counter; other code reads the edge
+        array directly.
         """
         ends = self.edges.ravel()  # (lo0, hi0, lo1, hi1, ...)
         others = self.edges[:, ::-1].ravel()  # the opposite end of each

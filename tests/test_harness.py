@@ -1,8 +1,18 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
-from kronval import ConfigError, KroneckerParams
+import kronval.harness
+from kronval import (
+    CapacityError,
+    ConfigError,
+    KroneckerParams,
+    SampledGraph,
+    count_labeled_copies,
+    star,
+)
 from kronval.cli import main
 from kronval.harness import (
     ExperimentConfig,
@@ -45,6 +55,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             cfg(kind="subgraph").validate()
         cfg(kind="subgraph", pattern="star:2").validate()
+
+    def test_counting_caps_checked_before_generation(self):
+        with pytest.raises(CapacityError):
+            cfg(kind="subgraph", pattern="cycle:5", params=KroneckerParams(0.7, 0.3, 0.3, 15)).validate()
+        with pytest.raises(CapacityError):
+            cfg(
+                kind="thresholds",
+                pattern="cycle:4",
+                sweep=(0.3, 0.7, 4),
+                params=KroneckerParams(0.7, 0.3, 0.3, 17),
+            ).validate()
+        cfg(kind="subgraph", pattern="cycle:4", params=KroneckerParams(0.7, 0.3, 0.3, 16)).validate()
 
     def test_sweep_required_for_thresholds(self):
         with pytest.raises(ConfigError):
@@ -134,6 +156,27 @@ class TestReports:
             run_experiment(cfg(seed=18))
         )
 
+    def test_counts_above_2_pow_53_are_exact(self, monkeypatch):
+        # a hub joined to 2^15 - 1 leaves holds about 1.2e18 labeled 4-stars,
+        # where float64 steps by 256
+        params = KroneckerParams(0.7, 0.3, 0.3, 15)
+        leaves = np.arange(1, 1 << 15)
+        hub = SampledGraph.from_pairs(params, np.zeros_like(leaves), leaves)
+        trial_graphs = []
+
+        def fake_stratified(params, include_loops, seed):
+            trial_graphs.append(hub)
+            return hub
+
+        monkeypatch.setattr(kronval.harness, "generate_stratified", fake_stratified)
+        report = run_experiment(cfg(kind="subgraph", pattern="star:4", params=params, trials=2))
+        count = count_labeled_copies(trial_graphs[0], star(4))
+        assert count == math.perm((1 << 15) - 1, 4) and count > 2**53
+        assert int(float(count)) != count
+        data = json.loads(report_json(report))
+        assert data["empirical"]["counts"] == [count, count]
+        assert data["table"]["rows"] == [[0, count], [1, count]]
+
     def test_json_rounds_to_twelve_digits(self):
         data = json.loads(report_json(run_experiment(cfg())))
         value = data["analytic"][0]["value"]
@@ -195,6 +238,21 @@ class TestCli:
             ]
         )
         assert rc == 2
+
+    def test_counting_cap_is_exit_2_before_generation(self, monkeypatch, capsys):
+        def no_generation(*args, **kwargs):
+            raise AssertionError("a trial graph was generated")
+
+        monkeypatch.setattr(kronval.harness, "_generate", no_generation)
+        for n, pattern in (("17", "cycle:4"), ("15", "cycle:5")):
+            rc = main(
+                [
+                    "validate", "--kind", "subgraph", "--alpha", "0.7", "--beta", "0.5",
+                    "--gamma", "0.7", "--n", n, "--pattern", pattern, "--seed", "1",
+                ]
+            )
+            assert rc == 2
+            assert "copy counting caps at n = " in capsys.readouterr().err
 
     def test_certify_exit_codes(self, capsys):
         passing = [

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kronval.measure
 from kronval import (
     CapacityError,
     KroneckerParams,
@@ -21,6 +24,7 @@ from kronval import (
     generate_stratified,
     hamming,
     neighbor_hamming_histogram,
+    parse_pattern,
     path,
     star,
 )
@@ -52,11 +56,76 @@ class TestCountLabeledCopies:
 
     def test_shortcuts_match_generic(self):
         p = KroneckerParams(0.55, 0.45, 0.35, 7)
-        g = generate_stratified(p, include_loops=True, seed=SeedSpec(19))
-        for pattern in (star(1), star(2), star(3), cycle(3)):
-            auto = count_labeled_copies(g, pattern)
-            generic = count_labeled_copies(g, pattern, method="generic")
-            assert auto == generic
+        hosts = [
+            generate_stratified(p, include_loops=True, seed=SeedSpec(19)),
+            generate_stratified(
+                KroneckerParams(0.9, 0.6, 0.4, 6), include_loops=True, seed=SeedSpec(3)
+            ),
+            complete_graph(p, [0, 1, 2, 5, 9]),
+            SampledGraph.from_pairs(
+                p, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 1), (7, 7)], loops=[0, 3]
+            ),
+            SampledGraph.from_pairs(p, [], loops=[0, 5, 6]),
+            SampledGraph.from_pairs(p, [], include_loops=False),
+        ]
+        patterns = (
+            star(1), star(2), star(3), cycle(3), cycle(4), path(3),
+            # C4 and P3 in the numeric format, with their vertices relabelled
+            parse_pattern("4\n0 2\n2 1\n1 3\n3 0\n"),
+            parse_pattern("4\n2 0\n0 3\n3 1\n"),
+        )
+        for g in hosts:
+            for pattern in patterns:
+                auto = count_labeled_copies(g, pattern)
+                generic = count_labeled_copies(g, pattern, method="generic")
+                assert auto == generic
+        assert count_labeled_copies(hosts[1], cycle(4)) > 0
+        assert count_labeled_copies(hosts[1], path(3)) > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=6),
+    )
+    def test_kernels_match_generic_on_random_pairs(self, data, n):
+        vertex = st.integers(min_value=0, max_value=(1 << n) - 1)
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=60))
+        g = SampledGraph.from_pairs(KroneckerParams(0.6, 0.4, 0.3, n), pairs)
+        for pattern in (cycle(3), cycle(4), path(3)):
+            assert count_labeled_copies(g, pattern) == count_labeled_copies(
+                g, pattern, method="generic"
+            )
+
+    def test_counts_do_not_depend_on_block_size(self, monkeypatch):
+        p = KroneckerParams(0.7, 0.5, 0.7, 8)
+        g = generate_stratified(p, include_loops=True, seed=SeedSpec(5))
+        patterns = (cycle(3), cycle(4), path(3))
+        wide = [count_labeled_copies(g, pattern) for pattern in patterns]
+        monkeypatch.setattr(kronval.measure, "_WEDGE_BLOCK", 1)
+        assert [count_labeled_copies(g, pattern) for pattern in patterns] == wide
+
+    def test_kernel_routes_build_no_neighbor_sets(self):
+        p = KroneckerParams(0.7, 0.5, 0.7, 8)
+        g = generate_stratified(p, include_loops=True, seed=SeedSpec(7))
+        for pattern in (star(2), cycle(3), cycle(4), path(3)):
+            count_labeled_copies(g, pattern)
+        assert "neighbor_sets" not in g.__dict__
+        count_labeled_copies(g, cycle(5))
+        assert "neighbor_sets" in g.__dict__
+
+    def test_kernel_count_beyond_backtracking_cap(self):
+        # K_{2,m} on Z_2^15: C4 has 8 automorphisms and K_{2,m} holds
+        # binom(m, 2) of them, so 4 m (m - 1) labeled copies
+        p = KroneckerParams(0.6, 0.4, 0.3, 15)
+        m = 300
+        leaves = np.arange(1, m + 1)
+        hubs = np.repeat([0, (1 << 15) - 1], m)
+        g = SampledGraph.from_pairs(p, hubs, np.tile(leaves, 2))
+        assert count_labeled_copies(g, cycle(4)) == 4 * m * (m - 1)
+        with pytest.raises(CapacityError):
+            count_labeled_copies(g, cycle(5))
+        with pytest.raises(CapacityError):
+            count_labeled_copies(g, cycle(4), method="generic")
 
     def test_star_shortcut_is_falling_factorial(self):
         p = KroneckerParams(0.55, 0.45, 0.35, 6)
