@@ -52,11 +52,16 @@ def _params(args) -> KroneckerParams:
     return KroneckerParams(alpha=args.alpha, beta=args.beta, gamma=args.gamma, n=args.n)
 
 
-def _load_pattern(text: str):
+def _pattern_text(text: str) -> str:
+    """The pattern spec itself, read from the file for an ``@file`` argument."""
     if text.startswith("@"):
         with open(text[1:], "r", encoding="ascii") as fh:
-            return parse_pattern(fh.read())
-    return parse_pattern(text)
+            return fh.read()
+    return text
+
+
+def _load_pattern(text: str):
+    return parse_pattern(_pattern_text(text))
 
 
 def _emit_json(payload: dict, out_path=None) -> None:
@@ -163,7 +168,7 @@ def _cmd_validate(args) -> int:
         generator=args.generator,
         rmat_edges=args.rmat_edges,
         include_loops=args.loops,
-        pattern=args.pattern,
+        pattern=_pattern_text(args.pattern) if args.pattern else args.pattern,
         degree_max=args.d_max,
         sweep=sweep,
         allow_large=args.allow_large,

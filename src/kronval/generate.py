@@ -8,6 +8,7 @@ does not depend on how many workers process them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -24,6 +25,7 @@ DEFAULT_EDGE_BUDGET = 50_000_000
 _NAIVE_ROW_BLOCK = 128
 _RMAT_CHUNK = 1 << 20
 _RMAT_SUBBLOCK = 1 << 16  # rows per rng.random call: 32 MB of doubles at n = 62
+_UNRANK_BLOCK = 1 << 14  # pooled ranks per stratified unranking pass
 
 # Binomial coefficients C[i, j] for i, j <= STRATIFIED_MAX_N; exact in int64.
 _COMB = np.array(
@@ -129,15 +131,19 @@ def generate_naive(
     return SampledGraph.from_pairs(params, edge_u, edge_v, loop_vertices, include_loops)
 
 
-def _unrank_combinations(n_slots: int, k: int, ranks: np.ndarray) -> np.ndarray:
-    """Bitmasks of the rank-th k-subsets of {0..n_slots-1}, lexicographic."""
-    r = ranks.astype(np.int64).copy()
-    remaining = np.full(len(ranks), k, dtype=np.int64)
-    out = np.zeros(len(ranks), dtype=np.int64)
-    for s in range(n_slots):
+def _unrank_combinations(n_slots, k, ranks: np.ndarray) -> np.ndarray:
+    """Bitmasks of the rank-th k-subsets of {0..n_slots-1}, lexicographic.
+
+    n_slots and k are scalars or arrays aligned with ranks.
+    """
+    r = ranks.astype(np.int64)
+    remaining = np.broadcast_to(np.asarray(k, dtype=np.int64), r.shape).copy()
+    n_slots = np.asarray(n_slots, dtype=np.int64)
+    out = np.zeros(len(r), dtype=np.int64)
+    for s in range(int(n_slots.max())):
         count_with_s = np.where(
             remaining > 0,
-            _COMB[n_slots - s - 1, np.maximum(remaining - 1, 0)],
+            _COMB[np.maximum(n_slots - s - 1, 0), np.maximum(remaining - 1, 0)],
             0,
         )
         take = (remaining > 0) & (r < count_with_s)
@@ -147,19 +153,7 @@ def _unrank_combinations(n_slots: int, k: int, ranks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _expand_into_zeros(base: np.ndarray, rel: np.ndarray, n: int) -> np.ndarray:
-    """Map bit j of rel onto the j-th zero bit of base (per element)."""
-    out = np.zeros_like(base)
-    next_slot = np.zeros_like(base)
-    for p in range(n):
-        is_zero = ((base >> p) & 1) == 0
-        take = is_zero & (((rel >> next_slot) & 1) == 1)
-        out |= take.astype(np.int64) << p
-        next_slot += is_zero
-    return out
-
-
-def _scatter_onto_bits(target: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+def _deposit_bits(target: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """Place bit j of values onto the j-th set bit of target (per element)."""
     out = np.zeros_like(target)
     next_slot = np.zeros_like(target)
@@ -171,53 +165,56 @@ def _scatter_onto_bits(target: np.ndarray, values: np.ndarray, n: int) -> np.nda
     return out
 
 
-def _unrank_combination_int(n_slots: int, k: int, rank: int) -> int:
-    mask = 0
-    remaining = k
-    r = rank
-    for s in range(n_slots):
-        if remaining == 0:
-            break
-        count_with_s = math.comb(n_slots - s - 1, remaining - 1)
-        if r < count_with_s:
-            mask |= 1 << s
-            remaining -= 1
-        else:
-            r -= count_with_s
-    return mask
+def _unrank_pairs(n: int, a, b, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) of the rank-th pairs of class (a, b); a and b scalar or per rank.
 
-
-def _unrank_pair_int(n: int, a: int, b: int, comb_mixed: int, rank: int) -> tuple[int, int]:
-    """Scalar twin of the vectorized class unranking; same bijection."""
-    assign_space = 1 << (b - 1)
-    r_assign = rank % assign_space
-    rest = rank // assign_space
-    r_mixed = rest % comb_mixed
-    r_ones = rest // comb_mixed
-    ones = _unrank_combination_int(n, a, r_ones)
-    rel = _unrank_combination_int(n - a, b, r_mixed)
-    mixed = 0
-    slot = 0
-    for p in range(n):
-        if not (ones >> p) & 1:
-            if (rel >> slot) & 1:
-                mixed |= 1 << p
-            slot += 1
+    A rank splits into the one-digit subset, the mixed-digit subset of the
+    remaining n - a digits, and the orientation of every mixed digit but the
+    lowest, which always goes to u.
+    """
+    comb_mixed = _COMB[n - a, b]
+    assign_space = np.left_shift(np.int64(1), b - 1)
+    r_assign = ranks % assign_space
+    rest = ranks // assign_space
+    ones = _unrank_combinations(n, a, rest // comb_mixed)
+    rel_mixed = _unrank_combinations(n - a, b, rest % comb_mixed)
+    mixed = _deposit_bits(~ones & ((1 << n) - 1), rel_mixed, n)
     lowest = mixed & -mixed
-    scattered = 0
-    slot = 0
-    rest_bits = mixed ^ lowest
-    for p in range(n):
-        if (rest_bits >> p) & 1:
-            if (r_assign >> slot) & 1:
-                scattered |= 1 << p
-            slot += 1
-    u = ones | lowest | scattered
-    v = ones | (mixed ^ lowest ^ scattered)
-    return u, v
+    scattered = _deposit_bits(mixed ^ lowest, r_assign, n)
+    return ones | lowest | scattered, ones | (mixed ^ lowest ^ scattered)
 
 
-_SCALAR_UNRANK_LIMIT = 24  # below this count the scalar path is cheaper
+def _unrank_pooled(classes, unrank) -> Iterator:
+    """Yield unrank(*keys, ranks) over the (ranks, *keys) items of classes.
+
+    A vectorized unranking pass has a fixed cost of a few numpy calls per
+    digit, so small classes are pooled: their ranks are concatenated, their
+    keys repeated per rank, and the pool is unranked in one pass once it
+    holds _UNRANK_BLOCK ranks, and at the end.  A class of at least
+    _UNRANK_BLOCK ranks is unranked alone with scalar keys, which is cheaper
+    per rank and bounds the pool's temporaries.
+    """
+    pool = []
+    pooled = 0
+    for ranks, *keys in classes:
+        if len(ranks) >= _UNRANK_BLOCK:
+            yield unrank(*keys, ranks)
+            continue
+        pool.append((ranks, keys))
+        pooled += len(ranks)
+        if pooled >= _UNRANK_BLOCK:
+            yield _unrank_pool(pool, unrank)
+            pool, pooled = [], 0
+    if pool:
+        yield _unrank_pool(pool, unrank)
+
+
+def _unrank_pool(pool: list, unrank):
+    """One unranking pass over pooled (ranks, keys) classes."""
+    lengths = [len(ranks) for ranks, _ in pool]
+    columns = zip(*(keys for _, keys in pool))
+    repeated = [np.repeat(np.array(column, dtype=np.int64), lengths) for column in columns]
+    return unrank(*repeated, np.concatenate([ranks for ranks, _ in pool]))
 
 
 def _sample_distinct(rng: np.random.Generator, size: int, k: int) -> np.ndarray:
@@ -252,9 +249,14 @@ def generate_stratified(
     """Class-based sampler with the same output distribution as generate_naive.
 
     Pairs are grouped by digit class (a, b, c); each class draws a binomial
-    edge count and unranks that many distinct pair indices, so the joint law
-    over all pairs is exactly independent Bernoulli.  Scales to n = 30 as
-    long as the expected edge count fits the budget.
+    edge count and that many distinct pair ranks from its own substream, so
+    the joint law over all pairs is exactly independent Bernoulli.  Loops
+    are drawn the same way per weight class.  The ranks are unranked into
+    vertex pairs in pooled passes (see _unrank_pooled: classes below
+    _UNRANK_BLOCK ranks share a pass, larger ones run alone), so a small
+    graph pays a few vectorized passes rather than one per class; pooling
+    consumes no randomness and leaves the output unchanged.  Scales to
+    n = 30 as long as the expected edge count fits the budget.
     """
     n = params.n
     if n > STRATIFIED_MAX_N:
@@ -266,58 +268,32 @@ def generate_stratified(
             f" {max_expected_edges:.3g}"
         )
     la, lb, lg = params.log_entries()
-    us = []
-    vs = []
-    for a, b, c, size in pair_classes(n):
-        rng = seed.child("class", a, b).generator()
-        prob = math.exp(a * la + b * lb + c * lg)
-        count = int(rng.binomial(size, prob))
-        if count == 0:
-            continue
-        ranks = _sample_distinct(rng, size, count)
-        comb_mixed = math.comb(n - a, b)
-        if count <= _SCALAR_UNRANK_LIMIT:
-            pairs = [_unrank_pair_int(n, a, b, comb_mixed, int(r)) for r in ranks]
-            u_arr = np.array([pair[0] for pair in pairs], dtype=np.int64)
-            v_arr = np.array([pair[1] for pair in pairs], dtype=np.int64)
-        else:
-            assign_space = 1 << (b - 1)
-            r_assign = ranks % assign_space
-            rest = ranks // assign_space
-            r_mixed = rest % comb_mixed
-            r_ones = rest // comb_mixed
-            ones_mask = _unrank_combinations(n, a, r_ones)
-            rel_mixed = _unrank_combinations(n - a, b, r_mixed)
-            mixed_mask = _expand_into_zeros(ones_mask, rel_mixed, n)
-            lowest = mixed_mask & -mixed_mask
-            scattered = _scatter_onto_bits(mixed_mask ^ lowest, r_assign, n)
-            u_arr = ones_mask | lowest | scattered
-            v_arr = ones_mask | (mixed_mask ^ lowest ^ scattered)
-        us.append(u_arr)
-        vs.append(v_arr)
-    edge_u = np.concatenate(us) if us else np.empty(0, dtype=np.int64)
-    edge_v = np.concatenate(vs) if vs else np.empty(0, dtype=np.int64)
 
-    loop_vertices = []
-    if include_loops:
+    def pair_class_ranks():
+        for a, b, c, size in pair_classes(n):
+            rng = seed.child("class", a, b).generator()
+            count = int(rng.binomial(size, math.exp(a * la + b * lb + c * lg)))
+            if count:
+                yield _sample_distinct(rng, size, count), a, b
+
+    def loop_class_ranks():
         for w in range(n + 1):
             rng = seed.child("loop_class", w).generator()
             class_size = math.comb(n, w)
-            prob = math.exp(w * la + (n - w) * lg)
-            count = int(rng.binomial(class_size, prob))
-            if count == 0:
-                continue
-            ranks = _sample_distinct(rng, class_size, count)
-            if count <= _SCALAR_UNRANK_LIMIT:
-                loop_vertices.append(
-                    np.array(
-                        [_unrank_combination_int(n, w, int(r)) for r in ranks],
-                        dtype=np.int64,
-                    )
-                )
-            else:
-                loop_vertices.append(_unrank_combinations(n, w, ranks))
-    loops = np.concatenate(loop_vertices) if loop_vertices else np.empty(0, dtype=np.int64)
+            count = int(rng.binomial(class_size, math.exp(w * la + (n - w) * lg)))
+            if count:
+                yield _sample_distinct(rng, class_size, count), w
+
+    pairs = list(_unrank_pooled(pair_class_ranks(), functools.partial(_unrank_pairs, n)))
+    edge_u = np.concatenate([u for u, _ in pairs]) if pairs else np.empty(0, dtype=np.int64)
+    edge_v = np.concatenate([v for _, v in pairs]) if pairs else np.empty(0, dtype=np.int64)
+    loops = np.empty(0, dtype=np.int64)
+    if include_loops:
+        loop_blocks = list(
+            _unrank_pooled(loop_class_ranks(), functools.partial(_unrank_combinations, n))
+        )
+        if loop_blocks:
+            loops = np.concatenate(loop_blocks)
     return SampledGraph.from_pairs(params, edge_u, edge_v, loops, include_loops)
 
 

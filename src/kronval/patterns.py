@@ -439,8 +439,12 @@ def enumerate_pair_unions(pattern: PatternGraph) -> tuple:
     Enumerates every injective placement of a second copy over the first
     (shared vertices mapped into the first copy, the rest to fresh ones) and
     keeps the placements whose edge images overlap without being identical.
-    Duplicates are removed up to isomorphism.  Results are cached; they do
-    not depend on any model parameters.
+    A placement whose union has the same vertex count and edge set as an
+    earlier placement's is skipped before any isomorphism test, since the
+    earlier one was already kept or matched; the rest are deduplicated up to
+    isomorphism, and the first placement of each class is its
+    representative.  Results are cached; they do not depend on any model
+    parameters.
     """
     v = pattern.vertex_count
     if v > UNION_MAX_VERTICES:
@@ -449,6 +453,7 @@ def enumerate_pair_unions(pattern: PatternGraph) -> tuple:
         )
     base_edges = pattern.edges
     found = {}  # bucket key -> list of (nx graph, UnionPattern)
+    seen = set()  # (vertex count, edge set) of every union handled so far
     for shared_count in range(v + 1):
         for shared in itertools.combinations(range(v), shared_count):
             for targets in itertools.permutations(range(v), shared_count):
@@ -471,7 +476,11 @@ def enumerate_pair_unions(pattern: PatternGraph) -> tuple:
                     continue
                 if not (second_edges & base_edges):
                     continue
-                union = PatternGraph(vertex_count=fresh, edges=base_edges | second_edges)
+                union_edges = base_edges | second_edges
+                if (fresh, union_edges) in seen:
+                    continue
+                seen.add((fresh, union_edges))
+                union = PatternGraph(vertex_count=fresh, edges=union_edges)
                 key = _iso_bucket_key(union)
                 candidates = found.setdefault(key, [])
                 union_nx = union.to_networkx()

@@ -5,6 +5,7 @@ Hamming profile of a neighborhood."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,13 +240,20 @@ def hamming_profile_prediction(params: KroneckerParams, k: int) -> float:
     n = params.n
     if not 0 <= k <= n:
         raise ParameterError(f"distance must lie in [0, {n}], got {k}")
-    return math.exp(
+    log_value = (
         math.lgamma(n + 1)
         - math.lgamma(k + 1)
         - math.lgamma(n - k + 1)
         + (n - k) * math.log(params.alpha)
         + k * math.log(params.beta)
     )
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise ParameterError(
+            f"expected neighbors at distance {k} is e^{log_value:.6g}, beyond the"
+            f" largest float {sys.float_info.max:.6g}"
+        ) from None
 
 
 def hamming_window(params: KroneckerParams) -> tuple[float, float]:

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import kronval.generate
 from kronval import (
     CapacityError,
     KroneckerParams,
@@ -20,6 +22,7 @@ from kronval import (
     pair_classes,
     rmat_pairs,
 )
+from kronval.generate import _unrank_combinations
 
 
 def test_pair_class_sizes_cover_all_pairs():
@@ -247,3 +250,38 @@ class TestCapacity:
         p = KroneckerParams(0.9, 0.8, 0.9, 24)
         with pytest.raises(CapacityError, match="budget"):
             generate_stratified(p, seed=SeedSpec(1), max_expected_edges=10_000)
+
+
+class TestPooledUnranking:
+    def test_mixed_classes_follow_lexicographic_order(self):
+        slots, ks, ranks, masks = [], [], [], []
+        for n_slots in range(9):
+            for k in range(n_slots + 1):
+                for rank, combo in enumerate(itertools.combinations(range(n_slots), k)):
+                    slots.append(n_slots)
+                    ks.append(k)
+                    ranks.append(rank)
+                    masks.append(sum(1 << s for s in combo))
+        # interleave every (n_slots, k) class in one call
+        order = np.random.default_rng(0).permutation(len(ranks))
+        got = _unrank_combinations(
+            np.array(slots)[order], np.array(ks)[order], np.array(ranks)[order]
+        )
+        assert got.tolist() == np.array(masks)[order].tolist()
+        for n_slots in range(9):
+            for k in range(n_slots + 1):
+                chosen = [i for i in range(len(ranks)) if slots[i] == n_slots and ks[i] == k]
+                scalar = _unrank_combinations(n_slots, k, np.array([ranks[i] for i in chosen]))
+                assert scalar.tolist() == [masks[i] for i in chosen]
+
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("include_loops", [True, False])
+    def test_pool_size_leaves_graph_unchanged(self, monkeypatch, n, include_loops):
+        p = KroneckerParams(0.9, 0.5, 0.7, n)
+        graphs = []
+        for block in (1, 7, 1 << 40):
+            monkeypatch.setattr(kronval.generate, "_UNRANK_BLOCK", block)
+            graphs.append(generate_stratified(p, include_loops=include_loops, seed=SeedSpec(9)))
+        assert len(graphs[0].edges) > 0
+        assert (len(graphs[0].loops) > 0) == include_loops
+        assert graphs[0] == graphs[1] == graphs[2]

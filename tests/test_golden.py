@@ -1,7 +1,10 @@
 """Golden-bytes determinism: fixed (command, seed) pairs must keep producing
 the exact bytes pinned here.  The digests were recorded before the graph
 representation moved from frozensets of tuples to sorted int64 arrays, so a
-pass means that change, and any later one, left the output bytes alone.
+pass means that change, and any later one, left the output bytes alone.  The
+two larger stratified cases were recorded before the stratified sampler
+pooled its unranking: at n=15 one pair class holds about 105k edges, more
+than a pooled pass takes, and at n=18 the pool fills and empties many times.
 """
 
 import hashlib
@@ -20,6 +23,16 @@ GOLDEN = {
         ["generate", "--generator", "stratified", "--n", "10", "--alpha", "0.6", "--beta", "0.5",
          "--gamma", "0.6", "--seed", "12"],
         "7a95b4a77e4620dddf09673e43749df2424925dcee7881b692f718406496defe",
+    ),
+    "stratified-n15-large-class": (
+        ["generate", "--generator", "stratified", "--n", "15", "--alpha", "0.7", "--beta", "0.9",
+         "--gamma", "0.1", "--seed", "22"],
+        "bb4aa786d6e6d8fd6c5175c795199b6f0a9d3965a7440fc1db8c02e53821af28",
+    ),
+    "stratified-n18": (
+        ["generate", "--generator", "stratified", "--n", "18", "--alpha", "0.6", "--beta", "0.5",
+         "--gamma", "0.6", "--seed", "21"],
+        "3a856ff13e44e0a6b66d510e1259859f1dec2205c740ad1e5d0f60731b4305e6",
     ),
     "rmat-n10": (
         ["generate", "--generator", "rmat", "--n", "10", "--alpha", "0.57", "--beta", "0.19",

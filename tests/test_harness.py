@@ -254,6 +254,46 @@ class TestCli:
             assert rc == 2
             assert "copy counting caps at n = " in capsys.readouterr().err
 
+    def test_validate_reads_pattern_file(self, tmp_path, capsys):
+        spec = tmp_path / "c4.txt"
+        spec.write_text("4\n0 1\n1 2\n2 3\n0 3\n", encoding="ascii")
+        reports = []
+        for pattern in ("cycle:4", f"@{spec}"):
+            rc = main(
+                [
+                    "validate", "--kind", "subgraph", "--alpha", "0.7", "--beta", "0.5",
+                    "--gamma", "0.7", "--n", "8", "--trials", "3", "--pattern", pattern,
+                    "--seed", "4",
+                ]
+            )
+            assert rc in (0, 1)
+            reports.append(json.loads(capsys.readouterr().out))
+        by_name, by_file = reports
+        assert by_file["empirical"]["counts"] == by_name["empirical"]["counts"]
+        assert by_file["table"] == by_name["table"]
+        # the report echoes the pattern text, not a path to it
+        assert by_file["config"]["pattern"] == spec.read_text(encoding="ascii")
+        rc = main(
+            [
+                "validate", "--kind", "subgraph", "--alpha", "0.7", "--beta", "0.5",
+                "--gamma", "0.7", "--n", "8", "--pattern", f"@{tmp_path / 'missing.txt'}",
+                "--seed", "4",
+            ]
+        )
+        assert rc == 2
+
+    def test_hamming_profile_overflow_is_exit_2(self, capsys):
+        rc = main(
+            [
+                "predict", "--what", "hamming-profile", "--alpha", "0.6", "--beta", "0.5",
+                "--gamma", "0.6", "--n", "100000",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "beyond the largest float" in captured.err
+
     def test_certify_exit_codes(self, capsys):
         passing = [
             "certify", "--pattern", "star:2", "--alpha", "0.6", "--beta", "0.5",

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import networkx as nx
@@ -9,6 +10,7 @@ from kronval import (
     KroneckerParams,
     ParameterError,
     PatternGraph,
+    UnionPattern,
     base_value,
     base_value_from_edge_labelings,
     cycle,
@@ -28,6 +30,7 @@ from kronval import (
     tree_base_value,
     valid_edge_labelings,
 )
+from kronval.cli import main
 from conftest import PARAM_GRID, SYMMETRIC_GRID, brute_base_value
 
 
@@ -328,6 +331,104 @@ class TestPairUnions:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             enumerate_pair_unions(cycle(7))
+
+
+PAW = PatternGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+DIAMOND = PatternGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+K4 = PatternGraph.from_edges(4, itertools.combinations(range(4), 2))
+
+# Union count and sha256 of the representatives (vertex count, edges, maps)
+# per pattern, recorded before placements that repeat an earlier union's
+# edge set were skipped.
+UNION_FAMILIES = {
+    "cycle:3": (1, "5473e0d376143c7f0e2cbdf516e5b14f98fc06a5548e399af68f14daf7a98dae"),
+    "cycle:4": (4, "9c5a3701a3cc1c3b7a344f4d0811b64984cc21eaaa4345b9e88206ecf88fd4b4"),
+    "cycle:5": (13, "7fab0bd78a5e38a6cb9de9a0e25f89f94e670837b59d89c9bdfe8f9c1ba302d9"),
+    "star:3": (5, "9ad572dbaf28e7616a692f21f5507d51cd3974730f776d304885fc29e103714e"),
+    "star:4": (7, "d48127c92c2fc18cb711cfaca40e0561320d5b5290561dbfd31d2830e338d2f2"),
+    "path:3": (13, "52c761440215890f93609b77dcccd9eef847d3c1560d6945f8b8b3686c4e3331"),
+    "path:4": (67, "c123bcd327a00d23e7f9732a88b532e5d9242dea286b7ec704f99ce6837f0cf5"),
+    "paw": (18, "b7591408035941e8419605e558d9d6ef18f83c7daefa5365e39614779a05e433"),
+}
+
+# sha256 of `certify --pattern P --alpha 0.6 --beta 0.5 --gamma 0.6` stdout,
+# recorded at the same point.
+CERTIFY_DIGESTS = {
+    "cycle:3": "f17d492bb89dfd4f8806d5c3ff397915334eb130c7248de62df3fc5b152bb450",
+    "cycle:4": "42d191659cee0ae45a9d5839b5dc672ab076f42fb4c729410d320f554b42e861",
+    "cycle:5": "2df75dc53bb3299c383f156554dad99e9fc7b6bb93d51f977581f3d567ddf2b7",
+    "star:4": "0d4498474dcb20f82868889a6645831f8eb6f83e7064ace0397d329ecda60c1c",
+    "path:4": "fdcc06a279e28fc245603b8f098af7df9f049d3c81602ef98c74516c4561a8c8",
+}
+
+
+def _placements(pattern):
+    """(vertex count, union edge set, map_b) of every placement of a second
+    copy that overlaps the first without coinciding, in enumeration order."""
+    v = pattern.vertex_count
+    for shared_count in range(v + 1):
+        for shared in itertools.combinations(range(v), shared_count):
+            for targets in itertools.permutations(range(v), shared_count):
+                image = dict(zip(shared, targets))
+                map_b = []
+                fresh = v
+                for w in range(v):
+                    if w in image:
+                        map_b.append(image[w])
+                    else:
+                        map_b.append(fresh)
+                        fresh += 1
+                second = frozenset(
+                    (min(map_b[a], map_b[b]), max(map_b[a], map_b[b]))
+                    for a, b in pattern.edge_list
+                )
+                if second != pattern.edges and second & pattern.edges:
+                    yield fresh, pattern.edges | second, tuple(map_b)
+
+
+def _unions_without_skipping(pattern):
+    """Reference family: isomorphism-test every placement, keep the first of each class."""
+    kept = []
+    for vertex_count, edges, map_b in _placements(pattern):
+        union = PatternGraph(vertex_count=vertex_count, edges=edges)
+        union_nx = union.to_networkx()
+        if not any(nx.is_isomorphic(union_nx, other.graph.to_networkx()) for other in kept):
+            identity = tuple(range(pattern.vertex_count))
+            kept.append(UnionPattern(graph=union, map_a=identity, map_b=map_b))
+    kept.sort(key=lambda up: (up.graph.vertex_count, up.graph.edge_count, up.graph.edge_list))
+    return tuple(kept)
+
+
+class TestUnionFamilies:
+    @pytest.mark.parametrize("name", sorted(UNION_FAMILIES))
+    def test_family_pinned(self, name):
+        pattern = PAW if name == "paw" else parse_pattern(name)
+        unions = enumerate_pair_unions(pattern)
+        digest = hashlib.sha256(
+            repr(
+                [(u.graph.vertex_count, u.graph.edge_list, u.map_a, u.map_b) for u in unions]
+            ).encode()
+        ).hexdigest()
+        assert (len(unions), digest) == UNION_FAMILIES[name]
+
+    @pytest.mark.parametrize("name", sorted(CERTIFY_DIGESTS))
+    def test_certify_bytes(self, capsys, name):
+        argv = ["certify", "--pattern", name, "--alpha", "0.6", "--beta", "0.5", "--gamma", "0.6"]
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == CERTIFY_DIGESTS[name]
+
+    @pytest.mark.parametrize(
+        "pattern", [star(2), star(3), path(3), cycle(3), cycle(4), PAW, DIAMOND, K4]
+    )
+    def test_skipping_repeated_unions_changes_nothing(self, pattern):
+        unions = enumerate_pair_unions(pattern)
+        assert unions == _unions_without_skipping(pattern)
+        # every placement's union is isomorphic to exactly one representative
+        representatives = [u.graph.to_networkx() for u in unions]
+        for vertex_count, edges, _ in _placements(pattern):
+            union_nx = PatternGraph(vertex_count=vertex_count, edges=edges).to_networkx()
+            assert sum(nx.is_isomorphic(union_nx, r) for r in representatives) == 1
 
 
 class TestIdentifyVertices:

@@ -280,6 +280,18 @@ class TestHammingProfile:
         with pytest.raises(ParameterError):
             hamming_profile_prediction(KroneckerParams(0.7, 0.5, 0.7, 8), 9)
 
+    def test_overflow_is_parameter_error(self):
+        p = KroneckerParams(0.6, 0.5, 0.6, 100_000)
+        # k = 25134 is the last term below the float limit, e^709.38
+        k = 25134
+        log_value = (
+            math.lgamma(100_001) - math.lgamma(k + 1) - math.lgamma(100_001 - k)
+            + (100_000 - k) * math.log(0.6) + k * math.log(0.5)
+        )
+        assert hamming_profile_prediction(p, k) == math.exp(log_value) > 1e307
+        with pytest.raises(ParameterError, match="largest float"):
+            hamming_profile_prediction(p, k + 1)
+
     def test_window_shape(self):
         p = KroneckerParams(0.7, 0.5, 0.7, 14)
         lo, hi = hamming_window(p)
