@@ -8,21 +8,23 @@ usage or configuration errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from ._version import __version__
 from .edgelist import read_edgelist, write_edgelist
 from .errors import KronvalError
-from .generate import RmatParams, generate_naive, generate_rmat, generate_stratified
+# Bound for perfbench/spans.py, which traces these names on this module.
+from .generate import generate_naive, generate_rmat, generate_stratified  # noqa: F401
 from .harness import (
     ExperimentConfig,
+    canonical_json,
     emit_report,
+    generate_graph,
     report_json,
     run_experiment,
-    _round_floats,
 )
 from .measure import count_labeled_copies, edge_distance_histogram
 from .model import KroneckerParams
@@ -64,8 +66,7 @@ def _load_pattern(text: str):
     return parse_pattern(_pattern_text(text))
 
 
-def _emit_json(payload: dict, out_path=None) -> None:
-    text = json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
+def _write_out(text: str, out_path=None) -> None:
     if out_path:
         with open(out_path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text)
@@ -74,16 +75,8 @@ def _emit_json(payload: dict, out_path=None) -> None:
 
 
 def _cmd_generate(args) -> int:
-    params = _params(args)
     seed = SeedSpec(args.seed)
-    if args.generator == "rmat":
-        if args.rmat_edges is None:
-            raise KronvalError("the rmat generator needs --rmat-edges")
-        graph = generate_rmat(RmatParams(base=params, m=args.rmat_edges), seed=seed)
-    elif args.generator == "naive":
-        graph = generate_naive(params, include_loops=args.loops, seed=seed)
-    else:
-        graph = generate_stratified(params, include_loops=args.loops, seed=seed)
+    graph = generate_graph(_params(args), args.generator, seed, args.loops, args.rmat_edges)
     write_edgelist(graph, args.out)
     print(f"wrote {len(graph.edges)} edges and {len(graph.loops)} loops to {args.out}")
     return 0
@@ -91,17 +84,9 @@ def _cmd_generate(args) -> int:
 
 def _cmd_predict(args) -> int:
     params = _params(args)
-    payload = {"params": {"alpha": params.alpha, "beta": params.beta, "gamma": params.gamma, "n": params.n}}
+    payload = {"params": asdict(params)}
     if args.what == "moments":
-        payload["moments"] = [
-            {
-                "weight": w,
-                "mean": (m := degree_moments(params, w)).mean,
-                "sum_sq_probs": m.sum_sq_probs,
-                "variance": m.variance,
-            }
-            for w in range(params.n + 1)
-        ]
+        payload["moments"] = [asdict(degree_moments(params, w)) for w in range(params.n + 1)]
     elif args.what == "degree-counts":
         payload["expected_degree_counts"] = [
             {"d": d, "count": expected_degree_count(params, d)}
@@ -127,9 +112,8 @@ def _cmd_predict(args) -> int:
             for k in range(params.n + 1)
         ]
     elif args.what == "critical-fraction":
-        fraction = critical_fraction(params)
-        payload["critical_fraction"] = {"c": fraction.c, "side": fraction.side}
-    _emit_json(payload, args.out)
+        payload["critical_fraction"] = asdict(critical_fraction(params))
+    _write_out(canonical_json(payload), args.out)
     return 0
 
 
@@ -153,7 +137,7 @@ def _cmd_measure(args) -> int:
     elif args.what == "hamming":
         hist = edge_distance_histogram(graph, count_loops=True)
         payload["edge_distance_histogram"] = {str(k): int(c) for k, c in enumerate(hist) if c}
-    _emit_json(payload, args.out)
+    _write_out(canonical_json(payload), args.out)
     return 0
 
 
@@ -208,7 +192,7 @@ def _cmd_certify(args) -> int:
             for entry in report.entries
         ],
     }
-    _emit_json(payload, args.out)
+    _write_out(canonical_json(payload), args.out)
     return 0 if report.passes else 1
 
 

@@ -81,28 +81,14 @@ class ExperimentConfig:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.generator not in GENERATORS:
-            raise ConfigError(f"generator must be one of {GENERATORS}")
         if self.degree_max < 0:
             raise ConfigError("degree-max must be >= 0")
-        if self.generator == "rmat":
-            if self.rmat_edges is None or self.rmat_edges < 1:
-                raise ConfigError("the rmat generator needs --rmat-edges >= 1")
-            try:
-                RmatParams(base=self.params, m=self.rmat_edges)
-            except ParameterError as exc:
-                raise ConfigError(str(exc)) from exc
-        if not self.allow_large:
-            if self.generator == "naive" and self.params.n > NAIVE_MAX_N:
-                raise ConfigError(
-                    f"naive generation is guarded at n <= {NAIVE_MAX_N};"
-                    " pass allow_large to override"
-                )
-            if self.generator == "stratified" and self.params.n > STRATIFIED_GUARD_N:
-                raise ConfigError(
-                    f"stratified generation is guarded at n <= {STRATIFIED_GUARD_N};"
-                    " pass allow_large to override"
-                )
+        _check_generator(self.params, self.generator, self.include_loops, self.rmat_edges)
+        if not self.allow_large and self.generator == "stratified" and self.params.n > STRATIFIED_GUARD_N:
+            raise ConfigError(
+                f"stratified generation is guarded at n <= {STRATIFIED_GUARD_N};"
+                " pass allow_large to override"
+            )
         if self.kind in ("subgraph", "thresholds"):
             if not self.pattern:
                 raise ConfigError(f"kind={self.kind} needs a pattern")
@@ -122,16 +108,7 @@ class ExperimentConfig:
                 raise ConfigError("sweep needs at least 2 steps")
 
     def echo(self) -> dict:
-        data = asdict(self)
-        data["params"] = {
-            "alpha": self.params.alpha,
-            "beta": self.params.beta,
-            "gamma": self.params.gamma,
-            "n": self.params.n,
-        }
-        if self.sweep is not None:
-            data["sweep"] = list(self.sweep)
-        return data
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -185,14 +162,47 @@ class ValidationReport:
         }
 
 
-def _generate(config: ExperimentConfig, params: KroneckerParams, seed: SeedSpec, tag: str = ""):
-    if config.generator == "naive":
-        graph = generate_naive(params, include_loops=config.include_loops, seed=seed)
-    elif config.generator == "stratified":
-        graph = generate_stratified(params, include_loops=config.include_loops, seed=seed)
-    else:
-        graph = generate_rmat(RmatParams(base=params, m=config.rmat_edges), seed=seed)
+def _check_generator(params: KroneckerParams, generator: str, include_loops: bool, rmat_edges) -> None:
+    """The generator-argument rules, raised as ConfigError before any sampling."""
+    if generator not in GENERATORS:
+        raise ConfigError(f"generator must be one of {GENERATORS}")
+    if generator == "naive" and params.n > NAIVE_MAX_N:
+        raise ConfigError(
+            f"naive generation enumerates all pairs and is guarded at n <= {NAIVE_MAX_N};"
+            " use the stratified generator"
+        )
+    if generator == "rmat":
+        if rmat_edges is None or rmat_edges < 1:
+            raise ConfigError("the rmat generator needs --rmat-edges >= 1")
+        if not include_loops:
+            raise ConfigError(
+                "the rmat generator keeps u = v draws as loops and cannot run with --no-loops"
+            )
+        try:
+            RmatParams(base=params, m=rmat_edges)
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from exc
+
+
+def generate_graph(
+    params: KroneckerParams, generator: str, seed: SeedSpec, include_loops=True, rmat_edges=None
+):
+    """Sample one graph with the named generator, after checking its arguments."""
+    _check_generator(params, generator, include_loops, rmat_edges)
+    if generator == "rmat":
+        return generate_rmat(RmatParams(base=params, m=rmat_edges), seed=seed)
+    sample = generate_naive if generator == "naive" else generate_stratified
+    return sample(params, include_loops=include_loops, seed=seed)
+
+
+def _trial_graph(config: ExperimentConfig, params: KroneckerParams, seed: SeedSpec, *labels):
+    """The graph on substream seed.child(*labels), dumped to PREFIX.<tag>.edges
+    with the same labels as tag: ("sweep", 1, "trial", 0) -> "sweep1.trial0"."""
+    graph = generate_graph(
+        params, config.generator, seed.child(*labels), config.include_loops, config.rmat_edges
+    )
     if config.dump_edges is not None:
+        tag = ".".join(f"{name}{index}" for name, index in zip(labels[::2], labels[1::2]))
         write_edgelist(graph, f"{config.dump_edges}.{tag}.edges")
     return graph
 
@@ -210,7 +220,7 @@ def _run_degrees(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
     d_max = config.degree_max
     counts = np.zeros((config.trials, d_max + 1))
     for t in range(config.trials):
-        graph = _generate(config, params, seed.child("trial", t), tag=f"trial{t}")
+        graph = _trial_graph(config, params, seed, "trial", t)
         degrees = graph.degrees(count_loops=config.include_loops)
         binned = np.bincount(degrees, minlength=d_max + 1)
         counts[t] = binned[: d_max + 1]
@@ -261,9 +271,7 @@ def _run_subgraph(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
     params = config.params
     pattern = parse_pattern(config.pattern)
     counts = [
-        count_labeled_copies(
-            _generate(config, params, seed.child("trial", t), tag=f"trial{t}"), pattern
-        )
+        count_labeled_copies(_trial_graph(config, params, seed, "trial", t), pattern)
         for t in range(config.trials)
     ]
     # Exact ints go to the report; the statistics use their float64 values.
@@ -333,7 +341,7 @@ def _run_hamming(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
     fractions = np.zeros(config.trials)
     mean_distances = np.zeros(config.trials)
     for t in range(config.trials):
-        graph = _generate(config, params, seed.child("trial", t), tag=f"trial{t}")
+        graph = _trial_graph(config, params, seed, "trial", t)
         report = concentration_report(graph)
         degree_means[t] = report.degree_mean
         fractions[t] = report.in_window_edge_fraction
@@ -457,7 +465,7 @@ def _run_thresholds(config: ExperimentConfig, seed: SeedSpec) -> ValidationRepor
         b = base_value(point, pattern)
         counts = np.zeros(config.trials)
         for t in range(config.trials):
-            graph = _generate(config, point, seed.child("sweep", i, "trial", t), tag=f"sweep{i}.trial{t}")
+            graph = _trial_graph(config, point, seed, "sweep", i, "trial", t)
             counts[t] = count_labeled_copies(graph, pattern)
         frac = float((counts > 0).mean())
         rows.append((float(a), b, float(counts.mean()), frac))
@@ -520,30 +528,39 @@ def run_experiment(config: ExperimentConfig) -> ValidationReport:
     return _RUNNERS[config.kind](config, seed)
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
+def _json_value(obj):
+    """obj with floats at 12 significant digits, NaN as None, NumPy scalars
+    as Python numbers and tuples as lists; ±inf has no JSON form."""
+    if isinstance(obj, (float, np.floating)):
         if math.isnan(obj):
             return None
+        if math.isinf(obj):
+            raise ParameterError(f"a reported value is {float(obj)}, beyond the float range")
         return float(f"{obj:.12g}")
+    if isinstance(obj, np.integer):
+        return int(obj)
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        return {k: _json_value(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return _round_floats(float(obj))
+        return [_json_value(v) for v in obj]
     return obj
 
 
-def report_json(report: ValidationReport) -> str:
+def canonical_json(payload) -> str:
     """Canonical JSON text: sorted keys, 12 significant digits, no clock."""
-    return json.dumps(_round_floats(report.to_dict()), sort_keys=True, indent=2) + "\n"
+    return json.dumps(_json_value(payload), sort_keys=True, indent=2) + "\n"
+
+
+def report_json(report: ValidationReport) -> str:
+    return canonical_json(report.to_dict())
 
 
 def emit_report(report: ValidationReport, json_path=None, csv_path=None) -> None:
     """Write the JSON report and/or the flat CSV table."""
     if json_path is not None:
+        text = report_json(report)  # before the file is opened: it may raise
         with open(json_path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(report_json(report))
+            fh.write(text)
     if csv_path is not None:
         with open(csv_path, "w", encoding="ascii", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

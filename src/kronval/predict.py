@@ -26,6 +26,24 @@ class DegreeMoments:
     weight: int
 
 
+def _power_product(what: str, x: float, p: int, y: float, q: int) -> float:
+    """x^p * y^q from direct powers, or through logs where a power or the
+    product leaves the float range; ParameterError when the value does."""
+    try:
+        value = x**p * y**q
+    except OverflowError:
+        value = math.inf
+    if 0.0 < value < math.inf:
+        return value
+    log_value = p * math.log(x) + q * math.log(y)
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise ParameterError(
+            f"{what} is e^{log_value:.6g}, beyond the largest float {sys.float_info.max:.6g}"
+        ) from None
+
+
 def degree_moments(params: KroneckerParams, w: int) -> DegreeMoments:
     """Exact degree moments of a vertex with w one-digits.
 
@@ -33,14 +51,17 @@ def degree_moments(params: KroneckerParams, w: int) -> DegreeMoments:
     sum_sq      = (alpha^2+beta^2)^w (beta^2+gamma^2)^(n-w)
     variance    = mean - sum_sq
     The sums behind these run over all 2^n potential neighbors including the
-    vertex itself, i.e. the self-loop term is part of the degree.
+    vertex itself, i.e. the self-loop term is part of the degree.  Each is
+    computed through logs where a direct power leaves the float range.
     """
     n = params.n
     if not 0 <= w <= n:
         raise ParameterError(f"weight must lie in [0, {n}], got {w}")
     a, b, g = params.alpha, params.beta, params.gamma
-    mean = (a + b) ** w * (b + g) ** (n - w)
-    sum_sq = (a * a + b * b) ** w * (b * b + g * g) ** (n - w)
+    mean = _power_product(f"the mean degree at weight {w}", a + b, w, b + g, n - w)
+    sum_sq = _power_product(
+        f"the sum of squared probabilities at weight {w}", a * a + b * b, w, b * b + g * g, n - w
+    )
     return DegreeMoments(mean=mean, sum_sq_probs=sum_sq, variance=mean - sum_sq, weight=w)
 
 
@@ -105,20 +126,31 @@ class RegimeVerdict:
         return "; ".join(parts)
 
 
+def _theta_base(hi: float, lo: float, d: int) -> float:
+    """hi^d + lo^d, the base of a reported Theta(base^n) order."""
+    try:
+        return hi**d + lo**d
+    except OverflowError:
+        raise ParameterError(
+            f"the regime base (alpha+beta)^d + (beta+gamma)^d at d = {d} is beyond"
+            f" the largest float {sys.float_info.max:.6g}"
+        ) from None
+
+
 def classify_regime(params: KroneckerParams, d: int) -> RegimeVerdict:
     """Classify the order of the expected number of degree-d vertices.
 
     The two row sums alpha+beta and beta+gamma are interchangeable (a global
     0/1 digit flip swaps alpha and gamma), so they are ordered before the
     case split.  Case 3 splits further on the binomial peak c1 versus the
-    root c2 of hi^c * lo^(1-c) = 1.
+    root c2 of hi^c * lo^(1-c) = 1.  The base is computed only for the
+    verdicts that report it, and c1 through logs where hi^d overflows.
     """
     if d < 0:
         raise ParameterError(f"degree must be >= 0, got {d}")
     s_top = params.alpha + params.beta
     s_bot = params.beta + params.gamma
     hi, lo = max(s_top, s_bot), min(s_top, s_bot)
-    base = hi**d + lo**d
 
     hi_is_one = abs(hi - 1.0) <= PROB_TOL
     lo_is_one = abs(lo - 1.0) <= PROB_TOL
@@ -130,7 +162,7 @@ def classify_regime(params: KroneckerParams, d: int) -> RegimeVerdict:
         )
     if hi_is_one:
         return RegimeVerdict(
-            case_id=1, vanishing=False, theta_base=base,
+            case_id=1, vanishing=False, theta_base=_theta_base(hi, lo, d),
             power_law_possible=False, boundary=True,
         )
     if lo_is_one:
@@ -140,7 +172,7 @@ def classify_regime(params: KroneckerParams, d: int) -> RegimeVerdict:
         )
     if hi < 1.0:
         return RegimeVerdict(
-            case_id=4, vanishing=False, theta_base=base,
+            case_id=4, vanishing=False, theta_base=_theta_base(hi, lo, d),
             power_law_possible=False,
             boundary=abs(hi - lo) <= PROB_TOL,
         )
@@ -153,7 +185,10 @@ def classify_regime(params: KroneckerParams, d: int) -> RegimeVerdict:
 
     # Case 3: lo < 1 < hi.  c1 is where the binomial part of the summand
     # peaks; c2 is where the exponential part starts to bite.
-    c1 = hi**d / (hi**d + lo**d)
+    try:
+        c1 = hi**d / (hi**d + lo**d)
+    except OverflowError:
+        c1 = 1.0 / (1.0 + math.exp(d * (math.log(lo) - math.log(hi))))
     c2 = brentq(
         lambda c: c * math.log(hi) + (1.0 - c) * math.log(lo),
         0.0, 1.0, xtol=1e-15,
@@ -167,7 +202,7 @@ def classify_regime(params: KroneckerParams, d: int) -> RegimeVerdict:
     return RegimeVerdict(
         case_id=3,
         vanishing=vanishing,
-        theta_base=None if vanishing else base,
+        theta_base=None if vanishing else _theta_base(hi, lo, d),
         power_law_possible=False,
         boundary=subcase == "ii",
         subcase=subcase,

@@ -9,6 +9,7 @@ from kronval import (
     CapacityError,
     ConfigError,
     KroneckerParams,
+    ParameterError,
     SampledGraph,
     count_labeled_copies,
     star,
@@ -16,6 +17,7 @@ from kronval import (
 from kronval.cli import main
 from kronval.harness import (
     ExperimentConfig,
+    canonical_json,
     emit_report,
     report_json,
     run_experiment,
@@ -95,6 +97,18 @@ class TestConfigValidation:
             cfg(params=KroneckerParams(0.7, 0.3, 0.3, 23)).validate()
         cfg(params=KroneckerParams(0.7, 0.3, 0.3, 23), allow_large=True).validate()
 
+    def test_naive_guard_holds_with_allow_large(self):
+        with pytest.raises(ConfigError, match="guarded at n <= 14"):
+            cfg(
+                generator="naive", params=KroneckerParams(0.7, 0.3, 0.3, 15), allow_large=True
+            ).validate()
+
+    def test_rmat_refuses_no_loops(self):
+        rmat = dict(generator="rmat", rmat_edges=100, params=KroneckerParams(0.45, 0.2, 0.15, 6))
+        with pytest.raises(ConfigError, match="no-loops"):
+            cfg(include_loops=False, **rmat).validate()
+        cfg(**rmat).validate()
+
 
 class TestReports:
     def test_degrees_report_structure(self):
@@ -151,6 +165,15 @@ class TestReports:
         g = read_edgelist(files[0])
         assert g.n == 6
 
+    def test_threshold_edge_dumps(self, tmp_path):
+        prefix = str(tmp_path / "dump")
+        run_experiment(
+            cfg(kind="thresholds", pattern="star:2", sweep=(0.3, 0.7, 2), trials=2, dump_edges=prefix)
+        )
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            f"dump.sweep{i}.trial{t}.edges" for i in range(2) for t in range(2)
+        ]
+
     def test_seed_changes_report(self):
         assert report_json(run_experiment(cfg())) != report_json(
             run_experiment(cfg(seed=18))
@@ -181,6 +204,20 @@ class TestReports:
         data = json.loads(report_json(run_experiment(cfg())))
         value = data["analytic"][0]["value"]
         assert value == float(f"{value:.12g}")
+
+
+class TestCanonicalJson:
+    def test_values(self):
+        payload = {"b": (1, 0.1 + 0.2), "a": math.nan, "big": np.int64(2**60 + 1), "f": np.float64(1 / 3)}
+        assert canonical_json(payload) == (
+            '{\n  "a": null,\n  "b": [\n    1,\n    0.3\n  ],\n'
+            '  "big": 1152921504606846977,\n  "f": 0.333333333333\n}\n'
+        )
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, np.float64("inf")])
+    def test_infinity_is_refused(self, value):
+        with pytest.raises(ParameterError, match="beyond the float range"):
+            canonical_json({"count": [value]})
 
 
 class TestCli:
@@ -243,7 +280,7 @@ class TestCli:
         def no_generation(*args, **kwargs):
             raise AssertionError("a trial graph was generated")
 
-        monkeypatch.setattr(kronval.harness, "_generate", no_generation)
+        monkeypatch.setattr(kronval.harness, "generate_graph", no_generation)
         for n, pattern in (("17", "cycle:4"), ("15", "cycle:5")):
             rc = main(
                 [
@@ -346,3 +383,93 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["validate", "--kind", "degrees"])  # missing required args
         assert exc.value.code == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_infinite_prediction_is_exit_2_with_nothing_written(self, tmp_path, capsys):
+        argv = [
+            "predict", "--what", "degree-counts", "--n", "1100", "--alpha", "0.5", "--beta", "0.5",
+            "--gamma", "0.5", "--d-max", "0",
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "beyond the float range" in captured.err
+        out = tmp_path / "p.json"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_infinite_report_value_writes_no_json_file(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        rc = main(
+            [
+                "validate", "--kind", "regime", "--n", "1100", "--alpha", "0.5", "--beta", "0.5",
+                "--gamma", "0.5", "--d-max", "0", "--seed", "1", "--allow-large",
+                "--out-json", str(out),
+            ]
+        )
+        assert rc == 2 and "beyond the float range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_predict_regime_at_large_degree(self, capsys):
+        rc = main(
+            [
+                "predict", "--what", "regime", "--d", "5000", "--alpha", "0.7", "--beta", "0.5",
+                "--gamma", "0.7", "--n", "10",
+            ]
+        )
+        assert rc == 0
+        regime = json.loads(capsys.readouterr().out)["regime"]
+        assert regime["case_id"] == 5 and regime["theta_base"] is None
+
+    def test_predict_moments_overflow_is_exit_2(self, capsys):
+        rc = main(
+            [
+                "predict", "--what", "moments", "--n", "2000", "--alpha", "0.9", "--beta", "0.9",
+                "--gamma", "0.9",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == "" and "beyond the largest float" in captured.err
+
+
+RMAT_ARGS = ["--n", "6", "--alpha", "0.45", "--beta", "0.2", "--gamma", "0.15", "--seed", "2"]
+
+
+class TestGeneratorArguments:
+    """generate and validate share one generator check: same exit code, same message."""
+
+    def _run(self, capsys, argv):
+        rc = main(argv)
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            [],
+            ["--rmat-edges", "0"],
+            ["--rmat-edges", "100", "--alpha", "0.5"],  # 0.5 + 0.4 + 0.15 != 1
+            ["--rmat-edges", "100", "--no-loops"],
+        ],
+        ids=["missing-edges", "zero-edges", "initiator-sum", "no-loops"],
+    )
+    def test_generate_and_validate_agree(self, tmp_path, capsys, extra):
+        out = tmp_path / "g.edges"
+        generated = self._run(
+            capsys, ["generate", "--generator", "rmat", *RMAT_ARGS, *extra, "--out", str(out)]
+        )
+        validated = self._run(
+            capsys, ["validate", "--kind", "degrees", "--generator", "rmat", *RMAT_ARGS, *extra]
+        )
+        assert generated[0] == 2 and generated[1].startswith("error: ")
+        assert generated == validated
+        assert not out.exists()
+
+    def test_validate_refuses_before_sampling(self, monkeypatch, capsys):
+        def no_generation(*args, **kwargs):
+            raise AssertionError("a trial graph was generated")
+
+        monkeypatch.setattr(kronval.harness, "generate_rmat", no_generation)
+        argv = ["validate", "--kind", "degrees", "--generator", "rmat", *RMAT_ARGS]
+        assert main([*argv, "--rmat-edges", "100", "--no-loops"]) == 2
+        assert "no-loops" in capsys.readouterr().err

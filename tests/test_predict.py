@@ -56,6 +56,26 @@ class TestDegreeMoments:
         with pytest.raises(ParameterError):
             degree_moments(p, -1)
 
+    def test_representable_values_use_direct_powers(self):
+        for alpha, beta, gamma in PARAM_GRID:
+            p = KroneckerParams(alpha, beta, gamma, 9)
+            for w in range(10):
+                m = degree_moments(p, w)
+                assert m.mean == (alpha + beta) ** w * (beta + gamma) ** (9 - w)
+                assert m.sum_sq_probs == (alpha**2 + beta**2) ** w * (beta**2 + gamma**2) ** (9 - w)
+
+    def test_overflowing_power_goes_through_logs(self):
+        # 1.4^2200 is beyond the float range, 1.4^2200 * 0.55^300 ~ e^561 is not
+        p = KroneckerParams(0.9, 0.5, 0.05, 2500)
+        with pytest.raises(OverflowError):
+            1.4**2200
+        log_mean = 2200 * math.log(1.4) + 300 * math.log(0.55)
+        assert degree_moments(p, 2200).mean == pytest.approx(math.exp(log_mean), rel=1e-12)
+
+    def test_unrepresentable_moment_is_parameter_error(self):
+        with pytest.raises(ParameterError, match="largest float"):
+            degree_moments(KroneckerParams(0.9, 0.9, 0.9, 2000), 0)
+
 
 class TestExpectedDegreeCount:
     def test_double_boundary_is_poisson_one(self):
@@ -145,6 +165,20 @@ class TestClassifyRegime:
                 assert (a.theta_base is None) == (b.theta_base is None)
                 if a.theta_base is not None:
                     assert a.theta_base == pytest.approx(b.theta_base)
+
+    def test_large_degree_reports_only_representable_bases(self):
+        # case 5 never reports its base, so 1.2^5000 is never formed
+        v = classify_regime(KroneckerParams(0.7, 0.5, 0.7, 10), 5000)
+        assert v.case_id == 5 and v.vanishing and v.theta_base is None
+        # case 3 with hi^d beyond the float range: c1 from logs, c1 -> 1 > c2
+        v = classify_regime(KroneckerParams(0.9, 0.3, 0.3, 10), 5000)
+        assert v.case_id == 3 and v.subcase == "iii" and v.c1 == 1.0
+        assert classify_regime(KroneckerParams(0.9, 0.25, 0.3, 8), 20).c1 == 1.15**20 / (
+            1.15**20 + 0.55**20
+        )
+        # case 1 reports its base, which overflows at a large enough d
+        with pytest.raises(ParameterError, match="largest float"):
+            classify_regime(KroneckerParams(0.7, 0.3 + 5e-13, 0.3, 8), 2 * 10**15)
 
     def test_power_law_flag_requires_double_boundary(self):
         assert classify_regime(KroneckerParams(0.7, 0.3, 0.3, 5), 1).power_law_possible is False
