@@ -10,6 +10,7 @@ carries a tag naming the closed form it came from.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -52,7 +53,6 @@ from .streams import SeedSpec
 KINDS = ("degrees", "subgraph", "hamming", "regime", "thresholds")
 GENERATORS = ("naive", "stratified", "rmat")
 STRATIFIED_GUARD_N = 22
-EXACT_COPIES_GUARD = 10_000_000
 
 # Acceptance-style default tolerances, pinned here rather than per call site.
 Z_TOLERANCE = 4.0
@@ -279,42 +279,22 @@ def _run_subgraph(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
     mean = float(values.mean())
     sd = float(values.std(ddof=1)) if config.trials > 1 else 0.0
     upper = expected_copies_asymptotic(params, pattern)
-    analytic = [
+    exact = expected_copies_exact(params, pattern)
+    analytic = (
         AnalyticValue("base_value", base_value(params, pattern), "pattern base value (labeling sum)"),
         AnalyticValue("copies_leading_order", upper, "asymptotic copy count (base value)^n"),
-    ]
-    exact_feasible = params.vertex_count ** pattern.vertex_count <= EXACT_COPIES_GUARD
-    criteria = []
-    if exact_feasible:
-        exact = expected_copies_exact(params, pattern)
-        analytic.append(
-            AnalyticValue("copies_exact", exact, "exact injective-map expectation")
-        )
-        z = _z_score(mean, exact, sd, config.trials)
-        criteria.append(
-            Criterion(
-                name="mean_copies_vs_exact",
-                observed=mean,
-                expected=exact,
-                statistic="|z|",
-                value=abs(z),
-                tolerance=Z_TOLERANCE,
-                passed=abs(z) <= Z_TOLERANCE,
-            )
-        )
-    else:
-        z = _z_score(mean, upper, sd, config.trials)
-        criteria.append(
-            Criterion(
-                name="mean_copies_below_leading_order",
-                observed=mean,
-                expected=upper,
-                statistic="z",
-                value=z,
-                tolerance=Z_TOLERANCE,
-                passed=z <= Z_TOLERANCE,
-            )
-        )
+        AnalyticValue("copies_exact", exact, "exact injective-map expectation"),
+    )
+    z = _z_score(mean, exact, sd, config.trials)
+    criterion = Criterion(
+        name="mean_copies_vs_exact",
+        observed=mean,
+        expected=exact,
+        statistic="|z|",
+        value=abs(z),
+        tolerance=Z_TOLERANCE,
+        passed=abs(z) <= Z_TOLERANCE,
+    )
     empirical = {
         "trials": config.trials,
         "mean_count": mean,
@@ -325,9 +305,9 @@ def _run_subgraph(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
     return ValidationReport(
         kind="subgraph",
         config=config.echo(),
-        analytic=tuple(analytic),
+        analytic=analytic,
         empirical=empirical,
-        criteria=tuple(criteria),
+        criteria=(criterion,),
         table_columns=("trial", "labeled_copies"),
         table_rows=rows,
     )
@@ -556,16 +536,17 @@ def report_json(report: ValidationReport) -> str:
 
 
 def emit_report(report: ValidationReport, json_path=None, csv_path=None) -> None:
-    """Write the JSON report and/or the flat CSV table."""
-    if json_path is not None:
-        text = report_json(report)  # before the file is opened: it may raise
-        with open(json_path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-    if csv_path is not None:
-        with open(csv_path, "w", encoding="ascii", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(report.table_columns)
-            for row in report.table_rows:
-                writer.writerow(
-                    [f"{v:.12g}" if isinstance(v, float) else v for v in row]
-                )
+    """Write the JSON report and/or the flat CSV table.  Both texts are built
+    before any file is opened: the JSON text raises on a value beyond the
+    float range, and then no file is left behind, the CSV included."""
+    if json_path is None and csv_path is None:
+        return
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(report.table_columns)
+    for row in report.table_rows:
+        writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
+    for path, text in ((json_path, report_json(report)), (csv_path, table.getvalue())):
+        if path is not None:
+            with open(path, "w", encoding="ascii", newline="\n") as fh:
+                fh.write(text)

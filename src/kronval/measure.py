@@ -59,20 +59,16 @@ def _route(pattern: PatternGraph, method: str) -> str:
     """The counter that serves (pattern, method): a shape name or 'generic'."""
     if method == "generic":
         return "generic"
-    shape = _shape(pattern)
     if method == "auto":
-        return shape or "generic"
-    if method in ("star", "triangle"):
-        if shape != method:
-            raise ParameterError(f"pattern is not a {method}")
-        return method
+        return _shape(pattern) or "generic"
     raise ParameterError(f"unknown counting method {method!r}")
 
 
 def check_countable(pattern: PatternGraph, n: int, method: str = "auto") -> None:
     """Raise CapacityError unless ``count_labeled_copies`` counts the pattern
-    on a host with digit count n; ParameterError for a method that does not
-    fit the pattern.  Needs no graph, so callers can check before sampling."""
+    on a host with digit count n; ParameterError for a method other than
+    'auto' and 'generic'.  Needs no graph, so callers can check before
+    sampling."""
     if pattern.vertex_count > COUNT_MAX_PATTERN_VERTICES:
         raise CapacityError(
             f"copy counting caps at {COUNT_MAX_PATTERN_VERTICES} pattern vertices"
@@ -204,7 +200,6 @@ def count_labeled_copies(
     - every other pattern goes through backtracking over neighbour sets.
 
     The three matrix routes share one sparse codegree pass in row blocks.
-    ``method="star"`` and ``method="triangle"`` insist on that shape;
     ``method="generic"`` forces backtracking, the reference the other routes
     agree with.  Caps (see :func:`check_countable`): patterns have at most
     ``COUNT_MAX_PATTERN_VERTICES`` vertices; hosts have n <=

@@ -8,6 +8,7 @@ labeled copies of G in a realization grows like (base value)^n.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -18,13 +19,13 @@ import networkx as nx
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .model import KroneckerParams
+from .model import GRAPH_MAX_N, KroneckerParams
 
 MAX_PATTERN_VERTICES = 12
 BASE_VALUE_MAX_VERTICES = 10
 EDGE_LABELING_MAX_EDGES = 20
 UNION_MAX_VERTICES = 6
-EXACT_ENUMERATION_CAP = 100_000_000
+EXACT_COPIES_MAX_VERTICES = 6
 
 # A certificate margin smaller than this is reported as 'boundary' rather
 # than pass or fail; strictness at the threshold is exactly where users probe.
@@ -189,44 +190,57 @@ def expected_copies_asymptotic(params: KroneckerParams, pattern: PatternGraph) -
     return math.exp(params.n * math.log(base_value(params, pattern)))
 
 
+@functools.lru_cache(maxsize=None)
+def _set_partitions(v: int) -> tuple:
+    """The set partitions of range(v) as restricted growth strings: element i
+    joins a block opened before it or opens the next one."""
+    partitions = [()]
+    for _ in range(v):
+        partitions = [p + (b,) for p in partitions for b in range(max(p, default=-1) + 2)]
+    return tuple(partitions)
+
+
 def expected_copies_exact(params: KroneckerParams, pattern: PatternGraph) -> float:
     """Exact expected number of labeled copies: the sum over injective maps.
 
-    Feasible only for tiny n; the number of vertex maps (2^n)^v(G) is capped
-    at 10^8.  Always strictly below expected_copies_asymptotic.
+    Edge probabilities factor over digits, so the sum over all vertex maps of
+    a quotient G/pi (each block of the partition pi merged, an edge inside a
+    block kept as a loop with entry alpha on label 1 and gamma on label 0,
+    parallel edges kept) is B(G/pi)^n with B its labeling sum.  Moebius
+    inversion over set partitions gives the injective sum (the inj/hom
+    relation; Lovasz, Large Networks and Graph Limits, 2012):
+    sum over pi of mu(pi) B(G/pi)^n, mu(pi) = prod_blocks (-1)^(|B|-1) (|B|-1)!.
+    Float entries are dyadic, so the sum is taken in integers over a common
+    power-of-two denominator and rounded once.  Caps:
+    ``EXACT_COPIES_MAX_VERTICES`` pattern vertices (Bell(6) = 203
+    partitions) and n <= ``GRAPH_MAX_N``, the largest samplable graph.
     """
     n = params.n
-    size = params.vertex_count
     v = pattern.vertex_count
-    total_maps = size**v
-    if total_maps > EXACT_ENUMERATION_CAP:
+    if v > EXACT_COPIES_MAX_VERTICES:
         raise CapacityError(
-            f"exact enumeration needs {total_maps} vertex maps;"
-            f" the cap is {EXACT_ENUMERATION_CAP}"
+            f"exact expected copies cap at {EXACT_COPIES_MAX_VERTICES} pattern vertices, got {v}"
         )
-    la, lb, lg = params.log_entries()
-    chunk = 1 << 20
-    result = 0.0
-    for start in range(0, total_maps, chunk):
-        idx = np.arange(start, min(start + chunk, total_maps), dtype=np.int64)
-        columns = []
-        rem = idx
-        for _ in range(v):
-            columns.append(rem % size)
-            rem = rem // size
-        injective = np.ones(len(idx), dtype=bool)
-        for x in range(v):
-            for y in range(x + 1, v):
-                injective &= columns[x] != columns[y]
-        log_prob = np.zeros(len(idx))
-        for i, j in pattern.edge_list:
-            cu = columns[i].astype(np.uint64)
-            cv = columns[j].astype(np.uint64)
-            a = np.bitwise_count(cu & cv).astype(np.int64)
-            b = np.bitwise_count(cu ^ cv).astype(np.int64)
-            log_prob += a * la + b * lb + (n - a - b) * lg
-        result += float(np.exp(log_prob[injective]).sum())
-    return result
+    if n > GRAPH_MAX_N:
+        raise CapacityError(f"exact expected copies cap at n = {GRAPH_MAX_N}, got {n}")
+    ratios = [x.as_integer_ratio() for x in (params.gamma, params.beta, params.alpha)]
+    denominator = max(d for _, d in ratios)  # every denominator is a power of 2
+    entry = [k * (denominator // d) for k, d in ratios]  # indexed by label sum 0, 1, 2
+    weights = collections.Counter()  # B(G/pi) * D^e -> summed mu(pi)
+    for blocks in _set_partitions(v):
+        k = max(blocks) + 1
+        mu = 1
+        for size in collections.Counter(blocks).values():
+            mu *= (-1) ** (size - 1) * math.factorial(size - 1)
+        labeling_sum = 0
+        for labels in range(1 << k):
+            term = 1
+            for i, j in pattern.edge_list:
+                term *= entry[((labels >> blocks[i]) & 1) + ((labels >> blocks[j]) & 1)]
+            labeling_sum += term
+        weights[labeling_sum] += mu
+    total = sum(mu * b**n for b, mu in weights.items())
+    return total / denominator ** (pattern.edge_count * n)
 
 
 def star_base_value(params: KroneckerParams, k: int) -> float:

@@ -84,8 +84,15 @@ def expected_degree_count(params: KroneckerParams, d: int) -> float:
         math.lgamma(n + 1)
         - np.array([math.lgamma(k + 1) + math.lgamma(n - k + 1) for k in range(n + 1)])
     )
-    exponent = log_choose + d * log_lam - np.exp(log_lam) - math.lgamma(d + 1)
-    return float(np.exp(exponent).sum())
+    with np.errstate(over="ignore"):  # exp(lam) = inf is a vanishing term
+        exponent = log_choose + d * log_lam - np.exp(log_lam) - math.lgamma(d + 1)
+        count = float(np.exp(exponent).sum())
+    if math.isinf(count):
+        raise ParameterError(
+            f"the expected count of degree-{d} vertices is beyond the float range"
+            f" (largest float {sys.float_info.max:.6g})"
+        )
+    return count
 
 
 @dataclass(frozen=True)

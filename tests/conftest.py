@@ -7,6 +7,7 @@ between the two is evidence rather than tautology.
 
 import itertools
 
+import numpy as np
 import pytest
 
 from kronval import KroneckerParams
@@ -43,6 +44,24 @@ def brute_degree_moments(params: KroneckerParams, w: int):
         mean += p
         sum_sq += p * p
     return mean, sum_sq
+
+
+def brute_expected_copies(params: KroneckerParams, vertex_count: int, edges) -> float:
+    """Expected labeled copies as the literal sum over all injective maps of
+    the pattern into Z_2^n, one (2^n)^v array of maps; tiny n only."""
+    size = params.vertex_count
+    maps = np.indices((size,) * vertex_count).reshape(vertex_count, -1).astype(np.uint64)
+    injective = np.ones(maps.shape[1], dtype=bool)
+    for x, y in itertools.combinations(range(vertex_count), 2):
+        injective &= maps[x] != maps[y]
+    maps = maps[:, injective]
+    la, lb, lg = params.log_entries()
+    log_prob = np.zeros(maps.shape[1])
+    for u, v in edges:
+        a = np.bitwise_count(maps[u] & maps[v]).astype(np.int64)
+        b = np.bitwise_count(maps[u] ^ maps[v]).astype(np.int64)
+        log_prob += a * la + b * lb + (params.n - a - b) * lg
+    return float(np.exp(log_prob).sum())
 
 
 def falling_factorial(d: int, k: int) -> int:

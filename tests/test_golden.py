@@ -47,6 +47,14 @@ DEGREES_REPORT = (
     "62b6a9a8555bc9c92a38f53698f139f80da7542733715adca44f7af614b9b3c2",
 )
 
+# Above the old exact-expectation guard ((2^8)^4 vertex maps > 10^7): pins the
+# closed-form copies_exact value and the two-sided mean_copies_vs_exact check.
+SUBGRAPH_REPORT = (
+    ["validate", "--kind", "subgraph", "--n", "8", "--alpha", "0.7", "--beta", "0.5",
+     "--gamma", "0.7", "--pattern", "cycle:4", "--trials", "3", "--seed", "15"],
+    "b094175ce0a3152c3e7c018840e223bc20e1f7f80b1fe3a46424dbac0f25e9bd",
+)
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -63,6 +71,14 @@ def test_generate_file_bytes(tmp_path, capsys, name):
 
 def test_degrees_report_bytes(tmp_path, capsys):
     argv, digest = DEGREES_REPORT
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out-json", str(out)]) == 0
+    assert _sha256(out) == digest
+    capsys.readouterr()
+
+
+def test_subgraph_report_bytes(tmp_path, capsys):
+    argv, digest = SUBGRAPH_REPORT
     out = tmp_path / "report.json"
     assert main(argv + ["--out-json", str(out)]) == 0
     assert _sha256(out) == digest

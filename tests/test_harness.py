@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -384,7 +385,7 @@ class TestCli:
             main(["validate", "--kind", "degrees"])  # missing required args
         assert exc.value.code == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_infinite_prediction_is_exit_2_with_nothing_written(self, tmp_path, capsys):
         argv = [
             "predict", "--what", "degree-counts", "--n", "1100", "--alpha", "0.5", "--beta", "0.5",
@@ -397,7 +398,7 @@ class TestCli:
         assert main([*argv, "--out", str(out)]) == 2
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_infinite_report_value_writes_no_json_file(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         rc = main(
@@ -409,6 +410,29 @@ class TestCli:
         )
         assert rc == 2 and "beyond the float range" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_infinite_report_value_writes_no_csv_file(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        rc = main(
+            [
+                "validate", "--kind", "regime", "--n", "1100", "--alpha", "0.5", "--beta", "0.5",
+                "--gamma", "0.5", "--d-max", "0", "--seed", "1", "--allow-large",
+                "--out-csv", str(out),
+            ]
+        )
+        assert rc == 2 and "beyond the float range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_with_an_infinite_table_cell_opens_no_file(self, tmp_path):
+        report = run_experiment(cfg())
+        row = report.table_rows[0]
+        broken = dataclasses.replace(report, table_rows=((row[0], math.inf, *row[2:]),))
+        paths = {"json_path": tmp_path / "r.json", "csv_path": tmp_path / "r.csv"}
+        with pytest.raises(ParameterError):
+            emit_report(broken, csv_path=paths["csv_path"])
+        with pytest.raises(ParameterError):
+            emit_report(broken, **paths)
+        assert not any(path.exists() for path in paths.values())
 
     def test_predict_regime_at_large_degree(self, capsys):
         rc = main(

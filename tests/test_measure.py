@@ -168,6 +168,13 @@ class TestCountLabeledCopies:
             se = max(sample.std(ddof=1) / math.sqrt(trials), 1e-9)
             assert abs(sample.mean() - exact) <= 4 * se, name
 
+    def test_only_auto_and_generic_methods(self):
+        g = SampledGraph.from_pairs(KroneckerParams(0.6, 0.4, 0.3, 3), [(0, 1), (1, 2)])
+        assert count_labeled_copies(g, star(2), method="generic") == 2
+        for method in ("star", "triangle"):
+            with pytest.raises(ParameterError):
+                count_labeled_copies(g, star(2), method=method)
+
     def test_capacity_guards(self):
         p = KroneckerParams(0.6, 0.4, 0.3, 3)
         g = SampledGraph.from_pairs(p, [(0, 1)])

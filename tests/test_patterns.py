@@ -4,6 +4,8 @@ import itertools
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronval import (
     CapacityError,
@@ -31,7 +33,7 @@ from kronval import (
     valid_edge_labelings,
 )
 from kronval.cli import main
-from conftest import PARAM_GRID, SYMMETRIC_GRID, brute_base_value
+from conftest import PARAM_GRID, SYMMETRIC_GRID, brute_base_value, brute_expected_copies
 
 
 def nonisomorphic_trees(max_vertices):
@@ -149,14 +151,14 @@ class TestExpectedCopies:
         assert expected_copies_exact(p, star(1)) == pytest.approx(2 * 0.4, rel=1e-12)
 
     def test_exact_below_asymptotic(self):
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 8, 12, 16):
             p = KroneckerParams(0.6, 0.4, 0.3, n)
             for g in (star(1), path(2), cycle(3)):
                 assert expected_copies_exact(p, g) < expected_copies_asymptotic(p, g)
 
     def test_ratio_increases_with_n(self):
         ratios = []
-        for n in range(2, 7):
+        for n in range(2, 17):
             p = KroneckerParams(0.6, 0.4, 0.3, n)
             ratios.append(
                 expected_copies_exact(p, path(2)) / expected_copies_asymptotic(p, path(2))
@@ -165,9 +167,30 @@ class TestExpectedCopies:
         assert ratios[-1] < 1
 
     def test_exact_capacity(self):
-        p = KroneckerParams(0.6, 0.4, 0.3, 10)
+        p = KroneckerParams(0.6, 0.4, 0.3, 62)
+        assert 0 < expected_copies_exact(p, path(5)) < expected_copies_asymptotic(p, path(5))
         with pytest.raises(CapacityError):
-            expected_copies_exact(p, star(3))  # (2^10)^4 maps is over the cap
+            expected_copies_exact(p, path(6))  # seven pattern vertices
+        with pytest.raises(CapacityError):
+            expected_copies_exact(KroneckerParams(0.6, 0.4, 0.3, 63), star(1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=4),
+        entries=st.tuples(*[st.floats(min_value=0.01, max_value=0.99)] * 3),
+    )
+    def test_exact_matches_injective_map_oracle(self, data, n, entries):
+        v = data.draw(st.integers(min_value=1, max_value=5))
+        pairs = list(itertools.combinations(range(v), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        p = KroneckerParams(*entries, n)
+        exact = expected_copies_exact(p, PatternGraph.from_edges(v, edges))
+        oracle = brute_expected_copies(p, v, edges)
+        if v > p.vertex_count:
+            assert exact == oracle == 0.0
+        else:
+            assert exact == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 class TestClosedForms:
