@@ -8,6 +8,7 @@ usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from ._version import __version__
 from .edgelist import read_edgelist, write_edgelist
-from .errors import KronvalError
+from .errors import ConfigError, KronvalError
 # Bound for perfbench/spans.py, which traces these names on this module.
 from .generate import generate_naive, generate_rmat, generate_stratified  # noqa: F401
 from .harness import (
@@ -30,6 +31,7 @@ from .measure import count_labeled_copies, edge_distance_histogram
 from .model import KroneckerParams
 from .patterns import parse_pattern, second_moment_certificate
 from .predict import (
+    TABLE_MAX,
     classify_regime,
     critical_fraction,
     degree_moments,
@@ -66,6 +68,14 @@ def _load_pattern(text: str):
     return parse_pattern(_pattern_text(text))
 
 
+def _sweep(values):
+    """(lo, hi, steps) from --sweep's floats; steps must be a whole number."""
+    lo, hi, steps = values
+    if not math.isfinite(steps) or steps != int(steps):
+        raise ConfigError(f"sweep STEPS must be a whole number, got {steps!r}")
+    return lo, hi, int(steps)
+
+
 def _write_out(text: str, out_path=None) -> None:
     if out_path:
         with open(out_path, "w", encoding="ascii", newline="\n") as fh:
@@ -84,10 +94,14 @@ def _cmd_generate(args) -> int:
 
 def _cmd_predict(args) -> int:
     params = _params(args)
+    if args.what in ("moments", "degree-counts", "hamming-profile") and params.n > TABLE_MAX:
+        raise ConfigError(f"predict --what {args.what} tabulates up to n = {TABLE_MAX}")
     payload = {"params": asdict(params)}
     if args.what == "moments":
         payload["moments"] = [asdict(degree_moments(params, w)) for w in range(params.n + 1)]
     elif args.what == "degree-counts":
+        if not 0 <= args.d_max <= TABLE_MAX:
+            raise ConfigError(f"degree-max must lie in [0, {TABLE_MAX}]")
         payload["expected_degree_counts"] = [
             {"d": d, "count": expected_degree_count(params, d)}
             for d in range(args.d_max + 1)
@@ -143,7 +157,7 @@ def _cmd_measure(args) -> int:
 
 def _cmd_validate(args) -> int:
     params = _params(args)
-    sweep = tuple(args.sweep) if args.sweep else None
+    sweep = _sweep(args.sweep) if args.sweep else None
     config = ExperimentConfig(
         params=params,
         kind=args.kind,
@@ -267,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "sweep", None) is not None:
-        args.sweep = (args.sweep[0], args.sweep[1], int(args.sweep[2]))
     try:
         return args.func(args)
     except KronvalError as exc:

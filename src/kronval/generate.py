@@ -255,8 +255,13 @@ def generate_stratified(
     vertex pairs in pooled passes (see _unrank_pooled: classes below
     _UNRANK_BLOCK ranks share a pass, larger ones run alone), so a small
     graph pays a few vectorized passes rather than one per class; pooling
-    consumes no randomness and leaves the output unchanged.  Scales to
-    n = 30 as long as the expected edge count fits the budget.
+    consumes no randomness and leaves the output unchanged.  The class
+    streams come from one batched derivation per family
+    (SeedSpec.generators), each generator in the same state as
+    seed.child("class", a, b).generator() or
+    seed.child("loop_class", w).generator(), so batching leaves the output
+    unchanged too.  Scales to n = 30 as long as the expected edge count
+    fits the budget.
     """
     n = params.n
     if n > STRATIFIED_MAX_N:
@@ -270,15 +275,16 @@ def generate_stratified(
     la, lb, lg = params.log_entries()
 
     def pair_class_ranks():
-        for a, b, c, size in pair_classes(n):
-            rng = seed.child("class", a, b).generator()
+        classes = list(pair_classes(n))
+        rngs = seed.child("class").generators([(a, b) for a, b, _, _ in classes])
+        for (a, b, c, size), rng in zip(classes, rngs):
             count = int(rng.binomial(size, math.exp(a * la + b * lb + c * lg)))
             if count:
                 yield _sample_distinct(rng, size, count), a, b
 
     def loop_class_ranks():
-        for w in range(n + 1):
-            rng = seed.child("loop_class", w).generator()
+        rngs = seed.child("loop_class").generators([(w,) for w in range(n + 1)])
+        for w, rng in enumerate(rngs):
             class_size = math.comb(n, w)
             count = int(rng.binomial(class_size, math.exp(w * la + (n - w) * lg)))
             if count:

@@ -43,6 +43,7 @@ from .patterns import (
     parse_pattern,
 )
 from .predict import (
+    TABLE_MAX,
     classify_regime,
     expected_degree_count,
     hamming_profile_prediction,
@@ -81,8 +82,8 @@ class ExperimentConfig:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.degree_max < 0:
-            raise ConfigError("degree-max must be >= 0")
+        if not 0 <= self.degree_max <= TABLE_MAX:
+            raise ConfigError(f"degree-max must lie in [0, {TABLE_MAX}]")
         _check_generator(self.params, self.generator, self.include_loops, self.rmat_edges)
         if not self.allow_large and self.generator == "stratified" and self.params.n > STRATIFIED_GUARD_N:
             raise ConfigError(

@@ -189,8 +189,9 @@ class SampledGraph:
 
         With ``v`` omitted, ``u`` is a sequence of ``(u, v)`` pairs.  Pairs
         may come in any order and orientation and may repeat; a pair with
-        ``u == v`` is a loop.  Raises DimensionError when a vertex does not
-        fit ``params.n`` digits.
+        ``u == v`` is a loop.  Without ``include_loops`` the graph holds no
+        loops, so given loops are dropped.  Raises DimensionError when a
+        vertex does not fit ``params.n`` digits.
         """
         n = params.n
         if n > GRAPH_MAX_N:
@@ -208,7 +209,10 @@ class SampledGraph:
             if len(part) and (part.min() < 0 or part.max() >> n):
                 raise DimensionError(f"a vertex does not fit {n} digits")
         is_loop = u == v
-        loops = np.unique(np.concatenate([loops, u[is_loop]]))
+        if include_loops:
+            loops = np.unique(np.concatenate([loops, u[is_loop]]))
+        else:
+            loops = np.empty(0, dtype=np.int64)
         lo = np.minimum(u, v)[~is_loop]
         hi = np.maximum(u, v)[~is_loop]
         order = np.lexsort((hi, lo))

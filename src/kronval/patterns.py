@@ -133,19 +133,23 @@ def parse_pattern(text: str) -> PatternGraph:
 
     Named: ``star:k``, ``cycle:k``, ``path:k``.  Numeric: first non-empty
     line is the vertex count, each following line one ``u v`` edge with
-    0-based indices.
+    0-based indices.  A pattern of more than ``BASE_VALUE_MAX_VERTICES``
+    vertices, the largest any consumer accepts, is refused before it is
+    built.
     """
     stripped = text.strip()
     if ":" in stripped and "\n" not in stripped:
         name, _, arg = stripped.partition(":")
-        builders = {"star": star, "cycle": cycle, "path": path}
+        builders = {"star": (star, 1), "cycle": (cycle, 0), "path": (path, 1)}
         if name not in builders:
             raise ParameterError(f"unknown pattern name {name!r}")
         try:
             k = int(arg)
         except ValueError:
             raise ParameterError(f"bad pattern size {arg!r}") from None
-        return builders[name](k)
+        builder, extra_vertices = builders[name]
+        _check_pattern_size(k + extra_vertices)
+        return builder(k)
     lines = [line for line in stripped.splitlines() if line.strip()]
     if not lines:
         raise ParameterError("empty pattern description")
@@ -157,7 +161,15 @@ def parse_pattern(text: str) -> PatternGraph:
             edges.append((int(u), int(v)))
     except ValueError:
         raise ParameterError("pattern format: vertex count line, then 'u v' lines") from None
+    _check_pattern_size(vertex_count)
     return PatternGraph.from_edges(vertex_count, edges)
+
+
+def _check_pattern_size(vertex_count: int) -> None:
+    if vertex_count > BASE_VALUE_MAX_VERTICES:
+        raise ParameterError(
+            f"patterns have at most {BASE_VALUE_MAX_VERTICES} vertices, got {vertex_count}"
+        )
 
 
 def base_value(params: KroneckerParams, pattern: PatternGraph) -> float:

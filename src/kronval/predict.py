@@ -14,6 +14,12 @@ from scipy.optimize import brentq
 from .errors import ParameterError
 from .model import PROB_TOL, KroneckerParams
 
+# Largest n, and largest degree, that a table of predictions runs to: the
+# moments and the Hamming profile have a row per weight or distance 0..n,
+# and the degree counts a row per degree 0..d-max, each a sum over n + 1
+# weights.
+TABLE_MAX = 100_000
+
 
 @dataclass(frozen=True)
 class DegreeMoments:
@@ -35,7 +41,11 @@ def _power_product(what: str, x: float, p: int, y: float, q: int) -> float:
         value = math.inf
     if 0.0 < value < math.inf:
         return value
-    log_value = p * math.log(x) + q * math.log(y)
+    if (x == 0.0 and p) or (y == 0.0 and q):
+        # A sum of squares underflowed: both of its entries are below
+        # 1e-161, so the other base is below 1 and the product underflows.
+        return 0.0
+    log_value = (p * math.log(x) if p else 0.0) + (q * math.log(y) if q else 0.0)
     try:
         return math.exp(log_value)
     except OverflowError:

@@ -1,4 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kronval import (
     KroneckerParams,
@@ -116,3 +121,29 @@ def test_multi_block_file_round_trips(tmp_path, monkeypatch):
     one.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParameterError, match="line 16"):
         read_edgelist(one)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 10))
+    entry = st.floats(0.01, 0.99)
+    params = KroneckerParams(alpha=draw(entry), beta=draw(entry), gamma=draw(entry), n=n)
+    vertex = st.integers(0, (1 << n) - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=40))
+    loops = draw(st.lists(vertex, max_size=8))
+    include_loops = draw(st.booleans())
+    return SampledGraph.from_pairs(params, pairs, loops=loops, include_loops=include_loops)
+
+
+EMPTY = KroneckerParams(alpha=0.5, beta=0.25, gamma=0.125, n=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph=small_graphs())
+@example(graph=SampledGraph.from_pairs(EMPTY, [], include_loops=True))
+@example(graph=SampledGraph.from_pairs(EMPTY, [], include_loops=False))
+def test_round_trip_property(graph):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.edges"
+        write_edgelist(graph, path)
+        assert read_edgelist(path) == graph

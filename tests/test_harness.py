@@ -380,6 +380,45 @@ class TestCli:
         total = sum(r["expected_neighbors"] for r in payload["profile"])
         assert total == pytest.approx(1.2**6, rel=1e-9)
 
+    @pytest.mark.parametrize("steps", ["nan", "inf", "3.5"])
+    def test_sweep_steps_must_be_a_whole_number(self, capsys, steps):
+        rc = main(
+            [
+                "validate", "--kind", "thresholds", "--alpha", "0.5", "--beta", "0.4",
+                "--gamma", "0.5", "--n", "4", "--pattern", "cycle:3", "--seed", "1",
+                "--sweep", "0.4", "0.6", steps,
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: sweep STEPS must be a whole number")
+
+    def test_oversized_pattern_is_exit_2(self, tmp_path, capsys):
+        graph = tmp_path / "g.edges"
+        params = ["--n", "4", "--alpha", "0.5", "--beta", "0.4", "--gamma", "0.5"]
+        assert main(["generate", *params, "--seed", "1", "--out", str(graph)]) == 0
+        for argv in (
+            ["measure", "--input", str(graph), "--what", "subgraph"],
+            ["validate", "--kind", "subgraph", *params, "--seed", "1"],
+            ["certify", *params],
+        ):
+            capsys.readouterr()
+            assert main([*argv, "--pattern", "cycle:11"]) == 2
+            assert "at most 10 vertices" in capsys.readouterr().err
+
+    def test_degree_table_past_its_cap_is_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(kronval.harness, "generate_graph", None)  # nothing is sampled
+        params = ["--n", "6", "--alpha", "0.7", "--beta", "0.3", "--gamma", "0.3"]
+        for argv in (
+            ["predict", "--what", "degree-counts", *params],
+            ["validate", "--kind", "degrees", *params, "--seed", "1"],
+        ):
+            assert main([*argv, "--d-max", str(10**20)]) == 2
+            assert "degree-max must lie in [0, 100000]" in capsys.readouterr().err
+        for what in ("moments", "degree-counts", "hamming-profile"):
+            argv = ["predict", "--what", what, *params, "--n", str(10**20)]
+            assert main(argv) == 2
+            assert "tabulates up to n = 100000" in capsys.readouterr().err
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["validate", "--kind", "degrees"])  # missing required args

@@ -66,6 +66,19 @@ class TestPatternGraph:
         with pytest.raises(ParameterError):
             parse_pattern("3\n0 1 2\n")
 
+    def test_oversized_patterns_are_refused_before_they_are_built(self, monkeypatch):
+        import kronval.patterns
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("an oversized pattern was built")
+
+        for name in ("star", "cycle", "path"):
+            monkeypatch.setattr(kronval.patterns, name, no_build)
+        monkeypatch.setattr(kronval.patterns.PatternGraph, "from_edges", no_build)
+        for text in ("cycle:999999999999", "cycle:11", "star:10", "path:10", "11\n0 1\n"):
+            with pytest.raises(ParameterError, match="at most 10 vertices"):
+                parse_pattern(text)
+
     def test_connectivity(self):
         assert cycle(4).is_connected()
         assert not PatternGraph.from_edges(4, [(0, 1), (2, 3)]).is_connected()

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import pytest
@@ -15,6 +17,7 @@ from kronval import (
     hamming_window,
     psi,
 )
+from kronval.cli import main
 from conftest import PARAM_GRID, brute_degree_moments
 
 
@@ -266,6 +269,14 @@ class TestPsi:
             assert psi(p, lo2) > psi(p, hi2)  # strictly decreasing after
 
 
+def test_moments_with_underflowing_sums_of_squares():
+    # alpha^2 + beta^2 and beta^2 + gamma^2 round to 0 at these entries
+    p = KroneckerParams(5e-324, 5e-324, 0.3, 100)
+    assert degree_moments(p, 0).sum_sq_probs == pytest.approx(0.09**100)
+    assert degree_moments(p, 1).sum_sq_probs == 0.0
+    assert degree_moments(KroneckerParams(0.3, 5e-324, 5e-324, 100), 0).sum_sq_probs == 0.0
+
+
 class TestCriticalFraction:
     def test_low_alpha_branch(self):
         p = KroneckerParams(0.4, 0.7, 0.4, 14)
@@ -334,3 +345,32 @@ class TestHammingProfile:
         assert hi - center == pytest.approx(
             math.sqrt(2 * 0.5 / 1.2) * math.log(14) * math.sqrt(14)
         )
+
+
+EXTREMES = ["nan", "inf", "-inf", "0", "-1", "5e-324", repr(1 - 1e-16), "1e308", str(10**20)]
+# ordinary entries too, so that some drawn parameter sets are valid
+ENTRIES = st.sampled_from([*EXTREMES, "0.3", "0.7"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    what=st.sampled_from(["moments", "degree-counts", "regime", "hamming-profile"]),
+    alpha=ENTRIES,
+    beta=ENTRIES,
+    gamma=ENTRIES,
+    n=st.one_of(st.integers(-1, 5000), st.sampled_from(EXTREMES)),
+    d=st.one_of(st.integers(-1, 64), st.sampled_from(EXTREMES)),
+    d_max=st.one_of(st.integers(-1, 64), st.sampled_from(EXTREMES)),
+)
+def test_predict_exit_code_property(what, alpha, beta, gamma, n, d, d_max):
+    # predict builds no graph, so even n = 5000 allocates nothing large
+    argv = [
+        "predict", "--what", what, "--alpha", alpha, "--beta", beta, "--gamma", gamma,
+        "--n", str(n), "--d", str(d), "--d-max", str(d_max),
+    ]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            rc = exc.code
+    assert rc in (0, 1, 2)
