@@ -14,7 +14,10 @@ on fixed-width rows, a bounded block of rows at a time.  The reader is
 strict: a line of the wrong shape, a digit other than 0/1, a line out of
 sorted order or repeated, a ``v v`` line under ``loops=0`` and a header
 field without ``=`` all raise :class:`ParameterError`.  A missing newline
-after the last line is accepted; blank lines are not.
+after the last line is accepted; blank lines are not.  Order is checked with
+the graph model's own pair comparison (``model.pairs_ascend``): one packed
+int64 key ``u << n | v`` per line for n <= 31, a lexicographic comparison of
+the ``(u, v)`` columns above that.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import os
 import numpy as np
 
 from .errors import ParameterError
-from .model import GRAPH_MAX_N, KroneckerParams, SampledGraph
+from .model import GRAPH_MAX_N, KroneckerParams, SampledGraph, pairs_ascend
 
 _BLOCK_ROWS = 1 << 16
 _ZERO, _SPACE, _NEWLINE = ord("0"), ord(" "), ord("\n")
@@ -130,13 +133,14 @@ def read_edgelist(path: "str | os.PathLike") -> SampledGraph:
             line += len(u)
     u = np.concatenate(us) if us else np.empty(0, dtype=np.int64)
     v = np.concatenate(vs) if vs else np.empty(0, dtype=np.int64)
+    del us, vs  # the blocks would stay resident through from_pairs
     if np.any(u > v):
         raise ParameterError(f"line {2 + int(np.argmax(u > v))}: u must not exceed v")
     if not include_loops and np.any(u == v):
         raise ParameterError(
             f"line {2 + int(np.argmax(u == v))}: a loop line under loops=0"
         )
-    ascending = (u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))
+    ascending = pairs_ascend(u, v, n)
     if not ascending.all():
         raise ParameterError(
             f"line {3 + int(np.argmin(ascending))}: lines must be sorted and distinct"

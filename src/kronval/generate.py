@@ -21,7 +21,14 @@ from .streams import SeedSpec
 
 NAIVE_MAX_N = 14
 STRATIFIED_MAX_N = 30
-DEFAULT_EDGE_BUDGET = 50_000_000
+# The stratified sampler's default budget is a memory ceiling over its
+# measured peak resident bytes per edge.  The peak is in from_pairs, which
+# holds the two int64 end arrays, the packed keys and the (E, 2) result at
+# once (40 B per edge); at (0.99, 0.99, 0.99), n = 13, the whole process
+# peaked at 1289 MiB for 29.4M edges, 45.9 B per edge with the interpreter.
+GENERATE_MEMORY_CEILING = 3 << 30  # bytes
+STRATIFIED_PEAK_BYTES_PER_EDGE = 48
+DEFAULT_EDGE_BUDGET = GENERATE_MEMORY_CEILING // STRATIFIED_PEAK_BYTES_PER_EDGE
 _NAIVE_ROW_BLOCK = 128
 _RMAT_CHUNK = 1 << 20
 _RMAT_SUBBLOCK = 1 << 16  # rows per rng.random call: 32 MB of doubles at n = 62
@@ -261,7 +268,10 @@ def generate_stratified(
     seed.child("class", a, b).generator() or
     seed.child("loop_class", w).generator(), so batching leaves the output
     unchanged too.  Scales to n = 30 as long as the expected edge count
-    fits the budget.
+    fits ``max_expected_edges``; the default, ``DEFAULT_EDGE_BUDGET``,
+    keeps the measured peak of ``STRATIFIED_PEAK_BYTES_PER_EDGE`` per edge
+    under ``GENERATE_MEMORY_CEILING`` (3 GiB), and a graph over it raises
+    CapacityError before any class is sampled.
     """
     n = params.n
     if n > STRATIFIED_MAX_N:
@@ -274,13 +284,28 @@ def generate_stratified(
         )
     la, lb, lg = params.log_entries()
 
-    def pair_class_ranks():
-        classes = list(pair_classes(n))
-        rngs = seed.child("class").generators([(a, b) for a, b, _, _ in classes])
-        for (a, b, c, size), rng in zip(classes, rngs):
-            count = int(rng.binomial(size, math.exp(a * la + b * lb + c * lg)))
-            if count:
-                yield _sample_distinct(rng, size, count), a, b
+    classes = list(pair_classes(n))
+    rngs = seed.child("class").generators([(a, b) for a, b, _, _ in classes])
+    # Every class draws its count before any class draws ranks, so the edge
+    # arrays are allocated once at their final size and each unranked block
+    # is copied into place.  Each class has its own stream, which still sees
+    # its count and then its ranks, so the draws are unchanged.
+    counts = [
+        int(rng.binomial(size, math.exp(a * la + b * lb + c * lg)))
+        for (a, b, c, size), rng in zip(classes, rngs)
+    ]
+    pair_class_ranks = (
+        (_sample_distinct(rng, size, count), a, b)
+        for (a, b, _, size), rng, count in zip(classes, rngs, counts)
+        if count
+    )
+    edge_u = np.empty(sum(counts), dtype=np.int64)
+    edge_v = np.empty_like(edge_u)
+    at = 0
+    for u, v in _unrank_pooled(pair_class_ranks, functools.partial(_unrank_pairs, n)):
+        edge_u[at : at + len(u)] = u
+        edge_v[at : at + len(v)] = v
+        at += len(u)
 
     def loop_class_ranks():
         rngs = seed.child("loop_class").generators([(w,) for w in range(n + 1)])
@@ -290,9 +315,6 @@ def generate_stratified(
             if count:
                 yield _sample_distinct(rng, class_size, count), w
 
-    pairs = list(_unrank_pooled(pair_class_ranks(), functools.partial(_unrank_pairs, n)))
-    edge_u = np.concatenate([u for u, _ in pairs]) if pairs else np.empty(0, dtype=np.int64)
-    edge_v = np.concatenate([v for _, v in pairs]) if pairs else np.empty(0, dtype=np.int64)
     loops = np.empty(0, dtype=np.int64)
     if include_loops:
         loop_blocks = list(

@@ -22,6 +22,7 @@ from ._version import __version__
 from .errors import ConfigError, ParameterError
 from .generate import (
     NAIVE_MAX_N,
+    STRATIFIED_MAX_N,
     RmatParams,
     generate_naive,
     generate_rmat,
@@ -34,7 +35,7 @@ from .measure import (
     count_labeled_copies,
     edge_distance_histogram,
 )
-from .model import KroneckerParams
+from .model import GRAPH_MAX_N, KroneckerParams
 from .patterns import (
     PatternGraph,
     base_value,
@@ -53,6 +54,7 @@ from .streams import SeedSpec
 
 KINDS = ("degrees", "subgraph", "hamming", "regime", "thresholds")
 GENERATORS = ("naive", "stratified", "rmat")
+GENERATOR_MAX_N = {"naive": NAIVE_MAX_N, "stratified": STRATIFIED_MAX_N, "rmat": GRAPH_MAX_N}
 STRATIFIED_GUARD_N = 22
 
 # Acceptance-style default tolerances, pinned here rather than per call site.
@@ -90,6 +92,13 @@ class ExperimentConfig:
                 f"stratified generation is guarded at n <= {STRATIFIED_GUARD_N};"
                 " pass allow_large to override"
             )
+        # Bound n before any run allocates per-digit arrays of length n + 1.
+        if self.kind == "regime":
+            n_cap, what = TABLE_MAX, "the regime table"
+        else:
+            n_cap, what = GENERATOR_MAX_N[self.generator], f"{self.generator} generation"
+        if self.params.n > n_cap:
+            raise ConfigError(f"{what} caps at n = {n_cap}, got n = {self.params.n}")
         if self.kind in ("subgraph", "thresholds"):
             if not self.pattern:
                 raise ConfigError(f"kind={self.kind} needs a pattern")

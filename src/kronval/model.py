@@ -154,6 +154,63 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return array
 
 
+# The largest n whose pair keys (lo << n) | hi fit a non-negative int64.
+PAIR_KEY_MAX_N = 31
+
+
+def pair_keys(u, v, n: int) -> np.ndarray:
+    """int64 keys ``min(u, v) << n | max(u, v)`` of the pairs ``{u[i], v[i]}``.
+
+    For vertices below 2^n with n <= ``PAIR_KEY_MAX_N`` the key fits int64
+    and orders pairs exactly as their ``(lo, hi)`` rows order
+    lexicographically, so sorting keys sorts rows and equal keys are equal
+    pairs.  ``lo = key >> n`` and ``hi = key & (2^n - 1)`` undo it.
+    """
+    key = np.minimum(u, v)
+    key <<= n
+    key |= np.maximum(u, v)
+    return key
+
+
+def pairs_ascend(lo, hi, n: int) -> np.ndarray:
+    """Whether each row ``(lo[i], hi[i])``, ``lo <= hi``, sorts strictly
+    after the row before it; one entry per row but the first."""
+    if n <= PAIR_KEY_MAX_N:
+        key = pair_keys(lo, hi, n)
+        return key[1:] > key[:-1]
+    return (lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))
+
+
+def _canonical_by_key(u, v, is_loop, n: int) -> np.ndarray:
+    """The sorted distinct ``(lo, hi)`` rows of the non-loop pairs, through
+    one in-place sort of their packed keys (n <= ``PAIR_KEY_MAX_N``)."""
+    key = pair_keys(u, v, n)
+    if is_loop.any():
+        key = key[~is_loop]
+    key.sort()
+    fresh = np.empty(len(key), dtype=bool)
+    fresh[:1] = True
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    if not fresh.all():
+        key = key[fresh]
+    edges = np.empty((len(key), 2), dtype=np.int64)
+    np.right_shift(key, n, out=edges[:, 0])
+    np.bitwise_and(key, (1 << n) - 1, out=edges[:, 1])
+    return edges
+
+
+def _canonical_by_lexsort(u, v, is_loop, n: int) -> np.ndarray:
+    """The rows of :func:`_canonical_by_key` for n above ``PAIR_KEY_MAX_N``,
+    where a pair no longer packs into one int64."""
+    lo = np.minimum(u, v)[~is_loop]
+    hi = np.maximum(u, v)[~is_loop]
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    fresh = np.ones(len(lo), dtype=bool)
+    fresh[1:] = pairs_ascend(lo, hi, n)
+    return np.column_stack((lo[fresh], hi[fresh]))
+
+
 @dataclass(frozen=True, eq=False)
 class SampledGraph:
     """One realization of the model: an edge set over the 2^n vertices.
@@ -164,7 +221,11 @@ class SampledGraph:
     carrying a self-loop.  ``include_loops`` records whether loop generation
     was enabled, so that reports can echo it.  Build instances with
     :meth:`from_pairs`, which establishes this canonical form; the
-    constructor takes the arrays as given.
+    constructor takes the arrays as given.  For n <= ``PAIR_KEY_MAX_N`` (31)
+    it packs each pair into one int64 key ``lo << n | hi`` (:func:`pair_keys`),
+    sorts the keys in place, drops equal neighbours and splits the keys back
+    into rows; above that a pair no longer fits one int64, and the rows are
+    ordered with ``np.lexsort``.  Both routes give the same arrays.
 
     Two graphs are ``==`` when their params, ``include_loops`` flag, edges
     and loops are equal.  Graphs are unhashable.  Instances are immutable
@@ -213,14 +274,10 @@ class SampledGraph:
             loops = np.unique(np.concatenate([loops, u[is_loop]]))
         else:
             loops = np.empty(0, dtype=np.int64)
-        lo = np.minimum(u, v)[~is_loop]
-        hi = np.maximum(u, v)[~is_loop]
-        order = np.lexsort((hi, lo))
-        edges = np.column_stack((lo[order], hi[order]))
-        fresh = np.ones(len(edges), dtype=bool)
-        fresh[1:] = (edges[1:] != edges[:-1]).any(axis=1)
-        if not fresh.all():
-            edges = edges[fresh]
+        if n <= PAIR_KEY_MAX_N:
+            edges = _canonical_by_key(u, v, is_loop, n)
+        else:
+            edges = _canonical_by_lexsort(u, v, is_loop, n)
         return cls(
             params=params,
             edges=_readonly(edges),

@@ -64,6 +64,24 @@ def brute_expected_copies(params: KroneckerParams, vertex_count: int, edges) -> 
     return float(np.exp(log_prob).sum())
 
 
+def lexsort_canonical(u, v, loops, include_loops: bool):
+    """(edges, loops) in the canonical form of ``SampledGraph.from_pairs``,
+    by a lexsort of the (lo, hi) rows: sorted, distinct, lo < hi."""
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    proper = u != v
+    lo, hi = np.minimum(u, v)[proper], np.maximum(u, v)[proper]
+    order = np.lexsort((hi, lo))
+    rows = np.column_stack((lo[order], hi[order]))
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    if include_loops:
+        all_loops = np.unique(np.concatenate([np.asarray(loops, dtype=np.int64), u[~proper]]))
+    else:
+        all_loops = np.empty(0, dtype=np.int64)
+    return rows[keep].reshape(-1, 2), all_loops
+
+
 def falling_factorial(d: int, k: int) -> int:
     out = 1
     for step in range(k):

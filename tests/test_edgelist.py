@@ -98,6 +98,22 @@ def test_cli_rejects_malformed_file_with_exit_2(tmp_path, capsys, text):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("n", [31, 32])
+@pytest.mark.parametrize("fault", ["out-of-order", "repeated"])
+def test_rejects_unsorted_lines_at_either_side_of_the_packed_key(tmp_path, n, fault):
+    top = (1 << n) - 1
+    rows = [(0, 1), (0, top), (1, top), (top - 1, top)]
+    if fault == "out-of-order":
+        rows[2], rows[3] = rows[3], rows[2]
+    else:
+        rows[3] = rows[2]
+    body = "".join(f"{u:0{n}b} {v:0{n}b}\n" for u, v in rows)
+    path = tmp_path / "bad.edges"
+    path.write_text(f"kron n={n} alpha=0.5 beta=0.25 gamma=0.5 loops=1\n" + body)
+    with pytest.raises(ParameterError, match="^line 5: lines must be sorted and distinct$"):
+        read_edgelist(path)
+
+
 def test_missing_final_newline_is_accepted(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text(HEADER + "000 001\n010 010")

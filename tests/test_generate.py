@@ -251,6 +251,20 @@ class TestCapacity:
         with pytest.raises(CapacityError, match="budget"):
             generate_stratified(p, seed=SeedSpec(1), max_expected_edges=10_000)
 
+    def test_default_budget_refuses_before_sampling(self, monkeypatch):
+        gen = kronval.generate
+        assert gen.DEFAULT_EDGE_BUDGET * gen.STRATIFIED_PEAK_BYTES_PER_EDGE <= 3 << 30
+
+        def sampled(*args, **kwargs):
+            raise AssertionError("a class was sampled")
+
+        monkeypatch.setattr(SeedSpec, "generators", sampled)
+        monkeypatch.setattr(gen, "_sample_distinct", sampled)
+        p = KroneckerParams(0.99, 0.99, 0.99, 14)  # about 117M expected edges
+        assert expected_edge_count(p) > gen.DEFAULT_EDGE_BUDGET
+        with pytest.raises(CapacityError, match="budget"):
+            generate_stratified(p, seed=SeedSpec(1))
+
 
 class TestPooledUnranking:
     def test_mixed_classes_follow_lexicographic_order(self):

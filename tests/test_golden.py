@@ -5,6 +5,10 @@ pass means that change, and any later one, left the output bytes alone.  The
 two larger stratified cases were recorded before the stratified sampler
 pooled its unranking: at n=15 one pair class holds about 105k edges, more
 than a pooled pass takes, and at n=18 the pool fills and empties many times.
+The two R-MAT cases were recorded before edges were canonicalized through
+packed int64 pair keys: at n=16, 200000 draws merge into 190467 distinct
+edges, and at n=40, past the packed key's n <= 31, the lexsort route merges
+about 2650 repeated draws and keeps 191 loops.
 """
 
 import hashlib
@@ -38,6 +42,16 @@ GOLDEN = {
         ["generate", "--generator", "rmat", "--n", "10", "--alpha", "0.57", "--beta", "0.19",
          "--gamma", "0.05", "--rmat-edges", "3000", "--seed", "13"],
         "b532079176e2ed4a0228b79f1f9218b0ff8d2705c469efaee3d9b7c1b1e4116c",
+    ),
+    "rmat-n16-duplicates": (
+        ["generate", "--generator", "rmat", "--n", "16", "--alpha", "0.57", "--beta", "0.19",
+         "--gamma", "0.05", "--rmat-edges", "200000", "--seed", "31"],
+        "c37b8f2a01b1e5dbbe9267317a10d94ad501d8043162c922f6db0216eac0e7b7",
+    ),
+    "rmat-n40-lexsort": (
+        ["generate", "--generator", "rmat", "--n", "40", "--alpha", "0.9", "--beta", "0.04",
+         "--gamma", "0.02", "--rmat-edges", "20000", "--seed", "32"],
+        "dbca77961befcea51b87dd8b678b64a9a7987224994fae25164f2de3f762b067",
     ),
 }
 

@@ -104,6 +104,20 @@ class TestConfigValidation:
                 generator="naive", params=KroneckerParams(0.7, 0.3, 0.3, 15), allow_large=True
             ).validate()
 
+    def test_n_capped_per_generator_and_for_regime(self):
+        stratified = KroneckerParams(0.7, 0.3, 0.3, 30)
+        cfg(params=stratified, allow_large=True).validate()
+        with pytest.raises(ConfigError, match="stratified generation caps at n = 30"):
+            cfg(params=dataclasses.replace(stratified, n=31), allow_large=True).validate()
+        rmat = dict(generator="rmat", rmat_edges=100, allow_large=True)
+        cfg(params=KroneckerParams(0.45, 0.2, 0.15, 62), **rmat).validate()
+        with pytest.raises(ConfigError, match="rmat generation caps at n = 62"):
+            cfg(params=KroneckerParams(0.45, 0.2, 0.15, 63), **rmat).validate()
+        regime = KroneckerParams(0.7, 0.3, 0.3, 100_000)
+        cfg(kind="regime", params=regime, allow_large=True).validate()
+        with pytest.raises(ConfigError, match="regime table caps at n = 100000"):
+            cfg(kind="regime", params=dataclasses.replace(regime, n=100_001), allow_large=True).validate()
+
     def test_rmat_refuses_no_loops(self):
         rmat = dict(generator="rmat", rmat_edges=100, params=KroneckerParams(0.45, 0.2, 0.15, 6))
         with pytest.raises(ConfigError, match="no-loops"):
@@ -291,6 +305,20 @@ class TestCli:
             )
             assert rc == 2
             assert "copy counting caps at n = " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["hamming", "regime"])
+    def test_huge_n_is_exit_2_with_nothing_written(self, tmp_path, capsys, kind):
+        out = tmp_path / "r.json"
+        rc = main(
+            [
+                "validate", "--kind", kind, "--allow-large", "--n", "100000000000000000000",
+                "--alpha", "0.5", "--beta", "0.7", "--gamma", "0.5", "--seed", "1",
+                "--out-json", str(out),
+            ]
+        )
+        assert rc == 2
+        assert "caps at n = " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_validate_reads_pattern_file(self, tmp_path, capsys):
         spec = tmp_path / "c4.txt"

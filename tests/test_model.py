@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kronval import (
@@ -17,7 +17,7 @@ from kronval import (
     pair_class,
     weight,
 )
-from conftest import brute_edge_probability
+from conftest import brute_edge_probability, lexsort_canonical
 
 
 class TestParams:
@@ -198,3 +198,52 @@ class TestSampledGraph:
         g = SampledGraph.from_pairs(small_params, [(5, 2), (0, 1), (3, 4)])
         arr = g.edge_array
         assert arr.tolist() == sorted(arr.tolist())
+
+
+@st.composite
+def pair_lists(draw):
+    """Pairs for canonicalization at either side of the packed-key range:
+    repeats, both orientations, loops and the extreme vertices 0 and 2^n - 1."""
+    n = draw(st.sampled_from([1, 2, 30, 31, 32, 62]))
+    top = (1 << n) - 1
+    # Drawn integers lean small, so half the vertices count down from the top.
+    vertex = st.builds(lambda high, x: top - x if high else x, st.booleans(), st.integers(0, top))
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=30))
+    repeats = draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    flipped = [(b, a) for a, b in draw(st.lists(st.sampled_from(pairs), max_size=10))] if pairs else []
+    pairs = draw(st.permutations(pairs + repeats + flipped))
+    loops = draw(st.lists(vertex, max_size=5))
+    return n, pairs, loops, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=pair_lists())
+@example(case=(31, [(2**31 - 1, 2**31 - 2), (2**31 - 2, 2**31 - 1), (0, 5)], [0], False))
+@example(case=(32, [(2**32 - 2, 2**32 - 1), (0, 2**32 - 1), (0, 0)], [], True))
+def test_from_pairs_matches_lexsort_oracle(case):
+    n, pairs, loops, include_loops = case
+    p = KroneckerParams(alpha=0.5, beta=0.25, gamma=0.125, n=n)
+    u = [a for a, _ in pairs]
+    v = [b for _, b in pairs]
+    g = SampledGraph.from_pairs(p, u, v, loops=loops, include_loops=include_loops)
+    edges, all_loops = lexsort_canonical(u, v, loops, include_loops)
+    assert g.edges.dtype == np.int64 and g.edges.shape == edges.shape
+    assert np.array_equal(g.edges, edges) and np.array_equal(g.loops, all_loops)
+
+
+def test_packed_key_route_never_calls_lexsort(monkeypatch, tmp_path):
+    from kronval import read_edgelist, write_edgelist
+
+    def no_lexsort(*args, **kwargs):
+        raise AssertionError("np.lexsort was called")
+
+    monkeypatch.setattr(np, "lexsort", no_lexsort)
+    for n in (1, 12, 31):
+        top = (1 << n) - 1
+        p = KroneckerParams(alpha=0.5, beta=0.25, gamma=0.125, n=n)
+        g = SampledGraph.from_pairs(p, [top, 0, top, 0, 0], [0, top, 0, top, 0])
+        assert g.edges.tolist() == [[0, top]] and g.loops.tolist() == [0]
+        write_edgelist(g, tmp_path / "g.edges")
+        assert read_edgelist(tmp_path / "g.edges") == g
+    with pytest.raises(AssertionError, match="lexsort"):
+        SampledGraph.from_pairs(KroneckerParams(alpha=0.5, beta=0.25, gamma=0.125, n=32), [0], [1])
