@@ -15,9 +15,10 @@ strict: a line of the wrong shape, a digit other than 0/1, a line out of
 sorted order or repeated, a ``v v`` line under ``loops=0`` and a header
 field without ``=`` all raise :class:`ParameterError`.  A missing newline
 after the last line is accepted; blank lines are not.  Order is checked with
-the graph model's own pair comparison (``model.pairs_ascend``): one packed
-int64 key ``u << n | v`` per line for n <= 31, a lexicographic comparison of
-the ``(u, v)`` columns above that.
+the graph model's own row comparison (``model.pairs_ascend``), which compares
+the ``(u, v)`` columns lexicographically at every n.  The checked rows then
+go through :meth:`SampledGraph.from_pairs`, which orders them through one
+packed int64 key ``u << n | v`` per row for n <= 31 and ``np.lexsort`` above.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def read_edgelist(path: "str | os.PathLike") -> SampledGraph:
         raise ParameterError(
             f"line {2 + int(np.argmax(u == v))}: a loop line under loops=0"
         )
-    ascending = pairs_ascend(u, v, n)
+    ascending = pairs_ascend(u, v)
     if not ascending.all():
         raise ParameterError(
             f"line {3 + int(np.argmin(ascending))}: lines must be sorted and distinct"

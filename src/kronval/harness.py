@@ -54,7 +54,8 @@ from .streams import SeedSpec
 
 KINDS = ("degrees", "subgraph", "hamming", "regime", "thresholds")
 GENERATORS = ("naive", "stratified", "rmat")
-GENERATOR_MAX_N = {"naive": NAIVE_MAX_N, "stratified": STRATIFIED_MAX_N, "rmat": GRAPH_MAX_N}
+# The n caps of the generators whose cap _check_generator does not already enforce.
+SAMPLER_MAX_N = {"stratified": STRATIFIED_MAX_N, "rmat": GRAPH_MAX_N}
 STRATIFIED_GUARD_N = 22
 
 # Acceptance-style default tolerances, pinned here rather than per call site.
@@ -96,8 +97,8 @@ class ExperimentConfig:
         if self.kind == "regime":
             n_cap, what = TABLE_MAX, "the regime table"
         else:
-            n_cap, what = GENERATOR_MAX_N[self.generator], f"{self.generator} generation"
-        if self.params.n > n_cap:
+            n_cap, what = SAMPLER_MAX_N.get(self.generator), f"{self.generator} generation"
+        if n_cap is not None and self.params.n > n_cap:
             raise ConfigError(f"{what} caps at n = {n_cap}, got n = {self.params.n}")
         if self.kind in ("subgraph", "thresholds"):
             if not self.pattern:

@@ -172,12 +172,9 @@ def pair_keys(u, v, n: int) -> np.ndarray:
     return key
 
 
-def pairs_ascend(lo, hi, n: int) -> np.ndarray:
-    """Whether each row ``(lo[i], hi[i])``, ``lo <= hi``, sorts strictly
-    after the row before it; one entry per row but the first."""
-    if n <= PAIR_KEY_MAX_N:
-        key = pair_keys(lo, hi, n)
-        return key[1:] > key[:-1]
+def pairs_ascend(lo, hi) -> np.ndarray:
+    """Whether each row ``(lo[i], hi[i])`` sorts strictly after the row
+    before it, lexicographically; one entry per row but the first."""
     return (lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))
 
 
@@ -199,7 +196,7 @@ def _canonical_by_key(u, v, is_loop, n: int) -> np.ndarray:
     return edges
 
 
-def _canonical_by_lexsort(u, v, is_loop, n: int) -> np.ndarray:
+def _canonical_by_lexsort(u, v, is_loop) -> np.ndarray:
     """The rows of :func:`_canonical_by_key` for n above ``PAIR_KEY_MAX_N``,
     where a pair no longer packs into one int64."""
     lo = np.minimum(u, v)[~is_loop]
@@ -207,7 +204,7 @@ def _canonical_by_lexsort(u, v, is_loop, n: int) -> np.ndarray:
     order = np.lexsort((hi, lo))
     lo, hi = lo[order], hi[order]
     fresh = np.ones(len(lo), dtype=bool)
-    fresh[1:] = pairs_ascend(lo, hi, n)
+    fresh[1:] = pairs_ascend(lo, hi)
     return np.column_stack((lo[fresh], hi[fresh]))
 
 
@@ -277,7 +274,7 @@ class SampledGraph:
         if n <= PAIR_KEY_MAX_N:
             edges = _canonical_by_key(u, v, is_loop, n)
         else:
-            edges = _canonical_by_lexsort(u, v, is_loop, n)
+            edges = _canonical_by_lexsort(u, v, is_loop)
         return cls(
             params=params,
             edges=_readonly(edges),

@@ -100,7 +100,7 @@ def test_cli_rejects_malformed_file_with_exit_2(tmp_path, capsys, text):
 
 @pytest.mark.parametrize("n", [31, 32])
 @pytest.mark.parametrize("fault", ["out-of-order", "repeated"])
-def test_rejects_unsorted_lines_at_either_side_of_the_packed_key(tmp_path, n, fault):
+def test_rejects_unsorted_lines_at_n_31_and_32(tmp_path, n, fault):
     top = (1 << n) - 1
     rows = [(0, 1), (0, top), (1, top), (top - 1, top)]
     if fault == "out-of-order":
