@@ -107,6 +107,8 @@ def _cmd_predict(args) -> int:
             for d in range(args.d_max + 1)
         ]
     elif args.what == "regime":
+        if not 0 <= args.d <= TABLE_MAX:
+            raise ConfigError(f"degree must lie in [0, {TABLE_MAX}]")
         verdict = classify_regime(params, args.d)
         payload["regime"] = {
             "d": args.d,

@@ -112,10 +112,18 @@ def _parse_rows(block: bytes, n: int, first_line: int) -> tuple[np.ndarray, np.n
         line = first_line + int(np.argmax(bad))
         text = rows[int(np.argmax(bad))].tobytes().decode("ascii", "replace")
         raise ParameterError(f"line {line}: expected two {n}-digit vertices, got {text!r}")
-    shifts = _digit_shifts(n)
-    u = (digits[:, :n].astype(np.int64) << shifts).sum(axis=1)
-    v = (digits[:, n + 1 : -1].astype(np.int64) << shifts).sum(axis=1)
-    return u, v
+    return _decode(digits[:, :n]), _decode(digits[:, n + 1 : -1])
+
+
+def _decode(digits: np.ndarray) -> np.ndarray:
+    """int64 values of rows of 0/1 digit bytes, most significant first.
+
+    The digits are right-aligned in 64 zero bits per row and packed into 8
+    bytes, which read as one big-endian uint64 each.
+    """
+    bits = np.zeros((len(digits), 64), dtype=np.uint8)
+    bits[:, 64 - digits.shape[1] :] = digits
+    return np.packbits(bits, axis=1).view(">u8").ravel().astype(np.int64)
 
 
 def read_edgelist(path: "str | os.PathLike") -> SampledGraph:

@@ -8,7 +8,6 @@ does not depend on how many workers process them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -24,15 +23,16 @@ STRATIFIED_MAX_N = 30
 # The stratified sampler's default budget is a memory ceiling over its
 # measured peak resident bytes per edge.  The peak is in from_pairs, which
 # holds the two int64 end arrays, the packed keys and the (E, 2) result at
-# once (40 B per edge); at (0.99, 0.99, 0.99), n = 13, the whole process
-# peaked at 1289 MiB for 29.4M edges, 45.9 B per edge with the interpreter.
+# once (40 B per edge); the ranks' int16 class index (2 B per edge) is freed
+# before it.  At (0.99, 0.99, 0.99), n = 13, the whole process peaked at
+# 1298 MiB for 29.4M edges, 46.2 B per edge with the interpreter.
 GENERATE_MEMORY_CEILING = 3 << 30  # bytes
 STRATIFIED_PEAK_BYTES_PER_EDGE = 48
 DEFAULT_EDGE_BUDGET = GENERATE_MEMORY_CEILING // STRATIFIED_PEAK_BYTES_PER_EDGE
 _NAIVE_ROW_BLOCK = 128
 _RMAT_CHUNK = 1 << 20
 _RMAT_SUBBLOCK = 1 << 16  # rows per rng.random call: 32 MB of doubles at n = 62
-_UNRANK_BLOCK = 1 << 14  # pooled ranks per stratified unranking pass
+_UNRANK_BLOCK = 1 << 14  # ranks per stratified unranking pass, any mix of classes
 
 # Binomial coefficients C[i, j] for i, j <= STRATIFIED_MAX_N; exact in int64.
 _COMB = np.array(
@@ -173,7 +173,7 @@ def _deposit_bits(target: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 
 
 def _unrank_pairs(n: int, a, b, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v) of the rank-th pairs of class (a, b); a and b scalar or per rank.
+    """(u, v) of the rank-th pairs of classes (a, b), given per rank.
 
     A rank splits into the one-digit subset, the mixed-digit subset of the
     remaining n - a digits, and the orientation of every mixed digit but the
@@ -189,39 +189,6 @@ def _unrank_pairs(n: int, a, b, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarr
     lowest = mixed & -mixed
     scattered = _deposit_bits(mixed ^ lowest, r_assign, n)
     return ones | lowest | scattered, ones | (mixed ^ lowest ^ scattered)
-
-
-def _unrank_pooled(classes, unrank) -> Iterator:
-    """Yield unrank(*keys, ranks) over the (ranks, *keys) items of classes.
-
-    A vectorized unranking pass has a fixed cost of a few numpy calls per
-    digit, so small classes are pooled: their ranks are concatenated, their
-    keys repeated per rank, and the pool is unranked in one pass once it
-    holds _UNRANK_BLOCK ranks, and at the end.  A class of at least
-    _UNRANK_BLOCK ranks is unranked alone with scalar keys, which is cheaper
-    per rank and bounds the pool's temporaries.
-    """
-    pool = []
-    pooled = 0
-    for ranks, *keys in classes:
-        if len(ranks) >= _UNRANK_BLOCK:
-            yield unrank(*keys, ranks)
-            continue
-        pool.append((ranks, keys))
-        pooled += len(ranks)
-        if pooled >= _UNRANK_BLOCK:
-            yield _unrank_pool(pool, unrank)
-            pool, pooled = [], 0
-    if pool:
-        yield _unrank_pool(pool, unrank)
-
-
-def _unrank_pool(pool: list, unrank):
-    """One unranking pass over pooled (ranks, keys) classes."""
-    lengths = [len(ranks) for ranks, _ in pool]
-    columns = zip(*(keys for _, keys in pool))
-    repeated = [np.repeat(np.array(column, dtype=np.int64), lengths) for column in columns]
-    return unrank(*repeated, np.concatenate([ranks for ranks, _ in pool]))
 
 
 def _sample_distinct(rng: np.random.Generator, size: int, k: int) -> np.ndarray:
@@ -247,6 +214,24 @@ def _sample_distinct(rng: np.random.Generator, size: int, k: int) -> np.ndarray:
         draws = np.concatenate([draws, more])
 
 
+def _draw_class_ranks(rngs: list, classes: list) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ranks of every (size, probability) class, one stream each.
+
+    Every class draws its binomial count before any class draws ranks, so
+    the ranks land in one int64 array allocated at its final size.  Each
+    class still sees its count and then its ranks on its own stream, so the
+    draws do not depend on this order.  Returns the ranks in class order and
+    each rank's int16 class index (n <= 30 gives at most 465 classes).
+    """
+    counts = [int(rng.binomial(size, p)) for rng, (size, p) in zip(rngs, classes)]
+    ranks = np.empty(sum(counts), dtype=np.int64)
+    at = 0
+    for rng, (size, _), count in zip(rngs, classes, counts):
+        ranks[at : at + count] = _sample_distinct(rng, size, count)
+        at += count
+    return ranks, np.repeat(np.arange(len(classes), dtype=np.int16), counts)
+
+
 def generate_stratified(
     params: KroneckerParams,
     include_loops: bool = True,
@@ -258,12 +243,12 @@ def generate_stratified(
     Pairs are grouped by digit class (a, b, c); each class draws a binomial
     edge count and that many distinct pair ranks from its own substream, so
     the joint law over all pairs is exactly independent Bernoulli.  Loops
-    are drawn the same way per weight class.  The ranks are unranked into
-    vertex pairs in pooled passes (see _unrank_pooled: classes below
-    _UNRANK_BLOCK ranks share a pass, larger ones run alone), so a small
-    graph pays a few vectorized passes rather than one per class; pooling
-    consumes no randomness and leaves the output unchanged.  The class
-    streams come from one batched derivation per family
+    are drawn the same way per weight class.  The ranks of all classes are
+    drawn into the edge array itself (_draw_class_ranks) and unranked in
+    place, _UNRANK_BLOCK ranks per vectorized pass with each rank's class
+    as its key, so a small graph pays one pass rather than one per class;
+    the blocking consumes no randomness and leaves the output unchanged.
+    The class streams come from one batched derivation per family
     (SeedSpec.generators), each generator in the same state as
     seed.child("class", a, b).generator() or
     seed.child("loop_class", w).generator(), so batching leaves the output
@@ -285,43 +270,30 @@ def generate_stratified(
     la, lb, lg = params.log_entries()
 
     classes = list(pair_classes(n))
-    rngs = seed.child("class").generators([(a, b) for a, b, _, _ in classes])
-    # Every class draws its count before any class draws ranks, so the edge
-    # arrays are allocated once at their final size and each unranked block
-    # is copied into place.  Each class has its own stream, which still sees
-    # its count and then its ranks, so the draws are unchanged.
-    counts = [
-        int(rng.binomial(size, math.exp(a * la + b * lb + c * lg)))
-        for (a, b, c, size), rng in zip(classes, rngs)
-    ]
-    pair_class_ranks = (
-        (_sample_distinct(rng, size, count), a, b)
-        for (a, b, _, size), rng, count in zip(classes, rngs, counts)
-        if count
+    keys = [(a, b) for a, b, _, _ in classes]
+    edge_u, class_of = _draw_class_ranks(
+        seed.child("class").generators(keys),
+        [(size, math.exp(a * la + b * lb + c * lg)) for a, b, c, size in classes],
     )
-    edge_u = np.empty(sum(counts), dtype=np.int64)
+    a_of, b_of = np.array(keys, dtype=np.int64).T
     edge_v = np.empty_like(edge_u)
-    at = 0
-    for u, v in _unrank_pooled(pair_class_ranks, functools.partial(_unrank_pairs, n)):
-        edge_u[at : at + len(u)] = u
-        edge_v[at : at + len(v)] = v
-        at += len(u)
-
-    def loop_class_ranks():
-        rngs = seed.child("loop_class").generators([(w,) for w in range(n + 1)])
-        for w, rng in enumerate(rngs):
-            class_size = math.comb(n, w)
-            count = int(rng.binomial(class_size, math.exp(w * la + (n - w) * lg)))
-            if count:
-                yield _sample_distinct(rng, class_size, count), w
+    # Each slice of ranks is read whole before its vertices overwrite it.
+    for s in range(0, len(edge_u), _UNRANK_BLOCK):
+        e = s + _UNRANK_BLOCK
+        a, b = a_of[class_of[s:e]], b_of[class_of[s:e]]
+        edge_u[s:e], edge_v[s:e] = _unrank_pairs(n, a, b, edge_u[s:e])
+    del class_of  # the loop keeps no view of it, so from_pairs runs without it
 
     loops = np.empty(0, dtype=np.int64)
     if include_loops:
-        loop_blocks = list(
-            _unrank_pooled(loop_class_ranks(), functools.partial(_unrank_combinations, n))
+        # Loop class w holds the C(n, w) vertices of weight w, so w is its index.
+        loops, w_of = _draw_class_ranks(
+            seed.child("loop_class").generators([(w,) for w in range(n + 1)]),
+            [(math.comb(n, w), math.exp(w * la + (n - w) * lg)) for w in range(n + 1)],
         )
-        if loop_blocks:
-            loops = np.concatenate(loop_blocks)
+        for s in range(0, len(loops), _UNRANK_BLOCK):
+            e = s + _UNRANK_BLOCK
+            loops[s:e] = _unrank_combinations(n, w_of[s:e], loops[s:e])
     return SampledGraph.from_pairs(params, edge_u, edge_v, loops, include_loops)
 
 

@@ -83,8 +83,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials <= TABLE_MAX:
+            raise ConfigError(f"trials must lie in [1, {TABLE_MAX}], got {self.trials}")
         if not 0 <= self.degree_max <= TABLE_MAX:
             raise ConfigError(f"degree-max must lie in [0, {TABLE_MAX}]")
         _check_generator(self.params, self.generator, self.include_loops, self.rmat_edges)
@@ -115,8 +115,8 @@ class ExperimentConfig:
             lo, hi, steps = self.sweep
             if not (0.0 < lo < 1.0 and 0.0 < hi < 1.0 and lo < hi):
                 raise ConfigError("sweep endpoints must satisfy 0 < lo < hi < 1")
-            if steps < 2:
-                raise ConfigError("sweep needs at least 2 steps")
+            if not 2 <= steps <= TABLE_MAX:
+                raise ConfigError(f"sweep STEPS must lie in [2, {TABLE_MAX}], got {steps}")
 
     def echo(self) -> dict:
         return asdict(self)

@@ -114,6 +114,19 @@ def test_rejects_unsorted_lines_at_n_31_and_32(tmp_path, n, fault):
         read_edgelist(path)
 
 
+@pytest.mark.parametrize("n", [1, 62])
+def test_reads_vertex_values_at_n_1_and_62(tmp_path, n):
+    top = (1 << n) - 1
+    values = sorted({0, 1, top >> 1, 1 << (n - 1), 0x2AAAAAAAAAAAAAAA & top, top})
+    rows = [(u, v) for u in values for v in values if u <= v]
+    body = "".join(f"{u:0{n}b} {v:0{n}b}\n" for u, v in rows)
+    path = tmp_path / "g.edges"
+    path.write_text(f"kron n={n} alpha=0.5 beta=0.25 gamma=0.5 loops=1\n" + body)
+    g = read_edgelist(path)
+    assert g.edges.tolist() == [[u, v] for u, v in rows if u < v]
+    assert g.loops.tolist() == [u for u, v in rows if u == v]
+
+
 def test_missing_final_newline_is_accepted(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text(HEADER + "000 001\n010 010")

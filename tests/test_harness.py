@@ -1,9 +1,13 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kronval.harness
 from kronval import (
@@ -17,6 +21,7 @@ from kronval import (
 )
 from kronval.cli import main
 from kronval.harness import (
+    KINDS,
     ExperimentConfig,
     canonical_json,
     emit_report,
@@ -46,6 +51,15 @@ class TestConfigValidation:
     def test_trials_positive(self):
         with pytest.raises(ConfigError):
             cfg(trials=0).validate()
+
+    def test_trials_and_sweep_steps_capped(self):
+        cfg(trials=100_000).validate()
+        with pytest.raises(ConfigError, match=r"trials must lie in \[1, 100000\]"):
+            cfg(trials=100_001).validate()
+        thresholds = dict(kind="thresholds", pattern="cycle:4")
+        cfg(sweep=(0.3, 0.7, 100_000), **thresholds).validate()
+        with pytest.raises(ConfigError, match=r"sweep STEPS must lie in \[2, 100000\]"):
+            cfg(sweep=(0.3, 0.7, 100_001), **thresholds).validate()
 
     def test_hamming_gates_before_generation(self):
         # alpha != gamma never reaches the symmetric-only predictions
@@ -306,6 +320,33 @@ class TestCli:
             assert rc == 2
             assert "copy counting caps at n = " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--kind", "degrees", "--trials", str(10**21)], "trials must lie in [1, 100000]"),
+            (
+                ["--kind", "thresholds", "--pattern", "cycle:3", "--sweep", "0.1", "0.9", "1e11"],
+                "sweep STEPS must lie in [2, 100000]",
+            ),
+        ],
+    )
+    def test_trial_and_sweep_counts_past_their_cap_are_exit_2_before_generation(
+        self, monkeypatch, capsys, argv, message
+    ):
+        def no_generation(*args, **kwargs):
+            raise AssertionError("a trial graph was generated")
+
+        monkeypatch.setattr(kronval.harness, "generate_graph", no_generation)
+        rc = main(
+            [
+                "validate", "--n", "6", "--alpha", "0.6", "--beta", "0.5", "--gamma", "0.6",
+                "--seed", "1", *argv,
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
     @pytest.mark.parametrize("kind", ["hamming", "regime"])
     def test_huge_n_is_exit_2_with_nothing_written(self, tmp_path, capsys, kind):
         out = tmp_path / "r.json"
@@ -512,6 +553,18 @@ class TestCli:
         regime = json.loads(capsys.readouterr().out)["regime"]
         assert regime["case_id"] == 5 and regime["theta_base"] is None
 
+    @pytest.mark.parametrize("d", ["-1", "100001", "1" + "0" * 400], ids=["-1", "100001", "1e400"])
+    def test_predict_regime_degree_past_its_cap_is_exit_2(self, capsys, d):
+        rc = main(
+            [
+                "predict", "--what", "regime", "--n", "10", "--alpha", "0.9", "--beta", "0.5",
+                "--gamma", "0.3", "--d", d,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == "" and captured.err == "error: degree must lie in [0, 100000]\n"
+
     def test_predict_moments_overflow_is_exit_2(self, capsys):
         rc = main(
             [
@@ -522,6 +575,27 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == "" and "beyond the largest float" in captured.err
+
+
+COUNTS = st.sampled_from(["-1", "0", "1", "2", str(10**21), str(2**63)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(1, 4), trials=COUNTS, steps=COUNTS, d_max=COUNTS)
+@example(kind="degrees", n=4, trials=str(10**21), steps="2", d_max="2")
+@example(kind="thresholds", n=4, trials="1", steps=str(10**21), d_max="2")
+def test_validate_exit_code_property(kind, n, trials, steps, d_max):
+    # n <= 4 and at most 2 trials and 2 sweep steps keep every accepted run small
+    argv = [
+        "validate", "--kind", kind, "--n", str(n), "--alpha", "0.6", "--beta", "0.5",
+        "--gamma", "0.6", "--seed", "1", "--pattern", "cycle:3", "--trials", trials,
+        "--sweep", "0.1", "0.9", steps, "--d-max", d_max,
+    ]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 RMAT_ARGS = ["--n", "6", "--alpha", "0.45", "--beta", "0.2", "--gamma", "0.15", "--seed", "2"]

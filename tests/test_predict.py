@@ -3,7 +3,7 @@ import io
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kronval import (
@@ -359,9 +359,11 @@ ENTRIES = st.sampled_from([*EXTREMES, "0.3", "0.7"])
     beta=ENTRIES,
     gamma=ENTRIES,
     n=st.one_of(st.integers(-1, 5000), st.sampled_from(EXTREMES)),
-    d=st.one_of(st.integers(-1, 64), st.sampled_from(EXTREMES)),
+    d=st.one_of(st.integers(-1, 64), st.sampled_from([*EXTREMES, str(2**63), str(10**400)])),
     d_max=st.one_of(st.integers(-1, 64), st.sampled_from(EXTREMES)),
 )
+# case 3 (alpha + beta > 1 > beta + gamma), where the regime's c1 scales by d
+@example(what="regime", alpha="0.9", beta="0.5", gamma="0.3", n=10, d=str(10**400), d_max="8")
 def test_predict_exit_code_property(what, alpha, beta, gamma, n, d, d_max):
     # predict builds no graph, so even n = 5000 allocates nothing large
     argv = [
