@@ -16,12 +16,13 @@ import numpy as np
 
 from ._version import __version__
 from .edgelist import read_edgelist, write_edgelist
-from .errors import ConfigError, KronvalError
+from .errors import ConfigError, KronvalError, ParameterError
 # Bound for perfbench/spans.py, which traces these names on this module.
 from .generate import generate_naive, generate_rmat, generate_stratified  # noqa: F401
 from .harness import (
     ExperimentConfig,
     canonical_json,
+    check_degree_array,
     emit_report,
     generate_graph,
     report_json,
@@ -59,8 +60,11 @@ def _params(args) -> KroneckerParams:
 def _pattern_text(text: str) -> str:
     """The pattern spec itself, read from the file for an ``@file`` argument."""
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="ascii") as fh:
-            return fh.read()
+        try:
+            with open(text[1:], "r", encoding="ascii") as fh:
+                return fh.read()
+        except UnicodeDecodeError:
+            raise ParameterError(f"pattern file {text[1:]!r} is not ASCII") from None
     return text
 
 
@@ -141,6 +145,7 @@ def _cmd_measure(args) -> int:
         "loops": len(graph.loops),
     }
     if args.what == "degrees":
+        check_degree_array(graph.n)
         degrees = graph.degrees(count_loops=graph.include_loops)
         counts = np.bincount(degrees)
         payload["degree_histogram"] = {str(d): int(c) for d, c in enumerate(counts) if c}

@@ -10,7 +10,9 @@ as ``v v``.  Lines are emitted in sorted order so identical graphs always
 serialize to identical bytes.
 
 Every body line is exactly ``2n + 2`` ASCII bytes, so both directions work
-on fixed-width rows, a bounded block of rows at a time.  The reader is
+on fixed-width rows, a bounded block of rows at a time, and the reader
+decodes each block straight into two vertex arrays sized from the file's
+size (lines beyond that size raise :class:`ParameterError`).  The reader is
 strict: a line of the wrong shape, a digit other than 0/1, a line out of
 sorted order or repeated, a ``v v`` line under ``loops=0`` and a header
 field without ``=`` all raise :class:`ParameterError`.  A missing newline
@@ -118,12 +120,16 @@ def _parse_rows(block: bytes, n: int, first_line: int) -> tuple[np.ndarray, np.n
 def _decode(digits: np.ndarray) -> np.ndarray:
     """int64 values of rows of 0/1 digit bytes, most significant first.
 
-    The digits are right-aligned in 64 zero bits per row and packed into 8
-    bytes, which read as one big-endian uint64 each.
+    The n digits pack into ceil(n / 8) bytes, padded with zero bits on the
+    right; those bytes are right-aligned in 8, read as one big-endian uint64
+    each and shifted right by the padding.
     """
-    bits = np.zeros((len(digits), 64), dtype=np.uint8)
-    bits[:, 64 - digits.shape[1] :] = digits
-    return np.packbits(bits, axis=1).view(">u8").ravel().astype(np.int64)
+    packed = np.packbits(digits, axis=1)
+    width = packed.shape[1]
+    words = np.zeros((len(digits), 8), dtype=np.uint8)
+    words[:, 8 - width :] = packed
+    values = words.view(">u8").ravel() >> np.uint64(8 * width - digits.shape[1])
+    return values.astype(np.int64)
 
 
 def read_edgelist(path: "str | os.PathLike") -> SampledGraph:
@@ -131,18 +137,20 @@ def read_edgelist(path: "str | os.PathLike") -> SampledGraph:
         params, include_loops = _parse_header(fh.readline())
         n = params.n
         width = 2 * n + 2
-        us, vs = [], []
-        line = 2
+        # One slot per body line; the last line may lack its newline.
+        lines = max(os.fstat(fh.fileno()).st_size - fh.tell() + 1, 0) // width
+        u = np.empty(lines, dtype=np.int64)
+        v = np.empty(lines, dtype=np.int64)
+        at = 0
         while block := fh.read(_BLOCK_ROWS * width):
             if len(block) < _BLOCK_ROWS * width and not block.endswith(b"\n"):
                 block += b"\n"  # accept a missing final newline
-            u, v = _parse_rows(block, n, line)
-            us.append(u)
-            vs.append(v)
-            line += len(u)
-    u = np.concatenate(us) if us else np.empty(0, dtype=np.int64)
-    v = np.concatenate(vs) if vs else np.empty(0, dtype=np.int64)
-    del us, vs  # the blocks would stay resident through from_pairs
+            rows = len(block) // width
+            if at + rows > lines:
+                raise ParameterError(f"line {2 + lines}: the file grew while it was read")
+            u[at : at + rows], v[at : at + rows] = _parse_rows(block, n, 2 + at)
+            at += rows
+    u, v = u[:at], v[:at]
     if np.any(u > v):
         raise ParameterError(f"line {2 + int(np.argmax(u > v))}: u must not exceed v")
     if not include_loops and np.any(u == v):

@@ -15,7 +15,9 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .model import GRAPH_MAX_N, PROB_TOL, KroneckerParams, SampledGraph, weight_array
+from .model import (
+    GRAPH_MAX_N, PROB_TOL, KroneckerParams, SampledGraph, edge_probability_array, weight_array
+)
 from .streams import SeedSpec
 
 NAIVE_MAX_N = 14
@@ -25,18 +27,28 @@ STRATIFIED_MAX_N = 30
 # holds the two int64 end arrays, the packed keys and the (E, 2) result at
 # once (40 B per edge); the ranks' int16 class index (2 B per edge) is freed
 # before it.  At (0.99, 0.99, 0.99), n = 13, the whole process peaked at
-# 1298 MiB for 29.4M edges, 46.2 B per edge with the interpreter.
+# 1270 MiB for 29.4M edges, 45.2 B per edge with the interpreter.
 GENERATE_MEMORY_CEILING = 3 << 30  # bytes
 STRATIFIED_PEAK_BYTES_PER_EDGE = 48
 DEFAULT_EDGE_BUDGET = GENERATE_MEMORY_CEILING // STRATIFIED_PEAK_BYTES_PER_EDGE
+# R-MAT's cap on draws is the same ceiling over its peak per draw, measured
+# the same way at its worst, from_pairs' lexsort route: at n = 40, `generate`
+# of 16M distinct draws peaked at 1220 MiB, 80.0 B per draw with the
+# interpreter (48.0 B at n = 20).
+RMAT_PEAK_BYTES_PER_DRAW = 80
+RMAT_MAX_EDGES = GENERATE_MEMORY_CEILING // RMAT_PEAK_BYTES_PER_DRAW
 _NAIVE_ROW_BLOCK = 128
 _RMAT_CHUNK = 1 << 20
 _RMAT_SUBBLOCK = 1 << 16  # rows per rng.random call: 32 MB of doubles at n = 62
-_UNRANK_BLOCK = 1 << 14  # ranks per stratified unranking pass, any mix of classes
+# Ranks per stratified unranking pass, any mix of classes.  A pass holds
+# 3n int64 digit masks per rank: 1.2 MiB at n = 13, 2.8 MiB at n = 30.
+_UNRANK_BLOCK = 1 << 12
 
-# Binomial coefficients C[i, j] for i, j <= STRATIFIED_MAX_N; exact in int64.
+# Binomial coefficients C[i, j] for i, j <= STRATIFIED_MAX_N, exact in int64,
+# with a zero last row and column so that index -1 reads C = 0.
 _COMB = np.array(
-    [[math.comb(i, j) for j in range(STRATIFIED_MAX_N + 1)] for i in range(STRATIFIED_MAX_N + 1)],
+    [[math.comb(i, j) for j in range(STRATIFIED_MAX_N + 2)] for i in range(STRATIFIED_MAX_N + 1)]
+    + [[0] * (STRATIFIED_MAX_N + 2)],
     dtype=np.int64,
 )
 
@@ -114,7 +126,6 @@ def generate_naive(
             f" use generate_stratified for n = {n}"
         )
     size = params.vertex_count
-    la, lb, lg = params.log_entries()
     us = []
     vs = []
     for block_index, block_start in enumerate(range(0, size, _NAIVE_ROW_BLOCK)):
@@ -125,9 +136,7 @@ def generate_naive(
         lengths = size - 1 - rows
         u_arr = np.repeat(rows, lengths).astype(np.uint64)
         v_arr = np.concatenate([np.arange(r + 1, size, dtype=np.uint64) for r in rows])
-        a = np.bitwise_count(u_arr & v_arr).astype(np.int64)
-        b = np.bitwise_count(u_arr ^ v_arr).astype(np.int64)
-        prob = np.exp(a * la + b * lb + (n - a - b) * lg)
+        prob = edge_probability_array(params, u_arr, v_arr)
         rng = seed.child("block", block_index).generator()
         keep = rng.random(len(prob)) < prob
         us.append(u_arr[keep].astype(np.int64))
@@ -138,57 +147,50 @@ def generate_naive(
     return SampledGraph.from_pairs(params, edge_u, edge_v, loop_vertices, include_loops)
 
 
-def _unrank_combinations(n_slots, k, ranks: np.ndarray) -> np.ndarray:
-    """Bitmasks of the rank-th k-subsets of {0..n_slots-1}, lexicographic.
-
-    n_slots and k are scalars or arrays aligned with ranks.
-    """
-    r = ranks.astype(np.int64)
-    remaining = np.broadcast_to(np.asarray(k, dtype=np.int64), r.shape).copy()
-    n_slots = np.asarray(n_slots, dtype=np.int64)
-    out = np.zeros(len(r), dtype=np.int64)
-    for s in range(int(n_slots.max())):
-        count_with_s = np.where(
-            remaining > 0,
-            _COMB[np.maximum(n_slots - s - 1, 0), np.maximum(remaining - 1, 0)],
-            0,
-        )
-        take = (remaining > 0) & (r < count_with_s)
-        out |= take.astype(np.int64) << s
-        r = np.where(take, r, r - count_with_s)
-        remaining = remaining - take
-    return out
-
-
-def _deposit_bits(target: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Place bit j of values onto the j-th set bit of target (per element)."""
-    out = np.zeros_like(target)
-    next_slot = np.zeros_like(target)
-    for p in range(n):
-        has = ((target >> p) & 1) == 1
-        take = has & (((values >> next_slot) & 1) == 1)
-        out |= take.astype(np.int64) << p
-        next_slot += has
-    return out
-
-
 def _unrank_pairs(n: int, a, b, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(u, v) of the rank-th pairs of classes (a, b), given per rank.
 
-    A rank splits into the one-digit subset, the mixed-digit subset of the
-    remaining n - a digits, and the orientation of every mixed digit but the
-    lowest, which always goes to u.
+    rank = (ones rank * C(n - a, b) + mixed rank) * 2^(b - 1) + orientation,
+    where the ones rank picks the a one digits among all n and the mixed rank
+    the b mixed digits among the other n - a, both as lexicographic subsets
+    (Kreher and Stinson, Combinatorial Algorithms, 1999, 2.3).  One pass over
+    the digits walks both subsets; mixed digits take the bits of
+    (orientation << 1) | 1 in turn, 1 sending the digit to u, so the lowest
+    mixed digit goes to u.  Class (w, 0) is loop class w: u = v = the
+    rank-th vertex of weight w.  Decisions are -1/0 int64 masks, and index
+    -1 reads _COMB's zero row or column, so exhausted subsets need no branch.
     """
-    comb_mixed = _COMB[n - a, b]
-    assign_space = np.left_shift(np.int64(1), b - 1)
-    r_assign = ranks % assign_space
-    rest = ranks // assign_space
-    ones = _unrank_combinations(n, a, rest // comb_mixed)
-    rel_mixed = _unrank_combinations(n - a, b, rest % comb_mixed)
-    mixed = _deposit_bits(~ones & ((1 << n) - 1), rel_mixed, n)
-    lowest = mixed & -mixed
-    scattered = _deposit_bits(mixed ^ lowest, r_assign, n)
-    return ones | lowest | scattered, ones | (mixed ^ lowest ^ scattered)
+    rest, orient = np.divmod(ranks, np.maximum(np.left_shift(np.int64(1), b) >> 1, 1))
+    r_ones, r_mixed = np.divmod(rest, _COMB[n - a, b])
+    orient <<= 1
+    orient |= 1
+    ones_left = np.broadcast_to(a - 1, ranks.shape).copy()
+    # Flat _COMB index of C(free digits left - 1, mixed digits left - 1).
+    cell = np.broadcast_to((n - 1 - a) * _COMB.shape[1] + b - 1, ranks.shape).copy()
+    # Per digit: one-digit mask, mixed-digit mask, to-u bit.
+    digits = np.empty((3, n, len(ranks)), dtype=np.int64)
+    for p in range(n):
+        count = _COMB[n - 1 - p].take(ones_left)
+        r_ones -= count
+        one = np.right_shift(r_ones, 63, out=digits[0, p])
+        r_ones += count & one
+        ones_left += one
+        free = ~one
+        count = _COMB.take(cell)
+        count &= free
+        r_mixed -= count
+        is_mixed = np.right_shift(r_mixed, 63, out=digits[1, p])
+        r_mixed += count & is_mixed
+        cell -= free & _COMB.shape[1]
+        cell += is_mixed
+        shift = -is_mixed  # 1 where digit p is mixed: its orientation bit is used up
+        np.bitwise_and(orient, shift, out=digits[2, p])
+        orient >>= shift
+    powers = np.left_shift(1, np.arange(n, dtype=np.int64))[:, None]
+    digits[:2] &= powers
+    digits[2] *= powers
+    ones, mixed, to_u = np.bitwise_or.reduce(digits, axis=1)
+    return ones | to_u, ones | (mixed ^ to_u)
 
 
 def _sample_distinct(rng: np.random.Generator, size: int, k: int) -> np.ndarray:
@@ -221,7 +223,8 @@ def _draw_class_ranks(rngs: list, classes: list) -> tuple[np.ndarray, np.ndarray
     the ranks land in one int64 array allocated at its final size.  Each
     class still sees its count and then its ranks on its own stream, so the
     draws do not depend on this order.  Returns the ranks in class order and
-    each rank's int16 class index (n <= 30 gives at most 465 classes).
+    each rank's int16 class index (n <= 30 gives at most 465 pair classes
+    and 31 loop classes, 496 in all).
     """
     counts = [int(rng.binomial(size, p)) for rng, (size, p) in zip(rngs, classes)]
     ranks = np.empty(sum(counts), dtype=np.int64)
@@ -243,13 +246,14 @@ def generate_stratified(
     Pairs are grouped by digit class (a, b, c); each class draws a binomial
     edge count and that many distinct pair ranks from its own substream, so
     the joint law over all pairs is exactly independent Bernoulli.  Loops
-    are drawn the same way per weight class.  The ranks of all classes are
+    are drawn the same way per weight class w, as pair class (w, 0), whose
+    pairs u == v from_pairs keeps as loops.  The ranks of all classes are
     drawn into the edge array itself (_draw_class_ranks) and unranked in
-    place, _UNRANK_BLOCK ranks per vectorized pass with each rank's class
-    as its key, so a small graph pays one pass rather than one per class;
-    the blocking consumes no randomness and leaves the output unchanged.
-    The class streams come from one batched derivation per family
-    (SeedSpec.generators), each generator in the same state as
+    place by _unrank_pairs, _UNRANK_BLOCK ranks per vectorized pass with
+    each rank's class as its key, so a small graph pays one pass rather than
+    one per class; the blocking consumes no randomness and leaves the output
+    unchanged.  The class streams come from one batched derivation per
+    family (SeedSpec.generators), each generator in the same state as
     seed.child("class", a, b).generator() or
     seed.child("loop_class", w).generator(), so batching leaves the output
     unchanged too.  Scales to n = 30 as long as the expected edge count
@@ -270,12 +274,15 @@ def generate_stratified(
     la, lb, lg = params.log_entries()
 
     classes = list(pair_classes(n))
-    keys = [(a, b) for a, b, _, _ in classes]
+    rngs = seed.child("class").generators([(a, b) for a, b, _, _ in classes])
+    if include_loops:
+        # Loop class w, the C(n, w) vertices of weight w, is pair class (w, 0).
+        rngs += seed.child("loop_class").generators([(w,) for w in range(n + 1)])
+        classes += [(w, 0, n - w, math.comb(n, w)) for w in range(n + 1)]
     edge_u, class_of = _draw_class_ranks(
-        seed.child("class").generators(keys),
-        [(size, math.exp(a * la + b * lb + c * lg)) for a, b, c, size in classes],
+        rngs, [(size, math.exp(a * la + b * lb + c * lg)) for a, b, c, size in classes]
     )
-    a_of, b_of = np.array(keys, dtype=np.int64).T
+    a_of, b_of, _, _ = np.array(classes, dtype=np.int64).T
     edge_v = np.empty_like(edge_u)
     # Each slice of ranks is read whole before its vertices overwrite it.
     for s in range(0, len(edge_u), _UNRANK_BLOCK):
@@ -283,18 +290,7 @@ def generate_stratified(
         a, b = a_of[class_of[s:e]], b_of[class_of[s:e]]
         edge_u[s:e], edge_v[s:e] = _unrank_pairs(n, a, b, edge_u[s:e])
     del class_of  # the loop keeps no view of it, so from_pairs runs without it
-
-    loops = np.empty(0, dtype=np.int64)
-    if include_loops:
-        # Loop class w holds the C(n, w) vertices of weight w, so w is its index.
-        loops, w_of = _draw_class_ranks(
-            seed.child("loop_class").generators([(w,) for w in range(n + 1)]),
-            [(math.comb(n, w), math.exp(w * la + (n - w) * lg)) for w in range(n + 1)],
-        )
-        for s in range(0, len(loops), _UNRANK_BLOCK):
-            e = s + _UNRANK_BLOCK
-            loops[s:e] = _unrank_combinations(n, w_of[s:e], loops[s:e])
-    return SampledGraph.from_pairs(params, edge_u, edge_v, loops, include_loops)
+    return SampledGraph.from_pairs(params, edge_u, edge_v, include_loops=include_loops)
 
 
 def rmat_pairs(rmat: RmatParams, seed: SeedSpec = SeedSpec(0)) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,9 @@ from scipy.optimize import brentq
 from ._version import __version__
 from .errors import ConfigError, ParameterError
 from .generate import (
+    GENERATE_MEMORY_CEILING,
     NAIVE_MAX_N,
+    RMAT_MAX_EDGES,
     STRATIFIED_MAX_N,
     RmatParams,
     generate_naive,
@@ -57,6 +59,8 @@ GENERATORS = ("naive", "stratified", "rmat")
 # The n caps of the generators whose cap _check_generator does not already enforce.
 SAMPLER_MAX_N = {"stratified": STRATIFIED_MAX_N, "rmat": GRAPH_MAX_N}
 STRATIFIED_GUARD_N = 22
+# The largest n whose degree array, 2^n int64 counts, fits GENERATE_MEMORY_CEILING.
+DEGREE_ARRAY_MAX_N = (GENERATE_MEMORY_CEILING // 8).bit_length() - 1
 
 # Acceptance-style default tolerances, pinned here rather than per call site.
 Z_TOLERANCE = 4.0
@@ -185,6 +189,11 @@ def _check_generator(params: KroneckerParams, generator: str, include_loops: boo
     if generator == "rmat":
         if rmat_edges is None or rmat_edges < 1:
             raise ConfigError("the rmat generator needs --rmat-edges >= 1")
+        if rmat_edges > RMAT_MAX_EDGES:
+            raise ConfigError(
+                f"--rmat-edges caps at {RMAT_MAX_EDGES} draws under the memory ceiling,"
+                f" got {rmat_edges}"
+            )
         if not include_loops:
             raise ConfigError(
                 "the rmat generator keeps u = v draws as loops and cannot run with --no-loops"
@@ -193,6 +202,15 @@ def _check_generator(params: KroneckerParams, generator: str, include_loops: boo
             RmatParams(base=params, m=rmat_edges)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
+
+
+def check_degree_array(n: int) -> None:
+    """Refuse, as ConfigError, a degree array over the memory ceiling."""
+    if n > DEGREE_ARRAY_MAX_N:
+        raise ConfigError(
+            f"degree arrays of 2^n int64 counts cap at n = {DEGREE_ARRAY_MAX_N}"
+            f" under the memory ceiling, got n = {n}"
+        )
 
 
 def generate_graph(
@@ -228,6 +246,7 @@ def _z_score(mean: float, predicted: float, sample_sd: float, trials: int) -> fl
 
 def _run_degrees(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
     params = config.params
+    check_degree_array(params.n)
     d_max = config.degree_max
     counts = np.zeros((config.trials, d_max + 1))
     for t in range(config.trials):

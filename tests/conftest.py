@@ -6,6 +6,7 @@ between the two is evidence rather than tautology.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -80,6 +81,44 @@ def lexsort_canonical(u, v, loops, include_loops: bool):
     else:
         all_loops = np.empty(0, dtype=np.int64)
     return rows[keep].reshape(-1, 2), all_loops
+
+
+def lex_subset(items, k: int, rank: int) -> list:
+    """The rank-th k-subset of ``items`` in lexicographic order: take each
+    item while the rank falls below the count of subsets that contain it."""
+    chosen = []
+    for i, item in enumerate(items):
+        if len(chosen) == k:
+            break
+        with_item = math.comb(len(items) - i - 1, k - len(chosen) - 1)
+        if rank < with_item:
+            chosen.append(item)
+        else:
+            rank -= with_item
+    return chosen
+
+
+def unrank_pair_oracle(n: int, a: int, b: int, rank: int) -> tuple[int, int]:
+    """(u, v) of the rank-th pair of digit class (a, b), one rank at a time.
+
+    rank = (ones rank * C(n - a, b) + mixed rank) * 2^(b - 1) + orientation:
+    the ones rank picks the a one digits among all n, the mixed rank the b
+    mixed digits among the rest, and orientation bit j sends mixed digit
+    j + 1 (in increasing order) to u when set; the lowest mixed digit always
+    goes to u.  Class (w, 0) yields the loop u = v = the rank-th weight-w
+    vertex.
+    """
+    rest, orientation = divmod(rank, 1 << (b - 1) if b else 1)
+    ones_rank, mixed_rank = divmod(rest, math.comb(n - a, b))
+    ones = lex_subset(range(n), a, ones_rank)
+    mixed = lex_subset([p for p in range(n) if p not in ones], b, mixed_rank)
+    u = v = sum(1 << p for p in ones)
+    for j, p in enumerate(mixed):
+        if j == 0 or (orientation >> (j - 1)) & 1:
+            u |= 1 << p
+        else:
+            v |= 1 << p
+    return u, v
 
 
 def falling_factorial(d: int, k: int) -> int:

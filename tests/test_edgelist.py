@@ -1,5 +1,6 @@
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -114,7 +115,7 @@ def test_rejects_unsorted_lines_at_n_31_and_32(tmp_path, n, fault):
         read_edgelist(path)
 
 
-@pytest.mark.parametrize("n", [1, 62])
+@pytest.mark.parametrize("n", [1, 8, 9, 32, 62])
 def test_reads_vertex_values_at_n_1_and_62(tmp_path, n):
     top = (1 << n) - 1
     values = sorted({0, 1, top >> 1, 1 << (n - 1), 0x2AAAAAAAAAAAAAAA & top, top})
@@ -132,6 +133,18 @@ def test_missing_final_newline_is_accepted(tmp_path):
     path.write_text(HEADER + "000 001\n010 010")
     g = read_edgelist(path)
     assert g.edges.tolist() == [[0, 1]] and g.loops.tolist() == [2]
+
+
+def test_lines_past_the_size_read_at_open_are_refused(tmp_path, monkeypatch):
+    path = tmp_path / "g.edges"
+    path.write_text(HEADER + "000 001\n010 010\n")
+    real_fstat = edgelist.os.fstat
+    # the file reports one line less than it holds, as if it grew after opening
+    monkeypatch.setattr(
+        edgelist.os, "fstat", lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size - 8)
+    )
+    with pytest.raises(ParameterError, match="^line 3: the file grew while it was read$"):
+        read_edgelist(path)
 
 
 def test_multi_block_file_round_trips(tmp_path, monkeypatch):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kronval.generate
 from kronval import (
@@ -22,7 +24,9 @@ from kronval import (
     pair_classes,
     rmat_pairs,
 )
-from kronval.generate import _unrank_combinations
+from kronval.generate import _unrank_pairs
+
+from conftest import lex_subset, unrank_pair_oracle
 
 
 def test_pair_class_sizes_cover_all_pairs():
@@ -266,27 +270,64 @@ class TestCapacity:
             generate_stratified(p, seed=SeedSpec(1))
 
 
+def _class_size(n: int, a: int, b: int) -> int:
+    """Pairs of digit class (a, b); class (w, 0) is the C(n, w) loops."""
+    return math.comb(n, a) * math.comb(n - a, b) << max(b - 1, 0)
+
+
+@st.composite
+def _class_ranks(draw, n: int):
+    a = draw(st.integers(0, n))
+    b = draw(st.integers(0, n - a))
+    return a, b, draw(st.integers(0, _class_size(n, a, b) - 1))
+
+
 class TestPooledUnranking:
-    def test_mixed_classes_follow_lexicographic_order(self):
-        slots, ks, ranks, masks = [], [], [], []
-        for n_slots in range(9):
-            for k in range(n_slots + 1):
-                for rank, combo in enumerate(itertools.combinations(range(n_slots), k)):
-                    slots.append(n_slots)
-                    ks.append(k)
-                    ranks.append(rank)
-                    masks.append(sum(1 << s for s in combo))
-        # interleave every (n_slots, k) class in one call
-        order = np.random.default_rng(0).permutation(len(ranks))
-        got = _unrank_combinations(
-            np.array(slots)[order], np.array(ks)[order], np.array(ranks)[order]
+    def test_oracle_subsets_follow_itertools_combinations(self):
+        for m in range(7):
+            for k in range(m + 1):
+                combos = [list(c) for c in itertools.combinations(range(m), k)]
+                assert [lex_subset(range(m), k, r) for r in range(len(combos))] == combos
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_oracle_ranks_each_class_onto_its_pairs(self, n):
+        members = {}
+        for u, v in itertools.combinations_with_replacement(range(1 << n), 2):
+            a, b, _ = pair_class(u, v, n)
+            members.setdefault((a, b), set()).add((u, v))
+        assert len(members) == (n + 1) * (n + 2) // 2
+        for (a, b), pairs in members.items():
+            assert _class_size(n, a, b) == len(pairs)
+            got = {tuple(sorted(unrank_pair_oracle(n, a, b, r))) for r in range(len(pairs))}
+            assert got == pairs
+
+    def test_every_class_matches_oracle_in_one_call(self):
+        for n in range(1, 8):
+            cases = [
+                (a, b, r)
+                for a in range(n + 1)
+                for b in range(n - a + 1)
+                for r in range(_class_size(n, a, b))
+            ]
+            # every pair and loop class of this n, interleaved in one call
+            cases = [cases[i] for i in np.random.default_rng(n).permutation(len(cases))]
+            a, b, ranks = np.array(cases, dtype=np.int64).T
+            u, v = _unrank_pairs(n, a, b, ranks)
+            assert list(zip(u.tolist(), v.tolist())) == [unrank_pair_oracle(n, *c) for c in cases]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=st.integers(1, 30).flatmap(
+            lambda n: st.tuples(st.just(n), st.lists(_class_ranks(n), min_size=1, max_size=16))
         )
-        assert got.tolist() == np.array(masks)[order].tolist()
-        for n_slots in range(9):
-            for k in range(n_slots + 1):
-                chosen = [i for i in range(len(ranks)) if slots[i] == n_slots and ks[i] == k]
-                scalar = _unrank_combinations(n_slots, k, np.array([ranks[i] for i in chosen]))
-                assert scalar.tolist() == [masks[i] for i in chosen]
+    )
+    @example(case=(30, [(0, 30, (1 << 29) - 1), (30, 0, 0), (0, 0, 0), (15, 0, math.comb(30, 15) - 1)]))
+    @example(case=(30, [(14, 16, _class_size(30, 14, 16) - 1), (0, 1, 29), (29, 1, 0)]))
+    def test_matches_oracle_property(self, case):
+        n, cases = case
+        a, b, ranks = np.array(cases, dtype=np.int64).T
+        u, v = _unrank_pairs(n, a, b, ranks)
+        assert list(zip(u.tolist(), v.tolist())) == [unrank_pair_oracle(n, *c) for c in cases]
 
     @pytest.mark.parametrize("n", [8, 12])
     @pytest.mark.parametrize("include_loops", [True, False])

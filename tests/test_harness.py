@@ -3,12 +3,15 @@ import dataclasses
 import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kronval.generate
 import kronval.harness
 from kronval import (
     CapacityError,
@@ -20,6 +23,7 @@ from kronval import (
     star,
 )
 from kronval.cli import main
+from kronval.generate import GENERATE_MEMORY_CEILING, RMAT_MAX_EDGES, RMAT_PEAK_BYTES_PER_DRAW
 from kronval.harness import (
     KINDS,
     ExperimentConfig,
@@ -389,6 +393,58 @@ class TestCli:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["measure", "--what", "subgraph", "--input", "{edges}"],
+            ["certify", "--alpha", "0.6", "--beta", "0.4", "--gamma", "0.3"],
+            [
+                "validate", "--kind", "subgraph", "--alpha", "0.6", "--beta", "0.4",
+                "--gamma", "0.3", "--n", "4", "--seed", "1",
+            ],
+        ],
+        ids=["measure", "certify", "validate"],
+    )
+    def test_non_ascii_pattern_file_is_exit_2(self, tmp_path, capsys, argv):
+        edges = tmp_path / "g.edges"
+        edges.write_text("kron n=2 alpha=0.6 beta=0.4 gamma=0.3 loops=1\n00 01\n")
+        spec = tmp_path / "p.txt"
+        spec.write_bytes("3\n0 1\n1 2\n0 2 \u00e9\n".encode("utf-8"))
+        argv = [arg.format(edges=edges) for arg in argv]
+        rc = main([*argv, "--pattern", f"@{spec}"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"error: pattern file {str(spec)!r} is not ASCII\n"
+
+    def test_degrees_past_the_dense_cap_are_exit_2(self, tmp_path, capsys, monkeypatch):
+        # A 2^40-vertex degree array would need 8 TiB; the edge-distance
+        # histogram of the same file needs none.
+        path = tmp_path / "g.edges"
+        zero, one = "0" * 40, "0" * 39 + "1"
+        path.write_text(f"kron n=40 alpha=0.5 beta=0.2 gamma=0.1 loops=1\n{zero} {one}\n")
+        assert main(["measure", "--input", str(path), "--what", "hamming"]) == 0
+        capsys.readouterr()
+        assert main(["measure", "--input", str(path), "--what", "degrees"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: degree arrays of 2^n int64 counts cap at n = 28"
+            " under the memory ceiling, got n = 40\n"
+        )
+
+        def no_generation(*args, **kwargs):
+            raise AssertionError("a trial graph was generated")
+
+        monkeypatch.setattr(kronval.harness, "generate_graph", no_generation)
+        rc = main(
+            [
+                "validate", "--kind", "degrees", "--generator", "rmat", "--n", "40",
+                "--alpha", "0.5", "--beta", "0.2", "--gamma", "0.1", "--rmat-edges", "10",
+                "--seed", "1",
+            ]
+        )
+        assert rc == 2 and capsys.readouterr().err == captured.err
+
     def test_hamming_profile_overflow_is_exit_2(self, capsys):
         rc = main(
             [
@@ -598,6 +654,44 @@ def test_validate_exit_code_property(kind, n, trials, steps, d_max):
     assert "Traceback" not in err.getvalue()
 
 
+EDGE_LIST = (
+    b"kron n=3 alpha=0.6 beta=0.4 gamma=0.3 loops=1\n"
+    b"000 001\n001 001\n001 011\n010 110\n011 111\n"
+)
+EDGE_LIST_BYTES = st.one_of(st.sampled_from(b"01 \n=.-+en9\x00\xff"), st.integers(0, 255))
+
+
+@st.composite
+def mutated_edge_lists(draw) -> bytes:
+    data = bytearray(EDGE_LIST)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data) - 1))
+        action = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if action == "delete":
+            del data[at]
+        elif action == "insert":
+            data.insert(at, draw(EDGE_LIST_BYTES))
+        else:
+            data[at] = draw(EDGE_LIST_BYTES)
+    return bytes(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=mutated_edge_lists(), what=st.sampled_from(["degrees", "hamming"]))
+@example(data=b"kron n=44 alpha=0.6 beta=0.4 gamma=0.3 loops=1\n", what="degrees")
+@example(data=EDGE_LIST.replace(b"loops=1", b"loops=0"), what="hamming")
+def test_measure_exit_code_property_on_mutated_files(data, what):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.edges")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["measure", "--input", path, "--what", what])
+    assert rc in (0, 2)
+    assert "Traceback" not in err.getvalue()
+
+
 RMAT_ARGS = ["--n", "6", "--alpha", "0.45", "--beta", "0.2", "--gamma", "0.15", "--seed", "2"]
 
 
@@ -638,3 +732,25 @@ class TestGeneratorArguments:
         argv = ["validate", "--kind", "degrees", "--generator", "rmat", *RMAT_ARGS]
         assert main([*argv, "--rmat-edges", "100", "--no-loops"]) == 2
         assert "no-loops" in capsys.readouterr().err
+
+    def test_oversized_rmat_edges_refused_before_sampling(self, monkeypatch, tmp_path, capsys):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("rmat pairs were drawn")
+
+        monkeypatch.setattr(kronval.generate, "rmat_pairs", no_sampling)
+        rmat_args = [*RMAT_ARGS, "--alpha", "0.25", "--beta", "0.25", "--gamma", "0.25"]
+        out = tmp_path / "g.edges"
+        for edges in (RMAT_MAX_EDGES + 1, 10**15):
+            extra = ["--rmat-edges", str(edges)]
+            generated = self._run(
+                capsys, ["generate", "--generator", "rmat", *rmat_args, *extra, "--out", str(out)]
+            )
+            validated = self._run(
+                capsys, ["validate", "--kind", "degrees", "--generator", "rmat", *rmat_args, *extra]
+            )
+            assert generated == validated == (
+                2, f"error: --rmat-edges caps at {RMAT_MAX_EDGES} draws under the memory ceiling,"
+                f" got {edges}\n",
+            )
+            assert not out.exists()
+        assert RMAT_MAX_EDGES * RMAT_PEAK_BYTES_PER_DRAW <= GENERATE_MEMORY_CEILING
