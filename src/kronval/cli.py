@@ -15,7 +15,7 @@ from dataclasses import asdict
 import numpy as np
 
 from ._version import __version__
-from .edgelist import read_edgelist, write_edgelist
+from .edgelist import read_edgelist, read_header, write_edgelist
 from .errors import ConfigError, KronvalError, ParameterError
 # Bound for perfbench/spans.py, which traces these names on this module.
 from .generate import generate_naive, generate_rmat, generate_stratified  # noqa: F401
@@ -138,6 +138,10 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_measure(args) -> int:
+    if args.what == "degrees":
+        # The header's n alone decides the degree-array cap: refuse before
+        # the body is read.
+        check_degree_array(read_header(args.input)[0].n)
     graph = read_edgelist(args.input)
     payload = {
         "n": graph.n,
@@ -145,7 +149,6 @@ def _cmd_measure(args) -> int:
         "loops": len(graph.loops),
     }
     if args.what == "degrees":
-        check_degree_array(graph.n)
         degrees = graph.degrees(count_loops=graph.include_loops)
         counts = np.bincount(degrees)
         payload["degree_histogram"] = {str(d): int(c) for d, c in enumerate(counts) if c}

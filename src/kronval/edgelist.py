@@ -132,6 +132,12 @@ def _decode(digits: np.ndarray) -> np.ndarray:
     return values.astype(np.int64)
 
 
+def read_header(path: "str | os.PathLike") -> tuple[KroneckerParams, bool]:
+    """(params, include_loops) from the header line alone, body unread."""
+    with open(path, "rb") as fh:
+        return _parse_header(fh.readline())
+
+
 def read_edgelist(path: "str | os.PathLike") -> SampledGraph:
     with open(path, "rb") as fh:
         params, include_loops = _parse_header(fh.readline())

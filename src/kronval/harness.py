@@ -16,7 +16,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._version import __version__
 from .errors import ConfigError, ParameterError
@@ -47,6 +46,7 @@ from .patterns import (
 )
 from .predict import (
     TABLE_MAX,
+    _bisect,
     classify_regime,
     expected_degree_count,
     hamming_profile_prediction,
@@ -491,9 +491,11 @@ def _run_thresholds(config: ExperimentConfig, seed: SeedSpec) -> ValidationRepor
         AnalyticValue("base_value_hi", bases[-1], "pattern base value (labeling sum)"),
     ]
     if (bases[0] - 1.0) * (bases[-1] - 1.0) < 0:
-        crossing = brentq(lambda a: base_at(a) - 1.0, float(alphas[0]), float(alphas[-1]))
+        # The base value is a polynomial in alpha (= gamma) with nonnegative
+        # coefficients, so it increases across the sweep and crosses 1 once.
+        crossing = _bisect(lambda a: base_at(a) - 1.0, float(alphas[0]), float(alphas[-1]))
         analytic.append(
-            AnalyticValue("threshold_alpha", float(crossing), "appearance threshold: base value = 1")
+            AnalyticValue("threshold_alpha", crossing, "appearance threshold: base value = 1")
         )
     criteria = []
     below = [f for f, b in zip(presence, bases) if b < 0.95]

@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import CapacityError, ParameterError
 from .model import SampledGraph, hamming_array
@@ -103,8 +102,12 @@ def _codegree_sums(graph: SampledGraph):
     sum of ``c * (c - 1)`` over the off-diagonal entries of C, and
     ``paths = sum_u (d_u - 1) * sum_{v ~ u} (d_v - 1)``.  Rows go through
     in blocks of about ``_WEDGE_BLOCK`` wedges; each block's int64 partial
-    sums (far below 2^63 at the kernel cap) add into Python ints.
+    sums (far below 2^63 at the kernel cap) add into Python ints.  scipy's
+    sparse module is imported here, its only user, so that commands that do
+    not count never load it.
     """
+    from scipy import sparse
+
     edges = graph.edges
     size = graph.vertex_count
     rows = np.concatenate([edges[:, 0], edges[:, 1]])

@@ -12,10 +12,10 @@ import collections
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-import networkx as nx
 import numpy as np
 
 from .errors import CapacityError, ParameterError
@@ -27,7 +27,8 @@ EDGE_LABELING_MAX_EDGES = 20
 UNION_MAX_VERTICES = 6
 EXACT_COPIES_MAX_VERTICES = 6
 
-# A certificate margin smaller than this is reported as 'boundary' rather
+# A certificate whose union base and squared pattern base differ by a relative
+# margin (a log difference) smaller than this is reported as 'boundary' rather
 # than pass or fail; strictness at the threshold is exactly where users probe.
 BOUNDARY_MARGIN = 1e-9
 
@@ -100,12 +101,6 @@ class PatternGraph:
             self.vertex_count, ((mapping[u], mapping[v]) for u, v in self.edges)
         )
 
-    def to_networkx(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(range(self.vertex_count))
-        g.add_edges_from(self.edges)
-        return g
-
 
 def star(k: int) -> PatternGraph:
     """K_{1,k}: center 0 with k leaves."""
@@ -172,8 +167,9 @@ def _check_pattern_size(vertex_count: int) -> None:
         )
 
 
-def base_value(params: KroneckerParams, pattern: PatternGraph) -> float:
-    """Sum over all 0/1 vertex labelings of the edge-entry product."""
+def _label_sums(pattern: PatternGraph) -> list:
+    """Per edge of ``edge_list``, the label sum (0, 1 or 2) of its two ends
+    under every 0/1 vertex labeling, as an index into (gamma, beta, alpha)."""
     v = pattern.vertex_count
     if v > BASE_VALUE_MAX_VERTICES:
         raise CapacityError(
@@ -181,25 +177,46 @@ def base_value(params: KroneckerParams, pattern: PatternGraph) -> float:
             f" {BASE_VALUE_MAX_VERTICES} vertices"
         )
     labels = np.arange(1 << v, dtype=np.int64)
-    total = np.ones(1 << v, dtype=float)
-    for i, j in pattern.edge_list:
-        gi = (labels >> i) & 1
-        gj = (labels >> j) & 1
-        total *= np.where(
-            (gi & gj) == 1,
-            params.alpha,
-            np.where((gi | gj) == 1, params.beta, params.gamma),
-        )
+    return [((labels >> i) & 1) + ((labels >> j) & 1) for i, j in pattern.edge_list]
+
+
+def base_value(params: KroneckerParams, pattern: PatternGraph) -> float:
+    """Sum over all 0/1 vertex labelings of the edge-entry product."""
+    entries = np.array([params.gamma, params.beta, params.alpha])
+    total = np.ones(1 << pattern.vertex_count, dtype=float)
+    for sums in _label_sums(pattern):
+        total *= entries[sums]
     return float(total.sum())
+
+
+def _log_base_value(params: KroneckerParams, pattern: PatternGraph, value: float) -> float:
+    """log of the base value ``value`` of the pattern.
+
+    math.log(value) where the value is a normal float, so logs and linear
+    values agree to the last bit; where it underflows (entries of 1e-200 on
+    a triangle) a log-sum-exp over the labelings' log products, which stays
+    finite for all entries in (0, 1).
+    """
+    if value >= sys.float_info.min:
+        return math.log(value)
+    log_entries = np.array(params.log_entries()[::-1])  # (gamma, beta, alpha)
+    log_terms = np.zeros(1 << pattern.vertex_count, dtype=float)
+    for sums in _label_sums(pattern):
+        log_terms += log_entries[sums]
+    top = float(log_terms.max())
+    return top + math.log(float(np.exp(log_terms - top).sum()))
 
 
 def expected_copies_asymptotic(params: KroneckerParams, pattern: PatternGraph) -> float:
     """(base value)^n: the leading-order expected number of labeled copies.
 
     Also an exact upper bound for the expectation, since it counts all
-    vertex maps rather than only the injective ones.
+    vertex maps rather than only the injective ones.  Formed from the log
+    base value, so it is 0.0 rather than an error where the base value
+    underflows.
     """
-    return math.exp(params.n * math.log(base_value(params, pattern)))
+    b = base_value(params, pattern)
+    return math.exp(params.n * _log_base_value(params, pattern, b))
 
 
 @functools.lru_cache(maxsize=None)
@@ -458,6 +475,43 @@ def _iso_bucket_key(pattern: PatternGraph):
     return (pattern.vertex_count, pattern.edge_count, tuple(sorted(degs)), profile, triangles)
 
 
+def _isomorphic(g: PatternGraph, h: PatternGraph) -> bool:
+    """Whether some vertex bijection carries g's edge set onto h's.
+
+    Backtracking places g's vertices breadth first from the highest degree.
+    A vertex may go only to an unused vertex of h of the same degree whose
+    neighbours among the images so far are exactly the images of its placed
+    neighbours, so a full placement keeps every adjacency and non-adjacency.
+    """
+    v = g.vertex_count
+    if v != h.vertex_count:
+        return False
+    by_degree = sorted(range(v), key=lambda u: -g.degrees[u])
+    order = []
+    for root in by_degree:
+        if root not in order:
+            order.append(root)
+            for u in order:  # grows while it is walked
+                order += [w for w in by_degree if w in g.adjacency[u] and w not in order]
+    h_masks = [sum(1 << x for x in adj) for adj in h.adjacency]
+    image = {}
+
+    def extend(depth: int, used: int) -> bool:
+        if depth == v:
+            return True
+        u = order[depth]
+        need = sum(1 << image[w] for w in g.adjacency[u] if w in image)
+        for x in range(v):
+            if not (used >> x) & 1 and h.degrees[x] == g.degrees[u] and (h_masks[x] & used) == need:
+                image[u] = x
+                if extend(depth + 1, used | 1 << x):
+                    return True
+                del image[u]
+        return False
+
+    return extend(0, 0)
+
+
 @functools.lru_cache(maxsize=128)
 def enumerate_pair_unions(pattern: PatternGraph) -> tuple:
     """All isomorphism-distinct unions of two overlapping copies of a pattern.
@@ -478,7 +532,7 @@ def enumerate_pair_unions(pattern: PatternGraph) -> tuple:
             f"pair-union enumeration caps at {UNION_MAX_VERTICES} pattern vertices, got {v}"
         )
     base_edges = pattern.edges
-    found = {}  # bucket key -> list of (nx graph, UnionPattern)
+    found = {}  # bucket key -> list of UnionPattern
     seen = set()  # (vertex count, edge set) of every union handled so far
     for shared_count in range(v + 1):
         for shared in itertools.combinations(range(v), shared_count):
@@ -509,13 +563,12 @@ def enumerate_pair_unions(pattern: PatternGraph) -> tuple:
                 union = PatternGraph(vertex_count=fresh, edges=union_edges)
                 key = _iso_bucket_key(union)
                 candidates = found.setdefault(key, [])
-                union_nx = union.to_networkx()
-                if any(nx.is_isomorphic(union_nx, other) for other, _ in candidates):
+                if any(_isomorphic(union, other.graph) for other in candidates):
                     continue
                 candidates.append(
-                    (union_nx, UnionPattern(graph=union, map_a=tuple(range(v)), map_b=tuple(map_b)))
+                    UnionPattern(graph=union, map_a=tuple(range(v)), map_b=tuple(map_b))
                 )
-    unions = [up for bucket in found.values() for _, up in bucket]
+    unions = [up for bucket in found.values() for up in bucket]
     unions.sort(key=lambda up: (up.graph.vertex_count, up.graph.edge_count, up.graph.edge_list))
     return tuple(unions)
 
@@ -559,23 +612,27 @@ def second_moment_certificate(
 ) -> CertificateReport:
     """Check union base < (pattern base)^2 for every pair union of a pattern.
 
-    Entries with a margin below 1e-9 in absolute value are flagged as
-    'boundary'.  An empty union family certifies vacuously.
+    Each status compares log base values, which stay finite where the base
+    values themselves underflow: an entry is 'boundary' when its union base
+    and the squared pattern base differ by less than a relative 1e-9, 'pass'
+    when the union base is the smaller.  The reported margin is the linear
+    difference.  An empty union family certifies vacuously.
     """
     b_pattern = base_value(params, pattern)
     bound = b_pattern * b_pattern
+    log_bound = 2.0 * _log_base_value(params, pattern, b_pattern)
     entries = []
     for union in enumerate_pair_unions(pattern):
         b_union = base_value(params, union.graph)
-        margin = bound - b_union
-        if abs(margin) < BOUNDARY_MARGIN:
+        log_margin = log_bound - _log_base_value(params, union.graph, b_union)
+        if abs(log_margin) < BOUNDARY_MARGIN:
             status = "boundary"
-        elif margin > 0:
+        elif log_margin > 0:
             status = "pass"
         else:
             status = "fail"
         entries.append(
-            CertificateEntry(union=union, union_base=b_union, margin=margin, status=status)
+            CertificateEntry(union=union, union_base=b_union, margin=bound - b_union, status=status)
         )
     return CertificateReport(
         pattern=pattern, params=params, pattern_base=b_pattern, entries=tuple(entries)

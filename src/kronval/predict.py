@@ -9,7 +9,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ParameterError
 from .model import PROB_TOL, KroneckerParams
@@ -160,7 +159,8 @@ def classify_regime(params: KroneckerParams, d: int) -> RegimeVerdict:
     The two row sums alpha+beta and beta+gamma are interchangeable (a global
     0/1 digit flip swaps alpha and gamma), so they are ordered before the
     case split.  Case 3 splits further on the binomial peak c1 versus the
-    root c2 of hi^c * lo^(1-c) = 1.  The base is computed only for the
+    root c2 of hi^c * lo^(1-c) = 1, a linear equation in c whose root is
+    log lo / (log lo - log hi).  The base is computed only for the
     verdicts that report it, and c1 through logs where hi^d overflows.
     """
     if d < 0:
@@ -206,10 +206,7 @@ def classify_regime(params: KroneckerParams, d: int) -> RegimeVerdict:
         c1 = hi**d / (hi**d + lo**d)
     except OverflowError:
         c1 = 1.0 / (1.0 + math.exp(d * (math.log(lo) - math.log(hi))))
-    c2 = brentq(
-        lambda c: c * math.log(hi) + (1.0 - c) * math.log(lo),
-        0.0, 1.0, xtol=1e-15,
-    )
+    c2 = math.log(lo) / (math.log(lo) - math.log(hi))
     if abs(c1 - c2) <= PROB_TOL:
         subcase, vanishing = "ii", False
     elif c1 < c2:
@@ -224,8 +221,32 @@ def classify_regime(params: KroneckerParams, d: int) -> RegimeVerdict:
         boundary=subcase == "ii",
         subcase=subcase,
         c1=c1,
-        c2=float(c2),
+        c2=c2,
     )
+
+
+def _bisect(fn, lo: float, hi: float) -> float:
+    """A root of fn on [lo, hi], where fn(lo) and fn(hi) differ in sign.
+
+    Halves the bracket until its ends are adjacent floats and returns the
+    end where |fn| is smaller (an end where fn is 0 at once).
+    """
+    f_lo, f_hi = fn(lo), fn(hi)
+    if f_lo == 0.0 or f_hi == 0.0:
+        return lo if f_lo == 0.0 else hi
+    if (f_lo < 0.0) == (f_hi < 0.0):
+        raise ParameterError(f"no sign change on [{lo!r}, {hi!r}]")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo if abs(f_lo) <= abs(f_hi) else hi
+        f_mid = fn(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
 
 
 def psi(params: KroneckerParams, c: float) -> float:
@@ -262,6 +283,8 @@ def critical_fraction(params: KroneckerParams) -> CriticalFraction:
     Requires alpha = gamma and alpha + beta > 1.  With alpha < 1/2 the root
     is unique in (0, beta/(alpha+beta)); with beta < 1/2 it is unique in
     (beta/(alpha+beta), 1); if neither entry is below 1/2 there is no root.
+    psi is monotone on either branch, so bisection finds the root to the
+    spacing of adjacent floats.
     """
     if not params.alpha_equals_gamma:
         raise ParameterError("critical_fraction requires alpha = gamma")
@@ -271,11 +294,9 @@ def critical_fraction(params: KroneckerParams) -> CriticalFraction:
     peak = b / (a + b)
     fn = lambda c: psi(params, c) - 0.5
     if a < 0.5:
-        root = brentq(fn, 1e-15, peak, xtol=1e-12)
-        return CriticalFraction(c=float(root), side="below")
+        return CriticalFraction(c=_bisect(fn, 1e-15, peak), side="below")
     if b < 0.5:
-        root = brentq(fn, peak, 1.0 - 1e-15, xtol=1e-12)
-        return CriticalFraction(c=float(root), side="above")
+        return CriticalFraction(c=_bisect(fn, peak, 1.0 - 1e-15), side="above")
     return CriticalFraction(c=None, side=None)
 
 

@@ -8,10 +8,11 @@ between the two is evidence rather than tautology.
 import itertools
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from kronval import KroneckerParams
+from kronval import KroneckerParams, PatternGraph
 
 
 def brute_edge_probability(params: KroneckerParams, u: int, v: int) -> float:
@@ -33,6 +34,20 @@ def brute_base_value(params: KroneckerParams, vertex_count: int, edges) -> float
             term *= matrix[bits[u]][bits[v]]
         total += term
     return total
+
+
+def to_networkx(pattern: PatternGraph) -> nx.Graph:
+    """The pattern as a networkx graph on vertices 0..vertex_count-1, for
+    networkx's isomorphism test and tree enumeration as oracles."""
+    g = nx.Graph()
+    g.add_nodes_from(range(pattern.vertex_count))
+    g.add_edges_from(pattern.edges)
+    return g
+
+
+def from_networkx(graph: nx.Graph) -> PatternGraph:
+    """A networkx graph on vertices 0..k-1 as a pattern."""
+    return PatternGraph.from_edges(graph.number_of_nodes(), graph.edges())
 
 
 def brute_degree_moments(params: KroneckerParams, w: int):

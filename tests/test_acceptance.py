@@ -43,7 +43,7 @@ from kronval import (
 )
 
 
-from conftest import PARAM_GRID, SYMMETRIC_GRID
+from conftest import PARAM_GRID, SYMMETRIC_GRID, to_networkx
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> bool:
@@ -242,7 +242,7 @@ def test_criterion_6_second_moment_certificates():
                     if e.union.graph.edge_count == target.edge_count
                     and e.union.graph.vertex_count == target.vertex_count
                     and nx.is_isomorphic(
-                        e.union.graph.to_networkx(), target.to_networkx()
+                        to_networkx(e.union.graph), to_networkx(target)
                     )
                 ]
                 assert enumerated, (k, l)

@@ -445,6 +445,27 @@ class TestCli:
         )
         assert rc == 2 and capsys.readouterr().err == captured.err
 
+    def test_degrees_cap_is_checked_from_the_header_alone(self, tmp_path, capsys, monkeypatch):
+        # A valid n = 40 header over a body that is not an edge list: the cap
+        # answers before the body is read, so the body's fault never shows.
+        path = tmp_path / "g.edges"
+        path.write_text("kron n=40 alpha=0.5 beta=0.2 gamma=0.1 loops=1\nnot an edge line\n")
+
+        def no_body_read(*args, **kwargs):
+            raise AssertionError("the edge-list body was read")
+
+        monkeypatch.setattr(kronval.cli, "read_edgelist", no_body_read)
+        assert main(["measure", "--input", str(path), "--what", "degrees"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: degree arrays of 2^n int64 counts cap at n = 28"
+            " under the memory ceiling, got n = 40\n"
+        )
+        monkeypatch.undo()
+        assert main(["measure", "--input", str(path), "--what", "hamming"]) == 2
+        assert capsys.readouterr().err.startswith("error: line 2:")
+
     def test_hamming_profile_overflow_is_exit_2(self, capsys):
         rc = main(
             [
@@ -652,6 +673,42 @@ def test_validate_exit_code_property(kind, n, trials, steps, d_max):
         rc = main(argv)
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# Initiator entries spread evenly in log10 from 1e-300 up to 0.97.
+TINY_ENTRIES = st.floats(-300.0, -0.0125).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=TINY_ENTRIES, beta=TINY_ENTRIES, gamma=TINY_ENTRIES, n=st.integers(1, 6),
+    pattern=st.sampled_from(["cycle:3", "path:2", "star:3", "cycle:4", "path:3"]),
+)
+@example(alpha=1e-200, beta=1e-200, gamma=1e-200, n=4, pattern="cycle:3")
+@example(alpha=1e-300, beta=0.9, gamma=1e-300, n=6, pattern="cycle:4")
+def test_tiny_entries_exit_code_property(alpha, beta, gamma, n, pattern):
+    # Base values underflow to 0 here; their logs do not.
+    entries = ["--alpha", repr(alpha), "--beta", repr(beta), "--gamma", repr(gamma), "--n", str(n)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        validate = main(
+            ["validate", "--kind", "subgraph", *entries, "--pattern", pattern, "--seed", "1",
+             "--trials", "2"]
+        )
+        certify = main(["certify", *entries, "--pattern", pattern])
+    assert validate in (0, 1) and certify in (0, 1)
+
+
+def test_underflowed_certificate_fails_from_its_logs(capsys):
+    # Every base value is 0.0 in floats; in logs each union base
+    # 2^v' x^e' exceeds the squared pattern base 4^v x^(2e), since e' < 2e.
+    argv = ["certify", "--pattern", "cycle:3", "--alpha", "1e-200", "--beta", "1e-200",
+            "--gamma", "1e-200"]
+    assert main(argv) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["pattern_base"] == 0.0 and payload["bound"] == 0.0
+    assert payload["status"] == "fail"
+    assert [u["status"] for u in payload["unions"]] == ["fail"]
+    assert [u["margin"] for u in payload["unions"]] == [0.0]
 
 
 EDGE_LIST = (

@@ -1,0 +1,37 @@
+"""Import hygiene: importing the command-line front end loads numpy and
+kronval and no other third-party package.  Every CLI call pays its imports
+before it does any work, so scipy's solver and sparse modules and networkx
+must stay off this path."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import kronval
+
+# Prints the modules that importing kronval.cli adds and that come from a
+# file (Cython's runtime registers file-less helper modules as well).
+PROBE = """
+import json, sys
+before = set(sys.modules)
+import kronval.cli
+added = set(sys.modules) - before
+print(json.dumps(sorted(m for m in added if getattr(sys.modules[m], "__file__", None))))
+"""
+
+
+def test_cli_import_loads_only_numpy_and_kronval():
+    src = str(Path(kronval.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run(
+        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=120,
+        check=True,
+    )
+    loaded = json.loads(child.stdout)
+    for heavy in ("scipy.optimize", "scipy.sparse", "networkx"):
+        assert heavy not in loaded
+    top_level = {name.split(".")[0] for name in loaded}
+    third_party = top_level - set(sys.stdlib_module_names)
+    assert third_party <= {"numpy", "kronval"}, sorted(third_party)

@@ -1,10 +1,12 @@
+import collections
 import hashlib
 import itertools
+import random
 
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kronval import (
@@ -33,7 +35,15 @@ from kronval import (
     valid_edge_labelings,
 )
 from kronval.cli import main
-from conftest import PARAM_GRID, SYMMETRIC_GRID, brute_base_value, brute_expected_copies
+from kronval.patterns import _isomorphic, _iso_bucket_key
+from conftest import (
+    PARAM_GRID,
+    SYMMETRIC_GRID,
+    brute_base_value,
+    brute_expected_copies,
+    from_networkx,
+    to_networkx,
+)
 
 
 def nonisomorphic_trees(max_vertices):
@@ -332,10 +342,10 @@ class TestPairUnions:
         graphs = [u.graph for u in unions]
         shapes = sorted((g.vertex_count, g.edge_count) for g in graphs)
         assert shapes == [(3, 3), (4, 3), (4, 3)]
-        nx_graphs = [g.to_networkx() for g in graphs]
-        assert any(nx.is_isomorphic(g, star(3).to_networkx()) for g in nx_graphs)
-        assert any(nx.is_isomorphic(g, path(3).to_networkx()) for g in nx_graphs)
-        assert any(nx.is_isomorphic(g, cycle(3).to_networkx()) for g in nx_graphs)
+        nx_graphs = [to_networkx(g) for g in graphs]
+        assert any(nx.is_isomorphic(g, to_networkx(star(3))) for g in nx_graphs)
+        assert any(nx.is_isomorphic(g, to_networkx(path(3))) for g in nx_graphs)
+        assert any(nx.is_isomorphic(g, to_networkx(cycle(3))) for g in nx_graphs)
 
     def test_edge_count_bounds(self):
         for g in (star(2), star(3), path(2), cycle(4)):
@@ -358,10 +368,10 @@ class TestPairUnions:
 
     def test_cycle_unions_include_consecutive_overlaps(self):
         unions = enumerate_pair_unions(cycle(5))
-        targets = [overlap_cycles(5, l).to_networkx() for l in range(1, 4)]
+        targets = [to_networkx(overlap_cycles(5, l)) for l in range(1, 4)]
         for target in targets:
             assert any(
-                nx.is_isomorphic(u.graph.to_networkx(), target) for u in unions
+                nx.is_isomorphic(to_networkx(u.graph), target) for u in unions
             )
 
     def test_capacity(self):
@@ -427,8 +437,8 @@ def _unions_without_skipping(pattern):
     kept = []
     for vertex_count, edges, map_b in _placements(pattern):
         union = PatternGraph(vertex_count=vertex_count, edges=edges)
-        union_nx = union.to_networkx()
-        if not any(nx.is_isomorphic(union_nx, other.graph.to_networkx()) for other in kept):
+        union_nx = to_networkx(union)
+        if not any(nx.is_isomorphic(union_nx, to_networkx(other.graph)) for other in kept):
             identity = tuple(range(pattern.vertex_count))
             kept.append(UnionPattern(graph=union, map_a=identity, map_b=map_b))
     kept.sort(key=lambda up: (up.graph.vertex_count, up.graph.edge_count, up.graph.edge_list))
@@ -461,10 +471,125 @@ class TestUnionFamilies:
         unions = enumerate_pair_unions(pattern)
         assert unions == _unions_without_skipping(pattern)
         # every placement's union is isomorphic to exactly one representative
-        representatives = [u.graph.to_networkx() for u in unions]
+        representatives = [to_networkx(u.graph) for u in unions]
         for vertex_count, edges, _ in _placements(pattern):
-            union_nx = PatternGraph(vertex_count=vertex_count, edges=edges).to_networkx()
+            union_nx = to_networkx(PatternGraph(vertex_count=vertex_count, edges=edges))
             assert sum(nx.is_isomorphic(union_nx, r) for r in representatives) == 1
+
+
+def _unions_by_networkx(pattern):
+    """Reference family: the placements in enumeration order, a repeated
+    union edge set skipped, each new union tested with networkx against the
+    earlier representatives that share its bucket key."""
+    found = {}
+    seen = set()
+    identity = tuple(range(pattern.vertex_count))
+    for vertex_count, edges, map_b in _placements(pattern):
+        if (vertex_count, edges) in seen:
+            continue
+        seen.add((vertex_count, edges))
+        union = PatternGraph(vertex_count=vertex_count, edges=edges)
+        bucket = found.setdefault(_iso_bucket_key(union), [])
+        union_nx = to_networkx(union)
+        if not any(nx.is_isomorphic(union_nx, other) for other, _ in bucket):
+            bucket.append((union_nx, UnionPattern(graph=union, map_a=identity, map_b=map_b)))
+    kept = [up for bucket in found.values() for _, up in bucket]
+    kept.sort(key=lambda up: (up.graph.vertex_count, up.graph.edge_count, up.graph.edge_list))
+    return tuple(kept)
+
+
+# Every connected graph of 3 to 5 vertices, one per isomorphism class, by
+# its index in networkx's graph atlas; and cycle:6, whose unions reach 10
+# vertices.
+CONNECTED_3_TO_5 = {
+    f"atlas{i}": from_networkx(g)
+    for i, g in enumerate(nx.graph_atlas_g())
+    if 3 <= g.number_of_nodes() <= 5 and nx.is_connected(g)
+}
+CONNECTED_3_TO_5["cycle:6"] = cycle(6)
+
+
+def _cycles(*lengths):
+    """Disjoint cycles of the given lengths as one pattern."""
+    edges, start = [], 0
+    for k in lengths:
+        edges += [(start + i, start + (i + 1) % k) for i in range(k)]
+        start += k
+    return PatternGraph.from_edges(start, edges)
+
+
+# Both cubic and triangle-free on 8 vertices, so they share a bucket key.
+CUBE = PatternGraph.from_edges(
+    8, [(u, u | 1 << b) for u in range(8) for b in range(3) if not u >> b & 1]
+)
+WAGNER = PatternGraph.from_edges(
+    8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)]
+)
+
+
+@st.composite
+def bucket_pairs(draw):
+    """(g, h): a random graph of up to 9 vertices and a relabeled copy with
+    up to three degree-preserving edge swaps (ab, cd -> ad, cb)."""
+    v = draw(st.integers(2, 9))
+    pairs = list(itertools.combinations(range(v), 2))
+    g = PatternGraph.from_edges(v, draw(st.sets(st.sampled_from(pairs))))
+    h_edges = set(g.relabel(draw(st.permutations(range(v)))).edges)
+    for _ in range(draw(st.integers(0, 3))):
+        if len(h_edges) < 2:
+            break
+        (a, b), (c, d) = draw(st.permutations(sorted(h_edges)))[:2]
+        swapped = {(min(a, d), max(a, d)), (min(c, b), max(c, b))}
+        if len({a, b, c, d}) == 4 and not swapped & h_edges:
+            h_edges = h_edges - {(a, b), (c, d)} | swapped
+    return g, PatternGraph.from_edges(v, h_edges)
+
+
+class TestIsomorphism:
+    @pytest.mark.parametrize("name", sorted(CONNECTED_3_TO_5))
+    def test_unions_equal_the_networkx_reference(self, name):
+        pattern = CONNECTED_3_TO_5[name]
+        assert enumerate_pair_unions(pattern) == _unions_by_networkx(pattern)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=bucket_pairs())
+    @example(pair=(_cycles(8), _cycles(4, 4)))
+    @example(pair=(_cycles(9), _cycles(4, 5)))
+    @example(pair=(CUBE, WAGNER))
+    @example(pair=(WAGNER, WAGNER.relabel([3, 0, 7, 5, 1, 6, 2, 4])))
+    def test_agrees_with_networkx_within_a_bucket(self, pair):
+        g, h = pair
+        assume(_iso_bucket_key(g) == _iso_bucket_key(h))
+        assert _isomorphic(g, h) == nx.is_isomorphic(to_networkx(g), to_networkx(h))
+
+    def test_agrees_with_networkx_on_regular_graphs(self):
+        # Regular graphs of 8-10 vertices share degree profiles, so their
+        # buckets hold non-isomorphic pairs the bucket key cannot separate.
+        graphs = [
+            from_networkx(nx.random_regular_graph(d, v, seed=s))
+            for v in (8, 9, 10) for d in (2, 3, 4) if v * d % 2 == 0 for s in range(12)
+        ]
+        buckets = collections.defaultdict(list)
+        for g in graphs:
+            buckets[_iso_bucket_key(g)].append(g)
+        outcomes = collections.Counter()
+        for bucket in buckets.values():
+            for g, h in itertools.combinations(bucket, 2):
+                expected = nx.is_isomorphic(to_networkx(g), to_networkx(h))
+                assert _isomorphic(g, h) == expected
+                outcomes[expected] += 1
+        assert outcomes[True] and outcomes[False]
+
+    def test_relabeled_copies_are_isomorphic(self):
+        rng = random.Random(0)
+        for g in nx.graph_atlas_g()[1:]:
+            pattern = from_networkx(g)
+            images = list(range(pattern.vertex_count))
+            rng.shuffle(images)
+            assert _isomorphic(pattern, pattern.relabel(images))
+
+    def test_different_vertex_counts_are_not_isomorphic(self):
+        assert not _isomorphic(path(2), star(3))
 
 
 class TestIdentifyVertices:

@@ -3,8 +3,9 @@ import io
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from kronval import (
     KroneckerParams,
@@ -18,6 +19,7 @@ from kronval import (
     psi,
 )
 from kronval.cli import main
+from kronval.predict import _bisect
 from conftest import PARAM_GRID, brute_degree_moments
 
 
@@ -157,6 +159,16 @@ class TestClassifyRegime:
         # c2 solves hi^c * lo^(1-c) = 1
         assert 1.15**low.c2 * 0.55 ** (1 - low.c2) == pytest.approx(1.0, abs=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=st.floats(0.01, 0.99), beta=st.floats(0.01, 0.99), gamma=st.floats(0.01, 0.99))
+    def test_closed_form_c2_is_the_root(self, alpha, beta, gamma):
+        verdict = classify_regime(KroneckerParams(alpha, beta, gamma, 8), 1)
+        assume(verdict.case_id == 3)
+        hi, lo = max(alpha + beta, beta + gamma), min(alpha + beta, beta + gamma)
+        assert hi**verdict.c2 * lo ** (1 - verdict.c2) == pytest.approx(1.0, abs=1e-12)
+        linear = lambda c: c * math.log(hi) + (1.0 - c) * math.log(lo)
+        assert abs(verdict.c2 - brentq(linear, 0.0, 1.0, xtol=1e-15)) <= 1e-12
+
     def test_total_and_symmetric_under_entry_swap(self):
         for alpha, beta, gamma in PARAM_GRID:
             p = KroneckerParams(alpha, beta, gamma, 6)
@@ -292,6 +304,19 @@ class TestCriticalFraction:
         assert 0.4 / 1.1 < res.c < 1
         assert abs(psi(p, res.c) - 0.5) <= 1e-9
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), large=st.floats(0.51, 0.99), low_alpha=st.booleans())
+    def test_root_matches_brentq(self, data, large, low_alpha):
+        small = data.draw(st.floats(1.0 - large + 1e-6, 0.499))
+        a, b = (small, large) if low_alpha else (large, small)
+        p = KroneckerParams(a, b, a, 10)
+        res = critical_fraction(p)
+        peak = b / (a + b)
+        bracket = (1e-15, peak) if low_alpha else (peak, 1.0 - 1e-15)
+        root = brentq(lambda c: psi(p, c) - 0.5, *bracket, xtol=1e-15)
+        assert res.side == ("below" if low_alpha else "above")
+        assert abs(res.c - root) <= 1e-12
+
     def test_no_root_when_both_entries_large(self):
         res = critical_fraction(KroneckerParams(0.6, 0.6, 0.6, 10))
         assert res.c is None and res.side is None and not res.exists
@@ -301,6 +326,36 @@ class TestCriticalFraction:
             critical_fraction(KroneckerParams(0.4, 0.7, 0.5, 10))  # alpha != gamma
         with pytest.raises(ParameterError):
             critical_fraction(KroneckerParams(0.4, 0.5, 0.4, 10))  # alpha+beta <= 1
+
+
+class TestBisect:
+    def test_root_to_the_last_float(self):
+        assert _bisect(lambda x: x - 0.3, 0.0, 1.0) == 0.3
+        assert _bisect(lambda x: 0.3 - x, 0.0, 1.0) == 0.3
+
+    def test_zero_at_an_end(self):
+        assert _bisect(lambda x: x, 0.0, 1.0) == 0.0
+        assert _bisect(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+
+    def test_no_sign_change_refused(self):
+        with pytest.raises(ParameterError):
+            _bisect(lambda x: x + 1.0, 0.0, 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        alpha=st.floats(0.05, 0.95), beta=st.floats(0.05, 0.95), u=st.floats(0.05, 0.95),
+        below=st.booleans(),
+    )
+    def test_psi_levels_match_brentq(self, alpha, beta, u, below):
+        # psi runs from alpha (c -> 0) up to alpha + beta at the peak and
+        # down to beta (c -> 1); each level between is hit once per branch.
+        p = KroneckerParams(alpha, beta, alpha, 3)
+        peak = beta / (alpha + beta)
+        bracket = (1e-15, peak) if below else (peak, 1.0 - 1e-15)
+        end = alpha if below else beta
+        level = end + u * (alpha + beta - end)
+        fn = lambda c: psi(p, c) - level
+        assert abs(_bisect(fn, *bracket) - brentq(fn, *bracket, xtol=1e-15)) <= 1e-12
 
 
 class TestHammingProfile:
