@@ -41,15 +41,17 @@ _NAIVE_ROW_BLOCK = 128
 _RMAT_CHUNK = 1 << 20
 _RMAT_SUBBLOCK = 1 << 16  # rows per rng.random call: 32 MB of doubles at n = 62
 # Ranks per stratified unranking pass, any mix of classes.  A pass holds
-# 3n int64 digit masks per rank: 1.2 MiB at n = 13, 2.8 MiB at n = 30.
-_UNRANK_BLOCK = 1 << 12
+# 3n int32 digit masks per rank: 1.2 MiB at n = 13, 2.8 MiB at n = 30.  A
+# pass four times that size raised count-n13's peak RSS by about 2 MB.
+_UNRANK_BLOCK = 1 << 13
 
-# Binomial coefficients C[i, j] for i, j <= STRATIFIED_MAX_N, exact in int64,
-# with a zero last row and column so that index -1 reads C = 0.
+# Binomial coefficients C[i, j] for i, j <= STRATIFIED_MAX_N, exact in int32
+# (C(30, 15) < 2^31), with a zero last row and column so that index -1
+# reads C = 0.
 _COMB = np.array(
     [[math.comb(i, j) for j in range(STRATIFIED_MAX_N + 2)] for i in range(STRATIFIED_MAX_N + 1)]
     + [[0] * (STRATIFIED_MAX_N + 2)],
-    dtype=np.int64,
+    dtype=np.int32,
 )
 
 
@@ -157,36 +159,44 @@ def _unrank_pairs(n: int, a, b, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarr
     the digits walks both subsets; mixed digits take the bits of
     (orientation << 1) | 1 in turn, 1 sending the digit to u, so the lowest
     mixed digit goes to u.  Class (w, 0) is loop class w: u = v = the
-    rank-th vertex of weight w.  Decisions are -1/0 int64 masks, and index
-    -1 reads _COMB's zero row or column, so exhausted subsets need no branch.
+    rank-th vertex of weight w.  Decisions are -1/0 masks, and index -1
+    reads _COMB's zero row or column, so exhausted subsets need no branch.
+
+    Only the split of the int64 rank is 64-bit.  For n <= 30 the walk's
+    state fits int32 lanes: both subset ranks are below C(30, 15) < 2^31,
+    (orientation << 1) | 1 and the vertices below 2^30.  The vertices come
+    back as int32.
     """
     rest, orient = np.divmod(ranks, np.maximum(np.left_shift(np.int64(1), b) >> 1, 1))
     r_ones, r_mixed = np.divmod(rest, _COMB[n - a, b])
+    r_ones = r_ones.astype(np.int32)
+    r_mixed = r_mixed.astype(np.int32)
+    orient = orient.astype(np.int32)
     orient <<= 1
     orient |= 1
-    ones_left = np.broadcast_to(a - 1, ranks.shape).copy()
+    ones_left = np.broadcast_to(a - 1, ranks.shape).astype(np.int32)
     # Flat _COMB index of C(free digits left - 1, mixed digits left - 1).
-    cell = np.broadcast_to((n - 1 - a) * _COMB.shape[1] + b - 1, ranks.shape).copy()
+    cell = np.broadcast_to((n - 1 - a) * _COMB.shape[1] + b - 1, ranks.shape).astype(np.int32)
     # Per digit: one-digit mask, mixed-digit mask, to-u bit.
-    digits = np.empty((3, n, len(ranks)), dtype=np.int64)
+    digits = np.empty((3, n, len(ranks)), dtype=np.int32)
     for p in range(n):
         count = _COMB[n - 1 - p].take(ones_left)
         r_ones -= count
-        one = np.right_shift(r_ones, 63, out=digits[0, p])
+        one = np.right_shift(r_ones, 31, out=digits[0, p])
         r_ones += count & one
         ones_left += one
         free = ~one
         count = _COMB.take(cell)
         count &= free
         r_mixed -= count
-        is_mixed = np.right_shift(r_mixed, 63, out=digits[1, p])
+        is_mixed = np.right_shift(r_mixed, 31, out=digits[1, p])
         r_mixed += count & is_mixed
         cell -= free & _COMB.shape[1]
         cell += is_mixed
         shift = -is_mixed  # 1 where digit p is mixed: its orientation bit is used up
         np.bitwise_and(orient, shift, out=digits[2, p])
         orient >>= shift
-    powers = np.left_shift(1, np.arange(n, dtype=np.int64))[:, None]
+    powers = np.left_shift(1, np.arange(n, dtype=np.int32))[:, None]
     digits[:2] &= powers
     digits[2] *= powers
     ones, mixed, to_u = np.bitwise_or.reduce(digits, axis=1)
@@ -208,12 +218,19 @@ def _sample_distinct(rng: np.random.Generator, size: int, k: int) -> np.ndarray:
     # sorted pool, this leaves the subset exactly uniform.
     draws = rng.integers(0, size, size=k + 16, dtype=np.int64)
     while True:
-        unique, first_seen = np.unique(draws, return_index=True)
-        if len(unique) >= k:
-            order = np.sort(first_seen)[:k]
-            return draws[order]
-        more = rng.integers(0, size, size=k - len(unique) + 16, dtype=np.int64)
+        ordered = np.sort(draws)
+        repeats = ordered[1:][ordered[1:] == ordered[:-1]]
+        distinct = len(draws) - len(repeats)
+        if distinct >= k:
+            break
+        more = rng.integers(0, size, size=k - distinct + 16, dtype=np.int64)
         draws = np.concatenate([draws, more])
+    if len(repeats):
+        # Drop every occurrence of a repeated value but its first.
+        at = np.flatnonzero(np.isin(draws, repeats))
+        _, first = np.unique(draws[at], return_index=True)
+        draws = np.delete(draws, np.delete(at, first))
+    return draws[:k]
 
 
 def _draw_class_ranks(rngs: list, classes: list) -> tuple[np.ndarray, np.ndarray]:

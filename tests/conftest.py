@@ -136,6 +136,22 @@ def unrank_pair_oracle(n: int, a: int, b: int, rank: int) -> tuple[int, int]:
     return u, v
 
 
+def sample_distinct_oracle(rng: np.random.Generator, size: int, k: int) -> np.ndarray:
+    """The first k distinct values of rng.integers(0, size) draws, in draw
+    order, found with np.unique(return_index=True): 16 spare draws, then
+    k - distinct + 16 more per refill, as the stratified sampler draws them
+    where 4k < size."""
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    draws = rng.integers(0, size, size=k + 16, dtype=np.int64)
+    while True:
+        unique, first_seen = np.unique(draws, return_index=True)
+        if len(unique) >= k:
+            return draws[np.sort(first_seen)[:k]]
+        more = rng.integers(0, size, size=k - len(unique) + 16, dtype=np.int64)
+        draws = np.concatenate([draws, more])
+
+
 def falling_factorial(d: int, k: int) -> int:
     out = 1
     for step in range(k):

@@ -24,9 +24,9 @@ from kronval import (
     pair_classes,
     rmat_pairs,
 )
-from kronval.generate import _unrank_pairs
+from kronval.generate import STRATIFIED_MAX_N, _COMB, _sample_distinct, _unrank_pairs
 
-from conftest import lex_subset, unrank_pair_oracle
+from conftest import lex_subset, sample_distinct_oracle, unrank_pair_oracle
 
 
 def test_pair_class_sizes_cover_all_pairs():
@@ -329,6 +329,19 @@ class TestPooledUnranking:
         u, v = _unrank_pairs(n, a, b, ranks)
         assert list(zip(u.tolist(), v.tolist())) == [unrank_pair_oracle(n, *c) for c in cases]
 
+    def test_walk_fits_int32_lanes(self):
+        # The walk's ranks are below the largest C(i, j) it can read, its
+        # orientations and vertices below 2^STRATIFIED_MAX_N; raising the
+        # cap past 30 must fail here rather than wrap.
+        assert STRATIFIED_MAX_N <= 30
+        table = [
+            [math.comb(i, j) for j in range(STRATIFIED_MAX_N + 2)]
+            for i in range(STRATIFIED_MAX_N + 1)
+        ]
+        assert max(map(max, table)) < 1 << 31
+        assert _COMB.dtype == np.int32
+        assert _COMB[:-1].tolist() == table and not _COMB[-1].any()
+
     @pytest.mark.parametrize("n", [8, 12])
     @pytest.mark.parametrize("include_loops", [True, False])
     def test_pool_size_leaves_graph_unchanged(self, monkeypatch, n, include_loops):
@@ -340,3 +353,24 @@ class TestPooledUnranking:
         assert len(graphs[0].edges) > 0
         assert (len(graphs[0].loops) > 0) == include_loops
         assert graphs[0] == graphs[1] == graphs[2]
+
+
+class TestSampleDistinct:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=st.integers(4, 10_000).flatmap(
+            lambda size: st.tuples(st.just(size), st.integers(0, size // 4 - 1))
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(case=(10_000, 2_499), seed=0)  # 292 repeats in the first 2,515 draws: refills
+    @example(case=(4, 0), seed=1)
+    @example(case=(1 << 40, 5_000), seed=2)  # no repeat at all
+    def test_matches_unique_oracle(self, case, seed):
+        size, k = case
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _sample_distinct(rng, size, k)
+        want = sample_distinct_oracle(oracle_rng, size, k)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        # the same draws were made: both generators end in the same state
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state

@@ -711,6 +711,61 @@ def test_underflowed_certificate_fails_from_its_logs(capsys):
     assert [u["margin"] for u in payload["unions"]] == [0.0]
 
 
+# Each argument is valid in about half the draws, so runs that generate a
+# graph and runs refused at each check both occur.
+ENTRY = st.sampled_from(["nan", "inf", "1", "0", "-0.5", "1e-320"])
+VALID_ENTRY = st.floats(0.01, 0.6).map(repr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    generator=st.sampled_from(["naive", "stratified", "rmat"]),
+    n=st.one_of(st.integers(1, 12), st.sampled_from([-1, 0, 15, 31, 62, 63])),
+    rmat_edges=st.one_of(st.integers(1, 1000), st.sampled_from([None, -1, 0, 10**21])),
+    seed=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([-1, 2**64])),
+    loops=st.booleans(),
+    entries=st.one_of(
+        st.tuples(VALID_ENTRY, VALID_ENTRY, VALID_ENTRY),
+        # alpha + 2 beta + gamma = 1, as R-MAT needs
+        st.sampled_from([("0.45", "0.2", "0.15"), ("0.25", "0.25", "0.25"), ("0.5", "0.2", "0.1")]),
+        st.tuples(st.one_of(ENTRY, VALID_ENTRY), st.one_of(ENTRY, VALID_ENTRY), ENTRY),
+    ),
+    out_is_dir=st.sampled_from([False, False, False, True]),
+)
+@example(generator="rmat", n=63, rmat_edges=1000, seed=1, loops=True,
+         entries=("0.45", "0.2", "0.15"), out_is_dir=False)
+@example(generator="rmat", n=12, rmat_edges=1000, seed=2**64 - 1, loops=False,
+         entries=("0.45", "0.2", "0.15"), out_is_dir=False)
+@example(generator="rmat", n=20, rmat_edges=1000, seed=2**64 - 1, loops=True,
+         entries=("0.45", "0.2", "0.15"), out_is_dir=False)
+@example(generator="naive", n=12, rmat_edges=None, seed=0, loops=True,
+         entries=("0.6", "0.5", "0.6"), out_is_dir=False)
+@example(generator="stratified", n=12, rmat_edges=None, seed=1, loops=False,
+         entries=("1e-320", "0.5", "0.6"), out_is_dir=True)
+def test_generate_exit_code_property(generator, n, rmat_edges, seed, loops, entries, out_is_dir):
+    # Entries <= 0.6, n <= 15 below the caps and at most 1000 R-MAT draws keep accepted runs small
+    alpha, beta, gamma = entries
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [
+            "generate", "--generator", generator, "--n", str(n), "--alpha", alpha,
+            "--beta", beta, "--gamma", gamma, "--seed", str(seed),
+            "--loops" if loops else "--no-loops",
+            "--out", tmp if out_is_dir else os.path.join(tmp, "g.edges"),
+        ]
+        if rmat_edges is not None:
+            argv += ["--rmat-edges", str(rmat_edges)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                rc = exc.code
+        written = not out_is_dir and os.path.exists(argv[argv.index("--out") + 1])
+    assert rc in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    assert written == (rc == 0)
+
+
 EDGE_LIST = (
     b"kron n=3 alpha=0.6 beta=0.4 gamma=0.3 loops=1\n"
     b"000 001\n001 001\n001 011\n010 110\n011 111\n"
