@@ -20,6 +20,8 @@ from .errors import ConfigError, KronvalError, ParameterError
 # Bound for perfbench/spans.py, which traces these names on this module.
 from .generate import generate_naive, generate_rmat, generate_stratified  # noqa: F401
 from .harness import (
+    GENERATORS,
+    KINDS,
     ExperimentConfig,
     canonical_json,
     check_degree_array,
@@ -230,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="sample a realization and write an edge list")
     _add_params(p_gen)
-    p_gen.add_argument("--generator", choices=("naive", "stratified", "rmat"), default="stratified")
+    p_gen.add_argument("--generator", choices=GENERATORS, default="stratified")
     p_gen.add_argument("--rmat-edges", type=int, default=None, help="pair draws for the rmat generator")
     p_gen.add_argument("--loops", action=argparse.BooleanOptionalAction, default=True)
     p_gen.add_argument("--seed", type=int, required=True)
@@ -258,12 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="run a seeded prediction-vs-simulation experiment")
     _add_params(p_val)
-    p_val.add_argument(
-        "--kind", choices=("degrees", "subgraph", "hamming", "regime", "thresholds"), required=True
-    )
+    p_val.add_argument("--kind", choices=KINDS, required=True)
     p_val.add_argument("--seed", type=int, required=True)
     p_val.add_argument("--trials", type=int, default=20)
-    p_val.add_argument("--generator", choices=("naive", "stratified", "rmat"), default="stratified")
+    p_val.add_argument("--generator", choices=GENERATORS, default="stratified")
     p_val.add_argument("--rmat-edges", type=int, default=None)
     p_val.add_argument("--loops", action=argparse.BooleanOptionalAction, default=True)
     p_val.add_argument("--pattern", default=None)

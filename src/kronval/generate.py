@@ -1,9 +1,11 @@
 """Graph realization strategies: naive pairwise Bernoulli, stratified
 class-based sampling, and the recursive digit-sampling (R-MAT) procedure.
 
-All three are deterministic functions of a :class:`SeedSpec`; work is split
-into named substreams (per row block, per pair class) so that the output
-does not depend on how many workers process them.
+All three are deterministic functions of a :class:`SeedSpec`.  The naive
+sampler draws each row block from its own named substream and R-MAT each
+chunk of pairs; the stratified sampler draws every pair class from one
+stream and every loop class from another, so switching loops off leaves the
+edges unchanged.
 """
 
 from __future__ import annotations
@@ -234,14 +236,13 @@ def _sample_distinct(rng: np.random.Generator, size: int, k: int) -> np.ndarray:
 
 
 def _draw_class_ranks(rngs: list, classes: list) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct ranks of every (size, probability) class, one stream each.
+    """Distinct ranks of every (size, probability) class, class i from rngs[i].
 
-    Every class draws its binomial count before any class draws ranks, so
-    the ranks land in one int64 array allocated at its final size.  Each
-    class still sees its count and then its ranks on its own stream, so the
-    draws do not depend on this order.  Returns the ranks in class order and
-    each rank's int16 class index (n <= 30 gives at most 465 pair classes
-    and 31 loop classes, 496 in all).
+    Classes may share a generator.  Every class draws its binomial count, in
+    class order, before any class draws ranks, so the ranks land in one
+    int64 array allocated at its final size.  Returns the ranks in class
+    order and each rank's int16 class index (n <= 30 gives at most 465 pair
+    classes and 31 loop classes, 496 in all).
     """
     counts = [int(rng.binomial(size, p)) for rng, (size, p) in zip(rngs, classes)]
     ranks = np.empty(sum(counts), dtype=np.int64)
@@ -261,22 +262,21 @@ def generate_stratified(
     """Class-based sampler with the same output distribution as generate_naive.
 
     Pairs are grouped by digit class (a, b, c); each class draws a binomial
-    edge count and that many distinct pair ranks from its own substream, so
-    the joint law over all pairs is exactly independent Bernoulli.  Loops
-    are drawn the same way per weight class w, as pair class (w, 0), whose
-    pairs u == v from_pairs keeps as loops.  The ranks of all classes are
-    drawn into the edge array itself (_draw_class_ranks) and unranked in
-    place by _unrank_pairs, _UNRANK_BLOCK ranks per vectorized pass with
-    each rank's class as its key, so a small graph pays one pass rather than
-    one per class; the blocking consumes no randomness and leaves the output
-    unchanged.  The class streams come from one batched derivation per
-    family (SeedSpec.generators), each generator in the same state as
-    seed.child("class", a, b).generator() or
-    seed.child("loop_class", w).generator(), so batching leaves the output
-    unchanged too.  Scales to n = 30 as long as the expected edge count
-    fits ``max_expected_edges``; the default, ``DEFAULT_EDGE_BUDGET``,
-    keeps the measured peak of ``STRATIFIED_PEAK_BYTES_PER_EDGE`` per edge
-    under ``GENERATE_MEMORY_CEILING`` (3 GiB), and a graph over it raises
+    edge count and then that many distinct uniform pair ranks, so the joint
+    law over all pairs is exactly independent Bernoulli.  Loops are drawn
+    the same way per weight class w, as pair class (w, 0), whose pairs
+    u == v from_pairs keeps as loops.  Every pair class draws from the
+    stream seed.child("class") and every loop class from
+    seed.child("loop_class"), so the edges do not depend on include_loops.
+    The ranks of all classes are drawn into the edge array itself
+    (_draw_class_ranks) and unranked in place by _unrank_pairs,
+    _UNRANK_BLOCK ranks per vectorized pass with each rank's class as its
+    key, so a small graph pays one pass rather than one per class; the
+    blocking consumes no randomness and leaves the output unchanged.  Scales
+    to n = 30 as long as the expected edge count fits
+    ``max_expected_edges``; the default, ``DEFAULT_EDGE_BUDGET``, keeps the
+    measured peak of ``STRATIFIED_PEAK_BYTES_PER_EDGE`` per edge under
+    ``GENERATE_MEMORY_CEILING`` (3 GiB), and a graph over it raises
     CapacityError before any class is sampled.
     """
     n = params.n
@@ -291,10 +291,10 @@ def generate_stratified(
     la, lb, lg = params.log_entries()
 
     classes = list(pair_classes(n))
-    rngs = seed.child("class").generators([(a, b) for a, b, _, _ in classes])
+    rngs = [seed.child("class").generator()] * len(classes)
     if include_loops:
         # Loop class w, the C(n, w) vertices of weight w, is pair class (w, 0).
-        rngs += seed.child("loop_class").generators([(w,) for w in range(n + 1)])
+        rngs += [seed.child("loop_class").generator()] * (n + 1)
         classes += [(w, 0, n - w, math.comb(n, w)) for w in range(n + 1)]
     edge_u, class_of = _draw_class_ranks(
         rngs, [(size, math.exp(a * la + b * lb + c * lg)) for a, b, c, size in classes]

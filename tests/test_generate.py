@@ -109,6 +109,23 @@ def test_generators_deterministic_and_loop_toggle_stable():
         assert gen(p, include_loops=True, seed=SeedSpec(32)) != g1
 
 
+@pytest.mark.parametrize("include_loops", [True, False])
+def test_stratified_derives_one_stream_per_class_family(monkeypatch, include_loops):
+    derived = []
+    generator = SeedSpec.generator
+
+    def spy(spec):
+        derived.append(spec.stream)
+        return generator(spec)
+
+    monkeypatch.setattr(SeedSpec, "generator", spy)
+    p = KroneckerParams(alpha=0.6, beta=0.4, gamma=0.3, n=9)
+    g = generate_stratified(p, include_loops=include_loops, seed=SeedSpec(4).child("trial", 2))
+    assert len(g.edges) > 0
+    families = [("class",), ("loop_class",)] if include_loops else [("class",)]
+    assert derived == [("trial", 2) + family for family in families]
+
+
 def test_stratified_matches_naive_mean_edge_count():
     p = KroneckerParams(alpha=0.6, beta=0.4, gamma=0.3, n=6)
     trials = 300
@@ -262,7 +279,7 @@ class TestCapacity:
         def sampled(*args, **kwargs):
             raise AssertionError("a class was sampled")
 
-        monkeypatch.setattr(SeedSpec, "generators", sampled)
+        monkeypatch.setattr(SeedSpec, "generator", sampled)
         monkeypatch.setattr(gen, "_sample_distinct", sampled)
         p = KroneckerParams(0.99, 0.99, 0.99, 14)  # about 117M expected edges
         assert expected_edge_count(p) > gen.DEFAULT_EDGE_BUDGET
@@ -345,14 +362,16 @@ class TestPooledUnranking:
     @pytest.mark.parametrize("n", [8, 12])
     @pytest.mark.parametrize("include_loops", [True, False])
     def test_pool_size_leaves_graph_unchanged(self, monkeypatch, n, include_loops):
+        # Block 7 splits the larger classes across passes and mixes classes
+        # within one; at n = 12 block 1 would cost about 47.6k one-rank passes.
         p = KroneckerParams(0.9, 0.5, 0.7, n)
         graphs = []
-        for block in (1, 7, 1 << 40):
+        for block in (1, 7, 1 << 40) if n == 8 else (7, 1 << 40):
             monkeypatch.setattr(kronval.generate, "_UNRANK_BLOCK", block)
             graphs.append(generate_stratified(p, include_loops=include_loops, seed=SeedSpec(9)))
         assert len(graphs[0].edges) > 0
         assert (len(graphs[0].loops) > 0) == include_loops
-        assert graphs[0] == graphs[1] == graphs[2]
+        assert all(g == graphs[0] for g in graphs[1:])
 
 
 class TestSampleDistinct:

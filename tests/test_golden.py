@@ -1,14 +1,20 @@
 """Golden-bytes determinism: fixed (command, seed) pairs must keep producing
-the exact bytes pinned here.  The digests were recorded before the graph
-representation moved from frozensets of tuples to sorted int64 arrays, so a
-pass means that change, and any later one, left the output bytes alone.  The
-two larger stratified cases were recorded before the stratified sampler
-pooled its unranking: at n=15 one pair class holds about 105k edges, more
-than a pooled pass takes, and at n=18 the pool fills and empties many times.
-The two R-MAT cases were recorded before edges were canonicalized through
-packed int64 pair keys: at n=16, 200000 draws merge into 190467 distinct
-edges, and at n=40, past the packed key's n <= 31, the lexsort route merges
-about 2650 repeated draws and keeps 191 loops.
+the exact bytes pinned here.
+
+The naive and R-MAT digests were recorded before the graph representation
+moved from frozensets of tuples to sorted int64 arrays, and the two R-MAT
+cases before edges were canonicalized through packed int64 pair keys: at
+n=16, 200000 draws merge into 190467 distinct edges, and at n=40, past the
+packed key's n <= 31, the lexsort route merges about 2650 repeated draws and
+keeps 191 loops.  A pass means those changes, and any later one, left these
+bytes alone.
+
+The three stratified digests and the two validate reports, which sample
+with the default stratified generator, were re-recorded when the stratified
+sampler moved from one random stream per class to one stream for all pair
+classes and one for all loop classes.  That change keeps the sampler's law
+but not its draws.  At n=15 one pair class holds about 105k edges, more than
+one unranking pass takes, and at n=18 the passes fill and empty many times.
 """
 
 import hashlib
@@ -26,17 +32,17 @@ GOLDEN = {
     "stratified-n10": (
         ["generate", "--generator", "stratified", "--n", "10", "--alpha", "0.6", "--beta", "0.5",
          "--gamma", "0.6", "--seed", "12"],
-        "7a95b4a77e4620dddf09673e43749df2424925dcee7881b692f718406496defe",
+        "923d75d2196542b240338c2e63fe0f24d100dfe79f31420899f12e46a22e2766",
     ),
     "stratified-n15-large-class": (
         ["generate", "--generator", "stratified", "--n", "15", "--alpha", "0.7", "--beta", "0.9",
          "--gamma", "0.1", "--seed", "22"],
-        "bb4aa786d6e6d8fd6c5175c795199b6f0a9d3965a7440fc1db8c02e53821af28",
+        "4b72cc1f65d6545835d5034676e938f7ed7fc1749af8cef52921ede19bdbe131",
     ),
     "stratified-n18": (
         ["generate", "--generator", "stratified", "--n", "18", "--alpha", "0.6", "--beta", "0.5",
          "--gamma", "0.6", "--seed", "21"],
-        "3a856ff13e44e0a6b66d510e1259859f1dec2205c740ad1e5d0f60731b4305e6",
+        "56f884279580b85eda461bb2ad9971935a0fd579678f1311782d58912941acef",
     ),
     "rmat-n10": (
         ["generate", "--generator", "rmat", "--n", "10", "--alpha", "0.57", "--beta", "0.19",
@@ -58,7 +64,7 @@ GOLDEN = {
 DEGREES_REPORT = (
     ["validate", "--kind", "degrees", "--n", "8", "--alpha", "0.7", "--beta", "0.3",
      "--gamma", "0.3", "--trials", "5", "--seed", "14"],
-    "62b6a9a8555bc9c92a38f53698f139f80da7542733715adca44f7af614b9b3c2",
+    "9802b3346a3d818c194629c398e9928db4b465c8a45ecf96c8fa0dcf909a9f3b",
 )
 
 # Above the old exact-expectation guard ((2^8)^4 vertex maps > 10^7): pins the
@@ -66,7 +72,7 @@ DEGREES_REPORT = (
 SUBGRAPH_REPORT = (
     ["validate", "--kind", "subgraph", "--n", "8", "--alpha", "0.7", "--beta", "0.5",
      "--gamma", "0.7", "--pattern", "cycle:4", "--trials", "3", "--seed", "15"],
-    "b094175ce0a3152c3e7c018840e223bc20e1f7f80b1fe3a46424dbac0f25e9bd",
+    "4dbbac2f11362243ffb821bebebc0ff6aba115e69a9d3efe5e84ce073a43a1a0",
 )
 
 

@@ -804,6 +804,86 @@ def test_measure_exit_code_property_on_mutated_files(data, what):
     assert "Traceback" not in err.getvalue()
 
 
+# Builtins of every size up to 8, malformed text, and @file arguments that
+# name a missing file, a non-ASCII file and a valid one.
+PATTERN_ARGS = st.one_of(
+    st.builds("{}:{}".format, st.sampled_from(["star", "cycle", "path"]), st.integers(0, 8)),
+    st.sampled_from(
+        ["star:", "cycle:x", "blob:3", "", "3\n0 1\n1 1", "2\n0 5", "-1", "11\n0 1",
+         "@missing", "@non-ascii", "@square"]
+    ),
+)
+
+
+def _pattern_arg(pattern: str, tmp: str) -> str:
+    """pattern, with an @name placeholder turned into a file under tmp."""
+    if not pattern.startswith("@"):
+        return pattern
+    path = os.path.join(tmp, pattern[1:] + ".txt")
+    if pattern == "@non-ascii":
+        with open(path, "wb") as fh:
+            fh.write("3\n0 1\n1 2\n0 2 \u00e9\n".encode("utf-8"))
+    elif pattern == "@square":
+        with open(path, "w") as fh:
+            fh.write("4\n0 1\n1 2\n2 3\n3 0\n")
+    return "@" + path
+
+
+def _run_cli(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+CERTIFY_ENTRY = st.one_of(
+    st.sampled_from(["nan", "inf", "0", "1", "1e-300"]), st.floats(0.01, 0.99).map(repr)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pattern=PATTERN_ARGS, n=st.integers(-2, 70),
+    alpha=CERTIFY_ENTRY, beta=CERTIFY_ENTRY, gamma=CERTIFY_ENTRY,
+)
+@example(pattern="path:5", n=70, alpha="0.6", beta="0.5", gamma="0.6")
+@example(pattern="cycle:8", n=1, alpha="nan", beta="inf", gamma="1e-300")
+@example(pattern="@non-ascii", n=-2, alpha="0", beta="1", gamma="0")
+def test_certify_exit_code_property(pattern, n, alpha, beta, gamma):
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, out, err = _run_cli(
+            ["certify", "--pattern", _pattern_arg(pattern, tmp), "--n", str(n),
+             "--alpha", alpha, "--beta", beta, "--gamma", gamma]
+        )
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
+    # a certificate is written exactly when one was reached
+    assert (out == "") == (rc == 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(what=st.sampled_from(["degrees", "subgraph", "hamming"]),
+       pattern=st.one_of(st.none(), PATTERN_ARGS))
+@example(what="subgraph", pattern=None)
+@example(what="subgraph", pattern="cycle:5")
+@example(what="subgraph", pattern="@square")
+def test_measure_exit_code_property(what, pattern):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.edges")
+        with open(path, "wb") as fh:
+            fh.write(EDGE_LIST)
+        argv = ["measure", "--input", path, "--what", what]
+        if pattern is not None:
+            argv += ["--pattern", _pattern_arg(pattern, tmp)]
+        rc, out, err = _run_cli(argv)
+    assert rc in (0, 2)
+    assert "Traceback" not in err
+    assert (out == "") == (rc == 2)
+
+
 RMAT_ARGS = ["--n", "6", "--alpha", "0.45", "--beta", "0.2", "--gamma", "0.15", "--seed", "2"]
 
 

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from kronval import ParameterError, SeedSpec
 
@@ -49,39 +47,3 @@ def test_label_validation():
     with pytest.raises(ParameterError):
         SeedSpec(1 << 64)
 
-
-SEEDS = st.one_of(
-    st.sampled_from([0, 1, (1 << 32) - 1, 1 << 32, (1 << 64) - 1]),
-    st.integers(0, (1 << 64) - 1),
-)
-LABELS = st.one_of(st.integers(0, (1 << 64) - 1), st.text(max_size=8))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=SEEDS,
-    prefix=st.lists(LABELS, max_size=4),
-    rows=st.lists(st.lists(LABELS, max_size=3), max_size=8),
-)
-@example(seed=(1 << 64) - 1, prefix=[], rows=[])
-@example(seed=0, prefix=["trial", 3, "class"], rows=[[1, 2], ["x"], [], [5, "y"]])
-def test_batched_generators_equal_seed_sequence(seed, prefix, rows):
-    # int labels are 3 key words and string labels 5, so rows mix key lengths
-    spec = SeedSpec(seed, tuple(prefix))
-    batch = spec.generators(rows)
-    assert len(batch) == len(rows)
-    for row, rng in zip(rows, batch):
-        child = spec.child(*row)
-        assert np.array_equal(
-            rng.bit_generator.seed_seq.generate_state(4, np.uint64),
-            child.seed_sequence().generate_state(4, np.uint64),
-        )
-        assert rng.bit_generator.state == child.generator().bit_generator.state
-        assert np.array_equal(
-            rng.integers(0, 1 << 62, 8), child.generator().integers(0, 1 << 62, 8)
-        )
-
-
-def test_generators_validate_labels():
-    with pytest.raises(ParameterError):
-        SeedSpec(1).generators([(1,), (-3,)])
