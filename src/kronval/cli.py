@@ -12,11 +12,10 @@ import math
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from ._version import __version__
 from .edgelist import read_edgelist, read_header, write_edgelist
 from .errors import ConfigError, KronvalError, ParameterError
+from .generate import degree_histogram
 # Bound for perfbench/spans.py, which traces these names on this module.
 from .generate import generate_naive, generate_rmat, generate_stratified  # noqa: F401
 from .harness import (
@@ -151,9 +150,8 @@ def _cmd_measure(args) -> int:
         "loops": len(graph.loops),
     }
     if args.what == "degrees":
-        degrees = graph.degrees(count_loops=graph.include_loops)
-        counts = np.bincount(degrees)
-        payload["degree_histogram"] = {str(d): int(c) for d, c in enumerate(counts) if c}
+        hist = degree_histogram(graph, graph.include_loops)
+        payload["degree_histogram"] = {str(d): c for d, c in hist.items()}
     elif args.what == "subgraph":
         if not args.pattern:
             raise KronvalError("measure --what subgraph needs --pattern")

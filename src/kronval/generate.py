@@ -1,11 +1,12 @@
 """Graph realization strategies: naive pairwise Bernoulli, stratified
 class-based sampling, and the recursive digit-sampling (R-MAT) procedure.
 
-All three are deterministic functions of a :class:`SeedSpec`.  The naive
-sampler draws each row block from its own named substream and R-MAT each
-chunk of pairs; the stratified sampler draws every pair class from one
-stream and every loop class from another, so switching loops off leaves the
-edges unchanged.
+All three are deterministic functions of a :class:`SeedSpec`, and all three
+make a loop as the pair u = v, which ``SampledGraph.from_pairs`` keeps, or
+drops without loops.  The naive sampler (diagonal included) and R-MAT draw
+every pair from one stream; the stratified sampler draws every pair class
+from one stream and every loop class from another.  So switching loops off
+leaves the edges unchanged.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError
 from .model import (
-    GRAPH_MAX_N, PROB_TOL, KroneckerParams, SampledGraph, edge_probability_array, weight_array
+    GRAPH_MAX_N, PROB_TOL, KroneckerParams, SampledGraph, edge_probability_array
 )
 from .streams import SeedSpec
 
@@ -40,7 +41,6 @@ DEFAULT_EDGE_BUDGET = GENERATE_MEMORY_CEILING // STRATIFIED_PEAK_BYTES_PER_EDGE
 RMAT_PEAK_BYTES_PER_DRAW = 80
 RMAT_MAX_EDGES = GENERATE_MEMORY_CEILING // RMAT_PEAK_BYTES_PER_DRAW
 _NAIVE_ROW_BLOCK = 128
-_RMAT_CHUNK = 1 << 20
 _RMAT_SUBBLOCK = 1 << 16  # rows per rng.random call: 32 MB of doubles at n = 62
 # Ranks per stratified unranking pass, any mix of classes.  A pass holds
 # 3n int32 digit masks per rank: 1.2 MiB at n = 13, 2.8 MiB at n = 30.  A
@@ -102,26 +102,16 @@ def expected_edge_count(params: KroneckerParams, include_loops: bool = True) -> 
     return total
 
 
-def _loop_probabilities(params: KroneckerParams) -> np.ndarray:
-    """Per-vertex self-loop probability alpha^w gamma^(n-w)."""
-    la, _, lg = params.log_entries()
-    w = weight_array(np.arange(params.vertex_count, dtype=np.uint64))
-    return np.exp(w * la + (params.n - w) * lg)
-
-
-def _draw_loops(params: KroneckerParams, seed: SeedSpec) -> np.ndarray:
-    rng = seed.child("loops").generator()
-    u = rng.random(params.vertex_count)
-    return np.flatnonzero(u < _loop_probabilities(params))
-
-
 def generate_naive(
     params: KroneckerParams, include_loops: bool = True, seed: SeedSpec = SeedSpec(0)
 ) -> SampledGraph:
-    """Independent Bernoulli draw for each of the 2^(2n-1) vertex pairs.
+    """Independent Bernoulli draw for each of the 2^(n-1) (2^n + 1) vertex
+    pairs u <= v, the diagonal included.
 
-    The reference generator: distributionally the model itself.  Capped at
-    n = 14; use generate_stratified beyond that.
+    The reference generator: distributionally the model itself.  Rows are
+    scanned in blocks of 128, every pair from the stream seed.child("pairs"),
+    and a drawn pair u = v is a loop, which from_pairs drops without
+    include_loops.  Capped at n = 14; use generate_stratified beyond that.
     """
     n = params.n
     if n > NAIVE_MAX_N:
@@ -130,25 +120,20 @@ def generate_naive(
             f" use generate_stratified for n = {n}"
         )
     size = params.vertex_count
+    rng = seed.child("pairs").generator()
     us = []
     vs = []
-    for block_index, block_start in enumerate(range(0, size, _NAIVE_ROW_BLOCK)):
+    for block_start in range(0, size, _NAIVE_ROW_BLOCK):
         rows = np.arange(block_start, min(block_start + _NAIVE_ROW_BLOCK, size))
-        rows = rows[rows < size - 1]
-        if not len(rows):
-            continue
-        lengths = size - 1 - rows
-        u_arr = np.repeat(rows, lengths).astype(np.uint64)
-        v_arr = np.concatenate([np.arange(r + 1, size, dtype=np.uint64) for r in rows])
+        u_arr = np.repeat(rows, size - rows).astype(np.uint64)
+        v_arr = np.concatenate([np.arange(r, size, dtype=np.uint64) for r in rows])
         prob = edge_probability_array(params, u_arr, v_arr)
-        rng = seed.child("block", block_index).generator()
         keep = rng.random(len(prob)) < prob
         us.append(u_arr[keep].astype(np.int64))
         vs.append(v_arr[keep].astype(np.int64))
-    edge_u = np.concatenate(us) if us else np.empty(0, dtype=np.int64)
-    edge_v = np.concatenate(vs) if vs else np.empty(0, dtype=np.int64)
-    loop_vertices = _draw_loops(params, seed) if include_loops else ()
-    return SampledGraph.from_pairs(params, edge_u, edge_v, loop_vertices, include_loops)
+    return SampledGraph.from_pairs(
+        params, np.concatenate(us), np.concatenate(vs), include_loops=include_loops
+    )
 
 
 def _unrank_pairs(n: int, a, b, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -315,7 +300,8 @@ def rmat_pairs(rmat: RmatParams, seed: SeedSpec = SeedSpec(0)) -> tuple[np.ndarr
 
     Per digit, (u_k, v_k) is (1,1) with probability alpha, (0,0) with
     probability gamma, and each mixed outcome with probability beta,
-    independently across digits and pairs.  Duplicates are not merged here.
+    independently across digits and pairs.  All m pairs come from one
+    stream; duplicates are not merged here.
     """
     params = rmat.base
     n = params.n
@@ -327,18 +313,18 @@ def rmat_pairs(rmat: RmatParams, seed: SeedSpec = SeedSpec(0)) -> tuple[np.ndarr
     powers = (np.int64(1) << np.arange(n, dtype=np.int64)).astype(np.int64)
     us = np.empty(rmat.m, dtype=np.int64)
     vs = np.empty(rmat.m, dtype=np.int64)
-    for chunk_index, start in enumerate(range(0, rmat.m, _RMAT_CHUNK)):
-        stop = min(start + _RMAT_CHUNK, rmat.m)
-        rng = seed.child("pairs", chunk_index).generator()
-        # Consecutive rng.random((rows, n)) calls yield the same doubles as
-        # one call for the whole chunk, so sub-blocks only bound the memory.
-        for block in range(start, stop, _RMAT_SUBBLOCK):
-            rows = min(_RMAT_SUBBLOCK, stop - block)
-            x = rng.random((rows, n))
-            u_bits = x < alpha + beta
-            v_bits = (x < alpha) | ((x >= alpha + beta) & (x < alpha + 2.0 * beta))
-            us[block : block + rows] = u_bits.astype(np.int64) @ powers
-            vs[block : block + rows] = v_bits.astype(np.int64) @ powers
+    # Labelled as the first of the 2^20-draw chunks that once had a stream
+    # each, so graphs of at most 2^20 draws keep their bytes.
+    rng = seed.child("pairs", 0).generator()
+    # Consecutive rng.random((rows, n)) calls yield the same doubles as one
+    # call for all m rows, so sub-blocks only bound the memory.
+    for block in range(0, rmat.m, _RMAT_SUBBLOCK):
+        rows = min(_RMAT_SUBBLOCK, rmat.m - block)
+        x = rng.random((rows, n))
+        u_bits = x < alpha + beta
+        v_bits = (x < alpha) | ((x >= alpha + beta) & (x < alpha + 2.0 * beta))
+        us[block : block + rows] = u_bits.astype(np.int64) @ powers
+        vs[block : block + rows] = v_bits.astype(np.int64) @ powers
     return us, vs
 
 

@@ -254,7 +254,11 @@ def edge_distance_histogram(graph: SampledGraph, count_loops: bool = True) -> np
 
 @dataclass(frozen=True)
 class ConcentrationReport:
-    """Degree and neighbor-distance concentration summary of one realization."""
+    """Degree and neighbor-distance concentration summary of one realization.
+
+    ``distance_histogram`` counts the edges at each Hamming distance 0..n,
+    with loops at 0.
+    """
 
     expected_degree: float
     degree_min: int
@@ -268,6 +272,7 @@ class ConcentrationReport:
     edge_count: int
     loop_count: int
     include_loops: bool
+    distance_histogram: tuple[int, ...]
 
 
 def concentration_report(graph: SampledGraph) -> ConcentrationReport:
@@ -308,6 +313,7 @@ def concentration_report(graph: SampledGraph) -> ConcentrationReport:
         edge_count=len(graph.edges),
         loop_count=len(graph.loops),
         include_loops=graph.include_loops,
+        distance_histogram=tuple(hist.tolist()),
     )
 
 

@@ -60,12 +60,6 @@ class KroneckerParams:
         """(log alpha, log beta, log gamma)."""
         return math.log(self.alpha), math.log(self.beta), math.log(self.gamma)
 
-    def matrix(self) -> np.ndarray:
-        """The initiator as a 2x2 array indexed by digit values."""
-        return np.array(
-            [[self.gamma, self.beta], [self.beta, self.alpha]], dtype=float
-        )
-
 
 class PairClass(NamedTuple):
     """Digit-position counts of a vertex pair: both-one, mixed, both-zero.
@@ -306,11 +300,6 @@ class SampledGraph:
     def edge_array(self) -> np.ndarray:
         """The ``edges`` array itself: sorted (E, 2) int64, read-only."""
         return self.edges
-
-    @property
-    def loop_array(self) -> np.ndarray:
-        """The ``loops`` array itself: sorted int64, read-only."""
-        return self.loops
 
     @cached_property
     def neighbor_sets(self) -> list:

@@ -103,7 +103,8 @@ def test_generators_deterministic_and_loop_toggle_stable():
         assert all(0 <= u < v < 128 for u, v in g1.edges)
         assert all(0 <= v < 128 for v in g1.loops)
         g3 = gen(p, include_loops=False, seed=seed)
-        # loops draw from their own substream, so edges are unaffected
+        # naive always draws the diagonal and stratified loops draw from
+        # their own stream, so the edges are unaffected
         assert np.array_equal(g3.edges, g1.edges)
         assert len(g3.loops) == 0
         assert gen(p, include_loops=True, seed=SeedSpec(32)) != g1
@@ -119,11 +120,22 @@ def test_stratified_derives_one_stream_per_class_family(monkeypatch, include_loo
         return generator(spec)
 
     monkeypatch.setattr(SeedSpec, "generator", spy)
+    seed = SeedSpec(4).child("trial", 2)
     p = KroneckerParams(alpha=0.6, beta=0.4, gamma=0.3, n=9)
-    g = generate_stratified(p, include_loops=include_loops, seed=SeedSpec(4).child("trial", 2))
+    g = generate_stratified(p, include_loops=include_loops, seed=seed)
     assert len(g.edges) > 0
     families = [("class",), ("loop_class",)] if include_loops else [("class",)]
     assert derived == [("trial", 2) + family for family in families]
+    # The naive sampler and R-MAT draw every pair, loops included, from one stream.
+    derived.clear()
+    assert len(generate_naive(p, include_loops=include_loops, seed=seed).edges) > 0
+    assert derived == [("trial", 2, "pairs")]
+    if include_loops:  # R-MAT always keeps its loops
+        derived.clear()
+        # 2^20 + 1 draws, which once took two streams of 2^20 draws each
+        rmat = RmatParams(base=KroneckerParams(0.45, 0.2, 0.15, 2), m=(1 << 20) + 1)
+        assert len(rmat_pairs(rmat, seed)[0]) == rmat.m
+        assert derived == [("trial", 2, "pairs", 0)]
 
 
 def test_stratified_matches_naive_mean_edge_count():
@@ -148,15 +160,16 @@ def test_stratified_matches_naive_mean_edge_count():
 def test_loop_frequencies():
     p = KroneckerParams(alpha=0.5, beta=0.4, gamma=0.4, n=4)
     trials = 2000
-    loop_hits = np.zeros(16)
-    for t in range(trials):
-        g = generate_stratified(p, include_loops=True, seed=SeedSpec(3).child("t", t))
-        for v in g.loops:
-            loop_hits[v] += 1
-    for v in range(16):
-        prob = edge_probability(p, v, v)
-        sigma = math.sqrt(trials * prob * (1 - prob))
-        assert abs(loop_hits[v] - trials * prob) <= 4 * sigma
+    for gen in (generate_naive, generate_stratified):
+        loop_hits = np.zeros(16)
+        for t in range(trials):
+            g = gen(p, include_loops=True, seed=SeedSpec(3).child("t", t))
+            for v in g.loops:
+                loop_hits[v] += 1
+        for v in range(16):
+            prob = edge_probability(p, v, v)
+            sigma = math.sqrt(trials * prob * (1 - prob))
+            assert abs(loop_hits[v] - trials * prob) <= 4 * sigma, (gen.__name__, v)
 
 
 class TestRmat:

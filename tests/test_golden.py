@@ -1,7 +1,7 @@
 """Golden-bytes determinism: fixed (command, seed) pairs must keep producing
 the exact bytes pinned here.
 
-The naive and R-MAT digests were recorded before the graph representation
+The R-MAT digests were recorded before the graph representation
 moved from frozensets of tuples to sorted int64 arrays, and the two R-MAT
 cases before edges were canonicalized through packed int64 pair keys: at
 n=16, 200000 draws merge into 190467 distinct edges, and at n=40, past the
@@ -15,6 +15,14 @@ sampler moved from one random stream per class to one stream for all pair
 classes and one for all loop classes.  That change keeps the sampler's law
 but not its draws.  At n=15 one pair class holds about 105k edges, more than
 one unranking pass takes, and at n=18 the passes fill and empty many times.
+
+The naive digest was re-recorded (426283df... -> 662c5408...) when the
+naive sampler moved from one stream per 128-row block plus a separate
+per-vertex loop draw to one stream for every pair u <= v, the diagonal
+included, so that a loop is the drawn pair u = v.  The law is the same; the
+draws are not.  R-MAT moved to one stream for all its draws at the same
+time, under the label of its old first 2^20-draw chunk, so the R-MAT
+digests, each of at most 2^20 draws, did not move.
 """
 
 import hashlib
@@ -27,7 +35,7 @@ GOLDEN = {
     "naive-n8": (
         ["generate", "--generator", "naive", "--n", "8", "--alpha", "0.9", "--beta", "0.3",
          "--gamma", "0.6", "--seed", "11"],
-        "426283df0cb119a7a784013b480d6798b474e160f8015fcf934650eee3758174",
+        "662c5408bd5f8ef7743293bcb8b05b13f457df2721634414185d5eb323725f36",
     ),
     "stratified-n10": (
         ["generate", "--generator", "stratified", "--n", "10", "--alpha", "0.6", "--beta", "0.5",
@@ -75,6 +83,13 @@ SUBGRAPH_REPORT = (
     "4dbbac2f11362243ffb821bebebc0ff6aba115e69a9d3efe5e84ce073a43a1a0",
 )
 
+# Pins the per-trial edge-distance profile next to the concentration criteria.
+HAMMING_REPORT = (
+    ["validate", "--kind", "hamming", "--n", "10", "--alpha", "0.7", "--beta", "0.5",
+     "--gamma", "0.7", "--trials", "3", "--seed", "16"],
+    "b1f1d43c5b8ff2bc49287cfd9d15503cce00a860d8a84cece41fce5f85a28d79",
+)
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -99,6 +114,14 @@ def test_degrees_report_bytes(tmp_path, capsys):
 
 def test_subgraph_report_bytes(tmp_path, capsys):
     argv, digest = SUBGRAPH_REPORT
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out-json", str(out)]) == 0
+    assert _sha256(out) == digest
+    capsys.readouterr()
+
+
+def test_hamming_report_bytes(tmp_path, capsys):
+    argv, digest = HAMMING_REPORT
     out = tmp_path / "report.json"
     assert main(argv + ["--out-json", str(out)]) == 0
     assert _sha256(out) == digest

@@ -25,6 +25,7 @@ from kronval import (
 from kronval.cli import main
 from kronval.generate import GENERATE_MEMORY_CEILING, RMAT_MAX_EDGES, RMAT_PEAK_BYTES_PER_DRAW
 from kronval.harness import (
+    GENERATORS,
     KINDS,
     ExperimentConfig,
     canonical_json,
@@ -657,17 +658,45 @@ class TestCli:
 COUNTS = st.sampled_from(["-1", "0", "1", "2", str(10**21), str(2**63)])
 
 
-@settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(KINDS), n=st.integers(1, 4), trials=COUNTS, steps=COUNTS, d_max=COUNTS)
-@example(kind="degrees", n=4, trials=str(10**21), steps="2", d_max="2")
-@example(kind="thresholds", n=4, trials="1", steps=str(10**21), d_max="2")
-def test_validate_exit_code_property(kind, n, trials, steps, d_max):
-    # n <= 4 and at most 2 trials and 2 sweep steps keep every accepted run small
+RMAT_EDGES = st.one_of(st.integers(1, 1000), st.sampled_from([None, -1, 0, 10**21]))
+SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([-1, 2**64]))
+# The first entries give every kind a valid configuration, the second satisfy
+# R-MAT's alpha + 2 beta + gamma = 1.
+VALIDATE_ENTRIES = st.sampled_from([("0.6", "0.5", "0.6"), ("0.45", "0.2", "0.15")])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS), n=st.integers(1, 4), trials=COUNTS, steps=COUNTS, d_max=COUNTS,
+    generator=st.sampled_from(GENERATORS), rmat_edges=RMAT_EDGES, seed=SEEDS,
+    loops=st.booleans(), entries=VALIDATE_ENTRIES,
+)
+@example(kind="degrees", n=4, trials=str(10**21), steps="2", d_max="2", generator="stratified",
+         rmat_edges=None, seed=1, loops=True, entries=("0.6", "0.5", "0.6"))
+@example(kind="thresholds", n=4, trials="1", steps=str(10**21), d_max="2",
+         generator="stratified", rmat_edges=None, seed=1, loops=True,
+         entries=("0.6", "0.5", "0.6"))
+@example(kind="degrees", n=4, trials="2", steps="2", d_max="2", generator="rmat",
+         rmat_edges=10**21, seed=1, loops=True, entries=("0.45", "0.2", "0.15"))
+@example(kind="degrees", n=4, trials="2", steps="2", d_max="2", generator="rmat",
+         rmat_edges=1000, seed=2**64 - 1, loops=True, entries=("0.45", "0.2", "0.15"))
+@example(kind="subgraph", n=4, trials="2", steps="2", d_max="2", generator="stratified",
+         rmat_edges=None, seed=2**64, loops=True, entries=("0.6", "0.5", "0.6"))
+@example(kind="hamming", n=4, trials="2", steps="2", d_max="2", generator="naive",
+         rmat_edges=None, seed=-1, loops=False, entries=("0.6", "0.5", "0.6"))
+def test_validate_exit_code_property(
+    kind, n, trials, steps, d_max, generator, rmat_edges, seed, loops, entries
+):
+    # n <= 4, at most 2 trials, 2 sweep steps and 1000 R-MAT draws keep every accepted run small
+    alpha, beta, gamma = entries
     argv = [
-        "validate", "--kind", kind, "--n", str(n), "--alpha", "0.6", "--beta", "0.5",
-        "--gamma", "0.6", "--seed", "1", "--pattern", "cycle:3", "--trials", trials,
-        "--sweep", "0.1", "0.9", steps, "--d-max", d_max,
+        "validate", "--kind", kind, "--n", str(n), "--alpha", alpha, "--beta", beta,
+        "--gamma", gamma, "--seed", str(seed), "--pattern", "cycle:3", "--trials", trials,
+        "--sweep", "0.1", "0.9", steps, "--d-max", d_max, "--generator", generator,
+        "--loops" if loops else "--no-loops",
     ]
+    if rmat_edges is not None:
+        argv += ["--rmat-edges", str(rmat_edges)]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         rc = main(argv)
@@ -721,8 +750,8 @@ VALID_ENTRY = st.floats(0.01, 0.6).map(repr)
 @given(
     generator=st.sampled_from(["naive", "stratified", "rmat"]),
     n=st.one_of(st.integers(1, 12), st.sampled_from([-1, 0, 15, 31, 62, 63])),
-    rmat_edges=st.one_of(st.integers(1, 1000), st.sampled_from([None, -1, 0, 10**21])),
-    seed=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([-1, 2**64])),
+    rmat_edges=RMAT_EDGES,
+    seed=SEEDS,
     loops=st.booleans(),
     entries=st.one_of(
         st.tuples(VALID_ENTRY, VALID_ENTRY, VALID_ENTRY),

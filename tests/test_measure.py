@@ -245,6 +245,9 @@ class TestConcentrationReport:
         assert report.degree_min <= report.degree_mean <= report.degree_max
         assert 0.95 <= report.in_window_edge_fraction <= 1.0
         assert report.include_loops is True
+        hist = edge_distance_histogram(g, count_loops=True)
+        assert report.distance_histogram == tuple(hist.tolist())
+        assert report.distance_histogram[0] == len(g.loops) > 0
 
     def test_symmetric_window_center(self):
         p = KroneckerParams(0.6, 0.6, 0.6, 8)

@@ -160,10 +160,10 @@ class TestSampledGraph:
 
     def test_arrays_are_read_only(self, small_params):
         g = SampledGraph.from_pairs(small_params, [(3, 1), (0, 2)], loops=[5])
-        for array in (g.edges, g.loops, g.edge_array, g.loop_array):
+        for array in (g.edges, g.loops, g.edge_array):
             with pytest.raises(ValueError):
                 array[0] = 7
-        assert g.edge_array is g.edges and g.loop_array is g.loops
+        assert g.edge_array is g.edges
 
     def test_equality_across_construction_routes(self, tmp_path):
         from kronval import SeedSpec, generate_stratified, read_edgelist, write_edgelist
