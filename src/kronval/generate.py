@@ -6,14 +6,18 @@ make a loop as the pair u = v, which ``SampledGraph.from_pairs`` keeps, or
 drops without loops.  The naive sampler (diagonal included) and R-MAT draw
 every pair from one stream; the stratified sampler draws every pair class
 from one stream and every loop class from another.  So switching loops off
-leaves the edges unchanged.
+leaves the edges unchanged.  Per family, the stratified sampler draws every
+class's edge count in one binomial call and the ranks of each run of small
+sparse classes in one integers call, so a small graph costs a handful of
+numpy calls rather than two per class.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -46,6 +50,14 @@ _RMAT_SUBBLOCK = 1 << 16  # rows per rng.random call: 32 MB of doubles at n = 62
 # 3n int32 digit masks per rank: 1.2 MiB at n = 13, 2.8 MiB at n = 30.  A
 # pass four times that size raised count-n13's peak RSS by about 2 MB.
 _UNRANK_BLOCK = 1 << 13
+# Draws a sparse class makes beyond its count before it looks for repeats.
+_SPARE_DRAWS = 16
+# Sparse classes (4k < size) of at most this many edges draw their ranks
+# together, one rng.integers call per run of consecutive such classes
+# (_draw_sparse_run); a run of the 496 classes at n = 30 holds at most
+# 135k draws.  Larger classes draw alone, through _sample_distinct's
+# bounded memory.
+_RANK_BATCH_MAX = 1 << 8
 
 # Binomial coefficients C[i, j] for i, j <= STRATIFIED_MAX_N, exact in int32
 # (C(30, 15) < 2^31), with a zero last row and column so that index -1
@@ -88,18 +100,49 @@ def pair_classes(n: int) -> Iterator[tuple[int, int, int, int]]:
             yield a, b, c, size
 
 
-def expected_edge_count(params: KroneckerParams, include_loops: bool = True) -> float:
-    """Expected number of distinct edges (plus loops when enabled)."""
-    la, lb, lg = params.log_entries()
-    total = 0.0
-    for a, b, c, size in pair_classes(params.n):
-        total += size * math.exp(a * la + b * lb + c * lg)
+class _ClassTable(NamedTuple):
+    """Read-only int64 columns over the classes the stratified sampler
+    draws, pair classes first, then loop class w as pair class (w, 0)."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    size: np.ndarray
+    start: np.ndarray  # the class's first key: the sizes before it, summed
+    families: tuple  # (stream label, slice of its classes) per family
+
+
+@functools.lru_cache(maxsize=None)
+def _class_table(n: int, include_loops: bool) -> _ClassTable:
+    """The class table of n, built once per (n, include_loops).  Keys
+    start + rank stay below the 2^(n-1) (2^n + 1) pairs u <= v, under 2^60
+    at n = 30."""
+    rows = list(pair_classes(n))
+    families = [("class", slice(0, len(rows)))]
     if include_loops:
-        n = params.n
-        total += sum(
-            math.comb(n, w) * math.exp(w * la + (n - w) * lg) for w in range(n + 1)
-        )
-    return total
+        families.append(("loop_class", slice(len(rows), len(rows) + n + 1)))
+        rows += [(w, 0, n - w, math.comb(n, w)) for w in range(n + 1)]
+    columns = np.array(rows, dtype=np.int64).T.copy()
+    start = np.cumsum(columns[3]) - columns[3]
+    columns.flags.writeable = start.flags.writeable = False
+    return _ClassTable(*columns, start, tuple(families))
+
+
+def expected_edge_count(params: KroneckerParams, include_loops: bool = True) -> float:
+    """Expected number of distinct edges (plus loops when enabled).
+
+    The ordered pairs (u, v) sum to (alpha + 2 beta + gamma)^n and the
+    diagonal to (alpha + gamma)^n, so the pairs u < v give
+    ((alpha + 2 beta + gamma)^n - (alpha + gamma)^n) / 2.  The difference
+    goes through the ratio of the two, 1 / (1 + 2 beta / (alpha + gamma)),
+    and expm1, so that a small beta loses no precision and a tiny
+    alpha + gamma neither overflows nor divides by zero.
+    """
+    n, beta = params.n, params.beta
+    loop_base = params.alpha + params.gamma
+    ordered = (loop_base + 2.0 * beta) ** n
+    pairs = -ordered * math.expm1(-n * math.log1p(2.0 * beta / loop_base)) / 2.0
+    return pairs + loop_base**n if include_loops else pairs
 
 
 def generate_naive(
@@ -203,14 +246,14 @@ def _sample_distinct(rng: np.random.Generator, size: int, k: int) -> np.ndarray:
         )
     # Keep the first k distinct values in draw order; unlike trimming a
     # sorted pool, this leaves the subset exactly uniform.
-    draws = rng.integers(0, size, size=k + 16, dtype=np.int64)
+    draws = rng.integers(0, size, size=k + _SPARE_DRAWS, dtype=np.int64)
     while True:
         ordered = np.sort(draws)
         repeats = ordered[1:][ordered[1:] == ordered[:-1]]
         distinct = len(draws) - len(repeats)
         if distinct >= k:
             break
-        more = rng.integers(0, size, size=k - distinct + 16, dtype=np.int64)
+        more = rng.integers(0, size, size=k - distinct + _SPARE_DRAWS, dtype=np.int64)
         draws = np.concatenate([draws, more])
     if len(repeats):
         # Drop every occurrence of a repeated value but its first.
@@ -220,22 +263,70 @@ def _sample_distinct(rng: np.random.Generator, size: int, k: int) -> np.ndarray:
     return draws[:k]
 
 
-def _draw_class_ranks(rngs: list, classes: list) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct ranks of every (size, probability) class, class i from rngs[i].
+def _draw_sparse_run(
+    rng: np.random.Generator, sizes: np.ndarray, counts: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """counts[i] distinct uniform ranks of [0, sizes[i]) per class i, in
+    class order, for a run of sparse classes.
 
-    Classes may share a generator.  Every class draws its binomial count, in
-    class order, before any class draws ranks, so the ranks land in one
-    int64 array allocated at its final size.  Returns the ranks in class
-    order and each rank's int16 class index (n <= 30 gives at most 465 pair
-    classes and 31 loop classes, 496 in all).
+    Class i draws counts[i] + _SPARE_DRAWS ranks, or none at a zero count,
+    and the whole run draws in one rng.integers call, which yields what
+    consecutive per-class calls would.  Repeats are found over the keys
+    starts[i] + rank, distinct across classes, by one stable sort.  Each
+    class keeps its first counts[i] distinct ranks in draw order, as
+    _sample_distinct does, which leaves its subset exactly uniform.  Every
+    class left short draws counts[i] - distinct + _SPARE_DRAWS more, all in
+    one call, after the whole run's first draws, until none is short.
     """
-    counts = [int(rng.binomial(size, p)) for rng, (size, p) in zip(rngs, classes)]
-    ranks = np.empty(sum(counts), dtype=np.int64)
-    at = 0
-    for rng, (size, _), count in zip(rngs, classes, counts):
-        ranks[at : at + count] = _sample_distinct(rng, size, count)
-        at += count
-    return ranks, np.repeat(np.arange(len(classes), dtype=np.int16), counts)
+    cls = np.repeat(np.arange(len(sizes)), np.where(counts > 0, counts + _SPARE_DRAWS, 0))
+    ranks = rng.integers(0, sizes[cls], dtype=np.int64)
+    refilled = False
+    while True:
+        keys = starts[cls] + ranks
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        first[order[1:]] = keys[1:] != keys[:-1]
+        distinct = np.bincount(cls[first], minlength=len(sizes))
+        short = np.flatnonzero(distinct < counts)
+        if not len(short):
+            break
+        more = np.repeat(short, counts[short] - distinct[short] + _SPARE_DRAWS)
+        cls = np.concatenate([cls, more])
+        ranks = np.concatenate([ranks, rng.integers(0, sizes[more], dtype=np.int64)])
+        refilled = True
+    cls, ranks = cls[first], ranks[first]
+    if refilled:
+        # Refills sit after the run's first draws: regroup by class, in draw order.
+        order = np.argsort(cls, kind="stable")
+        cls, ranks = cls[order], ranks[order]
+    place = np.arange(len(cls)) - (np.cumsum(distinct) - distinct)[cls]
+    return ranks[place < counts[cls]]
+
+
+def _draw_class_ranks(
+    rng: np.random.Generator, sizes: np.ndarray, counts: np.ndarray, starts: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Write counts[i] distinct uniform ranks of [0, sizes[i]) for every
+    class i into out, in class order, all from rng.
+
+    Each run of consecutive sparse classes (4k < size) of at most
+    _RANK_BATCH_MAX edges draws in one go (_draw_sparse_run).  Every other
+    class, dense or large, draws alone through _sample_distinct, in class
+    order between the runs.
+    """
+    offsets = [0] + np.cumsum(counts).tolist()
+    alone = np.flatnonzero((4 * counts >= sizes) | (counts > _RANK_BATCH_MAX)).tolist()
+    run = 0
+    for i in alone + [len(sizes)]:
+        if offsets[run] < offsets[i]:
+            out[offsets[run] : offsets[i]] = _draw_sparse_run(
+                rng, sizes[run:i], counts[run:i], starts[run:i]
+            )
+        if i < len(sizes):
+            out[offsets[i] : offsets[i + 1]] = _sample_distinct(rng, int(sizes[i]), int(counts[i]))
+        run = i + 1
 
 
 def generate_stratified(
@@ -253,8 +344,12 @@ def generate_stratified(
     u == v from_pairs keeps as loops.  Every pair class draws from the
     stream seed.child("class") and every loop class from
     seed.child("loop_class"), so the edges do not depend on include_loops.
-    The ranks of all classes are drawn into the edge array itself
-    (_draw_class_ranks) and unranked in place by _unrank_pairs,
+    The class table of each (n, include_loops) is built once.  Per family,
+    one rng.binomial call draws every class's count, and then the ranks are
+    drawn in class order: one rng.integers call per run of small sparse
+    classes, one _sample_distinct call per dense or large class
+    (_draw_class_ranks).  The ranks go into the edge array itself, allocated
+    at its final size, and are unranked in place by _unrank_pairs,
     _UNRANK_BLOCK ranks per vectorized pass with each rank's class as its
     key, so a small graph pays one pass rather than one per class; the
     blocking consumes no randomness and leaves the output unchanged.  Scales
@@ -273,23 +368,24 @@ def generate_stratified(
             f"expected edge count {expected:.3g} exceeds the budget"
             f" {max_expected_edges:.3g}"
         )
+    table = _class_table(n, include_loops)
     la, lb, lg = params.log_entries()
-
-    classes = list(pair_classes(n))
-    rngs = [seed.child("class").generator()] * len(classes)
-    if include_loops:
-        # Loop class w, the C(n, w) vertices of weight w, is pair class (w, 0).
-        rngs += [seed.child("loop_class").generator()] * (n + 1)
-        classes += [(w, 0, n - w, math.comb(n, w)) for w in range(n + 1)]
-    edge_u, class_of = _draw_class_ranks(
-        rngs, [(size, math.exp(a * la + b * lb + c * lg)) for a, b, c, size in classes]
-    )
-    a_of, b_of, _, _ = np.array(classes, dtype=np.int64).T
+    probs = np.exp(table.a * la + table.b * lb + table.c * lg)
+    families = [(seed.child(label).generator(), part) for label, part in table.families]
+    counts = [rng.binomial(table.size[part], probs[part]) for rng, part in families]
+    edge_u = np.empty(sum(int(family_counts.sum()) for family_counts in counts), dtype=np.int64)
+    at = 0
+    for (rng, part), family_counts in zip(families, counts):
+        stop = at + int(family_counts.sum())
+        _draw_class_ranks(rng, table.size[part], family_counts, table.start[part], edge_u[at:stop])
+        at = stop
+    # n <= 30 gives at most 465 pair classes and 31 loop classes, 496 in all.
+    class_of = np.repeat(np.arange(len(table.size), dtype=np.int16), np.concatenate(counts))
     edge_v = np.empty_like(edge_u)
     # Each slice of ranks is read whole before its vertices overwrite it.
     for s in range(0, len(edge_u), _UNRANK_BLOCK):
         e = s + _UNRANK_BLOCK
-        a, b = a_of[class_of[s:e]], b_of[class_of[s:e]]
+        a, b = table.a[class_of[s:e]], table.b[class_of[s:e]]
         edge_u[s:e], edge_v[s:e] = _unrank_pairs(n, a, b, edge_u[s:e])
     del class_of  # the loop keeps no view of it, so from_pairs runs without it
     return SampledGraph.from_pairs(params, edge_u, edge_v, include_loops=include_loops)

@@ -93,6 +93,12 @@ class ExperimentConfig:
         if not 0 <= self.degree_max <= TABLE_MAX:
             raise ConfigError(f"degree-max must lie in [0, {TABLE_MAX}]")
         _check_generator(self.params, self.generator, self.include_loops, self.rmat_edges)
+        if self.generator == "rmat" and self.kind in ("degrees", "subgraph"):
+            raise ConfigError(
+                f"kind={self.kind} judges graphs against the stochastic Kronecker model's"
+                " closed forms, which rmat graphs do not follow; use the naive or stratified"
+                " generator"
+            )
         if not self.allow_large and self.generator == "stratified" and self.params.n > STRATIFIED_GUARD_N:
             raise ConfigError(
                 f"stratified generation is guarded at n <= {STRATIFIED_GUARD_N};"

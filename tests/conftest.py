@@ -152,6 +152,44 @@ def sample_distinct_oracle(rng: np.random.Generator, size: int, k: int) -> np.nd
         draws = np.concatenate([draws, more])
 
 
+def sparse_run_oracle(rng: np.random.Generator, sizes, counts) -> np.ndarray:
+    """The ranks of a run of sparse classes, one class at a time: class i
+    draws counts[i] + 16 values (none at a zero count), then, round by
+    round, every class with fewer than counts[i] distinct values draws
+    counts[i] - distinct + 16 more, appended after its earlier draws; each
+    class keeps its first counts[i] distinct values in draw order."""
+    sizes, counts = [int(s) for s in sizes], [int(k) for k in counts]
+    draws = [rng.integers(0, s, size=k + 16).tolist() if k else [] for s, k in zip(sizes, counts)]
+    while True:
+        short = [i for i, k in enumerate(counts) if len(set(draws[i])) < k]
+        if not short:
+            break
+        for i in short:
+            more = counts[i] - len(set(draws[i])) + 16
+            draws[i] += rng.integers(0, sizes[i], size=more).tolist()
+    kept = []
+    for class_draws, k in zip(draws, counts):
+        kept += list(dict.fromkeys(class_draws))[:k]
+    return np.array(kept, dtype=np.int64)
+
+
+class CountingGenerator:
+    """A numpy Generator that records the name of every method called on it."""
+
+    def __init__(self, rng: np.random.Generator, calls: list):
+        self._rng = rng
+        self._calls = calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
 def falling_factorial(d: int, k: int) -> int:
     out = 1
     for step in range(k):

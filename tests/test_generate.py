@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 import kronval.generate
 from kronval import (
@@ -24,9 +26,22 @@ from kronval import (
     pair_classes,
     rmat_pairs,
 )
-from kronval.generate import STRATIFIED_MAX_N, _COMB, _sample_distinct, _unrank_pairs
+from kronval.generate import (
+    _COMB,
+    _RANK_BATCH_MAX,
+    STRATIFIED_MAX_N,
+    _draw_sparse_run,
+    _sample_distinct,
+    _unrank_pairs,
+)
 
-from conftest import lex_subset, sample_distinct_oracle, unrank_pair_oracle
+from conftest import (
+    CountingGenerator,
+    lex_subset,
+    sample_distinct_oracle,
+    sparse_run_oracle,
+    unrank_pair_oracle,
+)
 
 
 def test_pair_class_sizes_cover_all_pairs():
@@ -93,6 +108,74 @@ def test_naive_per_class_inclusion_frequencies():
         assert abs(observed - expected) <= 3 * sigma + 1e-9, (a, b, c)
 
 
+def _pair_classes_of(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) of each edge row: both-one and mixed digit counts."""
+    u, v = edges[:, 0], edges[:, 1]
+    return np.bitwise_count(u & v).astype(np.int64), np.bitwise_count(u ^ v).astype(np.int64)
+
+
+def test_stratified_per_class_inclusion_frequencies(monkeypatch):
+    # At (0.9, 0.7, 0.7), n = 8, the pair classes take all three rank routes:
+    # (6, 1, 1), (6, 2, 0) and (7, 1, 0) are dense (4k >= size), (2, 4, 2),
+    # (2, 5, 1), (3, 3, 2) and (3, 4, 1) hold over _RANK_BATCH_MAX edges, and
+    # the rest draw in batched runs, (4, 3, 1) refilling in about 2 of 5.
+    p = KroneckerParams(alpha=0.9, beta=0.7, gamma=0.7, n=8)
+    trials = 200
+    routes = collections.Counter()
+    sample_distinct, sparse_run = kronval.generate._sample_distinct, _draw_sparse_run
+
+    def alone(rng, size, k):
+        routes["dense" if 4 * k >= size else "large"] += 1
+        return sample_distinct(rng, size, k)
+
+    def batched(rng, sizes, counts, starts):
+        routes["batched"] += 1
+        return sparse_run(rng, sizes, counts, starts)
+
+    monkeypatch.setattr(kronval.generate, "_sample_distinct", alone)
+    monkeypatch.setattr(kronval.generate, "_draw_sparse_run", batched)
+    # Every pair u < v of batched class (1, 2, 5), 336 pairs, as u << 8 | v.
+    u, v = np.triu_indices(256, 1)
+    all_pairs = np.column_stack([u, v])
+    a, b = _pair_classes_of(all_pairs)
+    watched = np.sort((u << 8 | v)[(a == 1) & (b == 2)])
+    watched_hits = np.zeros(len(watched), dtype=np.int64)
+    class_hits = collections.Counter()
+    for t in range(trials):
+        g = generate_stratified(p, include_loops=False, seed=SeedSpec(5).child("t", t))
+        a, b = _pair_classes_of(g.edges)
+        class_hits.update(zip(a.tolist(), b.tolist()))
+        keys = (g.edges[:, 0] << 8 | g.edges[:, 1])[(a == 1) & (b == 2)]
+        watched_hits[np.searchsorted(watched, keys)] += 1
+    assert routes["dense"] and routes["large"] and routes["batched"]
+    for a, b, c, size in pair_classes(8):
+        prob = p.alpha**a * p.beta**b * p.gamma**c
+        draws = trials * size
+        sigma = math.sqrt(draws * prob * (1 - prob))
+        assert abs(class_hits[a, b] - draws * prob) <= 3 * sigma + 1e-9, (a, b, c)
+    # Within the class every pair is equally likely.
+    assert len(watched) == 336 and watched_hits.sum() == class_hits[1, 2]
+    assert chisquare(watched_hits).pvalue > 1e-4
+
+
+def test_refilled_class_keeps_a_uniform_subset():
+    # 256 + 16 draws from 1025 ranks repeat about 34 times, so this class
+    # at the batch bound almost always draws again; keep the runs that did.
+    size, k = 1025, _RANK_BATCH_MAX
+    hits = np.zeros(size, dtype=np.int64)
+    refilled = 0
+    for seed in range(1000):
+        calls = []
+        rng = CountingGenerator(np.random.default_rng(seed), calls)
+        ranks = _draw_sparse_run(rng, np.array([size]), np.array([k]), np.array([0]))
+        assert len(np.unique(ranks)) == k
+        if len(calls) > 1:
+            refilled += 1
+            hits[ranks] += 1
+    assert refilled > 900
+    assert chisquare(hits).pvalue > 1e-4
+
+
 def test_generators_deterministic_and_loop_toggle_stable():
     p = KroneckerParams(alpha=0.6, beta=0.4, gamma=0.3, n=7)
     seed = SeedSpec(31)
@@ -136,6 +219,49 @@ def test_stratified_derives_one_stream_per_class_family(monkeypatch, include_loo
         rmat = RmatParams(base=KroneckerParams(0.45, 0.2, 0.15, 2), m=(1 << 20) + 1)
         assert len(rmat_pairs(rmat, seed)[0]) == rmat.m
         assert derived == [("trial", 2, "pairs", 0)]
+
+
+def test_stratified_graph_makes_a_few_rng_calls(monkeypatch):
+    # One binomial call per family and one integers call per run of small
+    # sparse classes, not two calls for each of the 78 pair and 13 loop
+    # classes at n = 12.
+    calls = {}
+    generator = SeedSpec.generator
+
+    def spy(spec):
+        calls[spec.stream[-1]] = []
+        return CountingGenerator(generator(spec), calls[spec.stream[-1]])
+
+    monkeypatch.setattr(SeedSpec, "generator", spy)
+    p = KroneckerParams(alpha=0.8, beta=0.5, gamma=0.1, n=12)
+    g = generate_stratified(p, seed=SeedSpec(1))
+    assert len(g.edges) > 500
+    assert set(calls) == {"class", "loop_class"}
+    assert calls["class"][0] == "binomial" and calls["loop_class"][0] == "binomial"
+    assert sum(map(len, calls.values())) <= 6, calls
+
+
+def test_array_binomial_equals_scalar_calls():
+    # The stratified sampler's one call per family yields the counts one
+    # scalar call per class, in class order, would.
+    sizes = np.array([1, 12, 336, 50688, 1 << 40, (1 << 59) - 1], dtype=np.int64)
+    probs = np.array([0.069, 0.5, 0.0741, 2e-3, 1e-9, 3e-17])
+    batch, scalar = np.random.default_rng(7), np.random.default_rng(7)
+    counts = batch.binomial(sizes, probs)
+    assert counts.tolist() == [int(scalar.binomial(int(n), float(q))) for n, q in zip(sizes, probs)]
+    assert batch.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 5, 12, 30])
+def test_expected_edge_count_sums_the_classes(n):
+    for alpha, beta, gamma in [(0.6, 0.4, 0.2), (0.9, 1e-9, 0.7), (1e-300, 0.5, 1e-300)]:
+        p = KroneckerParams(alpha, beta, gamma, n)
+        pairs = sum(
+            size * alpha**a * beta**b * gamma**c for a, b, c, size in pair_classes(n)
+        )
+        loops = sum(math.comb(n, w) * alpha**w * gamma ** (n - w) for w in range(n + 1))
+        assert expected_edge_count(p, include_loops=False) == pytest.approx(pairs, rel=1e-12)
+        assert expected_edge_count(p) == pytest.approx(pairs + loops, rel=1e-12)
 
 
 def test_stratified_matches_naive_mean_edge_count():
@@ -310,6 +436,32 @@ def _class_ranks(draw, n: int):
     a = draw(st.integers(0, n))
     b = draw(st.integers(0, n - a))
     return a, b, draw(st.integers(0, _class_size(n, a, b) - 1))
+
+
+@st.composite
+def _sparse_runs(draw):
+    """(sizes, counts) of a run of sparse classes: 4k < size, k <= the bound."""
+    sizes = draw(st.lists(st.one_of(st.integers(1, 2000), st.integers(1, 1 << 58)), max_size=8))
+    counts = [draw(st.integers(0, min(_RANK_BATCH_MAX, (s - 1) // 4))) for s in sizes]
+    return sizes, counts
+
+
+class TestSparseRun:
+    @settings(max_examples=150, deadline=None)
+    @given(run=_sparse_runs(), seed=st.integers(0, 2**32 - 1))
+    # At the bound, refilled (test_refilled_class_keeps_a_uniform_subset).
+    @example(run=([1025], [_RANK_BATCH_MAX]), seed=0)
+    @example(run=([7, 100, 3, 1 << 58], [0, 5, 0, 0]), seed=1)  # zero counts draw nothing
+    @example(run=([900, 41, 1025, 5], [200, 10, 256, 1]), seed=2)  # refills amid others
+    def test_matches_per_class_oracle(self, run, seed):
+        sizes, counts = (np.array(column, dtype=np.int64) for column in run)
+        starts = np.cumsum(sizes) - sizes
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _draw_sparse_run(rng, sizes, counts, starts)
+        want = sparse_run_oracle(oracle_rng, sizes, counts)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        # the same draws were made: both generators end in the same state
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestPooledUnranking:

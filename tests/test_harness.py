@@ -96,19 +96,31 @@ class TestConfigValidation:
         cfg(kind="thresholds", pattern="cycle:4", sweep=(0.3, 0.7, 4)).validate()
 
     def test_rmat_needs_constraint_and_edges(self):
-        with pytest.raises(ConfigError):
-            cfg(generator="rmat").validate()
-        with pytest.raises(ConfigError):
+        # regime samples nothing, so the generator rules alone decide it
+        with pytest.raises(ConfigError, match="needs --rmat-edges"):
+            cfg(kind="regime", generator="rmat").validate()
+        with pytest.raises(ConfigError, match="must equal 1"):
             cfg(
+                kind="regime",
                 generator="rmat",
                 rmat_edges=100,
                 params=KroneckerParams(0.7, 0.3, 0.3, 6),
             ).validate()
         cfg(
+            kind="regime",
             generator="rmat",
             rmat_edges=100,
             params=KroneckerParams(0.45, 0.2, 0.15, 6),
         ).validate()
+
+    @pytest.mark.parametrize("kind", ["degrees", "subgraph"])
+    def test_rmat_refused_where_judged_by_kronecker_closed_forms(self, kind):
+        # R-MAT's merged digit draws miss these closed forms by |z| = 5.48
+        # (degree_0_count) and 27.4 (cycle:3 copies) at n = 4, 100 draws.
+        rmat = dict(generator="rmat", rmat_edges=100, params=KroneckerParams(0.45, 0.2, 0.15, 4))
+        with pytest.raises(ConfigError, match="closed forms, which rmat graphs do not follow"):
+            cfg(kind=kind, pattern="cycle:3", **rmat).validate()
+        cfg(kind=kind, pattern="cycle:3", **{**rmat, "generator": "stratified"}).validate()
 
     def test_desk_scale_guards(self):
         with pytest.raises(ConfigError):
@@ -128,8 +140,11 @@ class TestConfigValidation:
         cfg(params=stratified, allow_large=True).validate()
         with pytest.raises(ConfigError, match="stratified generation caps at n = 30"):
             cfg(params=dataclasses.replace(stratified, n=31), allow_large=True).validate()
-        rmat = dict(generator="rmat", rmat_edges=100, allow_large=True)
-        cfg(params=KroneckerParams(0.45, 0.2, 0.15, 62), **rmat).validate()
+        # Every kind that samples rmat graphs is refused at any n, so its
+        # cap shows only as the first refusal past it.
+        rmat = dict(kind="hamming", generator="rmat", rmat_edges=100, allow_large=True)
+        with pytest.raises(ConfigError, match="requires alpha = gamma"):
+            cfg(params=KroneckerParams(0.45, 0.2, 0.15, 62), **rmat).validate()
         with pytest.raises(ConfigError, match="rmat generation caps at n = 62"):
             cfg(params=KroneckerParams(0.45, 0.2, 0.15, 63), **rmat).validate()
         regime = KroneckerParams(0.7, 0.3, 0.3, 100_000)
@@ -138,7 +153,9 @@ class TestConfigValidation:
             cfg(kind="regime", params=dataclasses.replace(regime, n=100_001), allow_large=True).validate()
 
     def test_rmat_refuses_no_loops(self):
-        rmat = dict(generator="rmat", rmat_edges=100, params=KroneckerParams(0.45, 0.2, 0.15, 6))
+        rmat = dict(
+            kind="regime", generator="rmat", rmat_edges=100, params=KroneckerParams(0.45, 0.2, 0.15, 6)
+        )
         with pytest.raises(ConfigError, match="no-loops"):
             cfg(include_loops=False, **rmat).validate()
         cfg(**rmat).validate()
@@ -439,12 +456,11 @@ class TestCli:
         monkeypatch.setattr(kronval.harness, "generate_graph", no_generation)
         rc = main(
             [
-                "validate", "--kind", "degrees", "--generator", "rmat", "--n", "40",
-                "--alpha", "0.5", "--beta", "0.2", "--gamma", "0.1", "--rmat-edges", "10",
-                "--seed", "1",
+                "validate", "--kind", "degrees", "--n", "29", "--allow-large",
+                "--alpha", "0.5", "--beta", "0.2", "--gamma", "0.1", "--seed", "1",
             ]
         )
-        assert rc == 2 and capsys.readouterr().err == captured.err
+        assert rc == 2 and capsys.readouterr().err == captured.err.replace("n = 40", "n = 29")
 
     def test_degrees_cap_is_checked_from_the_header_alone(self, tmp_path, capsys, monkeypatch):
         # A valid n = 40 header over a body that is not an edge list: the cap
@@ -700,7 +716,8 @@ def test_validate_exit_code_property(
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         rc = main(argv)
-    assert rc in (0, 1, 2)
+    # R-MAT graphs do not follow the closed forms these kinds judge by.
+    assert rc in ((2,) if generator == "rmat" and kind in ("degrees", "subgraph") else (0, 1, 2))
     assert "Traceback" not in err.getvalue()
 
 
