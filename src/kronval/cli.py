@@ -21,6 +21,7 @@ from .generate import generate_naive, generate_rmat, generate_stratified  # noqa
 from .harness import (
     GENERATORS,
     KINDS,
+    MODEL_GENERATORS,
     ExperimentConfig,
     canonical_json,
     check_degree_array,
@@ -174,12 +175,10 @@ def _cmd_validate(args) -> int:
         seed=args.seed,
         trials=args.trials,
         generator=args.generator,
-        rmat_edges=args.rmat_edges,
         include_loops=args.loops,
         pattern=_pattern_text(args.pattern) if args.pattern else args.pattern,
         degree_max=args.d_max,
         sweep=sweep,
-        allow_large=args.allow_large,
         dump_edges=args.dump_edges,
     )
     report = run_experiment(config)
@@ -261,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--kind", choices=KINDS, required=True)
     p_val.add_argument("--seed", type=int, required=True)
     p_val.add_argument("--trials", type=int, default=20)
-    p_val.add_argument("--generator", choices=GENERATORS, default="stratified")
-    p_val.add_argument("--rmat-edges", type=int, default=None)
+    p_val.add_argument("--generator", choices=MODEL_GENERATORS, default="stratified",
+                       help="checked at every graph the run samples, before trial 0")
     p_val.add_argument("--loops", action=argparse.BooleanOptionalAction, default=True)
     p_val.add_argument("--pattern", default=None)
     p_val.add_argument("--d-max", type=int, default=8)
@@ -270,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sweep", nargs=3, type=float, metavar=("LO", "HI", "STEPS"), default=None,
         help="alpha(=gamma) sweep for kind=thresholds",
     )
-    p_val.add_argument("--allow-large", action="store_true")
     p_val.add_argument("--dump-edges", default=None, metavar="PREFIX",
                        help="also write each trial's edge list to PREFIX.<tag>.edges")
     p_val.add_argument("--out-json", default=None)

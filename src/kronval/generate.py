@@ -72,7 +72,8 @@ _COMB = np.array(
 @dataclass(frozen=True)
 class RmatParams:
     """Digit-sampling parameters: the initiator entries must satisfy
-    alpha + 2*beta + gamma = 1, and m is the number of generated pairs."""
+    alpha + 2*beta + gamma = 1, and m is the number of generated pairs, at
+    most RMAT_MAX_EDGES, with n <= GRAPH_MAX_N (CapacityError past either)."""
 
     base: KroneckerParams
     m: int
@@ -84,7 +85,11 @@ class RmatParams:
                 f"alpha + 2*beta + gamma must equal 1, got {total!r}"
             )
         if self.m < 1:
-            raise ParameterError(f"m must be >= 1, got {self.m}")
+            raise ParameterError(f"rmat generation needs at least 1 draw, got {self.m}")
+        if self.m > RMAT_MAX_EDGES:
+            raise CapacityError(f"rmat generation caps at {RMAT_MAX_EDGES} draws, got {self.m}")
+        if self.base.n > GRAPH_MAX_N:
+            raise CapacityError(f"rmat generation caps at n = {GRAPH_MAX_N}, got n = {self.base.n}")
 
 
 def pair_classes(n: int) -> Iterator[tuple[int, int, int, int]]:
@@ -145,6 +150,27 @@ def expected_edge_count(params: KroneckerParams, include_loops: bool = True) -> 
     return pairs + loop_base**n if include_loops else pairs
 
 
+def check_naive(params: KroneckerParams) -> None:
+    """Raise CapacityError where generate_naive refuses params."""
+    if params.n > NAIVE_MAX_N:
+        raise CapacityError(
+            f"naive generation enumerates all pairs and caps at n = {NAIVE_MAX_N},"
+            f" got n = {params.n}; use the stratified generator"
+        )
+
+
+def check_stratified(params: KroneckerParams, include_loops: bool = True) -> None:
+    """Raise CapacityError where generate_stratified refuses params."""
+    n = params.n
+    if n > STRATIFIED_MAX_N:
+        raise CapacityError(f"stratified generation caps at n = {STRATIFIED_MAX_N}, got n = {n}")
+    expected = expected_edge_count(params, include_loops)
+    if expected > DEFAULT_EDGE_BUDGET:
+        raise CapacityError(
+            f"expected edge count {expected:.3g} exceeds the budget {DEFAULT_EDGE_BUDGET:.3g}"
+        )
+
+
 def generate_naive(
     params: KroneckerParams, include_loops: bool = True, seed: SeedSpec = SeedSpec(0)
 ) -> SampledGraph:
@@ -156,12 +182,7 @@ def generate_naive(
     and a drawn pair u = v is a loop, which from_pairs drops without
     include_loops.  Capped at n = 14; use generate_stratified beyond that.
     """
-    n = params.n
-    if n > NAIVE_MAX_N:
-        raise CapacityError(
-            f"naive generation enumerates all pairs and caps at n = {NAIVE_MAX_N};"
-            f" use generate_stratified for n = {n}"
-        )
+    check_naive(params)
     size = params.vertex_count
     rng = seed.child("pairs").generator()
     us = []
@@ -333,7 +354,6 @@ def generate_stratified(
     params: KroneckerParams,
     include_loops: bool = True,
     seed: SeedSpec = SeedSpec(0),
-    max_expected_edges: float = DEFAULT_EDGE_BUDGET,
 ) -> SampledGraph:
     """Class-based sampler with the same output distribution as generate_naive.
 
@@ -352,22 +372,12 @@ def generate_stratified(
     at its final size, and are unranked in place by _unrank_pairs,
     _UNRANK_BLOCK ranks per vectorized pass with each rank's class as its
     key, so a small graph pays one pass rather than one per class; the
-    blocking consumes no randomness and leaves the output unchanged.  Scales
-    to n = 30 as long as the expected edge count fits
-    ``max_expected_edges``; the default, ``DEFAULT_EDGE_BUDGET``, keeps the
-    measured peak of ``STRATIFIED_PEAK_BYTES_PER_EDGE`` per edge under
-    ``GENERATE_MEMORY_CEILING`` (3 GiB), and a graph over it raises
-    CapacityError before any class is sampled.
+    blocking consumes no randomness and leaves the output unchanged.  Past
+    n = 30 or DEFAULT_EDGE_BUDGET expected edges, check_stratified refuses
+    the graph before any class is sampled.
     """
     n = params.n
-    if n > STRATIFIED_MAX_N:
-        raise CapacityError(f"stratified generation caps at n = {STRATIFIED_MAX_N}")
-    expected = expected_edge_count(params, include_loops)
-    if expected > max_expected_edges:
-        raise CapacityError(
-            f"expected edge count {expected:.3g} exceeds the budget"
-            f" {max_expected_edges:.3g}"
-        )
+    check_stratified(params, include_loops)
     table = _class_table(n, include_loops)
     la, lb, lg = params.log_entries()
     probs = np.exp(table.a * la + table.b * lb + table.c * lg)
@@ -401,10 +411,6 @@ def rmat_pairs(rmat: RmatParams, seed: SeedSpec = SeedSpec(0)) -> tuple[np.ndarr
     """
     params = rmat.base
     n = params.n
-    if n > GRAPH_MAX_N:
-        raise CapacityError(
-            f"digit sampling packs vertices into int64, so n <= {GRAPH_MAX_N}; got {n}"
-        )
     alpha, beta = params.alpha, params.beta
     powers = (np.int64(1) << np.arange(n, dtype=np.int64)).astype(np.int64)
     us = np.empty(rmat.m, dtype=np.int64)

@@ -13,18 +13,18 @@ import csv
 import io
 import json
 import math
+import dataclasses
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ._version import __version__
-from .errors import ConfigError, ParameterError
+from .errors import CapacityError, ConfigError, ParameterError
 from .generate import (
     GENERATE_MEMORY_CEILING,
-    NAIVE_MAX_N,
-    RMAT_MAX_EDGES,
-    STRATIFIED_MAX_N,
     RmatParams,
+    check_naive,
+    check_stratified,
     generate_naive,
     generate_rmat,
     generate_stratified,
@@ -37,9 +37,8 @@ from .measure import (
     # Bound for perfbench/spans.py, which traces this name on this module.
     edge_distance_histogram,  # noqa: F401
 )
-from .model import GRAPH_MAX_N, KroneckerParams
+from .model import KroneckerParams
 from .patterns import (
-    PatternGraph,
     base_value,
     expected_copies_asymptotic,
     expected_copies_exact,
@@ -57,9 +56,8 @@ from .streams import SeedSpec
 
 KINDS = ("degrees", "subgraph", "hamming", "regime", "thresholds")
 GENERATORS = ("naive", "stratified", "rmat")
-# The n caps of the generators whose cap _check_generator does not already enforce.
-SAMPLER_MAX_N = {"stratified": STRATIFIED_MAX_N, "rmat": GRAPH_MAX_N}
-STRATIFIED_GUARD_N = 22
+# The generators whose graphs follow the closed forms validate judges by (rmat's do not).
+MODEL_GENERATORS = ("naive", "stratified")
 # The largest n whose degree array, 2^n int64 counts, fits GENERATE_MEMORY_CEILING.
 DEGREE_ARRAY_MAX_N = (GENERATE_MEMORY_CEILING // 8).bit_length() - 1
 
@@ -72,17 +70,19 @@ DISTANCE_REL_TOLERANCE = 0.02
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One validate run.  validate() refuses, before trial 0, a run that cannot
+    complete, checking the generator's limits at every parameter point the run
+    samples: each sweep point of thresholds, and none for regime."""
+
     params: KroneckerParams
     kind: str
     seed: int
     trials: int = 20
     generator: str = "stratified"
-    rmat_edges: "int | None" = None
     include_loops: bool = True
     pattern: "str | None" = None
     degree_max: int = 8
     sweep: "tuple | None" = None  # (alpha_lo, alpha_hi, steps) for thresholds
-    allow_large: bool = False
     dump_edges: "str | None" = None  # path prefix for per-trial edge-list dumps
 
     def validate(self) -> None:
@@ -92,34 +92,13 @@ class ExperimentConfig:
             raise ConfigError(f"trials must lie in [1, {TABLE_MAX}], got {self.trials}")
         if not 0 <= self.degree_max <= TABLE_MAX:
             raise ConfigError(f"degree-max must lie in [0, {TABLE_MAX}]")
-        _check_generator(self.params, self.generator, self.include_loops, self.rmat_edges)
-        if self.generator == "rmat" and self.kind in ("degrees", "subgraph"):
-            raise ConfigError(
-                f"kind={self.kind} judges graphs against the stochastic Kronecker model's"
-                " closed forms, which rmat graphs do not follow; use the naive or stratified"
-                " generator"
-            )
-        if not self.allow_large and self.generator == "stratified" and self.params.n > STRATIFIED_GUARD_N:
-            raise ConfigError(
-                f"stratified generation is guarded at n <= {STRATIFIED_GUARD_N};"
-                " pass allow_large to override"
-            )
-        # Bound n before any run allocates per-digit arrays of length n + 1.
-        if self.kind == "regime":
-            n_cap, what = TABLE_MAX, "the regime table"
-        else:
-            n_cap, what = SAMPLER_MAX_N.get(self.generator), f"{self.generator} generation"
-        if n_cap is not None and self.params.n > n_cap:
-            raise ConfigError(f"{what} caps at n = {n_cap}, got n = {self.params.n}")
-        if self.kind in ("subgraph", "thresholds"):
-            if not self.pattern:
-                raise ConfigError(f"kind={self.kind} needs a pattern")
-            check_countable(parse_pattern(self.pattern), self.params.n)
-        if self.kind == "hamming":
-            if not self.params.alpha_equals_gamma:
-                raise ConfigError("the hamming experiment requires alpha = gamma")
-            if self.params.alpha + self.params.beta <= 1.0:
-                raise ConfigError("the hamming experiment requires alpha + beta > 1")
+        if self.generator not in MODEL_GENERATORS:
+            raise ConfigError(f"validate's generator must be one of {MODEL_GENERATORS}")
+        n = self.params.n
+        if self.kind == "regime":  # bound n before the table's per-digit arrays
+            if n > TABLE_MAX:
+                raise ConfigError(f"the regime table caps at n = {TABLE_MAX}, got n = {n}")
+            return
         if self.kind == "thresholds":
             if self.sweep is None:
                 raise ConfigError("kind=thresholds needs a sweep (alpha_lo alpha_hi steps)")
@@ -128,9 +107,31 @@ class ExperimentConfig:
                 raise ConfigError("sweep endpoints must satisfy 0 < lo < hi < 1")
             if not 2 <= steps <= TABLE_MAX:
                 raise ConfigError(f"sweep STEPS must lie in [2, {TABLE_MAX}], got {steps}")
+        for point in _sample_points(self):
+            _check_generator(point, self.generator, self.include_loops)
+        if self.kind == "degrees":
+            check_degree_array(n)
+        if self.kind in ("subgraph", "thresholds"):
+            if not self.pattern:
+                raise ConfigError(f"kind={self.kind} needs a pattern")
+            check_countable(parse_pattern(self.pattern), n)
+        if self.kind == "hamming":
+            if not self.params.alpha_equals_gamma:
+                raise ConfigError("the hamming experiment requires alpha = gamma")
+            if self.params.alpha + self.params.beta <= 1.0:
+                raise ConfigError("the hamming experiment requires alpha + beta > 1")
 
     def echo(self) -> dict:
         return asdict(self)
+
+
+def _sample_points(config: ExperimentConfig) -> list:
+    """The parameter points the run samples, in run order: none for regime,
+    each alpha = gamma point of the sweep for thresholds, else the params."""
+    if config.kind != "thresholds":
+        return [] if config.kind == "regime" else [config.params]
+    alphas = np.linspace(*config.sweep[:2], int(config.sweep[2])).tolist()
+    return [dataclasses.replace(config.params, alpha=a, gamma=a) for a in alphas]
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,7 @@ class ValidationReport:
     criteria: tuple
     table_columns: tuple
     table_rows: tuple
-    schema: int = 1
+    schema: int = 2
     version: str = __version__
 
     @property
@@ -184,31 +185,26 @@ class ValidationReport:
         }
 
 
-def _check_generator(params: KroneckerParams, generator: str, include_loops: bool, rmat_edges) -> None:
-    """The generator-argument rules, raised as ConfigError before any sampling."""
-    if generator not in GENERATORS:
-        raise ConfigError(f"generator must be one of {GENERATORS}")
-    if generator == "naive" and params.n > NAIVE_MAX_N:
-        raise ConfigError(
-            f"naive generation enumerates all pairs and is guarded at n <= {NAIVE_MAX_N};"
-            " use the stratified generator"
-        )
-    if generator == "rmat":
-        if rmat_edges is None or rmat_edges < 1:
-            raise ConfigError("the rmat generator needs --rmat-edges >= 1")
-        if rmat_edges > RMAT_MAX_EDGES:
-            raise ConfigError(
-                f"--rmat-edges caps at {RMAT_MAX_EDGES} draws under the memory ceiling,"
-                f" got {rmat_edges}"
-            )
-        if not include_loops:
-            raise ConfigError(
-                "the rmat generator keeps u = v draws as loops and cannot run with --no-loops"
-            )
-        try:
+def _check_generator(
+    params: KroneckerParams, generator: str, include_loops: bool, rmat_edges=None
+) -> None:
+    """The generator's argument rules and its limits (kept in kronval.generate)
+    for one graph, raised as ConfigError before any sampling."""
+    try:
+        if generator == "naive":
+            check_naive(params)
+        elif generator == "stratified":
+            check_stratified(params, include_loops)
+        elif generator != "rmat":
+            raise ConfigError(f"generator must be one of {GENERATORS}")
+        elif rmat_edges is None:
+            raise ConfigError("the rmat generator needs --rmat-edges")
+        elif not include_loops:
+            raise ConfigError("rmat keeps u = v draws as loops and cannot run with --no-loops")
+        else:
             RmatParams(base=params, m=rmat_edges)
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
+    except (CapacityError, ParameterError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def check_degree_array(n: int) -> None:
@@ -234,9 +230,7 @@ def generate_graph(
 def _trial_graph(config: ExperimentConfig, params: KroneckerParams, seed: SeedSpec, *labels):
     """The graph on substream seed.child(*labels), dumped to PREFIX.<tag>.edges
     with the same labels as tag: ("sweep", 1, "trial", 0) -> "sweep1.trial0"."""
-    graph = generate_graph(
-        params, config.generator, seed.child(*labels), config.include_loops, config.rmat_edges
-    )
+    graph = generate_graph(params, config.generator, seed.child(*labels), config.include_loops)
     if config.dump_edges is not None:
         tag = ".".join(f"{name}{index}" for name, index in zip(labels[::2], labels[1::2]))
         write_edgelist(graph, f"{config.dump_edges}.{tag}.edges")
@@ -253,7 +247,6 @@ def _z_score(mean: float, predicted: float, sample_sd: float, trials: int) -> fl
 
 def _run_degrees(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
     params = config.params
-    check_degree_array(params.n)
     d_max = config.degree_max
     counts = np.zeros((config.trials, d_max + 1))
     for t in range(config.trials):
@@ -374,17 +367,25 @@ def _run_hamming(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
     expected_degree = (params.alpha + params.beta) ** n
     center = params.beta * n / (params.alpha + params.beta)
     lo, hi = hamming_window(params)
+    # The run's own weighting: a vertex's (alpha+beta)^n expected neighbor
+    # entries include its loop's alpha^n, and the mean distance weights each
+    # edge (two entries) and each loop (one) once, with r = alpha/(alpha+beta).
+    r_n = (params.alpha / (params.alpha + params.beta)) ** n
+    if config.include_loops:
+        run_degree, run_distance = expected_degree, center / (1.0 + r_n)
+    else:
+        run_degree, run_distance = expected_degree - params.alpha**n, center / (1.0 - r_n)
 
     mean_degree = float(degree_means.mean())
     mean_fraction = float(fractions.mean())
     mean_distance = float(mean_distances.mean())
-    degree_err = abs(mean_degree - expected_degree) / expected_degree
-    distance_err = abs(mean_distance - center) / center
+    degree_err = abs(mean_degree - run_degree) / run_degree
+    distance_err = abs(mean_distance - run_distance) / run_distance
     criteria = (
         Criterion(
             name="mean_degree_matches_uniform_prediction",
             observed=mean_degree,
-            expected=expected_degree,
+            expected=run_degree,
             statistic="rel_err",
             value=degree_err,
             tolerance=DEGREE_REL_TOLERANCE,
@@ -402,7 +403,7 @@ def _run_hamming(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
         Criterion(
             name="mean_distance_matches_window_center",
             observed=mean_distance,
-            expected=center,
+            expected=run_distance,
             statistic="rel_err",
             value=distance_err,
             tolerance=DISTANCE_REL_TOLERANCE,
@@ -472,26 +473,20 @@ def _run_regime(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
 
 def _run_thresholds(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
     pattern = parse_pattern(config.pattern)
-    lo, hi, steps = config.sweep
-    alphas = np.linspace(lo, hi, int(steps))
+    points = _sample_points(config)
     rows = []
-    presence = []
-    bases = []
-    for i, a in enumerate(alphas):
-        point = KroneckerParams(alpha=float(a), beta=config.params.beta, gamma=float(a), n=config.params.n)
+    for i, point in enumerate(points):
         b = base_value(point, pattern)
         counts = np.zeros(config.trials)
         for t in range(config.trials):
             graph = _trial_graph(config, point, seed, "sweep", i, "trial", t)
             counts[t] = count_labeled_copies(graph, pattern)
         frac = float((counts > 0).mean())
-        rows.append((float(a), b, float(counts.mean()), frac))
-        presence.append(frac)
-        bases.append(b)
+        rows.append((point.alpha, b, float(counts.mean()), frac))
+    _, bases, _, presence = zip(*rows)
 
     def base_at(a: float) -> float:
-        point = KroneckerParams(alpha=a, beta=config.params.beta, gamma=a, n=config.params.n)
-        return base_value(point, pattern)
+        return base_value(dataclasses.replace(config.params, alpha=a, gamma=a), pattern)
 
     analytic = [
         AnalyticValue("base_value_lo", bases[0], "pattern base value (labeling sum)"),
@@ -500,7 +495,7 @@ def _run_thresholds(config: ExperimentConfig, seed: SeedSpec) -> ValidationRepor
     if (bases[0] - 1.0) * (bases[-1] - 1.0) < 0:
         # The base value is a polynomial in alpha (= gamma) with nonnegative
         # coefficients, so it increases across the sweep and crosses 1 once.
-        crossing = _bisect(lambda a: base_at(a) - 1.0, float(alphas[0]), float(alphas[-1]))
+        crossing = _bisect(lambda a: base_at(a) - 1.0, points[0].alpha, points[-1].alpha)
         analytic.append(
             AnalyticValue("threshold_alpha", crossing, "appearance threshold: base value = 1")
         )

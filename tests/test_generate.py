@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import math
 
@@ -29,6 +30,7 @@ from kronval import (
 from kronval.generate import (
     _COMB,
     _RANK_BATCH_MAX,
+    RMAT_MAX_EDGES,
     STRATIFIED_MAX_N,
     _draw_sparse_run,
     _sample_distinct,
@@ -304,6 +306,17 @@ class TestRmat:
             RmatParams(base=KroneckerParams(0.5, 0.3, 0.2, 4), m=10)
         RmatParams(base=KroneckerParams(0.5, 0.2, 0.1, 4), m=10)
 
+    def test_limits_checked_at_construction(self):
+        # No RmatParams past R-MAT's limits exists, so rmat_pairs never sees one.
+        base = KroneckerParams(0.25, 0.25, 0.25, 62)
+        RmatParams(base=base, m=RMAT_MAX_EDGES)
+        with pytest.raises(CapacityError, match=f"caps at {RMAT_MAX_EDGES} draws"):
+            RmatParams(base=base, m=RMAT_MAX_EDGES + 1)
+        with pytest.raises(CapacityError, match="caps at n = 62, got n = 63"):
+            RmatParams(base=dataclasses.replace(base, n=63), m=1)
+        with pytest.raises(ParameterError, match="at least 1 draw"):
+            RmatParams(base=base, m=0)
+
     def test_single_digit_outcomes(self):
         # uniform initiator, one digit: edge {0,1} w.p. 1/2, each loop w.p. 1/4
         r = RmatParams(base=KroneckerParams(0.25, 0.25, 0.25, 1), m=1)
@@ -409,7 +422,7 @@ class TestCapacity:
     def test_stratified_budget(self):
         p = KroneckerParams(0.9, 0.8, 0.9, 24)
         with pytest.raises(CapacityError, match="budget"):
-            generate_stratified(p, seed=SeedSpec(1), max_expected_edges=10_000)
+            generate_stratified(p, seed=SeedSpec(1))
 
     def test_default_budget_refuses_before_sampling(self, monkeypatch):
         gen = kronval.generate

@@ -19,7 +19,9 @@ from kronval import (
     KroneckerParams,
     ParameterError,
     SampledGraph,
+    SeedSpec,
     count_labeled_copies,
+    edge_probability,
     star,
 )
 from kronval.cli import main
@@ -30,6 +32,7 @@ from kronval.harness import (
     ExperimentConfig,
     canonical_json,
     emit_report,
+    generate_graph,
     report_json,
     run_experiment,
 )
@@ -95,77 +98,60 @@ class TestConfigValidation:
             cfg(kind="thresholds", pattern="cycle:4").validate()
         cfg(kind="thresholds", pattern="cycle:4", sweep=(0.3, 0.7, 4)).validate()
 
-    def test_rmat_needs_constraint_and_edges(self):
-        # regime samples nothing, so the generator rules alone decide it
+    def test_rmat_needs_constraint_and_edges(self, monkeypatch):
+        # rmat is generate's alone; its rules hold in the dispatch, before sampling
+        monkeypatch.setattr(kronval.harness, "generate_rmat", lambda rmat, seed: rmat)
+        rmat_params = KroneckerParams(0.45, 0.2, 0.15, 6)
         with pytest.raises(ConfigError, match="needs --rmat-edges"):
-            cfg(kind="regime", generator="rmat").validate()
+            generate_graph(rmat_params, "rmat", SeedSpec(1))
         with pytest.raises(ConfigError, match="must equal 1"):
-            cfg(
-                kind="regime",
-                generator="rmat",
-                rmat_edges=100,
-                params=KroneckerParams(0.7, 0.3, 0.3, 6),
-            ).validate()
-        cfg(
-            kind="regime",
-            generator="rmat",
-            rmat_edges=100,
-            params=KroneckerParams(0.45, 0.2, 0.15, 6),
-        ).validate()
+            generate_graph(KroneckerParams(0.7, 0.3, 0.3, 6), "rmat", SeedSpec(1), rmat_edges=100)
+        assert generate_graph(rmat_params, "rmat", SeedSpec(1), rmat_edges=100).m == 100
 
-    @pytest.mark.parametrize("kind", ["degrees", "subgraph"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_rmat_refused_where_judged_by_kronecker_closed_forms(self, kind):
         # R-MAT's merged digit draws miss these closed forms by |z| = 5.48
         # (degree_0_count) and 27.4 (cycle:3 copies) at n = 4, 100 draws.
-        rmat = dict(generator="rmat", rmat_edges=100, params=KroneckerParams(0.45, 0.2, 0.15, 4))
-        with pytest.raises(ConfigError, match="closed forms, which rmat graphs do not follow"):
-            cfg(kind=kind, pattern="cycle:3", **rmat).validate()
-        cfg(kind=kind, pattern="cycle:3", **{**rmat, "generator": "stratified"}).validate()
+        params = KroneckerParams(0.6, 0.5, 0.6, 4)
+        run = dict(kind=kind, pattern="cycle:3", sweep=(0.3, 0.7, 2), params=params)
+        with pytest.raises(ConfigError, match=r"must be one of \('naive', 'stratified'\)"):
+            cfg(generator="rmat", **run).validate()
+        cfg(**run).validate()
 
     def test_desk_scale_guards(self):
-        with pytest.raises(ConfigError):
-            cfg(generator="naive", params=KroneckerParams(0.7, 0.3, 0.3, 15)).validate()
-        with pytest.raises(ConfigError):
-            cfg(params=KroneckerParams(0.7, 0.3, 0.3, 23)).validate()
-        cfg(params=KroneckerParams(0.7, 0.3, 0.3, 23), allow_large=True).validate()
-
-    def test_naive_guard_holds_with_allow_large(self):
-        with pytest.raises(ConfigError, match="guarded at n <= 14"):
-            cfg(
-                generator="naive", params=KroneckerParams(0.7, 0.3, 0.3, 15), allow_large=True
-            ).validate()
+        naive = KroneckerParams(0.7, 0.3, 0.3, 15)
+        with pytest.raises(ConfigError, match="naive generation .* caps at n = 14, got n = 15"):
+            cfg(generator="naive", params=naive).validate()
+        # Stratified runs past n = 22 need no flag when the graph fits the budget.
+        cfg(params=dataclasses.replace(naive, n=23)).validate()
 
     def test_n_capped_per_generator_and_for_regime(self):
-        stratified = KroneckerParams(0.7, 0.3, 0.3, 30)
-        cfg(params=stratified, allow_large=True).validate()
-        with pytest.raises(ConfigError, match="stratified generation caps at n = 30"):
-            cfg(params=dataclasses.replace(stratified, n=31), allow_large=True).validate()
-        # Every kind that samples rmat graphs is refused at any n, so its
-        # cap shows only as the first refusal past it.
-        rmat = dict(kind="hamming", generator="rmat", rmat_edges=100, allow_large=True)
-        with pytest.raises(ConfigError, match="requires alpha = gamma"):
-            cfg(params=KroneckerParams(0.45, 0.2, 0.15, 62), **rmat).validate()
-        with pytest.raises(ConfigError, match="rmat generation caps at n = 62"):
-            cfg(params=KroneckerParams(0.45, 0.2, 0.15, 63), **rmat).validate()
+        # alpha = gamma and alpha + beta > 1 put every n = 30 hamming graph over the budget
+        hamming = KroneckerParams(0.6, 0.45, 0.6, 30)
+        with pytest.raises(ConfigError, match="exceeds the budget"):
+            cfg(kind="hamming", params=hamming).validate()
+        with pytest.raises(ConfigError, match="stratified generation caps at n = 30, got n = 31"):
+            cfg(kind="hamming", params=dataclasses.replace(hamming, n=31)).validate()
+        # regime samples nothing, so no generator limit applies to it
         regime = KroneckerParams(0.7, 0.3, 0.3, 100_000)
-        cfg(kind="regime", params=regime, allow_large=True).validate()
+        for generator in ("naive", "stratified"):
+            cfg(kind="regime", generator=generator, params=regime).validate()
         with pytest.raises(ConfigError, match="regime table caps at n = 100000"):
-            cfg(kind="regime", params=dataclasses.replace(regime, n=100_001), allow_large=True).validate()
+            cfg(kind="regime", params=dataclasses.replace(regime, n=100_001)).validate()
 
-    def test_rmat_refuses_no_loops(self):
-        rmat = dict(
-            kind="regime", generator="rmat", rmat_edges=100, params=KroneckerParams(0.45, 0.2, 0.15, 6)
-        )
+    def test_rmat_refuses_no_loops(self, monkeypatch):
+        monkeypatch.setattr(kronval.harness, "generate_rmat", lambda rmat, seed: rmat)
+        rmat_params = KroneckerParams(0.45, 0.2, 0.15, 6)
         with pytest.raises(ConfigError, match="no-loops"):
-            cfg(include_loops=False, **rmat).validate()
-        cfg(**rmat).validate()
+            generate_graph(rmat_params, "rmat", SeedSpec(1), include_loops=False, rmat_edges=100)
+        generate_graph(rmat_params, "rmat", SeedSpec(1), rmat_edges=100)
 
 
 class TestReports:
     def test_degrees_report_structure(self):
         report = run_experiment(cfg())
         data = report.to_dict()
-        assert data["schema"] == 1
+        assert data["schema"] == 2
         assert data["kind"] == "degrees"
         assert data["config"]["seed"] == 17
         assert data["table"]["columns"] == [
@@ -184,6 +170,27 @@ class TestReports:
         )
         assert report.table_columns == ("k", "empirical_mean", "predicted")
         assert len(report.table_rows) == 9
+
+    @pytest.mark.parametrize("include_loops", [True, False])
+    def test_hamming_criteria_expect_the_runs_own_weighting(self, include_loops):
+        # Exact ratios over every pair u <= v at n = 6: the mean distance
+        # weights each edge and each loop once, and degrees count a loop
+        # once, or not at all without loops.
+        params = KroneckerParams(0.7, 0.5, 0.7, 6)
+        pairs = [(u, v) for u in range(64) for v in range(u, 64) if include_loops or u != v]
+        probs = np.array([edge_probability(params, u, v) for u, v in pairs])
+        distances = np.array([bin(u ^ v).count("1") for u, v in pairs])
+        ends = np.array([1 if u == v else 2 for u, v in pairs])
+        report = run_experiment(
+            cfg(kind="hamming", params=params, trials=2, include_loops=include_loops)
+        )
+        degree, _, distance = report.criteria
+        assert degree.expected == pytest.approx((probs * ends).sum() / 64, rel=1e-12)
+        assert distance.expected == pytest.approx(
+            (probs * distances).sum() / probs.sum(), rel=1e-12
+        )
+        center = {a.name: a.value for a in report.analytic}["window_center"]
+        assert center == 0.5 * 6 / 1.2
 
     def test_byte_determinism(self, tmp_path):
         config = cfg()
@@ -306,7 +313,7 @@ class TestCli:
         ]
         assert main(args) == 0
         report = json.loads((tmp_path / "r.json").read_text())
-        assert report["passed"] is True and report["schema"] == 1
+        assert report["passed"] is True and report["schema"] == 2
 
     def test_config_error_is_exit_2(self):
         rc = main(
@@ -374,7 +381,7 @@ class TestCli:
         out = tmp_path / "r.json"
         rc = main(
             [
-                "validate", "--kind", kind, "--allow-large", "--n", "100000000000000000000",
+                "validate", "--kind", kind, "--n", "100000000000000000000",
                 "--alpha", "0.5", "--beta", "0.7", "--gamma", "0.5", "--seed", "1",
                 "--out-json", str(out),
             ]
@@ -382,6 +389,18 @@ class TestCli:
         assert rc == 2
         assert "caps at n = " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["30", "100000"])
+    def test_regime_checks_no_generator_limit(self, monkeypatch, capsys, n):
+        monkeypatch.setattr(kronval.harness, "generate_graph", None)  # nothing is sampled
+        rc = main(
+            [
+                "validate", "--kind", "regime", "--n", n, "--alpha", "0.6", "--beta", "0.5",
+                "--gamma", "0.6", "--seed", "1",
+            ]
+        )
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["config"]["params"]["n"] == int(n)
 
     def test_validate_reads_pattern_file(self, tmp_path, capsys):
         spec = tmp_path / "c4.txt"
@@ -456,7 +475,7 @@ class TestCli:
         monkeypatch.setattr(kronval.harness, "generate_graph", no_generation)
         rc = main(
             [
-                "validate", "--kind", "degrees", "--n", "29", "--allow-large",
+                "validate", "--kind", "degrees", "--n", "29",
                 "--alpha", "0.5", "--beta", "0.2", "--gamma", "0.1", "--seed", "1",
             ]
         )
@@ -606,7 +625,7 @@ class TestCli:
         rc = main(
             [
                 "validate", "--kind", "regime", "--n", "1100", "--alpha", "0.5", "--beta", "0.5",
-                "--gamma", "0.5", "--d-max", "0", "--seed", "1", "--allow-large",
+                "--gamma", "0.5", "--d-max", "0", "--seed", "1",
                 "--out-json", str(out),
             ]
         )
@@ -618,7 +637,7 @@ class TestCli:
         rc = main(
             [
                 "validate", "--kind", "regime", "--n", "1100", "--alpha", "0.5", "--beta", "0.5",
-                "--gamma", "0.5", "--d-max", "0", "--seed", "1", "--allow-large",
+                "--gamma", "0.5", "--d-max", "0", "--seed", "1",
                 "--out-csv", str(out),
             ]
         )
@@ -676,8 +695,8 @@ COUNTS = st.sampled_from(["-1", "0", "1", "2", str(10**21), str(2**63)])
 
 RMAT_EDGES = st.one_of(st.integers(1, 1000), st.sampled_from([None, -1, 0, 10**21]))
 SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([-1, 2**64]))
-# The first entries give every kind a valid configuration, the second satisfy
-# R-MAT's alpha + 2 beta + gamma = 1.
+# The first entries give every kind a valid configuration; the second, which
+# satisfy R-MAT's alpha + 2 beta + gamma = 1, fail hamming's alpha = gamma.
 VALIDATE_ENTRIES = st.sampled_from([("0.6", "0.5", "0.6"), ("0.45", "0.2", "0.15")])
 
 
@@ -685,25 +704,30 @@ VALIDATE_ENTRIES = st.sampled_from([("0.6", "0.5", "0.6"), ("0.45", "0.2", "0.15
 @given(
     kind=st.sampled_from(KINDS), n=st.integers(1, 4), trials=COUNTS, steps=COUNTS, d_max=COUNTS,
     generator=st.sampled_from(GENERATORS), rmat_edges=RMAT_EDGES, seed=SEEDS,
-    loops=st.booleans(), entries=VALIDATE_ENTRIES,
+    loops=st.booleans(), entries=VALIDATE_ENTRIES, allow_large=st.booleans(),
 )
 @example(kind="degrees", n=4, trials=str(10**21), steps="2", d_max="2", generator="stratified",
-         rmat_edges=None, seed=1, loops=True, entries=("0.6", "0.5", "0.6"))
+         rmat_edges=None, seed=1, loops=True, entries=("0.6", "0.5", "0.6"), allow_large=False)
 @example(kind="thresholds", n=4, trials="1", steps=str(10**21), d_max="2",
          generator="stratified", rmat_edges=None, seed=1, loops=True,
-         entries=("0.6", "0.5", "0.6"))
+         entries=("0.6", "0.5", "0.6"), allow_large=False)
 @example(kind="degrees", n=4, trials="2", steps="2", d_max="2", generator="rmat",
-         rmat_edges=10**21, seed=1, loops=True, entries=("0.45", "0.2", "0.15"))
-@example(kind="degrees", n=4, trials="2", steps="2", d_max="2", generator="rmat",
-         rmat_edges=1000, seed=2**64 - 1, loops=True, entries=("0.45", "0.2", "0.15"))
+         rmat_edges=10**21, seed=1, loops=True, entries=("0.45", "0.2", "0.15"),
+         allow_large=False)
+@example(kind="regime", n=4, trials="2", steps="2", d_max="2", generator="rmat",
+         rmat_edges=1000, seed=2**64 - 1, loops=True, entries=("0.45", "0.2", "0.15"),
+         allow_large=False)
+@example(kind="regime", n=4, trials="2", steps="2", d_max="2", generator="stratified",
+         rmat_edges=None, seed=1, loops=True, entries=("0.6", "0.5", "0.6"), allow_large=True)
 @example(kind="subgraph", n=4, trials="2", steps="2", d_max="2", generator="stratified",
-         rmat_edges=None, seed=2**64, loops=True, entries=("0.6", "0.5", "0.6"))
+         rmat_edges=None, seed=2**64, loops=True, entries=("0.6", "0.5", "0.6"),
+         allow_large=False)
 @example(kind="hamming", n=4, trials="2", steps="2", d_max="2", generator="naive",
-         rmat_edges=None, seed=-1, loops=False, entries=("0.6", "0.5", "0.6"))
+         rmat_edges=None, seed=-1, loops=False, entries=("0.6", "0.5", "0.6"), allow_large=False)
 def test_validate_exit_code_property(
-    kind, n, trials, steps, d_max, generator, rmat_edges, seed, loops, entries
+    kind, n, trials, steps, d_max, generator, rmat_edges, seed, loops, entries, allow_large
 ):
-    # n <= 4, at most 2 trials, 2 sweep steps and 1000 R-MAT draws keep every accepted run small
+    # n <= 4, at most 2 trials and 2 sweep steps keep every accepted run small
     alpha, beta, gamma = entries
     argv = [
         "validate", "--kind", kind, "--n", str(n), "--alpha", alpha, "--beta", beta,
@@ -713,12 +737,14 @@ def test_validate_exit_code_property(
     ]
     if rmat_edges is not None:
         argv += ["--rmat-edges", str(rmat_edges)]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        rc = main(argv)
-    # R-MAT graphs do not follow the closed forms these kinds judge by.
-    assert rc in ((2,) if generator == "rmat" and kind in ("degrees", "subgraph") else (0, 1, 2))
-    assert "Traceback" not in err.getvalue()
+    if allow_large:
+        argv += ["--allow-large"]
+    rc, _, err = _run_cli(argv)
+    # validate samples the model alone: rmat and its draw count are not its
+    # arguments, and no guard is left for --allow-large to lift.
+    usage_error = generator == "rmat" or rmat_edges is not None or allow_large
+    assert rc in ((2,) if usage_error else (0, 1, 2))
+    assert "Traceback" not in err
 
 
 # Initiator entries spread evenly in log10 from 1e-300 up to 0.97.
@@ -933,12 +959,39 @@ def test_measure_exit_code_property(what, pattern):
 RMAT_ARGS = ["--n", "6", "--alpha", "0.45", "--beta", "0.2", "--gamma", "0.15", "--seed", "2"]
 
 
+def _no_generation(*args, **kwargs):
+    raise AssertionError("a graph was generated")
+
+
 class TestGeneratorArguments:
-    """generate and validate share one generator check: same exit code, same message."""
+    """generate and validate share one limit check per generator: same exit
+    code, same message."""
 
     def _run(self, capsys, argv):
         rc = main(argv)
         return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--generator", "naive", "--n", "15"],
+             "naive generation enumerates all pairs and caps at n = 14, got n = 15;"
+             " use the stratified generator"),
+            (["--n", "31"], "stratified generation caps at n = 30, got n = 31"),
+            (["--n", "14", "--alpha", "0.99", "--beta", "0.99", "--gamma", "0.99"],
+             "expected edge count 1.17e+08 exceeds the budget 6.71e+07"),
+        ],
+        ids=["naive-n15", "stratified-n31", "stratified-budget"],
+    )
+    def test_generate_and_validate_agree(self, tmp_path, capsys, monkeypatch, extra, message):
+        for name in ("generate_naive", "generate_stratified"):
+            monkeypatch.setattr(kronval.harness, name, _no_generation)
+        args = ["--alpha", "0.6", "--beta", "0.5", "--gamma", "0.6", "--seed", "2", *extra]
+        out = tmp_path / "g.edges"
+        generated = self._run(capsys, ["generate", *args, "--out", str(out)])
+        validated = self._run(capsys, ["validate", "--kind", "degrees", *args])
+        assert generated == validated == (2, f"error: {message}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "extra",
@@ -947,35 +1000,39 @@ class TestGeneratorArguments:
             ["--rmat-edges", "0"],
             ["--rmat-edges", "100", "--alpha", "0.5"],  # 0.5 + 0.4 + 0.15 != 1
             ["--rmat-edges", "100", "--no-loops"],
+            ["--rmat-edges", "100", "--n", "63"],
         ],
-        ids=["missing-edges", "zero-edges", "initiator-sum", "no-loops"],
+        ids=["missing-edges", "zero-edges", "initiator-sum", "no-loops", "n63"],
     )
-    def test_generate_and_validate_agree(self, tmp_path, capsys, extra):
+    def test_generate_refuses_rmat_arguments(self, monkeypatch, tmp_path, capsys, extra):
+        monkeypatch.setattr(kronval.generate, "rmat_pairs", _no_generation)
         out = tmp_path / "g.edges"
-        generated = self._run(
+        rc, err = self._run(
             capsys, ["generate", "--generator", "rmat", *RMAT_ARGS, *extra, "--out", str(out)]
         )
-        validated = self._run(
-            capsys, ["validate", "--kind", "degrees", "--generator", "rmat", *RMAT_ARGS, *extra]
-        )
-        assert generated[0] == 2 and generated[1].startswith("error: ")
-        assert generated == validated
+        assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
-    def test_validate_refuses_before_sampling(self, monkeypatch, capsys):
-        def no_generation(*args, **kwargs):
-            raise AssertionError("a trial graph was generated")
-
-        monkeypatch.setattr(kronval.harness, "generate_rmat", no_generation)
-        argv = ["validate", "--kind", "degrees", "--generator", "rmat", *RMAT_ARGS]
-        assert main([*argv, "--rmat-edges", "100", "--no-loops"]) == 2
-        assert "no-loops" in capsys.readouterr().err
+    def test_validate_refuses_before_sampling(self, monkeypatch, tmp_path, capsys):
+        # Sweep point 0 fits the budget; point 1, alpha = gamma = 0.99, does not.
+        monkeypatch.setattr(kronval.harness, "generate_graph", _no_generation)
+        prefix = tmp_path / "P"
+        rc = main(
+            [
+                "validate", "--kind", "thresholds", "--n", "14", "--alpha", "0.5",
+                "--beta", "0.99", "--gamma", "0.5", "--sweep", "0.01", "0.99", "2",
+                "--pattern", "cycle:3", "--trials", "1", "--seed", "1",
+                "--dump-edges", str(prefix),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: expected edge count 1.17e+08 exceeds the budget 6.71e+07\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_oversized_rmat_edges_refused_before_sampling(self, monkeypatch, tmp_path, capsys):
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("rmat pairs were drawn")
-
-        monkeypatch.setattr(kronval.generate, "rmat_pairs", no_sampling)
+        monkeypatch.setattr(kronval.generate, "rmat_pairs", _no_generation)
         rmat_args = [*RMAT_ARGS, "--alpha", "0.25", "--beta", "0.25", "--gamma", "0.25"]
         out = tmp_path / "g.edges"
         for edges in (RMAT_MAX_EDGES + 1, 10**15):
@@ -983,12 +1040,8 @@ class TestGeneratorArguments:
             generated = self._run(
                 capsys, ["generate", "--generator", "rmat", *rmat_args, *extra, "--out", str(out)]
             )
-            validated = self._run(
-                capsys, ["validate", "--kind", "degrees", "--generator", "rmat", *rmat_args, *extra]
-            )
-            assert generated == validated == (
-                2, f"error: --rmat-edges caps at {RMAT_MAX_EDGES} draws under the memory ceiling,"
-                f" got {edges}\n",
+            assert generated == (
+                2, f"error: rmat generation caps at {RMAT_MAX_EDGES} draws, got {edges}\n",
             )
             assert not out.exists()
         assert RMAT_MAX_EDGES * RMAT_PEAK_BYTES_PER_DRAW <= GENERATE_MEMORY_CEILING
