@@ -125,6 +125,16 @@ class TestConfigValidation:
         # Stratified runs past n = 22 need no flag when the graph fits the budget.
         cfg(params=dataclasses.replace(naive, n=23)).validate()
 
+    def test_naive_guard_holds_with_allow_large(self):
+        # No option lifts the naive cap: a sparse n = 15 graph that the
+        # stratified sampler draws within its budget is still refused.
+        sparse = KroneckerParams(0.5, 0.2, 0.3, 15)
+        cfg(params=sparse).validate()
+        with pytest.raises(ConfigError, match="caps at n = 14, got n = 15"):
+            cfg(generator="naive", params=sparse).validate()
+        with pytest.raises(TypeError, match="allow_large"):
+            cfg(generator="naive", params=sparse, allow_large=True)
+
     def test_n_capped_per_generator_and_for_regime(self):
         # alpha = gamma and alpha + beta > 1 put every n = 30 hamming graph over the budget
         hamming = KroneckerParams(0.6, 0.45, 0.6, 30)
