@@ -19,7 +19,6 @@ from .model import (
     log_edge_probability,
     pair_class,
     weight,
-    weight_array,
 )
 from .streams import SeedSpec
 from .generate import (

@@ -45,14 +45,15 @@ from .predict import (
 from .streams import SeedSpec
 
 
-def _add_params(parser: argparse.ArgumentParser, n_default=None) -> None:
+def _add_entries(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, required=True)
     parser.add_argument("--beta", type=float, required=True)
     parser.add_argument("--gamma", type=float, required=True)
-    if n_default is None:
-        parser.add_argument("--n", type=int, required=True, help="digit count")
-    else:
-        parser.add_argument("--n", type=int, default=n_default, help="digit count")
+
+
+def _add_params(parser: argparse.ArgumentParser) -> None:
+    _add_entries(parser)
+    parser.add_argument("--n", type=int, required=True, help="digit count")
 
 
 def _params(args) -> KroneckerParams:
@@ -151,7 +152,7 @@ def _cmd_measure(args) -> int:
         "loops": len(graph.loops),
     }
     if args.what == "degrees":
-        hist = degree_histogram(graph, graph.include_loops)
+        hist = degree_histogram(graph)
         payload["degree_histogram"] = {str(d): c for d, c in hist.items()}
     elif args.what == "subgraph":
         if not args.pattern:
@@ -160,7 +161,7 @@ def _cmd_measure(args) -> int:
         payload["pattern"] = args.pattern
         payload["labeled_copies"] = count_labeled_copies(graph, pattern)
     elif args.what == "hamming":
-        hist = edge_distance_histogram(graph, count_loops=True)
+        hist = edge_distance_histogram(graph)
         payload["edge_distance_histogram"] = {str(k): int(c) for k, c in enumerate(hist) if c}
     _write_out(canonical_json(payload), args.out)
     return 0
@@ -196,7 +197,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    params = _params(args)
+    # The certificate compares base values, which depend on the entries
+    # alone, so any n gives the same report; n = 1 is a placeholder.
+    params = KroneckerParams(alpha=args.alpha, beta=args.beta, gamma=args.gamma, n=1)
     pattern = _load_pattern(args.pattern)
     report = second_moment_certificate(params, pattern)
     payload = {
@@ -275,8 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--out-csv", default=None)
     p_val.set_defaults(func=_cmd_validate)
 
-    p_cert = sub.add_parser("certify", help="second-moment concentration certificate")
-    _add_params(p_cert, n_default=1)
+    p_cert = sub.add_parser(
+        "certify", help="second-moment concentration certificate",
+        description="Check B_F < B_G^2 for every union F of two edge-overlapping copies of"
+        " the pattern G.  Base values depend on alpha, beta and gamma alone, so the"
+        " certificate takes no --n.",
+    )
+    _add_entries(p_cert)
     p_cert.add_argument("--pattern", required=True)
     p_cert.add_argument("--out", default=None)
     p_cert.set_defaults(func=_cmd_certify)

@@ -133,6 +133,12 @@ def _class_table(n: int, include_loops: bool) -> _ClassTable:
     return _ClassTable(*columns, start, tuple(families))
 
 
+def _class_probabilities(params: KroneckerParams, table: _ClassTable) -> np.ndarray:
+    """The edge probability alpha^a beta^b gamma^c of each class of the table."""
+    la, lb, lg = params.log_entries()
+    return np.exp(table.a * la + table.b * lb + table.c * lg)
+
+
 def expected_edge_count(params: KroneckerParams, include_loops: bool = True) -> float:
     """Expected number of distinct edges (plus loops when enabled).
 
@@ -148,6 +154,29 @@ def expected_edge_count(params: KroneckerParams, include_loops: bool = True) -> 
     ordered = (loop_base + 2.0 * beta) ** n
     pairs = -ordered * math.expm1(-n * math.log1p(2.0 * beta / loop_base)) / 2.0
     return pairs + loop_base**n if include_loops else pairs
+
+
+def edge_sum_moments(
+    params: KroneckerParams, include_loops: bool = True
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Exact (mean, variance) of two sums over one graph, for n <= 30:
+    the total edge distance D and the total degree T = 2 edges + loops.
+
+    Both are sums w(u, v) X_uv over the independent pair indicators X_uv,
+    u <= v, where w is the distance for D, and 2 for a pair or 1 for a loop
+    for T; loops enter only with include_loops.  All pairs of a class share
+    its probability p and weight, so each sum runs over the classes of the
+    stratified sampler's table: mean sum(size p w), variance
+    sum(size p (1 - p) w^2).
+    """
+    table = _class_table(params.n, include_loops)
+    p = _class_probabilities(params, table)
+    mean = table.size * p  # expected edges per class
+    var = mean * (1.0 - p)
+    ends = np.where(table.b > 0, 2, 1)
+    distance = (float((mean * table.b).sum()), float((var * table.b**2).sum()))
+    degree = (float((mean * ends).sum()), float((var * ends**2).sum()))
+    return distance, degree
 
 
 def check_naive(params: KroneckerParams) -> None:
@@ -172,7 +201,7 @@ def check_stratified(params: KroneckerParams, include_loops: bool = True) -> Non
 
 
 def generate_naive(
-    params: KroneckerParams, include_loops: bool = True, seed: SeedSpec = SeedSpec(0)
+    params: KroneckerParams, include_loops: bool = True, *, seed: SeedSpec
 ) -> SampledGraph:
     """Independent Bernoulli draw for each of the 2^(n-1) (2^n + 1) vertex
     pairs u <= v, the diagonal included.
@@ -351,9 +380,7 @@ def _draw_class_ranks(
 
 
 def generate_stratified(
-    params: KroneckerParams,
-    include_loops: bool = True,
-    seed: SeedSpec = SeedSpec(0),
+    params: KroneckerParams, include_loops: bool = True, *, seed: SeedSpec
 ) -> SampledGraph:
     """Class-based sampler with the same output distribution as generate_naive.
 
@@ -379,8 +406,7 @@ def generate_stratified(
     n = params.n
     check_stratified(params, include_loops)
     table = _class_table(n, include_loops)
-    la, lb, lg = params.log_entries()
-    probs = np.exp(table.a * la + table.b * lb + table.c * lg)
+    probs = _class_probabilities(params, table)
     families = [(seed.child(label).generator(), part) for label, part in table.families]
     counts = [rng.binomial(table.size[part], probs[part]) for rng, part in families]
     edge_u = np.empty(sum(int(family_counts.sum()) for family_counts in counts), dtype=np.int64)
@@ -401,7 +427,7 @@ def generate_stratified(
     return SampledGraph.from_pairs(params, edge_u, edge_v, include_loops=include_loops)
 
 
-def rmat_pairs(rmat: RmatParams, seed: SeedSpec = SeedSpec(0)) -> tuple[np.ndarray, np.ndarray]:
+def rmat_pairs(rmat: RmatParams, seed: SeedSpec) -> tuple[np.ndarray, np.ndarray]:
     """The m raw ordered vertex pairs, drawn digit by digit.
 
     Per digit, (u_k, v_k) is (1,1) with probability alpha, (0,0) with
@@ -430,7 +456,7 @@ def rmat_pairs(rmat: RmatParams, seed: SeedSpec = SeedSpec(0)) -> tuple[np.ndarr
     return us, vs
 
 
-def generate_rmat(rmat: RmatParams, seed: SeedSpec = SeedSpec(0)) -> SampledGraph:
+def generate_rmat(rmat: RmatParams, seed: SeedSpec) -> SampledGraph:
     """Merge the m digit-sampled pairs into a simple unordered edge set.
 
     Multi-edges collapse, pairs are symmetrized, and u = v draws are kept
@@ -440,12 +466,12 @@ def generate_rmat(rmat: RmatParams, seed: SeedSpec = SeedSpec(0)) -> SampledGrap
     return SampledGraph.from_pairs(rmat.base, u, v, include_loops=True)
 
 
-def degree_histogram(graph: SampledGraph, count_loops: bool = True) -> dict:
+def degree_histogram(graph: SampledGraph) -> dict:
     """Map degree -> number of vertices; counts sum to 2^n.
 
-    With count_loops a self-loop adds 1 to its vertex's degree, matching the
-    convention under which the closed-form degree moments are exact.
+    A self-loop adds 1 to its vertex's degree, matching the convention under
+    which the closed-form degree moments are exact.
     """
-    degrees = graph.degrees(count_loops=count_loops)
+    degrees = graph.degrees()
     counts = np.bincount(degrees)
     return {int(d): int(c) for d, c in enumerate(counts) if c > 0}

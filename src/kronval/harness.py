@@ -25,6 +25,7 @@ from .generate import (
     RmatParams,
     check_naive,
     check_stratified,
+    edge_sum_moments,
     generate_naive,
     generate_rmat,
     generate_stratified,
@@ -50,7 +51,8 @@ from .predict import (
     classify_regime,
     expected_degree_count,
     hamming_profile_prediction,
-    hamming_window,
+    # Bound for perfbench/spans.py, which traces this name on this module.
+    hamming_window,  # noqa: F401
 )
 from .streams import SeedSpec
 
@@ -61,11 +63,8 @@ MODEL_GENERATORS = ("naive", "stratified")
 # The largest n whose degree array, 2^n int64 counts, fits GENERATE_MEMORY_CEILING.
 DEGREE_ARRAY_MAX_N = (GENERATE_MEMORY_CEILING // 8).bit_length() - 1
 
-# Acceptance-style default tolerances, pinned here rather than per call site.
+# Every criterion's |z| tolerance, pinned here rather than per call site.
 Z_TOLERANCE = 4.0
-DEGREE_REL_TOLERANCE = 0.10
-WINDOW_FRACTION_MIN = 0.99
-DISTANCE_REL_TOLERANCE = 0.02
 
 
 @dataclass(frozen=True)
@@ -251,7 +250,7 @@ def _run_degrees(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
     counts = np.zeros((config.trials, d_max + 1))
     for t in range(config.trials):
         graph = _trial_graph(config, params, seed, "trial", t)
-        degrees = graph.degrees(count_loops=config.include_loops)
+        degrees = graph.degrees()
         binned = np.bincount(degrees, minlength=d_max + 1)
         counts[t] = binned[: d_max + 1]
     means = counts.mean(axis=0)
@@ -350,6 +349,9 @@ def _run_hamming(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
     degree_means = np.zeros(config.trials)
     fractions = np.zeros(config.trials)
     mean_distances = np.zeros(config.trials)
+    # Per trial, the total edge distance and the total degree 2 edges + loops.
+    distance_sums = np.zeros(config.trials)
+    degree_sums = np.zeros(config.trials)
     for t in range(config.trials):
         graph = _trial_graph(config, params, seed, "trial", t)
         report = concentration_report(graph)
@@ -357,6 +359,8 @@ def _run_hamming(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
         fractions[t] = report.in_window_edge_fraction
         mean_distances[t] = report.mean_edge_distance
         hist = np.array(report.distance_histogram, dtype=float)
+        distance_sums[t] = (hist * np.arange(n + 1)).sum()
+        degree_sums[t] = 2 * report.edge_count + report.loop_count
         entries = 2.0 * hist
         entries[0] = hist[0]  # a loop is a single one-sided neighbor entry
         profile_sums += entries / params.vertex_count
@@ -364,63 +368,40 @@ def _run_hamming(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
     predicted_profile = np.array(
         [hamming_profile_prediction(params, k) for k in range(n + 1)]
     )
-    expected_degree = (params.alpha + params.beta) ** n
-    center = params.beta * n / (params.alpha + params.beta)
-    lo, hi = hamming_window(params)
-    # The run's own weighting: a vertex's (alpha+beta)^n expected neighbor
-    # entries include its loop's alpha^n, and the mean distance weights each
-    # edge (two entries) and each loop (one) once, with r = alpha/(alpha+beta).
-    r_n = (params.alpha / (params.alpha + params.beta)) ** n
-    if config.include_loops:
-        run_degree, run_distance = expected_degree, center / (1.0 + r_n)
-    else:
-        run_degree, run_distance = expected_degree - params.alpha**n, center / (1.0 - r_n)
-
-    mean_degree = float(degree_means.mean())
-    mean_fraction = float(fractions.mean())
-    mean_distance = float(mean_distances.mean())
-    degree_err = abs(mean_degree - run_degree) / run_degree
-    distance_err = abs(mean_distance - run_distance) / run_distance
-    criteria = (
-        Criterion(
-            name="mean_degree_matches_uniform_prediction",
-            observed=mean_degree,
-            expected=run_degree,
-            statistic="rel_err",
-            value=degree_err,
-            tolerance=DEGREE_REL_TOLERANCE,
-            passed=degree_err <= DEGREE_REL_TOLERANCE,
-        ),
-        Criterion(
-            name="edge_fraction_inside_window",
-            observed=mean_fraction,
-            expected=1.0,
-            statistic="fraction",
-            value=mean_fraction,
-            tolerance=WINDOW_FRACTION_MIN,
-            passed=mean_fraction >= WINDOW_FRACTION_MIN,
-        ),
-        Criterion(
-            name="mean_distance_matches_window_center",
-            observed=mean_distance,
-            expected=run_distance,
-            statistic="rel_err",
-            value=distance_err,
-            tolerance=DISTANCE_REL_TOLERANCE,
-            passed=distance_err <= DISTANCE_REL_TOLERANCE,
-        ),
-    )
+    # Both totals are sums of independent pair indicators, so their exact
+    # moments over the trials give a z that scales with the sample.
+    criteria = []
+    for name, sums, (mean, var) in zip(
+        ("total_edge_distance_vs_exact", "total_degree_vs_exact"),
+        (distance_sums, degree_sums),
+        edge_sum_moments(params, config.include_loops),
+    ):
+        observed = float(sums.mean())
+        z = (observed - mean) / math.sqrt(var / config.trials)
+        criteria.append(
+            Criterion(
+                name=name,
+                observed=observed,
+                expected=mean,
+                statistic="|z|",
+                value=abs(z),
+                tolerance=Z_TOLERANCE,
+                passed=abs(z) <= Z_TOLERANCE,
+            )
+        )
     analytic = (
-        AnalyticValue("expected_degree", expected_degree, "uniform expected degree (alpha+beta)^n"),
-        AnalyticValue("window_center", center, "binomial neighbor-distance profile"),
-        AnalyticValue("window_lo", lo, "neighbor-distance concentration window"),
-        AnalyticValue("window_hi", hi, "neighbor-distance concentration window"),
+        AnalyticValue(
+            "expected_degree", report.expected_degree, "uniform expected degree (alpha+beta)^n"
+        ),
+        AnalyticValue("window_center", report.window_center, "binomial neighbor-distance profile"),
+        AnalyticValue("window_lo", report.window_lo, "neighbor-distance concentration window"),
+        AnalyticValue("window_hi", report.window_hi, "neighbor-distance concentration window"),
     )
     empirical = {
         "trials": config.trials,
-        "mean_degree": mean_degree,
-        "in_window_fraction": mean_fraction,
-        "mean_edge_distance": mean_distance,
+        "mean_degree": float(degree_means.mean()),
+        "in_window_fraction": float(fractions.mean()),
+        "mean_edge_distance": float(mean_distances.mean()),
     }
     rows = tuple(
         (k, float(profile_mean[k]), float(predicted_profile[k])) for k in range(n + 1)
@@ -430,7 +411,7 @@ def _run_hamming(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
         config=config.echo(),
         analytic=analytic,
         empirical=empirical,
-        criteria=criteria,
+        criteria=tuple(criteria),
         table_columns=("k", "empirical_mean", "predicted"),
         table_rows=rows,
     )

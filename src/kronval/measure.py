@@ -54,25 +54,15 @@ def _shape(pattern: PatternGraph):
     return None
 
 
-def _route(pattern: PatternGraph, method: str) -> str:
-    """The counter that serves (pattern, method): a shape name or 'generic'."""
-    if method == "generic":
-        return "generic"
-    if method == "auto":
-        return _shape(pattern) or "generic"
-    raise ParameterError(f"unknown counting method {method!r}")
-
-
-def check_countable(pattern: PatternGraph, n: int, method: str = "auto") -> None:
+def check_countable(pattern: PatternGraph, n: int) -> None:
     """Raise CapacityError unless ``count_labeled_copies`` counts the pattern
-    on a host with digit count n; ParameterError for a method other than
-    'auto' and 'generic'.  Needs no graph, so callers can check before
-    sampling."""
+    on a host with digit count n.  Needs no graph, so callers can check
+    before sampling."""
     if pattern.vertex_count > COUNT_MAX_PATTERN_VERTICES:
         raise CapacityError(
             f"copy counting caps at {COUNT_MAX_PATTERN_VERTICES} pattern vertices"
         )
-    if _route(pattern, method) != "generic":
+    if _shape(pattern) is not None:
         if n > KERNEL_COUNT_MAX_N:
             raise CapacityError(f"copy counting caps at n = {KERNEL_COUNT_MAX_N}")
     elif not pattern.is_connected():
@@ -182,16 +172,14 @@ def _search_order(pattern: PatternGraph):
     return order
 
 
-def count_labeled_copies(
-    graph: SampledGraph, pattern: PatternGraph, method: str = "auto"
-) -> int:
+def count_labeled_copies(graph: SampledGraph, pattern: PatternGraph) -> int:
     """Number of injective, edge-preserving maps of the pattern into the graph.
 
     Automorphic images count separately and loops never participate.  The
     result is an exact Python int, also above 2^63.
 
-    Routes (``method="auto"``) follow the pattern's structure, not its vertex
-    labels, so a numeric ``@file`` pattern routes like the named builtin:
+    Routes follow the pattern's structure, not its vertex labels, so a
+    numeric ``@file`` pattern routes like the named builtin:
 
     - a star K_{1,k} (``star:k``, ``path:2``, a single edge) is the sum of
       falling factorials d!/(d-k)! over the degree sequence;
@@ -203,15 +191,15 @@ def count_labeled_copies(
     - every other pattern goes through backtracking over neighbour sets.
 
     The three matrix routes share one sparse codegree pass in row blocks.
-    ``method="generic"`` forces backtracking, the reference the other routes
+    Backtracking (``_count_backtracking``) is the reference the other routes
     agree with.  Caps (see :func:`check_countable`): patterns have at most
     ``COUNT_MAX_PATTERN_VERTICES`` vertices; hosts have n <=
     ``KERNEL_COUNT_MAX_N`` on the star and matrix routes, n <= ``COUNT_MAX_N``
     under backtracking, and n <= ``DISCONNECTED_COUNT_MAX_N`` for
     disconnected patterns.
     """
-    check_countable(pattern, graph.n, method)
-    route = _route(pattern, method)
+    check_countable(pattern, graph.n)
+    route = _shape(pattern) or "generic"
     if route == "star":
         return _count_star(graph, _star_leaf_count(pattern))
     if route == "generic":
@@ -240,15 +228,14 @@ def neighbor_hamming_histogram(graph: SampledGraph, u: int) -> np.ndarray:
     return hist
 
 
-def edge_distance_histogram(graph: SampledGraph, count_loops: bool = True) -> np.ndarray:
+def edge_distance_histogram(graph: SampledGraph) -> np.ndarray:
     """Counts of edges at each Hamming distance; loops land at distance 0."""
     hist = np.zeros(graph.n + 1, dtype=np.int64)
     ea = graph.edge_array
     if len(ea):
         dist = hamming_array(ea[:, 0], ea[:, 1])
         hist += np.bincount(dist, minlength=graph.n + 1)
-    if count_loops:
-        hist[0] += len(graph.loops)
+    hist[0] += len(graph.loops)
     return hist
 
 
@@ -290,7 +277,7 @@ def concentration_report(graph: SampledGraph) -> ConcentrationReport:
     degrees = graph.degrees(count_loops=True)
     lo, hi = hamming_window(p)
     center = p.beta * p.n / (p.alpha + p.beta)
-    hist = edge_distance_histogram(graph, count_loops=True)
+    hist = edge_distance_histogram(graph)
     distances = np.arange(p.n + 1)
     total = int(hist.sum())
     if total:

@@ -117,11 +117,6 @@ def edge_probability(params: KroneckerParams, u: int, v: int) -> float:
     return math.exp(log_edge_probability(params, u, v))
 
 
-def weight_array(v: np.ndarray) -> np.ndarray:
-    """Vectorized digit weights."""
-    return np.bitwise_count(np.asarray(v, dtype=np.uint64)).astype(np.int64)
-
-
 def hamming_array(u, v) -> np.ndarray:
     """Vectorized Hamming distances (broadcasting)."""
     x = np.asarray(u, dtype=np.uint64) ^ np.asarray(v, dtype=np.uint64)
@@ -234,16 +229,16 @@ class SampledGraph:
         params: KroneckerParams,
         u,
         v=None,
-        loops=(),
         include_loops: bool = True,
     ) -> "SampledGraph":
-        """Canonicalize vertex pairs ``(u[i], v[i])`` and loop vertices.
+        """Canonicalize vertex pairs ``(u[i], v[i])``.
 
         With ``v`` omitted, ``u`` is a sequence of ``(u, v)`` pairs.  Pairs
         may come in any order and orientation and may repeat; a pair with
-        ``u == v`` is a loop.  Without ``include_loops`` the graph holds no
-        loops, so given loops are dropped.  Raises DimensionError when a
-        vertex does not fit ``params.n`` digits.
+        ``u == v`` is a loop, the only way to give one.  Without
+        ``include_loops`` the graph holds no loops, so such pairs are
+        dropped.  Raises DimensionError when a vertex does not fit
+        ``params.n`` digits.
         """
         n = params.n
         if n > GRAPH_MAX_N:
@@ -254,15 +249,14 @@ class SampledGraph:
                 u, v = pairs[:, 0], pairs[:, 1]
             u = np.asarray(u, dtype=np.int64)
             v = np.asarray(v, dtype=np.int64)
-            loops = np.asarray(loops, dtype=np.int64)
         except OverflowError:
             raise DimensionError(f"a vertex does not fit {n} digits") from None
-        for part in (u, v, loops):
+        for part in (u, v):
             if len(part) and (part.min() < 0 or part.max() >> n):
                 raise DimensionError(f"a vertex does not fit {n} digits")
         is_loop = u == v
         if include_loops:
-            loops = np.unique(np.concatenate([loops, u[is_loop]]))
+            loops = np.unique(u[is_loop])
         else:
             loops = np.empty(0, dtype=np.int64)
         if n <= PAIR_KEY_MAX_N:

@@ -452,12 +452,11 @@ def identify_vertices(pattern: PatternGraph, u: int, v: int):
 class UnionPattern:
     """A graph assembled from two edge-overlapping copies of a pattern.
 
-    ``map_a`` and ``map_b`` give the vertex images of the two copies;
-    the first copy is embedded identically.
+    The first copy is embedded identically; ``map_b`` gives the vertex
+    images of the second.
     """
 
     graph: PatternGraph
-    map_a: tuple
     map_b: tuple
 
 
@@ -565,9 +564,7 @@ def enumerate_pair_unions(pattern: PatternGraph) -> tuple:
                 candidates = found.setdefault(key, [])
                 if any(_isomorphic(union, other.graph) for other in candidates):
                     continue
-                candidates.append(
-                    UnionPattern(graph=union, map_a=tuple(range(v)), map_b=tuple(map_b))
-                )
+                candidates.append(UnionPattern(graph=union, map_b=tuple(map_b)))
     unions = [up for bucket in found.values() for up in bucket]
     unions.sort(key=lambda up: (up.graph.vertex_count, up.graph.edge_count, up.graph.edge_list))
     return tuple(unions)

@@ -59,9 +59,7 @@ class SeedSpec:
         """A named substream; children with distinct labels are independent."""
         return SeedSpec(seed=self.seed, stream=self.stream + tuple(labels))
 
-    def seed_sequence(self) -> np.random.SeedSequence:
-        return np.random.SeedSequence(entropy=self.seed, spawn_key=_spawn_key(self.stream))
-
     def generator(self) -> np.random.Generator:
         """A PCG64 generator positioned at the start of this stream."""
-        return np.random.Generator(np.random.PCG64(self.seed_sequence()))
+        sequence = np.random.SeedSequence(entropy=self.seed, spawn_key=_spawn_key(self.stream))
+        return np.random.Generator(np.random.PCG64(sequence))

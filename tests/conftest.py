@@ -80,9 +80,10 @@ def brute_expected_copies(params: KroneckerParams, vertex_count: int, edges) -> 
     return float(np.exp(log_prob).sum())
 
 
-def lexsort_canonical(u, v, loops, include_loops: bool):
+def lexsort_canonical(u, v, include_loops: bool):
     """(edges, loops) in the canonical form of ``SampledGraph.from_pairs``,
-    by a lexsort of the (lo, hi) rows: sorted, distinct, lo < hi."""
+    by a lexsort of the (lo, hi) rows: sorted, distinct, lo < hi; the pairs
+    u = v are the loops."""
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     proper = u != v
@@ -92,7 +93,7 @@ def lexsort_canonical(u, v, loops, include_loops: bool):
     keep = np.ones(len(rows), dtype=bool)
     keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     if include_loops:
-        all_loops = np.unique(np.concatenate([np.asarray(loops, dtype=np.int64), u[~proper]]))
+        all_loops = np.unique(u[~proper])
     else:
         all_loops = np.empty(0, dtype=np.int64)
     return rows[keep].reshape(-1, 2), all_loops

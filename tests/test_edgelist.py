@@ -39,7 +39,7 @@ def test_bytes_stable(tmp_path):
 
 def test_format_details(tmp_path):
     p = KroneckerParams(alpha=0.5, beta=0.25, gamma=0.125, n=4)
-    g = SampledGraph.from_pairs(p, [(9, 2), (0, 1)], loops=[3], include_loops=True)
+    g = SampledGraph.from_pairs(p, [(9, 2), (0, 1), (3, 3)], include_loops=True)
     path = tmp_path / "g.edges"
     write_edgelist(g, path)
     lines = path.read_text().splitlines()
@@ -172,9 +172,9 @@ def small_graphs(draw):
     params = KroneckerParams(alpha=draw(entry), beta=draw(entry), gamma=draw(entry), n=n)
     vertex = st.integers(0, (1 << n) - 1)
     pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=40))
-    loops = draw(st.lists(vertex, max_size=8))
+    loops = [(w, w) for w in draw(st.lists(vertex, max_size=8))]
     include_loops = draw(st.booleans())
-    return SampledGraph.from_pairs(params, pairs, loops=loops, include_loops=include_loops)
+    return SampledGraph.from_pairs(params, pairs + loops, include_loops=include_loops)
 
 
 EMPTY = KroneckerParams(alpha=0.5, beta=0.25, gamma=0.125, n=3)

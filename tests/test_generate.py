@@ -270,10 +270,10 @@ def test_stratified_matches_naive_mean_edge_count():
     p = KroneckerParams(alpha=0.6, beta=0.4, gamma=0.3, n=6)
     trials = 300
     naive_counts = np.array(
-        [len(generate_naive(p, False, SeedSpec(8).child("t", t)).edges) for t in range(trials)]
+        [len(generate_naive(p, False, seed=SeedSpec(8).child("t", t)).edges) for t in range(trials)]
     )
     strat_counts = np.array(
-        [len(generate_stratified(p, False, SeedSpec(9).child("t", t)).edges) for t in range(trials)]
+        [len(generate_stratified(p, False, seed=SeedSpec(9).child("t", t)).edges) for t in range(trials)]
     )
     expected = expected_edge_count(p, include_loops=False)
     for counts in (naive_counts, strat_counts):
@@ -406,11 +406,9 @@ class TestDegreeHistogram:
     def test_handshake_identity(self):
         p = KroneckerParams(0.6, 0.4, 0.3, 8)
         g = generate_stratified(p, include_loops=True, seed=SeedSpec(77))
-        hist = degree_histogram(g, count_loops=True)
+        hist = degree_histogram(g)
         assert sum(hist.values()) == 256
         assert sum(d * c for d, c in hist.items()) == 2 * len(g.edges) + len(g.loops)
-        no_loops = degree_histogram(g, count_loops=False)
-        assert sum(d * c for d, c in no_loops.items()) == 2 * len(g.edges)
 
 
 class TestCapacity:

@@ -25,7 +25,12 @@ from kronval import (
     star,
 )
 from kronval.cli import main
-from kronval.generate import GENERATE_MEMORY_CEILING, RMAT_MAX_EDGES, RMAT_PEAK_BYTES_PER_DRAW
+from kronval.generate import (
+    GENERATE_MEMORY_CEILING,
+    RMAT_MAX_EDGES,
+    RMAT_PEAK_BYTES_PER_DRAW,
+    edge_sum_moments,
+)
 from kronval.harness import (
     GENERATORS,
     KINDS,
@@ -182,25 +187,38 @@ class TestReports:
         assert len(report.table_rows) == 9
 
     @pytest.mark.parametrize("include_loops", [True, False])
-    def test_hamming_criteria_expect_the_runs_own_weighting(self, include_loops):
-        # Exact ratios over every pair u <= v at n = 6: the mean distance
-        # weights each edge and each loop once, and degrees count a loop
-        # once, or not at all without loops.
+    def test_hamming_moments_are_sums_over_all_pairs(self, include_loops):
+        # Brute force over every pair u <= v at n = 6: the distance total
+        # weights a pair by its distance, the degree total an edge by 2 and
+        # a loop by 1, and each pair adds w p and w^2 p (1 - p).
         params = KroneckerParams(0.7, 0.5, 0.7, 6)
         pairs = [(u, v) for u in range(64) for v in range(u, 64) if include_loops or u != v]
         probs = np.array([edge_probability(params, u, v) for u, v in pairs])
         distances = np.array([bin(u ^ v).count("1") for u, v in pairs])
         ends = np.array([1 if u == v else 2 for u, v in pairs])
+        moments = edge_sum_moments(params, include_loops)
+        for (mean, var), weight in zip(moments, (distances, ends)):
+            assert mean == pytest.approx((probs * weight).sum(), rel=1e-12)
+            assert var == pytest.approx((probs * (1 - probs) * weight**2).sum(), rel=1e-12)
         report = run_experiment(
             cfg(kind="hamming", params=params, trials=2, include_loops=include_loops)
         )
-        degree, _, distance = report.criteria
-        assert degree.expected == pytest.approx((probs * ends).sum() / 64, rel=1e-12)
-        assert distance.expected == pytest.approx(
-            (probs * distances).sum() / probs.sum(), rel=1e-12
-        )
+        assert [c.expected for c in report.criteria] == [mean for mean, _ in moments]
         center = {a.name: a.value for a in report.analytic}["window_center"]
         assert center == 0.5 * 6 / 1.2
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("loops", ["--loops", "--no-loops"])
+    def test_hamming_passes_at_the_smallest_n(self, n, loops):
+        # A handful of pairs: fixed relative tolerances and an in-window
+        # fraction (a window of zero width at n = 1) fail such runs; a z on
+        # the exact moments does not.
+        for seed in range(1, 6):
+            rc, _, err = _run_cli(
+                ["validate", "--kind", "hamming", "--n", str(n), "--alpha", "0.7", "--beta",
+                 "0.5", "--gamma", "0.7", "--trials", "1", "--seed", str(seed), loops]
+            )
+            assert rc == 0, err
 
     def test_byte_determinism(self, tmp_path):
         config = cfg()
@@ -538,6 +556,15 @@ class TestCli:
         ]
         assert main(failing) == 1
 
+    def test_certify_takes_no_n(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--pattern", "cycle:4", "--alpha", "0.6", "--beta", "0.5",
+                  "--gamma", "0.6", "--n", "5"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "usage:" in captured.err and "unrecognized arguments: --n 5" in captured.err
+
     def test_predict_regime_text(self, capsys):
         rc = main(
             [
@@ -586,12 +613,13 @@ class TestCli:
 
     def test_oversized_pattern_is_exit_2(self, tmp_path, capsys):
         graph = tmp_path / "g.edges"
-        params = ["--n", "4", "--alpha", "0.5", "--beta", "0.4", "--gamma", "0.5"]
+        entries = ["--alpha", "0.5", "--beta", "0.4", "--gamma", "0.5"]
+        params = ["--n", "4", *entries]
         assert main(["generate", *params, "--seed", "1", "--out", str(graph)]) == 0
         for argv in (
             ["measure", "--input", str(graph), "--what", "subgraph"],
             ["validate", "--kind", "subgraph", *params, "--seed", "1"],
-            ["certify", *params],
+            ["certify", *entries],
         ):
             capsys.readouterr()
             assert main([*argv, "--pattern", "cycle:11"]) == 2
@@ -770,11 +798,11 @@ TINY_ENTRIES = st.floats(-300.0, -0.0125).map(lambda e: 10.0**e)
 @example(alpha=1e-300, beta=0.9, gamma=1e-300, n=6, pattern="cycle:4")
 def test_tiny_entries_exit_code_property(alpha, beta, gamma, n, pattern):
     # Base values underflow to 0 here; their logs do not.
-    entries = ["--alpha", repr(alpha), "--beta", repr(beta), "--gamma", repr(gamma), "--n", str(n)]
+    entries = ["--alpha", repr(alpha), "--beta", repr(beta), "--gamma", repr(gamma)]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         validate = main(
-            ["validate", "--kind", "subgraph", *entries, "--pattern", pattern, "--seed", "1",
-             "--trials", "2"]
+            ["validate", "--kind", "subgraph", *entries, "--n", str(n), "--pattern", pattern,
+             "--seed", "1", "--trials", "2"]
         )
         certify = main(["certify", *entries, "--pattern", pattern])
     assert validate in (0, 1) and certify in (0, 1)
@@ -928,19 +956,21 @@ CERTIFY_ENTRY = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(
-    pattern=PATTERN_ARGS, n=st.integers(-2, 70),
+    pattern=PATTERN_ARGS, n=st.one_of(st.none(), st.integers()),
     alpha=CERTIFY_ENTRY, beta=CERTIFY_ENTRY, gamma=CERTIFY_ENTRY,
 )
 @example(pattern="path:5", n=70, alpha="0.6", beta="0.5", gamma="0.6")
 @example(pattern="cycle:8", n=1, alpha="nan", beta="inf", gamma="1e-300")
 @example(pattern="@non-ascii", n=-2, alpha="0", beta="1", gamma="0")
+@example(pattern="cycle:4", n=None, alpha="0.6", beta="0.5", gamma="0.6")
 def test_certify_exit_code_property(pattern, n, alpha, beta, gamma):
+    argv = ["--alpha", alpha, "--beta", beta, "--gamma", gamma]
+    if n is not None:
+        argv += ["--n", str(n)]
     with tempfile.TemporaryDirectory() as tmp:
-        rc, out, err = _run_cli(
-            ["certify", "--pattern", _pattern_arg(pattern, tmp), "--n", str(n),
-             "--alpha", alpha, "--beta", beta, "--gamma", gamma]
-        )
-    assert rc in (0, 1, 2)
+        rc, out, err = _run_cli(["certify", "--pattern", _pattern_arg(pattern, tmp), *argv])
+    # the certificate depends on the entries alone, so --n is not an argument
+    assert rc in ((2,) if n is not None else (0, 1, 2))
     assert "Traceback" not in err
     # a certificate is written exactly when one was reached
     assert (out == "") == (rc == 2)

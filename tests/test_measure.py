@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kronval.measure
+from kronval.measure import _count_backtracking
 from kronval import (
     CapacityError,
     KroneckerParams,
@@ -39,7 +40,7 @@ def complete_graph(params, vertices):
 class TestCountLabeledCopies:
     def test_single_edge_counts_orientations(self):
         p = KroneckerParams(0.6, 0.4, 0.3, 4)
-        g = SampledGraph.from_pairs(p, [(0, 1), (2, 5), (7, 9)], loops=[3])
+        g = SampledGraph.from_pairs(p, [(0, 1), (2, 5), (7, 9), (3, 3)])
         assert count_labeled_copies(g, star(1)) == 6
         assert count_labeled_copies(g, star(1)) // 2 == len(g.edges)
 
@@ -50,7 +51,7 @@ class TestCountLabeledCopies:
 
     def test_loops_never_participate(self):
         p = KroneckerParams(0.6, 0.4, 0.3, 3)
-        g = SampledGraph.from_pairs(p, [(0, 1)], loops=[0, 1])
+        g = SampledGraph.from_pairs(p, [(0, 1), (0, 0), (1, 1)])
         assert count_labeled_copies(g, path(2)) == 0
         assert count_labeled_copies(g, star(1)) == 2
 
@@ -63,9 +64,9 @@ class TestCountLabeledCopies:
             ),
             complete_graph(p, [0, 1, 2, 5, 9]),
             SampledGraph.from_pairs(
-                p, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 1), (7, 7)], loops=[0, 3]
+                p, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 1), (7, 7), (0, 0), (3, 3)]
             ),
-            SampledGraph.from_pairs(p, [], loops=[0, 5, 6]),
+            SampledGraph.from_pairs(p, [(0, 0), (5, 5), (6, 6)]),
             SampledGraph.from_pairs(p, [], include_loops=False),
         ]
         patterns = (
@@ -77,8 +78,7 @@ class TestCountLabeledCopies:
         for g in hosts:
             for pattern in patterns:
                 auto = count_labeled_copies(g, pattern)
-                generic = count_labeled_copies(g, pattern, method="generic")
-                assert auto == generic
+                assert auto == _count_backtracking(g, pattern)
         assert count_labeled_copies(hosts[1], cycle(4)) > 0
         assert count_labeled_copies(hosts[1], path(3)) > 0
 
@@ -92,9 +92,7 @@ class TestCountLabeledCopies:
         pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=60))
         g = SampledGraph.from_pairs(KroneckerParams(0.6, 0.4, 0.3, n), pairs)
         for pattern in (cycle(3), cycle(4), path(3)):
-            assert count_labeled_copies(g, pattern) == count_labeled_copies(
-                g, pattern, method="generic"
-            )
+            assert count_labeled_copies(g, pattern) == _count_backtracking(g, pattern)
 
     def test_counts_do_not_depend_on_block_size(self, monkeypatch):
         p = KroneckerParams(0.7, 0.5, 0.7, 8)
@@ -124,8 +122,6 @@ class TestCountLabeledCopies:
         assert count_labeled_copies(g, cycle(4)) == 4 * m * (m - 1)
         with pytest.raises(CapacityError):
             count_labeled_copies(g, cycle(5))
-        with pytest.raises(CapacityError):
-            count_labeled_copies(g, cycle(4), method="generic")
 
     def test_star_shortcut_is_falling_factorial(self):
         p = KroneckerParams(0.55, 0.45, 0.35, 6)
@@ -168,13 +164,6 @@ class TestCountLabeledCopies:
             se = max(sample.std(ddof=1) / math.sqrt(trials), 1e-9)
             assert abs(sample.mean() - exact) <= 4 * se, name
 
-    def test_only_auto_and_generic_methods(self):
-        g = SampledGraph.from_pairs(KroneckerParams(0.6, 0.4, 0.3, 3), [(0, 1), (1, 2)])
-        assert count_labeled_copies(g, star(2), method="generic") == 2
-        for method in ("star", "triangle"):
-            with pytest.raises(ParameterError):
-                count_labeled_copies(g, star(2), method=method)
-
     def test_capacity_guards(self):
         p = KroneckerParams(0.6, 0.4, 0.3, 3)
         g = SampledGraph.from_pairs(p, [(0, 1)])
@@ -190,7 +179,7 @@ class TestNeighborHistogram:
 
     def test_loop_counts_at_zero(self):
         p = KroneckerParams(0.6, 0.4, 0.3, 4)
-        g = SampledGraph.from_pairs(p, [], loops=[5])
+        g = SampledGraph.from_pairs(p, [(5, 5)])
         hist = neighbor_hamming_histogram(g, 5)
         assert hist[0] == 1 and hist.sum() == 1
 
@@ -203,10 +192,10 @@ class TestNeighborHistogram:
             hist = neighbor_hamming_histogram(g, u)
             assert hist.sum() == degrees[u]
             totals += hist
-        edge_hist = edge_distance_histogram(g, count_loops=False)
+        edge_hist = edge_distance_histogram(g)
         for k in range(1, 7):
             assert totals[k] == 2 * edge_hist[k]
-        assert totals[0] == len(g.loops)
+        assert totals[0] == edge_hist[0] == len(g.loops)
 
     def test_matches_neighbor_set_definition(self):
         # reference: neighbors from a plain loop over the edges, then distances
@@ -245,7 +234,7 @@ class TestConcentrationReport:
         assert report.degree_min <= report.degree_mean <= report.degree_max
         assert 0.95 <= report.in_window_edge_fraction <= 1.0
         assert report.include_loops is True
-        hist = edge_distance_histogram(g, count_loops=True)
+        hist = edge_distance_histogram(g)
         assert report.distance_histogram == tuple(hist.tolist())
         assert report.distance_histogram[0] == len(g.loops) > 0
 

@@ -147,19 +147,19 @@ class TestEdgeProbability:
 
 class TestSampledGraph:
     def test_from_pairs_canonicalizes(self, small_params):
-        g = SampledGraph.from_pairs(small_params, [(3, 1), (1, 3), (2, 2)], loops=[5])
+        g = SampledGraph.from_pairs(small_params, [(3, 1), (1, 3), (2, 2), (5, 5)])
         assert g.edges.tolist() == [[1, 3]]
         assert g.loops.tolist() == [2, 5]
 
     def test_from_pairs_validates_range(self, small_params):
-        for u, v, loops in ([0], [8], []), ([-1], [2], []), ([0], [1], [8]), ([0], [2**70], []):
+        for u, v in ([0], [8]), ([-1], [2]), ([0, 8], [1, 8]), ([0], [2**70]):
             with pytest.raises(DimensionError):
-                SampledGraph.from_pairs(small_params, u, v, loops)
+                SampledGraph.from_pairs(small_params, u, v)
             with pytest.raises(DimensionError):
-                SampledGraph.from_pairs(small_params, list(zip(u, v)), loops=loops)
+                SampledGraph.from_pairs(small_params, list(zip(u, v)))
 
     def test_arrays_are_read_only(self, small_params):
-        g = SampledGraph.from_pairs(small_params, [(3, 1), (0, 2)], loops=[5])
+        g = SampledGraph.from_pairs(small_params, [(3, 1), (0, 2), (5, 5)])
         for array in (g.edges, g.loops, g.edge_array):
             with pytest.raises(ValueError):
                 array[0] = 7
@@ -173,7 +173,10 @@ class TestSampledGraph:
         assert len(g.edges) > 2 and len(g.loops) > 1
         flipped = g.edges[::-1, ::-1]  # reversed rows, each pair as (hi, lo)
         again = SampledGraph.from_pairs(
-            p, flipped[:, 0], flipped[:, 1], g.loops[::-1], include_loops=True
+            p,
+            np.concatenate([flipped[:, 0], g.loops[::-1]]),
+            np.concatenate([flipped[:, 1], g.loops[::-1]]),
+            include_loops=True,
         )
         doubled = SampledGraph.from_pairs(
             p,
@@ -182,13 +185,16 @@ class TestSampledGraph:
         path = tmp_path / "g.edges"
         write_edgelist(g, path)
         assert again == g and doubled == g and read_edgelist(path) == g
-        assert SampledGraph.from_pairs(p, g.edges, loops=g.loops[1:]) != g
-        assert SampledGraph.from_pairs(p, g.edges, loops=g.loops, include_loops=False) != g
+        loop_pairs = np.column_stack([g.loops, g.loops])
+        assert SampledGraph.from_pairs(p, np.concatenate([g.edges, loop_pairs[1:]])) != g
+        assert SampledGraph.from_pairs(
+            p, np.concatenate([g.edges, loop_pairs]), include_loops=False
+        ) != g
         with pytest.raises(TypeError):
             hash(g)
 
     def test_degrees_loop_convention(self, small_params):
-        g = SampledGraph.from_pairs(small_params, [(0, 1)], loops=[0])
+        g = SampledGraph.from_pairs(small_params, [(0, 1), (0, 0)])
         with_loops = g.degrees(count_loops=True)
         without = g.degrees(count_loops=False)
         assert with_loops[0] == 2 and without[0] == 1
@@ -211,22 +217,22 @@ def pair_lists(draw):
     pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=30))
     repeats = draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
     flipped = [(b, a) for a, b in draw(st.lists(st.sampled_from(pairs), max_size=10))] if pairs else []
-    pairs = draw(st.permutations(pairs + repeats + flipped))
-    loops = draw(st.lists(vertex, max_size=5))
-    return n, pairs, loops, draw(st.booleans())
+    loops = [(w, w) for w in draw(st.lists(vertex, max_size=5))]
+    pairs = draw(st.permutations(pairs + repeats + flipped + loops))
+    return n, pairs, draw(st.booleans())
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=pair_lists())
-@example(case=(31, [(2**31 - 1, 2**31 - 2), (2**31 - 2, 2**31 - 1), (0, 5)], [0], False))
-@example(case=(32, [(2**32 - 2, 2**32 - 1), (0, 2**32 - 1), (0, 0)], [], True))
+@example(case=(31, [(2**31 - 1, 2**31 - 2), (2**31 - 2, 2**31 - 1), (0, 5), (0, 0)], False))
+@example(case=(32, [(2**32 - 2, 2**32 - 1), (0, 2**32 - 1), (0, 0)], True))
 def test_from_pairs_matches_lexsort_oracle(case):
-    n, pairs, loops, include_loops = case
+    n, pairs, include_loops = case
     p = KroneckerParams(alpha=0.5, beta=0.25, gamma=0.125, n=n)
     u = [a for a, _ in pairs]
     v = [b for _, b in pairs]
-    g = SampledGraph.from_pairs(p, u, v, loops=loops, include_loops=include_loops)
-    edges, all_loops = lexsort_canonical(u, v, loops, include_loops)
+    g = SampledGraph.from_pairs(p, u, v, include_loops=include_loops)
+    edges, all_loops = lexsort_canonical(u, v, include_loops)
     assert g.edges.dtype == np.int64 and g.edges.shape == edges.shape
     assert np.array_equal(g.edges, edges) and np.array_equal(g.loops, all_loops)
 
