@@ -198,7 +198,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_certify(args) -> int:
     # The certificate compares base values, which depend on the entries
-    # alone, so any n gives the same report; n = 1 is a placeholder.
+    # alone, so any n gives the same report; n = 1 is a placeholder.  The
+    # params are still built, since KroneckerParams validates the entries.
     params = KroneckerParams(alpha=args.alpha, beta=args.beta, gamma=args.gamma, n=1)
     pattern = _load_pattern(args.pattern)
     report = second_moment_certificate(params, pattern)

@@ -244,6 +244,19 @@ def _z_score(mean: float, predicted: float, sample_sd: float, trials: int) -> fl
     return (mean - predicted) / se
 
 
+def _z_criterion(name: str, observed: float, expected: float, z: float) -> Criterion:
+    """The criterion |z| <= Z_TOLERANCE."""
+    return Criterion(
+        name=name,
+        observed=observed,
+        expected=expected,
+        statistic="|z|",
+        value=abs(z),
+        tolerance=Z_TOLERANCE,
+        passed=abs(z) <= Z_TOLERANCE,
+    )
+
+
 def _run_degrees(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
     params = config.params
     d_max = config.degree_max
@@ -268,17 +281,7 @@ def _run_degrees(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
     rows = []
     for d in range(d_max + 1):
         z = _z_score(float(means[d]), float(predicted[d]), float(sds[d]), config.trials)
-        criteria.append(
-            Criterion(
-                name=f"degree_{d}_count",
-                observed=float(means[d]),
-                expected=float(predicted[d]),
-                statistic="|z|",
-                value=abs(z),
-                tolerance=Z_TOLERANCE,
-                passed=abs(z) <= Z_TOLERANCE,
-            )
-        )
+        criteria.append(_z_criterion(f"degree_{d}_count", float(means[d]), float(predicted[d]), z))
         rows.append((d, float(means[d]), float(predicted[d]), z))
     empirical = {
         "trials": config.trials,
@@ -315,15 +318,7 @@ def _run_subgraph(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
         AnalyticValue("copies_exact", exact, "exact injective-map expectation"),
     )
     z = _z_score(mean, exact, sd, config.trials)
-    criterion = Criterion(
-        name="mean_copies_vs_exact",
-        observed=mean,
-        expected=exact,
-        statistic="|z|",
-        value=abs(z),
-        tolerance=Z_TOLERANCE,
-        passed=abs(z) <= Z_TOLERANCE,
-    )
+    criterion = _z_criterion("mean_copies_vs_exact", mean, exact, z)
     empirical = {
         "trials": config.trials,
         "mean_count": mean,
@@ -378,17 +373,7 @@ def _run_hamming(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
     ):
         observed = float(sums.mean())
         z = (observed - mean) / math.sqrt(var / config.trials)
-        criteria.append(
-            Criterion(
-                name=name,
-                observed=observed,
-                expected=mean,
-                statistic="|z|",
-                value=abs(z),
-                tolerance=Z_TOLERANCE,
-                passed=abs(z) <= Z_TOLERANCE,
-            )
-        )
+        criteria.append(_z_criterion(name, observed, mean, z))
     analytic = (
         AnalyticValue(
             "expected_degree", report.expected_degree, "uniform expected degree (alpha+beta)^n"

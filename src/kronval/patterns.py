@@ -3,7 +3,10 @@ second-moment concentration certificates.
 
 The base value of a pattern G is the sum over all 0/1 vertex labelings of
 the product of initiator entries along the edges; the expected number of
-labeled copies of G in a realization grows like (base value)^n.
+labeled copies of G in a realization grows like (base value)^n.  Only
+``_labeling_sum`` enumerates labelings: it sums exactly, in integers, for the
+base value (rounded once), its log where that float underflows, and the
+quotients behind the exact expected copy count.
 """
 
 from __future__ import annotations
@@ -167,26 +170,38 @@ def _check_pattern_size(vertex_count: int) -> None:
         )
 
 
-def _label_sums(pattern: PatternGraph) -> list:
-    """Per edge of ``edge_list``, the label sum (0, 1 or 2) of its two ends
-    under every 0/1 vertex labeling, as an index into (gamma, beta, alpha)."""
-    v = pattern.vertex_count
-    if v > BASE_VALUE_MAX_VERTICES:
+def _labeling_sum(params: KroneckerParams, vertex_count: int, edges) -> tuple:
+    """The labeling sum of a multigraph as an exact fraction (num, den).
+
+    Loops (alpha on label 1, gamma on label 0) and repeated edges are kept.
+    One pass counts the 2^v labelings by how many edges have label sum 0
+    (n0) and 2 (n2).  Float entries are dyadic, integers over a shared
+    power-of-two D, so num / den = sum c gamma^n0 beta^(e-n0-n2) alpha^n2 / D^e.
+    """
+    if vertex_count > BASE_VALUE_MAX_VERTICES:
         raise CapacityError(
-            f"base_value enumerates 2^{v} labelings; the cap is"
-            f" {BASE_VALUE_MAX_VERTICES} vertices"
+            f"labeling sums cap at {BASE_VALUE_MAX_VERTICES} vertices, got {vertex_count}"
         )
-    labels = np.arange(1 << v, dtype=np.int64)
-    return [((labels >> i) & 1) + ((labels >> j) & 1) for i, j in pattern.edge_list]
+    e = len(edges)
+    ends = np.array(edges, dtype=np.int64).reshape(e, 2)
+    bits = (np.arange(1 << vertex_count)[:, None] >> np.arange(vertex_count)) & 1
+    sums = bits[:, ends[:, 0]] + bits[:, ends[:, 1]]
+    counts = np.bincount((sums == 0).sum(axis=1) * (e + 1) + (sums == 2).sum(axis=1))
+    ratios = [x.as_integer_ratio() for x in (params.gamma, params.beta, params.alpha)]
+    denominator = max(d for _, d in ratios)  # every denominator is a power of 2
+    gamma, beta, alpha = ([(k * (denominator // d)) ** i for i in range(e + 1)] for k, d in ratios)
+    num = 0
+    for key in np.flatnonzero(counts).tolist():
+        n0, n2 = divmod(key, e + 1)
+        num += int(counts[key]) * gamma[n0] * beta[e - n0 - n2] * alpha[n2]
+    return num, denominator**e
 
 
 def base_value(params: KroneckerParams, pattern: PatternGraph) -> float:
-    """Sum over all 0/1 vertex labelings of the edge-entry product."""
-    entries = np.array([params.gamma, params.beta, params.alpha])
-    total = np.ones(1 << pattern.vertex_count, dtype=float)
-    for sums in _label_sums(pattern):
-        total *= entries[sums]
-    return float(total.sum())
+    """Sum over all 0/1 vertex labelings of the edge-entry product, exact and
+    rounded once."""
+    num, den = _labeling_sum(params, pattern.vertex_count, pattern.edge_list)
+    return num / den
 
 
 def _log_base_value(params: KroneckerParams, pattern: PatternGraph, value: float) -> float:
@@ -194,17 +209,12 @@ def _log_base_value(params: KroneckerParams, pattern: PatternGraph, value: float
 
     math.log(value) where the value is a normal float, so logs and linear
     values agree to the last bit; where it underflows (entries of 1e-200 on
-    a triangle) a log-sum-exp over the labelings' log products, which stays
-    finite for all entries in (0, 1).
+    a triangle) the log taken from the exact sum's integers, always finite.
     """
     if value >= sys.float_info.min:
         return math.log(value)
-    log_entries = np.array(params.log_entries()[::-1])  # (gamma, beta, alpha)
-    log_terms = np.zeros(1 << pattern.vertex_count, dtype=float)
-    for sums in _label_sums(pattern):
-        log_terms += log_entries[sums]
-    top = float(log_terms.max())
-    return top + math.log(float(np.exp(log_terms - top).sum()))
+    num, den = _labeling_sum(params, pattern.vertex_count, pattern.edge_list)
+    return math.log(num) - math.log(den)
 
 
 def expected_copies_asymptotic(params: KroneckerParams, pattern: PatternGraph) -> float:
@@ -252,24 +262,16 @@ def expected_copies_exact(params: KroneckerParams, pattern: PatternGraph) -> flo
         )
     if n > GRAPH_MAX_N:
         raise CapacityError(f"exact expected copies cap at n = {GRAPH_MAX_N}, got {n}")
-    ratios = [x.as_integer_ratio() for x in (params.gamma, params.beta, params.alpha)]
-    denominator = max(d for _, d in ratios)  # every denominator is a power of 2
-    entry = [k * (denominator // d) for k, d in ratios]  # indexed by label sum 0, 1, 2
-    weights = collections.Counter()  # B(G/pi) * D^e -> summed mu(pi)
+    weights = collections.Counter()  # B(G/pi) * D^e -> summed mu(pi); den = D^e for every pi
     for blocks in _set_partitions(v):
-        k = max(blocks) + 1
         mu = 1
         for size in collections.Counter(blocks).values():
             mu *= (-1) ** (size - 1) * math.factorial(size - 1)
-        labeling_sum = 0
-        for labels in range(1 << k):
-            term = 1
-            for i, j in pattern.edge_list:
-                term *= entry[((labels >> blocks[i]) & 1) + ((labels >> blocks[j]) & 1)]
-            labeling_sum += term
-        weights[labeling_sum] += mu
+        quotient = [(blocks[i], blocks[j]) for i, j in pattern.edge_list]
+        num, den = _labeling_sum(params, max(blocks) + 1, quotient)
+        weights[num] += mu
     total = sum(mu * b**n for b, mu in weights.items())
-    return total / denominator ** (pattern.edge_count * n)
+    return total / den**n
 
 
 def star_base_value(params: KroneckerParams, k: int) -> float:
@@ -587,7 +589,6 @@ class CertificateReport:
     """
 
     pattern: PatternGraph
-    params: KroneckerParams
     pattern_base: float
     entries: tuple
 
@@ -631,6 +632,4 @@ def second_moment_certificate(
         entries.append(
             CertificateEntry(union=union, union_base=b_union, margin=bound - b_union, status=status)
         )
-    return CertificateReport(
-        pattern=pattern, params=params, pattern_base=b_pattern, entries=tuple(entries)
-    )
+    return CertificateReport(pattern=pattern, pattern_base=b_pattern, entries=tuple(entries))

@@ -1,7 +1,10 @@
 import collections
 import hashlib
 import itertools
+import math
 import random
+import sys
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
@@ -35,7 +38,7 @@ from kronval import (
     valid_edge_labelings,
 )
 from kronval.cli import main
-from kronval.patterns import _isomorphic, _iso_bucket_key
+from kronval.patterns import _isomorphic, _iso_bucket_key, _labeling_sum, _log_base_value
 from conftest import (
     PARAM_GRID,
     SYMMETRIC_GRID,
@@ -95,7 +98,62 @@ class TestPatternGraph:
         assert not PatternGraph.from_edges(3, [(0, 1)]).is_connected()  # isolated 2
 
 
+def fraction_labeling_sum(params, vertex_count, edges) -> Fraction:
+    """The labeling sum in exact rationals, by plain loops; edges may be
+    loops or repeat."""
+    gamma, beta, alpha = (Fraction(x) for x in (params.gamma, params.beta, params.alpha))
+    matrix = [[gamma, beta], [beta, alpha]]
+    total = Fraction(0)
+    for bits in itertools.product((0, 1), repeat=vertex_count):
+        term = Fraction(1)
+        for u, v in edges:
+            term *= matrix[bits[u]][bits[v]]
+        total += term
+    return total
+
+
+# Log-uniform over [1e-300, 0.97], so underflowing base values are common.
+tiny_to_large = st.floats(min_value=math.log(1e-300), max_value=math.log(0.97)).map(math.exp)
+
+
+@st.composite
+def small_patterns(draw):
+    """A random simple graph of 1 to 6 vertices."""
+    v = draw(st.integers(min_value=1, max_value=6))
+    pairs = list(itertools.combinations(range(v), 2))
+    return PatternGraph.from_edges(v, draw(st.sets(st.sampled_from(pairs))) if pairs else [])
+
+
 class TestBaseValue:
+    @settings(max_examples=150, deadline=None)
+    @given(g=small_patterns(), entries=st.tuples(tiny_to_large, tiny_to_large, tiny_to_large))
+    @example(g=cycle(4), entries=(1e-300, 0.9, 1e-300))
+    @example(g=cycle(4), entries=(1e-200, 1e-200, 1e-200))
+    def test_correctly_rounded(self, g, entries):
+        p = KroneckerParams(*entries, 1)
+        exact = fraction_labeling_sum(p, g.vertex_count, g.edge_list)
+        value = base_value(p, g)
+        assert value == float(exact)
+        if exact < sys.float_info.min:
+            log_exact = math.log(exact.numerator) - math.log(exact.denominator)
+            assert _log_base_value(p, g, value) == pytest.approx(log_exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "vertex_count,edges",
+        [
+            (2, [(0, 0), (0, 1), (0, 1)]),  # a triangle with two vertices merged
+            (2, [(0, 1), (1, 0)]),  # path:2 with its ends merged
+            (3, []),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "entries", [(0.7, 0.5, 0.7), (0.6, 0.4, 0.3), (1e-300, 0.5, 1e-300), (0.9, 1e-300, 0.2)]
+    )
+    def test_labeling_sum_of_multigraph_quotients(self, vertex_count, edges, entries):
+        p = KroneckerParams(*entries, 1)
+        num, den = _labeling_sum(p, vertex_count, edges)
+        assert Fraction(num, den) == fraction_labeling_sum(p, vertex_count, edges)
+
     def test_single_edge(self):
         for alpha, beta, gamma in PARAM_GRID:
             p = KroneckerParams(alpha, beta, gamma, 1)
@@ -196,6 +254,27 @@ class TestExpectedCopies:
             expected_copies_exact(p, path(6))  # seven pattern vertices
         with pytest.raises(CapacityError):
             expected_copies_exact(KroneckerParams(0.6, 0.4, 0.3, 63), star(1))
+
+    # The exact sum is rounded once, so these floats may not move by a bit,
+    # not even at 1e-300 entries, where they sit near or below the float range.
+    @pytest.mark.parametrize(
+        "entries,expected",
+        [
+            ((0.7, 0.5, 0.7, 13), {
+                "C3": 1295.8716092632174,
+                "C4": 13179.917673189873,
+                "P3": 10001633.393063478,
+                "K13": 10001190.610832077,
+            }),
+            ((1e-300, 0.5, 1e-300, 6), {
+                "C3": 0.0, "C4": 0.0, "P3": 2.9296875e-303, "K13": 0.0,
+            }),
+        ],
+    )
+    def test_exact_pinned(self, entries, expected):
+        p = KroneckerParams(*entries)
+        patterns = {"C3": cycle(3), "C4": cycle(4), "P3": path(3), "K13": star(3)}
+        assert {name: expected_copies_exact(p, g) for name, g in patterns.items()} == expected
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -395,13 +474,18 @@ UNION_FAMILIES = {
 }
 
 # sha256 of `certify --pattern P --alpha 0.6 --beta 0.5 --gamma 0.6` stdout,
-# recorded at the same point.
+# recorded at the same point.  A name "P at A, B, G" runs P at those entries
+# instead: at 1e-300 some union base values underflow, so it pins the logs
+# taken from the exact sums.
 CERTIFY_DIGESTS = {
     "cycle:3": "f17d492bb89dfd4f8806d5c3ff397915334eb130c7248de62df3fc5b152bb450",
     "cycle:4": "42d191659cee0ae45a9d5839b5dc672ab076f42fb4c729410d320f554b42e861",
     "cycle:5": "2df75dc53bb3299c383f156554dad99e9fc7b6bb93d51f977581f3d567ddf2b7",
     "star:4": "0d4498474dcb20f82868889a6645831f8eb6f83e7064ace0397d329ecda60c1c",
     "path:4": "fdcc06a279e28fc245603b8f098af7df9f049d3c81602ef98c74516c4561a8c8",
+    "cycle:4 at 1e-300, 0.9, 1e-300": (
+        "e85a9920f03fc79af75584abf38b1bdfbd6d3f2d793a8116bf62e443aadbf11c"
+    ),
 }
 
 
@@ -457,7 +541,9 @@ class TestUnionFamilies:
 
     @pytest.mark.parametrize("name", sorted(CERTIFY_DIGESTS))
     def test_certify_bytes(self, capsys, name):
-        argv = ["certify", "--pattern", name, "--alpha", "0.6", "--beta", "0.5", "--gamma", "0.6"]
+        pattern, _, entries = name.partition(" at ")
+        alpha, beta, gamma = entries.split(", ") if entries else ("0.6", "0.5", "0.6")
+        argv = ["certify", "--pattern", pattern, "--alpha", alpha, "--beta", beta, "--gamma", gamma]
         assert main(argv) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == CERTIFY_DIGESTS[name]
