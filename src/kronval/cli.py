@@ -223,79 +223,109 @@ def _cmd_certify(args) -> int:
     return 0 if report.passes else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _generate_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_params(parser)
+    parser.add_argument("--generator", choices=GENERATORS, default="stratified")
+    parser.add_argument(
+        "--rmat-edges", type=int, default=None, help="pair draws for the rmat generator"
+    )
+    parser.add_argument("--loops", action=argparse.BooleanOptionalAction, default=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--out", required=True)
+    parser.set_defaults(func=_cmd_generate)
+
+
+def _predict_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_params(parser)
+    parser.add_argument(
+        "--what",
+        choices=("moments", "degree-counts", "regime", "hamming-profile", "critical-fraction"),
+        required=True,
+    )
+    parser.add_argument("--d", type=int, default=1, help="degree for the regime verdict")
+    parser.add_argument("--d-max", type=int, default=8)
+    parser.add_argument("--out", default=None)
+    parser.set_defaults(func=_cmd_predict)
+
+
+def _measure_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--input", required=True)
+    parser.add_argument("--what", choices=("degrees", "subgraph", "hamming"), required=True)
+    parser.add_argument("--pattern", default=None, help="star:k, cycle:k, path:k, or @file")
+    parser.add_argument("--out", default=None)
+    parser.set_defaults(func=_cmd_measure)
+
+
+def _validate_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_params(parser)
+    parser.add_argument("--kind", choices=KINDS, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--trials", type=int, default=20)
+    parser.add_argument("--generator", choices=MODEL_GENERATORS, default="stratified",
+                        help="checked at every graph the run samples, before trial 0")
+    parser.add_argument("--loops", action=argparse.BooleanOptionalAction, default=True)
+    parser.add_argument("--pattern", default=None)
+    parser.add_argument("--d-max", type=int, default=8)
+    parser.add_argument(
+        "--sweep", nargs=3, type=float, metavar=("LO", "HI", "STEPS"), default=None,
+        help="alpha(=gamma) sweep for kind=thresholds",
+    )
+    parser.add_argument("--dump-edges", default=None, metavar="PREFIX",
+                        help="also write each trial's edge list to PREFIX.<tag>.edges")
+    parser.add_argument("--out-json", default=None)
+    parser.add_argument("--out-csv", default=None)
+    parser.set_defaults(func=_cmd_validate)
+
+
+def _certify_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_entries(parser)
+    parser.add_argument("--pattern", required=True)
+    parser.add_argument("--out", default=None)
+    parser.set_defaults(func=_cmd_certify)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The kronval parser, with arguments only where ``argv`` can reach them.
+
+    Every subcommand is listed with its help, but when ``argv[0]`` names one,
+    only that subcommand gets its arguments: the others can never parse
+    ``argv``.  Otherwise (no argv, ``--help``, ``--version`` or an unknown
+    command) every subcommand gets them.
+    """
     parser = argparse.ArgumentParser(
         prog="kronval",
         description="Stochastic Kronecker graphs: generate, predict, measure, validate, certify.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("generate", help="sample a realization and write an edge list")
-    _add_params(p_gen)
-    p_gen.add_argument("--generator", choices=GENERATORS, default="stratified")
-    p_gen.add_argument("--rmat-edges", type=int, default=None, help="pair draws for the rmat generator")
-    p_gen.add_argument("--loops", action=argparse.BooleanOptionalAction, default=True)
-    p_gen.add_argument("--seed", type=int, required=True)
-    p_gen.add_argument("--out", required=True)
-    p_gen.set_defaults(func=_cmd_generate)
-
-    p_pred = sub.add_parser("predict", help="closed-form predictions as JSON")
-    _add_params(p_pred)
-    p_pred.add_argument(
-        "--what",
-        choices=("moments", "degree-counts", "regime", "hamming-profile", "critical-fraction"),
-        required=True,
-    )
-    p_pred.add_argument("--d", type=int, default=1, help="degree for the regime verdict")
-    p_pred.add_argument("--d-max", type=int, default=8)
-    p_pred.add_argument("--out", default=None)
-    p_pred.set_defaults(func=_cmd_predict)
-
-    p_meas = sub.add_parser("measure", help="measure an edge-list file")
-    p_meas.add_argument("--input", required=True)
-    p_meas.add_argument("--what", choices=("degrees", "subgraph", "hamming"), required=True)
-    p_meas.add_argument("--pattern", default=None, help="star:k, cycle:k, path:k, or @file")
-    p_meas.add_argument("--out", default=None)
-    p_meas.set_defaults(func=_cmd_measure)
-
-    p_val = sub.add_parser("validate", help="run a seeded prediction-vs-simulation experiment")
-    _add_params(p_val)
-    p_val.add_argument("--kind", choices=KINDS, required=True)
-    p_val.add_argument("--seed", type=int, required=True)
-    p_val.add_argument("--trials", type=int, default=20)
-    p_val.add_argument("--generator", choices=MODEL_GENERATORS, default="stratified",
-                       help="checked at every graph the run samples, before trial 0")
-    p_val.add_argument("--loops", action=argparse.BooleanOptionalAction, default=True)
-    p_val.add_argument("--pattern", default=None)
-    p_val.add_argument("--d-max", type=int, default=8)
-    p_val.add_argument(
-        "--sweep", nargs=3, type=float, metavar=("LO", "HI", "STEPS"), default=None,
-        help="alpha(=gamma) sweep for kind=thresholds",
-    )
-    p_val.add_argument("--dump-edges", default=None, metavar="PREFIX",
-                       help="also write each trial's edge list to PREFIX.<tag>.edges")
-    p_val.add_argument("--out-json", default=None)
-    p_val.add_argument("--out-csv", default=None)
-    p_val.set_defaults(func=_cmd_validate)
-
-    p_cert = sub.add_parser(
-        "certify", help="second-moment concentration certificate",
-        description="Check B_F < B_G^2 for every union F of two edge-overlapping copies of"
-        " the pattern G.  Base values depend on alpha, beta and gamma alone, so the"
-        " certificate takes no --n.",
-    )
-    _add_entries(p_cert)
-    p_cert.add_argument("--pattern", required=True)
-    p_cert.add_argument("--out", default=None)
-    p_cert.set_defaults(func=_cmd_certify)
-
+    commands = {
+        "generate": (_generate_arguments, {"help": "sample a realization and write an edge list"}),
+        "predict": (_predict_arguments, {"help": "closed-form predictions as JSON"}),
+        "measure": (_measure_arguments, {"help": "measure an edge-list file"}),
+        "validate": (
+            _validate_arguments, {"help": "run a seeded prediction-vs-simulation experiment"}
+        ),
+        "certify": (
+            _certify_arguments,
+            {
+                "help": "second-moment concentration certificate",
+                "description": "Check B_F < B_G^2 for every union F of two edge-overlapping"
+                " copies of the pattern G.  Base values depend on alpha, beta and gamma"
+                " alone, so the certificate takes no --n.",
+            },
+        ),
+    }
+    named = argv[0] if argv and argv[0] in commands else None
+    for name, (add_arguments, kwargs) in commands.items():
+        command = sub.add_parser(name, **kwargs)
+        if named in (None, name):
+            add_arguments(command)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except KronvalError as exc:

@@ -85,6 +85,11 @@ class PatternGraph:
     def degrees(self) -> tuple:
         return tuple(len(s) for s in self.adjacency)
 
+    @cached_property
+    def masks(self) -> tuple:
+        """The adjacency as one int per vertex, bit w set for each neighbour w."""
+        return tuple(sum(1 << w for w in s) for s in self.adjacency)
+
     def is_connected(self) -> bool:
         if self.vertex_count == 1:
             return True
@@ -170,37 +175,51 @@ def _check_pattern_size(vertex_count: int) -> None:
         )
 
 
-def _labeling_sum(params: KroneckerParams, vertex_count: int, edges) -> tuple:
-    """The labeling sum of a multigraph as an exact fraction (num, den).
+def _labeling_sum(params: KroneckerParams, vertex_count: int, edges, partitions=None) -> tuple:
+    """Labeling sums of a multigraph's quotients as exact fractions (nums, den).
 
-    Loops (alpha on label 1, gamma on label 0) and repeated edges are kept.
-    One pass counts the 2^v labelings by how many edges have label sum 0
-    (n0) and 2 (n2).  Float entries are dyadic, integers over a shared
-    power-of-two D, so num / den = sum c gamma^n0 beta^(e-n0-n2) alpha^n2 / D^e.
+    ``nums[i] / den`` is the sum for the quotient by ``partitions[i]``, a set
+    partition of the vertices as a restricted growth string (each block merged
+    into one vertex); the default, the partition into singletons, gives the
+    multigraph's own sum as the one entry.  Loops (alpha on label 1, gamma on
+    label 0) and repeated edges are kept.  One pass over the 2^v labelings
+    counts, per quotient, how many edges have label sum 0 (n0) and 2 (n2); a
+    quotient of b blocks sees each of its labelings 2^(v-b) times.  Float
+    entries are dyadic, integers over a shared power-of-two D, so
+    num / den = sum c gamma^n0 beta^(e-n0-n2) alpha^n2 / D^e.
     """
     if vertex_count > BASE_VALUE_MAX_VERTICES:
         raise CapacityError(
             f"labeling sums cap at {BASE_VALUE_MAX_VERTICES} vertices, got {vertex_count}"
         )
     e = len(edges)
-    ends = np.array(edges, dtype=np.int64).reshape(e, 2)
+    if partitions is None:
+        quotients, block_counts = [edges], [vertex_count]
+    else:
+        quotients = [[(p[a], p[b]) for a, b in edges] for p in partitions]
+        block_counts = [max(p) + 1 for p in partitions]
+    ends = np.array(quotients, dtype=np.int64).reshape(len(quotients), e, 2)
     bits = (np.arange(1 << vertex_count)[:, None] >> np.arange(vertex_count)) & 1
-    sums = bits[:, ends[:, 0]] + bits[:, ends[:, 1]]
-    counts = np.bincount((sums == 0).sum(axis=1) * (e + 1) + (sums == 2).sum(axis=1))
+    sums = bits[:, ends[..., 0]] + bits[:, ends[..., 1]]  # (labeling, quotient, edge)
+    keys = np.array([e + 1, 0, 1])[sums].sum(axis=2)  # n0 * (e + 1) + n2
     ratios = [x.as_integer_ratio() for x in (params.gamma, params.beta, params.alpha)]
     denominator = max(d for _, d in ratios)  # every denominator is a power of 2
     gamma, beta, alpha = ([(k * (denominator // d)) ** i for i in range(e + 1)] for k, d in ratios)
-    num = 0
-    for key in np.flatnonzero(counts).tolist():
-        n0, n2 = divmod(key, e + 1)
-        num += int(counts[key]) * gamma[n0] * beta[e - n0 - n2] * alpha[n2]
-    return num, denominator**e
+    nums = []
+    for column, b in zip(keys.T, block_counts):
+        counts = np.bincount(column)
+        num = 0
+        for key in np.flatnonzero(counts).tolist():
+            n0, n2 = divmod(key, e + 1)
+            num += int(counts[key]) * gamma[n0] * beta[e - n0 - n2] * alpha[n2]
+        nums.append(num >> (vertex_count - b))
+    return nums, denominator**e
 
 
 def base_value(params: KroneckerParams, pattern: PatternGraph) -> float:
     """Sum over all 0/1 vertex labelings of the edge-entry product, exact and
     rounded once."""
-    num, den = _labeling_sum(params, pattern.vertex_count, pattern.edge_list)
+    (num,), den = _labeling_sum(params, pattern.vertex_count, pattern.edge_list)
     return num / den
 
 
@@ -213,7 +232,7 @@ def _log_base_value(params: KroneckerParams, pattern: PatternGraph, value: float
     """
     if value >= sys.float_info.min:
         return math.log(value)
-    num, den = _labeling_sum(params, pattern.vertex_count, pattern.edge_list)
+    (num,), den = _labeling_sum(params, pattern.vertex_count, pattern.edge_list)
     return math.log(num) - math.log(den)
 
 
@@ -249,8 +268,9 @@ def expected_copies_exact(params: KroneckerParams, pattern: PatternGraph) -> flo
     inversion over set partitions gives the injective sum (the inj/hom
     relation; Lovasz, Large Networks and Graph Limits, 2012):
     sum over pi of mu(pi) B(G/pi)^n, mu(pi) = prod_blocks (-1)^(|B|-1) (|B|-1)!.
-    Float entries are dyadic, so the sum is taken in integers over a common
-    power-of-two denominator and rounded once.  Caps:
+    One pass of ``_labeling_sum`` gives every quotient's sum as an integer
+    over one power-of-two denominator, so the sum is exact and rounded once.
+    Caps:
     ``EXACT_COPIES_MAX_VERTICES`` pattern vertices (Bell(6) = 203
     partitions) and n <= ``GRAPH_MAX_N``, the largest samplable graph.
     """
@@ -262,13 +282,13 @@ def expected_copies_exact(params: KroneckerParams, pattern: PatternGraph) -> flo
         )
     if n > GRAPH_MAX_N:
         raise CapacityError(f"exact expected copies cap at n = {GRAPH_MAX_N}, got {n}")
+    partitions = _set_partitions(v)
+    nums, den = _labeling_sum(params, v, pattern.edge_list, partitions)
     weights = collections.Counter()  # B(G/pi) * D^e -> summed mu(pi); den = D^e for every pi
-    for blocks in _set_partitions(v):
+    for blocks, num in zip(partitions, nums):
         mu = 1
         for size in collections.Counter(blocks).values():
             mu *= (-1) ** (size - 1) * math.factorial(size - 1)
-        quotient = [(blocks[i], blocks[j]) for i, j in pattern.edge_list]
-        num, den = _labeling_sum(params, max(blocks) + 1, quotient)
         weights[num] += mu
     total = sum(mu * b**n for b, mu in weights.items())
     return total / den**n
@@ -462,112 +482,179 @@ class UnionPattern:
     map_b: tuple
 
 
-def _iso_bucket_key(pattern: PatternGraph):
-    degs = pattern.degrees
-    profile = tuple(
-        sorted(tuple(sorted(degs[w] for w in pattern.adjacency[u])) for u in range(pattern.vertex_count))
-    )
-    triangles = sum(
-        1
-        for a, b in pattern.edge_list
-        for c in pattern.adjacency[a] & pattern.adjacency[b]
-        if c > b
-    )
-    return (pattern.vertex_count, pattern.edge_count, tuple(sorted(degs)), profile, triangles)
+def _iso_bucket_key(masks) -> tuple:
+    """Isomorphism invariants of a graph given as adjacency masks: vertex and
+    edge counts, sorted degrees, sorted neighbour-degree profiles, triangles."""
+    v = len(masks)
+    degs = [m.bit_count() for m in masks]
+    neighbours = [[w for w in range(v) if m >> w & 1] for m in masks]
+    profile = tuple(sorted(tuple(sorted(degs[w] for w in ws)) for ws in neighbours))
+    # each triangle is met once per ordered pair of its vertices
+    triangles = sum((masks[u] & masks[w]).bit_count() for u in range(v) for w in neighbours[u]) // 6
+    return (v, sum(degs) // 2, tuple(sorted(degs)), profile, triangles)
 
 
-def _isomorphic(g: PatternGraph, h: PatternGraph) -> bool:
-    """Whether some vertex bijection carries g's edge set onto h's.
+def _isomorphisms(g, h):
+    """Every vertex bijection carrying g's edge set onto h's, as the tuple of
+    images; both graphs are given as adjacency masks.
 
     Backtracking places g's vertices breadth first from the highest degree.
     A vertex may go only to an unused vertex of h of the same degree whose
     neighbours among the images so far are exactly the images of its placed
     neighbours, so a full placement keeps every adjacency and non-adjacency.
     """
-    v = g.vertex_count
-    if v != h.vertex_count:
-        return False
-    by_degree = sorted(range(v), key=lambda u: -g.degrees[u])
+    v = len(g)
+    if v != len(h):
+        return
+    g_degs = [m.bit_count() for m in g]
+    h_degs = [m.bit_count() for m in h]
+    by_degree = sorted(range(v), key=lambda u: -g_degs[u])
     order = []
     for root in by_degree:
         if root not in order:
             order.append(root)
             for u in order:  # grows while it is walked
-                order += [w for w in by_degree if w in g.adjacency[u] and w not in order]
-    h_masks = [sum(1 << x for x in adj) for adj in h.adjacency]
-    image = {}
+                order += [w for w in by_degree if g[u] >> w & 1 and w not in order]
+    image = [0] * v
 
-    def extend(depth: int, used: int) -> bool:
+    def extend(depth: int, used: int):
         if depth == v:
-            return True
+            yield tuple(image)
+            return
         u = order[depth]
-        need = sum(1 << image[w] for w in g.adjacency[u] if w in image)
+        need = sum(1 << image[w] for w in order[:depth] if g[u] >> w & 1)
         for x in range(v):
-            if not (used >> x) & 1 and h.degrees[x] == g.degrees[u] and (h_masks[x] & used) == need:
+            if not (used >> x) & 1 and h_degs[x] == g_degs[u] and (h[x] & used) == need:
                 image[u] = x
-                if extend(depth + 1, used | 1 << x):
-                    return True
-                del image[u]
-        return False
+                yield from extend(depth + 1, used | 1 << x)
 
-    return extend(0, 0)
+    yield from extend(0, 0)
+
+
+def _isomorphic(g, h) -> bool:
+    """Whether two graphs given as adjacency masks are isomorphic."""
+    return next(_isomorphisms(g, h), None) is not None
+
+
+def _generators(group) -> list:
+    """A generating set of a permutation group listed in full: each element
+    joins unless the elements chosen so far already generate it."""
+    generators = []
+    generated = {tuple(range(len(group[0])))}
+    for element in group:
+        if element in generated:
+            continue
+        generators.append(element)
+        frontier = list(generated)
+        while frontier:
+            product = frontier.pop()
+            for g in generators:
+                composed = tuple(g[x] for x in product)
+                if composed not in generated:
+                    generated.add(composed)
+                    frontier.append(composed)
+    return generators
+
+
+def _cover_orbit(covered: set, placement: tuple, generators, least: dict) -> None:
+    """Add a placement's orbit to ``covered`` as (shared, least targets) keys.
+
+    Aut(G) acting on the first copy permutes the targets, which ``least``
+    already reduces; the closure applies the generators to the shared
+    vertices (the second copy) and swaps the copies (psi -> psi^-1).
+    """
+    covered.add(placement)
+    stack = [placement]
+    while stack:
+        shared, targets = stack.pop()
+        moved = [zip(map(sigma.__getitem__, shared), targets) for sigma in generators]
+        moved.append(zip(targets, shared))
+        for pairs in moved:
+            moved_shared, moved_targets = zip(*sorted(pairs))
+            key = (moved_shared, least[moved_targets])
+            if key not in covered:
+                covered.add(key)
+                stack.append(key)
 
 
 @functools.lru_cache(maxsize=128)
 def enumerate_pair_unions(pattern: PatternGraph) -> tuple:
     """All isomorphism-distinct unions of two overlapping copies of a pattern.
 
-    Enumerates every injective placement of a second copy over the first
-    (shared vertices mapped into the first copy, the rest to fresh ones) and
-    keeps the placements whose edge images overlap without being identical.
-    A placement whose union has the same vertex count and edge set as an
-    earlier placement's is skipped before any isomorphism test, since the
-    earlier one was already kept or matched; the rest are deduplicated up to
-    isomorphism, and the first placement of each class is its
-    representative.  Results are cached; they do not depend on any model
-    parameters.
+    A placement psi maps the shared vertices of the second copy injectively
+    into the first; the second copy's other vertices become fresh ones, in
+    vertex order.  Placements are walked by shared count (2 and up: fewer
+    cannot share an edge), then shared set, then target tuple, and those
+    whose edge images overlap without being identical are kept up to
+    isomorphism of their unions, the first placement of each class as its
+    representative.
+
+    The walk does symmetric work once.  For sigma, tau in Aut(G), the
+    placement tau psi sigma has a union isomorphic to psi's (tau relabels the
+    first copy, sigma the second), and so has psi^-1 (the copies swap roles).
+    A union is built only for the first placement of each orbit of that
+    group; the orbit is then marked, closed under a generating set of
+    Aut(G) acting on the second copy and the swap, with each target tuple
+    reduced to its least Aut(G) image (the one the walk meets first, so
+    other target tuples are never visited).  Every isomorphism class is a
+    union of orbits, so the first placement of a class is the first of its
+    orbit: the representatives and their ``map_b`` are those of a walk over
+    every placement.  Unions are int adjacency masks; the bucket key and
+    the isomorphism test read those, and a ``PatternGraph`` is built only
+    for a kept representative.  Results are cached; they do not depend on
+    any model parameters.
     """
     v = pattern.vertex_count
     if v > UNION_MAX_VERTICES:
         raise CapacityError(
             f"pair-union enumeration caps at {UNION_MAX_VERTICES} pattern vertices, got {v}"
         )
-    base_edges = pattern.edges
-    found = {}  # bucket key -> list of UnionPattern
-    seen = set()  # (vertex count, edge set) of every union handled so far
-    for shared_count in range(v + 1):
+    masks = pattern.masks
+    automorphisms = list(_isomorphisms(masks, masks))
+    generators = _generators(automorphisms)
+    found = {}  # bucket key -> [(union masks, UnionPattern)]
+    for shared_count in range(2, v + 1):
+        least = {}  # target tuple -> its least image under Aut(G)
+        firsts = []  # the target tuples that are their own least image, in walk order
+        for targets in itertools.permutations(range(v), shared_count):
+            if targets not in least:
+                firsts.append(targets)
+                for tau in automorphisms:
+                    least[tuple(map(tau.__getitem__, targets))] = targets
+        covered = set()  # (shared, least targets) of every orbit met so far
         for shared in itertools.combinations(range(v), shared_count):
-            for targets in itertools.permutations(range(v), shared_count):
-                image = {}
-                for s, t in zip(shared, targets):
-                    image[s] = t
-                fresh = v
-                map_b = []
-                for w in range(v):
-                    if w in image:
-                        map_b.append(image[w])
-                    else:
-                        map_b.append(fresh)
-                        fresh += 1
-                second_edges = frozenset(
-                    (map_b[a], map_b[b]) if map_b[a] < map_b[b] else (map_b[b], map_b[a])
-                    for a, b in pattern.edge_list
+            inner = [
+                (i, j)
+                for i, j in itertools.combinations(range(shared_count), 2)
+                if masks[shared[i]] >> shared[j] & 1
+            ]
+            if not inner:
+                continue  # no edge of the second copy joins two shared vertices
+            for targets in firsts:
+                if (shared, targets) in covered:
+                    continue
+                overlap = sum(masks[targets[i]] >> targets[j] & 1 for i, j in inner)
+                if not 0 < overlap < pattern.edge_count:
+                    continue
+                _cover_orbit(covered, (shared, targets), generators, least)
+                image = dict(zip(shared, targets))
+                fresh = iter(range(v, 2 * v - shared_count))
+                map_b = tuple(image[w] if w in image else next(fresh) for w in range(v))
+                union = list(masks) + [0] * (v - shared_count)
+                for a, b in pattern.edge_list:
+                    union[map_b[a]] |= 1 << map_b[b]
+                    union[map_b[b]] |= 1 << map_b[a]
+                bucket = found.setdefault(_iso_bucket_key(union), [])
+                if any(_isomorphic(union, other) for other, _ in bucket):
+                    continue
+                graph = PatternGraph.from_edges(
+                    len(union),
+                    itertools.chain(
+                        pattern.edge_list, ((map_b[a], map_b[b]) for a, b in pattern.edge_list)
+                    ),
                 )
-                if second_edges == base_edges:
-                    continue
-                if not (second_edges & base_edges):
-                    continue
-                union_edges = base_edges | second_edges
-                if (fresh, union_edges) in seen:
-                    continue
-                seen.add((fresh, union_edges))
-                union = PatternGraph(vertex_count=fresh, edges=union_edges)
-                key = _iso_bucket_key(union)
-                candidates = found.setdefault(key, [])
-                if any(_isomorphic(union, other.graph) for other in candidates):
-                    continue
-                candidates.append(UnionPattern(graph=union, map_b=tuple(map_b)))
-    unions = [up for bucket in found.values() for up in bucket]
+                bucket.append((union, UnionPattern(graph=graph, map_b=map_b)))
+    unions = [up for bucket in found.values() for _, up in bucket]
     unions.sort(key=lambda up: (up.graph.vertex_count, up.graph.edge_count, up.graph.edge_list))
     return tuple(unions)
 

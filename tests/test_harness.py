@@ -24,7 +24,7 @@ from kronval import (
     edge_probability,
     star,
 )
-from kronval.cli import main
+from kronval.cli import build_parser, main
 from kronval.generate import (
     GENERATE_MEMORY_CEILING,
     RMAT_MAX_EDGES,
@@ -306,7 +306,43 @@ class TestCanonicalJson:
             canonical_json({"count": [value]})
 
 
+def _parse_outcome(parser, argv):
+    """(exit code, stdout, stderr) of parse_args; exit code None when it parses."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+COMMANDS = ("generate", "predict", "measure", "validate", "certify")
+ENTRIES = ["--alpha", "0.6", "--beta", "0.5", "--gamma", "0.6"]
+
+
 class TestCli:
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["--version"], [], ["bogus"], ["cert"], ["--alpha", "0.6", "certify"]]
+        + [[command, "--help"] for command in COMMANDS]
+        + [[command] for command in COMMANDS]
+        + [
+            ["certify", "--pattern", "cycle:3", "--alpha", "x", "--beta", "0.5", "--gamma", "0.6"],
+            ["certify", "--pattern", "cycle:3", "--n", "4", *ENTRIES],
+            ["generate", "--n", "6", *ENTRIES, "--seed", "1"],
+            ["predict", "--n", "6", *ENTRIES, "--what", "nope"],
+            ["measure", "--input", "x.edges", "--what", "degrees", "--bogus"],
+            ["validate", "--n", "6", *ENTRIES, "--kind", "nope", "--seed", "1"],
+            ["validate", "--n", "6", *ENTRIES, "--kind", "degrees", "--seed", "1", "--sweep", "1"],
+        ],
+    )
+    def test_parser_texts_match_a_fully_built_parser(self, argv):
+        # build_parser(argv) adds arguments only to the command argv[0] names;
+        # help, version and usage-error texts must not show it.
+        assert _parse_outcome(build_parser(argv), argv) == _parse_outcome(build_parser(), argv)
+
     def test_generate_measure_round_trip(self, tmp_path, capsys):
         out = tmp_path / "g.edges"
         rc = main(

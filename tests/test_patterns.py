@@ -38,7 +38,13 @@ from kronval import (
     valid_edge_labelings,
 )
 from kronval.cli import main
-from kronval.patterns import _isomorphic, _iso_bucket_key, _labeling_sum, _log_base_value
+from kronval.patterns import (
+    _isomorphic,
+    _isomorphisms,
+    _iso_bucket_key,
+    _labeling_sum,
+    _log_base_value,
+)
 from conftest import (
     PARAM_GRID,
     SYMMETRIC_GRID,
@@ -151,7 +157,7 @@ class TestBaseValue:
     )
     def test_labeling_sum_of_multigraph_quotients(self, vertex_count, edges, entries):
         p = KroneckerParams(*entries, 1)
-        num, den = _labeling_sum(p, vertex_count, edges)
+        (num,), den = _labeling_sum(p, vertex_count, edges)
         assert Fraction(num, den) == fraction_labeling_sum(p, vertex_count, edges)
 
     def test_single_edge(self):
@@ -458,6 +464,9 @@ class TestPairUnions:
 PAW = PatternGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
 DIAMOND = PatternGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
 K4 = PatternGraph.from_edges(4, itertools.combinations(range(4), 2))
+# Named patterns of the pinned families that parse_pattern's names do not
+# cover; the two disjoint edges make a disconnected pattern.
+NAMED = {"paw": PAW, "two-edges": parse_pattern("4\n0 1\n2 3")}
 
 # Union count and sha256 of the representatives (vertex count, edges, maps)
 # per pattern, recorded before placements that repeat an earlier union's
@@ -471,6 +480,11 @@ UNION_FAMILIES = {
     "path:3": (13, "52c761440215890f93609b77dcccd9eef847d3c1560d6945f8b8b3686c4e3331"),
     "path:4": (67, "c123bcd327a00d23e7f9732a88b532e5d9242dea286b7ec704f99ce6837f0cf5"),
     "paw": (18, "b7591408035941e8419605e558d9d6ef18f83c7daefa5365e39614779a05e433"),
+    # Added later, pinned at the same code: a 6-vertex walk, |Aut| = 120 and
+    # a disconnected pattern.
+    "cycle:6": (58, "e74ea1ee67b7bfeb42e97934edf92636df0f93203ee0d625e86cb42231b6fa94"),
+    "star:5": (9, "0d43eb26c5e698758ac66f38d439c0f3c6536152cbb4b2c332eb218d8207c5cb"),
+    "two-edges": (2, "c29a43c305861f36cf8daeb535c2ac7e6f949117db3c74fc52f9bd4010d6cbdd"),
 }
 
 # sha256 of `certify --pattern P --alpha 0.6 --beta 0.5 --gamma 0.6` stdout,
@@ -483,6 +497,7 @@ CERTIFY_DIGESTS = {
     "cycle:5": "2df75dc53bb3299c383f156554dad99e9fc7b6bb93d51f977581f3d567ddf2b7",
     "star:4": "0d4498474dcb20f82868889a6645831f8eb6f83e7064ace0397d329ecda60c1c",
     "path:4": "fdcc06a279e28fc245603b8f098af7df9f049d3c81602ef98c74516c4561a8c8",
+    "cycle:6": "84e7df6c8bbfe463b7bb907f42536eb3585bdc3d7f97e047ddeab5c572eee3d2",
     "cycle:4 at 1e-300, 0.9, 1e-300": (
         "e85a9920f03fc79af75584abf38b1bdfbd6d3f2d793a8116bf62e443aadbf11c"
     ),
@@ -528,7 +543,7 @@ def _unions_without_skipping(pattern):
 class TestUnionFamilies:
     @pytest.mark.parametrize("name", sorted(UNION_FAMILIES))
     def test_family_pinned(self, name):
-        pattern = PAW if name == "paw" else parse_pattern(name)
+        pattern = NAMED[name] if name in NAMED else parse_pattern(name)
         unions = enumerate_pair_unions(pattern)
         # The pins were taken with the first copy's map, always the identity.
         identity = tuple(range(pattern.vertex_count))
@@ -572,7 +587,7 @@ def _unions_by_networkx(pattern):
             continue
         seen.add((vertex_count, edges))
         union = PatternGraph(vertex_count=vertex_count, edges=edges)
-        bucket = found.setdefault(_iso_bucket_key(union), [])
+        bucket = found.setdefault(_iso_bucket_key(union.masks), [])
         union_nx = to_networkx(union)
         if not any(nx.is_isomorphic(union_nx, other) for other, _ in bucket):
             bucket.append((union_nx, UnionPattern(graph=union, map_b=map_b)))
@@ -581,15 +596,15 @@ def _unions_by_networkx(pattern):
     return tuple(kept)
 
 
-# Every connected graph of 3 to 5 vertices, one per isomorphism class, by
-# its index in networkx's graph atlas; and cycle:6, whose unions reach 10
-# vertices.
-CONNECTED_3_TO_5 = {
+# Every graph of 2 to 5 vertices, disconnected and edgeless ones included,
+# one per isomorphism class, by its index in networkx's graph atlas; and
+# cycle:6, whose unions reach 10 vertices.
+ATLAS_2_TO_5 = {
     f"atlas{i}": from_networkx(g)
     for i, g in enumerate(nx.graph_atlas_g())
-    if 3 <= g.number_of_nodes() <= 5 and nx.is_connected(g)
+    if 2 <= g.number_of_nodes() <= 5
 }
-CONNECTED_3_TO_5["cycle:6"] = cycle(6)
+ATLAS_2_TO_5["cycle:6"] = cycle(6)
 
 
 def _cycles(*lengths):
@@ -629,10 +644,23 @@ def bucket_pairs(draw):
 
 
 class TestIsomorphism:
-    @pytest.mark.parametrize("name", sorted(CONNECTED_3_TO_5))
+    @pytest.mark.parametrize("name", sorted(ATLAS_2_TO_5))
     def test_unions_equal_the_networkx_reference(self, name):
-        pattern = CONNECTED_3_TO_5[name]
+        pattern = ATLAS_2_TO_5[name]
         assert enumerate_pair_unions(pattern) == _unions_by_networkx(pattern)
+
+    def test_automorphism_counts_match_networkx(self):
+        for g in [g for g in nx.graph_atlas_g() if 1 <= g.number_of_nodes() <= 6]:
+            masks = from_networkx(g).masks
+            v = len(masks)
+            automorphisms = list(_isomorphisms(masks, masks))
+            matcher = nx.algorithms.isomorphism.GraphMatcher(g, g)
+            assert len(automorphisms) == len(set(automorphisms))
+            assert len(automorphisms) == sum(1 for _ in matcher.isomorphisms_iter())
+            for image in automorphisms:
+                # the images of u's neighbours are exactly image[u]'s neighbours
+                moved = [sum(1 << image[w] for w in range(v) if m >> w & 1) for m in masks]
+                assert moved == [masks[image[u]] for u in range(v)]
 
     @settings(max_examples=300, deadline=None)
     @given(pair=bucket_pairs())
@@ -642,8 +670,8 @@ class TestIsomorphism:
     @example(pair=(WAGNER, WAGNER.relabel([3, 0, 7, 5, 1, 6, 2, 4])))
     def test_agrees_with_networkx_within_a_bucket(self, pair):
         g, h = pair
-        assume(_iso_bucket_key(g) == _iso_bucket_key(h))
-        assert _isomorphic(g, h) == nx.is_isomorphic(to_networkx(g), to_networkx(h))
+        assume(_iso_bucket_key(g.masks) == _iso_bucket_key(h.masks))
+        assert _isomorphic(g.masks, h.masks) == nx.is_isomorphic(to_networkx(g), to_networkx(h))
 
     def test_agrees_with_networkx_on_regular_graphs(self):
         # Regular graphs of 8-10 vertices share degree profiles, so their
@@ -654,12 +682,12 @@ class TestIsomorphism:
         ]
         buckets = collections.defaultdict(list)
         for g in graphs:
-            buckets[_iso_bucket_key(g)].append(g)
+            buckets[_iso_bucket_key(g.masks)].append(g)
         outcomes = collections.Counter()
         for bucket in buckets.values():
             for g, h in itertools.combinations(bucket, 2):
                 expected = nx.is_isomorphic(to_networkx(g), to_networkx(h))
-                assert _isomorphic(g, h) == expected
+                assert _isomorphic(g.masks, h.masks) == expected
                 outcomes[expected] += 1
         assert outcomes[True] and outcomes[False]
 
@@ -669,10 +697,10 @@ class TestIsomorphism:
             pattern = from_networkx(g)
             images = list(range(pattern.vertex_count))
             rng.shuffle(images)
-            assert _isomorphic(pattern, pattern.relabel(images))
+            assert _isomorphic(pattern.masks, pattern.relabel(images).masks)
 
     def test_different_vertex_counts_are_not_isomorphic(self):
-        assert not _isomorphic(path(2), star(3))
+        assert not _isomorphic(path(2).masks, star(3).masks)
 
 
 class TestIdentifyVertices:
