@@ -284,42 +284,67 @@ def _certify_arguments(parser: argparse.ArgumentParser) -> None:
     parser.set_defaults(func=_cmd_certify)
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The kronval parser, with arguments only where ``argv`` can reach them.
+_PROG = "kronval"
+# name -> (the function adding its arguments, its add_parser keywords).
+_COMMANDS = {
+    "generate": (_generate_arguments, {"help": "sample a realization and write an edge list"}),
+    "predict": (_predict_arguments, {"help": "closed-form predictions as JSON"}),
+    "measure": (_measure_arguments, {"help": "measure an edge-list file"}),
+    "validate": (_validate_arguments, {"help": "run a seeded prediction-vs-simulation experiment"}),
+    "certify": (
+        _certify_arguments,
+        {
+            "help": "second-moment concentration certificate",
+            "description": "Check B_F < B_G^2 for every union F of two edge-overlapping"
+            " copies of the pattern G.  Base values depend on alpha, beta and gamma"
+            " alone, so the certificate takes no --n.",
+        },
+    ),
+}
 
-    Every subcommand is listed with its help, but when ``argv[0]`` names one,
-    only that subcommand gets its arguments: the others can never parse
-    ``argv``.  Otherwise (no argv, ``--help``, ``--version`` or an unknown
-    command) every subcommand gets them.
+
+class _CommandParser(argparse.ArgumentParser):
+    """The parser of the one command that ``argv[0]`` names, built as the
+    full parser's subparser for it is.
+
+    ``parse_args(argv)`` parses the words after the name and sets
+    ``command``.  The full parser reports unrecognized words with its own
+    usage line, so when some are left it parses ``argv`` itself, which
+    exits with that message.
     """
+
+    def parse_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        parsed, extras = self.parse_known_args(args[1:], namespace)
+        if extras:
+            build_parser().parse_args(args)
+        parsed.command = args[0]
+        return parsed
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The kronval parser for ``argv``.
+
+    When ``argv[0]`` names a command, only that command's parser is built:
+    the other commands can never parse ``argv``, and building their parsers
+    would cost most of a short command's start-up.  Otherwise (no argv,
+    ``--help``, ``--version`` or an unknown command) the full parser lists
+    every command with its help.
+    """
+    if argv and argv[0] in _COMMANDS:
+        add_arguments, kwargs = _COMMANDS[argv[0]]
+        kwargs = {key: value for key, value in kwargs.items() if key != "help"}
+        parser = _CommandParser(prog=f"{_PROG} {argv[0]}", **kwargs)
+        add_arguments(parser)
+        return parser
     parser = argparse.ArgumentParser(
-        prog="kronval",
+        prog=_PROG,
         description="Stochastic Kronecker graphs: generate, predict, measure, validate, certify.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "generate": (_generate_arguments, {"help": "sample a realization and write an edge list"}),
-        "predict": (_predict_arguments, {"help": "closed-form predictions as JSON"}),
-        "measure": (_measure_arguments, {"help": "measure an edge-list file"}),
-        "validate": (
-            _validate_arguments, {"help": "run a seeded prediction-vs-simulation experiment"}
-        ),
-        "certify": (
-            _certify_arguments,
-            {
-                "help": "second-moment concentration certificate",
-                "description": "Check B_F < B_G^2 for every union F of two edge-overlapping"
-                " copies of the pattern G.  Base values depend on alpha, beta and gamma"
-                " alone, so the certificate takes no --n.",
-            },
-        ),
-    }
-    named = argv[0] if argv and argv[0] in commands else None
-    for name, (add_arguments, kwargs) in commands.items():
-        command = sub.add_parser(name, **kwargs)
-        if named in (None, name):
-            add_arguments(command)
+    for name, (add_arguments, kwargs) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, **kwargs))
     return parser
 
 

@@ -10,9 +10,12 @@ as ``v v``.  Lines are emitted in sorted order so identical graphs always
 serialize to identical bytes.
 
 Every body line is exactly ``2n + 2`` ASCII bytes, so both directions work
-on fixed-width rows, a bounded block of rows at a time, and the reader
-decodes each block straight into two vertex arrays sized from the file's
-size (lines beyond that size raise :class:`ParameterError`).  The reader is
+on fixed-width rows, a bounded block of rows at a time.  The writer takes
+each vertex's digits from ``np.unpackbits`` of its big-endian bytes.  The
+reader checks a block with one masked compare against the line template and
+looks for the bad line only when that fails, then packs the digits straight
+into two vertex arrays sized from the file's size (lines beyond that size
+raise :class:`ParameterError`).  The reader is
 strict: a line of the wrong shape, a digit other than 0/1, a line out of
 sorted order or repeated, a ``v v`` line under ``loops=0`` and a header
 field without ``=`` all raise :class:`ParameterError`.  A missing newline
@@ -36,9 +39,13 @@ _BLOCK_ROWS = 1 << 16
 _ZERO, _SPACE, _NEWLINE = ord("0"), ord(" "), ord("\n")
 
 
-def _digit_shifts(n: int) -> np.ndarray:
-    """Bit index of each character of an n-digit vertex string, MSB first."""
-    return np.arange(n - 1, -1, -1, dtype=np.int64)
+def _digits(values: np.ndarray, n: int) -> np.ndarray:
+    """``(len(values), n)`` uint8 rows of the n binary digits of each value,
+    most significant first: the unpacked bits of its low ceil(n / 8)
+    big-endian bytes, less the padding on the left."""
+    width = -(-n // 8)
+    big = values.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - width :]
+    return np.unpackbits(big, axis=1)[:, 8 * width - n :]
 
 
 def write_edgelist(graph: SampledGraph, path: "str | os.PathLike") -> None:
@@ -52,15 +59,14 @@ def write_edgelist(graph: SampledGraph, path: "str | os.PathLike") -> None:
     at = np.searchsorted(graph.edges[:, 0], graph.loops)
     us = np.insert(graph.edges[:, 0], at, graph.loops)
     vs = np.insert(graph.edges[:, 1], at, graph.loops)
-    shifts = _digit_shifts(n)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         for start in range(0, len(us), _BLOCK_ROWS):
-            u = us[start : start + _BLOCK_ROWS, None]
-            v = vs[start : start + _BLOCK_ROWS, None]
+            u = us[start : start + _BLOCK_ROWS]
+            v = vs[start : start + _BLOCK_ROWS]
             rows = np.empty((len(u), 2 * n + 2), dtype=np.uint8)
-            rows[:, :n] = (u >> shifts) & 1
-            rows[:, n + 1 : 2 * n + 1] = (v >> shifts) & 1
+            rows[:, :n] = _digits(u, n)
+            rows[:, n + 1 : 2 * n + 1] = _digits(v, n)
             rows += _ZERO
             rows[:, n] = _SPACE
             rows[:, 2 * n + 1] = _NEWLINE
@@ -100,6 +106,17 @@ def _parse_header(line: bytes) -> tuple[KroneckerParams, bool]:
     return params, loops == "1"
 
 
+def _row_template(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mask, want) of a body line: a line is well formed exactly when
+    ``line & mask == want``.  The mask clears the low bit of each digit, so
+    both "0" and "1" read as "0", and keeps every bit of the separators."""
+    mask = np.full(2 * n + 2, 0xFE, dtype=np.uint8)
+    want = np.full(2 * n + 2, _ZERO, dtype=np.uint8)
+    mask[[n, -1]] = 0xFF
+    want[[n, -1]] = _SPACE, _NEWLINE
+    return mask, want
+
+
 def _parse_rows(block: bytes, n: int, first_line: int) -> tuple[np.ndarray, np.ndarray]:
     """Vertex pairs of a block of whole ``2n + 2``-byte lines."""
     width = 2 * n + 2
@@ -107,24 +124,24 @@ def _parse_rows(block: bytes, n: int, first_line: int) -> tuple[np.ndarray, np.n
         line = first_line + len(block) // width
         raise ParameterError(f"line {line}: expected two {n}-digit vertices")
     rows = np.frombuffer(block, dtype=np.uint8).reshape(-1, width)
-    digits = rows - np.uint8(_ZERO)
-    bad = (rows[:, n] != _SPACE) | (rows[:, -1] != _NEWLINE)
-    bad |= (digits[:, :n] > 1).any(axis=1) | (digits[:, n + 1 : -1] > 1).any(axis=1)
-    if bad.any():
-        line = first_line + int(np.argmax(bad))
-        text = rows[int(np.argmax(bad))].tobytes().decode("ascii", "replace")
+    mask, want = _row_template(n)
+    matches = (rows & mask) == want
+    if not matches.all():
+        row = int(np.argmin(matches.all(axis=1)))
+        line = first_line + row
+        text = rows[row].tobytes().decode("ascii", "replace")
         raise ParameterError(f"line {line}: expected two {n}-digit vertices, got {text!r}")
-    return _decode(digits[:, :n]), _decode(digits[:, n + 1 : -1])
+    return _decode(rows[:, :n]), _decode(rows[:, n + 1 : -1])
 
 
 def _decode(digits: np.ndarray) -> np.ndarray:
-    """int64 values of rows of 0/1 digit bytes, most significant first.
+    """int64 values of rows of "0"/"1" digit bytes, most significant first.
 
-    The n digits pack into ceil(n / 8) bytes, padded with zero bits on the
-    right; those bytes are right-aligned in 8, read as one big-endian uint64
-    each and shifted right by the padding.
+    The low bits of the n digits pack into ceil(n / 8) bytes, padded with
+    zero bits on the right; those bytes are right-aligned in 8, read as one
+    big-endian uint64 each and shifted right by the padding.
     """
-    packed = np.packbits(digits, axis=1)
+    packed = np.packbits(digits & 1, axis=1)
     width = packed.shape[1]
     words = np.zeros((len(digits), 8), dtype=np.uint8)
     words[:, 8 - width :] = packed

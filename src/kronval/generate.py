@@ -2,8 +2,8 @@
 class-based sampling, and the recursive digit-sampling (R-MAT) procedure.
 
 All three are deterministic functions of a :class:`SeedSpec`, and all three
-make a loop as the pair u = v, which ``SampledGraph.from_pairs`` keeps, or
-drops without loops.  The naive sampler (diagonal included) and R-MAT draw
+make a loop as the pair u = v, which the graph keeps, or drops without
+loops.  The naive sampler (diagonal included) and R-MAT draw
 every pair from one stream; the stratified sampler draws every pair class
 from one stream and every loop class from another.  So switching loops off
 leaves the edges unchanged.  Per family, the stratified sampler draws every
@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, DimensionError, ParameterError
 from .model import (
     GRAPH_MAX_N, PROB_TOL, KroneckerParams, SampledGraph, edge_probability_array
 )
@@ -30,13 +30,15 @@ from .streams import SeedSpec
 NAIVE_MAX_N = 14
 STRATIFIED_MAX_N = 30
 # The stratified sampler's default budget is a memory ceiling over its
-# measured peak resident bytes per edge.  The peak is in from_pairs, which
-# holds the two int64 end arrays, the packed keys and the (E, 2) result at
-# once (40 B per edge); the ranks' int16 class index (2 B per edge) is freed
-# before it.  At (0.99, 0.99, 0.99), n = 13, the whole process peaked at
-# 1270 MiB for 29.4M edges, 45.2 B per edge with the interpreter.
+# measured peak resident bytes per edge.  The ranks are unranked in place
+# into packed pair keys, so the peak is in SampledGraph.from_keys, which
+# holds the keys, a bool per key and the (E, 2) result at once (25 B per
+# edge); the ranks' int16 class index (2 B per edge) is freed before it.
+# At (0.99, 0.99, 0.99), n = 13, the whole process peaked at 766 MiB for
+# 29.4M edges, 27.3 B per edge with the interpreter and the heap the rank
+# draws leave behind.
 GENERATE_MEMORY_CEILING = 3 << 30  # bytes
-STRATIFIED_PEAK_BYTES_PER_EDGE = 48
+STRATIFIED_PEAK_BYTES_PER_EDGE = 28
 DEFAULT_EDGE_BUDGET = GENERATE_MEMORY_CEILING // STRATIFIED_PEAK_BYTES_PER_EDGE
 # R-MAT's cap on draws is the same ceiling over its peak per draw, measured
 # the same way at its worst, from_pairs' lexsort route: at n = 40, `generate`
@@ -387,21 +389,25 @@ def generate_stratified(
     Pairs are grouped by digit class (a, b, c); each class draws a binomial
     edge count and then that many distinct uniform pair ranks, so the joint
     law over all pairs is exactly independent Bernoulli.  Loops are drawn
-    the same way per weight class w, as pair class (w, 0), whose pairs
-    u == v from_pairs keeps as loops.  Every pair class draws from the
-    stream seed.child("class") and every loop class from
-    seed.child("loop_class"), so the edges do not depend on include_loops.
-    The class table of each (n, include_loops) is built once.  Per family,
-    one rng.binomial call draws every class's count, and then the ranks are
-    drawn in class order: one rng.integers call per run of small sparse
-    classes, one _sample_distinct call per dense or large class
-    (_draw_class_ranks).  The ranks go into the edge array itself, allocated
-    at its final size, and are unranked in place by _unrank_pairs,
-    _UNRANK_BLOCK ranks per vectorized pass with each rank's class as its
-    key, so a small graph pays one pass rather than one per class; the
-    blocking consumes no randomness and leaves the output unchanged.  Past
-    n = 30 or DEFAULT_EDGE_BUDGET expected edges, check_stratified refuses
-    the graph before any class is sampled.
+    the same way per weight class w, as pair class (w, 0), whose pairs are
+    u == v.  Every pair class draws from the stream seed.child("class") and
+    every loop class from seed.child("loop_class"), so the edges do not
+    depend on include_loops.  The class table of each (n, include_loops) is
+    built once.  Per family, one rng.binomial call draws every class's count,
+    and then the ranks are drawn in class order: one rng.integers call per
+    run of small sparse classes, one _sample_distinct call per dense or large
+    class (_draw_class_ranks).  The ranks go into one int64 array, allocated
+    at its final size, and _unrank_pairs turns them in place into packed pair
+    keys min(u, v) << n | max(u, v), _UNRANK_BLOCK ranks per vectorized pass
+    with each rank's class as its key, so a small graph pays one pass rather
+    than one per class; the blocking consumes no randomness and leaves the
+    output unchanged.  Each pass checks that its vertices fit n digits
+    (DimensionError).  Pair classes come before loop classes, so the leading
+    keys are the edges, which SampledGraph.from_keys sorts in place and
+    splits into rows, and the trailing keys v << n | v name the loops.  The
+    graph then costs its keys, a bool per key and its (E, 2) rows at the
+    peak.  Past n = 30 or DEFAULT_EDGE_BUDGET expected edges,
+    check_stratified refuses the graph before any class is sampled.
     """
     n = params.n
     check_stratified(params, include_loops)
@@ -409,22 +415,29 @@ def generate_stratified(
     probs = _class_probabilities(params, table)
     families = [(seed.child(label).generator(), part) for label, part in table.families]
     counts = [rng.binomial(table.size[part], probs[part]) for rng, part in families]
-    edge_u = np.empty(sum(int(family_counts.sum()) for family_counts in counts), dtype=np.int64)
+    sizes = [int(family_counts.sum()) for family_counts in counts]
+    keys = np.empty(sum(sizes), dtype=np.int64)
     at = 0
-    for (rng, part), family_counts in zip(families, counts):
-        stop = at + int(family_counts.sum())
-        _draw_class_ranks(rng, table.size[part], family_counts, table.start[part], edge_u[at:stop])
-        at = stop
+    for (rng, part), family_counts, size in zip(families, counts, sizes):
+        ranks = keys[at : at + size]
+        _draw_class_ranks(rng, table.size[part], family_counts, table.start[part], ranks)
+        at += size
     # n <= 30 gives at most 465 pair classes and 31 loop classes, 496 in all.
     class_of = np.repeat(np.arange(len(table.size), dtype=np.int16), np.concatenate(counts))
-    edge_v = np.empty_like(edge_u)
-    # Each slice of ranks is read whole before its vertices overwrite it.
-    for s in range(0, len(edge_u), _UNRANK_BLOCK):
+    # Each slice of ranks is read whole before its keys overwrite it.
+    for s in range(0, len(keys), _UNRANK_BLOCK):
         e = s + _UNRANK_BLOCK
         a, b = table.a[class_of[s:e]], table.b[class_of[s:e]]
-        edge_u[s:e], edge_v[s:e] = _unrank_pairs(n, a, b, edge_u[s:e])
-    del class_of  # the loop keeps no view of it, so from_pairs runs without it
-    return SampledGraph.from_pairs(params, edge_u, edge_v, include_loops=include_loops)
+        u, v = _unrank_pairs(n, a, b, keys[s:e])
+        hi = np.maximum(u, v)
+        if hi.max() >> n:
+            raise DimensionError(f"a vertex does not fit {n} digits")
+        np.left_shift(np.minimum(u, v), n, out=keys[s:e], dtype=np.int64)
+        keys[s:e] |= hi
+    del class_of  # the loop keeps no view of it, so the sort runs without it
+    # Pair classes come first: the rest are loop keys v << n | v.
+    pairs = sizes[0]
+    return SampledGraph.from_keys(params, keys[:pairs], keys[pairs:] >> n, include_loops)
 
 
 def rmat_pairs(rmat: RmatParams, seed: SeedSpec) -> tuple[np.ndarray, np.ndarray]:

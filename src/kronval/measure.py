@@ -228,13 +228,20 @@ def neighbor_hamming_histogram(graph: SampledGraph, u: int) -> np.ndarray:
     return hist
 
 
+def _edge_distances(graph: SampledGraph) -> np.ndarray:
+    """The Hamming distance of every edge, in edge order, as int64.
+
+    The one temporary, ``lo ^ hi``, holds the distances too, and it is
+    writeable, so np.bincount reads it without a copy.
+    """
+    edges = graph.edges
+    dist = np.bitwise_xor(edges[:, 0], edges[:, 1])
+    return np.bitwise_count(dist, out=dist)
+
+
 def edge_distance_histogram(graph: SampledGraph) -> np.ndarray:
     """Counts of edges at each Hamming distance; loops land at distance 0."""
-    hist = np.zeros(graph.n + 1, dtype=np.int64)
-    ea = graph.edge_array
-    if len(ea):
-        dist = hamming_array(ea[:, 0], ea[:, 1])
-        hist += np.bincount(dist, minlength=graph.n + 1)
+    hist = np.bincount(_edge_distances(graph), minlength=graph.n + 1)
     hist[0] += len(graph.loops)
     return hist
 
@@ -335,11 +342,10 @@ def extremal_edge_scan(graph: SampledGraph) -> ExtremalScan:
     fraction = critical_fraction(p)
     cutoff = fraction.c * p.n
     ea = graph.edge_array
-    if len(ea):
-        dist = hamming_array(ea[:, 0], ea[:, 1])
+    dist = _edge_distances(graph)
+    if len(dist):
         d_min, d_max = int(dist.min()), int(dist.max())
     else:
-        dist = np.empty(0, dtype=np.int64)
         d_min = d_max = None
     log_sq = math.log(p.n) ** 2
     if fraction.side == "below":

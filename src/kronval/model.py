@@ -167,12 +167,15 @@ def pairs_ascend(lo, hi) -> np.ndarray:
     return (lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))
 
 
-def _canonical_by_key(u, v, is_loop, n: int) -> np.ndarray:
-    """The sorted distinct ``(lo, hi)`` rows of the non-loop pairs, through
-    one in-place sort of their packed keys (n <= ``PAIR_KEY_MAX_N``)."""
-    key = pair_keys(u, v, n)
-    if is_loop.any():
-        key = key[~is_loop]
+def _canonical_by_key(key: np.ndarray, n: int) -> np.ndarray:
+    """The sorted distinct ``(lo, hi)`` rows of packed pair keys
+    (n <= ``PAIR_KEY_MAX_N``).
+
+    The caller hands over ``key``, an int64 array of :func:`pair_keys` of
+    pairs ``lo < hi``: it is sorted in place, equal neighbours are dropped
+    and each key is split into its row.  Only the ``(E, 2)`` result and a
+    bool per key are allocated, plus a copy of the keys when some repeat.
+    """
     key.sort()
     fresh = np.empty(len(key), dtype=bool)
     fresh[:1] = True
@@ -186,8 +189,8 @@ def _canonical_by_key(u, v, is_loop, n: int) -> np.ndarray:
 
 
 def _canonical_by_lexsort(u, v, is_loop) -> np.ndarray:
-    """The rows of :func:`_canonical_by_key` for n above ``PAIR_KEY_MAX_N``,
-    where a pair no longer packs into one int64."""
+    """The sorted distinct ``(lo, hi)`` rows of the non-loop pairs for n
+    above ``PAIR_KEY_MAX_N``, where a pair no longer packs into one int64."""
     lo = np.minimum(u, v)[~is_loop]
     hi = np.maximum(u, v)[~is_loop]
     order = np.lexsort((hi, lo))
@@ -206,12 +209,14 @@ class SampledGraph:
     distinct.  ``loops`` is a read-only sorted array of the distinct vertices
     carrying a self-loop.  ``include_loops`` records whether loop generation
     was enabled, so that reports can echo it.  Build instances with
-    :meth:`from_pairs`, which establishes this canonical form; the
-    constructor takes the arrays as given.  For n <= ``PAIR_KEY_MAX_N`` (31)
-    it packs each pair into one int64 key ``lo << n | hi`` (:func:`pair_keys`),
-    sorts the keys in place, drops equal neighbours and splits the keys back
-    into rows; above that a pair no longer fits one int64, and the rows are
-    ordered with ``np.lexsort``.  Both routes give the same arrays.
+    :meth:`from_pairs` or :meth:`from_keys`, which establish this canonical
+    form; the constructor takes the arrays as given.  For n <=
+    ``PAIR_KEY_MAX_N`` (31) :meth:`from_pairs` packs each pair into one int64
+    key ``lo << n | hi`` (:func:`pair_keys`) and hands the keys to
+    :meth:`from_keys`, which sorts them in place, drops equal neighbours and
+    splits the keys back into rows; above that a pair no longer fits one
+    int64, and the rows are ordered with ``np.lexsort``.  Both routes give
+    the same arrays.
 
     Two graphs are ``==`` when their params, ``include_loops`` flag, edges
     and loops are equal.  Graphs are unhashable.  Instances are immutable
@@ -255,17 +260,41 @@ class SampledGraph:
             if len(part) and (part.min() < 0 or part.max() >> n):
                 raise DimensionError(f"a vertex does not fit {n} digits")
         is_loop = u == v
-        if include_loops:
-            loops = np.unique(u[is_loop])
-        else:
-            loops = np.empty(0, dtype=np.int64)
         if n <= PAIR_KEY_MAX_N:
-            edges = _canonical_by_key(u, v, is_loop, n)
-        else:
-            edges = _canonical_by_lexsort(u, v, is_loop)
+            key = pair_keys(u, v, n)
+            if is_loop.any():
+                key = key[~is_loop]
+            return cls.from_keys(params, key, u[is_loop], include_loops)
+        loops = np.unique(u[is_loop]) if include_loops else np.empty(0, dtype=np.int64)
         return cls(
             params=params,
-            edges=_readonly(edges),
+            edges=_readonly(_canonical_by_lexsort(u, v, is_loop)),
+            loops=_readonly(loops),
+            include_loops=include_loops,
+        )
+
+    @classmethod
+    def from_keys(
+        cls,
+        params: KroneckerParams,
+        keys: np.ndarray,
+        loops,
+        include_loops: bool = True,
+    ) -> "SampledGraph":
+        """Canonicalize packed pair keys ``lo << n | hi``, ``lo < hi``, of
+        vertices below ``2^n`` (n <= ``PAIR_KEY_MAX_N``), and loop vertices.
+
+        The keys may come in any order and may repeat.  ``keys`` must be a
+        writeable int64 array that the caller hands over: it is sorted in
+        place rather than copied.  Nothing is range-checked here;
+        :meth:`from_pairs` checks its vertices before it builds keys, and the
+        stratified sampler checks each pass of vertices it unranks.  Without
+        ``include_loops`` the loops are dropped.
+        """
+        loops = np.unique(loops) if include_loops else np.empty(0, dtype=np.int64)
+        return cls(
+            params=params,
+            edges=_readonly(_canonical_by_key(keys, params.n)),
             loops=_readonly(loops),
             include_loops=include_loops,
         )
@@ -305,13 +334,22 @@ class SampledGraph:
         ends = self.edges.ravel()  # (lo0, hi0, lo1, hi1, ...)
         others = self.edges[:, ::-1].ravel()  # the opposite end of each
         order = np.argsort(ends, kind="stable")
-        bounds = np.cumsum(np.bincount(ends, minlength=self.vertex_count)).tolist()
+        bounds = np.cumsum(self.degrees(count_loops=False)).tolist()
         flat = others[order].tolist()
         return [set(flat[a:b]) for a, b in zip([0] + bounds[:-1], bounds)]
 
     def degrees(self, count_loops: bool = True) -> np.ndarray:
         """Degree of every vertex; a loop contributes 1 when counted."""
-        deg = np.bincount(self.edges.ravel(), minlength=self.vertex_count)
+        # np.bincount copies a read-only input whole, so it reads the ends a
+        # block at a time.  Each call also returns a fresh vertex-sized
+        # array, so a block of at least that many ends keeps the transient
+        # below two degree arrays and the calls few.
+        ends = self.edges.ravel()
+        size = self.vertex_count
+        block = max(size, 1 << 16)
+        deg = np.zeros(size, dtype=np.int64)
+        for start in range(0, len(ends), block):
+            deg += np.bincount(ends[start : start + block], minlength=size)
         if count_loops:
             deg[self.loops] += 1
         return deg

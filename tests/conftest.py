@@ -7,12 +7,13 @@ between the two is evidence rather than tautology.
 
 import itertools
 import math
+import tracemalloc
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from kronval import KroneckerParams, PatternGraph
+from kronval import KroneckerParams, PatternGraph, SampledGraph, SeedSpec, generate_stratified
 
 
 def brute_edge_probability(params: KroneckerParams, u: int, v: int) -> float:
@@ -196,6 +197,25 @@ def falling_factorial(d: int, k: int) -> int:
     for step in range(k):
         out *= d - step
     return out
+
+
+def traced_peak(call):
+    """(call(), the peak bytes it had allocated at once beyond what was
+    allocated when it started), by tracemalloc, which sees numpy's buffers."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.fixture(scope="session")
+def stratified_n16() -> SampledGraph:
+    """A stratified graph of about 150k edges at n = 16, (0.6, 0.5, 0.6)."""
+    return generate_stratified(KroneckerParams(0.6, 0.5, 0.6, 16), seed=SeedSpec(1))
 
 
 @pytest.fixture

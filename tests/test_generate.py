@@ -12,6 +12,7 @@ from scipy.stats import chisquare
 import kronval.generate
 from kronval import (
     CapacityError,
+    DimensionError,
     KroneckerParams,
     ParameterError,
     RmatParams,
@@ -36,12 +37,14 @@ from kronval.generate import (
     _sample_distinct,
     _unrank_pairs,
 )
+from kronval.model import pairs_ascend
 
 from conftest import (
     CountingGenerator,
     lex_subset,
     sample_distinct_oracle,
     sparse_run_oracle,
+    traced_peak,
     unrank_pair_oracle,
 )
 
@@ -435,6 +438,61 @@ class TestCapacity:
         assert expected_edge_count(p) > gen.DEFAULT_EDGE_BUDGET
         with pytest.raises(CapacityError, match="budget"):
             generate_stratified(p, seed=SeedSpec(1))
+
+
+class TestPackedKeys:
+    def test_peak_stays_within_the_budget_per_edge(self, stratified_n16):
+        # The ranks become the keys in place, so the peak is the keys, a
+        # bool per key and the (E, 2) rows: 25 B per edge, against 42 when
+        # the two int64 end arrays were kept for from_pairs.
+        p = stratified_n16.params
+        g, peak = traced_peak(lambda: generate_stratified(p, seed=SeedSpec(1)))
+        assert g == stratified_n16
+        assert peak <= 28 * len(g.edges)
+
+    def test_unranked_vertices_are_range_checked(self, monkeypatch):
+        def too_wide(n, a, b, ranks):
+            u, v = _unrank_pairs(n, a, b, ranks)
+            return u | (1 << n), v
+
+        monkeypatch.setattr(kronval.generate, "_unrank_pairs", too_wide)
+        with pytest.raises(DimensionError, match="does not fit 6 digits"):
+            generate_stratified(KroneckerParams(0.9, 0.5, 0.7, 6), seed=SeedSpec(1))
+
+
+@st.composite
+def _bounded_params(draw):
+    """Params at n = 1-14 whose graphs hold at most about 1,000 expected
+    edges and loops: the entries are scaled down until
+    (alpha + 2 beta + gamma)^n, which bounds that count, is at most 1,000."""
+    n = draw(st.integers(1, 14))
+    alpha, beta, gamma = (draw(st.floats(0.01, 0.99)) for _ in range(3))
+    scale = min(1.0, 1000 ** (1 / n) / (alpha + 2 * beta + gamma))
+    return KroneckerParams(alpha * scale, beta * scale, gamma * scale, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=_bounded_params(), include_loops=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(params=KroneckerParams(0.9, 0.9, 0.9, 1), include_loops=True, seed=0)
+@example(params=KroneckerParams(0.6, 0.3, 0.6, 14), include_loops=False, seed=1)
+def test_stratified_graph_is_canonical(params, include_loops, seed):
+    # Blocks of 7 ranks mix pair and loop classes within one pass.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kronval.generate, "_UNRANK_BLOCK", 7)
+        g = generate_stratified(params, include_loops=include_loops, seed=SeedSpec(seed))
+    lo, hi = g.edges[:, 0], g.edges[:, 1]
+    assert g.edges.dtype == g.loops.dtype == np.int64
+    assert (lo < hi).all() and pairs_ascend(lo, hi).all()
+    assert (np.diff(g.loops) > 0).all() and (include_loops or not len(g.loops))
+    vertices = np.concatenate([g.edges.ravel(), g.loops])
+    assert ((vertices >= 0) & (vertices < params.vertex_count)).all()
+    # its own rows and loops, shuffled and half of them flipped
+    rng = np.random.default_rng(seed)
+    pairs = np.concatenate([g.edges, np.column_stack([g.loops, g.loops])])
+    flip = rng.random(len(pairs)) < 0.5
+    pairs[flip] = pairs[flip, ::-1]
+    pairs = pairs[rng.permutation(len(pairs))]
+    assert SampledGraph.from_pairs(params, pairs, include_loops=include_loops) == g
 
 
 def _class_size(n: int, a: int, b: int) -> int:

@@ -1055,7 +1055,7 @@ class TestGeneratorArguments:
              " use the stratified generator"),
             (["--n", "31"], "stratified generation caps at n = 30, got n = 31"),
             (["--n", "14", "--alpha", "0.99", "--beta", "0.99", "--gamma", "0.99"],
-             "expected edge count 1.17e+08 exceeds the budget 6.71e+07"),
+             "expected edge count 1.17e+08 exceeds the budget 1.15e+08"),
         ],
         ids=["naive-n15", "stratified-n31", "stratified-budget"],
     )
@@ -1103,7 +1103,7 @@ class TestGeneratorArguments:
         )
         assert rc == 2
         assert capsys.readouterr().err == (
-            "error: expected edge count 1.17e+08 exceeds the budget 6.71e+07\n"
+            "error: expected edge count 1.17e+08 exceeds the budget 1.15e+08\n"
         )
         assert list(tmp_path.iterdir()) == []
 

@@ -24,12 +24,13 @@ from kronval import (
     generate_naive,
     generate_stratified,
     hamming,
+    hamming_array,
     neighbor_hamming_histogram,
     parse_pattern,
     path,
     star,
 )
-from conftest import falling_factorial
+from conftest import falling_factorial, traced_peak
 
 
 def complete_graph(params, vertices):
@@ -213,6 +214,25 @@ class TestNeighborHistogram:
                     expected[hamming(u, w)] += 1
                 expected[0] += u in loops
                 assert np.array_equal(neighbor_hamming_histogram(g, u), expected)
+
+
+class TestEdgeDistances:
+    def test_histogram_does_not_copy_the_edges(self, stratified_n16):
+        # One int64 distance per edge, half the (E, 2) array's bytes.
+        g = stratified_n16
+        want = np.bincount(hamming_array(g.edges[:, 0], g.edges[:, 1]), minlength=g.n + 1)
+        want[0] += len(g.loops)
+        hist, peak = traced_peak(lambda: edge_distance_histogram(g))
+        assert np.array_equal(hist, want)
+        assert peak < g.edges.nbytes
+
+    def test_empty_graph(self):
+        p = KroneckerParams(0.4, 0.7, 0.4, 5)
+        g = SampledGraph.from_pairs(p, [(3, 3)])
+        assert edge_distance_histogram(g).tolist() == [1, 0, 0, 0, 0, 0]
+        scan = extremal_edge_scan(g)
+        assert scan.min_distance is scan.max_distance is None
+        assert scan.offending == () and not scan.band_edge_exists
 
 
 class TestConcentrationReport:

@@ -17,7 +17,7 @@ from kronval import (
     pair_class,
     weight,
 )
-from conftest import brute_edge_probability, lexsort_canonical
+from conftest import brute_edge_probability, lexsort_canonical, traced_peak
 
 
 class TestParams:
@@ -199,6 +199,25 @@ class TestSampledGraph:
         without = g.degrees(count_loops=False)
         assert with_loops[0] == 2 and without[0] == 1
         assert with_loops[1] == without[1] == 1
+
+    def test_degrees_do_not_copy_the_edges(self, stratified_n16):
+        # np.bincount copies a read-only input whole, and edges is read-only.
+        g = stratified_n16
+        want = np.bincount(g.edges.ravel(), minlength=g.vertex_count)
+        want[g.loops] += 1
+        got, peak = traced_peak(g.degrees)
+        assert np.array_equal(got, want)
+        assert peak < g.edges.nbytes
+
+    def test_from_keys_canonicalizes_and_sorts_in_place(self, small_params):
+        keys = np.array([3 << 3 | 4, 1 << 3 | 3, 0 << 3 | 7, 1 << 3 | 3], dtype=np.int64)
+        g = SampledGraph.from_keys(small_params, keys, [5, 2, 5])
+        assert g.edges.tolist() == [[0, 7], [1, 3], [3, 4]]
+        assert g.loops.tolist() == [2, 5]
+        assert keys.tolist() == sorted(keys.tolist())  # the caller's array, sorted
+        assert SampledGraph.from_pairs(small_params, [(4, 3), (3, 1), (7, 0), (2, 2), (5, 5)]) == g
+        none = SampledGraph.from_keys(small_params, keys.copy(), [5, 2], include_loops=False)
+        assert none.loops.tolist() == [] and np.array_equal(none.edges, g.edges)
 
     def test_edge_array_sorted(self, small_params):
         g = SampledGraph.from_pairs(small_params, [(5, 2), (0, 1), (3, 4)])
