@@ -303,54 +303,54 @@ _COMMANDS = {
 }
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """The parser of the one command that ``argv[0]`` names, built as the
-    full parser's subparser for it is.
-
-    ``parse_args(argv)`` parses the words after the name and sets
-    ``command``.  The full parser reports unrecognized words with its own
-    usage line, so when some are left it parses ``argv`` itself, which
-    exits with that message.
-    """
-
-    def parse_args(self, args=None, namespace=None):
-        args = sys.argv[1:] if args is None else list(args)
-        parsed, extras = self.parse_known_args(args[1:], namespace)
-        if extras:
-            build_parser().parse_args(args)
-        parsed.command = args[0]
-        return parsed
-
-
 def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The kronval parser for ``argv``.
+    """The kronval parser, with arguments only where ``argv`` can reach them.
 
-    When ``argv[0]`` names a command, only that command's parser is built:
-    the other commands can never parse ``argv``, and building their parsers
-    would cost most of a short command's start-up.  Otherwise (no argv,
-    ``--help``, ``--version`` or an unknown command) the full parser lists
-    every command with its help.
+    Every command is listed with its help, but when ``argv[0]`` names one,
+    only that command gets its arguments: the others can never parse
+    ``argv``.  Otherwise (no argv, ``--help``, ``--version`` or an unknown
+    command) every command gets them.
     """
-    if argv and argv[0] in _COMMANDS:
-        add_arguments, kwargs = _COMMANDS[argv[0]]
-        kwargs = {key: value for key, value in kwargs.items() if key != "help"}
-        parser = _CommandParser(prog=f"{_PROG} {argv[0]}", **kwargs)
-        add_arguments(parser)
-        return parser
     parser = argparse.ArgumentParser(
         prog=_PROG,
         description="Stochastic Kronecker graphs: generate, predict, measure, validate, certify.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
     for name, (add_arguments, kwargs) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, **kwargs))
+        command = sub.add_parser(name, **kwargs)
+        if named in (None, name):
+            add_arguments(command)
     return parser
+
+
+def parse_args(argv: list) -> argparse.Namespace:
+    """``argv`` parsed as :func:`build_parser` parses it, with the same texts.
+
+    When ``argv[0]`` names a command, the words after it are parsed by that
+    command's parser alone, built as the full parser's subparser for it is,
+    and ``command`` is set here: the full parser would cost most of a short
+    command's start-up.  The full parser reports unrecognized words with its
+    own usage line, so when some are left it parses ``argv`` itself, which
+    exits with that message.
+    """
+    if argv and argv[0] in _COMMANDS:
+        add_arguments, kwargs = _COMMANDS[argv[0]]
+        command = argparse.ArgumentParser(
+            prog=f"{_PROG} {argv[0]}", description=kwargs.get("description")
+        )
+        add_arguments(command)
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return build_parser(argv).parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except KronvalError as exc:

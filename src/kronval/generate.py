@@ -34,8 +34,12 @@ STRATIFIED_MAX_N = 30
 # into packed pair keys, so the peak is in SampledGraph.from_keys, which
 # holds the keys, a bool per key and the (E, 2) result at once (25 B per
 # edge); the ranks' int16 class index (2 B per edge) is freed before it.
-# At (0.99, 0.99, 0.99), n = 13, the whole process peaked at 766 MiB for
-# 29.4M edges, 27.3 B per edge with the interpreter and the heap the rank
+# Rank draws hold the keys and at most about 18 B per rank of their class
+# (_sample_distinct), or a permutation of at most 2^24 ranks.  The whole
+# process peaked at 27.3 B per edge at (0.99, 0.99, 0.99), n = 13 (29.4M
+# edges, permutations), 26.7 B at (0.001, 0.968, 0.001), n = 27 (28.7M,
+# a bool per rank) and 26.5 B at (0.001, 0.9305, 0.001), n = 29 (34.3M,
+# a sorted copy of the draws), with the interpreter and the heap the rank
 # draws leave behind.
 GENERATE_MEMORY_CEILING = 3 << 30  # bytes
 STRATIFIED_PEAK_BYTES_PER_EDGE = 28
@@ -54,11 +58,13 @@ _RMAT_SUBBLOCK = 1 << 16  # rows per rng.random call: 32 MB of doubles at n = 62
 _UNRANK_BLOCK = 1 << 13
 # Draws a sparse class makes beyond its count before it looks for repeats.
 _SPARE_DRAWS = 16
+# Draws _keep_first_distinct reads per pass.
+_WALK_BLOCK = 1 << 13
 # Sparse classes (4k < size) of at most this many edges draw their ranks
 # together, one rng.integers call per run of consecutive such classes
 # (_draw_sparse_run); a run of the 496 classes at n = 30 holds at most
-# 135k draws.  Larger classes draw alone, through _sample_distinct's
-# bounded memory.
+# 135k draws.  Larger classes draw alone, through _sample_distinct, at
+# most about 18 B per rank.
 _RANK_BATCH_MAX = 1 << 8
 
 # Binomial coefficients C[i, j] for i, j <= STRATIFIED_MAX_N, exact in int32
@@ -286,7 +292,18 @@ def _unrank_pairs(n: int, a, b, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _sample_distinct(rng: np.random.Generator, size: int, k: int) -> np.ndarray:
-    """k distinct uniform ranks from [0, size)."""
+    """k distinct uniform ranks from [0, size).
+
+    A dense class (4k >= size) of at most 2^24 ranks takes the head of a
+    random permutation.  Any other class keeps the first k distinct values
+    of a stream of uniform draws, in draw order, which leaves the subset
+    exactly uniform: it draws k + _SPARE_DRAWS ranks, and while fewer than
+    k are distinct, k - distinct + _SPARE_DRAWS more.  When the class has at
+    most 8k ranks, a bool per rank marks those kept, and each batch of draws
+    is walked once and dropped.  Otherwise repeats are rare, and a sorted
+    copy of the draws, freed before any refill, finds them.  Either way the
+    call peaks at about 18 B per rank or less, its result included.
+    """
     if k == 0:
         return np.empty(0, dtype=np.int64)
     if 4 * k >= size and size <= (1 << 24):
@@ -296,23 +313,66 @@ def _sample_distinct(rng: np.random.Generator, size: int, k: int) -> np.ndarray:
         raise CapacityError(
             f"cannot sample {k} distinct ranks from a class of size {size}"
         )
-    # Keep the first k distinct values in draw order; unlike trimming a
-    # sorted pool, this leaves the subset exactly uniform.
     draws = rng.integers(0, size, size=k + _SPARE_DRAWS, dtype=np.int64)
+    if size <= 8 * k:
+        seen = np.zeros(size, dtype=bool)
+        got = _keep_first_distinct(draws, None, seen, draws[:k], 0)
+        while got < k:
+            more = rng.integers(0, size, size=k - got + _SPARE_DRAWS, dtype=np.int64)
+            got = _keep_first_distinct(more, None, seen, draws[:k], got)
+        return draws[:k]
     while True:
         ordered = np.sort(draws)
         repeats = ordered[1:][ordered[1:] == ordered[:-1]]
+        del ordered  # freed before a refill copies the draws
         distinct = len(draws) - len(repeats)
         if distinct >= k:
             break
         more = rng.integers(0, size, size=k - distinct + _SPARE_DRAWS, dtype=np.int64)
         draws = np.concatenate([draws, more])
     if len(repeats):
-        # Drop every occurrence of a repeated value but its first.
-        at = np.flatnonzero(np.isin(draws, repeats))
-        _, first = np.unique(draws[at], return_index=True)
-        draws = np.delete(draws, np.delete(at, first))
+        _keep_first_distinct(draws, repeats, np.zeros(len(repeats), dtype=bool), draws[:k], 0)
     return draws[:k]
+
+
+def _keep_first_distinct(
+    draws: np.ndarray, repeats: np.ndarray | None, seen: np.ndarray, out: np.ndarray, got: int
+) -> int:
+    """Copy into out[got:], in draw order, each draw whose value no earlier
+    draw had, until out is full, and return how many values out then holds.
+
+    seen marks the values kept so far: seen[value], or, when repeats (sorted)
+    holds every value that can recur, seen[i] for value repeats[i], any
+    other value being kept at once.  The draws are read _WALK_BLOCK at a
+    time, and out may be their own head: a block is copied before any of it
+    is overwritten.
+    """
+    for start in range(0, len(draws), _WALK_BLOCK):
+        if got == len(out):
+            break
+        block = draws[start : start + _WALK_BLOCK]
+        if repeats is None:
+            slot, hit = block, np.arange(len(block))
+        else:
+            # Once repeats outgrow the block, searches for sorted keys are
+            # cache-friendly enough to pay for sorting the block.
+            if len(repeats) > _WALK_BLOCK:
+                order = np.argsort(block, kind="stable")
+            else:
+                order = np.arange(len(block))
+            ordered = block[order]
+            slot = np.searchsorted(repeats, ordered)
+            found = repeats.take(slot, mode="clip") == ordered
+            hit, slot = order[found], slot[found]
+        slot, first = np.unique(slot, return_index=True)
+        keep = np.ones(len(block), dtype=bool)
+        keep[hit] = False
+        keep[hit[first[~seen[slot]]]] = True
+        seen[slot] = True
+        kept = block[keep][: len(out) - got]
+        out[got : got + len(kept)] = kept
+        got += len(kept)
+    return got
 
 
 def _draw_sparse_run(

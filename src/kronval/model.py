@@ -340,16 +340,11 @@ class SampledGraph:
 
     def degrees(self, count_loops: bool = True) -> np.ndarray:
         """Degree of every vertex; a loop contributes 1 when counted."""
-        # np.bincount copies a read-only input whole, so it reads the ends a
-        # block at a time.  Each call also returns a fresh vertex-sized
-        # array, so a block of at least that many ends keeps the transient
-        # below two degree arrays and the calls few.
-        ends = self.edges.ravel()
-        size = self.vertex_count
-        block = max(size, 1 << 16)
-        deg = np.zeros(size, dtype=np.int64)
-        for start in range(0, len(ends), block):
-            deg += np.bincount(ends[start : start + block], minlength=size)
+        # np.add.at reads the read-only ends in place and allocates nothing
+        # beyond the counts; np.bincount would copy them whole and return a
+        # second vertex-sized array.
+        deg = np.zeros(self.vertex_count, dtype=np.int64)
+        np.add.at(deg, self.edges.ravel(), 1)
         if count_loops:
             deg[self.loops] += 1
         return deg

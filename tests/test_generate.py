@@ -450,6 +450,17 @@ class TestPackedKeys:
         assert g == stratified_n16
         assert peak <= 28 * len(g.edges)
 
+    @pytest.mark.parametrize("p", [0.2, 0.1])
+    def test_large_class_draws_stay_within_the_budget_per_edge(self, p):
+        # Class (0, 22, 0), 2^21 pairs of edge probability p, holds about
+        # 97% of the edges.  It draws with a bool per rank at p = 0.2 and
+        # sorts a copy of its draws at p = 0.1.  The first call makes the
+        # allocations a process makes once.
+        params = KroneckerParams(0.001, p ** (1 / 22), 0.001, 22)
+        generate_stratified(params, seed=SeedSpec(1))
+        g, peak = traced_peak(lambda: generate_stratified(params, seed=SeedSpec(1)))
+        assert peak <= 28 * len(g.edges)
+
     def test_unranked_vertices_are_range_checked(self, monkeypatch):
         def too_wide(n, a, b, ranks):
             u, v = _unrank_pairs(n, a, b, ranks)
@@ -619,6 +630,10 @@ class TestSampleDistinct:
     @example(case=(10_000, 2_499), seed=0)  # 292 repeats in the first 2,515 draws: refills
     @example(case=(4, 0), seed=1)
     @example(case=(1 << 40, 5_000), seed=2)  # no repeat at all
+    # Three walk blocks with refills, with a bool per rank (size <= 8k) and
+    # with a sorted copy of the draws (size > 8k).
+    @example(case=(100_000, 20_000), seed=3)
+    @example(case=(200_000, 24_000), seed=4)
     def test_matches_unique_oracle(self, case, seed):
         size, k = case
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -627,3 +642,13 @@ class TestSampleDistinct:
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
         # the same draws were made: both generators end in the same state
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("size", [4_000_000, 4_000_001])
+    def test_draws_cost_at_most_20_bytes_per_rank(self, size):
+        # 500k ranks at the edge of the two draw routes, where each costs
+        # most: a bool per rank at size = 8k, a sorted copy of the draws,
+        # with about 6% more draws than ranks, just above it.
+        k = 500_000
+        got, peak = traced_peak(lambda: _sample_distinct(np.random.default_rng(3), size, k))
+        assert len(got) == k
+        assert peak <= 20 * k

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+import types
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from kronval import (
     edge_probability,
     star,
 )
-from kronval.cli import build_parser, main
+from kronval.cli import build_parser, main, parse_args
 from kronval.generate import (
     GENERATE_MEMORY_CEILING,
     RMAT_MAX_EDGES,
@@ -342,6 +343,35 @@ class TestCli:
         # build_parser(argv) adds arguments only to the command argv[0] names;
         # help, version and usage-error texts must not show it.
         assert _parse_outcome(build_parser(argv), argv) == _parse_outcome(build_parser(), argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["--help"], ["bogus"], ["--alpha", "0.6", "certify"]]
+        + [[command, "--help"] for command in COMMANDS]
+        + [[command] for command in COMMANDS]
+        + [
+            ["certify", "--pattern", "cycle:3", "--alpha", "x", "--beta", "0.5", "--gamma", "0.6"],
+            ["certify", "--pattern", "cycle:3", "--n", "4", *ENTRIES],
+            ["generate", "--n", "6", *ENTRIES, "--seed", "1", "stray"],
+            ["measure", "--input", "x.edges", "--what", "degrees", "--bogus"],
+            ["validate", "--n", "6", *ENTRIES, "--kind", "nope", "--seed", "1"],
+        ],
+    )
+    def test_parse_args_texts_match_a_fully_built_parser(self, argv):
+        # parse_args builds only the parser of the command argv[0] names.
+        lone = types.SimpleNamespace(parse_args=parse_args)
+        assert _parse_outcome(lone, argv) == _parse_outcome(build_parser(), argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", *ENTRIES, "--pattern", "cycle:3"],
+            ["generate", "--n", "6", *ENTRIES, "--seed", "1", "--out", "g.edges"],
+            ["validate", "--n", "6", *ENTRIES, "--kind", "degrees", "--seed", "1"],
+        ],
+    )
+    def test_parse_args_sets_what_the_full_parser_sets(self, argv):
+        assert parse_args(argv) == build_parser().parse_args(argv)
 
     def test_generate_measure_round_trip(self, tmp_path, capsys):
         out = tmp_path / "g.edges"

@@ -209,6 +209,16 @@ class TestSampledGraph:
         assert np.array_equal(got, want)
         assert peak < g.edges.nbytes
 
+    def test_degrees_of_few_edges_allocate_one_degree_array(self):
+        # 200 edges among 2^16 vertices: the ends fit one block, so the
+        # counts are the one vertex-sized array bincount returns.
+        g = SampledGraph.from_pairs(
+            KroneckerParams(0.6, 0.5, 0.6, 16), [(3 * i, 3 * i + 1) for i in range(200)]
+        )
+        got, peak = traced_peak(g.degrees)
+        assert got.sum() == 400 and got.dtype == np.int64
+        assert peak < 1.25 * got.nbytes
+
     def test_from_keys_canonicalizes_and_sorts_in_place(self, small_params):
         keys = np.array([3 << 3 | 4, 1 << 3 | 3, 0 << 3 | 7, 1 << 3 | 3], dtype=np.int64)
         g = SampledGraph.from_keys(small_params, keys, [5, 2, 5])
