@@ -8,18 +8,7 @@ from .errors import (
     KronvalError,
     ParameterError,
 )
-from .model import (
-    KroneckerParams,
-    PairClass,
-    SampledGraph,
-    edge_probability,
-    edge_probability_array,
-    hamming,
-    hamming_array,
-    log_edge_probability,
-    pair_class,
-    weight,
-)
+from .model import KroneckerParams, SampledGraph, edge_probability
 from .streams import SeedSpec
 from .generate import (
     RmatParams,
@@ -49,14 +38,11 @@ from .patterns import (
     PatternGraph,
     UnionPattern,
     base_value,
-    base_value_from_edge_labelings,
     cycle,
     cycle_base_value,
-    edge_labeling_from_vertex_labeling,
     enumerate_pair_unions,
     expected_copies_asymptotic,
     expected_copies_exact,
-    identify_vertices,
     overlap_cycle_base_value,
     overlap_cycles,
     parse_pattern,
@@ -65,16 +51,13 @@ from .patterns import (
     star,
     star_base_value,
     tree_base_value,
-    valid_edge_labelings,
 )
 from .measure import (
     ConcentrationReport,
-    ExtremalScan,
     check_countable,
     concentration_report,
     count_labeled_copies,
     edge_distance_histogram,
-    extremal_edge_scan,
     neighbor_hamming_histogram,
 )
 from .harness import (

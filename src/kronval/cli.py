@@ -303,25 +303,16 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The kronval parser, with arguments only where ``argv`` can reach them.
-
-    Every command is listed with its help, but when ``argv[0]`` names one,
-    only that command gets its arguments: the others can never parse
-    ``argv``.  Otherwise (no argv, ``--help``, ``--version`` or an unknown
-    command) every command gets them.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The kronval parser: every command with its help and its arguments."""
     parser = argparse.ArgumentParser(
         prog=_PROG,
         description="Stochastic Kronecker graphs: generate, predict, measure, validate, certify.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    named = argv[0] if argv and argv[0] in _COMMANDS else None
     for name, (add_arguments, kwargs) in _COMMANDS.items():
-        command = sub.add_parser(name, **kwargs)
-        if named in (None, name):
-            add_arguments(command)
+        add_arguments(sub.add_parser(name, **kwargs))
     return parser
 
 
@@ -345,7 +336,7 @@ def parse_args(argv: list) -> argparse.Namespace:
         if not extras:
             args.command = argv[0]
             return args
-    return build_parser(argv).parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -22,9 +22,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import CapacityError, DimensionError, ParameterError
-from .model import (
-    GRAPH_MAX_N, PROB_TOL, KroneckerParams, SampledGraph, edge_probability_array
-)
+from .model import GRAPH_MAX_N, PROB_TOL, KroneckerParams, SampledGraph, edge_probability
 from .streams import SeedSpec
 
 NAIVE_MAX_N = 14
@@ -228,7 +226,7 @@ def generate_naive(
         rows = np.arange(block_start, min(block_start + _NAIVE_ROW_BLOCK, size))
         u_arr = np.repeat(rows, size - rows).astype(np.uint64)
         v_arr = np.concatenate([np.arange(r, size, dtype=np.uint64) for r in rows])
-        prob = edge_probability_array(params, u_arr, v_arr)
+        prob = edge_probability(params, u_arr, v_arr)
         keep = rng.random(len(prob)) < prob
         us.append(u_arr[keep].astype(np.int64))
         vs.append(v_arr[keep].astype(np.int64))

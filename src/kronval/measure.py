@@ -1,5 +1,5 @@
-"""Measurements on realized graphs: labeled-copy counts, neighbor Hamming
-profiles, and the concentration / extremal-distance scans."""
+"""Measurements on realized graphs: labeled-copy counts, neighbor and edge
+Hamming-distance histograms, and the concentration report."""
 
 from __future__ import annotations
 
@@ -9,9 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .model import SampledGraph, hamming_array
+from .model import SampledGraph
 from .patterns import PatternGraph
-from .predict import critical_fraction, hamming_window
+from .predict import hamming_window
 
 COUNT_MAX_PATTERN_VERTICES = 5
 # Backtracking walks Python neighbour sets; the kernel routes (stars,
@@ -216,12 +216,15 @@ def neighbor_hamming_histogram(graph: SampledGraph, u: int) -> np.ndarray:
     A self-loop at u lands at distance 0; the histogram sums to the degree
     of u with loops counted.
     """
+    if not isinstance(u, (int, np.integer)):
+        raise ParameterError(f"vertex must be an integer, got {u!r}")
     if not 0 <= u < graph.vertex_count:
         raise ParameterError(f"vertex {u} out of range for n = {graph.n}")
+    u = int(u)
     edges = graph.edge_array
     start, stop = np.searchsorted(edges[:, 0], [u, u + 1])
     neighbors = np.concatenate([edges[start:stop, 1], edges[edges[:, 1] == u, 0]])
-    hist = np.bincount(hamming_array(u, neighbors), minlength=graph.n + 1)
+    hist = np.bincount(np.bitwise_count(neighbors ^ u), minlength=graph.n + 1)
     at = np.searchsorted(graph.loops, u)
     if at < len(graph.loops) and graph.loops[at] == u:
         hist[0] += 1
@@ -308,62 +311,4 @@ def concentration_report(graph: SampledGraph) -> ConcentrationReport:
         loop_count=len(graph.loops),
         include_loops=graph.include_loops,
         distance_histogram=tuple(hist.tolist()),
-    )
-
-
-@dataclass(frozen=True)
-class ExtremalScan:
-    """Extremal neighbor distances versus the critical fraction c.
-
-    With alpha < 1/2 an edge at distance below c*n is offending; with
-    beta < 1/2 one above c*n is.  ``band_edge_exists`` reports the converse
-    side: whether some edge falls within log^2(n) of the cutoff, where edges
-    are still expected to exist.  Loops are not edges and are ignored.
-    """
-
-    critical: float
-    side: str
-    cutoff: float
-    min_distance: "int | None"
-    max_distance: "int | None"
-    offending: tuple
-    band_limit: float
-    band_edge_exists: bool
-
-
-def extremal_edge_scan(graph: SampledGraph) -> ExtremalScan:
-    p = graph.params
-    if not p.alpha_equals_gamma:
-        raise ParameterError("extremal scan requires alpha = gamma")
-    if p.alpha + p.beta <= 1.0:
-        raise ParameterError("extremal scan requires alpha + beta > 1")
-    if min(p.alpha, p.beta) >= 0.5:
-        raise ParameterError("extremal scan needs alpha < 1/2 or beta < 1/2")
-    fraction = critical_fraction(p)
-    cutoff = fraction.c * p.n
-    ea = graph.edge_array
-    dist = _edge_distances(graph)
-    if len(dist):
-        d_min, d_max = int(dist.min()), int(dist.max())
-    else:
-        d_min = d_max = None
-    log_sq = math.log(p.n) ** 2
-    if fraction.side == "below":
-        bad = dist < cutoff
-        band_limit = cutoff + log_sq
-        band_hit = bool(len(dist)) and bool((dist <= band_limit).any())
-    else:
-        bad = dist > cutoff
-        band_limit = cutoff - log_sq
-        band_hit = bool(len(dist)) and bool((dist >= band_limit).any())
-    offending = tuple(map(tuple, ea[bad].tolist())) if len(ea) else ()
-    return ExtremalScan(
-        critical=fraction.c,
-        side=fraction.side,
-        cutoff=cutoff,
-        min_distance=d_min,
-        max_distance=d_max,
-        offending=offending,
-        band_limit=band_limit,
-        band_edge_exists=band_hit,
     )

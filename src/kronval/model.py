@@ -1,9 +1,12 @@
-"""Core model: the 2x2 initiator matrix, vertices of Z_2^n, and edge probabilities.
+"""Core model: the 2x2 initiator matrix, edge probabilities over Z_2^n, and
+the sampled-graph representation.
 
-Vertices are plain non-negative ints.  Digit k (1-based) of a vertex is bit
+Vertices are non-negative integers.  Digit k (1-based) of a vertex is bit
 k-1 of the int, so the least-significant bit is digit 1.  A vertex is valid
-for digit count n when it is below 2**n; operations that depend on n check
-this and raise :class:`DimensionError` otherwise.
+for digit count n when it is below 2**n.  :func:`edge_probability` and
+:meth:`SampledGraph.from_pairs` take integer arrays of vertices; they raise
+:class:`ParameterError` for non-integer input and :class:`DimensionError`
+for a vertex that does not fit n digits.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -61,72 +63,37 @@ class KroneckerParams:
         return math.log(self.alpha), math.log(self.beta), math.log(self.gamma)
 
 
-class PairClass(NamedTuple):
-    """Digit-position counts of a vertex pair: both-one, mixed, both-zero.
+def _vertex_array(x, n: int) -> np.ndarray:
+    """``x`` as an integer array, refused unless every value is an integer
+    vertex below 2^n (an empty array passes, as int64).  Reads the dtype and
+    the min and max, and copies no array it is given."""
+    try:
+        x = np.asarray(x)
+    except ValueError:  # ragged nesting
+        raise DimensionError("vertices must form a rectangular array") from None
+    if x.size == 0:
+        return x.astype(np.int64)
+    if x.dtype == object:  # Python ints past 64 bits, or mixed values
+        raise DimensionError(f"a vertex does not fit {min(n, 64)} digits")
+    if x.dtype.kind not in "iu":
+        raise ParameterError(f"vertices must be integers, got dtype {x.dtype}")
+    if int(x.min()) < 0 or int(x.max()) >> n:
+        raise DimensionError(f"a vertex does not fit {n} digits")
+    return x
 
-    ``mixed`` equals the Hamming distance; the three counts sum to n.
+
+def edge_probability(params: KroneckerParams, u, v) -> np.ndarray:
+    """Probability that the pair {u, v} is an edge, elementwise over the
+    broadcast vertex arrays; a numpy float for two scalar vertices.
+
+    Evaluated in log space, a log alpha + b log beta + c log gamma over the
+    pair's digit-position counts, and exponentiated, so products of up to
+    at least 64 digit factors keep full double precision.  Raises
+    ParameterError for non-integer vertices and DimensionError for a vertex
+    that does not fit ``params.n`` digits.
     """
-
-    both_one: int
-    mixed: int
-    both_zero: int
-
-
-def check_vertex(v: int, n: int) -> None:
-    """Raise DimensionError unless v is a valid vertex for digit count n."""
-    if not 0 <= v < (1 << n):
-        raise DimensionError(f"vertex {v!r} does not fit {n} digits")
-
-
-def weight(v: int) -> int:
-    """Number of 1-digits of a vertex."""
-    if v < 0:
-        raise DimensionError(f"vertex must be non-negative, got {v!r}")
-    return v.bit_count()
-
-
-def hamming(u: int, v: int) -> int:
-    """Number of digit positions where u and v differ."""
-    if u < 0 or v < 0:
-        raise DimensionError("vertices must be non-negative")
-    return (u ^ v).bit_count()
-
-
-def pair_class(u: int, v: int, n: int) -> PairClass:
-    """Classify a vertex pair by its digit-position counts (a, b, c)."""
-    check_vertex(u, n)
-    check_vertex(v, n)
-    a = (u & v).bit_count()
-    b = (u ^ v).bit_count()
-    return PairClass(both_one=a, mixed=b, both_zero=n - a - b)
-
-
-def log_edge_probability(params: KroneckerParams, u: int, v: int) -> float:
-    """log of the edge probability of {u, v}; accurate for large n."""
-    a, b, c = pair_class(u, v, params.n)
-    la, lb, lg = params.log_entries()
-    return a * la + b * lb + c * lg
-
-
-def edge_probability(params: KroneckerParams, u: int, v: int) -> float:
-    """Probability that the pair {u, v} is an edge.
-
-    Evaluated in log space and exponentiated, so products of up to at
-    least 64 digit factors keep full double precision.
-    """
-    return math.exp(log_edge_probability(params, u, v))
-
-
-def hamming_array(u, v) -> np.ndarray:
-    """Vectorized Hamming distances (broadcasting)."""
-    x = np.asarray(u, dtype=np.uint64) ^ np.asarray(v, dtype=np.uint64)
-    return np.bitwise_count(x).astype(np.int64)
-
-
-def edge_probability_array(params: KroneckerParams, u, v) -> np.ndarray:
-    """Vectorized edge probabilities for arrays of vertex pairs."""
-    u = np.asarray(u, dtype=np.uint64)
-    v = np.asarray(v, dtype=np.uint64)
+    u = _vertex_array(u, params.n).astype(np.uint64, copy=False)
+    v = _vertex_array(v, params.n).astype(np.uint64, copy=False)
     a = np.bitwise_count(u & v).astype(np.int64)
     b = np.bitwise_count(u ^ v).astype(np.int64)
     c = params.n - a - b
@@ -238,27 +205,33 @@ class SampledGraph:
     ) -> "SampledGraph":
         """Canonicalize vertex pairs ``(u[i], v[i])``.
 
-        With ``v`` omitted, ``u`` is a sequence of ``(u, v)`` pairs.  Pairs
+        ``u`` and ``v`` are integer arrays of equal length; with ``v``
+        omitted, ``u`` is an ``(E, 2)`` array of ``(u, v)`` pairs.  Pairs
         may come in any order and orientation and may repeat; a pair with
         ``u == v`` is a loop, the only way to give one.  Without
         ``include_loops`` the graph holds no loops, so such pairs are
-        dropped.  Raises DimensionError when a vertex does not fit
-        ``params.n`` digits.
+        dropped.  Raises ParameterError for non-integer input and
+        DimensionError for input of another shape or a vertex that does not
+        fit ``params.n`` digits.  Empty input gives the empty graph.
         """
         n = params.n
         if n > GRAPH_MAX_N:
             raise DimensionError(f"graphs store vertices as int64, so n <= {GRAPH_MAX_N}; got {n}")
-        try:
-            if v is None:
-                pairs = np.asarray(u, dtype=np.int64).reshape(-1, 2)
-                u, v = pairs[:, 0], pairs[:, 1]
-            u = np.asarray(u, dtype=np.int64)
-            v = np.asarray(v, dtype=np.int64)
-        except OverflowError:
-            raise DimensionError(f"a vertex does not fit {n} digits") from None
-        for part in (u, v):
-            if len(part) and (part.min() < 0 or part.max() >> n):
-                raise DimensionError(f"a vertex does not fit {n} digits")
+        if v is None:
+            pairs = _vertex_array(u, n)
+            if pairs.size == 0:
+                pairs = pairs.reshape(0, 2)
+            if pairs.ndim != 2 or pairs.shape[1] != 2:
+                raise DimensionError(f"pairs must form an (E, 2) array, got shape {pairs.shape}")
+            u, v = pairs[:, 0], pairs[:, 1]
+        else:
+            u, v = _vertex_array(u, n), _vertex_array(v, n)
+            if u.ndim != 1 or u.shape != v.shape:
+                raise DimensionError(
+                    f"u and v must be 1-D and of equal length, got shapes {u.shape} and {v.shape}"
+                )
+        u = u.astype(np.int64, copy=False)
+        v = v.astype(np.int64, copy=False)
         is_loop = u == v
         if n <= PAIR_KEY_MAX_N:
             key = pair_keys(u, v, n)

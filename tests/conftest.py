@@ -13,7 +13,15 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from kronval import KroneckerParams, PatternGraph, SampledGraph, SeedSpec, generate_stratified
+from kronval import (
+    CapacityError,
+    KroneckerParams,
+    ParameterError,
+    PatternGraph,
+    SampledGraph,
+    SeedSpec,
+    generate_stratified,
+)
 
 
 def brute_edge_probability(params: KroneckerParams, u: int, v: int) -> float:
@@ -35,6 +43,114 @@ def brute_base_value(params: KroneckerParams, vertex_count: int, edges) -> float
             term *= matrix[bits[u]][bits[v]]
         total += term
     return total
+
+
+def pair_class(u: int, v: int, n: int) -> tuple[int, int, int]:
+    """Digit-position counts of the pair {u, v}: both one, mixed, both zero."""
+    a, b = (u & v).bit_count(), (u ^ v).bit_count()
+    return a, b, n - a - b
+
+
+# Edge-labeling oracles: the dual route to the vertex-labeling sum, and the
+# vertex identification behind the base-value monotonicity test.
+EDGE_LABELING_MAX_EDGES = 20
+
+
+def edge_labeling_from_vertex_labeling(pattern: PatternGraph, g: int) -> int:
+    """The labeling each edge inherits as the digit difference |g(u)-g(v)|."""
+    labeling = 0
+    for index, (u, v) in enumerate(pattern.edge_list):
+        if ((g >> u) ^ (g >> v)) & 1:
+            labeling |= 1 << index
+    return labeling
+
+
+def valid_edge_labelings(pattern: PatternGraph) -> frozenset:
+    """All edge labelings realizable as digit differences of a vertex labeling.
+
+    Decided by the cycle-parity criterion: vertex labels are propagated
+    along a spanning tree and every non-tree edge must agree, which holds
+    exactly when each cycle carries an even number of 1-labels.  Requires a
+    connected pattern (each valid labeling then has exactly two vertex
+    labelings above it).  Bit i of a labeling refers to edge_list[i].
+    """
+    if not pattern.is_connected():
+        raise ParameterError("edge labelings are only supported for connected patterns")
+    e = pattern.edge_count
+    if e > EDGE_LABELING_MAX_EDGES:
+        raise CapacityError(
+            f"edge-labeling enumeration caps at {EDGE_LABELING_MAX_EDGES} edges, got {e}"
+        )
+    edge_index = {edge: i for i, edge in enumerate(pattern.edge_list)}
+
+    tree_steps = []  # (child, parent, edge bit index) in BFS order
+    tree_edges = set()
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        u = frontier.pop(0)
+        for w in sorted(pattern.adjacency[u]):
+            if w not in seen:
+                seen.add(w)
+                edge = (u, w) if u < w else (w, u)
+                tree_steps.append((w, u, edge_index[edge]))
+                tree_edges.add(edge)
+                frontier.append(w)
+
+    candidates = np.arange(1 << e, dtype=np.int64)
+    labels = np.zeros((pattern.vertex_count, len(candidates)), dtype=np.int8)
+    for child, parent, bit in tree_steps:
+        labels[child] = labels[parent] ^ ((candidates >> bit) & 1).astype(np.int8)
+    ok = np.ones(len(candidates), dtype=bool)
+    for edge in pattern.edge_list:
+        if edge in tree_edges:
+            continue
+        u, v = edge
+        bit = edge_index[edge]
+        ok &= (labels[u] ^ labels[v]) == ((candidates >> bit) & 1).astype(np.int8)
+    return frozenset(int(x) for x in candidates[ok])
+
+
+def base_value_from_edge_labelings(params: KroneckerParams, pattern: PatternGraph) -> float:
+    """Base value computed over valid edge labelings (requires alpha = gamma).
+
+    Equals 2 * sum over valid labelings of alpha^(#0-labels) beta^(#1-labels),
+    the dual route to the vertex-labeling sum for connected patterns.
+    """
+    if not params.alpha_equals_gamma:
+        raise ParameterError("the edge-labeling route requires alpha = gamma")
+    e = pattern.edge_count
+    total = 0.0
+    for labeling in valid_edge_labelings(pattern):
+        ones = labeling.bit_count()
+        total += params.alpha ** (e - ones) * params.beta**ones
+    return 2.0 * total
+
+
+def identify_vertices(pattern: PatternGraph, u: int, v: int):
+    """Merge vertex v into u; None when the result would not be simple.
+
+    The merge is the standard surjective-homomorphism step: it is usable
+    for base-value comparisons only when no loop (u adjacent to v) and no
+    doubled edge (a common neighbor) would arise.
+    """
+    if u == v:
+        raise ParameterError("cannot identify a vertex with itself")
+    if v in pattern.adjacency[u]:
+        return None
+    if pattern.adjacency[u] & pattern.adjacency[v]:
+        return None
+    mapping = []
+    for w in range(pattern.vertex_count):
+        if w == v:
+            mapping.append(None)
+        else:
+            mapping.append(w - (1 if w > v else 0))
+    mapping[v] = mapping[u]
+    return PatternGraph.from_edges(
+        pattern.vertex_count - 1,
+        ((mapping[a], mapping[b]) for a, b in pattern.edge_list),
+    )
 
 
 def to_networkx(pattern: PatternGraph) -> nx.Graph:

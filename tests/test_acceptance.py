@@ -15,20 +15,18 @@ from kronval import (
     PatternGraph,
     SeedSpec,
     base_value,
-    base_value_from_edge_labelings,
     critical_fraction,
     cycle,
     cycle_base_value,
     degree_moments,
-    edge_probability_array,
+    edge_distance_histogram,
+    edge_probability,
     expected_copies_asymptotic,
     expected_copies_exact,
-    extremal_edge_scan,
     generate_naive,
     generate_stratified,
     overlap_cycle_base_value,
     overlap_cycles,
-    pair_class,
     pair_classes,
     path,
     psi,
@@ -43,7 +41,13 @@ from kronval import (
 )
 
 
-from conftest import PARAM_GRID, SYMMETRIC_GRID, to_networkx
+from conftest import (
+    PARAM_GRID,
+    SYMMETRIC_GRID,
+    base_value_from_edge_labelings,
+    pair_class,
+    to_networkx,
+)
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> bool:
@@ -61,7 +65,7 @@ def test_criterion_1_degree_moment_oracle():
         p = KroneckerParams(alpha, beta, gamma, n)
         for w in range(n + 1):
             u = (1 << w) - 1
-            probs = edge_probability_array(p, np.full(1 << n, u, dtype=np.uint64), vertices)
+            probs = edge_probability(p, np.full(1 << n, u, dtype=np.uint64), vertices)
             moments = degree_moments(p, w)
             worst = max(
                 worst,
@@ -307,7 +311,7 @@ def test_criterion_8_critical_fraction():
             assert res.side == "above" and peak < res.c < 1
     ok_root = worst_root <= 1e-9
 
-    # extremal scan: expected violation count, exact closed form
+    # edges below the cutoff: expected count, exact closed form
     p = KroneckerParams(0.4, 0.7, 0.4, 14)
     cutoff = critical_fraction(p).c * 14
     expected_violations = sum(
@@ -318,11 +322,13 @@ def test_criterion_8_critical_fraction():
 
     offending_total = 0
     min_distances = []
+    below = np.arange(15) < cutoff
     for t in range(50):
         g = generate_stratified(p, include_loops=True, seed=SeedSpec(888).child("t", t))
-        scan = extremal_edge_scan(g)
-        offending_total += len(scan.offending)
-        min_distances.append(scan.min_distance)
+        hist = edge_distance_histogram(g)
+        hist[0] = 0  # the loops; no edge lies at distance 0
+        offending_total += int(hist[below].sum())
+        min_distances.append(int(np.flatnonzero(hist)[0]))
     ok_scan = offending_total == 0
     # the closest edges cluster just above the cutoff, far below the
     # typical-distance window center beta*n/(alpha+beta)

@@ -24,7 +24,6 @@ from kronval import (
     generate_naive,
     generate_rmat,
     generate_stratified,
-    pair_class,
     pair_classes,
     rmat_pairs,
 )
@@ -42,6 +41,7 @@ from kronval.model import pairs_ascend
 from conftest import (
     CountingGenerator,
     lex_subset,
+    pair_class,
     sample_distinct_oracle,
     sparse_run_oracle,
     traced_peak,

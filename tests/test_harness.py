@@ -326,26 +326,6 @@ ENTRIES = ["--alpha", "0.6", "--beta", "0.5", "--gamma", "0.6"]
 class TestCli:
     @pytest.mark.parametrize(
         "argv",
-        [["--help"], ["--version"], [], ["bogus"], ["cert"], ["--alpha", "0.6", "certify"]]
-        + [[command, "--help"] for command in COMMANDS]
-        + [[command] for command in COMMANDS]
-        + [
-            ["certify", "--pattern", "cycle:3", "--alpha", "x", "--beta", "0.5", "--gamma", "0.6"],
-            ["certify", "--pattern", "cycle:3", "--n", "4", *ENTRIES],
-            ["generate", "--n", "6", *ENTRIES, "--seed", "1"],
-            ["predict", "--n", "6", *ENTRIES, "--what", "nope"],
-            ["measure", "--input", "x.edges", "--what", "degrees", "--bogus"],
-            ["validate", "--n", "6", *ENTRIES, "--kind", "nope", "--seed", "1"],
-            ["validate", "--n", "6", *ENTRIES, "--kind", "degrees", "--seed", "1", "--sweep", "1"],
-        ],
-    )
-    def test_parser_texts_match_a_fully_built_parser(self, argv):
-        # build_parser(argv) adds arguments only to the command argv[0] names;
-        # help, version and usage-error texts must not show it.
-        assert _parse_outcome(build_parser(argv), argv) == _parse_outcome(build_parser(), argv)
-
-    @pytest.mark.parametrize(
-        "argv",
         [[], ["--help"], ["bogus"], ["--alpha", "0.6", "certify"]]
         + [[command, "--help"] for command in COMMANDS]
         + [[command] for command in COMMANDS]

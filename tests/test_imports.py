@@ -1,8 +1,10 @@
 """Import hygiene: importing the command-line front end loads numpy and
 kronval and no other third-party package.  Every CLI call pays its imports
 before it does any work, so scipy's solver and sparse modules and networkx
-must stay off this path."""
+must stay off this path.  And every name a library module imports is used
+there, or marked as bound for outside readers."""
 
+import ast
 import json
 import os
 import subprocess
@@ -35,3 +37,33 @@ def test_cli_import_loads_only_numpy_and_kronval():
     top_level = {name.split(".")[0] for name in loaded}
     third_party = top_level - set(sys.stdlib_module_names)
     assert third_party <= {"numpy", "kronval"}, sorted(third_party)
+
+
+def _unused_imports(path: Path) -> list:
+    """(line, name) of each name the module imports and never reads, unless
+    its line carries ``# noqa: F401``."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append((alias.lineno, name))
+    return unused
+
+
+def test_every_import_is_used():
+    modules = sorted(Path(kronval.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    unused = {
+        path.name: found
+        for path in modules
+        if path.name != "__init__.py" and (found := _unused_imports(path))
+    }
+    assert unused == {}

@@ -15,16 +15,12 @@ from kronval import (
     SeedSpec,
     concentration_report,
     count_labeled_copies,
-    critical_fraction,
     cycle,
     degree_moments,
     edge_distance_histogram,
     expected_copies_exact,
-    extremal_edge_scan,
     generate_naive,
     generate_stratified,
-    hamming,
-    hamming_array,
     neighbor_hamming_histogram,
     parse_pattern,
     path,
@@ -184,6 +180,17 @@ class TestNeighborHistogram:
         hist = neighbor_hamming_histogram(g, 5)
         assert hist[0] == 1 and hist.sum() == 1
 
+    def test_refuses_non_integer_vertices(self):
+        # 1.5 would be searched between the rows of vertices 1 and 2 and get
+        # a profile no vertex has
+        p = KroneckerParams(0.6, 0.4, 0.3, 3)
+        g = SampledGraph.from_pairs(p, [(0, 1), (1, 2), (2, 4), (2, 7)])
+        assert neighbor_hamming_histogram(g, 1).tolist() == [0, 1, 1, 0]
+        assert neighbor_hamming_histogram(g, np.int64(1)).tolist() == [0, 1, 1, 0]
+        for u in (1.5, 1.0, "1"):
+            with pytest.raises(ParameterError):
+                neighbor_hamming_histogram(g, u)
+
     def test_sums_to_degree_and_double_counts_edges(self):
         p = KroneckerParams(0.6, 0.4, 0.4, 6)
         g = generate_stratified(p, include_loops=True, seed=SeedSpec(31))
@@ -211,7 +218,7 @@ class TestNeighborHistogram:
             for u in range(1 << n):
                 expected = np.zeros(n + 1, dtype=np.int64)
                 for w in neighbors[u]:
-                    expected[hamming(u, w)] += 1
+                    expected[bin(u ^ w).count("1")] += 1
                 expected[0] += u in loops
                 assert np.array_equal(neighbor_hamming_histogram(g, u), expected)
 
@@ -220,7 +227,7 @@ class TestEdgeDistances:
     def test_histogram_does_not_copy_the_edges(self, stratified_n16):
         # One int64 distance per edge, half the (E, 2) array's bytes.
         g = stratified_n16
-        want = np.bincount(hamming_array(g.edges[:, 0], g.edges[:, 1]), minlength=g.n + 1)
+        want = np.bincount(np.bitwise_count(g.edges[:, 0] ^ g.edges[:, 1]), minlength=g.n + 1)
         want[0] += len(g.loops)
         hist, peak = traced_peak(lambda: edge_distance_histogram(g))
         assert np.array_equal(hist, want)
@@ -230,9 +237,6 @@ class TestEdgeDistances:
         p = KroneckerParams(0.4, 0.7, 0.4, 5)
         g = SampledGraph.from_pairs(p, [(3, 3)])
         assert edge_distance_histogram(g).tolist() == [1, 0, 0, 0, 0, 0]
-        scan = extremal_edge_scan(g)
-        assert scan.min_distance is scan.max_distance is None
-        assert scan.offending == () and not scan.band_edge_exists
 
 
 class TestConcentrationReport:
@@ -263,33 +267,6 @@ class TestConcentrationReport:
         g = generate_stratified(p, seed=SeedSpec(41))
         report = concentration_report(g)
         assert report.window_center == pytest.approx(4.0)  # beta/(alpha+beta) = 1/2
-
-
-class TestExtremalScan:
-    def test_low_alpha_side(self):
-        p = KroneckerParams(0.4, 0.7, 0.4, 12)
-        g = generate_stratified(p, include_loops=True, seed=SeedSpec(43))
-        scan = extremal_edge_scan(g)
-        assert scan.side == "below"
-        assert scan.cutoff == pytest.approx(critical_fraction(p).c * 12)
-        assert scan.offending == ()
-        assert scan.min_distance >= 1  # loops are not edges
-
-    def test_low_beta_mirror_side(self):
-        p = KroneckerParams(0.7, 0.4, 0.7, 12)
-        g = generate_stratified(p, include_loops=True, seed=SeedSpec(47))
-        scan = extremal_edge_scan(g)
-        assert scan.side == "above"
-        # offending edges are exactly those beyond the cutoff
-        assert all(
-            bin(u ^ v).count("1") > scan.cutoff for u, v in scan.offending
-        )
-
-    def test_gate_requires_small_entry(self):
-        p = KroneckerParams(0.6, 0.6, 0.6, 8)
-        g = generate_stratified(p, seed=SeedSpec(53))
-        with pytest.raises(ParameterError):
-            extremal_edge_scan(g)
 
 
 class TestDegreeNormalization:

@@ -11,11 +11,6 @@ from kronval import (
     ParameterError,
     SampledGraph,
     edge_probability,
-    edge_probability_array,
-    hamming,
-    log_edge_probability,
-    pair_class,
-    weight,
 )
 from conftest import brute_edge_probability, lexsort_canonical, traced_peak
 
@@ -36,36 +31,6 @@ class TestParams:
 
     def test_no_ordering_required_between_alpha_and_gamma(self):
         KroneckerParams(alpha=0.2, beta=0.5, gamma=0.9, n=4)  # gamma > alpha is fine
-
-
-class TestVertexOps:
-    def test_weight(self):
-        assert weight(0b0000) == 0
-        assert weight(0b1011) == 3
-        assert weight(0b1111) == 4
-
-    def test_hamming(self):
-        assert hamming(0b1010, 0b1010) == 0
-        assert hamming(0b1010, 0b0101) == 4
-        assert hamming(0b1100, 0b1010) == 2
-
-    def test_hamming_rejects_negative(self):
-        with pytest.raises(DimensionError):
-            hamming(-1, 3)
-
-    def test_pair_class(self):
-        assert pair_class(0b11, 0b10, 2) == (1, 1, 0)
-        assert pair_class(0b1100, 0b1100, 4) == (2, 0, 2)
-        assert pair_class(0b111, 0b000, 3) == (0, 3, 0)
-
-    def test_pair_class_counts_sum_to_n(self):
-        pc = pair_class(0b1011, 0b0110, 4)
-        assert sum(pc) == 4
-        assert pc.mixed == hamming(0b1011, 0b0110)
-
-    def test_pair_class_dimension_error(self):
-        with pytest.raises(DimensionError):
-            pair_class(0b100, 0b01, 2)  # first vertex has a digit beyond n
 
 
 class TestEdgeProbability:
@@ -97,20 +62,26 @@ class TestEdgeProbability:
 
     def test_log_space_survives_large_n(self):
         p = KroneckerParams(alpha=0.01, beta=0.02, gamma=0.015, n=64)
-        lo = log_edge_probability(p, (1 << 64) - 1, 0)
-        assert lo == pytest.approx(64 * math.log(0.02), rel=1e-12)
         assert edge_probability(p, (1 << 64) - 1, 0) == pytest.approx(
-            math.exp(lo), rel=1e-12
+            math.exp(64 * math.log(0.02)), rel=1e-12
         )
 
     def test_dimension_error(self, small_params):
         with pytest.raises(DimensionError):
             edge_probability(small_params, 8, 1)
+        for u in (9, -1, [0, 8], np.array([1, 9], dtype=np.uint64)):
+            with pytest.raises(DimensionError):
+                edge_probability(small_params, u, 0)
+
+    def test_non_integer_vertices_are_refused(self, small_params):
+        for u in (1.5, [0.0, 1.0], True):
+            with pytest.raises(ParameterError):
+                edge_probability(small_params, u, 0)
 
     def test_array_path_matches_scalar(self, small_params):
         us = np.arange(8).repeat(8)
         vs = np.tile(np.arange(8), 8)
-        arr = edge_probability_array(small_params, us, vs)
+        arr = edge_probability(small_params, us, vs)
         for u, v, value in zip(us, vs, arr):
             assert value == pytest.approx(edge_probability(small_params, int(u), int(v)))
 
@@ -140,7 +111,7 @@ class TestEdgeProbability:
         for w in range(n + 1):
             u = (1 << w) - 1
             vs = np.arange(1 << n)
-            total = edge_probability_array(p, np.full(1 << n, u), vs).sum()
+            total = edge_probability(p, np.full(1 << n, u), vs).sum()
             closed = (0.6 + 0.4) ** w * (0.4 + 0.2) ** (n - w)
             assert total == pytest.approx(closed, abs=1e-10)
 
@@ -157,6 +128,38 @@ class TestSampledGraph:
                 SampledGraph.from_pairs(small_params, u, v)
             with pytest.raises(DimensionError):
                 SampledGraph.from_pairs(small_params, list(zip(u, v)))
+
+    def test_from_pairs_refuses_non_integer_vertices(self, small_params):
+        # truncating would read (1.7, 2.2) as the edge (1, 2) and (3, 3.9) as a loop
+        for pairs in ([(1.7, 2.2), (3, 3.9)], [(True, False)]):
+            with pytest.raises(ParameterError):
+                SampledGraph.from_pairs(small_params, pairs)
+        with pytest.raises(ParameterError):
+            SampledGraph.from_pairs(small_params, [1.0, 2.0], [3, 4])
+
+    def test_from_pairs_refuses_ends_of_unequal_length(self, small_params):
+        # broadcasting would read [1, 2] against [3] as the edges (1, 3) and (2, 3)
+        for u, v in ([1, 2], [3]), ([1], []), ([[1, 2]], [[3, 4]]):
+            with pytest.raises(DimensionError):
+                SampledGraph.from_pairs(small_params, u, v)
+
+    def test_from_pairs_refuses_a_flat_pair_list(self, small_params):
+        with pytest.raises(DimensionError):
+            SampledGraph.from_pairs(small_params, [1, 2, 3, 4])
+
+    def test_from_pairs_refuses_pairs_of_other_widths(self, small_params):
+        for pairs in ([(1, 2, 3)], [(1,), (2,)], [(1, 2), (3,)]):
+            with pytest.raises(DimensionError):
+                SampledGraph.from_pairs(small_params, pairs)
+
+    def test_from_pairs_takes_empty_input(self, small_params):
+        for g in (
+            SampledGraph.from_pairs(small_params, []),
+            SampledGraph.from_pairs(small_params, [], []),
+            SampledGraph.from_pairs(small_params, np.empty((0, 2), dtype=np.int64)),
+        ):
+            assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64
+            assert g.loops.tolist() == []
 
     def test_arrays_are_read_only(self, small_params):
         g = SampledGraph.from_pairs(small_params, [(3, 1), (0, 2), (5, 5)])

@@ -19,14 +19,11 @@ from kronval import (
     PatternGraph,
     UnionPattern,
     base_value,
-    base_value_from_edge_labelings,
     cycle,
     cycle_base_value,
-    edge_labeling_from_vertex_labeling,
     enumerate_pair_unions,
     expected_copies_asymptotic,
     expected_copies_exact,
-    identify_vertices,
     overlap_cycle_base_value,
     overlap_cycles,
     parse_pattern,
@@ -35,7 +32,6 @@ from kronval import (
     star,
     star_base_value,
     tree_base_value,
-    valid_edge_labelings,
 )
 from kronval.cli import main
 from kronval.patterns import (
@@ -48,10 +44,14 @@ from kronval.patterns import (
 from conftest import (
     PARAM_GRID,
     SYMMETRIC_GRID,
+    base_value_from_edge_labelings,
     brute_base_value,
     brute_expected_copies,
+    edge_labeling_from_vertex_labeling,
     from_networkx,
+    identify_vertices,
     to_networkx,
+    valid_edge_labelings,
 )
 
 
