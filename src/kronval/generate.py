@@ -50,10 +50,18 @@ RMAT_PEAK_BYTES_PER_DRAW = 80
 RMAT_MAX_EDGES = GENERATE_MEMORY_CEILING // RMAT_PEAK_BYTES_PER_DRAW
 _NAIVE_ROW_BLOCK = 128
 _RMAT_SUBBLOCK = 1 << 16  # rows per rng.random call: 32 MB of doubles at n = 62
-# Ranks per stratified unranking pass, any mix of classes.  A pass holds
-# 3n int32 digit masks per rank: 1.2 MiB at n = 13, 2.8 MiB at n = 30.  A
-# pass four times that size raised count-n13's peak RSS by about 2 MB.
+# Ranks per stratified unranking pass, any mix of classes.  A pass peaks
+# at about 88 B per rank at n <= 16 (0.7 MiB), mostly int32 lanes, and
+# 12 B more per walked digit for its three masks: 164 B at n = 20 and
+# 284 B (2.3 MiB) at n = 30.  Passes of 2^15 ranks kept count-n13's wall
+# time and raised its peak RSS by 0.1 MB (medians of 6 alternating pairs);
+# they cut hamming-n20's wall time 7% but raised its peak RSS 1.3%.
 _UNRANK_BLOCK = 1 << 13
+# Digits unranked from one _subset_table: 2^16 int32 masks, 256 KiB.
+# _unrank_pairs walks only the digits below the top _TABLE_MAX_N.  A 2^20
+# table sped hamming-n20 further but was still resident, 4 MiB, when
+# from_keys peaks.
+_TABLE_MAX_N = 16
 # Draws a sparse class makes beyond its count before it looks for repeats.
 _SPARE_DRAWS = 16
 # Draws _keep_first_distinct reads per pass.
@@ -235,57 +243,155 @@ def generate_naive(
     )
 
 
-def _unrank_pairs(n: int, a, b, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v) of the rank-th pairs of classes (a, b), given per rank.
+class _SubsetTable(NamedTuple):
+    """Read-only int32 lookup of the lexicographic subsets of m digits."""
+
+    masks: np.ndarray  # all 2^m masks: by weight, each weight in combinations order
+    # start[a * (m + 1) + b]: where the b-subsets of the top m - a digits
+    # begin in masks, the last C(m - a, b) masks of weight b; a = 0 gives
+    # the start of weight block b.
+    start: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _subset_table(m: int) -> _SubsetTable:
+    """The subset table of m <= _TABLE_MAX_N digits, built once per m.
+
+    Within a weight, lexicographic order (digit i as bit i, the
+    itertools.combinations order) is the descending order of the
+    bit-reversed masks, so the masks are the bit reversals of
+    2^m - 1, ..., 0, stable-sorted by weight.  The b-subsets of the top
+    m - a digits, shifted right by a, are the b-subsets of m - a digits in
+    that same order.
+    """
+    reversed_masks = np.zeros(1, dtype=np.int32)
+    for _ in range(m):
+        reversed_masks <<= 1
+        reversed_masks = np.concatenate([reversed_masks, reversed_masks | 1])
+    reversed_masks = reversed_masks[::-1]
+    masks = reversed_masks[np.argsort(np.bitwise_count(reversed_masks), kind="stable")]
+    weights = np.arange(m + 1)
+    block_end = np.cumsum(_COMB[m, weights])
+    start = (block_end - _COMB[m - weights[:, None], weights]).astype(np.int32).ravel()
+    masks.flags.writeable = start.flags.writeable = False
+    return _SubsetTable(masks, start)
+
+
+def _byte_deposit_table() -> np.ndarray:
+    """Flat uint8 table: entry mask << 8 | x deposits the low bits of x, in
+    order, at the set bits of the byte mask (pdep).  The rows of the masks
+    with bit i set are those without it, plus the next bit of x at digit i."""
+    x = np.arange(256, dtype=np.uint8)
+    table = np.zeros((1, 256), dtype=np.uint8)
+    used = np.zeros((1, 1), dtype=np.uint8)  # bits of x each row deposits
+    for i in range(8):
+        table = np.concatenate([table, table | ((x >> used) & 1) << i])
+        used = np.concatenate([used, used + 1])
+    table = table.ravel()
+    table.flags.writeable = False
+    return table
+
+
+_BYTE_DEPOSIT = _byte_deposit_table()
+
+
+def _deposit(x: np.ndarray, mask: np.ndarray, digits: int) -> np.ndarray:
+    """pdep per lane, in int32: the low bits of x, in order, at the set bits
+    of mask, a byte of mask at a time over its low ceil(digits / 8) bytes.
+    x must hold no more bits than mask sets below 2^digits, so that any
+    mask bit set above 2^digits in the last byte takes a zero."""
+    byte = mask & 255
+    out = _BYTE_DEPOSIT.take(byte << 8 | (x & 255)).astype(np.int32)
+    for shift in range(8, digits, 8):
+        x = x >> np.bitwise_count(byte)
+        byte = (mask >> shift) & 255
+        out |= np.left_shift(_BYTE_DEPOSIT.take(byte << 8 | (x & 255)), shift, dtype=np.int32)
+    return out
+
+
+def _unrank_pairs(
+    n: int, a: np.ndarray, b: np.ndarray, ranks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) of the rank-th pairs of classes (a, b), all three int64
+    arrays with an entry per rank.
 
     rank = (ones rank * C(n - a, b) + mixed rank) * 2^(b - 1) + orientation,
     where the ones rank picks the a one digits among all n and the mixed rank
     the b mixed digits among the other n - a, both as lexicographic subsets
-    (Kreher and Stinson, Combinatorial Algorithms, 1999, 2.3).  One pass over
-    the digits walks both subsets; mixed digits take the bits of
-    (orientation << 1) | 1 in turn, 1 sending the digit to u, so the lowest
-    mixed digit goes to u.  Class (w, 0) is loop class w: u = v = the
-    rank-th vertex of weight w.  Decisions are -1/0 masks, and index -1
-    reads _COMB's zero row or column, so exhausted subsets need no branch.
+    (Kreher and Stinson, Combinatorial Algorithms, 1999, 2.3).  Mixed digits
+    take the bits of (orientation << 1) | 1 in turn, 1 sending the digit to
+    u, so the lowest mixed digit goes to u.  Class (w, 0) is loop class w:
+    u = v = the rank-th vertex of weight w.
 
-    Only the split of the int64 rank is 64-bit.  For n <= 30 the walk's
-    state fits int32 lanes: both subset ranks are below C(30, 15) < 2^31,
-    (orientation << 1) | 1 and the vertices below 2^30.  The vertices come
-    back as int32.
+    Lexicographic order decides the lowest digit first.  Above
+    _TABLE_MAX_N digits, the low k = n - _TABLE_MAX_N are walked one at a
+    time: a digit is a one if the ones rank falls below the count of
+    subsets that hold it, else mixed if the mixed rank does.  The decisions
+    are -1/0 masks, and index -1 reads _COMB's zero row or column, so
+    exhausted subsets need no branch.  The walk leaves the ones and mixed
+    digits still to place among the top m = n - k digits, and their ranks
+    there.  Those read _subset_table(m): the ones straight from their
+    weight block, the mixed digits as a subset of the top digits that are
+    not ones, deposited into them (_deposit).  The orientation bits left
+    are deposited into the mixed digits.  At n <= _TABLE_MAX_N no digit is
+    walked.
+
+    Only the split of the int64 rank is 64-bit.  For n <= 30 every lane
+    fits int32: the walked subset ranks are below C(30, 15) < 2^31, table
+    indices below 2^_TABLE_MAX_N, (orientation << 1) | 1 and the vertices
+    below 2^30.  The vertices come back as int32.
     """
-    rest, orient = np.divmod(ranks, np.maximum(np.left_shift(np.int64(1), b) >> 1, 1))
-    r_ones, r_mixed = np.divmod(rest, _COMB[n - a, b])
+    orient_bits = np.maximum(b - 1, 0)
+    rest = ranks >> orient_bits
+    orient = (ranks - (rest << orient_bits)).astype(np.int32)
+    r_ones, r_mixed = np.divmod(rest, _COMB.take((n - a) * _COMB.shape[1] + b))
     r_ones = r_ones.astype(np.int32)
     r_mixed = r_mixed.astype(np.int32)
-    orient = orient.astype(np.int32)
     orient <<= 1
     orient |= 1
-    ones_left = np.broadcast_to(a - 1, ranks.shape).astype(np.int32)
-    # Flat _COMB index of C(free digits left - 1, mixed digits left - 1).
-    cell = np.broadcast_to((n - 1 - a) * _COMB.shape[1] + b - 1, ranks.shape).astype(np.int32)
-    # Per digit: one-digit mask, mixed-digit mask, to-u bit.
-    digits = np.empty((3, n, len(ranks)), dtype=np.int32)
-    for p in range(n):
-        count = _COMB[n - 1 - p].take(ones_left)
-        r_ones -= count
-        one = np.right_shift(r_ones, 31, out=digits[0, p])
-        r_ones += count & one
-        ones_left += one
-        free = ~one
-        count = _COMB.take(cell)
-        count &= free
-        r_mixed -= count
-        is_mixed = np.right_shift(r_mixed, 31, out=digits[1, p])
-        r_mixed += count & is_mixed
-        cell -= free & _COMB.shape[1]
-        cell += is_mixed
-        shift = -is_mixed  # 1 where digit p is mixed: its orientation bit is used up
-        np.bitwise_and(orient, shift, out=digits[2, p])
-        orient >>= shift
-    powers = np.left_shift(1, np.arange(n, dtype=np.int32))[:, None]
-    digits[:2] &= powers
-    digits[2] *= powers
-    ones, mixed, to_u = np.bitwise_or.reduce(digits, axis=1)
+    m = min(n, _TABLE_MAX_N)
+    k = n - m
+    ones_left = a.astype(np.int32)  # ones and mixed digits among the top m
+    mixed_left = b.astype(np.int32)
+    if k:
+        # Flat _COMB index of C(free digits left - 1, mixed digits left - 1).
+        cell = (n - 1 - ones_left) * _COMB.shape[1] + mixed_left - 1
+        ones_left -= 1
+        # Per walked digit: one-digit mask, mixed-digit mask, to-u bit.
+        digits = np.empty((3, k, len(ranks)), dtype=np.int32)
+        for p in range(k):
+            count = _COMB[n - 1 - p].take(ones_left)
+            r_ones -= count
+            one = np.right_shift(r_ones, 31, out=digits[0, p])
+            r_ones += count & one
+            ones_left += one
+            free = ~one
+            count = _COMB.take(cell)
+            count &= free
+            r_mixed -= count
+            is_mixed = np.right_shift(r_mixed, 31, out=digits[1, p])
+            r_mixed += count & is_mixed
+            cell -= free & _COMB.shape[1]
+            cell += is_mixed
+            shift = -is_mixed  # 1 where digit p is mixed: its orientation bit is used up
+            np.bitwise_and(orient, shift, out=digits[2, p])
+            orient >>= shift
+        powers = np.left_shift(1, np.arange(k, dtype=np.int32))[:, None]
+        digits[:2] &= powers
+        digits[2] *= powers
+        low = np.bitwise_or.reduce(digits, axis=1)
+        ones_left += 1
+        # cell + 1 = (free digits left - 1) * width + mixed digits left
+        mixed_left = (cell + 1) % _COMB.shape[1]
+    table = _subset_table(m)
+    ones = table.masks.take(table.start.take(ones_left) + r_ones)
+    mixed = table.masks.take(table.start.take(ones_left * (m + 1) + mixed_left) + r_mixed)
+    mixed = _deposit(mixed >> ones_left, ~ones, m)
+    to_u = _deposit(orient, mixed, m)
+    if k:
+        ones = ones << k | low[0]
+        mixed = mixed << k | low[1]
+        to_u = to_u << k | low[2]
     return ones | to_u, ones | (mixed ^ to_u)
 
 
@@ -293,7 +399,8 @@ def _sample_distinct(rng: np.random.Generator, size: int, k: int) -> np.ndarray:
     """k distinct uniform ranks from [0, size).
 
     A dense class (4k >= size) of at most 2^24 ranks takes the head of a
-    random permutation.  Any other class keeps the first k distinct values
+    random int64 permutation, a view that holds 8 B per rank of the class
+    until the caller drops it.  Any other class keeps the first k distinct values
     of a stream of uniform draws, in draw order, which leaves the subset
     exactly uniform: it draws k + _SPARE_DRAWS ranks, and while fewer than
     k are distinct, k - distinct + _SPARE_DRAWS more.  When the class has at
@@ -305,7 +412,7 @@ def _sample_distinct(rng: np.random.Generator, size: int, k: int) -> np.ndarray:
     if k == 0:
         return np.empty(0, dtype=np.int64)
     if 4 * k >= size and size <= (1 << 24):
-        return rng.permutation(size)[:k].astype(np.int64)
+        return rng.permutation(size)[:k]
     if 2 * k > size:
         # would need a materialized permutation beyond the memory cap
         raise CapacityError(
@@ -459,13 +566,16 @@ def generate_stratified(
     keys min(u, v) << n | max(u, v), _UNRANK_BLOCK ranks per vectorized pass
     with each rank's class as its key, so a small graph pays one pass rather
     than one per class; the blocking consumes no randomness and leaves the
-    output unchanged.  Each pass checks that its vertices fit n digits
-    (DimensionError).  Pair classes come before loop classes, so the leading
-    keys are the edges, which SampledGraph.from_keys sorts in place and
-    splits into rows, and the trailing keys v << n | v name the loops.  The
-    graph then costs its keys, a bool per key and its (E, 2) rows at the
-    peak.  Past n = 30 or DEFAULT_EDGE_BUDGET expected edges,
-    check_stratified refuses the graph before any class is sampled.
+    output unchanged.  Each pass reads the subsets of the top
+    min(n, _TABLE_MAX_N) digits from one subset table, built once per digit
+    count, and walks only the digits below them, none at n <= 16.  Each pass
+    checks that its vertices fit n digits (DimensionError).  Pair classes
+    come before loop classes, so the leading keys are the edges, which
+    SampledGraph.from_keys sorts in place and splits into rows, and the
+    trailing keys v << n | v name the loops.  The graph then costs its keys,
+    a bool per key and its (E, 2) rows at the peak.  Past n = 30 or
+    DEFAULT_EDGE_BUDGET expected edges, check_stratified refuses the graph
+    before any class is sampled.
     """
     n = params.n
     check_stratified(params, include_loops)

@@ -28,12 +28,16 @@ from kronval import (
     rmat_pairs,
 )
 from kronval.generate import (
+    _BYTE_DEPOSIT,
     _COMB,
     _RANK_BATCH_MAX,
+    _TABLE_MAX_N,
     RMAT_MAX_EDGES,
     STRATIFIED_MAX_N,
+    _deposit,
     _draw_sparse_run,
     _sample_distinct,
+    _subset_table,
     _unrank_pairs,
 )
 from kronval.model import pairs_ascend
@@ -591,11 +595,57 @@ class TestPooledUnranking:
         u, v = _unrank_pairs(n, a, b, ranks)
         assert list(zip(u.tolist(), v.tolist())) == [unrank_pair_oracle(n, *c) for c in cases]
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=st.integers(1, 10).flatmap(
+            lambda n: st.tuples(st.just(n), st.lists(_class_ranks(n), min_size=1, max_size=16))
+        )
+    )
+    @example(case=(10, [(0, 10, (1 << 9) - 1), (3, 4, 0), (10, 0, 0), (4, 0, 209), (2, 5, 10079)]))
+    def test_every_table_split_matches_oracle(self, case):
+        # Every split of the n digits into walked low digits and table
+        # digits, from all walked (cap 0) to none (cap n).
+        n, cases = case
+        a, b, ranks = np.array(cases, dtype=np.int64).T
+        want = [unrank_pair_oracle(n, *c) for c in cases]
+        for cap in range(n + 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kronval.generate, "_TABLE_MAX_N", cap)
+                u, v = _unrank_pairs(n, a, b, ranks)
+            assert list(zip(u.tolist(), v.tolist())) == want
+
+    @pytest.mark.parametrize("m", range(11))
+    def test_subset_table_blocks_follow_combinations_order(self, m):
+        table = _subset_table(m)
+        assert len(table.masks) == 1 << m
+        for w in range(m + 1):
+            block = table.masks[table.start[w] :][: math.comb(m, w)]
+            want = [sum(1 << p for p in lex_subset(range(m), w, r)) for r in range(math.comb(m, w))]
+            assert block.tolist() == want
+
+    def test_subset_table_holds_every_smaller_digit_count(self):
+        # The w-subsets of m' <= m digits are the last C(m', w) masks of
+        # weight block w of table m, shifted right by m - m', and start
+        # points at them.
+        for m in range(13):
+            table = _subset_table(m)
+            for m_small in range(m + 1):
+                small = _subset_table(m_small)
+                for w in range(m_small + 1):
+                    count = math.comb(m_small, w)
+                    at = table.start[(m - m_small) * (m + 1) + w]
+                    assert at + count == table.start[w] + math.comb(m, w)
+                    suffix = table.masks[at : at + count] >> (m - m_small)
+                    assert suffix.tolist() == small.masks[small.start[w] :][:count].tolist()
+
     def test_walk_fits_int32_lanes(self):
         # The walk's ranks are below the largest C(i, j) it can read, its
-        # orientations and vertices below 2^STRATIFIED_MAX_N; raising the
-        # cap past 30 must fail here rather than wrap.
-        assert STRATIFIED_MAX_N <= 30
+        # orientations and vertices below 2^STRATIFIED_MAX_N.  The table's
+        # masks are below 2^_TABLE_MAX_N, and so is every index it is read
+        # at, a start plus a rank; its deposits, shifted up past the walked
+        # digits, stay below 2^STRATIFIED_MAX_N.  Raising either cap past
+        # what int32 holds must fail here rather than wrap.
+        assert _TABLE_MAX_N <= STRATIFIED_MAX_N <= 30
         table = [
             [math.comb(i, j) for j in range(STRATIFIED_MAX_N + 2)]
             for i in range(STRATIFIED_MAX_N + 1)
@@ -603,6 +653,21 @@ class TestPooledUnranking:
         assert max(map(max, table)) < 1 << 31
         assert _COMB.dtype == np.int32
         assert _COMB[:-1].tolist() == table and not _COMB[-1].any()
+        m = _TABLE_MAX_N
+        subsets = _subset_table(m)
+        assert subsets.masks.dtype == subsets.start.dtype == np.int32
+        assert sorted(subsets.masks.tolist()) == list(range(1 << m))
+        for a in range(m + 1):
+            for b in range(m + 1 - a):
+                assert subsets.start[a * (m + 1) + b] + math.comb(m - a, b) <= 1 << m
+        assert _BYTE_DEPOSIT.dtype == np.uint8 and _BYTE_DEPOSIT.shape == (1 << 16,)
+        full = np.array([(1 << m) - 1], dtype=np.int32)
+        widest = _deposit(full, full, m) << (STRATIFIED_MAX_N - m)
+        assert widest.dtype == np.int32
+        assert widest.tolist() == [(1 << STRATIFIED_MAX_N) - (1 << (STRATIFIED_MAX_N - m))]
+        # every cached table is read-only, as the class table is
+        for array in (subsets.masks, subsets.start, _BYTE_DEPOSIT):
+            assert not array.flags.writeable
 
     @pytest.mark.parametrize("n", [8, 12])
     @pytest.mark.parametrize("include_loops", [True, False])
@@ -641,6 +706,19 @@ class TestSampleDistinct:
         want = sample_distinct_oracle(oracle_rng, size, k)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
         # the same draws were made: both generators end in the same state
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_permutation_head_is_not_copied(self):
+        # 2^22 ranks of a dense class of 2^24: the call holds the int64
+        # permutation, 32 B per rank here, and returns a view of its head
+        # (a copy of the head would read 40 B per rank).
+        size, k = 1 << 24, 1 << 22
+        oracle_rng = np.random.default_rng(5)
+        want = oracle_rng.permutation(size)[:k].copy()
+        rng = np.random.default_rng(5)
+        got, peak = traced_peak(lambda: _sample_distinct(rng, size, k))
+        assert peak <= 33 * k
+        assert got.dtype == np.int64 and np.array_equal(got, want)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     @pytest.mark.parametrize("size", [4_000_000, 4_000_001])
