@@ -27,9 +27,10 @@ def main():
     report = concentration_report(g)
     print(f"n={p.n}, alpha=gamma={p.alpha}, beta={p.beta}")
     print(f"expected degree (alpha+beta)^n = {report.expected_degree:.2f}")
+    degrees = g.degrees()
     print(
-        f"realized degrees: min {report.degree_min}, mean {report.degree_mean:.2f},"
-        f" max {report.degree_max}"
+        f"realized degrees: min {degrees.min()}, mean {report.degree_mean:.2f},"
+        f" max {degrees.max()}"
     )
     print(
         f"edge distances center {report.window_center:.2f};"

@@ -303,40 +303,30 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The kronval parser: every command with its help and its arguments."""
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The kronval parser: every command with its help and its arguments, or,
+    when ``command`` names one, that command alone, which parses its words
+    with the same texts at a fraction of the cost."""
     parser = argparse.ArgumentParser(
         prog=_PROG,
         description="Stochastic Kronecker graphs: generate, predict, measure, validate, certify.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # The lone build's usage line lists every command, as the full build's
+    # does.  The full build keeps the default, since a metavar would also
+    # replace "command" in its message for a missing command.
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (add_arguments, kwargs) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, **kwargs))
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, **kwargs))
     return parser
 
 
 def parse_args(argv: list) -> argparse.Namespace:
-    """``argv`` parsed as :func:`build_parser` parses it, with the same texts.
-
-    When ``argv[0]`` names a command, the words after it are parsed by that
-    command's parser alone, built as the full parser's subparser for it is,
-    and ``command`` is set here: the full parser would cost most of a short
-    command's start-up.  The full parser reports unrecognized words with its
-    own usage line, so when some are left it parses ``argv`` itself, which
-    exits with that message.
-    """
-    if argv and argv[0] in _COMMANDS:
-        add_arguments, kwargs = _COMMANDS[argv[0]]
-        command = argparse.ArgumentParser(
-            prog=f"{_PROG} {argv[0]}", description=kwargs.get("description")
-        )
-        add_arguments(command)
-        args, extras = command.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return build_parser().parse_args(argv)
+    """``argv`` parsed by the parser of the command ``argv[0]`` names, or by
+    the full parser when it names none."""
+    return build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -55,15 +55,20 @@ def write_edgelist(graph: SampledGraph, path: "str | os.PathLike") -> None:
         f"kron n={n} alpha={p.alpha!r} beta={p.beta!r} gamma={p.gamma!r}"
         f" loops={1 if graph.include_loops else 0}\n"
     )
-    # Each loop line "v v" sorts just before the edges (v, w > v).
-    at = np.searchsorted(graph.edges[:, 0], graph.loops)
-    us = np.insert(graph.edges[:, 0], at, graph.loops)
-    vs = np.insert(graph.edges[:, 1], at, graph.loops)
+    edges, loops = graph.edges, graph.loops
+    # Each loop line "v v" sorts just before the edges (v, w > v), so loop i
+    # is body line at[i] + i.  A block of lines is a slice of the edges with
+    # its loops inserted: no column is copied whole.
+    at = np.searchsorted(edges[:, 0], loops)
+    starts = range(0, len(edges) + len(loops) + _BLOCK_ROWS, _BLOCK_ROWS)
+    loop_cuts = np.searchsorted(at + np.arange(len(loops)), starts).tolist()
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        for start in range(0, len(us), _BLOCK_ROWS):
-            u = us[start : start + _BLOCK_ROWS]
-            v = vs[start : start + _BLOCK_ROWS]
+        for start, lo, hi in zip(starts, loop_cuts, loop_cuts[1:]):
+            first = start - lo  # the block's first edge
+            block = edges[first : start + _BLOCK_ROWS - hi]
+            u = np.insert(block[:, 0], at[lo:hi] - first, loops[lo:hi])
+            v = np.insert(block[:, 1], at[lo:hi] - first, loops[lo:hi])
             rows = np.empty((len(u), 2 * n + 2), dtype=np.uint8)
             rows[:, :n] = _digits(u, n)
             rows[:, n + 1 : 2 * n + 1] = _digits(v, n)

@@ -413,11 +413,6 @@ def _sample_distinct(rng: np.random.Generator, size: int, k: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     if 4 * k >= size and size <= (1 << 24):
         return rng.permutation(size)[:k]
-    if 2 * k > size:
-        # would need a materialized permutation beyond the memory cap
-        raise CapacityError(
-            f"cannot sample {k} distinct ranks from a class of size {size}"
-        )
     draws = rng.integers(0, size, size=k + _SPARE_DRAWS, dtype=np.int64)
     if size <= 8 * k:
         seen = np.zeros(size, dtype=bool)

@@ -51,8 +51,7 @@ from .predict import (
     classify_regime,
     expected_degree_count,
     hamming_profile_prediction,
-    # Bound for perfbench/spans.py, which traces this name on this module.
-    hamming_window,  # noqa: F401
+    hamming_window,
 )
 from .streams import SeedSpec
 
@@ -340,29 +339,22 @@ def _run_subgraph(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
 def _run_hamming(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
     params = config.params
     n = params.n
-    profile_sums = np.zeros(n + 1)
-    degree_means = np.zeros(config.trials)
-    fractions = np.zeros(config.trials)
-    mean_distances = np.zeros(config.trials)
-    # Per trial, the total edge distance and the total degree 2 edges + loops.
-    distance_sums = np.zeros(config.trials)
-    degree_sums = np.zeros(config.trials)
-    for t in range(config.trials):
-        graph = _trial_graph(config, params, seed, "trial", t)
-        report = concentration_report(graph)
-        degree_means[t] = report.degree_mean
-        fractions[t] = report.in_window_edge_fraction
-        mean_distances[t] = report.mean_edge_distance
-        hist = np.array(report.distance_histogram, dtype=float)
-        distance_sums[t] = (hist * np.arange(n + 1)).sum()
-        degree_sums[t] = 2 * report.edge_count + report.loop_count
-        entries = 2.0 * hist
-        entries[0] = hist[0]  # a loop is a single one-sided neighbor entry
-        profile_sums += entries / params.vertex_count
-    profile_mean = profile_sums / config.trials
-    predicted_profile = np.array(
-        [hamming_profile_prediction(params, k) for k in range(n + 1)]
+    a, b = params.alpha, params.beta
+    # Per trial, the edges at each Hamming distance 0..n, loops at 0.
+    hists = np.array(
+        [
+            concentration_report(_trial_graph(config, params, seed, "trial", t)).distance_histogram
+            for t in range(config.trials)
+        ],
+        dtype=np.int64,
     )
+    distances = np.arange(n + 1)
+    lo, hi = hamming_window(params)
+    entries = 2 * hists
+    entries[:, 0] = hists[:, 0]  # a loop is a single one-sided neighbor entry
+    # Per trial, the total edge distance and the total degree 2 edges + loops.
+    distance_sums = hists @ distances
+    degree_sums = entries.sum(axis=1)
     # Both totals are sums of independent pair indicators, so their exact
     # moments over the trials give a z that scales with the sample.
     criteria = []
@@ -375,21 +367,23 @@ def _run_hamming(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
         z = (observed - mean) / math.sqrt(var / config.trials)
         criteria.append(_z_criterion(name, observed, mean, z))
     analytic = (
-        AnalyticValue(
-            "expected_degree", report.expected_degree, "uniform expected degree (alpha+beta)^n"
-        ),
-        AnalyticValue("window_center", report.window_center, "binomial neighbor-distance profile"),
-        AnalyticValue("window_lo", report.window_lo, "neighbor-distance concentration window"),
-        AnalyticValue("window_hi", report.window_hi, "neighbor-distance concentration window"),
+        AnalyticValue("expected_degree", (a + b) ** n, "uniform expected degree (alpha+beta)^n"),
+        AnalyticValue("window_center", b * n / (a + b), "binomial neighbor-distance profile"),
+        AnalyticValue("window_lo", lo, "neighbor-distance concentration window"),
+        AnalyticValue("window_hi", hi, "neighbor-distance concentration window"),
     )
-    empirical = {
-        "trials": config.trials,
-        "mean_degree": float(degree_means.mean()),
-        "in_window_fraction": float(fractions.mean()),
-        "mean_edge_distance": float(mean_distances.mean()),
-    }
+    edge_totals = hists.sum(axis=1)
+    in_window = hists[:, (distances >= lo) & (distances <= hi)].sum(axis=1)
+    with np.errstate(invalid="ignore"):  # a trial without edges reads NaN
+        empirical = {
+            "trials": config.trials,
+            "mean_degree": float(degree_sums.mean() / params.vertex_count),
+            "in_window_fraction": float((in_window / edge_totals).mean()),
+            "mean_edge_distance": float((distance_sums / edge_totals).mean()),
+        }
+    profile_mean = entries.sum(axis=0) / params.vertex_count / config.trials
     rows = tuple(
-        (k, float(profile_mean[k]), float(predicted_profile[k])) for k in range(n + 1)
+        (k, float(profile_mean[k]), hamming_profile_prediction(params, k)) for k in range(n + 1)
     )
     return ValidationReport(
         kind="hamming",

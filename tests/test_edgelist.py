@@ -18,6 +18,8 @@ from kronval import (
 from kronval import edgelist
 from kronval.cli import main
 
+from conftest import traced_peak
+
 
 def test_round_trip(tmp_path):
     p = KroneckerParams(alpha=0.6, beta=0.4, gamma=0.3, n=6)
@@ -163,6 +165,15 @@ def test_multi_block_file_round_trips(tmp_path, monkeypatch):
     one.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParameterError, match="line 16"):
         read_edgelist(one)
+
+
+def test_writer_copies_no_column_whole(tmp_path, monkeypatch, stratified_n16):
+    # Blocks of 2^10 lines hold about 70 KiB; a copy of both edge columns
+    # would hold 16 B per edge, 2.4 MiB here.
+    monkeypatch.setattr(edgelist, "_BLOCK_ROWS", 1 << 10)
+    g = stratified_n16
+    _, peak = traced_peak(lambda: write_edgelist(g, tmp_path / "g.edges"))
+    assert peak < g.edges.nbytes // 8
 
 
 @st.composite

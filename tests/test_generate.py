@@ -730,3 +730,14 @@ class TestSampleDistinct:
         got, peak = traced_peak(lambda: _sample_distinct(np.random.default_rng(3), size, k))
         assert len(got) == k
         assert peak <= 20 * k
+
+    def test_over_half_of_a_class_beyond_the_permutation(self):
+        # The smallest class the permutation route does not take, with more
+        # than half of it drawn, as at n = 26, (0.001, 0.99, 0.001), where
+        # one class holds 25,835,052 of 2^25 pairs: a bool per rank marks
+        # those kept, as for any class of at most 8k ranks.
+        size, k = (1 << 24) + 1, (1 << 23) + 1
+        got = _sample_distinct(np.random.default_rng(6), size, k)
+        seen = np.zeros(size, dtype=bool)
+        seen[got] = True
+        assert got.min() >= 0 and len(got) == k == seen.sum()

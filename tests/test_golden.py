@@ -41,6 +41,10 @@ way to two |z| criteria on the total edge distance and the total degree,
 judged by their exact class-sum moments.  Only the criteria entries
 changed; the config echo, the analytic and empirical values and the
 profile table kept their bytes.
+
+The loop-free hamming report was recorded when each trial still counted a
+degree array and the run summed six per-trial float arrays, before the run
+aggregated one stacked array of the trials' edge-distance histograms.
 """
 
 import hashlib
@@ -113,6 +117,13 @@ HAMMING_REPORT = (
     "aa9714740a040cb776bdd7d5dfae705483341d09c812a9cbb6bd2de5e1cb84d0",
 )
 
+# Pins the aggregation without loops: no neighbor entry at distance 0.
+HAMMING_NO_LOOPS_REPORT = (
+    ["validate", "--kind", "hamming", "--n", "9", "--alpha", "0.7", "--beta", "0.5",
+     "--gamma", "0.7", "--trials", "3", "--no-loops", "--seed", "4"],
+    "eef241793a8af2a38fca49cc539d39e585a0f87ec9aa85cec8aa1f17411a1662",
+)
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -145,6 +156,14 @@ def test_subgraph_report_bytes(tmp_path, capsys):
 
 def test_hamming_report_bytes(tmp_path, capsys):
     argv, digest = HAMMING_REPORT
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out-json", str(out)]) == 0
+    assert _sha256(out) == digest
+    capsys.readouterr()
+
+
+def test_hamming_no_loops_report_bytes(tmp_path, capsys):
+    argv, digest = HAMMING_NO_LOOPS_REPORT
     out = tmp_path / "report.json"
     assert main(argv + ["--out-json", str(out)]) == 0
     assert _sha256(out) == digest

@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,18 @@ class TestReports:
         assert [c.expected for c in report.criteria] == [mean for mean, _ in moments]
         center = {a.name: a.value for a in report.analytic}["window_center"]
         assert center == 0.5 * 6 / 1.2
+
+    def test_hamming_trial_without_edges_reads_nan(self):
+        # n = 1 without loops: each trial holds its one pair with
+        # probability 0.5, and a trial without it has no edge fraction or
+        # mean distance, so their means over the run are NaN, quietly.
+        config = cfg(kind="hamming", params=KroneckerParams(0.7, 0.5, 0.7, 1), include_loops=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_experiment(config)
+        assert report.empirical["mean_degree"] < 1.0  # some trial holds no edge
+        assert math.isnan(report.empirical["in_window_fraction"])
+        assert math.isnan(report.empirical["mean_edge_distance"])
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("loops", ["--loops", "--no-loops"])

@@ -2,7 +2,8 @@
 kronval and no other third-party package.  Every CLI call pays its imports
 before it does any work, so scipy's solver and sparse modules and networkx
 must stay off this path.  And every name a library module imports is used
-there, or marked as bound for outside readers."""
+there, or marked as bound for outside readers, and only such a name is
+marked, so that the marks list exactly the names kept for those readers."""
 
 import ast
 import json
@@ -39,31 +40,43 @@ def test_cli_import_loads_only_numpy_and_kronval():
     assert third_party <= {"numpy", "kronval"}, sorted(third_party)
 
 
-def _unused_imports(path: Path) -> list:
+def _import_faults(path: Path) -> list:
     """(line, name) of each name the module imports and never reads, unless
-    its line carries ``# noqa: F401``."""
+    its line carries ``# noqa: F401``, and of each name it reads although
+    its line carries that mark."""
     source = path.read_text(encoding="utf-8")
     lines = source.splitlines()
     tree = ast.parse(source)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = []
+    faults = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
-                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
-                    unused.append((alias.lineno, name))
-    return unused
+                if (name in used) == ("# noqa: F401" in lines[alias.lineno - 1]):
+                    faults.append((alias.lineno, name))
+    return faults
 
 
 def test_every_import_is_used():
     modules = sorted(Path(kronval.__file__).parent.glob("*.py"))
     assert len(modules) > 5
-    unused = {
+    faults = {
         path.name: found
         for path in modules
-        if path.name != "__init__.py" and (found := _unused_imports(path))
+        if path.name != "__init__.py" and (found := _import_faults(path))
     }
-    assert unused == {}
+    assert faults == {}
+
+
+def test_a_marked_name_that_is_read_is_a_fault(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from os import path, sep  # noqa: F401\n"
+        "from sys import argv  # noqa: F401\n"
+        "import json\n"
+        "print(sep, json)\n"
+    )
+    assert _import_faults(module) == [(1, "sep")]

@@ -255,12 +255,22 @@ class TestConcentrationReport:
         report = concentration_report(g)
         assert report.window_center == pytest.approx(0.5 * 10 / 1.2)
         assert report.expected_degree == pytest.approx(1.2**10)
-        assert report.degree_min <= report.degree_mean <= report.degree_max
+        degrees = g.degrees(count_loops=True)
+        assert report.degree_mean == degrees.mean()
+        assert degrees.min() <= report.degree_mean <= degrees.max()
         assert 0.95 <= report.in_window_edge_fraction <= 1.0
         assert report.include_loops is True
         hist = edge_distance_histogram(g)
         assert report.distance_histogram == tuple(hist.tolist())
         assert report.distance_histogram[0] == len(g.loops) > 0
+
+    def test_report_allocates_no_vertex_array(self, stratified_n16):
+        # One int64 distance per edge, and far less than a 2^n int64 degree
+        # array beside it.
+        g = stratified_n16
+        report, peak = traced_peak(lambda: concentration_report(g))
+        assert report.distance_histogram == tuple(edge_distance_histogram(g).tolist())
+        assert peak - 8 * len(g.edges) < 2 * g.vertex_count
 
     def test_symmetric_window_center(self):
         p = KroneckerParams(0.6, 0.6, 0.6, 8)
