@@ -24,34 +24,21 @@ DISCONNECTED_COUNT_MAX_N = 10
 _WEDGE_BLOCK = 1 << 16
 
 
-def _star_leaf_count(pattern: PatternGraph):
-    """Leaf count when the pattern is a star, else None."""
-    v = pattern.vertex_count
-    if v < 2 or pattern.edge_count != v - 1:
-        return None
-    degs = pattern.degrees
-    centers = [u for u in range(v) if degs[u] == v - 1]
-    if not centers:
-        return None
-    if all(degs[u] == 1 for u in range(v) if u != centers[0]):
-        return v - 1
-    return None
+# Kernel routes keyed by the sorted degree sequence (its length is the
+# vertex count), which decides each of these shapes: a star K_{1,k} is k
+# ones and a k, a triangle three twos, a 4-cycle four twos, and a 3-edge
+# path two ones and two twos.
+_ROUTES = {
+    **{(1,) * k + (k,): "star" for k in range(1, COUNT_MAX_PATTERN_VERTICES)},
+    (2, 2, 2): "triangle",
+    (2, 2, 2, 2): "cycle4",
+    (1, 1, 2, 2): "path3",
+}
 
 
-def _shape(pattern: PatternGraph):
-    """'star', 'triangle', 'cycle4' or 'path3' when the pattern has that
-    structure (under any vertex labelling), else None."""
-    if _star_leaf_count(pattern) is not None:
-        return "star"
-    v, e = pattern.vertex_count, pattern.edge_count
-    degs = sorted(pattern.degrees)
-    if v == 3 and e == 3:
-        return "triangle"
-    if v == 4 and e == 4 and degs == [2, 2, 2, 2]:
-        return "cycle4"
-    if v == 4 and e == 3 and degs == [1, 1, 2, 2]:
-        return "path3"
-    return None
+def _route(pattern: PatternGraph):
+    """The kernel route of the pattern (under any vertex labelling), else None."""
+    return _ROUTES.get(tuple(sorted(pattern.degrees)))
 
 
 def check_countable(pattern: PatternGraph, n: int) -> None:
@@ -62,7 +49,7 @@ def check_countable(pattern: PatternGraph, n: int) -> None:
         raise CapacityError(
             f"copy counting caps at {COUNT_MAX_PATTERN_VERTICES} pattern vertices"
         )
-    if _shape(pattern) is not None:
+    if _route(pattern) is not None:
         if n > KERNEL_COUNT_MAX_N:
             raise CapacityError(f"copy counting caps at n = {KERNEL_COUNT_MAX_N}")
     elif not pattern.is_connected():
@@ -119,19 +106,26 @@ def _codegree_sums(graph: SampledGraph):
         squares += int((c * (c - 1)).sum())
         paths += int(((deg[lo:hi] - 1) * (wedges[lo:hi] - deg[lo:hi])).sum())
     # the diagonal of C is the degree sequence
-    squares -= _count_star(graph, 2)
+    squares -= int((deg * (deg - 1)).sum())
     return closed, squares, paths
 
 
 def _count_backtracking(graph: SampledGraph, pattern: PatternGraph) -> int:
+    """Injective edge-preserving maps by backtracking over neighbour sets.
+
+    The search order puts isolated pattern vertices last; once only they
+    are left, their placements are counted, not walked: any distinct
+    unused host vertices, math.perm(2^n - depth, remaining) ways.
+    """
     adj = graph.neighbor_sets
     order = _search_order(pattern)
+    walked = sum(1 for d in pattern.degrees if d)
     assigned = [None] * pattern.vertex_count
     used = set()
 
     def extend(depth: int) -> int:
-        if depth == len(order):
-            return 1
+        if depth == walked:
+            return math.perm(graph.vertex_count - depth, len(order) - depth)
         target, anchors = order[depth]
         if anchors:
             candidates = adj[assigned[anchors[0]]]
@@ -154,21 +148,19 @@ def _count_backtracking(graph: SampledGraph, pattern: PatternGraph) -> int:
 
 
 def _search_order(pattern: PatternGraph):
-    """Pattern vertices ordered so each (when possible) touches earlier ones."""
-    remaining = set(range(pattern.vertex_count))
-    placed = []
+    """Pattern vertices as (vertex, placed neighbours) pairs: each next
+    vertex has the most placed neighbours, then the highest degree, then
+    the highest index, so isolated vertices come last."""
+    masks = pattern.masks
+    placed = 0
     order = []
-    while remaining:
-        anchored = [
-            (len(pattern.adjacency[u] & set(placed)), pattern.degrees[u], u)
-            for u in remaining
-        ]
-        anchored.sort(reverse=True)
-        _, _, chosen = anchored[0]
-        anchors = [v for v in placed if v in pattern.adjacency[chosen]]
-        order.append((chosen, anchors))
-        placed.append(chosen)
-        remaining.discard(chosen)
+    for _ in masks:
+        chosen = max(
+            (u for u in range(len(masks)) if not placed >> u & 1),
+            key=lambda u: ((masks[u] & placed).bit_count(), masks[u].bit_count(), u),
+        )
+        order.append((chosen, [u for u, _ in order if masks[chosen] >> u & 1]))
+        placed |= 1 << chosen
     return order
 
 
@@ -178,8 +170,8 @@ def count_labeled_copies(graph: SampledGraph, pattern: PatternGraph) -> int:
     Automorphic images count separately and loops never participate.  The
     result is an exact Python int, also above 2^63.
 
-    Routes follow the pattern's structure, not its vertex labels, so a
-    numeric ``@file`` pattern routes like the named builtin:
+    Routes follow the pattern's sorted degree sequence, not its vertex
+    labels, so a numeric ``@file`` pattern routes like the named builtin:
 
     - a star K_{1,k} (``star:k``, ``path:2``, a single edge) is the sum of
       falling factorials d!/(d-k)! over the degree sequence;
@@ -188,7 +180,9 @@ def count_labeled_copies(graph: SampledGraph, pattern: PatternGraph) -> int:
       vertex pairs;
     - a 3-edge path is ``2 * sum((d_b - 1) * (d_c - 1))`` over the edges bc,
       minus the labeled triangles;
-    - every other pattern goes through backtracking over neighbour sets.
+    - every other pattern goes through backtracking over neighbour sets,
+      which counts the placements of isolated pattern vertices in closed
+      form instead of walking them.
 
     The three matrix routes share one sparse codegree pass in row blocks.
     Backtracking (``_count_backtracking``) is the reference the other routes
@@ -199,9 +193,9 @@ def count_labeled_copies(graph: SampledGraph, pattern: PatternGraph) -> int:
     disconnected patterns.
     """
     check_countable(pattern, graph.n)
-    route = _shape(pattern) or "generic"
+    route = _route(pattern) or "generic"
     if route == "star":
-        return _count_star(graph, _star_leaf_count(pattern))
+        return _count_star(graph, pattern.vertex_count - 1)
     if route == "generic":
         return _count_backtracking(graph, pattern)
     closed, squares, paths = _codegree_sums(graph)

@@ -37,21 +37,22 @@ BOUNDARY_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class PatternGraph:
-    """A small simple graph with vertices 0..vertex_count-1."""
+    """A small simple graph on vertices 0..vertex_count-1, stored as its
+    adjacency masks: bit w of ``masks[u]`` marks the edge uw."""
 
-    vertex_count: int
-    edges: frozenset
+    masks: tuple
 
     def __post_init__(self) -> None:
-        if not 1 <= self.vertex_count <= MAX_PATTERN_VERTICES:
-            raise ParameterError(
-                f"pattern must have 1..{MAX_PATTERN_VERTICES} vertices,"
-                f" got {self.vertex_count}"
-            )
-        for edge in self.edges:
-            i, j = edge
-            if not (0 <= i < j < self.vertex_count):
-                raise ParameterError(f"bad edge {edge!r} for {self.vertex_count} vertices")
+        v = len(self.masks)
+        _check_vertex_count(v)
+        for u, m in enumerate(self.masks):
+            if m >> v:
+                raise ParameterError(f"mask of vertex {u} has a bit at or above {v}")
+            if m >> u & 1:
+                raise ParameterError(f"mask of vertex {u} has its own bit (a loop)")
+            for w in range(u):
+                if (m >> w ^ self.masks[w] >> u) & 1:
+                    raise ParameterError(f"masks of vertices {w} and {u} disagree on their edge")
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges) -> "PatternGraph":
@@ -61,51 +62,52 @@ class PatternGraph:
             if u == v:
                 raise ParameterError(f"patterns are loop-free, got edge ({u}, {v})")
             canonical.add((u, v) if u < v else (v, u))
-        return cls(vertex_count=vertex_count, edges=frozenset(canonical))
+        _check_vertex_count(vertex_count)
+        masks = [0] * vertex_count
+        for edge in sorted(canonical):
+            i, j = edge
+            if not (0 <= i < j < vertex_count):
+                raise ParameterError(f"bad edge {edge!r} for {vertex_count} vertices")
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        return cls(tuple(masks))
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.masks)
+
+    @property
+    def degrees(self) -> tuple:
+        return tuple(m.bit_count() for m in self.masks)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(self.degrees) // 2
 
     @cached_property
     def edge_list(self) -> tuple:
-        """Edges in sorted order."""
-        return tuple(sorted(self.edges))
-
-    @cached_property
-    def adjacency(self) -> tuple:
-        adj = [set() for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return tuple(frozenset(s) for s in adj)
-
-    @cached_property
-    def degrees(self) -> tuple:
-        return tuple(len(s) for s in self.adjacency)
-
-    @cached_property
-    def masks(self) -> tuple:
-        """The adjacency as one int per vertex, bit w set for each neighbour w."""
-        return tuple(sum(1 << w for w in s) for s in self.adjacency)
+        """Edges (u, w), u < w, in sorted order."""
+        v = len(self.masks)
+        return tuple(
+            (u, w) for u, m in enumerate(self.masks) for w in range(u + 1, v) if m >> w & 1
+        )
 
     def is_connected(self) -> bool:
-        if self.vertex_count == 1:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in self.adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.vertex_count
+        seen = frontier = 1
+        while frontier:
+            reach = 0
+            for u, m in enumerate(self.masks):
+                if frontier >> u & 1:
+                    reach |= m
+            frontier = reach & ~seen
+            seen |= frontier
+        return seen == (1 << len(self.masks)) - 1
 
-    def relabel(self, mapping) -> "PatternGraph":
-        """Apply a vertex bijection given as a sequence of images."""
-        return PatternGraph.from_edges(
-            self.vertex_count, ((mapping[u], mapping[v]) for u, v in self.edges)
+
+def _check_vertex_count(vertex_count: int) -> None:
+    if not 1 <= vertex_count <= MAX_PATTERN_VERTICES:
+        raise ParameterError(
+            f"pattern must have 1..{MAX_PATTERN_VERTICES} vertices, got {vertex_count}"
         )
 
 
@@ -501,20 +503,20 @@ def enumerate_pair_unions(pattern: PatternGraph) -> tuple:
     other target tuples are never visited).  Every isomorphism class is a
     union of orbits, so the first placement of a class is the first of its
     orbit: the representatives and their ``map_b`` are those of a walk over
-    every placement.  Unions are int adjacency masks; the bucket key and
-    the isomorphism test read those, and a ``PatternGraph`` is built only
-    for a kept representative.  Results are cached; they do not depend on
-    any model parameters.
+    every placement.  Unions are adjacency masks, the form a
+    ``PatternGraph`` stores: the bucket key and the isomorphism test read
+    them, and a kept representative wraps them as they are.  Results are
+    cached; they do not depend on any model parameters.
     """
     v = pattern.vertex_count
     if v > UNION_MAX_VERTICES:
         raise CapacityError(
             f"pair-union enumeration caps at {UNION_MAX_VERTICES} pattern vertices, got {v}"
         )
-    masks = pattern.masks
+    masks, e = pattern.masks, pattern.edge_count
     automorphisms = list(_isomorphisms(masks, masks))
     generators = _generators(automorphisms)
-    found = {}  # bucket key -> [(union masks, UnionPattern)]
+    found = {}  # bucket key -> [UnionPattern]
     for shared_count in range(2, v + 1):
         least = {}  # target tuple -> its least image under Aut(G)
         firsts = []  # the target tuples that are their own least image, in walk order
@@ -536,7 +538,7 @@ def enumerate_pair_unions(pattern: PatternGraph) -> tuple:
                 if (shared, targets) in covered:
                     continue
                 overlap = sum(masks[targets[i]] >> targets[j] & 1 for i, j in inner)
-                if not 0 < overlap < pattern.edge_count:
+                if not 0 < overlap < e:
                     continue
                 _cover_orbit(covered, (shared, targets), generators, least)
                 image = dict(zip(shared, targets))
@@ -547,16 +549,10 @@ def enumerate_pair_unions(pattern: PatternGraph) -> tuple:
                     union[map_b[a]] |= 1 << map_b[b]
                     union[map_b[b]] |= 1 << map_b[a]
                 bucket = found.setdefault(_iso_bucket_key(union), [])
-                if any(_isomorphic(union, other) for other, _ in bucket):
+                if any(_isomorphic(union, other.graph.masks) for other in bucket):
                     continue
-                graph = PatternGraph.from_edges(
-                    len(union),
-                    itertools.chain(
-                        pattern.edge_list, ((map_b[a], map_b[b]) for a, b in pattern.edge_list)
-                    ),
-                )
-                bucket.append((union, UnionPattern(graph=graph, map_b=map_b)))
-    unions = [up for bucket in found.values() for _, up in bucket]
+                bucket.append(UnionPattern(graph=PatternGraph(tuple(union)), map_b=map_b))
+    unions = [up for bucket in found.values() for up in bucket]
     unions.sort(key=lambda up: (up.graph.vertex_count, up.graph.edge_count, up.graph.edge_list))
     return tuple(unions)
 

@@ -4,6 +4,7 @@ Hamming profile of a neighborhood."""
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -74,6 +75,16 @@ def degree_moments(params: KroneckerParams, w: int) -> DegreeMoments:
     return DegreeMoments(mean=mean, sum_sq_probs=sum_sq, variance=mean - sum_sq, weight=w)
 
 
+@functools.lru_cache(maxsize=None)
+def _log_binomials(n: int) -> np.ndarray:
+    """log C(n, k) for k = 0..n, built once per n (read-only)."""
+    row = math.lgamma(n + 1) - np.array(
+        [math.lgamma(k + 1) + math.lgamma(n - k + 1) for k in range(n + 1)]
+    )
+    row.flags.writeable = False
+    return row
+
+
 def expected_degree_count(params: KroneckerParams, d: int) -> float:
     """Expected number of vertices of degree d under the Poisson mixture.
 
@@ -89,10 +100,7 @@ def expected_degree_count(params: KroneckerParams, d: int) -> float:
     log_lam = w * math.log(params.alpha + params.beta) + (n - w) * math.log(
         params.beta + params.gamma
     )
-    log_choose = (
-        math.lgamma(n + 1)
-        - np.array([math.lgamma(k + 1) + math.lgamma(n - k + 1) for k in range(n + 1)])
-    )
+    log_choose = _log_binomials(n)
     with np.errstate(over="ignore"):  # exp(lam) = inf is a vanishing term
         exponent = log_choose + d * log_lam - np.exp(log_lam) - math.lgamma(d + 1)
         count = float(np.exp(exponent).sum())

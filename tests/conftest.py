@@ -89,8 +89,8 @@ def valid_edge_labelings(pattern: PatternGraph) -> frozenset:
     frontier = [0]
     while frontier:
         u = frontier.pop(0)
-        for w in sorted(pattern.adjacency[u]):
-            if w not in seen:
+        for w in range(pattern.vertex_count):
+            if pattern.masks[u] >> w & 1 and w not in seen:
                 seen.add(w)
                 edge = (u, w) if u < w else (w, u)
                 tree_steps.append((w, u, edge_index[edge]))
@@ -136,9 +136,9 @@ def identify_vertices(pattern: PatternGraph, u: int, v: int):
     """
     if u == v:
         raise ParameterError("cannot identify a vertex with itself")
-    if v in pattern.adjacency[u]:
+    if pattern.masks[u] >> v & 1:
         return None
-    if pattern.adjacency[u] & pattern.adjacency[v]:
+    if pattern.masks[u] & pattern.masks[v]:
         return None
     mapping = []
     for w in range(pattern.vertex_count):
@@ -158,13 +158,20 @@ def to_networkx(pattern: PatternGraph) -> nx.Graph:
     networkx's isomorphism test and tree enumeration as oracles."""
     g = nx.Graph()
     g.add_nodes_from(range(pattern.vertex_count))
-    g.add_edges_from(pattern.edges)
+    g.add_edges_from(pattern.edge_list)
     return g
 
 
 def from_networkx(graph: nx.Graph) -> PatternGraph:
     """A networkx graph on vertices 0..k-1 as a pattern."""
     return PatternGraph.from_edges(graph.number_of_nodes(), graph.edges())
+
+
+def relabel(pattern: PatternGraph, mapping) -> PatternGraph:
+    """Apply a vertex bijection given as a sequence of images."""
+    return PatternGraph.from_edges(
+        pattern.vertex_count, ((mapping[u], mapping[v]) for u, v in pattern.edge_list)
+    )
 
 
 def brute_degree_moments(params: KroneckerParams, w: int):

@@ -1,5 +1,8 @@
+import itertools
 import math
+import time
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +29,18 @@ from kronval import (
     path,
     star,
 )
-from conftest import falling_factorial, traced_peak
+from conftest import falling_factorial, from_networkx, traced_peak
+
+
+def brute_labeled_copies(graph, pattern) -> int:
+    """Injective edge-preserving maps, one per tuple of distinct host
+    vertices; tiny hosts only."""
+    host = {(int(u), int(v)) for u, v in graph.edges}
+    host |= {(v, u) for u, v in host}
+    return sum(
+        all((image[u], image[v]) in host for u, v in pattern.edge_list)
+        for image in itertools.permutations(range(graph.vertex_count), pattern.vertex_count)
+    )
 
 
 def complete_graph(params, vertices):
@@ -166,6 +180,36 @@ class TestCountLabeledCopies:
         g = SampledGraph.from_pairs(p, [(0, 1)])
         with pytest.raises(CapacityError):
             count_labeled_copies(g, path(5))  # six pattern vertices
+
+    def test_atlas_patterns_match_backtracking_and_brute_force(self):
+        # every graph of 1-5 vertices: the degree-sequence routes, the
+        # disconnected shapes and the isolated vertices
+        patterns = [from_networkx(g) for g in nx.graph_atlas_g() if 1 <= g.number_of_nodes() <= 5]
+        small = [
+            generate_stratified(
+                KroneckerParams(0.9, 0.7, 0.5, n), include_loops=True, seed=SeedSpec(n)
+            )
+            for n in (1, 2, 3)
+        ]
+        small.append(complete_graph(KroneckerParams(0.6, 0.4, 0.3, 3), [0, 1, 2, 3, 5, 6]))
+        larger = generate_stratified(
+            KroneckerParams(0.9, 0.6, 0.4, 6), include_loops=True, seed=SeedSpec(3)
+        )
+        for pattern in patterns:
+            for g in small:
+                count = count_labeled_copies(g, pattern)
+                assert count == _count_backtracking(g, pattern) == brute_labeled_copies(g, pattern)
+            assert count_labeled_copies(larger, pattern) == _count_backtracking(larger, pattern)
+
+    def test_isolated_vertices_are_counted_not_walked(self):
+        p = KroneckerParams(0.7, 0.5, 0.7, 10)
+        g = generate_stratified(p, include_loops=True, seed=SeedSpec(1))
+        start = time.perf_counter()
+        assert count_labeled_copies(g, parse_pattern("3\n")) == 1024 * 1023 * 1022
+        edge_and_two = count_labeled_copies(g, parse_pattern("4\n0 1\n"))
+        # a full walk takes about 1024^3 steps
+        assert time.perf_counter() - start < 1.0
+        assert edge_and_two == 2 * len(g.edges) * 1022 * 1021
 
 
 class TestNeighborHistogram:
