@@ -12,16 +12,19 @@ serialize to identical bytes.
 Every body line is exactly ``2n + 2`` ASCII bytes, so both directions work
 on fixed-width rows, a bounded block of rows at a time.  The writer takes
 each vertex's digits from ``np.unpackbits`` of its big-endian bytes.  The
-reader checks a block with one masked compare against the line template and
-looks for the bad line only when that fails, then packs the digits straight
-into two vertex arrays sized from the file's size (lines beyond that size
-raise :class:`ParameterError`).  The reader is
-strict: a line of the wrong shape, a digit other than 0/1, a line out of
-sorted order or repeated, a ``v v`` line under ``loops=0`` and a header
-field without ``=`` all raise :class:`ParameterError`.  A missing newline
-after the last line is accepted; blank lines are not.  Order is checked with
-the graph model's own row comparison (``model.pairs_ascend``), which compares
-the ``(u, v)`` columns lexicographically at every n.  The checked rows then
+reader copies a block's digits into whole 8-byte words per vertex, padded
+in front with "0", and checks every word at once: a word is good when
+``w & 0xFE..FE == 0x30..30``, that is, when each of its bytes is "0" or
+"1".  Only when a word or a separator column fails does it look for the
+first bad line.  It then gathers each word's eight digits with one
+multiply (``model._pack_digits``) into two vertex arrays sized from the
+file's size (lines beyond that size raise :class:`ParameterError`).  The
+reader is strict: a line of the wrong shape, a digit other than 0/1, a
+line out of sorted order or repeated, a ``v v`` line under ``loops=0`` and
+a header field without ``=`` all raise :class:`ParameterError`.  A missing
+newline after the last line is accepted; blank lines are not.  Order is
+checked with the graph model's own row comparison (``model.pairs_ascend``),
+which compares the ``(u, v)`` columns lexicographically at every n.  The checked rows then
 go through :meth:`SampledGraph.from_pairs`, which orders them through one
 packed int64 key ``u << n | v`` per row for n <= 31 and ``np.lexsort`` above.
 """
@@ -33,10 +36,18 @@ import os
 import numpy as np
 
 from .errors import ParameterError
-from .model import GRAPH_MAX_N, KroneckerParams, SampledGraph, pairs_ascend
+from .model import (
+    GRAPH_MAX_N,
+    _DIGIT_BITS,
+    KroneckerParams,
+    SampledGraph,
+    _pack_digits,
+    pairs_ascend,
+)
 
 _BLOCK_ROWS = 1 << 16
 _ZERO, _SPACE, _NEWLINE = ord("0"), ord(" "), ord("\n")
+_ZERO_WORD = np.uint64(0x3030303030303030)  # eight "0" bytes
 
 
 def _digits(values: np.ndarray, n: int) -> np.ndarray:
@@ -111,17 +122,6 @@ def _parse_header(line: bytes) -> tuple[KroneckerParams, bool]:
     return params, loops == "1"
 
 
-def _row_template(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(mask, want) of a body line: a line is well formed exactly when
-    ``line & mask == want``.  The mask clears the low bit of each digit, so
-    both "0" and "1" read as "0", and keeps every bit of the separators."""
-    mask = np.full(2 * n + 2, 0xFE, dtype=np.uint8)
-    want = np.full(2 * n + 2, _ZERO, dtype=np.uint8)
-    mask[[n, -1]] = 0xFF
-    want[[n, -1]] = _SPACE, _NEWLINE
-    return mask, want
-
-
 def _parse_rows(block: bytes, n: int, first_line: int) -> tuple[np.ndarray, np.ndarray]:
     """Vertex pairs of a block of whole ``2n + 2``-byte lines."""
     width = 2 * n + 2
@@ -129,29 +129,25 @@ def _parse_rows(block: bytes, n: int, first_line: int) -> tuple[np.ndarray, np.n
         line = first_line + len(block) // width
         raise ParameterError(f"line {line}: expected two {n}-digit vertices")
     rows = np.frombuffer(block, dtype=np.uint8).reshape(-1, width)
-    mask, want = _row_template(n)
-    matches = (rows & mask) == want
-    if not matches.all():
-        row = int(np.argmin(matches.all(axis=1)))
+    # Each vertex's digits, right-aligned in whole words padded with "0".
+    pad = -n % 8
+    digits = np.full((len(rows), 2, pad + n), _ZERO, dtype=np.uint8)
+    digits[:, 0, pad:] = rows[:, :n]
+    digits[:, 1, pad:] = rows[:, n + 1 : -1]
+    # A digit word is good when (w & 0xFE..FE) == 0x30..30.  Flipped in
+    # place to w ^ 0x30..30, each byte of a good word is 0 or 1, so one OR
+    # over the block finds a bad byte without a temporary the block's size.
+    words = digits.view("<u8")
+    words ^= _ZERO_WORD
+    separators = (rows[:, n] == _SPACE) & (rows[:, -1] == _NEWLINE)
+    if np.bitwise_or.reduce(words, axis=None) & ~_DIGIT_BITS or not separators.all():
+        good = ~np.any(words & ~_DIGIT_BITS, axis=(1, 2)) & separators
+        row = int(np.argmin(good))
         line = first_line + row
         text = rows[row].tobytes().decode("ascii", "replace")
         raise ParameterError(f"line {line}: expected two {n}-digit vertices, got {text!r}")
-    return _decode(rows[:, :n]), _decode(rows[:, n + 1 : -1])
-
-
-def _decode(digits: np.ndarray) -> np.ndarray:
-    """int64 values of rows of "0"/"1" digit bytes, most significant first.
-
-    The low bits of the n digits pack into ceil(n / 8) bytes, padded with
-    zero bits on the right; those bytes are right-aligned in 8, read as one
-    big-endian uint64 each and shifted right by the padding.
-    """
-    packed = np.packbits(digits & 1, axis=1)
-    width = packed.shape[1]
-    words = np.zeros((len(digits), 8), dtype=np.uint8)
-    words[:, 8 - width :] = packed
-    values = words.view(">u8").ravel() >> np.uint64(8 * width - digits.shape[1])
-    return values.astype(np.int64)
+    vertices = _pack_digits(digits, lsb_first=False)
+    return vertices[:, 0], vertices[:, 1]
 
 
 def read_header(path: "str | os.PathLike") -> tuple[KroneckerParams, bool]:

@@ -22,7 +22,14 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import CapacityError, DimensionError, ParameterError
-from .model import GRAPH_MAX_N, PROB_TOL, KroneckerParams, SampledGraph, edge_probability
+from .model import (
+    GRAPH_MAX_N,
+    PROB_TOL,
+    KroneckerParams,
+    SampledGraph,
+    _pack_digits,
+    edge_probability,
+)
 from .streams import SeedSpec
 
 NAIVE_MAX_N = 14
@@ -610,26 +617,48 @@ def rmat_pairs(rmat: RmatParams, seed: SeedSpec) -> tuple[np.ndarray, np.ndarray
     probability gamma, and each mixed outcome with probability beta,
     independently across digits and pairs.  All m pairs come from one
     stream; duplicates are not merged here.
+
+    One double x per digit decides it: u_k = [x < alpha + beta], and v_k is
+    the parity of [x < alpha], [x < alpha + beta] and [x < alpha + 2 beta].
+    The rounded thresholds never descend, so that parity is exactly
+    [x < alpha or alpha + beta <= x < alpha + 2 beta].  Each sub-block's
+    digit bytes are packed eight per multiply (``model._pack_digits``).
     """
     params = rmat.base
     n = params.n
     alpha, beta = params.alpha, params.beta
-    powers = (np.int64(1) << np.arange(n, dtype=np.int64)).astype(np.int64)
     us = np.empty(rmat.m, dtype=np.int64)
     vs = np.empty(rmat.m, dtype=np.int64)
     # Labelled as the first of the 2^20-draw chunks that once had a stream
     # each, so graphs of at most 2^20 draws keep their bytes.
     rng = seed.child("pairs", 0).generator()
-    # Consecutive rng.random((rows, n)) calls yield the same doubles as one
-    # call for all m rows, so sub-blocks only bound the memory.
+    # Consecutive rng.random calls on (rows, n) yield the same doubles as one
+    # call for all m rows, so sub-blocks only bound the memory.  They reuse
+    # one buffer of doubles.
+    draws = np.empty((min(_RMAT_SUBBLOCK, rmat.m), n))
     for block in range(0, rmat.m, _RMAT_SUBBLOCK):
         rows = min(_RMAT_SUBBLOCK, rmat.m - block)
-        x = rng.random((rows, n))
-        u_bits = x < alpha + beta
-        v_bits = (x < alpha) | ((x >= alpha + beta) & (x < alpha + 2.0 * beta))
-        us[block : block + rows] = u_bits.astype(np.int64) @ powers
-        vs[block : block + rows] = v_bits.astype(np.int64) @ powers
+        pairs = _rmat_block(rng.random(out=draws[:rows]), alpha, beta)
+        us[block : block + rows] = pairs[:, 0]
+        vs[block : block + rows] = pairs[:, 1]
     return us, vs
+
+
+def _rmat_block(x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """``(rows, 2)`` int64 pairs ``(u, v)`` of a ``(rows, n)`` block of draws.
+
+    Its temporaries, a byte per digit and 8 bytes per word of the digits,
+    are freed on return, before the next block's are made.
+    """
+    rows, n = x.shape
+    u_bits = x < alpha + beta
+    v_bits = x < alpha
+    v_bits ^= u_bits
+    v_bits ^= x < alpha + 2.0 * beta
+    digits = np.zeros((rows, 2, -(-n // 8) * 8), dtype=np.uint8)
+    digits[:, 0, :n] = u_bits
+    digits[:, 1, :n] = v_bits
+    return _pack_digits(digits, lsb_first=True)
 
 
 def generate_rmat(rmat: RmatParams, seed: SeedSpec) -> SampledGraph:

@@ -104,6 +104,34 @@ def edge_probability(params: KroneckerParams, u, v) -> np.ndarray:
 # Vertices are stored as int64; R-MAT packs digits into the same width.
 GRAPH_MAX_N = 62
 
+# The low bit of each byte of a word: where a digit byte holds its digit.
+_DIGIT_BITS = np.uint64(0x0101010101010101)
+# A word of eight 0/1 bytes times one of these holds the eight digits in its
+# top byte, byte i at bit i (least significant first) or at bit 7 - i (text
+# order); every other partial product lands below that byte or past bit 63.
+_GATHER = {True: np.uint64(0x0102040810204080), False: np.uint64(0x8040201008040201)}
+
+
+def _pack_digits(digits: np.ndarray, lsb_first: bool) -> np.ndarray:
+    """int64 values of rows of digit bytes, eight digits per multiply.
+
+    ``digits`` is a C-contiguous uint8 array whose last axis is a whole
+    number of 8-byte words, a digit in the low bit of each byte.  With
+    ``lsb_first`` byte i is the digit of weight 2^i, so zero padding follows
+    the digits; otherwise the bytes are in text order, most significant
+    first, and the padding comes before them.  Each word is read as a
+    little-endian uint64, masked to its digit bits and multiplied by a
+    gather constant, in place: the caller hands ``digits`` over.  The result
+    has shape ``digits.shape[:-1]``.
+    """
+    words = digits.view("<u8")
+    words &= _DIGIT_BITS
+    words *= _GATHER[lsb_first]
+    top = digits[..., 7::8]  # the top byte of each word
+    packed = np.zeros(digits.shape[:-1] + (8,), dtype=np.uint8)
+    packed[..., : top.shape[-1]] = top if lsb_first else top[..., ::-1]
+    return packed.view("<i8")[..., 0]
+
 
 def _readonly(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False

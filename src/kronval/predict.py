@@ -85,6 +85,22 @@ def _log_binomials(n: int) -> np.ndarray:
     return row
 
 
+@functools.lru_cache(maxsize=8)
+def _mean_degrees(params: KroneckerParams) -> tuple[np.ndarray, np.ndarray]:
+    """(log lam_w, lam_w) for w = 0..n, the mean degree at each weight,
+    built once per parameters (read-only)."""
+    n = params.n
+    w = np.arange(n + 1, dtype=float)
+    log_lam = w * math.log(params.alpha + params.beta) + (n - w) * math.log(
+        params.beta + params.gamma
+    )
+    with np.errstate(over="ignore"):  # lam = inf gives a vanishing term
+        lam = np.exp(log_lam)
+    log_lam.flags.writeable = False
+    lam.flags.writeable = False
+    return log_lam, lam
+
+
 def expected_degree_count(params: KroneckerParams, d: int) -> float:
     """Expected number of vertices of degree d under the Poisson mixture.
 
@@ -95,14 +111,10 @@ def expected_degree_count(params: KroneckerParams, d: int) -> float:
     """
     if d < 0:
         raise ParameterError(f"degree must be >= 0, got {d}")
-    n = params.n
-    w = np.arange(n + 1, dtype=float)
-    log_lam = w * math.log(params.alpha + params.beta) + (n - w) * math.log(
-        params.beta + params.gamma
-    )
-    log_choose = _log_binomials(n)
-    with np.errstate(over="ignore"):  # exp(lam) = inf is a vanishing term
-        exponent = log_choose + d * log_lam - np.exp(log_lam) - math.lgamma(d + 1)
+    log_lam, lam = _mean_degrees(params)
+    log_choose = _log_binomials(params.n)
+    with np.errstate(over="ignore"):  # a count past the float range is refused below
+        exponent = log_choose + d * log_lam - lam - math.lgamma(d + 1)
         count = float(np.exp(exponent).sum())
     if math.isinf(count):
         raise ParameterError(

@@ -277,6 +277,18 @@ def sample_distinct_oracle(rng: np.random.Generator, size: int, k: int) -> np.nd
         draws = np.concatenate([draws, more])
 
 
+def rmat_pairs_oracle(rmat, seed) -> tuple[np.ndarray, np.ndarray]:
+    """``rmat_pairs`` as first written: all m rows of n doubles in one draw,
+    u_k = x < alpha + beta and v_k = x < alpha or alpha + beta <= x <
+    alpha + 2 beta, each packed by an int64 matmul with the digit weights."""
+    n, alpha, beta = rmat.base.n, rmat.base.alpha, rmat.base.beta
+    x = seed.child("pairs", 0).generator().random((rmat.m, n))
+    u_bits = x < alpha + beta
+    v_bits = (x < alpha) | ((x >= alpha + beta) & (x < alpha + 2.0 * beta))
+    powers = np.int64(1) << np.arange(n, dtype=np.int64)
+    return u_bits.astype(np.int64) @ powers, v_bits.astype(np.int64) @ powers
+
+
 def sparse_run_oracle(rng: np.random.Generator, sizes, counts) -> np.ndarray:
     """The ranks of a run of sparse classes, one class at a time: class i
     draws counts[i] + 16 values (none at a zero count), then, round by
@@ -313,6 +325,31 @@ class CountingGenerator:
             return method(*args, **kwargs)
 
         return counted
+
+
+class FixedDraws:
+    """A stand-in seed whose every child stream hands out the given doubles
+    in turn, round and round, from ``random(size)`` or ``random(out=...)``."""
+
+    def __init__(self, values):
+        self._values = np.asarray(values, dtype=float)
+        self._at = 0
+
+    def child(self, *labels):
+        return self
+
+    def generator(self):
+        return self
+
+    def random(self, size=None, out=None):
+        shape = out.shape if out is not None else size
+        count = math.prod(shape)
+        draws = np.resize(np.roll(self._values, -self._at), count).reshape(shape)
+        self._at = (self._at + count) % len(self._values)
+        if out is None:
+            return draws
+        out[...] = draws
+        return out
 
 
 def falling_factorial(d: int, k: int) -> int:

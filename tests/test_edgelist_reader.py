@@ -1,0 +1,109 @@
+"""The edge-list reader's vertex decoding and its refusal of bad bytes: each
+vertex must read back as ``int(text, 2)`` of its digits, and a bad byte in
+any column of a line must name that line and echo it whole."""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kronval import KroneckerParams, ParameterError, SampledGraph, read_edgelist, write_edgelist
+from kronval import edgelist
+
+from conftest import traced_peak
+
+
+@st.composite
+def vertex_pairs(draw):
+    n = draw(st.integers(1, 62))
+    vertex = st.integers(0, (1 << n) - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=30))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=vertex_pairs())
+def test_round_trip_reads_every_vertex_as_its_binary_text(case):
+    n, pairs = case
+    params = KroneckerParams(alpha=0.5, beta=0.25, gamma=0.5, n=n)
+    graph = SampledGraph.from_pairs(params, pairs, include_loops=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.edges"
+        write_edgelist(graph, path)
+        lines = path.read_text().splitlines()[1:]
+        back = read_edgelist(path)
+    texts = [line.split(" ") for line in lines]
+    assert all(len(u) == len(v) == n for u, v in texts)
+    want = sorted((int(u, 2), int(v, 2)) for u, v in texts)
+    got = sorted([tuple(row) for row in back.edges.tolist()] + [(w, w) for w in back.loops.tolist()])
+    assert got == want
+    assert back == graph
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=vertex_pairs())
+def test_parse_rows_decodes_unsorted_lines(case):
+    # _parse_rows checks shape and digits only; order is read_edgelist's check
+    n, pairs = case
+    lines = [f"{u:0{n}b} {v:0{n}b}\n" for u, v in pairs]
+    u, v = edgelist._parse_rows("".join(lines).encode("ascii"), n, 2)
+    assert u.dtype == v.dtype == np.int64
+    assert u.tolist() == [int(line[:n], 2) for line in lines]
+    assert v.tolist() == [int(line[n + 1 : 2 * n + 1], 2) for line in lines]
+
+
+def _bad_bytes(column: int, n: int) -> list:
+    """Bytes that do not belong in a column of a body line."""
+    if column == n:
+        return [b"0", b"1", b"\t"]
+    if column == 2 * n + 1:
+        return [b"0", b" ", b"\r"]
+    return [b"2", b"/", b" ", b"\n", b"\xb1"]
+
+
+# (n, rows per block): every file has at least three blocks, the second full.
+@pytest.mark.parametrize("n, block_rows", [(1, 1), (2, 3), (8, 3), (9, 3), (20, 3), (62, 3)])
+def test_a_bad_byte_in_any_column_names_its_line(tmp_path, monkeypatch, n, block_rows):
+    monkeypatch.setattr(edgelist, "_BLOCK_ROWS", block_rows)
+    top = (1 << n) - 1
+    values = sorted({0, 1, top >> 1, top - 1, top})
+    rows = [(u, v) for u in values for v in values if u <= v]
+    assert len(rows) > 2 * block_rows
+    lines = [f"{u:0{n}b} {v:0{n}b}\n".encode("ascii") for u, v in rows]
+    header = f"kron n={n} alpha=0.5 beta=0.25 gamma=0.5 loops=1\n".encode("ascii")
+    path = tmp_path / "g.edges"
+    path.write_bytes(header + b"".join(lines))
+    whole = read_edgelist(path)
+    assert len(whole.edges) + len(whole.loops) == len(rows)
+    # the first and the last line of the second block
+    for index in (block_rows, 2 * block_rows - 1):
+        for column in range(2 * n + 2):
+            for bad in _bad_bytes(column, n):
+                line = bytearray(lines[index])
+                line[column : column + 1] = bad
+                path.write_bytes(header + b"".join(lines[:index] + [bytes(line)] + lines[index + 1 :]))
+                text = bytes(line).decode("ascii", "replace")
+                want = f"line {index + 2}: expected two {n}-digit vertices, got {text!r}"
+                with pytest.raises(ParameterError) as caught:
+                    read_edgelist(path)
+                assert str(caught.value) == want
+
+
+# Traced peak of one 2^16-row block, in bytes per row, rounded up, of the
+# byte-mask reader that came before the word decoder: two masks of a byte
+# per column (2 × (2n + 2)), then its digit unpacking.  The word decoder
+# must not allocate more.
+_PARSE_PEAK_PER_ROW = {1: 37.1, 8: 51.1, 9: 54.1, 20: 84.2, 32: 132.2, 62: 252.2}
+
+
+@pytest.mark.parametrize("n", sorted(_PARSE_PEAK_PER_ROW))
+def test_a_block_allocates_no_more_than_the_byte_mask_reader(n):
+    rows = 1 << 16
+    rng = np.random.default_rng(n)
+    u, v = rng.integers(0, 1 << n, size=(2, rows))
+    block = "".join(f"{a:0{n}b} {b:0{n}b}\n" for a, b in zip(u.tolist(), v.tolist())).encode("ascii")
+    (got_u, got_v), peak = traced_peak(lambda: edgelist._parse_rows(block, n, 2))
+    assert np.array_equal(got_u, u) and np.array_equal(got_v, v)
+    assert peak <= _PARSE_PEAK_PER_ROW[n] * rows

@@ -31,6 +31,7 @@ from kronval.generate import (
     _BYTE_DEPOSIT,
     _COMB,
     _RANK_BATCH_MAX,
+    _RMAT_SUBBLOCK,
     _TABLE_MAX_N,
     RMAT_MAX_EDGES,
     STRATIFIED_MAX_N,
@@ -44,8 +45,10 @@ from kronval.model import pairs_ascend
 
 from conftest import (
     CountingGenerator,
+    FixedDraws,
     lex_subset,
     pair_class,
+    rmat_pairs_oracle,
     sample_distinct_oracle,
     sparse_run_oracle,
     traced_peak,
@@ -383,16 +386,47 @@ class TestRmat:
     @pytest.mark.parametrize("n", [20, 62])
     def test_sub_blocks_match_one_shot_draw(self, n):
         # one rng.random call per chunk, as the sampler did before sub-blocks
-        from kronval.generate import _RMAT_SUBBLOCK
-
         r = RmatParams(base=KroneckerParams(0.57, 0.19, 0.05, n), m=_RMAT_SUBBLOCK + 5)
-        x = SeedSpec(14).child("pairs", 0).generator().random((r.m, n))
-        u_bits = x < 0.57 + 0.19
-        v_bits = (x < 0.57) | ((x >= 0.57 + 0.19) & (x < 0.57 + 2 * 0.19))
-        powers = np.int64(1) << np.arange(n, dtype=np.int64)
         u, v = rmat_pairs(r, seed=SeedSpec(14))
-        assert np.array_equal(u, u_bits.astype(np.int64) @ powers)
-        assert np.array_equal(v, v_bits.astype(np.int64) @ powers)
+        want_u, want_v = rmat_pairs_oracle(r, SeedSpec(14))
+        assert np.array_equal(u, want_u)
+        assert np.array_equal(v, want_v)
+
+    # m at and around the sub-block of 2^16 rows, and two sub-blocks and a bit
+    @pytest.mark.parametrize("m", [1, _RMAT_SUBBLOCK - 1, _RMAT_SUBBLOCK + 1, (1 << 17) + 3])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 31, 32, 62])
+    def test_matches_the_matmul_oracle(self, n, m):
+        r = RmatParams(base=KroneckerParams(0.45, 0.2, 0.15, n), m=m)
+        u, v = rmat_pairs(r, seed=SeedSpec(15))
+        want_u, want_v = rmat_pairs_oracle(r, SeedSpec(15))
+        assert u.dtype == v.dtype == np.int64
+        assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
+
+    # The thresholds alpha, alpha + beta and alpha + 2 beta as rounded: three
+    # exact doubles; the lower two equal (0.5 + 2^-54 ties to 0.5, while
+    # 0.5 + 2^-53 is exact); all three equal (0.5 + 2^-60 rounds to 0.5, and
+    # so does 0.5 - 2^-59 for gamma).  The draws sit on and beside each.
+    @pytest.mark.parametrize(
+        "alpha, beta, gamma",
+        [(0.5, 0.125, 0.25), (0.5, 2.0**-54, 0.5 - 2.0**-53), (0.5, 2.0**-60, 0.5 - 2.0**-59)],
+    )
+    def test_draws_on_a_threshold_match_the_matmul_oracle(self, alpha, beta, gamma):
+        thresholds = [alpha, alpha + beta, alpha + 2.0 * beta]
+        near = [np.nextafter(t, side) for t in thresholds for side in (0.0, 1.0)]
+        values = np.array(thresholds + near + [0.0, np.nextafter(1.0, 0.0), 0.3, 0.9])
+        r = RmatParams(base=KroneckerParams(alpha, beta, gamma, 9), m=_RMAT_SUBBLOCK + 7)
+        u, v = rmat_pairs(r, seed=FixedDraws(values))
+        want_u, want_v = rmat_pairs_oracle(r, FixedDraws(values))
+        assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
+
+    def test_holds_no_int64_digit_block(self):
+        # A sub-block's doubles take 8n B per row; the matmul packing made an
+        # int64 copy of its digits, another 8n B per row, on top of them.
+        n, rows = 20, _RMAT_SUBBLOCK
+        r = RmatParams(base=KroneckerParams(0.57, 0.19, 0.05, n), m=2 * rows)
+        (u, v), peak = traced_peak(lambda: rmat_pairs(r, seed=SeedSpec(16)))
+        doubles = rows * n * 8
+        assert peak - u.nbytes - v.nbytes - doubles < rows * n * 8
 
     def test_deterministic(self):
         r = RmatParams(base=KroneckerParams(0.45, 0.2, 0.15, 8), m=5000)
