@@ -6,10 +6,9 @@ make a loop as the pair u = v, which the graph keeps, or drops without
 loops.  The naive sampler (diagonal included) and R-MAT draw
 every pair from one stream; the stratified sampler draws every pair class
 from one stream and every loop class from another.  So switching loops off
-leaves the edges unchanged.  Per family, the stratified sampler draws every
-class's edge count in one binomial call and the ranks of each run of small
-sparse classes in one integers call, so a small graph costs a handful of
-numpy calls rather than two per class.
+leaves the edges unchanged.  The stratified sampler walks each class by
+geometric gaps, a round of many classes per numpy call, so a small graph
+costs a handful of numpy calls rather than a few per class.
 """
 
 from __future__ import annotations
@@ -39,13 +38,11 @@ STRATIFIED_MAX_N = 30
 # into packed pair keys, so the peak is in SampledGraph.from_keys, which
 # holds the keys, a bool per key and the (E, 2) result at once (25 B per
 # edge); the ranks' int16 class index (2 B per edge) is freed before it.
-# Rank draws hold the keys and at most about 18 B per rank of their class
-# (_sample_distinct), or a permutation of at most 2^24 ranks.  The whole
-# process peaked at 27.3 B per edge at (0.99, 0.99, 0.99), n = 13 (29.4M
-# edges, permutations), 26.7 B at (0.001, 0.968, 0.001), n = 27 (28.7M,
-# a bool per rank) and 26.5 B at (0.001, 0.9305, 0.001), n = 29 (34.3M,
-# a sorted copy of the draws), with the interpreter and the heap the rank
-# draws leave behind.
+# The rank draws hold the keys and class indices as reserved, and one
+# round of at most _GAP_ROUND steps.  The whole process peaked at 26.4 B
+# per edge at (0.99, 0.99, 0.99), n = 13 (29.5M edges), 26.4 B at
+# (0.001, 0.968, 0.001), n = 27 (28.7M) and 26.2 B at
+# (0.001, 0.9305, 0.001), n = 29 (34.3M), with the interpreter.
 GENERATE_MEMORY_CEILING = 3 << 30  # bytes
 STRATIFIED_PEAK_BYTES_PER_EDGE = 28
 DEFAULT_EDGE_BUDGET = GENERATE_MEMORY_CEILING // STRATIFIED_PEAK_BYTES_PER_EDGE
@@ -69,16 +66,10 @@ _UNRANK_BLOCK = 1 << 13
 # table sped hamming-n20 further but was still resident, 4 MiB, when
 # from_keys peaks.
 _TABLE_MAX_N = 16
-# Draws a sparse class makes beyond its count before it looks for repeats.
-_SPARE_DRAWS = 16
-# Draws _keep_first_distinct reads per pass.
-_WALK_BLOCK = 1 << 13
-# Sparse classes (4k < size) of at most this many edges draw their ranks
-# together, one rng.integers call per run of consecutive such classes
-# (_draw_sparse_run); a run of the 496 classes at n = 30 holds at most
-# 135k draws.  Larger classes draw alone, through _sample_distinct, at
-# most about 18 B per rank.
-_RANK_BATCH_MAX = 1 << 8
+# Steps per rng.standard_exponential call of _draw_ranks, over every class
+# still drawing.  Rounds of 2^20 steps drew the ranks of the n = 20 graph
+# in 118-128 ms, against 76-98 ms with 2^16.
+_GAP_ROUND = 1 << 16
 
 # Binomial coefficients C[i, j] for i, j <= STRATIFIED_MAX_N, exact in int32
 # (C(30, 15) < 2^31), with a zero last row and column so that index -1
@@ -134,24 +125,20 @@ class _ClassTable(NamedTuple):
     b: np.ndarray
     c: np.ndarray
     size: np.ndarray
-    start: np.ndarray  # the class's first key: the sizes before it, summed
     families: tuple  # (stream label, slice of its classes) per family
 
 
 @functools.lru_cache(maxsize=None)
 def _class_table(n: int, include_loops: bool) -> _ClassTable:
-    """The class table of n, built once per (n, include_loops).  Keys
-    start + rank stay below the 2^(n-1) (2^n + 1) pairs u <= v, under 2^60
-    at n = 30."""
+    """The class table of n, built once per (n, include_loops)."""
     rows = list(pair_classes(n))
     families = [("class", slice(0, len(rows)))]
     if include_loops:
         families.append(("loop_class", slice(len(rows), len(rows) + n + 1)))
         rows += [(w, 0, n - w, math.comb(n, w)) for w in range(n + 1)]
     columns = np.array(rows, dtype=np.int64).T.copy()
-    start = np.cumsum(columns[3]) - columns[3]
-    columns.flags.writeable = start.flags.writeable = False
-    return _ClassTable(*columns, start, tuple(families))
+    columns.flags.writeable = False
+    return _ClassTable(*columns, tuple(families))
 
 
 def _class_probabilities(params: KroneckerParams, table: _ClassTable) -> np.ndarray:
@@ -402,150 +389,83 @@ def _unrank_pairs(
     return ones | to_u, ones | (mixed ^ to_u)
 
 
-def _sample_distinct(rng: np.random.Generator, size: int, k: int) -> np.ndarray:
-    """k distinct uniform ranks from [0, size).
+def _draw_ranks(
+    params: KroneckerParams, table: _ClassTable, seed: SeedSpec
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(ranks, int16 class indices, pair count): the ranks every pair class
+    draws from seed.child("class"), then those every loop class draws from
+    seed.child("loop_class").
 
-    A dense class (4k >= size) of at most 2^24 ranks takes the head of a
-    random int64 permutation, a view that holds 8 B per rank of the class
-    until the caller drops it.  Any other class keeps the first k distinct values
-    of a stream of uniform draws, in draw order, which leaves the subset
-    exactly uniform: it draws k + _SPARE_DRAWS ranks, and while fewer than
-    k are distinct, k - distinct + _SPARE_DRAWS more.  When the class has at
-    most 8k ranks, a bool per rank marks those kept, and each batch of draws
-    is walked once and dropped.  Otherwise repeats are rare, and a sorted
-    copy of the draws, freed before any refill, finds them.  Either way the
-    call peaks at about 18 B per rank or less, its result included.
+    Each pair of a class of probability p is an independent Bernoulli(p)
+    coin, so a class is walked by geometric gaps (Batagelj and Brandes,
+    "Efficient generation of large random networks", Phys. Rev. E 71,
+    036113, 2005): for E standard exponential, G = floor(E / -log1p(-p))
+    has P(G >= g) = (1 - p)^g, so a step of G + 1 passes G undrawn pairs
+    and lands on a drawn one.  From rank -1, the positions below the class
+    size are its ranks, distinct and ascending.  Classes of p = 0 draw
+    nothing.  A round draws at most _GAP_ROUND steps in one
+    standard_exponential call: a batch of about mean + 4 sqrt(mean) + 2
+    steps for each class still drawing, in class order, mean being the
+    class's expected ranks past its last one, and at most enough to leave
+    it.  A class whose batch stays inside draws again, from its last rank,
+    in a later round.  Each step is capped at 2 size, and a class keeps its
+    leading positions below its size, which a capped batch that wraps int64
+    past them cannot disturb.  The ranks and class indices go straight into
+    two buffers reserved for the expected count plus a margin, grown only
+    if the draws pass it.
     """
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    if 4 * k >= size and size <= (1 << 24):
-        return rng.permutation(size)[:k]
-    draws = rng.integers(0, size, size=k + _SPARE_DRAWS, dtype=np.int64)
-    if size <= 8 * k:
-        seen = np.zeros(size, dtype=bool)
-        got = _keep_first_distinct(draws, None, seen, draws[:k], 0)
-        while got < k:
-            more = rng.integers(0, size, size=k - got + _SPARE_DRAWS, dtype=np.int64)
-            got = _keep_first_distinct(more, None, seen, draws[:k], got)
-        return draws[:k]
-    while True:
-        ordered = np.sort(draws)
-        repeats = ordered[1:][ordered[1:] == ordered[:-1]]
-        del ordered  # freed before a refill copies the draws
-        distinct = len(draws) - len(repeats)
-        if distinct >= k:
-            break
-        more = rng.integers(0, size, size=k - distinct + _SPARE_DRAWS, dtype=np.int64)
-        draws = np.concatenate([draws, more])
-    if len(repeats):
-        _keep_first_distinct(draws, repeats, np.zeros(len(repeats), dtype=bool), draws[:k], 0)
-    return draws[:k]
-
-
-def _keep_first_distinct(
-    draws: np.ndarray, repeats: np.ndarray | None, seen: np.ndarray, out: np.ndarray, got: int
-) -> int:
-    """Copy into out[got:], in draw order, each draw whose value no earlier
-    draw had, until out is full, and return how many values out then holds.
-
-    seen marks the values kept so far: seen[value], or, when repeats (sorted)
-    holds every value that can recur, seen[i] for value repeats[i], any
-    other value being kept at once.  The draws are read _WALK_BLOCK at a
-    time, and out may be their own head: a block is copied before any of it
-    is overwritten.
-    """
-    for start in range(0, len(draws), _WALK_BLOCK):
-        if got == len(out):
-            break
-        block = draws[start : start + _WALK_BLOCK]
-        if repeats is None:
-            slot, hit = block, np.arange(len(block))
-        else:
-            # Once repeats outgrow the block, searches for sorted keys are
-            # cache-friendly enough to pay for sorting the block.
-            if len(repeats) > _WALK_BLOCK:
-                order = np.argsort(block, kind="stable")
-            else:
-                order = np.arange(len(block))
-            ordered = block[order]
-            slot = np.searchsorted(repeats, ordered)
-            found = repeats.take(slot, mode="clip") == ordered
-            hit, slot = order[found], slot[found]
-        slot, first = np.unique(slot, return_index=True)
-        keep = np.ones(len(block), dtype=bool)
-        keep[hit] = False
-        keep[hit[first[~seen[slot]]]] = True
-        seen[slot] = True
-        kept = block[keep][: len(out) - got]
-        out[got : got + len(kept)] = kept
-        got += len(kept)
-    return got
-
-
-def _draw_sparse_run(
-    rng: np.random.Generator, sizes: np.ndarray, counts: np.ndarray, starts: np.ndarray
-) -> np.ndarray:
-    """counts[i] distinct uniform ranks of [0, sizes[i]) per class i, in
-    class order, for a run of sparse classes.
-
-    Class i draws counts[i] + _SPARE_DRAWS ranks, or none at a zero count,
-    and the whole run draws in one rng.integers call, which yields what
-    consecutive per-class calls would.  Repeats are found over the keys
-    starts[i] + rank, distinct across classes, by one stable sort.  Each
-    class keeps its first counts[i] distinct ranks in draw order, as
-    _sample_distinct does, which leaves its subset exactly uniform.  Every
-    class left short draws counts[i] - distinct + _SPARE_DRAWS more, all in
-    one call, after the whole run's first draws, until none is short.
-    """
-    cls = np.repeat(np.arange(len(sizes)), np.where(counts > 0, counts + _SPARE_DRAWS, 0))
-    ranks = rng.integers(0, sizes[cls], dtype=np.int64)
-    refilled = False
-    while True:
-        keys = starts[cls] + ranks
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        first = np.ones(len(keys), dtype=bool)
-        first[order[1:]] = keys[1:] != keys[:-1]
-        distinct = np.bincount(cls[first], minlength=len(sizes))
-        short = np.flatnonzero(distinct < counts)
-        if not len(short):
-            break
-        more = np.repeat(short, counts[short] - distinct[short] + _SPARE_DRAWS)
-        cls = np.concatenate([cls, more])
-        ranks = np.concatenate([ranks, rng.integers(0, sizes[more], dtype=np.int64)])
-        refilled = True
-    cls, ranks = cls[first], ranks[first]
-    if refilled:
-        # Refills sit after the run's first draws: regroup by class, in draw order.
-        order = np.argsort(cls, kind="stable")
-        cls, ranks = cls[order], ranks[order]
-    place = np.arange(len(cls)) - (np.cumsum(distinct) - distinct)[cls]
-    return ranks[place < counts[cls]]
-
-
-def _draw_class_ranks(
-    rng: np.random.Generator, sizes: np.ndarray, counts: np.ndarray, starts: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """Write counts[i] distinct uniform ranks of [0, sizes[i]) for every
-    class i into out, in class order, all from rng.
-
-    Each run of consecutive sparse classes (4k < size) of at most
-    _RANK_BATCH_MAX edges draws in one go (_draw_sparse_run).  Every other
-    class, dense or large, draws alone through _sample_distinct, in class
-    order between the runs.
-    """
-    offsets = [0] + np.cumsum(counts).tolist()
-    alone = np.flatnonzero((4 * counts >= sizes) | (counts > _RANK_BATCH_MAX)).tolist()
-    run = 0
-    for i in alone + [len(sizes)]:
-        if offsets[run] < offsets[i]:
-            out[offsets[run] : offsets[i]] = _draw_sparse_run(
-                rng, sizes[run:i], counts[run:i], starts[run:i]
-            )
-        if i < len(sizes):
-            out[offsets[i] : offsets[i + 1]] = _sample_distinct(rng, int(sizes[i]), int(counts[i]))
-        run = i + 1
+    probs = _class_probabilities(params, table)
+    rates = -np.log1p(-probs)  # finite, as every entry, and so every p, is below 1
+    reserve = expected_edge_count(params, len(table.families) > 1)
+    reserve = int(reserve + 4 * math.sqrt(reserve)) + 16
+    ranks = np.empty(reserve, dtype=np.int64)
+    class_of = np.empty(reserve, dtype=np.int16)
+    family_ends = []
+    at = 0
+    for label, part in table.families:
+        rng = seed.child(label).generator()
+        cls = part.start + np.flatnonzero(probs[part] > 0)
+        last = np.full(len(cls), -1, dtype=np.int64)
+        while len(cls):
+            size = table.size[cls]
+            left = size - 1 - last
+            mean = left * probs[cls]
+            batch = np.minimum((mean + 4 * np.sqrt(mean) + 2).astype(np.int64), left + 1)
+            ends = np.cumsum(batch)
+            j = min(len(cls), int(np.searchsorted(ends, _GAP_ROUND)) + 1)  # cls[:j] draw now
+            starts = ends[:j] - batch[:j]
+            ends = np.minimum(ends[:j], _GAP_ROUND)
+            take = ends - starts
+            size, rate = size[:j], rates[cls[:j]]
+            # G = E / rate, capped at 2 size in E: a subnormal rate then
+            # neither overflows nor makes 0 * inf.
+            gaps = rng.standard_exponential(ends[-1])
+            np.minimum(gaps, np.repeat(2.0 * size * rate, take), out=gaps)
+            gaps /= np.repeat(rate, take)
+            pos = gaps.astype(np.int64)
+            pos += 1
+            np.cumsum(pos, out=pos)  # each class's positions run on from its last rank
+            pos += np.repeat(last[:j] - np.concatenate(([0], pos[starts[1:] - 1])), take)
+            # A class's ranks are its positions before the first one at or
+            # past its size; those after that one may have wrapped int64.
+            lanes = np.arange(ends[-1])
+            outside = np.where(pos < np.repeat(size, take), ends[-1], lanes)
+            count = np.minimum(np.minimum.reduceat(outside, starts), ends) - starts
+            kept = int(count.sum())
+            if at + kept > len(ranks):
+                extra = max(len(ranks), at + kept - len(ranks))
+                ranks, class_of = (
+                    np.concatenate([x, np.empty_like(x, shape=extra)]) for x in (ranks, class_of)
+                )
+            ranks[at : at + kept] = pos[lanes < np.repeat(starts + count, take)]
+            class_of[at : at + kept] = np.repeat(cls[:j], count)
+            at += kept
+            last[:j] = pos[ends - 1]
+            going = np.ones(len(cls), dtype=bool)
+            going[:j] = count == take
+            cls, last = cls[going], last[going]
+        family_ends.append(at)
+    return ranks[:at], class_of[:at], family_ends[0]
 
 
 def generate_stratified(
@@ -553,22 +473,19 @@ def generate_stratified(
 ) -> SampledGraph:
     """Class-based sampler with the same output distribution as generate_naive.
 
-    Pairs are grouped by digit class (a, b, c); each class draws a binomial
-    edge count and then that many distinct uniform pair ranks, so the joint
-    law over all pairs is exactly independent Bernoulli.  Loops are drawn
-    the same way per weight class w, as pair class (w, 0), whose pairs are
-    u == v.  Every pair class draws from the stream seed.child("class") and
-    every loop class from seed.child("loop_class"), so the edges do not
-    depend on include_loops.  The class table of each (n, include_loops) is
-    built once.  Per family, one rng.binomial call draws every class's count,
-    and then the ranks are drawn in class order: one rng.integers call per
-    run of small sparse classes, one _sample_distinct call per dense or large
-    class (_draw_class_ranks).  The ranks go into one int64 array, allocated
-    at its final size, and _unrank_pairs turns them in place into packed pair
-    keys min(u, v) << n | max(u, v), _UNRANK_BLOCK ranks per vectorized pass
-    with each rank's class as its key, so a small graph pays one pass rather
-    than one per class; the blocking consumes no randomness and leaves the
-    output unchanged.  Each pass reads the subsets of the top
+    Pairs are grouped by digit class (a, b, c), whose pairs share one edge
+    probability; loops are grouped per weight class w, as pair class (w, 0),
+    whose pairs are u == v.  _draw_ranks walks each class by geometric gaps,
+    which draws each of its pairs by an independent coin, so the joint law
+    over all pairs is exactly independent Bernoulli.  Every pair class draws
+    from the stream seed.child("class") and every loop class from
+    seed.child("loop_class"), so the edges do not depend on include_loops.
+    The class table of each (n, include_loops) is built once.  The ranks go
+    into one int64 array, and _unrank_pairs turns them in place into packed
+    pair keys min(u, v) << n | max(u, v), _UNRANK_BLOCK ranks per vectorized
+    pass with each rank's class as its key, so a small graph pays one pass
+    rather than one per class; the blocking consumes no randomness and
+    leaves the output unchanged.  Each pass reads the subsets of the top
     min(n, _TABLE_MAX_N) digits from one subset table, built once per digit
     count, and walks only the digits below them, none at n <= 16.  Each pass
     checks that its vertices fit n digits (DimensionError).  Pair classes
@@ -582,18 +499,7 @@ def generate_stratified(
     n = params.n
     check_stratified(params, include_loops)
     table = _class_table(n, include_loops)
-    probs = _class_probabilities(params, table)
-    families = [(seed.child(label).generator(), part) for label, part in table.families]
-    counts = [rng.binomial(table.size[part], probs[part]) for rng, part in families]
-    sizes = [int(family_counts.sum()) for family_counts in counts]
-    keys = np.empty(sum(sizes), dtype=np.int64)
-    at = 0
-    for (rng, part), family_counts, size in zip(families, counts, sizes):
-        ranks = keys[at : at + size]
-        _draw_class_ranks(rng, table.size[part], family_counts, table.start[part], ranks)
-        at += size
-    # n <= 30 gives at most 465 pair classes and 31 loop classes, 496 in all.
-    class_of = np.repeat(np.arange(len(table.size), dtype=np.int16), np.concatenate(counts))
+    keys, class_of, pairs = _draw_ranks(params, table, seed)
     # Each slice of ranks is read whole before its keys overwrite it.
     for s in range(0, len(keys), _UNRANK_BLOCK):
         e = s + _UNRANK_BLOCK
@@ -606,7 +512,6 @@ def generate_stratified(
         keys[s:e] |= hi
     del class_of  # the loop keeps no view of it, so the sort runs without it
     # Pair classes come first: the rest are loop keys v << n | v.
-    pairs = sizes[0]
     return SampledGraph.from_keys(params, keys[:pairs], keys[pairs:] >> n, include_loops)
 
 

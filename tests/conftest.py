@@ -261,20 +261,44 @@ def unrank_pair_oracle(n: int, a: int, b: int, rank: int) -> tuple[int, int]:
     return u, v
 
 
-def sample_distinct_oracle(rng: np.random.Generator, size: int, k: int) -> np.ndarray:
-    """The first k distinct values of rng.integers(0, size) draws, in draw
-    order, found with np.unique(return_index=True): 16 spare draws, then
-    k - distinct + 16 more per refill, as the stratified sampler draws them
-    where 4k < size."""
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    draws = rng.integers(0, size, size=k + 16, dtype=np.int64)
-    while True:
-        unique, first_seen = np.unique(draws, return_index=True)
-        if len(unique) >= k:
-            return draws[np.sort(first_seen)[:k]]
-        more = rng.integers(0, size, size=k - len(unique) + 16, dtype=np.int64)
-        draws = np.concatenate([draws, more])
+def gap_ranks_oracle(sizes, probs, families, seed, round_size: int) -> list:
+    """(class, rank) of every rank the stratified sampler draws, one gap at
+    a time.  Per family, from its stream: each round, the classes still
+    drawing take, in class order, batches of min(floor(mean + 4 sqrt(mean)
+    + 2), left + 1) exponentials, mean = left * p and left the pairs past
+    the class's last rank, until round_size are taken; the round draws them
+    in one call.  A class steps from its last rank by floor(min(E, 2 size
+    rate) / rate) + 1, rate = -log1p(-p), and stops at the first step that
+    leaves it; a class whose batch stays inside is drawn again next round."""
+    out = []
+    for label, part in families:
+        rng = seed.child(label).generator()
+        classes = [i for i in range(part.start, part.stop) if probs[i] > 0]
+        last = {i: -1 for i in classes}
+        while classes:
+            batches, budget = [], round_size
+            for i in classes:
+                left = int(sizes[i]) - 1 - last[i]
+                mean = left * float(probs[i])
+                take = min(int(mean + 4 * math.sqrt(mean) + 2), left + 1, budget)
+                if not take:
+                    break
+                batches.append((i, take))
+                budget -= take
+            draws = iter(rng.standard_exponential(sum(take for _, take in batches)).tolist())
+            going = []
+            for i, take in batches:
+                size, rate = int(sizes[i]), -math.log1p(-float(probs[i]))
+                steps = [int(min(next(draws), 2.0 * size * rate) / rate) + 1 for _ in range(take)]
+                for step in steps:
+                    last[i] += step
+                    if last[i] >= size:
+                        break
+                    out.append((i, last[i]))
+                else:
+                    going.append(i)
+            classes = going + classes[len(batches):]
+    return out
 
 
 def rmat_pairs_oracle(rmat, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -287,27 +311,6 @@ def rmat_pairs_oracle(rmat, seed) -> tuple[np.ndarray, np.ndarray]:
     v_bits = (x < alpha) | ((x >= alpha + beta) & (x < alpha + 2.0 * beta))
     powers = np.int64(1) << np.arange(n, dtype=np.int64)
     return u_bits.astype(np.int64) @ powers, v_bits.astype(np.int64) @ powers
-
-
-def sparse_run_oracle(rng: np.random.Generator, sizes, counts) -> np.ndarray:
-    """The ranks of a run of sparse classes, one class at a time: class i
-    draws counts[i] + 16 values (none at a zero count), then, round by
-    round, every class with fewer than counts[i] distinct values draws
-    counts[i] - distinct + 16 more, appended after its earlier draws; each
-    class keeps its first counts[i] distinct values in draw order."""
-    sizes, counts = [int(s) for s in sizes], [int(k) for k in counts]
-    draws = [rng.integers(0, s, size=k + 16).tolist() if k else [] for s, k in zip(sizes, counts)]
-    while True:
-        short = [i for i, k in enumerate(counts) if len(set(draws[i])) < k]
-        if not short:
-            break
-        for i in short:
-            more = counts[i] - len(set(draws[i])) + 16
-            draws[i] += rng.integers(0, sizes[i], size=more).tolist()
-    kept = []
-    for class_draws, k in zip(draws, counts):
-        kept += list(dict.fromkeys(class_draws))[:k]
-    return np.array(kept, dtype=np.int64)
 
 
 class CountingGenerator:

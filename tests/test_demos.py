@@ -14,11 +14,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # Every demo is deterministic: fixed parameters and seeds.
 STDOUT_SHA256 = {
-    "degree_distribution": "7d9ac1728eff9cdd91910eb1b1fa9e489b2f16c9bdad9d77134b237db6713c06",
-    "hamming_neighborhood": "aafe203301f791923a4d3b59e9479f7d76dd1618f70a59d8739908043692de88",
+    "degree_distribution": "32384466fe0c84e07f42b018cef9d5da5369a59268f5538ed2467645cbfcaf7c",
+    "hamming_neighborhood": "d566a78270d154431b60219a024641d54691f16fb7c3e526bfbca667ed324b25",
     "regime_classification": "92461496da8c822c9d5c7221d80a259e011f5c97e8b27a8a626def298b2bb96c",
     "second_moment_certificates": "031a702cd750dd06850a45b061431e07670dd1e1412231ba34ac5595edba3463",
-    "subgraph_thresholds": "86a3f324ebc6be56214d8c0c319854fb2394e64504959bd61934caf611f37219",
+    "subgraph_thresholds": "d9f2dd33359248e0242f167fad20b72e100014ef73682b10538ff6529326b286",
 }
 
 

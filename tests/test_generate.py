@@ -2,6 +2,10 @@ import collections
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,14 +34,14 @@ from kronval import (
 from kronval.generate import (
     _BYTE_DEPOSIT,
     _COMB,
-    _RANK_BATCH_MAX,
     _RMAT_SUBBLOCK,
     _TABLE_MAX_N,
     RMAT_MAX_EDGES,
     STRATIFIED_MAX_N,
+    _class_probabilities,
+    _class_table,
     _deposit,
-    _draw_sparse_run,
-    _sample_distinct,
+    _draw_ranks,
     _subset_table,
     _unrank_pairs,
 )
@@ -46,14 +50,15 @@ from kronval.model import pairs_ascend
 from conftest import (
     CountingGenerator,
     FixedDraws,
+    gap_ranks_oracle,
     lex_subset,
     pair_class,
     rmat_pairs_oracle,
-    sample_distinct_oracle,
-    sparse_run_oracle,
     traced_peak,
     unrank_pair_oracle,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_pair_class_sizes_cover_all_pairs():
@@ -126,27 +131,13 @@ def _pair_classes_of(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.bitwise_count(u & v).astype(np.int64), np.bitwise_count(u ^ v).astype(np.int64)
 
 
-def test_stratified_per_class_inclusion_frequencies(monkeypatch):
-    # At (0.9, 0.7, 0.7), n = 8, the pair classes take all three rank routes:
-    # (6, 1, 1), (6, 2, 0) and (7, 1, 0) are dense (4k >= size), (2, 4, 2),
-    # (2, 5, 1), (3, 3, 2) and (3, 4, 1) hold over _RANK_BATCH_MAX edges, and
-    # the rest draw in batched runs, (4, 3, 1) refilling in about 2 of 5.
+def test_stratified_per_class_inclusion_frequencies():
+    # At (0.9, 0.7, 0.7), n = 8, the pair classes range from under one
+    # expected edge to (6, 1, 1), (6, 2, 0) and (7, 1, 0), each with over a
+    # quarter of its pairs drawn, and (2, 4, 2), about 320 of 3360.
     p = KroneckerParams(alpha=0.9, beta=0.7, gamma=0.7, n=8)
     trials = 200
-    routes = collections.Counter()
-    sample_distinct, sparse_run = kronval.generate._sample_distinct, _draw_sparse_run
-
-    def alone(rng, size, k):
-        routes["dense" if 4 * k >= size else "large"] += 1
-        return sample_distinct(rng, size, k)
-
-    def batched(rng, sizes, counts, starts):
-        routes["batched"] += 1
-        return sparse_run(rng, sizes, counts, starts)
-
-    monkeypatch.setattr(kronval.generate, "_sample_distinct", alone)
-    monkeypatch.setattr(kronval.generate, "_draw_sparse_run", batched)
-    # Every pair u < v of batched class (1, 2, 5), 336 pairs, as u << 8 | v.
+    # Every pair u < v of class (1, 2, 5), 336 pairs, as u << 8 | v.
     u, v = np.triu_indices(256, 1)
     all_pairs = np.column_stack([u, v])
     a, b = _pair_classes_of(all_pairs)
@@ -159,7 +150,6 @@ def test_stratified_per_class_inclusion_frequencies(monkeypatch):
         class_hits.update(zip(a.tolist(), b.tolist()))
         keys = (g.edges[:, 0] << 8 | g.edges[:, 1])[(a == 1) & (b == 2)]
         watched_hits[np.searchsorted(watched, keys)] += 1
-    assert routes["dense"] and routes["large"] and routes["batched"]
     for a, b, c, size in pair_classes(8):
         prob = p.alpha**a * p.beta**b * p.gamma**c
         draws = trials * size
@@ -168,24 +158,6 @@ def test_stratified_per_class_inclusion_frequencies(monkeypatch):
     # Within the class every pair is equally likely.
     assert len(watched) == 336 and watched_hits.sum() == class_hits[1, 2]
     assert chisquare(watched_hits).pvalue > 1e-4
-
-
-def test_refilled_class_keeps_a_uniform_subset():
-    # 256 + 16 draws from 1025 ranks repeat about 34 times, so this class
-    # at the batch bound almost always draws again; keep the runs that did.
-    size, k = 1025, _RANK_BATCH_MAX
-    hits = np.zeros(size, dtype=np.int64)
-    refilled = 0
-    for seed in range(1000):
-        calls = []
-        rng = CountingGenerator(np.random.default_rng(seed), calls)
-        ranks = _draw_sparse_run(rng, np.array([size]), np.array([k]), np.array([0]))
-        assert len(np.unique(ranks)) == k
-        if len(calls) > 1:
-            refilled += 1
-            hits[ranks] += 1
-    assert refilled > 900
-    assert chisquare(hits).pvalue > 1e-4
 
 
 def test_generators_deterministic_and_loop_toggle_stable():
@@ -234,9 +206,8 @@ def test_stratified_derives_one_stream_per_class_family(monkeypatch, include_loo
 
 
 def test_stratified_graph_makes_a_few_rng_calls(monkeypatch):
-    # One binomial call per family and one integers call per run of small
-    # sparse classes, not two calls for each of the 78 pair and 13 loop
-    # classes at n = 12.
+    # One standard_exponential call per family and round, not a call for
+    # each of the 78 pair and 13 loop classes at n = 12.
     calls = {}
     generator = SeedSpec.generator
 
@@ -249,19 +220,8 @@ def test_stratified_graph_makes_a_few_rng_calls(monkeypatch):
     g = generate_stratified(p, seed=SeedSpec(1))
     assert len(g.edges) > 500
     assert set(calls) == {"class", "loop_class"}
-    assert calls["class"][0] == "binomial" and calls["loop_class"][0] == "binomial"
+    assert set(calls["class"]) == set(calls["loop_class"]) == {"standard_exponential"}
     assert sum(map(len, calls.values())) <= 6, calls
-
-
-def test_array_binomial_equals_scalar_calls():
-    # The stratified sampler's one call per family yields the counts one
-    # scalar call per class, in class order, would.
-    sizes = np.array([1, 12, 336, 50688, 1 << 40, (1 << 59) - 1], dtype=np.int64)
-    probs = np.array([0.069, 0.5, 0.0741, 2e-3, 1e-9, 3e-17])
-    batch, scalar = np.random.default_rng(7), np.random.default_rng(7)
-    counts = batch.binomial(sizes, probs)
-    assert counts.tolist() == [int(scalar.binomial(int(n), float(q))) for n, q in zip(sizes, probs)]
-    assert batch.bit_generator.state == scalar.bit_generator.state
 
 
 @pytest.mark.parametrize("n", [1, 5, 12, 30])
@@ -471,7 +431,7 @@ class TestCapacity:
             raise AssertionError("a class was sampled")
 
         monkeypatch.setattr(SeedSpec, "generator", sampled)
-        monkeypatch.setattr(gen, "_sample_distinct", sampled)
+        monkeypatch.setattr(gen, "_draw_ranks", sampled)
         p = KroneckerParams(0.99, 0.99, 0.99, 14)  # about 117M expected edges
         assert expected_edge_count(p) > gen.DEFAULT_EDGE_BUDGET
         with pytest.raises(CapacityError, match="budget"):
@@ -491,9 +451,8 @@ class TestPackedKeys:
     @pytest.mark.parametrize("p", [0.2, 0.1])
     def test_large_class_draws_stay_within_the_budget_per_edge(self, p):
         # Class (0, 22, 0), 2^21 pairs of edge probability p, holds about
-        # 97% of the edges.  It draws with a bool per rank at p = 0.2 and
-        # sorts a copy of its draws at p = 0.1.  The first call makes the
-        # allocations a process makes once.
+        # 97% of the edges, and draws over about 7 and 4 rounds.  The first
+        # call makes the allocations a process makes once.
         params = KroneckerParams(0.001, p ** (1 / 22), 0.001, 22)
         generate_stratified(params, seed=SeedSpec(1))
         g, peak = traced_peak(lambda: generate_stratified(params, seed=SeedSpec(1)))
@@ -554,32 +513,6 @@ def _class_ranks(draw, n: int):
     a = draw(st.integers(0, n))
     b = draw(st.integers(0, n - a))
     return a, b, draw(st.integers(0, _class_size(n, a, b) - 1))
-
-
-@st.composite
-def _sparse_runs(draw):
-    """(sizes, counts) of a run of sparse classes: 4k < size, k <= the bound."""
-    sizes = draw(st.lists(st.one_of(st.integers(1, 2000), st.integers(1, 1 << 58)), max_size=8))
-    counts = [draw(st.integers(0, min(_RANK_BATCH_MAX, (s - 1) // 4))) for s in sizes]
-    return sizes, counts
-
-
-class TestSparseRun:
-    @settings(max_examples=150, deadline=None)
-    @given(run=_sparse_runs(), seed=st.integers(0, 2**32 - 1))
-    # At the bound, refilled (test_refilled_class_keeps_a_uniform_subset).
-    @example(run=([1025], [_RANK_BATCH_MAX]), seed=0)
-    @example(run=([7, 100, 3, 1 << 58], [0, 5, 0, 0]), seed=1)  # zero counts draw nothing
-    @example(run=([900, 41, 1025, 5], [200, 10, 256, 1]), seed=2)  # refills amid others
-    def test_matches_per_class_oracle(self, run, seed):
-        sizes, counts = (np.array(column, dtype=np.int64) for column in run)
-        starts = np.cumsum(sizes) - sizes
-        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _draw_sparse_run(rng, sizes, counts, starts)
-        want = sparse_run_oracle(oracle_rng, sizes, counts)
-        assert got.dtype == want.dtype and got.tolist() == want.tolist()
-        # the same draws were made: both generators end in the same state
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestPooledUnranking:
@@ -718,60 +651,161 @@ class TestPooledUnranking:
         assert all(g == graphs[0] for g in graphs[1:])
 
 
-class TestSampleDistinct:
-    @settings(max_examples=150, deadline=None)
-    @given(
-        case=st.integers(4, 10_000).flatmap(
-            lambda size: st.tuples(st.just(size), st.integers(0, size // 4 - 1))
-        ),
-        seed=st.integers(0, 2**32 - 1),
+def _sparse_params(n: int, alpha: float, beta: float, gamma: float, edges: float):
+    """The entries scaled by one factor so that about `edges` edges and
+    loops are expected: (alpha + 2 beta + gamma)^n / 2 of them, roughly."""
+    scale = (2 * edges) ** (1 / n) / (alpha + 2 * beta + gamma)
+    return KroneckerParams(alpha * scale, beta * scale, gamma * scale, n)
+
+
+def _draw(params: KroneckerParams, include_loops: bool = True, seed=None):
+    """_draw_ranks of params, and the class table it drew from."""
+    table = _class_table(params.n, include_loops)
+    return _draw_ranks(params, table, seed or SeedSpec(1)), table
+
+
+def _check_ranks(ranks: np.ndarray, class_of: np.ndarray, table) -> None:
+    """Every rank lies in its class, and each class's ranks ascend."""
+    sizes = table.size[class_of]
+    assert ((ranks >= 0) & (ranks < sizes)).all()
+    order = np.argsort(class_of, kind="stable")
+    same = class_of[order][1:] == class_of[order][:-1]
+    assert (np.diff(ranks[order])[same] > 0).all()
+
+
+class TestDrawRanks:
+    @pytest.mark.parametrize("n", [20, 26, 30])
+    def test_unranked_pairs_lie_in_their_classes(self, n):
+        # Ranks reach the unranker in ascending order within each class, and
+        # no report number would catch a pair unranked into the wrong class.
+        params = _sparse_params(n, 0.9, 0.25, 0.6, 1e5)  # 36-634 loops expected
+        (ranks, class_of, pairs), table = _draw(params)
+        assert 0 < pairs < len(ranks) and 50_000 < len(ranks) < 200_000
+        assert (table.b[class_of[:pairs]] > 0).all() and not table.b[class_of[pairs:]].any()
+        a, b = table.a[class_of], table.b[class_of]
+        u, v = _unrank_pairs(n, a, b, ranks)
+        assert (np.bitwise_count(u & v) == a).all() and (np.bitwise_count(u ^ v) == b).all()
+        keys = np.minimum(u, v).astype(np.int64) << n | np.maximum(u, v)
+        assert len(np.unique(keys)) == len(keys)
+
+    # Entries of 1e-300 at n = 30: p underflows to 0 wherever a + c >= 2,
+    # and is subnormal (about 1.9e-309) at a + c = 1.  5e-324 as alpha
+    # makes the loop class w = 1 of n = 1 subnormal.  Entries of 1 - 2^-53
+    # put every class within 1e-15 of 1.  Every class of n = 1 holds one
+    # pair or loop.
+    @pytest.mark.parametrize(
+        "params",
+        [
+            KroneckerParams(1e-300, 0.5, 1e-300, 30),
+            KroneckerParams(5e-324, 0.5, 5e-324, 30),
+            KroneckerParams(5e-324, 0.5, 0.5, 1),
+            KroneckerParams(1 - 2.0**-53, 1 - 2.0**-53, 1 - 2.0**-53, 3),
+            KroneckerParams(0.9, 0.9, 0.9, 1),
+            KroneckerParams(0.6, 0.4, 0.2, 1),
+        ],
     )
-    @example(case=(10_000, 2_499), seed=0)  # 292 repeats in the first 2,515 draws: refills
-    @example(case=(4, 0), seed=1)
-    @example(case=(1 << 40, 5_000), seed=2)  # no repeat at all
-    # Three walk blocks with refills, with a bool per rank (size <= 8k) and
-    # with a sorted copy of the draws (size > 8k).
-    @example(case=(100_000, 20_000), seed=3)
-    @example(case=(200_000, 24_000), seed=4)
-    def test_matches_unique_oracle(self, case, seed):
-        size, k = case
-        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _sample_distinct(rng, size, k)
-        want = sample_distinct_oracle(oracle_rng, size, k)
-        assert got.dtype == want.dtype and got.tolist() == want.tolist()
-        # the same draws were made: both generators end in the same state
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_probabilities_draw_silently_within_their_classes(self, params):
+        for seed in range(20):
+            (ranks, class_of, pairs), table = _draw(params, seed=SeedSpec(seed))
+            _check_ranks(ranks, class_of, table)
+            probs = _class_probabilities(params, table)
+            assert (probs[class_of] > 0).all()
+            if params.alpha == 1 - 2.0**-53:  # p within 1e-15 of 1: every pair and loop is drawn
+                assert len(ranks) == table.size.sum() and pairs == table.size[table.b > 0].sum()
+        if params.n == 30:
+            assert probs.min() == 0 and (probs[table.a + table.c == 1] < np.finfo(float).tiny).all()
 
-    def test_permutation_head_is_not_copied(self):
-        # 2^22 ranks of a dense class of 2^24: the call holds the int64
-        # permutation, 32 B per rank here, and returns a view of its head
-        # (a copy of the head would read 40 B per rank).
-        size, k = 1 << 24, 1 << 22
-        oracle_rng = np.random.default_rng(5)
-        want = oracle_rng.permutation(size)[:k].copy()
-        rng = np.random.default_rng(5)
-        got, peak = traced_peak(lambda: _sample_distinct(rng, size, k))
-        assert peak <= 33 * k
-        assert got.dtype == np.int64 and np.array_equal(got, want)
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    def test_steps_at_the_cap_keep_no_wrapped_position(self):
+        # Every exponential is inf, so every step is 2 size + 1 and each
+        # class leaves at its first step.  A batch's later positions wrap
+        # int64 at n = 30, where class sizes reach 2^52, and any of them
+        # read as a rank would show here.
+        class InfiniteDraws:
+            def child(self, *labels):
+                return self
 
-    @pytest.mark.parametrize("size", [4_000_000, 4_000_001])
-    def test_draws_cost_at_most_20_bytes_per_rank(self, size):
-        # 500k ranks at the edge of the two draw routes, where each costs
-        # most: a bool per rank at size = 8k, a sorted copy of the draws,
-        # with about 6% more draws than ranks, just above it.
-        k = 500_000
-        got, peak = traced_peak(lambda: _sample_distinct(np.random.default_rng(3), size, k))
-        assert len(got) == k
-        assert peak <= 20 * k
+            def generator(self):
+                return self
 
-    def test_over_half_of_a_class_beyond_the_permutation(self):
-        # The smallest class the permutation route does not take, with more
-        # than half of it drawn, as at n = 26, (0.001, 0.99, 0.001), where
-        # one class holds 25,835,052 of 2^25 pairs: a bool per rank marks
-        # those kept, as for any class of at most 8k ranks.
-        size, k = (1 << 24) + 1, (1 << 23) + 1
-        got = _sample_distinct(np.random.default_rng(6), size, k)
-        seen = np.zeros(size, dtype=bool)
-        seen[got] = True
-        assert got.min() >= 0 and len(got) == k == seen.sum()
+            def standard_exponential(self, size):
+                return np.full(size, np.inf)
+
+        params = _sparse_params(30, 0.6, 0.5, 0.6, 1e5)
+        (ranks, class_of, pairs), table = _draw(params, seed=InfiniteDraws())
+        assert len(ranks) == len(class_of) == pairs == 0
+        assert table.size.max() >= 1 << 52
+
+    # Rounds of 5 steps split most classes; the default round holds each
+    # graph whole.  The last two put the subnormal and the near-1 classes
+    # through the same arithmetic as the oracle.
+    @pytest.mark.parametrize("round_size", [5, 64, None])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            KroneckerParams(0.9, 0.7, 0.7, 6),
+            KroneckerParams(0.6, 0.4, 0.2, 9),
+            KroneckerParams(1e-300, 0.5, 1e-300, 30),
+            KroneckerParams(1 - 2.0**-53, 1 - 2.0**-53, 1 - 2.0**-53, 3),
+        ],
+    )
+    def test_matches_the_gap_oracle(self, monkeypatch, params, round_size):
+        if round_size:
+            monkeypatch.setattr(kronval.generate, "_GAP_ROUND", round_size)
+        table = _class_table(params.n, True)
+        probs = _class_probabilities(params, table)
+        for seed in range(3):
+            ranks, class_of, pairs = _draw_ranks(params, table, SeedSpec(seed))
+            want = gap_ranks_oracle(
+                table.size, probs, table.families, SeedSpec(seed), kronval.generate._GAP_ROUND
+            )
+            assert list(zip(class_of.tolist(), ranks.tolist())) == want
+            assert pairs == sum(1 for i, _ in want if table.b[i])
+
+    def test_class_over_several_rounds_keeps_its_binomial_law(self, monkeypatch):
+        # Rounds of 64 steps split class (2, 4, 2) of n = 8, 3360 pairs of
+        # p = 0.0953, over about 6 rounds, resumed from its last rank.
+        monkeypatch.setattr(kronval.generate, "_GAP_ROUND", 64)
+        params = KroneckerParams(0.9, 0.7, 0.7, 8)
+        table = _class_table(8, True)
+        watched = next(i for i in range(len(table.a)) if (table.a[i], table.b[i]) == (2, 4))
+        size, p = int(table.size[watched]), 0.9**2 * 0.7**4 * 0.7**2
+        trials = 300
+        counts = np.zeros(trials, dtype=np.int64)
+        hits = np.zeros(size, dtype=np.int64)
+        for t in range(trials):
+            ranks, class_of, pairs = _draw_ranks(params, table, SeedSpec(6).child("t", t))
+            _check_ranks(ranks, class_of, table)
+            mine = ranks[class_of == watched]
+            counts[t] = len(mine)
+            hits[mine] += 1
+        mean, var = size * p, size * p * (1 - p)
+        assert abs(counts.mean() - mean) <= 3 * math.sqrt(var / trials)
+        # the sample variance against its binomial value, sd about var sqrt(2 / T)
+        assert abs(counts.var(ddof=1) - var) <= 3 * var * math.sqrt(2 / (trials - 1))
+        # every pair of the class equally likely, across the round boundaries
+        assert chisquare(hits).pvalue > 1e-4
+
+    @pytest.mark.parametrize("include_loops", [True, False])
+    def test_grown_buffer_gives_the_same_graph(self, monkeypatch, include_loops):
+        # A reserve of 16 ranks grows about 14 times for these ~150k.
+        params = KroneckerParams(0.6, 0.5, 0.6, 16)
+        want = generate_stratified(params, include_loops=include_loops, seed=SeedSpec(3))
+        monkeypatch.setattr(kronval.generate, "expected_edge_count", lambda *args: 0.0)
+        (ranks, _, _), _ = _draw(params, include_loops, seed=SeedSpec(3))
+        assert len(ranks) == len(want.edges) + len(want.loops) > 100_000
+        got = generate_stratified(params, include_loops=include_loops, seed=SeedSpec(3))
+        assert got == want
+
+    @pytest.mark.parametrize("entry", ["1e-300", "5e-324"])
+    def test_generate_at_subnormal_products_raises_no_warning(self, tmp_path, entry):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        argv = ["generate", "--n", "30", "--alpha", entry, "--beta", "0.5", "--gamma", entry,
+                "--seed", "1", "--out", str(tmp_path / "g.edges")]
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "kronval.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""

@@ -45,6 +45,24 @@ profile table kept their bytes.
 The loop-free hamming report was recorded when each trial still counted a
 degree array and the run summed six per-trial float arrays, before the run
 aggregated one stacked array of the trials' edge-distance histograms.
+
+Every stratified digest, the four generate files and the four validate
+reports, was re-recorded when the stratified sampler stopped drawing a
+binomial count and then that many distinct uniform ranks per class, and
+walked each class by geometric gaps instead.  Each pair is still an
+independent Bernoulli coin of its class's probability; the draws are new.
+The naive and R-MAT digests did not move.  Old -> new sha256:
+  stratified-n10   923d75d2... -> fc1352e9...
+  stratified-n15   4b72cc1f... -> d24d4ecb...
+  stratified-n18   56f88427... -> c8d3b8b5...
+  stratified-n30   d3a44164... -> e1764121...
+  degrees report   b44eb72f... -> 0353fad9...
+  subgraph report  95db5b9a... -> ea80e6c7...
+  hamming report   aa971474... -> 636066f2...
+  hamming, no loops  eef24179... -> 74fbfb66...
+The demo digests of degree_distribution (7d9ac172... -> 32384466...),
+hamming_neighborhood (aafe2033... -> d566a782...) and subgraph_thresholds
+(86a3f324... -> d9f2dd33...) in test_demos.py moved with them.
 """
 
 import hashlib
@@ -62,22 +80,22 @@ GOLDEN = {
     "stratified-n10": (
         ["generate", "--generator", "stratified", "--n", "10", "--alpha", "0.6", "--beta", "0.5",
          "--gamma", "0.6", "--seed", "12"],
-        "923d75d2196542b240338c2e63fe0f24d100dfe79f31420899f12e46a22e2766",
+        "fc1352e9b015a5e86e68a964b80598d691019771a7cd1a799e782ea22e692b42",
     ),
     "stratified-n15-large-class": (
         ["generate", "--generator", "stratified", "--n", "15", "--alpha", "0.7", "--beta", "0.9",
          "--gamma", "0.1", "--seed", "22"],
-        "4b72cc1f65d6545835d5034676e938f7ed7fc1749af8cef52921ede19bdbe131",
+        "d24d4ecba3c72245ee4940ea6308b7f69df14096395fc2216511a7ab05aba610",
     ),
     "stratified-n18": (
         ["generate", "--generator", "stratified", "--n", "18", "--alpha", "0.6", "--beta", "0.5",
          "--gamma", "0.6", "--seed", "21"],
-        "56f884279580b85eda461bb2ad9971935a0fd579678f1311782d58912941acef",
+        "c8d3b8b536d19691a6e38662a17a4cf625857a0ab363ac42c5d43de6876a5486",
     ),
     "stratified-n30": (
         ["generate", "--generator", "stratified", "--n", "30", "--alpha", "0.3", "--beta", "0.4",
          "--gamma", "0.3", "--seed", "3"],
-        "d3a44164b80fc27df4ccc6a7a2fbd31462578198ae2111a9fb515c1e24a09375",
+        "e1764121836fb1ea6f85741952cbee09ee876fbd9330fe14a8355c38de4a9dfd",
     ),
     "rmat-n10": (
         ["generate", "--generator", "rmat", "--n", "10", "--alpha", "0.57", "--beta", "0.19",
@@ -99,7 +117,7 @@ GOLDEN = {
 DEGREES_REPORT = (
     ["validate", "--kind", "degrees", "--n", "8", "--alpha", "0.7", "--beta", "0.3",
      "--gamma", "0.3", "--trials", "5", "--seed", "14"],
-    "b44eb72fe52f89a7c2b2cdf9e0434b700f0839ad1bd043416e26fd968c492dce",
+    "0353fad92f182258da46a387d752c8cb7a7363952f96f1a9cd61bd173eb2d4f8",
 )
 
 # Above the old exact-expectation guard ((2^8)^4 vertex maps > 10^7): pins the
@@ -107,21 +125,21 @@ DEGREES_REPORT = (
 SUBGRAPH_REPORT = (
     ["validate", "--kind", "subgraph", "--n", "8", "--alpha", "0.7", "--beta", "0.5",
      "--gamma", "0.7", "--pattern", "cycle:4", "--trials", "3", "--seed", "15"],
-    "95db5b9aaf4e92d150d4a9aac0f7b4bde8f0cdf6b1ab4c07cfb83745e71d06a4",
+    "ea80e6c76e59536142574a4f1cd5741baecc59fb178679425af04dcb859348ab",
 )
 
 # Pins the per-trial edge-distance profile next to the concentration criteria.
 HAMMING_REPORT = (
     ["validate", "--kind", "hamming", "--n", "10", "--alpha", "0.7", "--beta", "0.5",
      "--gamma", "0.7", "--trials", "3", "--seed", "16"],
-    "aa9714740a040cb776bdd7d5dfae705483341d09c812a9cbb6bd2de5e1cb84d0",
+    "636066f2a47f952eab1493eb4f2c6e956a3781c940d80eca321920396752195e",
 )
 
 # Pins the aggregation without loops: no neighbor entry at distance 0.
 HAMMING_NO_LOOPS_REPORT = (
     ["validate", "--kind", "hamming", "--n", "9", "--alpha", "0.7", "--beta", "0.5",
      "--gamma", "0.7", "--trials", "3", "--no-loops", "--seed", "4"],
-    "eef241793a8af2a38fca49cc539d39e585a0f87ec9aa85cec8aa1f17411a1662",
+    "74fbfb66404ea77f61e0172d6aed4ce01930b34a9ae230262a81b1523cb887c2",
 )
 
 
