@@ -19,8 +19,8 @@ COUNT_MAX_PATTERN_VERTICES = 5
 COUNT_MAX_N = 14
 KERNEL_COUNT_MAX_N = 16
 DISCONNECTED_COUNT_MAX_N = 10
-# Row blocks of the codegree pass hold about this many wedges (2-paths), so
-# the block product A[block] @ A stays small whatever the degree sequence.
+# Row blocks of the oriented products hold about this many wedges (2-paths),
+# so each block product stays small whatever the degree sequence.
 _WEDGE_BLOCK = 1 << 16
 
 
@@ -71,43 +71,93 @@ def _count_star(graph: SampledGraph, k: int) -> int:
     return sum(c * math.perm(d, k) for d, c in enumerate(counts) if c)
 
 
-def _codegree_sums(graph: SampledGraph):
-    """Exact sums over the loop-free adjacency A with codegrees C = A @ A.
+def _csr(rows, cols, size: int):
+    """The size x size 0/1 int32 CSR matrix with ones at (rows[i], cols[i]).
 
-    Returns ``(closed, squares, paths)``:
-    ``closed = sum(A * C)`` (each ordered edge's codegree), ``squares`` the
-    sum of ``c * (c - 1)`` over the off-diagonal entries of C, and
-    ``paths = sum_u (d_u - 1) * sum_{v ~ u} (d_v - 1)``.  Rows go through
-    in blocks of about ``_WEDGE_BLOCK`` wedges; each block's int64 partial
-    sums (far below 2^63 at the kernel cap) add into Python ints.  scipy's
-    sparse module is imported here, its only user, so that commands that do
-    not count never load it.
+    scipy's sparse module is imported here, its only user, so that commands
+    that do not count never load it.
     """
     from scipy import sparse
 
-    edges = graph.edges
-    size = graph.vertex_count
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    adj = sparse.csr_matrix(
-        (np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(size, size)
-    )
-    deg = np.diff(adj.indptr).astype(np.int64)
-    wedges = adj @ deg  # 2-paths leaving each vertex, returns included
+    ones = np.ones(len(rows), dtype=np.int32)
+    return sparse.csr_matrix((ones, (rows, cols)), shape=(size, size))
+
+
+def _ranked_edges(graph: SampledGraph):
+    """(rank, low, high): each vertex's key under the order (loop-free
+    degree, index), and each edge's lower- and higher-ranked end.
+
+    Orienting edges upwards in this order (Chiba and Nishizeki 1985) bounds
+    the 2-paths that climb through each vertex.
+    """
+    deg = graph.degrees(count_loops=False)
+    rank = deg * graph.vertex_count
+    rank += np.arange(graph.vertex_count)
+    u, v = graph.edges[:, 0], graph.edges[:, 1]
+    up = rank[u] < rank[v]
+    return rank, np.where(up, u, v), np.where(up, v, u)
+
+
+def _row_blocks(left, right):
+    """Row slices of ``left @ right`` with about ``_WEDGE_BLOCK`` 2-paths
+    each, so every block product stays small whatever the degrees."""
+    wedges = left @ np.diff(right.indptr).astype(np.int64)
     before = np.cumsum(wedges) - wedges
     cuts = np.flatnonzero(np.diff(before // _WEDGE_BLOCK)) + 1
-    bounds = [0, *cuts.tolist(), size]
-    closed = squares = paths = 0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        block = adj[lo:hi]
-        codeg = block @ adj
-        c = codeg.data
-        closed += int(block.multiply(codeg).sum(dtype=np.int64))
+    bounds = [0, *cuts.tolist(), left.shape[0]]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _count_triangle(graph: SampledGraph) -> int:
+    """Labeled triangles, 6 per triangle: ``sum((U @ U) * U)`` with U the
+    upward-oriented adjacency counts each triangle once, from its lowest
+    vertex through its middle one to its highest."""
+    _, low, high = _ranked_edges(graph)
+    upper = _csr(low, high, graph.vertex_count)
+    closed = 0
+    for rows in _row_blocks(upper, upper):
+        block = upper[rows]
+        closed += int(block.multiply(block @ upper).sum(dtype=np.int64))
+    return 6 * closed
+
+
+def _count_cycle4(graph: SampledGraph) -> int:
+    """Labeled 4-cycles, 8 per 4-cycle, each counted once at its
+    highest-ranked vertex u.
+
+    The entry c of ``L @ A`` at (u, w), with L the downward-oriented
+    adjacency, counts the common neighbours of u and w ranked below u; for
+    w also below u, c * (c - 1) is the ordered pairs of them, and each
+    closes a 4-cycle u v w v' whose diagonal is uw.  Summed, that is twice
+    the 4-cycles.  The products hold int32 counts, widened before c * (c - 1).
+    """
+    rank, low, high = _ranked_edges(graph)
+    size = graph.vertex_count
+    lower = _csr(high, low, size)
+    adj = _csr(np.concatenate([low, high]), np.concatenate([high, low]), size)
+    squares = 0
+    for rows in _row_blocks(lower, adj):
+        codeg = lower[rows] @ adj
+        shared = np.flatnonzero(codeg.data > 1)  # c * (c - 1) vanishes elsewhere
+        u = rows.start + np.searchsorted(codeg.indptr, shared, side="right") - 1
+        c = codeg.data[shared[rank[codeg.indices[shared]] < rank[u]]].astype(np.int64)
         squares += int((c * (c - 1)).sum())
-        paths += int(((deg[lo:hi] - 1) * (wedges[lo:hi] - deg[lo:hi])).sum())
-    # the diagonal of C is the degree sequence
-    squares -= int((deg * (deg - 1)).sum())
-    return closed, squares, paths
+    return 4 * squares
+
+
+def _count_path3(graph: SampledGraph) -> int:
+    """Labeled 3-edge paths: an ordered middle edge (b, c) with an end a != c
+    at b and an end d != b at c, minus the triangles, where a = d.
+
+    That is sum_u (d_u - 1) * (sum_{v ~ u} d_v - d_u), or, summed edge by
+    edge, ``2 * sum_{uv} d_u d_v - sum_u d_u * (2 d_u - 1)``.  At the kernel
+    cap (n <= 16) each d_u d_v is below 2^32 and there are fewer than 2^31
+    edges, so the int64 sum is exact.
+    """
+    deg = graph.degrees(count_loops=False)
+    ends = deg[graph.edges]
+    walks = 2 * int(np.dot(ends[:, 0], ends[:, 1])) - int(np.dot(deg, 2 * deg - 1))
+    return walks - _count_triangle(graph)
 
 
 def _count_backtracking(graph: SampledGraph, pattern: PatternGraph) -> int:
@@ -175,16 +225,22 @@ def count_labeled_copies(graph: SampledGraph, pattern: PatternGraph) -> int:
 
     - a star K_{1,k} (``star:k``, ``path:2``, a single edge) is the sum of
       falling factorials d!/(d-k)! over the degree sequence;
-    - a triangle is ``sum(A * (A @ A))`` over the adjacency matrix A;
-    - a 4-cycle is ``sum(c * (c - 1))`` over the codegrees c of distinct
-      vertex pairs;
-    - a 3-edge path is ``2 * sum((d_b - 1) * (d_c - 1))`` over the edges bc,
-      minus the labeled triangles;
+    - a triangle is ``6 * sum((U @ U) * U)`` over the upward-oriented
+      adjacency U, counting each triangle once at its lowest vertex;
+    - a 4-cycle is ``4 * sum(c * (c - 1))`` over the entries c of
+      ``L @ A`` below the diagonal in rank order, with L the
+      downward-oriented adjacency, counting each 4-cycle once at its
+      highest vertex;
+    - a 3-edge path is ``sum_u (d_u - 1) * (sum_{v ~ u} d_v - d_u)``, a
+      pass over the degrees with no product, minus the labeled triangles;
     - every other pattern goes through backtracking over neighbour sets,
       which counts the placements of isolated pattern vertices in closed
       form instead of walking them.
 
-    The three matrix routes share one sparse codegree pass in row blocks.
+    The matrix routes orient each edge towards its end of higher (degree,
+    index) rank and multiply sparse int32 matrices in row blocks, so each
+    computes only the sum its pattern needs and each product walks fewer
+    2-paths than ``A @ A``.
     Backtracking (``_count_backtracking``) is the reference the other routes
     agree with.  Caps (see :func:`check_countable`): patterns have at most
     ``COUNT_MAX_PATTERN_VERTICES`` vertices; hosts have n <=
@@ -193,15 +249,13 @@ def count_labeled_copies(graph: SampledGraph, pattern: PatternGraph) -> int:
     disconnected patterns.
     """
     check_countable(pattern, graph.n)
-    route = _route(pattern) or "generic"
+    route = _route(pattern)
     if route == "star":
         return _count_star(graph, pattern.vertex_count - 1)
-    if route == "generic":
+    if route is None:
         return _count_backtracking(graph, pattern)
-    closed, squares, paths = _codegree_sums(graph)
-    # a 3-edge path is an ordered edge (b, c) plus an end at each side; the
-    # ends coincide exactly on a triangle through b and c
-    return {"triangle": closed, "cycle4": squares, "path3": paths - closed}[route]
+    kernels = {"triangle": _count_triangle, "cycle4": _count_cycle4, "path3": _count_path3}
+    return kernels[route](graph)
 
 
 def neighbor_hamming_histogram(graph: SampledGraph, u: int) -> np.ndarray:

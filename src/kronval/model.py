@@ -127,10 +127,20 @@ def _pack_digits(digits: np.ndarray, lsb_first: bool) -> np.ndarray:
     words = digits.view("<u8")
     words &= _DIGIT_BITS
     words *= _GATHER[lsb_first]
-    top = digits[..., 7::8]  # the top byte of each word
-    packed = np.zeros(digits.shape[:-1] + (8,), dtype=np.uint8)
-    packed[..., : top.shape[-1]] = top if lsb_first else top[..., ::-1]
-    return packed.view("<i8")[..., 0]
+    top = digits[..., 7::8]  # the top byte of each word, k per value
+    k = top.shape[-1]
+    # The top bytes in one flat run; each value is the unaligned word at
+    # stride k that starts at its first byte (little-endian) or ends at its
+    # last (big-endian), masked to its own k bytes.  The 8 - k bytes of zero
+    # padding keep the last (first) word inside the run.
+    flat = np.zeros(top.size + 8 - k, dtype=np.uint8)
+    start = 0 if lsb_first else 8 - k
+    flat[start : start + top.size].reshape(top.shape)[...] = top
+    values = np.ndarray(
+        (top.size // k,), dtype="<u8" if lsb_first else ">u8", buffer=flat, strides=(k,)
+    )
+    values = values & np.uint64((1 << 8 * k) - 1)
+    return values.view(np.int64).reshape(top.shape[:-1])
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:

@@ -101,6 +101,33 @@ def _mean_degrees(params: KroneckerParams) -> tuple[np.ndarray, np.ndarray]:
     return log_lam, lam
 
 
+# Degrees whose expected counts one (degree, weight) pass computes together;
+# the pass holds _DEGREE_CHUNK * (n + 1) doubles, 12.8 MB at n = TABLE_MAX.
+_DEGREE_CHUNK = 16
+
+
+@functools.lru_cache(maxsize=8)
+def _degree_counts(params: KroneckerParams, first: int) -> np.ndarray:
+    """Expected counts of the degrees first .. first + _DEGREE_CHUNK - 1
+    (read-only), in one 2-D pass over (degree, weight).
+
+    Each row's terms are formed in the same order, and summed along the
+    contiguous weight axis in the same pairwise order, as a pass for its
+    degree alone, so every count is the same double.
+    """
+    log_lam, lam = _mean_degrees(params)
+    degrees = range(first, first + _DEGREE_CHUNK)
+    with np.errstate(over="ignore"):  # a count past the float range is refused by the caller
+        terms = np.multiply.outer(np.array(degrees, dtype=float), log_lam)
+        terms += _log_binomials(params.n)
+        terms -= lam
+        terms -= np.array([[math.lgamma(d + 1)] for d in degrees])
+        np.exp(terms, out=terms)
+        counts = terms.sum(axis=1)
+    counts.flags.writeable = False
+    return counts
+
+
 def expected_degree_count(params: KroneckerParams, d: int) -> float:
     """Expected number of vertices of degree d under the Poisson mixture.
 
@@ -108,14 +135,13 @@ def expected_degree_count(params: KroneckerParams, d: int) -> float:
     is the mean degree at weight w.  Terms are assembled in log space so
     large n and large d stay stable; the full range w = 0..n is kept (the
     neglected tail is vanishing, and the full sum is what simulation sees).
+    Counts are computed ``_DEGREE_CHUNK`` degrees at a time and cached per
+    parameters, so a table over d = 0..d-max makes one pass per chunk.
     """
     if d < 0:
         raise ParameterError(f"degree must be >= 0, got {d}")
-    log_lam, lam = _mean_degrees(params)
-    log_choose = _log_binomials(params.n)
-    with np.errstate(over="ignore"):  # a count past the float range is refused below
-        exponent = log_choose + d * log_lam - lam - math.lgamma(d + 1)
-        count = float(np.exp(exponent).sum())
+    offset = d % _DEGREE_CHUNK
+    count = float(_degree_counts(params, d - offset)[offset])
     if math.isinf(count):
         raise ParameterError(
             f"the expected count of degree-{d} vertices is beyond the float range"

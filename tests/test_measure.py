@@ -48,6 +48,28 @@ def complete_graph(params, vertices):
     return SampledGraph.from_pairs(params, pairs)
 
 
+def ring(vertices):
+    return list(zip(vertices, vertices[1:] + vertices[:1]))
+
+
+# Hosts on Z_2^5 where the kernels' (degree, index) order decides which
+# vertex a copy is counted at: hubs above low-degree leaves (the wheel's hub
+# has the lowest index and the highest degree), every degree tied, mostly
+# isolated vertices, and loops on the hubs and leaves alike.
+ORDER_HOSTS = {
+    "star": [(0, v) for v in range(1, 20)],
+    "k2m": [(hub, v) for hub in (3, 30) for v in range(5, 25)],
+    "hub-ring": [(0, v) for v in range(1, 13)] + ring(list(range(1, 13))),
+    "cycle": ring(list(range(32))),
+    "k8": [(u, v) for u in range(8) for v in range(u + 1, 8)],
+    "isolated": [(2, 9), (9, 17), (17, 2), (20, 21), (21, 22), (22, 23), (23, 20), (23, 29)],
+    "loops": [(v, v) for v in range(0, 32, 3)]
+    + [(0, v) for v in range(1, 9)]
+    + ring(list(range(4, 12)))
+    + [(1, 2), (2, 3)],
+}
+
+
 class TestCountLabeledCopies:
     def test_single_edge_counts_orientations(self):
         p = KroneckerParams(0.6, 0.4, 0.3, 4)
@@ -112,6 +134,27 @@ class TestCountLabeledCopies:
         wide = [count_labeled_copies(g, pattern) for pattern in patterns]
         monkeypatch.setattr(kronval.measure, "_WEDGE_BLOCK", 1)
         assert [count_labeled_copies(g, pattern) for pattern in patterns] == wide
+
+    @pytest.mark.parametrize("block", [1, kronval.measure._WEDGE_BLOCK])
+    @pytest.mark.parametrize("host", sorted(ORDER_HOSTS))
+    def test_kernels_match_backtracking_where_degree_order_matters(
+        self, monkeypatch, host, block
+    ):
+        monkeypatch.setattr(kronval.measure, "_WEDGE_BLOCK", block)
+        g = SampledGraph.from_pairs(KroneckerParams(0.6, 0.4, 0.3, 5), ORDER_HOSTS[host])
+        for pattern in (star(2), cycle(3), cycle(4), path(3)):
+            assert count_labeled_copies(g, pattern) == _count_backtracking(g, pattern)
+
+    def test_cycle4_widens_past_int32(self):
+        # K_{2,m} on Z_2^16: the hub pair shares m leaves, and
+        # m (m - 1) = 2,147,534,622 passes 2^31 - 1
+        p = KroneckerParams(0.6, 0.4, 0.3, 16)
+        m = 46_342
+        assert m * (m - 1) > 2**31 - 1
+        leaves = np.arange(1, m + 1)
+        hubs = np.repeat([0, (1 << 16) - 1], m)
+        g = SampledGraph.from_pairs(p, hubs, np.tile(leaves, 2))
+        assert count_labeled_copies(g, cycle(4)) == 4 * m * (m - 1)
 
     def test_kernel_routes_build_no_neighbor_sets(self):
         p = KroneckerParams(0.7, 0.5, 0.7, 8)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -114,6 +115,29 @@ class TestExpectedDegreeCount:
         p = KroneckerParams(0.7, 0.3, 0.3, 10)
         total = sum(expected_degree_count(p, d) for d in range(60))
         assert total == pytest.approx(2**10, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "entries,n",
+        [((0.75, 0.4, 0.3), 12), ((0.75, 0.4, 0.3), 300), ((0.55, 0.5, 0.5), 5000)]
+        + [((0.5, 0.5, 0.5), 2000)],  # every count beyond the float range
+    )
+    def test_chunked_counts_equal_one_degree_passes(self, entries, n):
+        # the (degree, weight) pass must give each degree the double that a
+        # pass for that degree alone gives, or refuse the same degrees:
+        # reports pin these bytes
+        from kronval.predict import _log_binomials, _mean_degrees
+
+        p = KroneckerParams(*entries, n)
+        log_lam, lam = _mean_degrees(p)
+        for d in range(40):
+            with np.errstate(over="ignore"):
+                terms = _log_binomials(n) + d * log_lam - lam - math.lgamma(d + 1)
+                single = float(np.exp(terms).sum())
+            if math.isinf(single):
+                with pytest.raises(ParameterError, match="float range"):
+                    expected_degree_count(p, d)
+            else:
+                assert expected_degree_count(p, d) == single
 
     def test_stable_for_large_n_and_d(self):
         p = KroneckerParams(0.9, 0.8, 0.9, 200)
