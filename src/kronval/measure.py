@@ -84,8 +84,9 @@ def _csr(rows, cols, size: int):
 
 
 def _ranked_edges(graph: SampledGraph):
-    """(rank, low, high): each vertex's key under the order (loop-free
-    degree, index), and each edge's lower- and higher-ranked end.
+    """(deg, rank, low, high): the loop-free degrees, each vertex's key under
+    the order (loop-free degree, index), and each edge's lower- and
+    higher-ranked end.
 
     Orienting edges upwards in this order (Chiba and Nishizeki 1985) bounds
     the 2-paths that climb through each vertex.
@@ -95,7 +96,7 @@ def _ranked_edges(graph: SampledGraph):
     rank += np.arange(graph.vertex_count)
     u, v = graph.edges[:, 0], graph.edges[:, 1]
     up = rank[u] < rank[v]
-    return rank, np.where(up, u, v), np.where(up, v, u)
+    return deg, rank, np.where(up, u, v), np.where(up, v, u)
 
 
 def _row_blocks(left, right):
@@ -108,11 +109,12 @@ def _row_blocks(left, right):
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _count_triangle(graph: SampledGraph) -> int:
+def _count_triangle(graph: SampledGraph, ranked=None) -> int:
     """Labeled triangles, 6 per triangle: ``sum((U @ U) * U)`` with U the
     upward-oriented adjacency counts each triangle once, from its lowest
-    vertex through its middle one to its highest."""
-    _, low, high = _ranked_edges(graph)
+    vertex through its middle one to its highest.  ``ranked`` is the
+    graph's ``_ranked_edges``, if the caller already has them."""
+    _, _, low, high = ranked or _ranked_edges(graph)
     upper = _csr(low, high, graph.vertex_count)
     closed = 0
     for rows in _row_blocks(upper, upper):
@@ -131,10 +133,9 @@ def _count_cycle4(graph: SampledGraph) -> int:
     closes a 4-cycle u v w v' whose diagonal is uw.  Summed, that is twice
     the 4-cycles.  The products hold int32 counts, widened before c * (c - 1).
     """
-    rank, low, high = _ranked_edges(graph)
-    size = graph.vertex_count
-    lower = _csr(high, low, size)
-    adj = _csr(np.concatenate([low, high]), np.concatenate([high, low]), size)
+    _, rank, low, high = _ranked_edges(graph)
+    lower = _csr(high, low, graph.vertex_count)
+    adj = (lower + lower.T).tocsr()
     squares = 0
     for rows in _row_blocks(lower, adj):
         codeg = lower[rows] @ adj
@@ -154,10 +155,11 @@ def _count_path3(graph: SampledGraph) -> int:
     cap (n <= 16) each d_u d_v is below 2^32 and there are fewer than 2^31
     edges, so the int64 sum is exact.
     """
-    deg = graph.degrees(count_loops=False)
+    ranked = _ranked_edges(graph)
+    deg = ranked[0]
     ends = deg[graph.edges]
     walks = 2 * int(np.dot(ends[:, 0], ends[:, 1])) - int(np.dot(deg, 2 * deg - 1))
-    return walks - _count_triangle(graph)
+    return walks - _count_triangle(graph, ranked)
 
 
 def _count_backtracking(graph: SampledGraph, pattern: PatternGraph) -> int:

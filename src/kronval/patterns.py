@@ -440,45 +440,20 @@ def _isomorphic(g, h) -> bool:
     return next(_isomorphisms(g, h), None) is not None
 
 
-def _generators(group) -> list:
-    """A generating set of a permutation group listed in full: each element
-    joins unless the elements chosen so far already generate it."""
-    generators = []
-    generated = {tuple(range(len(group[0])))}
-    for element in group:
-        if element in generated:
-            continue
-        generators.append(element)
-        frontier = list(generated)
-        while frontier:
-            product = frontier.pop()
-            for g in generators:
-                composed = tuple(g[x] for x in product)
-                if composed not in generated:
-                    generated.add(composed)
-                    frontier.append(composed)
-    return generators
-
-
-def _cover_orbit(covered: set, placement: tuple, generators, least: dict) -> None:
+def _cover_orbit(covered: set, placement: tuple, automorphisms, least: dict) -> None:
     """Add a placement's orbit to ``covered`` as (shared, least targets) keys.
 
-    Aut(G) acting on the first copy permutes the targets, which ``least``
-    already reduces; the closure applies the generators to the shared
-    vertices (the second copy) and swaps the copies (psi -> psi^-1).
+    The orbit of psi under Aut(G) x Aut(G) and the swap is tau psi sigma and
+    tau psi^-1 sigma over every tau, sigma in Aut(G).  ``least`` reduces the
+    targets, which absorbs tau, so the keys are those of psi sigma and
+    psi^-1 sigma for each sigma in ``automorphisms``, which lists all of
+    Aut(G): 2 |Aut(G)| of them, with repeats.
     """
-    covered.add(placement)
-    stack = [placement]
-    while stack:
-        shared, targets = stack.pop()
-        moved = [zip(map(sigma.__getitem__, shared), targets) for sigma in generators]
-        moved.append(zip(targets, shared))
-        for pairs in moved:
-            moved_shared, moved_targets = zip(*sorted(pairs))
-            key = (moved_shared, least[moved_targets])
-            if key not in covered:
-                covered.add(key)
-                stack.append(key)
+    shared, targets = placement
+    for second, first in ((shared, targets), (targets, shared)):
+        for sigma in automorphisms:
+            moved_shared, moved_targets = zip(*sorted(zip(map(sigma.__getitem__, second), first)))
+            covered.add((moved_shared, least[moved_targets]))
 
 
 @functools.lru_cache(maxsize=128)
@@ -497,13 +472,13 @@ def enumerate_pair_unions(pattern: PatternGraph) -> tuple:
     placement tau psi sigma has a union isomorphic to psi's (tau relabels the
     first copy, sigma the second), and so has psi^-1 (the copies swap roles).
     A union is built only for the first placement of each orbit of that
-    group; the orbit is then marked, closed under a generating set of
-    Aut(G) acting on the second copy and the swap, with each target tuple
-    reduced to its least Aut(G) image (the one the walk meets first, so
-    other target tuples are never visited).  Every isomorphism class is a
-    union of orbits, so the first placement of a class is the first of its
-    orbit: the representatives and their ``map_b`` are those of a walk over
-    every placement.  Unions are adjacency masks, the form a
+    group; the orbit is then marked as the keys of psi sigma and psi^-1
+    sigma for each sigma in Aut(G), with each target tuple reduced to its
+    least Aut(G) image (the one the walk meets first, so other target
+    tuples are never visited).  Every isomorphism class is a union of
+    orbits, so the first placement of a class is the first of its orbit:
+    the representatives and their ``map_b`` are those of a walk over every
+    placement.  Unions are adjacency masks, the form a
     ``PatternGraph`` stores: the bucket key and the isomorphism test read
     them, and a kept representative wraps them as they are.  Results are
     cached; they do not depend on any model parameters.
@@ -515,7 +490,6 @@ def enumerate_pair_unions(pattern: PatternGraph) -> tuple:
         )
     masks, e = pattern.masks, pattern.edge_count
     automorphisms = list(_isomorphisms(masks, masks))
-    generators = _generators(automorphisms)
     found = {}  # bucket key -> [UnionPattern]
     for shared_count in range(2, v + 1):
         least = {}  # target tuple -> its least image under Aut(G)
@@ -540,7 +514,7 @@ def enumerate_pair_unions(pattern: PatternGraph) -> tuple:
                 overlap = sum(masks[targets[i]] >> targets[j] & 1 for i, j in inner)
                 if not 0 < overlap < e:
                     continue
-                _cover_orbit(covered, (shared, targets), generators, least)
+                _cover_orbit(covered, (shared, targets), automorphisms, least)
                 image = dict(zip(shared, targets))
                 fresh = iter(range(v, 2 * v - shared_count))
                 map_b = tuple(image[w] if w in image else next(fresh) for w in range(v))

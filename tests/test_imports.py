@@ -80,3 +80,54 @@ def test_a_marked_name_that_is_read_is_a_fault(tmp_path):
         "print(sep, json)\n"
     )
     assert _import_faults(module) == [(1, "sep")]
+
+
+def _scipy_import_sites(path: Path) -> list:
+    """``module.function`` of each import of scipy or one of its submodules
+    in the file, by the innermost function or class around it."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                modules = [child.module or ""]
+            else:
+                modules = []
+            if any(module.split(".")[0] == "scipy" for module in modules):
+                sites.append(".".join([path.stem, *scope]))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    return sites
+
+
+def test_scipy_is_imported_only_in_measure_csr():
+    # One lazy import site keeps scipy off every path that does not count,
+    # and leaves one line to change should it become an optional extra.
+    modules = sorted(Path(kronval.__file__).parent.glob("*.py"))
+    sites = [site for path in modules for site in _scipy_import_sites(path)]
+    assert sites == ["measure._csr"]
+
+
+def test_scipy_import_sites_name_their_scope(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import scipy.special\n"
+        "def outer():\n"
+        "    if True:\n"
+        "        from scipy import sparse\n"
+        "    def inner():\n"
+        "        import scipy as sp, json\n"
+        "class Holder:\n"
+        "    def method(self):\n"
+        "        from scipy.optimize import brentq\n"
+        "        from scipyx import thing\n"
+    )
+    assert _scipy_import_sites(module) == [
+        "module", "module.outer", "module.outer.inner", "module.Holder.method"
+    ]

@@ -165,6 +165,21 @@ class TestCountLabeledCopies:
         count_labeled_copies(g, cycle(5))
         assert "neighbor_sets" in g.__dict__
 
+    @pytest.mark.parametrize("pattern", [cycle(3), cycle(4), path(3)], ids=["C3", "C4", "P3"])
+    def test_kernel_routes_take_one_degree_pass(self, monkeypatch, pattern):
+        g = generate_stratified(KroneckerParams(0.7, 0.5, 0.7, 8), seed=SeedSpec(7))
+        expected = _count_backtracking(g, pattern)
+        calls = []
+        degrees = SampledGraph.degrees
+
+        def counted(graph, *args, **kwargs):
+            calls.append(graph)
+            return degrees(graph, *args, **kwargs)
+
+        monkeypatch.setattr(SampledGraph, "degrees", counted)
+        assert count_labeled_copies(g, pattern) == expected
+        assert len(calls) == 1
+
     def test_kernel_count_beyond_backtracking_cap(self):
         # K_{2,m} on Z_2^15: C4 has 8 automorphisms and K_{2,m} holds
         # binom(m, 2) of them, so 4 m (m - 1) labeled copies

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import kronval.patterns
 from kronval import (
     CapacityError,
     KroneckerParams,
@@ -688,6 +689,80 @@ def bucket_pairs(draw):
         if len({a, b, c, d}) == 4 and not swapped & h_edges:
             h_edges = h_edges - {(a, b), (c, d)} | swapped
     return g, PatternGraph.from_edges(v, h_edges)
+
+
+def _brute_automorphisms(pattern):
+    """Every vertex permutation that maps the pattern's edge set onto itself."""
+    edges = set(pattern.edge_list)
+    return [
+        image
+        for image in itertools.permutations(range(pattern.vertex_count))
+        if {tuple(sorted((image[a], image[b]))) for a, b in edges} == edges
+    ]
+
+
+def _brute_orbit(placement, automorphisms):
+    """A placement's orbit under Aut(G) x Aut(G) and the swap of the two
+    copies; a placement is its frozenset of (second, first) vertex pairs."""
+    return {
+        frozenset(pairs)
+        for sigma in automorphisms
+        for tau in automorphisms
+        for pairs in (
+            ((sigma[s], tau[t]) for s, t in placement),
+            ((sigma[t], tau[s]) for s, t in placement),
+        )
+    }
+
+
+def _overlapping_placements(pattern):
+    """Every placement, as its frozenset of (second, first) vertex pairs,
+    whose second copy shares some but not all of the first copy's edges."""
+    v, first = pattern.vertex_count, set(pattern.edge_list)
+    found = set()
+    for shared_count in range(2, v + 1):
+        for shared in itertools.combinations(range(v), shared_count):
+            for targets in itertools.permutations(range(v), shared_count):
+                image = dict(zip(shared, targets))
+                overlap = sum(
+                    a in image and b in image and tuple(sorted((image[a], image[b]))) in first
+                    for a, b in pattern.edge_list
+                )
+                if 0 < overlap < len(first):
+                    found.add(frozenset(image.items()))
+    return found
+
+
+class TestPlacementOrbits:
+    @pytest.mark.parametrize("name", [name for name in sorted(ATLAS_2_TO_5) if name != "cycle:6"])
+    def test_marked_orbits_are_the_brute_force_orbits(self, monkeypatch, name):
+        pattern = ATLAS_2_TO_5[name]
+        cover = kronval.patterns._cover_orbit
+        orbits = []  # (first placement, its marked orbit over every target tuple)
+
+        def spy(covered, placement, automorphisms, least):
+            orbit = set()
+            cover(orbit, placement, automorphisms, least)
+            covered |= orbit
+            tuples_of = collections.defaultdict(list)  # least targets -> its Aut(G) class
+            for targets, first in least.items():
+                tuples_of[first].append(targets)
+            expanded = {
+                frozenset(zip(shared, targets))
+                for shared, first in orbit
+                for targets in tuples_of[first]
+            }
+            orbits.append((frozenset(zip(*placement)), expanded))
+
+        monkeypatch.setattr(kronval.patterns, "_cover_orbit", spy)
+        enumerate_pair_unions.__wrapped__(pattern)
+        automorphisms = _brute_automorphisms(pattern)
+        marked = set()
+        for placement, orbit in orbits:
+            assert orbit == _brute_orbit(placement, automorphisms)
+            assert not orbit & marked
+            marked |= orbit
+        assert marked == _overlapping_placements(pattern)
 
 
 class TestIsomorphism:
