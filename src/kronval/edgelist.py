@@ -102,6 +102,8 @@ def _parse_header(line: bytes) -> tuple[KroneckerParams, bool]:
         key, sep, value = item.partition("=")
         if not sep:
             raise ParameterError(f"header field {item!r} is not key=value")
+        if key in values:
+            raise ParameterError(f"header field {key!r} is repeated")
         values[key] = value
     try:
         params = KroneckerParams(

@@ -17,10 +17,12 @@ COUNT_MAX_PATTERN_VERTICES = 5
 # Backtracking walks Python neighbour sets; the kernel routes (stars,
 # triangles, 4-cycles, 3-edge paths) are array passes and reach further.
 COUNT_MAX_N = 14
+# The kernels pack two vertex ranks into a uint32 key and sort degrees as
+# uint16, so the cap holds until both are widened.
 KERNEL_COUNT_MAX_N = 16
 DISCONNECTED_COUNT_MAX_N = 10
-# Row blocks of the oriented products hold about this many wedges (2-paths),
-# so each block product stays small whatever the degree sequence.
+# Each kernel holds about this many 2-paths (wedges) at a time, so its memory
+# stays bounded whatever the degree sequence.
 _WEDGE_BLOCK = 1 << 16
 
 
@@ -71,78 +73,121 @@ def _count_star(graph: SampledGraph, k: int) -> int:
     return sum(c * math.perm(d, k) for d, c in enumerate(counts) if c)
 
 
-def _csr(rows, cols, size: int):
-    """The size x size 0/1 int32 CSR matrix with ones at (rows[i], cols[i]).
-
-    scipy's sparse module is imported here, its only user, so that commands
-    that do not count never load it.
-    """
-    from scipy import sparse
-
-    ones = np.ones(len(rows), dtype=np.int32)
-    return sparse.csr_matrix((ones, (rows, cols)), shape=(size, size))
-
-
-def _ranked_edges(graph: SampledGraph):
-    """(deg, rank, low, high): the loop-free degrees, each vertex's key under
-    the order (loop-free degree, index), and each edge's lower- and
-    higher-ranked end.
+def _ranked_keys(graph: SampledGraph):
+    """(deg, up): the loop-free degrees, and the sorted uint32 keys
+    ``low << n | high`` of the edges, with each vertex relabelled by its rank
+    in the order (loop-free degree, index) and ``low < high``.
 
     Orienting edges upwards in this order (Chiba and Nishizeki 1985) bounds
-    the 2-paths that climb through each vertex.
+    the 2-paths that climb through each vertex.  At n <= 16
+    (``KERNEL_COUNT_MAX_N``) a loop-free degree fits uint16, whose stable
+    sort is a radix sort, and a key fits uint32.
     """
+    n = graph.n
     deg = graph.degrees(count_loops=False)
-    rank = deg * graph.vertex_count
-    rank += np.arange(graph.vertex_count)
-    u, v = graph.edges[:, 0], graph.edges[:, 1]
-    up = rank[u] < rank[v]
-    return deg, rank, np.where(up, u, v), np.where(up, v, u)
+    rank = np.empty(graph.vertex_count, dtype=np.uint32)
+    rank[np.argsort(deg.astype(np.uint16), kind="stable")] = np.arange(
+        graph.vertex_count, dtype=np.uint32
+    )
+    ends = rank[graph.edges]
+    # np.minimum of the two columns: ends.min(axis=1) is some 40 times slower
+    up = np.minimum(ends[:, 0], ends[:, 1])
+    up <<= n
+    up |= np.maximum(ends[:, 0], ends[:, 1])
+    up.sort()
+    return deg, up
 
 
-def _row_blocks(left, right):
-    """Row slices of ``left @ right`` with about ``_WEDGE_BLOCK`` 2-paths
-    each, so every block product stays small whatever the degrees."""
-    wedges = left @ np.diff(right.indptr).astype(np.int64)
-    before = np.cumsum(wedges) - wedges
-    cuts = np.flatnonzero(np.diff(before // _WEDGE_BLOCK)) + 1
-    bounds = [0, *cuts.tolist(), left.shape[0]]
-    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+def _ranges(starts, lengths):
+    """The index ranges ``starts[i], ..., starts[i] + lengths[i] - 1``,
+    concatenated."""
+    ends = np.cumsum(lengths)
+    index = np.repeat(starts - ends + lengths, lengths)
+    index += np.arange(len(index))
+    return index
+
+
+def _blocks(group, wedges):
+    """(lo, hi) slices of edges sorted by ``group``, each edge leading
+    ``wedges`` 2-paths, that hold about ``_WEDGE_BLOCK`` 2-paths apiece.
+    Cuts fall only where the group changes, so no group is split."""
+    first = np.flatnonzero(group[1:] != group[:-1]) + 1
+    block = (np.cumsum(wedges) - wedges)[first] // _WEDGE_BLOCK
+    cuts = first[np.flatnonzero(np.diff(block, prepend=0))].tolist()
+    bounds = [0, *cuts, len(group)]
+    return zip(bounds[:-1], bounds[1:])
+
+
+def _equal_pairs(keys) -> int:
+    """Ordered pairs of equal entries in the sorted ``keys``: the sum of
+    c (c - 1) over runs of c equal keys.  A run of c shows as c - 1
+    consecutive positions where a key equals the one before it."""
+    same = np.flatnonzero(keys[1:] == keys[:-1])
+    breaks = np.flatnonzero(np.diff(same) != 1) + 1
+    tails = np.diff(np.concatenate(([0], breaks, [len(same)])))  # c - 1 per run
+    return int(np.dot(tails, tails + 1))
 
 
 def _count_triangle(graph: SampledGraph, ranked=None) -> int:
-    """Labeled triangles, 6 per triangle: ``sum((U @ U) * U)`` with U the
-    upward-oriented adjacency counts each triangle once, from its lowest
-    vertex through its middle one to its highest.  ``ranked`` is the
-    graph's ``_ranked_edges``, if the caller already has them."""
-    _, _, low, high = ranked or _ranked_edges(graph)
-    upper = _csr(low, high, graph.vertex_count)
-    closed = 0
-    for rows in _row_blocks(upper, upper):
-        block = upper[rows]
-        closed += int(block.multiply(block @ upper).sum(dtype=np.int64))
-    return 6 * closed
+    """Labeled triangles, 6 per triangle, each found once as a 2-path
+    a -> b -> c up the rank order that the edge a -> c closes.
+
+    Per block of lowest vertices a, the 2-path keys ``a << n | c`` are
+    sorted and the block's edge keys, which are distinct, merged in: each
+    closed 2-path then adds two ordered equal pairs and nothing else does.
+    ``ranked`` is the graph's ``_ranked_keys``, if the caller already has
+    them."""
+    n = graph.n
+    _, up = ranked or _ranked_keys(graph)
+    low = up >> n
+    high = up & ((1 << n) - 1)
+    out = np.bincount(low, minlength=graph.vertex_count)
+    wedges = out[high]
+    starts = (np.cumsum(out) - out)[high]
+    added = 0
+    for lo, hi in _blocks(low, wedges):
+        paths = np.repeat(up[lo:hi] - high[lo:hi], wedges[lo:hi])
+        paths |= high[_ranges(starts[lo:hi], wedges[lo:hi])]
+        paths.sort()
+        merged = np.concatenate((up[lo:hi], paths))
+        merged.sort()
+        added += _equal_pairs(merged) - _equal_pairs(paths)
+    return 3 * added  # 2 added pairs and 6 labeled copies per triangle
 
 
 def _count_cycle4(graph: SampledGraph) -> int:
     """Labeled 4-cycles, 8 per 4-cycle, each counted once at its
     highest-ranked vertex u.
 
-    The entry c of ``L @ A`` at (u, w), with L the downward-oriented
-    adjacency, counts the common neighbours of u and w ranked below u; for
-    w also below u, c * (c - 1) is the ordered pairs of them, and each
-    closes a 4-cycle u v w v' whose diagonal is uw.  Summed, that is twice
-    the 4-cycles.  The products hold int32 counts, widened before c * (c - 1).
+    In the sorted keys of both edge directions, v's row lists its
+    neighbours in rank order, so for an edge v - u with v below u, the
+    neighbours w of v ranked below u are a prefix of that row.  Per block of
+    top vertices u, the keys ``u << n | w`` are sorted.  A run of c equal
+    keys is c common neighbours of u and w below u, and each of its
+    c * (c - 1) ordered pairs (v, v') closes a 4-cycle u v w v' whose
+    diagonal is uw.  Summed, that is twice the 4-cycles.
     """
-    _, rank, low, high = _ranked_edges(graph)
-    lower = _csr(high, low, graph.vertex_count)
-    adj = (lower + lower.T).tocsr()
+    n = graph.n
+    deg, up = _ranked_keys(graph)
+    low = up >> n
+    high = up & ((1 << n) - 1)
+    both = np.concatenate((up, high << n | low))
+    both.sort()
+    row_deg = np.sort(deg)  # the degrees in rank order
+    out = np.bincount(low, minlength=graph.vertex_count)
+    # v's row holds its deg - out lower neighbours, then its up-edges in key
+    # order; edge i, v -> u, is up-edge i - (cumsum(out) - out)[v] of v
+    below = np.arange(len(up)) + (row_deg - np.cumsum(out))[low]
+    by_top = np.argsort(high.astype(np.uint16), kind="stable")
+    top = high[by_top]
+    below = below[by_top]
+    starts = (np.cumsum(row_deg) - row_deg)[low[by_top]]
     squares = 0
-    for rows in _row_blocks(lower, adj):
-        codeg = lower[rows] @ adj
-        shared = np.flatnonzero(codeg.data > 1)  # c * (c - 1) vanishes elsewhere
-        u = rows.start + np.searchsorted(codeg.indptr, shared, side="right") - 1
-        c = codeg.data[shared[rank[codeg.indices[shared]] < rank[u]]].astype(np.int64)
-        squares += int((c * (c - 1)).sum())
+    for lo, hi in _blocks(top, below):
+        pairs = np.repeat(top[lo:hi] << n, below[lo:hi])
+        pairs |= both[_ranges(starts[lo:hi], below[lo:hi])] & ((1 << n) - 1)
+        pairs.sort()
+        squares += _equal_pairs(pairs)
     return 4 * squares
 
 
@@ -155,7 +200,7 @@ def _count_path3(graph: SampledGraph) -> int:
     cap (n <= 16) each d_u d_v is below 2^32 and there are fewer than 2^31
     edges, so the int64 sum is exact.
     """
-    ranked = _ranked_edges(graph)
+    ranked = _ranked_keys(graph)
     deg = ranked[0]
     ends = deg[graph.edges]
     walks = 2 * int(np.dot(ends[:, 0], ends[:, 1])) - int(np.dot(deg, 2 * deg - 1))
@@ -227,26 +272,27 @@ def count_labeled_copies(graph: SampledGraph, pattern: PatternGraph) -> int:
 
     - a star K_{1,k} (``star:k``, ``path:2``, a single edge) is the sum of
       falling factorials d!/(d-k)! over the degree sequence;
-    - a triangle is ``6 * sum((U @ U) * U)`` over the upward-oriented
-      adjacency U, counting each triangle once at its lowest vertex;
-    - a 4-cycle is ``4 * sum(c * (c - 1))`` over the entries c of
-      ``L @ A`` below the diagonal in rank order, with L the
-      downward-oriented adjacency, counting each 4-cycle once at its
-      highest vertex;
+    - a triangle is 6 times the 2-paths a -> b -> c up the rank order that
+      an edge a -> c closes, counting each triangle once at its lowest
+      vertex;
+    - a 4-cycle is ``4 * sum(c * (c - 1))`` over the runs of c equal keys
+      ``u << n | w`` of the 2-paths u - v - w with v and w below u in rank
+      order, counting each 4-cycle once at its highest vertex;
     - a 3-edge path is ``sum_u (d_u - 1) * (sum_{v ~ u} d_v - d_u)``, a
-      pass over the degrees with no product, minus the labeled triangles;
+      pass over the degrees, minus the labeled triangles;
     - every other pattern goes through backtracking over neighbour sets,
       which counts the placements of isolated pattern vertices in closed
       form instead of walking them.
 
-    The matrix routes orient each edge towards its end of higher (degree,
-    index) rank and multiply sparse int32 matrices in row blocks, so each
-    computes only the sum its pattern needs and each product walks fewer
-    2-paths than ``A @ A``.
+    The kernel routes relabel each vertex by its (degree, index) rank and
+    read the edges as sorted uint32 keys ``low << n | high``.  They walk
+    only the 2-paths that their orientation admits, fewer than ``A @ A``
+    holds, in blocks of about ``_WEDGE_BLOCK`` 2-paths that never split
+    one vertex's 2-paths, and match them by sorting keys.
     Backtracking (``_count_backtracking``) is the reference the other routes
     agree with.  Caps (see :func:`check_countable`): patterns have at most
     ``COUNT_MAX_PATTERN_VERTICES`` vertices; hosts have n <=
-    ``KERNEL_COUNT_MAX_N`` on the star and matrix routes, n <= ``COUNT_MAX_N``
+    ``KERNEL_COUNT_MAX_N`` on the star and kernel routes, n <= ``COUNT_MAX_N``
     under backtracking, and n <= ``DISCONNECTED_COUNT_MAX_N`` for
     disconnected patterns.
     """

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from kronval import KroneckerParams, ParameterError, SampledGraph, read_edgelist, write_edgelist
 from kronval import edgelist
+from kronval.cli import main
 
 from conftest import traced_peak
 
@@ -107,3 +108,21 @@ def test_a_block_allocates_no_more_than_the_byte_mask_reader(n):
     (got_u, got_v), peak = traced_peak(lambda: edgelist._parse_rows(block, n, 2))
     assert np.array_equal(got_u, u) and np.array_equal(got_v, v)
     assert peak <= _PARSE_PEAK_PER_ROW[n] * rows
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "kron n=3 alpha=0.6 beta=0.5 gamma=0.6 loops=1 n=4\n0000 0001\n",
+        "kron n=3 alpha=0.6 beta=0.5 gamma=0.6 loops=0 loops=1\n000 000\n",
+    ],
+    ids=["n", "loops"],
+)
+def test_a_repeated_header_field_exits_2(tmp_path, capsys, text):
+    # each body fits the field's later value, which used to win silently
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    with pytest.raises(ParameterError, match="repeated"):
+        read_edgelist(path)
+    assert main(["measure", "--input", str(path), "--what", "degrees"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,9 +1,10 @@
 """Import hygiene: importing the command-line front end loads numpy and
 kronval and no other third-party package.  Every CLI call pays its imports
-before it does any work, so scipy's solver and sparse modules and networkx
-must stay off this path.  And every name a library module imports is used
-there, or marked as bound for outside readers, and only such a name is
-marked, so that the marks list exactly the names kept for those readers."""
+before it does any work, so scipy and networkx must stay off this path, and
+no kronval module imports scipy at all.  And every name a library module
+imports is used there, or marked as bound for outside readers, and only such
+a name is marked, so that the marks list exactly the names kept for those
+readers."""
 
 import ast
 import json
@@ -106,12 +107,33 @@ def _scipy_import_sites(path: Path) -> list:
     return sites
 
 
-def test_scipy_is_imported_only_in_measure_csr():
-    # One lazy import site keeps scipy off every path that does not count,
-    # and leaves one line to change should it become an optional extra.
+def test_no_kronval_module_imports_scipy():
+    # The counting kernels run on numpy alone, so scipy is a test extra.
     modules = sorted(Path(kronval.__file__).parent.glob("*.py"))
-    sites = [site for path in modules for site in _scipy_import_sites(path)]
-    assert sites == ["measure._csr"]
+    assert [site for path in modules for site in _scipy_import_sites(path)] == []
+
+
+# Counts the three kernel shapes on a small graph and prints the counts and
+# the scipy modules loaded by then.
+COUNT_PROBE = """
+import json, sys
+from kronval import KroneckerParams, SeedSpec, count_labeled_copies, cycle, generate_stratified, path
+graph = generate_stratified(KroneckerParams(0.7, 0.5, 0.7, 8), seed=SeedSpec(1))
+counts = [count_labeled_copies(graph, pattern) for pattern in (cycle(3), cycle(4), path(3))]
+print(json.dumps([counts, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_counting_kernels_load_no_scipy():
+    src = str(Path(kronval.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run(
+        [sys.executable, "-c", COUNT_PROBE], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    counts, loaded = json.loads(child.stdout)
+    assert min(counts) > 0
+    assert loaded == []
 
 
 def test_scipy_import_sites_name_their_scope(tmp_path):

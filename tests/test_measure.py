@@ -29,7 +29,13 @@ from kronval import (
     path,
     star,
 )
-from conftest import falling_factorial, from_networkx, traced_peak
+from conftest import (
+    falling_factorial,
+    from_networkx,
+    sparse_cycle4_count,
+    sparse_triangle_count,
+    traced_peak,
+)
 
 
 def brute_labeled_copies(graph, pattern) -> int:
@@ -179,6 +185,35 @@ class TestCountLabeledCopies:
         monkeypatch.setattr(SampledGraph, "degrees", counted)
         assert count_labeled_copies(g, pattern) == expected
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("host", ["n13", "n16", "k2m"])
+    def test_kernels_match_the_sparse_products(self, stratified_n16, host):
+        # sizes backtracking cannot reach; K_{2,m}'s hub pair shares all m
+        # leaves, past int32 once c (c - 1) is formed
+        if host == "n13":
+            g = generate_stratified(KroneckerParams(0.7, 0.5, 0.7, 13), seed=SeedSpec(1))
+        elif host == "n16":
+            g = stratified_n16
+        else:
+            m = 46_342
+            hubs = np.repeat([0, (1 << 16) - 1], m)
+            g = SampledGraph.from_pairs(
+                KroneckerParams(0.6, 0.4, 0.3, 16), hubs, np.tile(np.arange(1, m + 1), 2)
+            )
+        assert count_labeled_copies(g, cycle(3)) == sparse_triangle_count(g)
+        assert count_labeled_copies(g, cycle(4)) == sparse_cycle4_count(g)
+
+    @pytest.mark.parametrize("pattern", [cycle(3), cycle(4)], ids=["C3", "C4"])
+    def test_wedge_blocks_bound_memory(self, monkeypatch, stratified_n16, pattern):
+        # blocks of 64 2-paths must peak below one unblocked pass over all
+        # of them; the blocked pass runs first, so one-time allocations
+        # would count against it
+        monkeypatch.setattr(kronval.measure, "_WEDGE_BLOCK", 64)
+        count, blocked = traced_peak(lambda: count_labeled_copies(stratified_n16, pattern))
+        monkeypatch.setattr(kronval.measure, "_WEDGE_BLOCK", 1 << 62)
+        whole, unblocked = traced_peak(lambda: count_labeled_copies(stratified_n16, pattern))
+        assert count == whole > 0
+        assert blocked < unblocked
 
     def test_kernel_count_beyond_backtracking_cap(self):
         # K_{2,m} on Z_2^15: C4 has 8 automorphisms and K_{2,m} holds
