@@ -9,6 +9,11 @@ from one stream and every loop class from another.  So switching loops off
 leaves the edges unchanged.  The stratified sampler walks each class by
 geometric gaps, a round of many classes per numpy call, so a small graph
 costs a handful of numpy calls rather than a few per class.
+
+The stratified sampler is one core, _draw_ranks and then the unranking
+passes of _unranked, with two consumers: generate_stratified packs the
+pairs into a sorted graph, and stratified_degrees counts the degrees of a
+batch of trials, whose ranks the core draws together, with no graph built.
 """
 
 from __future__ import annotations
@@ -37,12 +42,13 @@ STRATIFIED_MAX_N = 30
 # measured peak resident bytes per edge.  The ranks are unranked in place
 # into packed pair keys, so the peak is in SampledGraph.from_keys, which
 # holds the keys, a bool per key and the (E, 2) result at once (25 B per
-# edge); the ranks' int16 class index (2 B per edge) is freed before it.
+# edge); the ranks' class index (1-2 B per edge) is freed before it.
 # The rank draws hold the keys and class indices as reserved, and one
-# round of at most _GAP_ROUND steps.  The whole process peaked at 26.4 B
-# per edge at (0.99, 0.99, 0.99), n = 13 (29.5M edges), 26.4 B at
-# (0.001, 0.968, 0.001), n = 27 (28.7M) and 26.2 B at
-# (0.001, 0.9305, 0.001), n = 29 (34.3M), with the interpreter.
+# round of at most _GAP_ROUND steps, about 24 B per step at its peak.
+# The whole process peaked at 26.4 B per edge at (0.99, 0.99, 0.99),
+# n = 13 (29.5M edges), 26.4 B at (0.001, 0.968, 0.001), n = 27 (28.7M)
+# and 26.2 B at (0.001, 0.9305, 0.001), n = 29 (34.3M), with the
+# interpreter.
 GENERATE_MEMORY_CEILING = 3 << 30  # bytes
 STRATIFIED_PEAK_BYTES_PER_EDGE = 28
 DEFAULT_EDGE_BUDGET = GENERATE_MEMORY_CEILING // STRATIFIED_PEAK_BYTES_PER_EDGE
@@ -390,11 +396,14 @@ def _unrank_pairs(
 
 
 def _draw_ranks(
-    params: KroneckerParams, table: _ClassTable, seed: SeedSpec
+    params: KroneckerParams, table: _ClassTable, *seeds: SeedSpec
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """(ranks, int16 class indices, pair count): the ranks every pair class
-    draws from seed.child("class"), then those every loop class draws from
-    seed.child("loop_class").
+    """(ranks, lanes, pair count) of one trial per seed: the ranks every
+    pair class draws, then those every loop class draws, trial t's from
+    seeds[t].child("class") and seeds[t].child("loop_class").  A rank's
+    lane is t * classes + its class, so with one seed the lanes are the
+    class indices; they are unsigned, of the fewest bytes that hold every
+    lane.
 
     Each pair of a class of probability p is an independent Bernoulli(p)
     coin, so a class is walked by geometric gaps (Batagelj and Brandes,
@@ -403,69 +412,114 @@ def _draw_ranks(
     has P(G >= g) = (1 - p)^g, so a step of G + 1 passes G undrawn pairs
     and lands on a drawn one.  From rank -1, the positions below the class
     size are its ranks, distinct and ascending.  Classes of p = 0 draw
-    nothing.  A round draws at most _GAP_ROUND steps in one
-    standard_exponential call: a batch of about mean + 4 sqrt(mean) + 2
-    steps for each class still drawing, in class order, mean being the
-    class's expected ranks past its last one, and at most enough to leave
-    it.  A class whose batch stays inside draws again, from its last rank,
-    in a later round.  Each step is capped at 2 size, and a class keeps its
-    leading positions below its size, which a capped batch that wraps int64
-    past them cannot disturb.  The ranks and class indices go straight into
+    nothing.  A family walks the lanes of every trial together, trial by
+    trial in each round.  In a round each trial draws at most _GAP_ROUND
+    steps in one standard_exponential call on its own stream: a batch of
+    about mean + 4 sqrt(mean) + 2 steps for each of its classes still
+    drawing, in class order, mean being the class's expected ranks past
+    its last one, and at most enough to leave it.  A class whose batch
+    stays inside draws again, from its last rank, in a later round.  So a
+    trial's ranks, their classes and their order do not depend on the
+    other seeds.  Each step is capped at 2 size, and a class keeps its
+    leading positions below its size, which a capped batch that wraps
+    int64 past them cannot disturb.  The ranks and lanes go straight into
     two buffers reserved for the expected count plus a margin, grown only
     if the draws pass it.
     """
-    probs = _class_probabilities(params, table)
+    classes = len(table.size)
+    probs = np.tile(_class_probabilities(params, table), len(seeds))
     rates = -np.log1p(-probs)  # finite, as every entry, and so every p, is below 1
-    reserve = expected_edge_count(params, len(table.families) > 1)
+    sizes = np.tile(table.size, len(seeds))
+    reserve = len(seeds) * expected_edge_count(params, len(table.families) > 1)
     reserve = int(reserve + 4 * math.sqrt(reserve)) + 16
     ranks = np.empty(reserve, dtype=np.int64)
-    class_of = np.empty(reserve, dtype=np.int16)
+    lane_of = np.empty(reserve, dtype=np.min_scalar_type(len(sizes) - 1))
     family_ends = []
     at = 0
     for label, part in table.families:
-        rng = seed.child(label).generator()
-        cls = part.start + np.flatnonzero(probs[part] > 0)
-        last = np.full(len(cls), -1, dtype=np.int64)
-        while len(cls):
-            size = table.size[cls]
+        rngs = [seed.child(label).generator() for seed in seeds]
+        lanes = np.add.outer(np.arange(0, len(sizes), classes), np.arange(part.start, part.stop))
+        lanes = lanes[probs[lanes] > 0]  # trial by trial, in class order
+        last = np.full(len(lanes), -1, dtype=np.int64)
+        while len(lanes):
+            size = sizes[lanes]
             left = size - 1 - last
-            mean = left * probs[cls]
+            mean = left * probs[lanes]
             batch = np.minimum((mean + 4 * np.sqrt(mean) + 2).astype(np.int64), left + 1)
-            ends = np.cumsum(batch)
-            j = min(len(cls), int(np.searchsorted(ends, _GAP_ROUND)) + 1)  # cls[:j] draw now
-            starts = ends[:j] - batch[:j]
-            ends = np.minimum(ends[:j], _GAP_ROUND)
-            take = ends - starts
-            size, rate = size[:j], rates[cls[:j]]
+            # Each trial's batches run on from the start of its first lane;
+            # the lanes that start before _GAP_ROUND draw now.
+            trial = lanes // classes
+            starts = np.cumsum(batch) - batch
+            starts -= starts[np.searchsorted(trial, trial)]
+            now = starts < _GAP_ROUND
+            take = np.minimum(starts + batch, _GAP_ROUND)[now] - starts[now]
+            drawn, trial = lanes[now], trial[now]
+            ends = np.cumsum(take)
+            starts = ends - take
+            gaps = np.empty(ends[-1])
+            first = np.flatnonzero(np.diff(trial, prepend=-1))
+            cuts = np.append(starts[first], ends[-1]).tolist()
+            for t, s, e in zip(trial[first].tolist(), cuts[:-1], cuts[1:]):
+                gaps[s:e] = rngs[t].standard_exponential(e - s)
+            size, rate = sizes[drawn], rates[drawn]
             # G = E / rate, capped at 2 size in E: a subnormal rate then
             # neither overflows nor makes 0 * inf.
-            gaps = rng.standard_exponential(ends[-1])
             np.minimum(gaps, np.repeat(2.0 * size * rate, take), out=gaps)
             gaps /= np.repeat(rate, take)
-            pos = gaps.astype(np.int64)
+            # Truncated in place: the int64 view takes each double as it is read.
+            pos = gaps.view(np.int64)
+            np.copyto(pos, gaps, casting="unsafe")
+            del gaps
             pos += 1
-            np.cumsum(pos, out=pos)  # each class's positions run on from its last rank
-            pos += np.repeat(last[:j] - np.concatenate(([0], pos[starts[1:] - 1])), take)
-            # A class's ranks are its positions before the first one at or
+            np.cumsum(pos, out=pos)
+            # Each lane's positions run on from its last rank, less its size,
+            # so a position inside the class is negative.
+            pos += np.repeat(last[now] - size - np.concatenate(([0], pos[starts[1:] - 1])), take)
+            # A lane's ranks are its positions before the first one at or
             # past its size; those after that one may have wrapped int64.
-            lanes = np.arange(ends[-1])
-            outside = np.where(pos < np.repeat(size, take), ends[-1], lanes)
-            count = np.minimum(np.minimum.reduceat(outside, starts), ends) - starts
+            outside = np.append(np.flatnonzero(pos >= 0), ends[-1])
+            count = np.minimum(outside[np.searchsorted(outside, starts)], ends) - starts
+            del outside
             kept = int(count.sum())
             if at + kept > len(ranks):
                 extra = max(len(ranks), at + kept - len(ranks))
-                ranks, class_of = (
-                    np.concatenate([x, np.empty_like(x, shape=extra)]) for x in (ranks, class_of)
+                ranks, lane_of = (
+                    np.concatenate([x, np.empty_like(x, shape=extra)]) for x in (ranks, lane_of)
                 )
-            ranks[at : at + kept] = pos[lanes < np.repeat(starts + count, take)]
-            class_of[at : at + kept] = np.repeat(cls[:j], count)
+            inside = np.repeat(starts - np.cumsum(count) + count, count)
+            inside += np.arange(kept)
+            ranks[at : at + kept] = pos[inside]
+            ranks[at : at + kept] += np.repeat(size, count)
+            lane_of[at : at + kept] = np.repeat(drawn, count)
             at += kept
-            last[:j] = pos[ends - 1]
-            going = np.ones(len(cls), dtype=bool)
-            going[:j] = count == take
-            cls, last = cls[going], last[going]
+            last[now] = pos[ends - 1] + size
+            del pos, inside  # before the next round's draws
+            going = ~now
+            going[now] = count == take
+            lanes, last = lanes[going], last[going]
         family_ends.append(at)
-    return ranks[:at], class_of[:at], family_ends[0]
+    return ranks[:at], lane_of[:at], family_ends[0]
+
+
+def _unranked(
+    n: int, a: np.ndarray, b: np.ndarray, ranks: np.ndarray, lanes: np.ndarray
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(start, lo, hi) per pass of _UNRANK_BLOCK ranks from start: the ends
+    min(u, v) and max(u, v) of each rank's pair, read in lane (a, b) of the
+    per-lane columns a and b.  A pass mixes any classes, so a small graph
+    pays one pass rather than one per class.  Each pass reads the subsets
+    of the top min(n, _TABLE_MAX_N) digits from one subset table, built
+    once per digit count, and walks only the digits below them, none at
+    n <= 16, and peaks at about 88 B per rank there.  It checks that its
+    vertices fit n digits (DimensionError), and reads its slice of ranks
+    whole before it yields, so a consumer may overwrite it."""
+    for s in range(0, len(ranks), _UNRANK_BLOCK):
+        part = lanes[s : s + _UNRANK_BLOCK]
+        u, v = _unrank_pairs(n, a[part], b[part], ranks[s : s + _UNRANK_BLOCK])
+        hi = np.maximum(u, v)
+        if hi.max() >> n:
+            raise DimensionError(f"a vertex does not fit {n} digits")
+        yield s, np.minimum(u, v), hi
 
 
 def generate_stratified(
@@ -481,38 +535,67 @@ def generate_stratified(
     from the stream seed.child("class") and every loop class from
     seed.child("loop_class"), so the edges do not depend on include_loops.
     The class table of each (n, include_loops) is built once.  The ranks go
-    into one int64 array, and _unrank_pairs turns them in place into packed
-    pair keys min(u, v) << n | max(u, v), _UNRANK_BLOCK ranks per vectorized
-    pass with each rank's class as its key, so a small graph pays one pass
-    rather than one per class; the blocking consumes no randomness and
-    leaves the output unchanged.  Each pass reads the subsets of the top
-    min(n, _TABLE_MAX_N) digits from one subset table, built once per digit
-    count, and walks only the digits below them, none at n <= 16.  Each pass
-    checks that its vertices fit n digits (DimensionError).  Pair classes
-    come before loop classes, so the leading keys are the edges, which
+    into one int64 array, and the passes of _unranked turn them in place
+    into packed pair keys min(u, v) << n | max(u, v); the passes consume no
+    randomness and leave the output unchanged.  Pair classes come before
+    loop classes, so the leading keys are the edges, which
     SampledGraph.from_keys sorts in place and splits into rows, and the
     trailing keys v << n | v name the loops.  The graph then costs its keys,
     a bool per key and its (E, 2) rows at the peak.  Past n = 30 or
     DEFAULT_EDGE_BUDGET expected edges, check_stratified refuses the graph
-    before any class is sampled.
+    before any class is sampled.  stratified_degrees reads the same ranks
+    for degree arrays alone.
     """
     n = params.n
     check_stratified(params, include_loops)
     table = _class_table(n, include_loops)
     keys, class_of, pairs = _draw_ranks(params, table, seed)
-    # Each slice of ranks is read whole before its keys overwrite it.
-    for s in range(0, len(keys), _UNRANK_BLOCK):
-        e = s + _UNRANK_BLOCK
-        a, b = table.a[class_of[s:e]], table.b[class_of[s:e]]
-        u, v = _unrank_pairs(n, a, b, keys[s:e])
-        hi = np.maximum(u, v)
-        if hi.max() >> n:
-            raise DimensionError(f"a vertex does not fit {n} digits")
-        np.left_shift(np.minimum(u, v), n, out=keys[s:e], dtype=np.int64)
-        keys[s:e] |= hi
+    for s, lo, hi in _unranked(n, table.a, table.b, keys, class_of):
+        np.left_shift(lo, n, out=keys[s : s + len(lo)], dtype=np.int64)
+        keys[s : s + len(lo)] |= hi
     del class_of  # the loop keeps no view of it, so the sort runs without it
     # Pair classes come first: the rest are loop keys v << n | v.
     return SampledGraph.from_keys(params, keys[:pairs], keys[pairs:] >> n, include_loops)
+
+
+def degree_batch_trials(params: KroneckerParams, include_loops: bool = True) -> int:
+    """Trials per stratified_degrees call that hold about _GAP_ROUND
+    expected ranks and counts together: 1 at n >= 16, and 12 and 15 at
+    n = 12 for (0.8, 0.5, 0.1) and (0.7, 0.3, 0.3), about 1,100 and 140
+    ranks per trial."""
+    per_trial = int(expected_edge_count(params, include_loops)) + params.vertex_count
+    return max(1, _GAP_ROUND // per_trial)
+
+
+def stratified_degrees(
+    params: KroneckerParams, include_loops: bool = True, *, seeds
+) -> np.ndarray:
+    """(len(seeds), 2^n) int64 degrees: row t is
+    generate_stratified(params, include_loops, seed=seeds[t]).degrees(),
+    and no graph is built.
+
+    _draw_ranks draws every trial's ranks from its own streams, and the
+    passes of _unranked add a count at t << n | vertex for both ends of a
+    pair and the one vertex of a loop.  Stratified pairs are distinct, so
+    nothing is sorted or merged.  The call holds 8 B per rank, a lane of
+    1-4 B per rank, and the counts; degree_batch_trials sizes the batches
+    of a run of many trials.  check_stratified refuses before any stream
+    is made.
+    """
+    n = params.n
+    check_stratified(params, include_loops)
+    table = _class_table(n, include_loops)
+    ranks, lanes, pairs = _draw_ranks(params, table, *seeds)
+    offset = np.repeat(np.arange(len(seeds), dtype=np.int64) << n, len(table.size))
+    counts = np.zeros(len(seeds) << n, dtype=np.int64)
+    a, b = np.tile(table.a, len(seeds)), np.tile(table.b, len(seeds))
+    for s, lo, hi in _unranked(n, a, b, ranks, lanes):
+        at = offset[lanes[s : s + len(lo)]]
+        np.add.at(counts, at + hi, 1)
+        # Pair classes come first: a loop's lo is its hi, counted once.
+        paired = max(pairs - s, 0)
+        np.add.at(counts, at[:paired] + lo[:paired], 1)
+    return counts.reshape(len(seeds), 1 << n)
 
 
 def rmat_pairs(rmat: RmatParams, seed: SeedSpec) -> tuple[np.ndarray, np.ndarray]:

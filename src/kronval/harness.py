@@ -25,10 +25,12 @@ from .generate import (
     RmatParams,
     check_naive,
     check_stratified,
+    degree_batch_trials,
     edge_sum_moments,
     generate_naive,
     generate_rmat,
     generate_stratified,
+    stratified_degrees,
 )
 from .edgelist import write_edgelist
 from .measure import (
@@ -256,15 +258,44 @@ def _z_criterion(name: str, observed: float, expected: float, z: float) -> Crite
     )
 
 
+def _degree_counts(config: ExperimentConfig, seed: SeedSpec) -> np.ndarray:
+    """(trials, degree_max + 1) floats: per trial, from substream
+    seed.child("trial", t), the vertices of each degree 0..degree_max.
+
+    The stratified sampler's degree arrays come from stratified_degrees,
+    degree_batch_trials trials per call, with no graph built.  The naive
+    sampler's, and those of a run that dumps its edges, are read off each
+    trial's graph.  Each batch is binned and dropped before the next is
+    drawn."""
+    params, loops = config.params, config.include_loops
+    if config.generator != "stratified" or config.dump_edges is not None:
+        batches = (
+            _trial_graph(config, params, seed, "trial", t).degrees()[None]
+            for t in range(config.trials)
+        )
+    else:
+        seeds = [seed.child("trial", t) for t in range(config.trials)]
+        step = degree_batch_trials(params, loops)
+        batches = (
+            stratified_degrees(params, loops, seeds=seeds[s : s + step])
+            for s in range(0, len(seeds), step)
+        )
+    width = config.degree_max + 1
+
+    def binned(degrees: np.ndarray) -> np.ndarray:
+        return np.array([np.bincount(row, minlength=width)[:width] for row in degrees])
+
+    # map holds no batch once it is binned, so the next is drawn without it.
+    return np.concatenate(list(map(binned, batches))).astype(float)
+
+
 def _run_degrees(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
+    """The mean and sd over the trials of the vertices of each degree
+    0..degree_max (_degree_counts), each against the Poisson-mixture
+    degree-count formula by a |z| criterion."""
     params = config.params
     d_max = config.degree_max
-    counts = np.zeros((config.trials, d_max + 1))
-    for t in range(config.trials):
-        graph = _trial_graph(config, params, seed, "trial", t)
-        degrees = graph.degrees()
-        binned = np.bincount(degrees, minlength=d_max + 1)
-        counts[t] = binned[: d_max + 1]
+    counts = _degree_counts(config, seed)
     means = counts.mean(axis=0)
     sds = counts.std(axis=0, ddof=1) if config.trials > 1 else np.zeros(d_max + 1)
     predicted = np.array([expected_degree_count(params, d) for d in range(d_max + 1)])

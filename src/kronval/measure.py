@@ -98,13 +98,24 @@ def _ranked_keys(graph: SampledGraph):
     return deg, up
 
 
-def _ranges(starts, lengths):
-    """The index ranges ``starts[i], ..., starts[i] + lengths[i] - 1``,
-    concatenated."""
-    ends = np.cumsum(lengths)
-    index = np.repeat(starts - ends + lengths, lengths)
-    index += np.arange(len(index))
-    return index
+def _expand(prefix, starts, lengths, values):
+    """The uint32 ``prefix[i] | values[j]`` for ``j`` in ``starts[i], ...,
+    starts[i] + lengths[i] - 1``, concatenated over i.
+
+    One np.repeat of ``offset << 32 | prefix`` serves both parts, offset
+    being the signed distance from an entry's first output to its first
+    index.  Each prefix is below 2^32, and each offset lies within int32:
+    it is less than twice the edge count, and a graph of 2^30 edges would
+    hold 16 GiB of ends."""
+    packed = starts + lengths - np.cumsum(lengths)
+    packed <<= 32
+    packed |= prefix
+    packed = np.repeat(packed, lengths)
+    out = packed.astype(np.uint32)
+    packed >>= 32  # the indices, in place
+    packed += np.arange(len(packed))
+    out |= values[packed]
+    return out
 
 
 def _blocks(group, wedges):
@@ -146,12 +157,12 @@ def _count_triangle(graph: SampledGraph, ranked=None) -> int:
     starts = (np.cumsum(out) - out)[high]
     added = 0
     for lo, hi in _blocks(low, wedges):
-        paths = np.repeat(up[lo:hi] - high[lo:hi], wedges[lo:hi])
-        paths |= high[_ranges(starts[lo:hi], wedges[lo:hi])]
+        paths = _expand(up[lo:hi] - high[lo:hi], starts[lo:hi], wedges[lo:hi], high)
         paths.sort()
         merged = np.concatenate((up[lo:hi], paths))
         merged.sort()
         added += _equal_pairs(merged) - _equal_pairs(paths)
+        del paths, merged  # before the next block's 2-paths are expanded
     return 3 * added  # 2 added pairs and 6 labeled copies per triangle
 
 
@@ -173,6 +184,7 @@ def _count_cycle4(graph: SampledGraph) -> int:
     high = up & ((1 << n) - 1)
     both = np.concatenate((up, high << n | low))
     both.sort()
+    both &= (1 << n) - 1  # each row's neighbours, in rank order
     row_deg = np.sort(deg)  # the degrees in rank order
     out = np.bincount(low, minlength=graph.vertex_count)
     # v's row holds its deg - out lower neighbours, then its up-edges in key
@@ -184,10 +196,10 @@ def _count_cycle4(graph: SampledGraph) -> int:
     starts = (np.cumsum(row_deg) - row_deg)[low[by_top]]
     squares = 0
     for lo, hi in _blocks(top, below):
-        pairs = np.repeat(top[lo:hi] << n, below[lo:hi])
-        pairs |= both[_ranges(starts[lo:hi], below[lo:hi])] & ((1 << n) - 1)
+        pairs = _expand(top[lo:hi] << n, starts[lo:hi], below[lo:hi], both)
         pairs.sort()
         squares += _equal_pairs(pairs)
+        del pairs  # before the next block's 2-paths are expanded
     return 4 * squares
 
 

@@ -44,6 +44,8 @@ from kronval.generate import (
     _draw_ranks,
     _subset_table,
     _unrank_pairs,
+    degree_batch_trials,
+    stratified_degrees,
 )
 from kronval.model import pairs_ascend
 
@@ -809,3 +811,102 @@ class TestDrawRanks:
         )
         assert result.returncode == 0, result.stderr
         assert result.stderr == ""
+
+
+def _graph_degrees(params: KroneckerParams, include_loops: bool, seeds) -> np.ndarray:
+    """The degree arrays of the graphs of the seeds, one row each."""
+    return np.array(
+        [generate_stratified(params, include_loops, seed=seed).degrees() for seed in seeds],
+        dtype=np.int64,
+    ).reshape(len(seeds), params.vertex_count)
+
+
+class TestStratifiedDegrees:
+    @pytest.mark.parametrize("n", [1, 5, 8, 12, 14])
+    @pytest.mark.parametrize("include_loops", [True, False])
+    def test_rows_equal_the_graph_degrees(self, n, include_loops):
+        # Batches of 1, batch and batch + 1 trials; at n = 1 and 5 a batch
+        # holds over a thousand trials, so 7 stand in for it there.
+        params = KroneckerParams(0.8, 0.5, 0.4, n)
+        batch = degree_batch_trials(params, include_loops)
+        assert (batch == 1) == (n == 14)
+        for trials in (1, 7) if batch > 200 else (1, batch, batch + 1):
+            seeds = [SeedSpec(5).child("trial", t) for t in range(trials)]
+            got = stratified_degrees(params, include_loops, seeds=seeds)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _graph_degrees(params, include_loops, seeds))
+
+    @pytest.mark.parametrize("include_loops", [True, False])
+    def test_rounds_that_end_apart_in_each_trial_give_the_same_rows(
+        self, monkeypatch, include_loops
+    ):
+        # Rounds of 64 steps split the classes of these ~300-edge graphs
+        # over several rounds, a different number in each trial.
+        monkeypatch.setattr(kronval.generate, "_GAP_ROUND", 64)
+        params = KroneckerParams(0.9, 0.7, 0.7, 8)
+        seeds = [SeedSpec(2).child("trial", t) for t in range(9)]
+        got = stratified_degrees(params, include_loops, seeds=seeds)
+        assert np.array_equal(got, _graph_degrees(params, include_loops, seeds))
+        assert got.sum() > 9 * 300
+
+    # 1e-300 underflows p to 0 where a + c >= 2 and makes it subnormal at
+    # a + c = 1; 5e-324 makes the loop class w = 1 of n = 1 subnormal.
+    @pytest.mark.parametrize(
+        "params",
+        [
+            KroneckerParams(1e-300, 0.5, 1e-300, 12),
+            KroneckerParams(5e-324, 0.5, 5e-324, 12),
+            KroneckerParams(5e-324, 0.5, 0.5, 1),
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_entries_give_the_same_rows(self, params):
+        seeds = [SeedSpec(3).child("trial", t) for t in range(12)]
+        got = stratified_degrees(params, seeds=seeds)
+        assert np.array_equal(got, _graph_degrees(params, True, seeds))
+
+    def test_refuses_over_the_budget_before_any_stream(self, monkeypatch):
+        def derived(*args, **kwargs):
+            raise AssertionError("a stream was derived")
+
+        monkeypatch.setattr(SeedSpec, "generator", derived)
+        p = KroneckerParams(0.99, 0.99, 0.99, 14)  # about 117M expected edges
+        with pytest.raises(CapacityError, match="budget"):
+            stratified_degrees(p, seeds=[SeedSpec(1)])
+
+    def test_unranked_vertices_are_range_checked(self, monkeypatch):
+        def too_wide(n, a, b, ranks):
+            u, v = _unrank_pairs(n, a, b, ranks)
+            return u, v | (1 << n)
+
+        monkeypatch.setattr(kronval.generate, "_unrank_pairs", too_wide)
+        with pytest.raises(DimensionError, match="does not fit 6 digits"):
+            stratified_degrees(KroneckerParams(0.9, 0.5, 0.7, 6), seeds=[SeedSpec(1)] * 3)
+
+    def test_one_trial_peaks_below_its_graph(self, stratified_n16):
+        # No keys are packed, sorted or split into rows: the ranks, a byte
+        # of lane each and the 2^16 counts, against 25 B per edge.
+        p = stratified_n16.params
+        rows, peak = traced_peak(lambda: stratified_degrees(p, seeds=[SeedSpec(1)]))
+        assert np.array_equal(rows[0], stratified_n16.degrees())
+        _, graph_peak = traced_peak(lambda: generate_stratified(p, seed=SeedSpec(1)))
+        assert peak < graph_peak
+
+    @pytest.mark.parametrize("entries", [(0.8, 0.5, 0.1), (0.7, 0.3, 0.3)])
+    def test_batches_of_a_run_stay_within_their_ranks_and_counts(self, entries):
+        # 20 trials at n = 12, in batches of degree_batch_trials: each holds
+        # 8 B per rank and 8 2^n per trial, and one pass of _unranked,
+        # about 100 B for each of its _UNRANK_BLOCK ranks (1 MiB allowed).
+        # All 20 trials of (0.8, 0.5, 0.1) in one batch peak about 0.3 MB
+        # above the bound of a batch of 12.
+        params = KroneckerParams(*entries, 12)
+        seeds = [SeedSpec(1).child("trial", t) for t in range(20)]
+        step = degree_batch_trials(params)
+        assert 10 <= step <= 16
+        table = _class_table(12, True)
+        for s in range(0, 20, step):
+            batch = seeds[s : s + step]
+            ranks = len(_draw_ranks(params, table, *batch)[0])
+            rows, peak = traced_peak(lambda: stratified_degrees(params, seeds=batch))
+            assert rows.sum() > 0
+            assert peak <= 8 * ranks + 8 * len(batch) * params.vertex_count + (1 << 20)

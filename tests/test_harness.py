@@ -18,6 +18,7 @@ import kronval.harness
 from kronval import (
     CapacityError,
     ConfigError,
+    DimensionError,
     KroneckerParams,
     ParameterError,
     SampledGraph,
@@ -31,6 +32,8 @@ from kronval.generate import (
     GENERATE_MEMORY_CEILING,
     RMAT_MAX_EDGES,
     RMAT_PEAK_BYTES_PER_DRAW,
+    _unrank_pairs,
+    degree_batch_trials,
     edge_sum_moments,
 )
 from kronval.harness import (
@@ -1144,3 +1147,78 @@ class TestGeneratorArguments:
             )
             assert not out.exists()
         assert RMAT_MAX_EDGES * RMAT_PEAK_BYTES_PER_DRAW <= GENERATE_MEMORY_CEILING
+
+
+class TestDegreeRoute:
+    """validate --kind degrees reads the stratified sampler's degree arrays,
+    a batch of trials at a time, with no graph built; a run that dumps its
+    edges, or samples naively, reads each trial's graph."""
+
+    def test_refuses_over_the_budget_before_any_stream(self, monkeypatch, capsys):
+        monkeypatch.setattr(SeedSpec, "generator", _no_generation)
+        entries = ["--alpha", "0.99", "--beta", "0.99", "--gamma", "0.99"]
+        rc = main(["validate", "--kind", "degrees", "--n", "14", *entries, "--seed", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: expected edge count 1.17e+08 exceeds the budget 1.15e+08\n"
+        )
+
+    def test_unranked_vertices_are_range_checked(self, monkeypatch):
+        def too_wide(n, a, b, ranks):
+            u, v = _unrank_pairs(n, a, b, ranks)
+            return u | (1 << n), v
+
+        monkeypatch.setattr(kronval.harness, "generate_stratified", _no_generation)
+        monkeypatch.setattr(kronval.generate, "_unrank_pairs", too_wide)
+        with pytest.raises(DimensionError, match="does not fit 6 digits"):
+            run_experiment(cfg())
+
+    @pytest.mark.parametrize("include_loops", [True, False])
+    def test_dumping_edges_changes_no_report_byte(self, monkeypatch, tmp_path, include_loops):
+        # One trial past a batch: 13 trials in batches of 12, then 1.
+        params = KroneckerParams(0.8, 0.5, 0.1, 12)
+        trials = degree_batch_trials(params, include_loops) + 1
+        assert trials == 13
+        config = cfg(params=params, trials=trials, include_loops=include_loops, degree_max=8)
+        prefix = str(tmp_path / "dump")
+        dumped = run_experiment(dataclasses.replace(config, dump_edges=prefix))
+        assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
+            f"dump.trial{t}.edges" for t in range(trials)
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(kronval.harness, "generate_stratified", _no_generation)
+            plain = run_experiment(config)
+        echoed = f'"dump_edges": {json.dumps(prefix)}'
+        assert report_json(dumped) == report_json(plain).replace('"dump_edges": null', echoed)
+        tables = [tmp_path / "plain.csv", tmp_path / "dumped.csv"]
+        emit_report(plain, csv_path=tables[0])
+        emit_report(dumped, csv_path=tables[1])
+        assert tables[0].read_bytes() == tables[1].read_bytes()
+
+    def test_each_trial_derives_its_own_two_streams(self, monkeypatch):
+        derived = []
+        generator = SeedSpec.generator
+
+        def spy(spec):
+            derived.append(spec.stream)
+            return generator(spec)
+
+        monkeypatch.setattr(SeedSpec, "generator", spy)
+        params = KroneckerParams(0.8, 0.5, 0.1, 12)
+        run_experiment(cfg(params=params, trials=20))
+        want = [("trial", t, family) for t in range(20) for family in ("class", "loop_class")]
+        assert sorted(derived) == sorted(want)
+
+    def test_naive_runs_read_each_trial_graph(self, monkeypatch):
+        built = []
+        naive = kronval.harness.generate_naive
+
+        def spy(*args, **kwargs):
+            built.append(kwargs["seed"].stream)
+            return naive(*args, **kwargs)
+
+        monkeypatch.setattr(kronval.harness, "stratified_degrees", _no_generation)
+        monkeypatch.setattr(kronval.harness, "generate_naive", spy)
+        report = run_experiment(cfg(generator="naive", trials=4))
+        assert built == [("trial", t) for t in range(4)]
+        assert report.empirical["trials"] == 4

@@ -4,7 +4,8 @@ before it does any work, so scipy and networkx must stay off this path, and
 no kronval module imports scipy at all.  And every name a library module
 imports is used there, or marked as bound for outside readers, and only such
 a name is marked, so that the marks list exactly the names kept for those
-readers."""
+readers.  And the stratified sampler's class and rank logic has one copy:
+one call site each draws the gaps and unranks the pairs."""
 
 import ast
 import json
@@ -152,4 +153,61 @@ def test_scipy_import_sites_name_their_scope(tmp_path):
     )
     assert _scipy_import_sites(module) == [
         "module", "module.outer", "module.outer.inner", "module.Holder.method"
+    ]
+
+
+def _call_sites(path: Path, names) -> list:
+    """(``module.function``, name) of each call in the file of a function
+    or method of one of the names, by the innermost function or class
+    around it."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in names:
+                    sites.append((".".join([path.stem, *scope]), name))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    return sites
+
+
+def test_the_gaps_and_the_unranking_have_one_call_site_each():
+    # Both consumers of the stratified sampler, the graph and the degree
+    # arrays, read _draw_ranks and _unranked, so neither keeps a second
+    # copy of the rank draws or of the unranking pass.
+    modules = sorted(Path(kronval.__file__).parent.glob("*.py"))
+    names = ("standard_exponential", "_unrank_pairs")
+    sites = [site for path in modules for site in _call_sites(path, names)]
+    assert sorted(sites) == [
+        ("generate._draw_ranks", "standard_exponential"),
+        ("generate._unranked", "_unrank_pairs"),
+    ]
+
+
+def test_call_sites_name_their_scope(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "rng.standard_exponential(3)\n"
+        "def outer():\n"
+        "    if True:\n"
+        "        _unrank_pairs(n, a, b, ranks)\n"
+        "    def inner():\n"
+        "        return [g.standard_exponential(size=k) for g in rngs]\n"
+        "class Holder:\n"
+        "    def method(self):\n"
+        "        self.standard_exponential\n"
+        "        _unrank_pairs_oracle(1)\n"
+        "        f(standard_exponential)\n"
+    )
+    assert _call_sites(module, ("standard_exponential", "_unrank_pairs")) == [
+        ("module", "standard_exponential"),
+        ("module.outer", "_unrank_pairs"),
+        ("module.outer.inner", "standard_exponential"),
     ]
