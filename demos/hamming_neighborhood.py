@@ -24,7 +24,7 @@ from kronval import (
 def main():
     p = KroneckerParams(alpha=0.7, beta=0.5, gamma=0.7, n=14)
     g = generate_stratified(p, include_loops=True, seed=SeedSpec(6))
-    report = concentration_report(g)
+    report = concentration_report(p, edge_distance_histogram(g), include_loops=True)
     print(f"n={p.n}, alpha=gamma={p.alpha}, beta={p.beta}")
     print(f"expected degree (alpha+beta)^n = {report.expected_degree:.2f}")
     degrees = g.degrees()

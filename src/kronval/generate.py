@@ -11,9 +11,10 @@ geometric gaps, a round of many classes per numpy call, so a small graph
 costs a handful of numpy calls rather than a few per class.
 
 The stratified sampler is one core, _draw_ranks and then the unranking
-passes of _unranked, with two consumers: generate_stratified packs the
-pairs into a sorted graph, and stratified_degrees counts the degrees of a
-batch of trials, whose ranks the core draws together, with no graph built.
+passes of _unranked, with three consumers: generate_stratified packs the
+pairs into a sorted graph, and stratified_degrees and stratified_distances
+read the degrees and the edge-distance histogram of a batch of trials,
+whose ranks the core draws together (_trial_passes), with no graph built.
 """
 
 from __future__ import annotations
@@ -163,34 +164,53 @@ def expected_edge_count(params: KroneckerParams, include_loops: bool = True) -> 
     and expm1, so that a small beta loses no precision and a tiny
     alpha + gamma neither overflows nor divides by zero.
     """
-    n, beta = params.n, params.beta
-    loop_base = params.alpha + params.gamma
+    pairs = _pair_sum(params.n, params.alpha + params.gamma, params.beta)
+    return pairs + (params.alpha + params.gamma) ** params.n if include_loops else pairs
+
+
+def _pair_sum(n: int, loop_base: float, beta: float) -> float:
+    """((loop_base + 2 beta)^n - loop_base^n) / 2, through expm1; a
+    loop_base that underflowed to 0 leaves half the first power."""
     ordered = (loop_base + 2.0 * beta) ** n
-    pairs = -ordered * math.expm1(-n * math.log1p(2.0 * beta / loop_base)) / 2.0
-    return pairs + loop_base**n if include_loops else pairs
+    ratio = 2.0 * beta / loop_base if loop_base else math.inf
+    return -ordered * math.expm1(-n * math.log1p(ratio)) / 2.0
 
 
 def edge_sum_moments(
     params: KroneckerParams, include_loops: bool = True
 ) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Exact (mean, variance) of two sums over one graph, for n <= 30:
-    the total edge distance D and the total degree T = 2 edges + loops.
+    """Exact (mean, variance) of two sums over one graph: the total edge
+    distance D and the total degree T = 2 edges + loops.
 
     Both are sums w(u, v) X_uv over the independent pair indicators X_uv,
     u <= v, where w is the distance for D, and 2 for a pair or 1 for a loop
-    for T; loops enter only with include_loops.  All pairs of a class share
-    its probability p and weight, so each sum runs over the classes of the
-    stratified sampler's table: mean sum(size p w), variance
-    sum(size p (1 - p) w^2).
+    for T; loops enter only with include_loops.  Each has mean sum(w p) and
+    variance sum(w^2 p) - sum(w^2 p^2), in closed forms that read no class
+    table, so they stay an oracle for the sampler's.  Over the ordered
+    pairs, p x^b sums to (L + 2 beta x)^n, b being the distance, with
+    L = alpha + gamma and S = L + 2 beta; the pairs u < v take half of it
+    less the diagonal: sum p = (S^n - L^n) / 2 (as expected_edge_count),
+    sum b p = n beta S^(n-1) and sum b^2 p = n beta S^(n-1)
+    + 2 n (n-1) beta^2 S^(n-2).  The p^2 sums are the same with every
+    entry squared.  The loops add L^n to sum p and its square's power to
+    sum p^2, at distance 0.
     """
-    table = _class_table(params.n, include_loops)
-    p = _class_probabilities(params, table)
-    mean = table.size * p  # expected edges per class
-    var = mean * (1.0 - p)
-    ends = np.where(table.b > 0, 2, 1)
-    distance = (float((mean * table.b).sum()), float((var * table.b**2).sum()))
-    degree = (float((mean * ends).sum()), float((var * ends**2).sum()))
-    return distance, degree
+    n = params.n
+
+    def sums(alpha, beta, gamma):
+        """(sum p, sum b p, sum b^2 p) over the pairs u < v, and sum p over
+        the loops."""
+        spread = alpha + 2.0 * beta + gamma
+        linear = n * beta * spread ** (n - 1)
+        square = linear + 2 * n * (n - 1) * beta**2 * spread ** max(n - 2, 0)
+        return _pair_sum(n, alpha + gamma, beta), linear, square, (alpha + gamma) ** n
+
+    alpha, beta, gamma = params.alpha, params.beta, params.gamma
+    p, bp, b2p, loops = sums(alpha, beta, gamma)
+    p2, _, b2p2, loops2 = sums(alpha**2, beta**2, gamma**2)
+    if not include_loops:
+        loops = loops2 = 0.0
+    return (bp, b2p - b2p2), (2.0 * p + loops, 4.0 * (p - p2) + loops - loops2)
 
 
 def check_naive(params: KroneckerParams) -> None:
@@ -543,8 +563,9 @@ def generate_stratified(
     trailing keys v << n | v name the loops.  The graph then costs its keys,
     a bool per key and its (E, 2) rows at the peak.  Past n = 30 or
     DEFAULT_EDGE_BUDGET expected edges, check_stratified refuses the graph
-    before any class is sampled.  stratified_degrees reads the same ranks
-    for degree arrays alone.
+    before any class is sampled.  stratified_degrees and
+    stratified_distances read the same ranks for degree arrays and
+    edge-distance histograms alone.
     """
     n = params.n
     check_stratified(params, include_loops)
@@ -558,13 +579,33 @@ def generate_stratified(
     return SampledGraph.from_keys(params, keys[:pairs], keys[pairs:] >> n, include_loops)
 
 
-def degree_batch_trials(params: KroneckerParams, include_loops: bool = True) -> int:
-    """Trials per stratified_degrees call that hold about _GAP_ROUND
-    expected ranks and counts together: 1 at n >= 16, and 12 and 15 at
-    n = 12 for (0.8, 0.5, 0.1) and (0.7, 0.3, 0.3), about 1,100 and 140
-    ranks per trial."""
+def batch_trials(params: KroneckerParams, include_loops: bool = True) -> int:
+    """Trials per stratified_degrees or stratified_distances call that hold
+    about _GAP_ROUND expected ranks and degree counts together: 1 at
+    n >= 16, and 12 and 15 at n = 12 for (0.8, 0.5, 0.1) and
+    (0.7, 0.3, 0.3), about 1,100 and 140 ranks per trial."""
     per_trial = int(expected_edge_count(params, include_loops)) + params.vertex_count
     return max(1, _GAP_ROUND // per_trial)
+
+
+def _trial_passes(
+    params: KroneckerParams, include_loops: bool, seeds, stride: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """(at, lo, hi, paired) per pass of _unranked over the ranks of one
+    trial per seed, drawn together by _draw_ranks: at is t * stride for
+    each rank of trial t, lo and hi are the ends of its pair, and the first
+    paired ranks of the pass are pairs, the rest loops (lo = hi).  The
+    reductions of stratified_degrees and stratified_distances index their
+    counts by at.  check_stratified refuses before any stream is made."""
+    n = params.n
+    check_stratified(params, include_loops)
+    table = _class_table(n, include_loops)
+    ranks, lanes, pairs = _draw_ranks(params, table, *seeds)
+    offset = np.repeat(np.arange(len(seeds), dtype=np.int64) * stride, len(table.size))
+    a, b = np.tile(table.a, len(seeds)), np.tile(table.b, len(seeds))
+    for s, lo, hi in _unranked(n, a, b, ranks, lanes):
+        # Pair classes come first, so a pass past them holds only loops.
+        yield offset[lanes[s : s + len(lo)]], lo, hi, max(pairs - s, 0)
 
 
 def stratified_degrees(
@@ -574,28 +615,38 @@ def stratified_degrees(
     generate_stratified(params, include_loops, seed=seeds[t]).degrees(),
     and no graph is built.
 
-    _draw_ranks draws every trial's ranks from its own streams, and the
-    passes of _unranked add a count at t << n | vertex for both ends of a
-    pair and the one vertex of a loop.  Stratified pairs are distinct, so
-    nothing is sorted or merged.  The call holds 8 B per rank, a lane of
-    1-4 B per rank, and the counts; degree_batch_trials sizes the batches
-    of a run of many trials.  check_stratified refuses before any stream
-    is made.
+    The passes of _trial_passes add a count at t << n | vertex for both
+    ends of a pair and the one vertex of a loop.  Stratified pairs are
+    distinct, so nothing is sorted or merged.  The call holds 8 B per rank,
+    a lane of 1-4 B per rank, and the counts; batch_trials sizes the
+    batches of a run of many trials.
     """
     n = params.n
-    check_stratified(params, include_loops)
-    table = _class_table(n, include_loops)
-    ranks, lanes, pairs = _draw_ranks(params, table, *seeds)
-    offset = np.repeat(np.arange(len(seeds), dtype=np.int64) << n, len(table.size))
     counts = np.zeros(len(seeds) << n, dtype=np.int64)
-    a, b = np.tile(table.a, len(seeds)), np.tile(table.b, len(seeds))
-    for s, lo, hi in _unranked(n, a, b, ranks, lanes):
-        at = offset[lanes[s : s + len(lo)]]
+    for at, lo, hi, paired in _trial_passes(params, include_loops, seeds, 1 << n):
         np.add.at(counts, at + hi, 1)
-        # Pair classes come first: a loop's lo is its hi, counted once.
-        paired = max(pairs - s, 0)
         np.add.at(counts, at[:paired] + lo[:paired], 1)
     return counts.reshape(len(seeds), 1 << n)
+
+
+def stratified_distances(
+    params: KroneckerParams, include_loops: bool = True, *, seeds
+) -> np.ndarray:
+    """(len(seeds), n + 1) int64 edge-distance histograms: row t is
+    edge_distance_histogram(generate_stratified(params, include_loops,
+    seed=seeds[t])), loops at distance 0, and no graph is built.
+
+    The passes of _trial_passes add a count at t (n + 1) + popcount(lo ^ hi)
+    per rank; a loop's ends are equal, so it lands at 0.  Nothing is sorted
+    or stored: the call holds 8 B per rank, a lane of 1-4 B per rank and
+    one pass.
+    """
+    width = params.n + 1
+    hist = np.zeros(len(seeds) * width, dtype=np.int64)
+    for at, lo, hi, _ in _trial_passes(params, include_loops, seeds, width):
+        at += np.bitwise_count(np.bitwise_xor(lo, hi, out=lo))
+        hist += np.bincount(at, minlength=len(hist))
+    return hist.reshape(len(seeds), width)
 
 
 def rmat_pairs(rmat: RmatParams, seed: SeedSpec) -> tuple[np.ndarray, np.ndarray]:

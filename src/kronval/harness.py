@@ -23,22 +23,24 @@ from .errors import CapacityError, ConfigError, ParameterError
 from .generate import (
     GENERATE_MEMORY_CEILING,
     RmatParams,
+    batch_trials,
     check_naive,
     check_stratified,
-    degree_batch_trials,
     edge_sum_moments,
     generate_naive,
     generate_rmat,
     generate_stratified,
     stratified_degrees,
+    stratified_distances,
 )
 from .edgelist import write_edgelist
 from .measure import (
     check_countable,
     concentration_report,
     count_labeled_copies,
-    # Bound for perfbench/spans.py, which traces this name on this module.
-    edge_distance_histogram,  # noqa: F401
+    edge_distance_histogram,
+    star_arms,
+    star_count,
 )
 from .model import KroneckerParams
 from .patterns import (
@@ -258,35 +260,45 @@ def _z_criterion(name: str, observed: float, expected: float, z: float) -> Crite
     )
 
 
-def _degree_counts(config: ExperimentConfig, seed: SeedSpec) -> np.ndarray:
-    """(trials, degree_max + 1) floats: per trial, from substream
-    seed.child("trial", t), the vertices of each degree 0..degree_max.
+def _trial_rows(config: ExperimentConfig, seed: SeedSpec, of_graph, of_core):
+    """Each trial's row, from substream seed.child("trial", t), in trial
+    order.
 
-    The stratified sampler's degree arrays come from stratified_degrees,
-    degree_batch_trials trials per call, with no graph built.  The naive
-    sampler's, and those of a run that dumps its edges, are read off each
-    trial's graph.  Each batch is binned and dropped before the next is
-    drawn."""
+    The stratified sampler's rows come from of_core(seeds), batch_trials
+    trials per call, with no graph built.  The naive sampler's, those of a
+    run that dumps its edges, and all of them where of_core is None, are
+    of_graph(graph) of each trial's graph.  A row the caller keeps should
+    own its memory: a view into a batch keeps the batch alive while the
+    next is drawn."""
+    if of_core is None or config.generator != "stratified" or config.dump_edges is not None:
+        for t in range(config.trials):
+            yield of_graph(_trial_graph(config, config.params, seed, "trial", t))
+        return
+    seeds = [seed.child("trial", t) for t in range(config.trials)]
+    step = batch_trials(config.params, config.include_loops)
+    for s in range(0, len(seeds), step):
+        yield from of_core(seeds[s : s + step])
+
+
+def _degree_counts(config: ExperimentConfig, seed: SeedSpec) -> np.ndarray:
+    """(trials, degree_max + 1) floats: per trial (_trial_rows), the
+    vertices of each degree 0..degree_max, the stratified sampler's read
+    off stratified_degrees."""
     params, loops = config.params, config.include_loops
-    if config.generator != "stratified" or config.dump_edges is not None:
-        batches = (
-            _trial_graph(config, params, seed, "trial", t).degrees()[None]
-            for t in range(config.trials)
-        )
-    else:
-        seeds = [seed.child("trial", t) for t in range(config.trials)]
-        step = degree_batch_trials(params, loops)
-        batches = (
-            stratified_degrees(params, loops, seeds=seeds[s : s + step])
-            for s in range(0, len(seeds), step)
-        )
     width = config.degree_max + 1
 
     def binned(degrees: np.ndarray) -> np.ndarray:
-        return np.array([np.bincount(row, minlength=width)[:width] for row in degrees])
+        return np.bincount(degrees, minlength=width)[:width]
 
-    # map holds no batch once it is binned, so the next is drawn without it.
-    return np.concatenate(list(map(binned, batches))).astype(float)
+    # Each batch is binned before _trial_rows yields, so no view of it is
+    # held while the next is drawn.
+    rows = _trial_rows(
+        config,
+        seed,
+        lambda graph: binned(graph.degrees()),
+        lambda seeds: [binned(row) for row in stratified_degrees(params, loops, seeds=seeds)],
+    )
+    return np.array(list(rows), dtype=float)
 
 
 def _run_degrees(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
@@ -330,12 +342,26 @@ def _run_degrees(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
 
 
 def _run_subgraph(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
+    """The mean of the trials' labeled copy counts against their exact
+    expectation.  A star's counts need only the loop-free degrees, which
+    the stratified sampler gives with no graph built (_trial_rows): its
+    pairs do not depend on the loops, which it draws from their own
+    streams."""
     params = config.params
     pattern = parse_pattern(config.pattern)
-    counts = [
-        count_labeled_copies(_trial_graph(config, params, seed, "trial", t), pattern)
-        for t in range(config.trials)
-    ]
+    arms = star_arms(pattern)
+
+    def star_counts(seeds):
+        return [star_count(row, arms) for row in stratified_degrees(params, False, seeds=seeds)]
+
+    counts = list(
+        _trial_rows(
+            config,
+            seed,
+            lambda graph: count_labeled_copies(graph, pattern),
+            None if arms is None else star_counts,
+        )
+    )
     # Exact ints go to the report; the statistics use their float64 values.
     values = np.array(counts, dtype=float)
     mean = float(values.mean())
@@ -368,17 +394,26 @@ def _run_subgraph(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
 
 
 def _run_hamming(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
-    params = config.params
+    """Two totals per trial, the edge distance and the degree, against
+    their exact moments, and each trial's concentration_report.  Both read
+    the trial's edges at each Hamming distance 0..n, loops at 0: the
+    stratified sampler's from stratified_distances, with no graph built,
+    the others' from edge_distance_histogram of each trial's graph."""
+    params, loops = config.params, config.include_loops
     n = params.n
     a, b = params.alpha, params.beta
-    # Per trial, the edges at each Hamming distance 0..n, loops at 0.
     hists = np.array(
-        [
-            concentration_report(_trial_graph(config, params, seed, "trial", t)).distance_histogram
-            for t in range(config.trials)
-        ],
+        list(
+            _trial_rows(
+                config,
+                seed,
+                edge_distance_histogram,
+                lambda seeds: stratified_distances(params, loops, seeds=seeds),
+            )
+        ),
         dtype=np.int64,
     )
+    reports = [concentration_report(params, row, loops) for row in hists]
     distances = np.arange(n + 1)
     lo, hi = hamming_window(params)
     entries = 2 * hists
@@ -392,7 +427,7 @@ def _run_hamming(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
     for name, sums, (mean, var) in zip(
         ("total_edge_distance_vs_exact", "total_degree_vs_exact"),
         (distance_sums, degree_sums),
-        edge_sum_moments(params, config.include_loops),
+        edge_sum_moments(params, loops),
     ):
         observed = float(sums.mean())
         z = (observed - mean) / math.sqrt(var / config.trials)
@@ -403,15 +438,13 @@ def _run_hamming(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
         AnalyticValue("window_lo", lo, "neighbor-distance concentration window"),
         AnalyticValue("window_hi", hi, "neighbor-distance concentration window"),
     )
-    edge_totals = hists.sum(axis=1)
-    in_window = hists[:, (distances >= lo) & (distances <= hi)].sum(axis=1)
-    with np.errstate(invalid="ignore"):  # a trial without edges reads NaN
-        empirical = {
-            "trials": config.trials,
-            "mean_degree": float(degree_sums.mean() / params.vertex_count),
-            "in_window_fraction": float((in_window / edge_totals).mean()),
-            "mean_edge_distance": float((distance_sums / edge_totals).mean()),
-        }
+    empirical = {
+        "trials": config.trials,
+        "mean_degree": float(degree_sums.mean() / params.vertex_count),
+        # A trial without edges reads NaN.
+        "in_window_fraction": float(np.mean([r.in_window_edge_fraction for r in reports])),
+        "mean_edge_distance": float(np.mean([r.mean_edge_distance for r in reports])),
+    }
     profile_mean = entries.sum(axis=0) / params.vertex_count / config.trials
     rows = tuple(
         (k, float(profile_mean[k]), hamming_profile_prediction(params, k)) for k in range(n + 1)

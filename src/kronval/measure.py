@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .model import SampledGraph
+from .model import KroneckerParams, SampledGraph
 from .patterns import PatternGraph
 from .predict import hamming_window
 
@@ -67,10 +67,22 @@ def check_countable(pattern: PatternGraph, n: int) -> None:
         )
 
 
-def _count_star(graph: SampledGraph, k: int) -> int:
-    """Sum of falling factorials d!/(d-k)! over the loop-free degrees."""
-    counts = np.bincount(graph.degrees(count_loops=False)).tolist()
+def star_arms(pattern: PatternGraph) -> "int | None":
+    """k if count_labeled_copies counts the pattern as the star K_{1,k},
+    from the degrees alone (star_count), else None."""
+    return pattern.vertex_count - 1 if _route(pattern) == "star" else None
+
+
+def star_count(degrees: np.ndarray, k: int) -> int:
+    """Labeled copies of the star K_{1,k} in a graph of these loop-free
+    degrees: the exact sum of falling factorials d!/(d-k)!."""
+    counts = np.bincount(degrees).tolist()
     return sum(c * math.perm(d, k) for d, c in enumerate(counts) if c)
+
+
+def _count_star(graph: SampledGraph, k: int) -> int:
+    """star_count over the graph's loop-free degrees."""
+    return star_count(graph.degrees(count_loops=False), k)
 
 
 def _ranked_keys(graph: SampledGraph):
@@ -354,10 +366,11 @@ def edge_distance_histogram(graph: SampledGraph) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConcentrationReport:
-    """Degree and neighbor-distance concentration summary of one realization.
+    """Degree and neighbor-distance concentration summary of one
+    realization, read off its edge-distance histogram.
 
     ``distance_histogram`` counts the edges at each Hamming distance 0..n,
-    with loops at 0.
+    with loops at 0; ``edge_count`` and ``loop_count`` split it.
     """
 
     expected_degree: float
@@ -373,23 +386,36 @@ class ConcentrationReport:
     distance_histogram: tuple[int, ...]
 
 
-def concentration_report(graph: SampledGraph) -> ConcentrationReport:
-    """Compare the mean vertex degree and the edge distances against the
-    uniform prediction (alpha+beta)^n and its distance window.
+def concentration_report(
+    params: KroneckerParams, distance_histogram, include_loops: bool
+) -> ConcentrationReport:
+    """Compare the mean vertex degree and the edge distances of one
+    realization of params against the uniform prediction (alpha+beta)^n and
+    its distance window.
 
-    Requires generation parameters with alpha = gamma and alpha + beta > 1;
-    loops enter degrees and the distance histogram at distance 0.  One
-    edge-distance pass measures the graph: the mean degree is the degree
-    sum 2 edges + loops over the 2^n vertices, exact in float64.
+    The realization is its edge-distance histogram, the n + 1 counts of
+    ``edge_distance_histogram`` (or a row of
+    ``generate.stratified_distances``), so no graph is needed.  An edge has
+    distance >= 1, so entry 0 counts the loops, and a loop-free realization
+    has none there.  Loops enter the degrees and the fractions at distance
+    0.  The mean degree is the degree sum 2 edges + loops over the 2^n
+    vertices, and the in-window fraction and mean distance are ratios of
+    the histogram's integer sums, NaN without edges.  Requires alpha = gamma
+    and alpha + beta > 1.
     """
-    p = graph.params
+    p = params
     if not p.alpha_equals_gamma:
         raise ParameterError("concentration report requires alpha = gamma")
     if p.alpha + p.beta <= 1.0:
         raise ParameterError("concentration report requires alpha + beta > 1")
+    hist = np.asarray(distance_histogram)
+    if hist.shape != (p.n + 1,) or hist.dtype.kind not in "iu":
+        raise ParameterError(f"a distance histogram holds n + 1 = {p.n + 1} integer counts")
+    loops = int(hist[0])
+    if loops and not include_loops:
+        raise ParameterError("a loop-free realization has no count at distance 0")
     lo, hi = hamming_window(p)
     center = p.beta * p.n / (p.alpha + p.beta)
-    hist = edge_distance_histogram(graph)
     distances = np.arange(p.n + 1)
     total = int(hist.sum())
     if total:
@@ -401,14 +427,14 @@ def concentration_report(graph: SampledGraph) -> ConcentrationReport:
         mean_distance = math.nan
     return ConcentrationReport(
         expected_degree=(p.alpha + p.beta) ** p.n,
-        degree_mean=(2 * len(graph.edges) + len(graph.loops)) / graph.vertex_count,
+        degree_mean=(2 * total - loops) / p.vertex_count,
         window_lo=lo,
         window_hi=hi,
         window_center=center,
         in_window_edge_fraction=fraction,
         mean_edge_distance=mean_distance,
-        edge_count=len(graph.edges),
-        loop_count=len(graph.loops),
-        include_loops=graph.include_loops,
+        edge_count=total - loops,
+        loop_count=loops,
+        include_loops=include_loops,
         distance_histogram=tuple(hist.tolist()),
     )

@@ -23,6 +23,7 @@ from kronval import (
     SampledGraph,
     SeedSpec,
     degree_histogram,
+    edge_distance_histogram,
     edge_probability,
     expected_edge_count,
     generate_naive,
@@ -44,8 +45,9 @@ from kronval.generate import (
     _draw_ranks,
     _subset_table,
     _unrank_pairs,
-    degree_batch_trials,
+    batch_trials,
     stratified_degrees,
+    stratified_distances,
 )
 from kronval.model import pairs_ascend
 
@@ -828,7 +830,7 @@ class TestStratifiedDegrees:
         # Batches of 1, batch and batch + 1 trials; at n = 1 and 5 a batch
         # holds over a thousand trials, so 7 stand in for it there.
         params = KroneckerParams(0.8, 0.5, 0.4, n)
-        batch = degree_batch_trials(params, include_loops)
+        batch = batch_trials(params, include_loops)
         assert (batch == 1) == (n == 14)
         for trials in (1, 7) if batch > 200 else (1, batch, batch + 1):
             seeds = [SeedSpec(5).child("trial", t) for t in range(trials)]
@@ -894,14 +896,14 @@ class TestStratifiedDegrees:
 
     @pytest.mark.parametrize("entries", [(0.8, 0.5, 0.1), (0.7, 0.3, 0.3)])
     def test_batches_of_a_run_stay_within_their_ranks_and_counts(self, entries):
-        # 20 trials at n = 12, in batches of degree_batch_trials: each holds
+        # 20 trials at n = 12, in batches of batch_trials: each holds
         # 8 B per rank and 8 2^n per trial, and one pass of _unranked,
         # about 100 B for each of its _UNRANK_BLOCK ranks (1 MiB allowed).
         # All 20 trials of (0.8, 0.5, 0.1) in one batch peak about 0.3 MB
         # above the bound of a batch of 12.
         params = KroneckerParams(*entries, 12)
         seeds = [SeedSpec(1).child("trial", t) for t in range(20)]
-        step = degree_batch_trials(params)
+        step = batch_trials(params)
         assert 10 <= step <= 16
         table = _class_table(12, True)
         for s in range(0, 20, step):
@@ -910,3 +912,70 @@ class TestStratifiedDegrees:
             rows, peak = traced_peak(lambda: stratified_degrees(params, seeds=batch))
             assert rows.sum() > 0
             assert peak <= 8 * ranks + 8 * len(batch) * params.vertex_count + (1 << 20)
+
+
+def _graph_distances(params: KroneckerParams, include_loops: bool, seeds) -> np.ndarray:
+    """The edge-distance histograms of the graphs of the seeds, one row each."""
+    return np.array(
+        [
+            edge_distance_histogram(generate_stratified(params, include_loops, seed=seed))
+            for seed in seeds
+        ],
+        dtype=np.int64,
+    ).reshape(len(seeds), params.n + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    params=_bounded_params(),
+    include_loops=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    trials=st.integers(1, 4),
+)
+@example(params=KroneckerParams(0.9, 0.9, 0.9, 1), include_loops=True, seed=0, trials=3)
+@example(params=KroneckerParams(0.6, 0.3, 0.6, 14), include_loops=False, seed=1, trials=2)
+def test_stratified_distances_are_the_graph_histograms(params, include_loops, seed, trials):
+    # Blocks of 7 ranks mix pair and loop classes, and trials, within one pass.
+    seeds = [SeedSpec(seed).child("trial", t) for t in range(trials)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kronval.generate, "_UNRANK_BLOCK", 7)
+        batch = stratified_distances(params, include_loops, seeds=seeds)
+        single = [stratified_distances(params, include_loops, seeds=[s])[0] for s in seeds]
+    assert batch.dtype == np.int64 and batch.shape == (trials, params.n + 1)
+    assert np.array_equal(batch, np.array(single))
+    assert np.array_equal(batch, _graph_distances(params, include_loops, seeds))
+    assert include_loops or not batch[:, 0].any()
+
+
+class TestStratifiedDistances:
+    def test_refuses_over_the_budget_before_any_stream(self, monkeypatch):
+        def derived(*args, **kwargs):
+            raise AssertionError("a stream was derived")
+
+        monkeypatch.setattr(SeedSpec, "generator", derived)
+        p = KroneckerParams(0.99, 0.99, 0.99, 14)  # about 117M expected edges
+        with pytest.raises(CapacityError, match="budget"):
+            stratified_distances(p, seeds=[SeedSpec(1)])
+
+    def test_unranked_vertices_are_range_checked(self, monkeypatch):
+        def too_wide(n, a, b, ranks):
+            u, v = _unrank_pairs(n, a, b, ranks)
+            return u, v | (1 << n)
+
+        monkeypatch.setattr(kronval.generate, "_unrank_pairs", too_wide)
+        with pytest.raises(DimensionError, match="does not fit 6 digits"):
+            stratified_distances(KroneckerParams(0.7, 0.5, 0.7, 6), seeds=[SeedSpec(1)] * 3)
+
+    def test_one_trial_peaks_at_its_ranks(self):
+        # No keys are packed, sorted or split into rows: the ranks, a byte
+        # of lane each, and one gap round or unranking pass, about 1.6 MB
+        # here, stay under 12 B per expected edge and 1 MiB.  The graph
+        # holds about 25 B per edge.
+        p = KroneckerParams(0.6, 0.5, 0.6, 18)
+        expected = expected_edge_count(p)
+        rows, peak = traced_peak(lambda: stratified_distances(p, seeds=[SeedSpec(1)]))
+        assert rows.sum() > 0.99 * expected
+        assert peak <= 12 * expected + (1 << 20)
+        hist, graph_peak = traced_peak(lambda: _graph_distances(p, True, [SeedSpec(1)]))
+        assert np.array_equal(rows, hist)
+        assert graph_peak > 20 * expected

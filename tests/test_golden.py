@@ -63,6 +63,12 @@ The naive and R-MAT digests did not move.  Old -> new sha256:
 The demo digests of degree_distribution (7d9ac172... -> 32384466...),
 hamming_neighborhood (aafe2033... -> d566a782...) and subgraph_thresholds
 (86a3f324... -> d9f2dd33...) in test_demos.py moved with them.
+
+The naive hamming report and the stratified star subgraph report were
+recorded when the stratified hamming and star runs stopped building a graph
+per trial: the first pins the graph route the naive sampler still takes,
+the second the star counts read off the sampler's degree arrays.  Both
+digests are the bytes the graph route gave before that change.
 """
 
 import hashlib
@@ -142,6 +148,20 @@ HAMMING_NO_LOOPS_REPORT = (
     "74fbfb66404ea77f61e0172d6aed4ce01930b34a9ae230262a81b1523cb887c2",
 )
 
+# Pins the graph route of the hamming kind: each naive trial's graph.
+HAMMING_NAIVE_REPORT = (
+    ["validate", "--kind", "hamming", "--generator", "naive", "--n", "8", "--alpha", "0.7",
+     "--beta", "0.5", "--gamma", "0.7", "--trials", "3", "--seed", "18"],
+    "3c70dc7b500e6e5edcc0652e390b0757015a819d916fdcc2d8ce95ed217c24e9",
+)
+
+# Pins star counts from the stratified sampler's loop-free degree arrays.
+STAR_REPORT = (
+    ["validate", "--kind", "subgraph", "--pattern", "star:3", "--n", "10", "--alpha", "0.7",
+     "--beta", "0.5", "--gamma", "0.7", "--trials", "3", "--seed", "19"],
+    "2f21f9cc02e2a5765dfafa28652f3ac61ed6cd299b4de29993ebfc7f387bdf18",
+)
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -182,6 +202,17 @@ def test_hamming_report_bytes(tmp_path, capsys):
 
 def test_hamming_no_loops_report_bytes(tmp_path, capsys):
     argv, digest = HAMMING_NO_LOOPS_REPORT
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out-json", str(out)]) == 0
+    assert _sha256(out) == digest
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "report", [HAMMING_NAIVE_REPORT, STAR_REPORT], ids=["hamming-naive", "star"]
+)
+def test_route_report_bytes(tmp_path, capsys, report):
+    argv, digest = report
     out = tmp_path / "report.json"
     assert main(argv + ["--out-json", str(out)]) == 0
     assert _sha256(out) == digest

@@ -33,7 +33,7 @@ from kronval.generate import (
     RMAT_MAX_EDGES,
     RMAT_PEAK_BYTES_PER_DRAW,
     _unrank_pairs,
-    degree_batch_trials,
+    batch_trials,
     edge_sum_moments,
 )
 from kronval.harness import (
@@ -46,6 +46,21 @@ from kronval.harness import (
     report_json,
     run_experiment,
 )
+
+
+def _pair_sums(params: KroneckerParams, include_loops: bool) -> list:
+    """(mean, variance) of the total edge distance and of the total degree,
+    summed over every pair u <= v: a pair of probability p and weight w adds
+    w p and w^2 p (1 - p); the distance weighs a pair by its distance, the
+    degree an edge by 2 and a loop by 1."""
+    size = params.vertex_count
+    pairs = [(u, v) for u in range(size) for v in range(u, size) if include_loops or u != v]
+    probs = np.array([edge_probability(params, u, v) for u, v in pairs])
+    distances = np.array([bin(u ^ v).count("1") for u, v in pairs])
+    ends = np.array([1 if u == v else 2 for u, v in pairs])
+    return [
+        ((probs * w).sum(), (probs * (1 - probs) * w**2).sum()) for w in (distances, ends)
+    ]
 
 
 def cfg(**overrides):
@@ -193,24 +208,43 @@ class TestReports:
 
     @pytest.mark.parametrize("include_loops", [True, False])
     def test_hamming_moments_are_sums_over_all_pairs(self, include_loops):
-        # Brute force over every pair u <= v at n = 6: the distance total
-        # weights a pair by its distance, the degree total an edge by 2 and
-        # a loop by 1, and each pair adds w p and w^2 p (1 - p).
+        # Brute force over every pair u <= v at n = 6 (_pair_sums).
         params = KroneckerParams(0.7, 0.5, 0.7, 6)
-        pairs = [(u, v) for u in range(64) for v in range(u, 64) if include_loops or u != v]
-        probs = np.array([edge_probability(params, u, v) for u, v in pairs])
-        distances = np.array([bin(u ^ v).count("1") for u, v in pairs])
-        ends = np.array([1 if u == v else 2 for u, v in pairs])
         moments = edge_sum_moments(params, include_loops)
-        for (mean, var), weight in zip(moments, (distances, ends)):
-            assert mean == pytest.approx((probs * weight).sum(), rel=1e-12)
-            assert var == pytest.approx((probs * (1 - probs) * weight**2).sum(), rel=1e-12)
+        for (mean, var), (want_mean, want_var) in zip(moments, _pair_sums(params, include_loops)):
+            assert mean == pytest.approx(want_mean, rel=1e-12)
+            assert var == pytest.approx(want_var, rel=1e-12)
         report = run_experiment(
             cfg(kind="hamming", params=params, trials=2, include_loops=include_loops)
         )
         assert [c.expected for c in report.criteria] == [mean for mean, _ in moments]
         center = {a.name: a.value for a in report.analytic}["window_center"]
         assert center == 0.5 * 6 / 1.2
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            (0.999, 0.99, 0.95),
+            (0.99, 0.999, 0.99),
+            (0.9999, 0.9999, 0.9999),
+            (1e-3, 0.5, 1e-3),
+            (1e-6, 1e-6, 1e-6),
+            (0.5, 1e-9, 0.5),
+            (1e-300, 0.5, 1e-300),
+        ],
+    )
+    def test_hamming_moments_hold_at_extreme_entries(self, entries, n):
+        # The closed forms against every pair.  Near 1, p (1 - p) is the
+        # difference of two sums, and both sides lose the digits of 1 - p.
+        params = KroneckerParams(*entries, n)
+        for include_loops in (True, False):
+            moments = edge_sum_moments(params, include_loops)
+            for (mean, var), (want_mean, want_var) in zip(
+                moments, _pair_sums(params, include_loops)
+            ):
+                assert mean == pytest.approx(want_mean, rel=1e-12)
+                assert var == pytest.approx(want_var, rel=1e-10)
 
     def test_hamming_trial_without_edges_reads_nan(self):
         # n = 1 without loops: each trial holds its one pair with
@@ -290,11 +324,13 @@ class TestReports:
         hub = SampledGraph.from_pairs(params, np.zeros_like(leaves), leaves)
         trial_graphs = []
 
-        def fake_stratified(params, include_loops, seed):
-            trial_graphs.append(hub)
-            return hub
+        def fake_degrees(params, include_loops, seeds):
+            # The star route reads each trial's loop-free degrees, no graph.
+            assert include_loops is False
+            trial_graphs.extend([hub] * len(seeds))
+            return np.tile(hub.degrees(count_loops=False), (len(seeds), 1))
 
-        monkeypatch.setattr(kronval.harness, "generate_stratified", fake_stratified)
+        monkeypatch.setattr(kronval.harness, "stratified_degrees", fake_degrees)
         report = run_experiment(cfg(kind="subgraph", pattern="star:4", params=params, trials=2))
         count = count_labeled_copies(trial_graphs[0], star(4))
         assert count == math.perm((1 << 15) - 1, 4) and count > 2**53
@@ -1177,7 +1213,7 @@ class TestDegreeRoute:
     def test_dumping_edges_changes_no_report_byte(self, monkeypatch, tmp_path, include_loops):
         # One trial past a batch: 13 trials in batches of 12, then 1.
         params = KroneckerParams(0.8, 0.5, 0.1, 12)
-        trials = degree_batch_trials(params, include_loops) + 1
+        trials = batch_trials(params, include_loops) + 1
         assert trials == 13
         config = cfg(params=params, trials=trials, include_loops=include_loops, degree_max=8)
         prefix = str(tmp_path / "dump")
@@ -1222,3 +1258,126 @@ class TestDegreeRoute:
         report = run_experiment(cfg(generator="naive", trials=4))
         assert built == [("trial", t) for t in range(4)]
         assert report.empirical["trials"] == 4
+
+
+class TestHammingRoute:
+    """validate --kind hamming reads the stratified sampler's edge-distance
+    histograms, a batch of trials at a time, with no graph built; a run that
+    dumps its edges, or samples naively, reads each trial's graph."""
+
+    def test_stratified_runs_build_no_graph(self, monkeypatch):
+        monkeypatch.setattr(kronval.harness, "generate_stratified", _no_generation)
+        monkeypatch.setattr(SampledGraph, "from_keys", _no_generation)
+        params = KroneckerParams(0.7, 0.5, 0.7, 8)
+        report = run_experiment(cfg(kind="hamming", params=params, trials=5))
+        assert report.empirical["trials"] == 5 and report.passed
+
+    @pytest.mark.parametrize("include_loops", [True, False])
+    def test_dumping_edges_changes_no_report_byte(self, monkeypatch, tmp_path, include_loops):
+        # One trial past a batch of the degree-sized batches.
+        params = KroneckerParams(0.7, 0.5, 0.7, 10)
+        trials = batch_trials(params, include_loops) + 1
+        config = cfg(kind="hamming", params=params, trials=trials, include_loops=include_loops)
+        prefix = str(tmp_path / "dump")
+        built = []
+        graph = kronval.harness.generate_stratified
+
+        def spy(*args, **kwargs):
+            built.append(kwargs["seed"].stream)
+            return graph(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kronval.harness, "generate_stratified", spy)
+            patch.setattr(kronval.harness, "stratified_distances", _no_generation)
+            dumped = run_experiment(dataclasses.replace(config, dump_edges=prefix))
+        assert built == [("trial", t) for t in range(trials)]
+        with monkeypatch.context() as patch:
+            patch.setattr(kronval.harness, "generate_stratified", _no_generation)
+            plain = run_experiment(config)
+        echoed = f'"dump_edges": {json.dumps(prefix)}'
+        assert report_json(dumped) == report_json(plain).replace('"dump_edges": null', echoed)
+        tables = [tmp_path / "plain.csv", tmp_path / "dumped.csv"]
+        emit_report(plain, csv_path=tables[0])
+        emit_report(dumped, csv_path=tables[1])
+        assert tables[0].read_bytes() == tables[1].read_bytes()
+
+    def test_naive_runs_read_each_trial_graph(self, monkeypatch):
+        built = []
+        naive = kronval.harness.generate_naive
+
+        def spy(*args, **kwargs):
+            built.append(kwargs["seed"].stream)
+            return naive(*args, **kwargs)
+
+        monkeypatch.setattr(kronval.harness, "stratified_distances", _no_generation)
+        monkeypatch.setattr(kronval.harness, "generate_naive", spy)
+        params = KroneckerParams(0.7, 0.5, 0.7, 6)
+        report = run_experiment(cfg(kind="hamming", params=params, generator="naive", trials=4))
+        assert built == [("trial", t) for t in range(4)]
+        assert report.empirical["trials"] == 4
+
+    def test_each_trial_is_summarised_by_its_concentration_report(self, monkeypatch):
+        # The run's in-window fraction and mean distance are the means of its
+        # trials' concentration reports, whichever route made the histograms.
+        reports = []
+        summarise = kronval.harness.concentration_report
+
+        def spy(*args):
+            reports.append(summarise(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(kronval.harness, "concentration_report", spy)
+        params = KroneckerParams(0.6, 0.5, 0.6, 9)
+        for generator in ("stratified", "naive"):
+            reports.clear()
+            run = run_experiment(cfg(kind="hamming", params=params, generator=generator, trials=3))
+            assert len(reports) == 3
+            assert run.empirical["mean_edge_distance"] == np.mean(
+                [r.mean_edge_distance for r in reports]
+            )
+            assert run.empirical["in_window_fraction"] == np.mean(
+                [r.in_window_edge_fraction for r in reports]
+            )
+
+    def test_unranked_vertices_are_range_checked(self, monkeypatch):
+        def too_wide(n, a, b, ranks):
+            u, v = _unrank_pairs(n, a, b, ranks)
+            return u, v | (1 << n)
+
+        monkeypatch.setattr(kronval.harness, "generate_stratified", _no_generation)
+        monkeypatch.setattr(kronval.generate, "_unrank_pairs", too_wide)
+        with pytest.raises(DimensionError, match="does not fit 6 digits"):
+            run_experiment(cfg(kind="hamming", params=KroneckerParams(0.7, 0.5, 0.7, 6)))
+
+
+class TestStarRoute:
+    """validate --kind subgraph counts a star from the stratified sampler's
+    loop-free degree arrays, with no graph built; other patterns, naive runs
+    and runs that dump their edges count each trial's graph."""
+
+    @pytest.mark.parametrize("pattern", ["star:3", "path:2", "path:1"])
+    @pytest.mark.parametrize("include_loops", [True, False])
+    def test_star_counts_equal_the_graph_counts(
+        self, monkeypatch, tmp_path, pattern, include_loops
+    ):
+        params = KroneckerParams(0.7, 0.5, 0.7, 9)
+        config = cfg(kind="subgraph", pattern=pattern, params=params, trials=4,
+                     include_loops=include_loops)
+        with monkeypatch.context() as patch:
+            patch.setattr(kronval.harness, "generate_stratified", _no_generation)
+            plain = run_experiment(config)
+        prefix = str(tmp_path / "dump")
+        with monkeypatch.context() as patch:
+            patch.setattr(kronval.harness, "stratified_degrees", _no_generation)
+            dumped = run_experiment(dataclasses.replace(config, dump_edges=prefix))
+        echoed = f'"dump_edges": {json.dumps(prefix)}'
+        assert report_json(dumped) == report_json(plain).replace('"dump_edges": null', echoed)
+
+    def test_other_patterns_and_naive_runs_read_each_trial_graph(self, monkeypatch):
+        monkeypatch.setattr(kronval.harness, "stratified_degrees", _no_generation)
+        params = KroneckerParams(0.7, 0.5, 0.7, 6)
+        for generator, pattern in (("stratified", "cycle:3"), ("naive", "star:3")):
+            report = run_experiment(
+                cfg(kind="subgraph", pattern=pattern, params=params, generator=generator, trials=2)
+            )
+            assert len(report.empirical["counts"]) == 2

@@ -5,7 +5,8 @@ no kronval module imports scipy at all.  And every name a library module
 imports is used there, or marked as bound for outside readers, and only such
 a name is marked, so that the marks list exactly the names kept for those
 readers.  And the stratified sampler's class and rank logic has one copy:
-one call site each draws the gaps and unranks the pairs."""
+one call site each draws the gaps and unranks the pairs, and no module but
+kronval.generate names the sampler core."""
 
 import ast
 import json
@@ -211,3 +212,47 @@ def test_call_sites_name_their_scope(tmp_path):
         ("module.outer", "_unrank_pairs"),
         ("module.outer.inner", "standard_exponential"),
     ]
+
+
+# The stratified sampler's core, reached from outside kronval.generate only
+# through its consumers: generate_stratified, stratified_degrees and
+# stratified_distances.
+CORE_NAMES = ("_draw_ranks", "_unranked", "_unrank_pairs")
+
+
+def _named(path: Path, names) -> list:
+    """The names among ``names`` that the file reads, binds, imports,
+    defines or reaches as an attribute, once per occurrence."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+        else:
+            continue
+        if name in names:
+            found.append(name)
+    return found
+
+
+def test_only_the_generator_module_names_the_sampler_core():
+    modules = sorted(Path(kronval.__file__).parent.glob("*.py"))
+    named = {path.stem: sorted(set(_named(path, CORE_NAMES))) for path in modules}
+    assert named.pop("generate") == sorted(CORE_NAMES)
+    assert named == {path.stem: [] for path in modules if path.stem != "generate"}
+
+
+def test_core_names_are_found_in_any_form(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from .generate import _draw_ranks as draw\n"
+        "import kronval.generate._unranked\n"
+        "def f(gen):\n"
+        "    return gen._unrank_pairs, _draw_ranks_oracle, draw\n"
+    )
+    assert sorted(_named(module, CORE_NAMES)) == ["_draw_ranks", "_unrank_pairs", "_unranked"]

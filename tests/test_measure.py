@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kronval.measure
-from kronval.measure import _count_backtracking
+from kronval.measure import _count_backtracking, star_arms, star_count
+from kronval.patterns import PatternGraph
 from kronval import (
     CapacityError,
     KroneckerParams,
@@ -246,6 +247,16 @@ class TestCountLabeledCopies:
         assert expected > 2**63
         assert _count_star(g, 4) == expected
         assert _count_star(g, 1) == 2 * len(leaves)
+        assert star_count(g.degrees(count_loops=False), 4) == expected
+
+    def test_star_arms_name_the_star_route(self):
+        # Stars under any labelling, the single edge and path:2 among them;
+        # a star with an isolated vertex, and non-stars, are not.
+        for text, arms in [("star:1", 1), ("star:4", 4), ("path:2", 2), ("path:1", 1),
+                           ("cycle:3", None), ("path:3", None), ("cycle:4", None)]:
+            assert star_arms(parse_pattern(text)) == arms, text
+        assert star_arms(PatternGraph.from_edges(4, [(2, 0), (2, 3)])) is None
+        assert star_arms(PatternGraph.from_edges(3, [(2, 0), (2, 1)])) == 2
 
     def test_path_count_by_hand(self):
         p = KroneckerParams(0.6, 0.4, 0.3, 3)
@@ -376,20 +387,35 @@ class TestEdgeDistances:
         assert edge_distance_histogram(g).tolist() == [1, 0, 0, 0, 0, 0]
 
 
+def _report(graph):
+    """The concentration report of a graph, from its edge-distance histogram."""
+    return concentration_report(graph.params, edge_distance_histogram(graph), graph.include_loops)
+
+
 class TestConcentrationReport:
     def test_gates(self):
         p_bad = KroneckerParams(0.7, 0.5, 0.6, 6)
         g = generate_stratified(p_bad, seed=SeedSpec(1))
         with pytest.raises(ParameterError):
-            concentration_report(g)
+            _report(g)
         p_sparse = KroneckerParams(0.4, 0.5, 0.4, 6)
         with pytest.raises(ParameterError):
-            concentration_report(generate_stratified(p_sparse, seed=SeedSpec(1)))
+            _report(generate_stratified(p_sparse, seed=SeedSpec(1)))
+
+    def test_histogram_shape_and_loops_are_checked(self):
+        p = KroneckerParams(0.7, 0.5, 0.7, 4)
+        for hist in ([1, 2, 3, 4], [1, 2, 3, 4, 5, 6], [0.0, 1.0, 2.0, 0.0, 0.0]):
+            with pytest.raises(ParameterError, match="n \\+ 1 = 5 integer counts"):
+                concentration_report(p, hist, True)
+        with pytest.raises(ParameterError, match="loop-free"):
+            concentration_report(p, [1, 2, 3, 0, 0], False)
+        report = concentration_report(p, [0, 2, 3, 0, 0], False)
+        assert (report.edge_count, report.loop_count, report.include_loops) == (5, 0, False)
 
     def test_window_and_degree_fields(self):
         p = KroneckerParams(0.7, 0.5, 0.7, 10)
         g = generate_stratified(p, include_loops=True, seed=SeedSpec(37))
-        report = concentration_report(g)
+        report = _report(g)
         assert report.window_center == pytest.approx(0.5 * 10 / 1.2)
         assert report.expected_degree == pytest.approx(1.2**10)
         degrees = g.degrees(count_loops=True)
@@ -399,20 +425,29 @@ class TestConcentrationReport:
         assert report.include_loops is True
         hist = edge_distance_histogram(g)
         assert report.distance_histogram == tuple(hist.tolist())
-        assert report.distance_histogram[0] == len(g.loops) > 0
+        assert report.distance_histogram[0] == report.loop_count == len(g.loops) > 0
+        assert report.edge_count == len(g.edges)
+        distances = np.bitwise_count(g.edges[:, 0] ^ g.edges[:, 1])
+        assert report.mean_edge_distance == distances.sum() / (len(g.edges) + len(g.loops))
 
     def test_report_allocates_no_vertex_array(self, stratified_n16):
-        # One int64 distance per edge, and far less than a 2^n int64 degree
-        # array beside it.
+        # The report reads only the n + 1 counts of the histogram.
         g = stratified_n16
-        report, peak = traced_peak(lambda: concentration_report(g))
-        assert report.distance_histogram == tuple(edge_distance_histogram(g).tolist())
-        assert peak - 8 * len(g.edges) < 2 * g.vertex_count
+        hist = edge_distance_histogram(g)
+        report, peak = traced_peak(lambda: concentration_report(g.params, hist, True))
+        assert report.distance_histogram == tuple(hist.tolist())
+        assert peak < g.vertex_count
+
+    def test_no_edges_read_nan(self):
+        report = concentration_report(KroneckerParams(0.7, 0.5, 0.7, 3), [0] * 4, True)
+        assert report.degree_mean == 0.0 and report.edge_count == 0
+        assert math.isnan(report.in_window_edge_fraction)
+        assert math.isnan(report.mean_edge_distance)
 
     def test_symmetric_window_center(self):
         p = KroneckerParams(0.6, 0.6, 0.6, 8)
         g = generate_stratified(p, seed=SeedSpec(41))
-        report = concentration_report(g)
+        report = _report(g)
         assert report.window_center == pytest.approx(4.0)  # beta/(alpha+beta) = 1/2
 
 
