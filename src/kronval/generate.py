@@ -10,11 +10,14 @@ leaves the edges unchanged.  The stratified sampler walks each class by
 geometric gaps, a round of many classes per numpy call, so a small graph
 costs a handful of numpy calls rather than a few per class.
 
-The stratified sampler is one core, _draw_ranks and then the unranking
-passes of _unranked, with three consumers: generate_stratified packs the
-pairs into a sorted graph, and stratified_degrees and stratified_distances
-read the degrees and the edge-distance histogram of a batch of trials,
-whose ranks the core draws together (_trial_passes), with no graph built.
+The stratified sampler is one core, a stream: _draw_ranks hands out its
+ranks a block of _UNRANK_BLOCK at a time, and _unranked unranks each block
+as it arrives.  It has three consumers.  generate_stratified packs each
+pass's pairs into keys for a sorted graph.  stratified_degrees and
+stratified_distances reduce each pass of a batch of trials, drawn together
+(_trial_passes), into degree arrays and edge-distance histograms and drop
+it, so they hold one gap round, one pass and their counts, whatever the
+edge count, and build no graph.
 """
 
 from __future__ import annotations
@@ -40,16 +43,17 @@ from .streams import SeedSpec
 NAIVE_MAX_N = 14
 STRATIFIED_MAX_N = 30
 # The stratified sampler's default budget is a memory ceiling over its
-# measured peak resident bytes per edge.  The ranks are unranked in place
-# into packed pair keys, so the peak is in SampledGraph.from_keys, which
-# holds the keys, a bool per key and the (E, 2) result at once (25 B per
-# edge); the ranks' class index (1-2 B per edge) is freed before it.
-# The rank draws hold the keys and class indices as reserved, and one
-# round of at most _GAP_ROUND steps, about 24 B per step at its peak.
-# The whole process peaked at 26.4 B per edge at (0.99, 0.99, 0.99),
-# n = 13 (29.5M edges), 26.4 B at (0.001, 0.968, 0.001), n = 27 (28.7M)
-# and 26.2 B at (0.001, 0.9305, 0.001), n = 29 (34.3M), with the
-# interpreter.
+# measured peak resident bytes per edge.  Each unranking pass writes its
+# packed pair keys into one int64 buffer, so the peak is in
+# SampledGraph.from_keys, which holds the keys, a bool per key and the
+# (E, 2) result at once (25 B per edge).  Before it, the call holds the key
+# buffer as reserved, one round of at most _GAP_ROUND steps (about 24 B per
+# step at its peak), fewer than _UNRANK_BLOCK ranks held for the next block
+# and one pass.  The whole process peaked at 26.4 B per edge at
+# (0.99, 0.99, 0.99), n = 13 (29.5M edges), 26.4 B at (0.001, 0.968, 0.001),
+# n = 27 (28.7M) and 26.2 B at (0.001, 0.9305, 0.001), n = 29 (34.3M), with
+# the interpreter, measured before the draws became a stream, which lowers
+# only what the call holds before from_keys.
 GENERATE_MEMORY_CEILING = 3 << 30  # bytes
 STRATIFIED_PEAK_BYTES_PER_EDGE = 28
 DEFAULT_EDGE_BUDGET = GENERATE_MEMORY_CEILING // STRATIFIED_PEAK_BYTES_PER_EDGE
@@ -61,12 +65,14 @@ RMAT_PEAK_BYTES_PER_DRAW = 80
 RMAT_MAX_EDGES = GENERATE_MEMORY_CEILING // RMAT_PEAK_BYTES_PER_DRAW
 _NAIVE_ROW_BLOCK = 128
 _RMAT_SUBBLOCK = 1 << 16  # rows per rng.random call: 32 MB of doubles at n = 62
-# Ranks per stratified unranking pass, any mix of classes.  A pass peaks
-# at about 88 B per rank at n <= 16 (0.7 MiB), mostly int32 lanes, and
-# 12 B more per walked digit for its three masks: 164 B at n = 20 and
-# 284 B (2.3 MiB) at n = 30.  Passes of 2^15 ranks kept count-n13's wall
-# time and raised its peak RSS by 0.1 MB (medians of 6 alternating pairs);
-# they cut hamming-n20's wall time 7% but raised its peak RSS 1.3%.
+# Ranks per block of the stratified rank stream and per unranking pass, any
+# mix of classes.  A pass peaks at about 47 B per rank at n <= 16
+# (0.37 MiB), where the int64 ranks are split, and at about 66 B (0.52 MiB)
+# past n = 16, in the digit walk, however many digits it walks, since each
+# walked digit is or-ed into three int32 lanes.  Passes of 2^15 ranks kept
+# count-n13's wall time and raised its peak RSS by 0.1 MB (medians of 6
+# alternating pairs); they cut hamming-n20's wall time 7% but raised its
+# peak RSS 1.3%.
 _UNRANK_BLOCK = 1 << 13
 # Digits unranked from one _subset_table: 2^16 int32 masks, 256 KiB.
 # _unrank_pairs walks only the digits below the top _TABLE_MAX_N.  A 2^20
@@ -332,8 +338,8 @@ def _deposit(x: np.ndarray, mask: np.ndarray, digits: int) -> np.ndarray:
 def _unrank_pairs(
     n: int, a: np.ndarray, b: np.ndarray, ranks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v) of the rank-th pairs of classes (a, b), all three int64
-    arrays with an entry per rank.
+    """(u, v) of the rank-th pairs of classes (a, b): ranks is int64, and a
+    and b any integer type, each with an entry per rank.
 
     rank = (ones rank * C(n - a, b) + mixed rank) * 2^(b - 1) + orientation,
     where the ones rank picks the a one digits among all n and the mixed rank
@@ -348,82 +354,113 @@ def _unrank_pairs(
     time: a digit is a one if the ones rank falls below the count of
     subsets that hold it, else mixed if the mixed rank does.  The decisions
     are -1/0 masks, and index -1 reads _COMB's zero row or column, so
-    exhausted subsets need no branch.  The walk leaves the ones and mixed
-    digits still to place among the top m = n - k digits, and their ranks
-    there.  Those read _subset_table(m): the ones straight from their
-    weight block, the mixed digits as a subset of the top digits that are
-    not ones, deposited into them (_deposit).  The orientation bits left
-    are deposited into the mixed digits.  At n <= _TABLE_MAX_N no digit is
-    walked.
+    exhausted subsets need no branch.  Each walked digit's one, mixed and
+    to-u bits are or-ed into three int32 lanes as it is decided.  The walk
+    leaves the ones and mixed digits still to place among the top
+    m = n - k digits, and their ranks there.  Those read _subset_table(m):
+    the ones straight from their weight block, the mixed digits as a subset
+    of the top digits that are not ones, deposited into them (_deposit).
+    The orientation bits left are deposited into the mixed digits.  At
+    n <= _TABLE_MAX_N no digit is walked.
 
     Only the split of the int64 rank is 64-bit.  For n <= 30 every lane
     fits int32: the walked subset ranks are below C(30, 15) < 2^31, table
     indices below 2^_TABLE_MAX_N, (orientation << 1) | 1 and the vertices
-    below 2^30.  The vertices come back as int32.
+    below 2^30.  Each temporary is freed once read.  The vertices come back
+    as int32.
     """
-    orient_bits = np.maximum(b - 1, 0)
-    rest = ranks >> orient_bits
-    orient = (ranks - (rest << orient_bits)).astype(np.int32)
-    r_ones, r_mixed = np.divmod(rest, _COMB.take((n - a) * _COMB.shape[1] + b))
-    r_ones = r_ones.astype(np.int32)
-    r_mixed = r_mixed.astype(np.int32)
-    orient <<= 1
-    orient |= 1
-    m = min(n, _TABLE_MAX_N)
-    k = n - m
     ones_left = a.astype(np.int32)  # ones and mixed digits among the top m
     mixed_left = b.astype(np.int32)
+    orient_bits = np.maximum(mixed_left - 1, 0)
+    rest = ranks >> orient_bits
+    orient = (ranks - (rest << orient_bits)).astype(np.int32)
+    del orient_bits
+    orient <<= 1
+    orient |= 1
+    cell = n - ones_left  # flat _COMB index of C(n - a, b)
+    cell *= _COMB.shape[1]
+    cell += mixed_left
+    # rest becomes the ones rank in place, beside the mixed rank.
+    r_mixed = np.empty_like(rest)
+    np.divmod(rest, _COMB.take(cell), out=(rest, r_mixed))
+    r_mixed = r_mixed.astype(np.int32)
+    r_ones = rest.astype(np.int32)
+    del rest
+    m = min(n, _TABLE_MAX_N)
+    k = n - m
     if k:
+        del mixed_left  # the walk leaves it in cell
         # Flat _COMB index of C(free digits left - 1, mixed digits left - 1).
-        cell = (n - 1 - ones_left) * _COMB.shape[1] + mixed_left - 1
+        cell -= _COMB.shape[1] + 1
         ones_left -= 1
-        # Per walked digit: one-digit mask, mixed-digit mask, to-u bit.
-        digits = np.empty((3, k, len(ranks)), dtype=np.int32)
+        low = np.zeros((3, len(ranks)), dtype=np.int32)  # walked one, mixed, to-u bits
         for p in range(k):
             count = _COMB[n - 1 - p].take(ones_left)
             r_ones -= count
-            one = np.right_shift(r_ones, 31, out=digits[0, p])
+            one = r_ones >> 31
             r_ones += count & one
             ones_left += one
+            low[0] |= one & (1 << p)
             free = ~one
             count = _COMB.take(cell)
             count &= free
             r_mixed -= count
-            is_mixed = np.right_shift(r_mixed, 31, out=digits[1, p])
+            is_mixed = r_mixed >> 31
             r_mixed += count & is_mixed
             cell -= free & _COMB.shape[1]
             cell += is_mixed
+            low[1] |= is_mixed & (1 << p)
             shift = -is_mixed  # 1 where digit p is mixed: its orientation bit is used up
-            np.bitwise_and(orient, shift, out=digits[2, p])
+            low[2] |= (orient & shift) << p
             orient >>= shift
-        powers = np.left_shift(1, np.arange(k, dtype=np.int32))[:, None]
-        digits[:2] &= powers
-        digits[2] *= powers
-        low = np.bitwise_or.reduce(digits, axis=1)
+        del count, one, free, is_mixed, shift
         ones_left += 1
         # cell + 1 = (free digits left - 1) * width + mixed digits left
         mixed_left = (cell + 1) % _COMB.shape[1]
+    del cell
     table = _subset_table(m)
-    ones = table.masks.take(table.start.take(ones_left) + r_ones)
-    mixed = table.masks.take(table.start.take(ones_left * (m + 1) + mixed_left) + r_mixed)
-    mixed = _deposit(mixed >> ones_left, ~ones, m)
+    index = table.start.take(ones_left)
+    index += r_ones
+    del r_ones
+    ones = table.masks.take(index)
+    index = ones_left * (m + 1)
+    index += mixed_left
+    del mixed_left
+    index = table.start.take(index)
+    index += r_mixed
+    del r_mixed
+    mixed = table.masks.take(index)
+    del index
+    mixed >>= ones_left
+    del ones_left
+    mixed = _deposit(mixed, ~ones, m)
     to_u = _deposit(orient, mixed, m)
+    del orient
     if k:
-        ones = ones << k | low[0]
-        mixed = mixed << k | low[1]
-        to_u = to_u << k | low[2]
-    return ones | to_u, ones | (mixed ^ to_u)
+        ones <<= k
+        ones |= low[0]
+        mixed <<= k
+        mixed |= low[1]
+        to_u <<= k
+        to_u |= low[2]
+        del low
+    mixed ^= to_u
+    to_u |= ones
+    mixed |= ones
+    return to_u, mixed
 
 
 def _draw_ranks(
     params: KroneckerParams, table: _ClassTable, *seeds: SeedSpec
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """(ranks, lanes, pair count) of one trial per seed: the ranks every
-    pair class draws, then those every loop class draws, trial t's from
-    seeds[t].child("class") and seeds[t].child("loop_class").  A rank's
-    lane is t * classes + its class, so with one seed the lanes are the
-    class indices; they are unsigned, of the fewest bytes that hold every
-    lane.
+) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """(ranks, lanes, paired) per block of the ranks of one trial per seed,
+    in order: the ranks every pair class draws, then those every loop class
+    draws, trial t's from seeds[t].child("class") and
+    seeds[t].child("loop_class").  A rank's lane is t * classes + its
+    class, so with one seed the lanes are the class indices; they are
+    unsigned, of the fewest bytes that hold every lane.  The blocks are the
+    consecutive _UNRANK_BLOCK slices of that sequence, the last one short,
+    and the first paired ranks of a block are pairs, the rest loops.
 
     Each pair of a class of probability p is an independent Bernoulli(p)
     coin, so a class is walked by geometric gaps (Batagelj and Brandes,
@@ -442,21 +479,24 @@ def _draw_ranks(
     trial's ranks, their classes and their order do not depend on the
     other seeds.  Each step is capped at 2 size, and a class keeps its
     leading positions below its size, which a capped batch that wraps
-    int64 past them cannot disturb.  The ranks and lanes go straight into
-    two buffers reserved for the expected count plus a margin, grown only
-    if the draws pass it.
+    int64 past them cannot disturb.
+
+    The draw is a stream.  A round's temporaries are freed before any
+    block leaves.  The blocks the round fills leave as views of its ranks,
+    the first topped up with the ranks held from earlier rounds, and the
+    rest of its ranks is held for the next block, copied only if a later
+    round follows, so that no view keeps the whole round alive.  So the
+    call holds one round and fewer than _UNRANK_BLOCK held ranks,
+    whatever the rank count, and copies no rank of a round that fills
+    whole blocks or ends the draw.
     """
     classes = len(table.size)
     probs = np.tile(_class_probabilities(params, table), len(seeds))
     rates = -np.log1p(-probs)  # finite, as every entry, and so every p, is below 1
     sizes = np.tile(table.size, len(seeds))
-    reserve = len(seeds) * expected_edge_count(params, len(table.families) > 1)
-    reserve = int(reserve + 4 * math.sqrt(reserve)) + 16
-    ranks = np.empty(reserve, dtype=np.int64)
-    lane_of = np.empty(reserve, dtype=np.min_scalar_type(len(sizes) - 1))
-    family_ends = []
-    at = 0
-    for label, part in table.families:
+    lane_type = np.min_scalar_type(len(sizes) - 1)
+    held, held_count, paired = [], 0, 0  # the next block so far: (ranks, lanes) pieces
+    for f, (label, part) in enumerate(table.families):
         rngs = [seed.child(label).generator() for seed in seeds]
         lanes = np.add.outer(np.arange(0, len(sizes), classes), np.arange(part.start, part.stop))
         lanes = lanes[probs[lanes] > 0]  # trial by trial, in class order
@@ -501,45 +541,72 @@ def _draw_ranks(
             count = np.minimum(outside[np.searchsorted(outside, starts)], ends) - starts
             del outside
             kept = int(count.sum())
-            if at + kept > len(ranks):
-                extra = max(len(ranks), at + kept - len(ranks))
-                ranks, lane_of = (
-                    np.concatenate([x, np.empty_like(x, shape=extra)]) for x in (ranks, lane_of)
-                )
             inside = np.repeat(starts - np.cumsum(count) + count, count)
             inside += np.arange(kept)
-            ranks[at : at + kept] = pos[inside]
-            ranks[at : at + kept] += np.repeat(size, count)
-            lane_of[at : at + kept] = np.repeat(drawn, count)
-            at += kept
+            ranks = pos[inside]
+            del inside
+            ranks += np.repeat(size, count)
+            lane_of = np.repeat(drawn.astype(lane_type), count)
             last[now] = pos[ends - 1] + size
-            del pos, inside  # before the next round's draws
             going = ~now
             going[now] = count == take
             lanes, last = lanes[going], last[going]
-        family_ends.append(at)
-    return ranks[:at], lane_of[:at], family_ends[0]
+            # Free the round's temporaries before any block leaves.
+            del pos, size, left, mean, batch, trial, starts, now, take, drawn, ends, first
+            del cuts, rate, count, going
+            pair = f == 0  # the pair family is drawn first
+            s = 0
+            while held_count + kept - s >= _UNRANK_BLOCK:
+                e = s + _UNRANK_BLOCK - held_count
+                held.append((ranks[s:e], lane_of[s:e]))
+                block = *_joined(held), paired + pair * (e - s)
+                held, held_count, paired, s = [], 0, 0, e
+                yield block
+            if s < kept:
+                piece = ranks[s:], lane_of[s:]
+                if s and (len(lanes) or f + 1 < len(table.families)):
+                    piece = tuple(x.copy() for x in piece)  # so the round can go
+                held.append(piece)
+                held_count += kept - s
+                paired += pair * (kept - s)
+                del piece  # held alone keeps it, until its block is joined
+            del ranks, lane_of
+    if held:
+        block = *_joined(held), paired
+        del held  # the pieces, which block copied if there were several
+        yield block
+
+
+def _joined(pieces: list) -> tuple[np.ndarray, np.ndarray]:
+    """The ranks and the lanes of the (ranks, lanes) pieces of a block, each
+    in one array; a block of one piece is that piece, uncopied."""
+    if len(pieces) == 1:
+        return pieces[0]
+    ranks, lanes = zip(*pieces)
+    return np.concatenate(ranks), np.concatenate(lanes)
 
 
 def _unranked(
-    n: int, a: np.ndarray, b: np.ndarray, ranks: np.ndarray, lanes: np.ndarray
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(start, lo, hi) per pass of _UNRANK_BLOCK ranks from start: the ends
-    min(u, v) and max(u, v) of each rank's pair, read in lane (a, b) of the
-    per-lane columns a and b.  A pass mixes any classes, so a small graph
-    pays one pass rather than one per class.  Each pass reads the subsets
-    of the top min(n, _TABLE_MAX_N) digits from one subset table, built
-    once per digit count, and walks only the digits below them, none at
-    n <= 16, and peaks at about 88 B per rank there.  It checks that its
-    vertices fit n digits (DimensionError), and reads its slice of ranks
-    whole before it yields, so a consumer may overwrite it."""
-    for s in range(0, len(ranks), _UNRANK_BLOCK):
-        part = lanes[s : s + _UNRANK_BLOCK]
-        u, v = _unrank_pairs(n, a[part], b[part], ranks[s : s + _UNRANK_BLOCK])
+    params: KroneckerParams, table: _ClassTable, *seeds: SeedSpec
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """(lanes, lo, hi, paired) per block of _draw_ranks(params, table,
+    *seeds), unranked as it arrives: lo and hi are the ends min(u, v) and
+    max(u, v) of each rank's pair, whose class (a, b) is gathered per rank
+    from int8 columns over the lanes.  A pass mixes any classes, so a small
+    graph pays one pass rather than one per class.  Each pass reads the
+    subsets of the top min(n, _TABLE_MAX_N) digits from one subset table,
+    built once per digit count, and walks only the digits below them; its
+    temporaries peak at about 47 B per rank at n <= 16 and 66 B past it.
+    It checks that its vertices fit n digits (DimensionError).  A consumer
+    that drops each pass before the next holds one pass and one round."""
+    n = params.n
+    a, b = (np.tile(column.astype(np.int8), len(seeds)) for column in (table.a, table.b))
+    for ranks, lanes, paired in _draw_ranks(params, table, *seeds):
+        u, v = _unrank_pairs(n, a[lanes], b[lanes], ranks)
         hi = np.maximum(u, v)
         if hi.max() >> n:
             raise DimensionError(f"a vertex does not fit {n} digits")
-        yield s, np.minimum(u, v), hi
+        yield lanes, np.minimum(u, v), hi, paired
 
 
 def generate_stratified(
@@ -554,36 +621,45 @@ def generate_stratified(
     over all pairs is exactly independent Bernoulli.  Every pair class draws
     from the stream seed.child("class") and every loop class from
     seed.child("loop_class"), so the edges do not depend on include_loops.
-    The class table of each (n, include_loops) is built once.  The ranks go
-    into one int64 array, and the passes of _unranked turn them in place
-    into packed pair keys min(u, v) << n | max(u, v); the passes consume no
-    randomness and leave the output unchanged.  Pair classes come before
-    loop classes, so the leading keys are the edges, which
+    The class table of each (n, include_loops) is built once.  Each pass of
+    _unranked writes its packed pair keys min(u, v) << n | max(u, v) into
+    one int64 buffer, reserved for the expected count plus 4 standard
+    deviations and grown only if the draws pass it; the passes consume no
+    randomness, and their size leaves the output unchanged.  Pair classes
+    come before loop classes, so the leading keys are the edges, which
     SampledGraph.from_keys sorts in place and splits into rows, and the
     trailing keys v << n | v name the loops.  The graph then costs its keys,
     a bool per key and its (E, 2) rows at the peak.  Past n = 30 or
     DEFAULT_EDGE_BUDGET expected edges, check_stratified refuses the graph
     before any class is sampled.  stratified_degrees and
-    stratified_distances read the same ranks for degree arrays and
+    stratified_distances read the same passes for degree arrays and
     edge-distance histograms alone.
     """
     n = params.n
     check_stratified(params, include_loops)
     table = _class_table(n, include_loops)
-    keys, class_of, pairs = _draw_ranks(params, table, seed)
-    for s, lo, hi in _unranked(n, table.a, table.b, keys, class_of):
-        np.left_shift(lo, n, out=keys[s : s + len(lo)], dtype=np.int64)
-        keys[s : s + len(lo)] |= hi
-    del class_of  # the loop keeps no view of it, so the sort runs without it
+    reserve = expected_edge_count(params, include_loops)
+    keys = np.empty(int(reserve + 4 * math.sqrt(reserve)) + 16, dtype=np.int64)
+    at = pairs = 0
+    for _, lo, hi, paired in _unranked(params, table, seed):
+        if at + len(lo) > len(keys):
+            extra = max(len(keys), at + len(lo) - len(keys))
+            keys = np.concatenate([keys, np.empty_like(keys, shape=extra)])
+        np.left_shift(lo, n, out=keys[at : at + len(lo)], dtype=np.int64)
+        keys[at : at + len(lo)] |= hi
+        at += len(lo)
+        pairs += paired
     # Pair classes come first: the rest are loop keys v << n | v.
-    return SampledGraph.from_keys(params, keys[:pairs], keys[pairs:] >> n, include_loops)
+    return SampledGraph.from_keys(params, keys[:pairs], keys[pairs:at] >> n, include_loops)
 
 
 def batch_trials(params: KroneckerParams, include_loops: bool = True) -> int:
-    """Trials per stratified_degrees or stratified_distances call that hold
-    about _GAP_ROUND expected ranks and degree counts together: 1 at
-    n >= 16, and 12 and 15 at n = 12 for (0.8, 0.5, 0.1) and
-    (0.7, 0.3, 0.3), about 1,100 and 140 ranks per trial."""
+    """Trials per stratified_degrees or stratified_distances call whose
+    expected ranks and degree counts come to about _GAP_ROUND together, so
+    that a batch draws each family in about one gap round and its counts
+    stay that small: 1 at n >= 16, and 12 and 15 at n = 12 for
+    (0.8, 0.5, 0.1) and (0.7, 0.3, 0.3), about 1,100 and 140 ranks per
+    trial."""
     per_trial = int(expected_edge_count(params, include_loops)) + params.vertex_count
     return max(1, _GAP_ROUND // per_trial)
 
@@ -592,7 +668,7 @@ def _trial_passes(
     params: KroneckerParams, include_loops: bool, seeds, stride: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
     """(at, lo, hi, paired) per pass of _unranked over the ranks of one
-    trial per seed, drawn together by _draw_ranks: at is t * stride for
+    trial per seed, drawn together as one stream: at is t * stride for
     each rank of trial t, lo and hi are the ends of its pair, and the first
     paired ranks of the pass are pairs, the rest loops (lo = hi).  The
     reductions of stratified_degrees and stratified_distances index their
@@ -600,12 +676,9 @@ def _trial_passes(
     n = params.n
     check_stratified(params, include_loops)
     table = _class_table(n, include_loops)
-    ranks, lanes, pairs = _draw_ranks(params, table, *seeds)
     offset = np.repeat(np.arange(len(seeds), dtype=np.int64) * stride, len(table.size))
-    a, b = np.tile(table.a, len(seeds)), np.tile(table.b, len(seeds))
-    for s, lo, hi in _unranked(n, a, b, ranks, lanes):
-        # Pair classes come first, so a pass past them holds only loops.
-        yield offset[lanes[s : s + len(lo)]], lo, hi, max(pairs - s, 0)
+    for lanes, lo, hi, paired in _unranked(params, table, *seeds):
+        yield offset[lanes], lo, hi, paired
 
 
 def stratified_degrees(
@@ -617,9 +690,10 @@ def stratified_degrees(
 
     The passes of _trial_passes add a count at t << n | vertex for both
     ends of a pair and the one vertex of a loop.  Stratified pairs are
-    distinct, so nothing is sorted or merged.  The call holds 8 B per rank,
-    a lane of 1-4 B per rank, and the counts; batch_trials sizes the
-    batches of a run of many trials.
+    distinct, so nothing is sorted or merged.  Each pass is dropped once
+    counted, so the call holds one gap round, one pass and the counts,
+    whatever the rank count; batch_trials sizes the batches of a run of
+    many trials.
     """
     n = params.n
     counts = np.zeros(len(seeds) << n, dtype=np.int64)
@@ -638,8 +712,9 @@ def stratified_distances(
 
     The passes of _trial_passes add a count at t (n + 1) + popcount(lo ^ hi)
     per rank; a loop's ends are equal, so it lands at 0.  Nothing is sorted
-    or stored: the call holds 8 B per rank, a lane of 1-4 B per rank and
-    one pass.
+    or stored: the call holds one gap round, one pass and the histograms,
+    whatever the edge count, about 2.7 MB under tracemalloc for one n = 18
+    trial at (0.6, 0.5, 0.6) of 0.7M edges.
     """
     width = params.n + 1
     hist = np.zeros(len(seeds) * width, dtype=np.int64)

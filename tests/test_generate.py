@@ -662,10 +662,32 @@ def _sparse_params(n: int, alpha: float, beta: float, gamma: float, edges: float
     return KroneckerParams(alpha * scale, beta * scale, gamma * scale, n)
 
 
+def _collected(blocks) -> tuple[np.ndarray, np.ndarray, int]:
+    """(ranks, lanes, pair count) of a whole _draw_ranks stream, its blocks
+    joined in order, once its blocks are checked: consecutive slices of
+    _UNRANK_BLOCK ranks, only the last one short, each with a lane per
+    rank, and each block's paired count the part of it that lies within
+    the stream's leading pairs."""
+    blocks = list(blocks)
+    if not blocks:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8), 0
+    ranks, lanes, paired = zip(*blocks)
+    sizes = [len(x) for x in ranks]
+    block = kronval.generate._UNRANK_BLOCK
+    assert sizes == [len(x) for x in lanes]
+    assert all(size == block for size in sizes[:-1]) and all(0 < size <= block for size in sizes)
+    assert all(x.dtype == np.int64 for x in ranks)
+    pairs = sum(paired)
+    starts = np.cumsum([0, *sizes[:-1]]).tolist()
+    assert list(paired) == [min(max(pairs - s, 0), size) for s, size in zip(starts, sizes)]
+    return np.concatenate(ranks), np.concatenate(lanes), pairs
+
+
 def _draw(params: KroneckerParams, include_loops: bool = True, seed=None):
-    """_draw_ranks of params, and the class table it drew from."""
+    """The collected _draw_ranks stream of params, and the class table it
+    drew from."""
     table = _class_table(params.n, include_loops)
-    return _draw_ranks(params, table, seed or SeedSpec(1)), table
+    return _collected(_draw_ranks(params, table, seed or SeedSpec(1))), table
 
 
 def _check_ranks(ranks: np.ndarray, class_of: np.ndarray, table) -> None:
@@ -759,7 +781,7 @@ class TestDrawRanks:
         table = _class_table(params.n, True)
         probs = _class_probabilities(params, table)
         for seed in range(3):
-            ranks, class_of, pairs = _draw_ranks(params, table, SeedSpec(seed))
+            ranks, class_of, pairs = _collected(_draw_ranks(params, table, SeedSpec(seed)))
             want = gap_ranks_oracle(
                 table.size, probs, table.families, SeedSpec(seed), kronval.generate._GAP_ROUND
             )
@@ -778,7 +800,8 @@ class TestDrawRanks:
         counts = np.zeros(trials, dtype=np.int64)
         hits = np.zeros(size, dtype=np.int64)
         for t in range(trials):
-            ranks, class_of, pairs = _draw_ranks(params, table, SeedSpec(6).child("t", t))
+            stream = _draw_ranks(params, table, SeedSpec(6).child("t", t))
+            ranks, class_of, pairs = _collected(stream)
             _check_ranks(ranks, class_of, table)
             mine = ranks[class_of == watched]
             counts[t] = len(mine)
@@ -896,11 +919,12 @@ class TestStratifiedDegrees:
 
     @pytest.mark.parametrize("entries", [(0.8, 0.5, 0.1), (0.7, 0.3, 0.3)])
     def test_batches_of_a_run_stay_within_their_ranks_and_counts(self, entries):
-        # 20 trials at n = 12, in batches of batch_trials: each holds
-        # 8 B per rank and 8 2^n per trial, and one pass of _unranked,
-        # about 100 B for each of its _UNRANK_BLOCK ranks (1 MiB allowed).
-        # All 20 trials of (0.8, 0.5, 0.1) in one batch peak about 0.3 MB
-        # above the bound of a batch of 12.
+        # 20 trials at n = 12, in batches of batch_trials: each stays
+        # within 8 B per rank and 8 2^n per trial, and 1 MiB for one pass
+        # of _unranked, about 47 B for each of its _UNRANK_BLOCK ranks.
+        # All 20 trials of (0.8, 0.5, 0.1) in one batch peak near the
+        # bound of a batch of 12, 0.3 MB above it when a batch held all its
+        # ranks at once.
         params = KroneckerParams(*entries, 12)
         seeds = [SeedSpec(1).child("trial", t) for t in range(20)]
         step = batch_trials(params)
@@ -908,7 +932,7 @@ class TestStratifiedDegrees:
         table = _class_table(12, True)
         for s in range(0, 20, step):
             batch = seeds[s : s + step]
-            ranks = len(_draw_ranks(params, table, *batch)[0])
+            ranks = len(_collected(_draw_ranks(params, table, *batch))[0])
             rows, peak = traced_peak(lambda: stratified_degrees(params, seeds=batch))
             assert rows.sum() > 0
             assert peak <= 8 * ranks + 8 * len(batch) * params.vertex_count + (1 << 20)
@@ -967,15 +991,111 @@ class TestStratifiedDistances:
             stratified_distances(KroneckerParams(0.7, 0.5, 0.7, 6), seeds=[SeedSpec(1)] * 3)
 
     def test_one_trial_peaks_at_its_ranks(self):
-        # No keys are packed, sorted or split into rows: the ranks, a byte
-        # of lane each, and one gap round or unranking pass, about 1.6 MB
-        # here, stay under 12 B per expected edge and 1 MiB.  The graph
-        # holds about 25 B per edge.
+        # No keys are packed, sorted or split into rows, and no rank is kept
+        # past its pass: one gap round, fewer than _UNRANK_BLOCK held ranks
+        # and one unranking pass, about 2.7 MB here, whatever the edge
+        # count (8.5 MB when the ranks of the trial were held whole).  The
+        # graph holds about 25 B per edge.
         p = KroneckerParams(0.6, 0.5, 0.6, 18)
         expected = expected_edge_count(p)
         rows, peak = traced_peak(lambda: stratified_distances(p, seeds=[SeedSpec(1)]))
         assert rows.sum() > 0.99 * expected
-        assert peak <= 12 * expected + (1 << 20)
+        assert peak <= 4 << 20
         hist, graph_peak = traced_peak(lambda: _graph_distances(p, True, [SeedSpec(1)]))
         assert np.array_equal(rows, hist)
         assert graph_peak > 20 * expected
+
+
+def _oracle_pairs(params: KroneckerParams, include_loops: bool, seed, round_size: int) -> list:
+    """(u, v) of every rank one trial draws, in draw order, one at a time:
+    the (class, rank) of gap_ranks_oracle, each unranked by
+    unrank_pair_oracle."""
+    table = _class_table(params.n, include_loops)
+    probs = _class_probabilities(params, table)
+    drawn = gap_ranks_oracle(table.size, probs, table.families, seed, round_size)
+    return [unrank_pair_oracle(params.n, int(table.a[i]), int(table.b[i]), r) for i, r in drawn]
+
+
+class TestStream:
+    """The sampler core hands its ranks out a block at a time, and every
+    consumer reads each block as it arrives."""
+
+    # Rounds of 5 steps end inside every 7-rank block of a trial, and a
+    # block holds the last pairs and the first loops in some batch of each
+    # grid point with loops; the default round and block hold each graph
+    # of about 400 ranks whole.
+    @pytest.mark.parametrize("round_size", [5, 64, None])
+    @pytest.mark.parametrize("block", [7, None])
+    @pytest.mark.parametrize("include_loops", [True, False])
+    def test_consumers_match_the_one_at_a_time_oracle(
+        self, monkeypatch, round_size, block, include_loops
+    ):
+        if round_size:
+            monkeypatch.setattr(kronval.generate, "_GAP_ROUND", round_size)
+        if block:
+            monkeypatch.setattr(kronval.generate, "_UNRANK_BLOCK", block)
+        params = KroneckerParams(0.9, 0.7, 0.7, 6)
+        n = params.n
+        table = _class_table(n, include_loops)
+        split = False  # a block held both pairs and loops
+        for trials in range(1, 5):
+            seeds = [SeedSpec(4).child("trial", t) for t in range(trials)]
+            drawn = [
+                _oracle_pairs(params, include_loops, seed, kronval.generate._GAP_ROUND)
+                for seed in seeds
+            ]
+            degrees = np.zeros((trials, 1 << n), dtype=np.int64)
+            distances = np.zeros((trials, n + 1), dtype=np.int64)
+            for t, pairs in enumerate(drawn):
+                for u, v in pairs:
+                    degrees[t, u] += 1
+                    degrees[t, v] += u != v
+                    distances[t, (u ^ v).bit_count()] += 1
+            got = stratified_degrees(params, include_loops, seeds=seeds)
+            assert np.array_equal(got, degrees)
+            got = stratified_distances(params, include_loops, seeds=seeds)
+            assert np.array_equal(got, distances)
+            g = generate_stratified(params, include_loops, seed=seeds[-1])
+            pairs = drawn[-1]
+            assert g.edges.tolist() == sorted([min(u, v), max(u, v)] for u, v in pairs if u != v)
+            assert g.loops.tolist() == sorted(u for u, v in pairs if u == v)
+            blocks = list(_draw_ranks(params, table, *seeds))
+            assert sum(len(ranks) for ranks, _, _ in blocks) == sum(map(len, drawn))
+            assert block is None or len(blocks) > 2 * trials
+            split |= any(0 < paired < len(ranks) for ranks, _, paired in blocks)
+        assert split == include_loops
+
+    @pytest.mark.parametrize("block", [7, None])
+    def test_each_call_runs_one_pass_per_block(self, monkeypatch, block):
+        # A batch of fewer ranks than a block pays one pass, and no call
+        # pays a pass for a block it did not fill.
+        if block:
+            monkeypatch.setattr(kronval.generate, "_UNRANK_BLOCK", block)
+        block = kronval.generate._UNRANK_BLOCK
+        passes = []
+
+        def counted(n, a, b, ranks):
+            passes.append(len(ranks))
+            return _unrank_pairs(n, a, b, ranks)
+
+        monkeypatch.setattr(kronval.generate, "_unrank_pairs", counted)
+        cases = [
+            (KroneckerParams(0.7, 0.3, 0.3, 12), 15),  # about 2,000 ranks
+            (KroneckerParams(0.8, 0.5, 0.1, 12), 12),  # about 13,000
+            (KroneckerParams(0.9, 0.7, 0.7, 8), 1),  # about 3,400
+        ]
+        if block > 7:
+            cases.append((KroneckerParams(0.6, 0.5, 0.6, 16), 1))  # about 150,000
+        for params, trials in cases:
+            seeds = [SeedSpec(2).child("trial", t) for t in range(trials)]
+            table = _class_table(params.n, True)
+            ranks = len(_collected(_draw_ranks(params, table, *seeds))[0])
+            want = [block] * (ranks // block) + [ranks % block] * (ranks % block > 0)
+            calls = [stratified_degrees, stratified_distances]
+            if trials == 1:
+                calls.append(lambda params, seeds: generate_stratified(params, seed=seeds[0]))
+            for call in calls:
+                passes.clear()
+                call(params, seeds=seeds)
+                assert passes == want
+                assert len(passes) == -(-ranks // block)

@@ -47,6 +47,8 @@ from kronval.harness import (
     run_experiment,
 )
 
+from conftest import traced_peak
+
 
 def _pair_sums(params: KroneckerParams, include_loops: bool) -> list:
     """(mean, variance) of the total edge distance and of the total degree,
@@ -1315,6 +1317,17 @@ class TestHammingRoute:
         report = run_experiment(cfg(kind="hamming", params=params, generator="naive", trials=4))
         assert built == [("trial", t) for t in range(4)]
         assert report.empirical["trials"] == 4
+
+    def test_a_stratified_run_holds_no_trial_whole(self):
+        # Each trial's histogram is read off passes of _UNRANK_BLOCK ranks
+        # as they are drawn, so the run peaks at about 2.7 MB here, whatever
+        # the edge count: 8.5 MB when each trial's ranks were held whole, and
+        # more than 25 B per edge, 18 MB, through its graph.
+        params = KroneckerParams(0.6, 0.5, 0.6, 18)
+        config = cfg(kind="hamming", params=params, trials=2)
+        report, peak = traced_peak(lambda: run_experiment(config))
+        assert report.empirical["trials"] == 2 and report.passed
+        assert peak <= 4 << 20
 
     def test_each_trial_is_summarised_by_its_concentration_report(self, monkeypatch):
         # The run's in-window fraction and mean distance are the means of its
