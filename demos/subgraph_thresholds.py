@@ -7,8 +7,9 @@ analytic crossing, and shows seeded simulation switching from absence to
 presence around it.
 """
 
+import math
+
 import numpy as np
-from scipy.optimize import brentq
 
 from kronval import (
     KroneckerParams,
@@ -25,9 +26,8 @@ def main():
     beta = 0.5
     trials = 12
     pattern = cycle(4)
-    crossing = brentq(
-        lambda a: cycle_base_value(KroneckerParams(a, beta, a, n), 4) - 1.0, 0.05, 0.95
-    )
+    # (a+b)^4 + (a-b)^4 = 2 (a^4 + 6 a^2 b^2 + b^4) = 1 is a quadratic in a^2.
+    crossing = math.sqrt(math.sqrt(8 * beta**4 + 0.5) - 3 * beta**2)
     print(f"4-cycle, beta={beta}: base value (a+b)^4 + (a-b)^4 crosses 1 at alpha={crossing:.4f}\n")
     print(f"{'alpha':>7} {'base':>8} {'base^n':>10} {'mean copies':>12} {'present':>8}")
     for alpha in np.linspace(0.30, 0.62, 9):

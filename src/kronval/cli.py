@@ -30,7 +30,7 @@ from .harness import (
     report_json,
     run_experiment,
 )
-from .measure import count_labeled_copies, edge_distance_histogram
+from .measure import check_countable, count_labeled_copies, edge_distance_histogram
 from .model import KroneckerParams
 from .patterns import parse_pattern, second_moment_certificate
 from .predict import (
@@ -141,10 +141,15 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_measure(args) -> int:
+    # The header's n alone decides the degree-array and counting caps:
+    # refuse before the body is read.
     if args.what == "degrees":
-        # The header's n alone decides the degree-array cap: refuse before
-        # the body is read.
         check_degree_array(read_header(args.input)[0].n)
+    elif args.what == "subgraph":
+        if not args.pattern:
+            raise KronvalError("measure --what subgraph needs --pattern")
+        pattern = _load_pattern(args.pattern)
+        check_countable(pattern, read_header(args.input)[0].n)
     graph = read_edgelist(args.input)
     payload = {
         "n": graph.n,
@@ -155,9 +160,6 @@ def _cmd_measure(args) -> int:
         hist = degree_histogram(graph)
         payload["degree_histogram"] = {str(d): c for d, c in hist.items()}
     elif args.what == "subgraph":
-        if not args.pattern:
-            raise KronvalError("measure --what subgraph needs --pattern")
-        pattern = _load_pattern(args.pattern)
         payload["pattern"] = args.pattern
         payload["labeled_copies"] = count_labeled_copies(graph, pattern)
     elif args.what == "hamming":

@@ -229,16 +229,6 @@ def generate_graph(
     return sample(params, include_loops=include_loops, seed=seed)
 
 
-def _trial_graph(config: ExperimentConfig, params: KroneckerParams, seed: SeedSpec, *labels):
-    """The graph on substream seed.child(*labels), dumped to PREFIX.<tag>.edges
-    with the same labels as tag: ("sweep", 1, "trial", 0) -> "sweep1.trial0"."""
-    graph = generate_graph(params, config.generator, seed.child(*labels), config.include_loops)
-    if config.dump_edges is not None:
-        tag = ".".join(f"{name}{index}" for name, index in zip(labels[::2], labels[1::2]))
-        write_edgelist(graph, f"{config.dump_edges}.{tag}.edges")
-    return graph
-
-
 def _z_score(mean: float, predicted: float, sample_sd: float, trials: int) -> float:
     # Sample standard error with a Poisson floor, so degenerate all-equal
     # samples (sd = 0) do not turn a vanishing discrepancy into infinity.
@@ -261,20 +251,26 @@ def _z_criterion(name: str, observed: float, expected: float, z: float) -> Crite
 
 
 def _trial_rows(config: ExperimentConfig, seed: SeedSpec, of_graph, of_core):
-    """Each trial's row, from substream seed.child("trial", t), in trial
-    order.
+    """Each trial's row at config.params, from substream seed.child("trial",
+    t), in trial order.
 
     The stratified sampler's rows come from of_core(seeds), batch_trials
     trials per call, with no graph built.  The naive sampler's, those of a
     run that dumps its edges, and all of them where of_core is None, are
-    of_graph(graph) of each trial's graph.  A row the caller keeps should
-    own its memory: a view into a batch keeps the batch alive while the
-    next is drawn."""
-    if of_core is None or config.generator != "stratified" or config.dump_edges is not None:
-        for t in range(config.trials):
-            yield of_graph(_trial_graph(config, config.params, seed, "trial", t))
-        return
+    of_graph(graph) of each trial's graph, dumped to PREFIX.<tag>.edges
+    with the trial stream's labels as tag: ("sweep", 1, "trial", 0) ->
+    "sweep1.trial0".  A row the caller keeps should own its memory: a view
+    into a batch keeps the batch alive while the next is drawn."""
     seeds = [seed.child("trial", t) for t in range(config.trials)]
+    if of_core is None or config.generator != "stratified" or config.dump_edges is not None:
+        for trial in seeds:
+            graph = generate_graph(config.params, config.generator, trial, config.include_loops)
+            if config.dump_edges is not None:
+                labels = trial.stream
+                tag = ".".join(f"{name}{index}" for name, index in zip(labels[::2], labels[1::2]))
+                write_edgelist(graph, f"{config.dump_edges}.{tag}.edges")
+            yield of_graph(graph)
+        return
     step = batch_trials(config.params, config.include_loops)
     for s in range(0, len(seeds), step):
         yield from of_core(seeds[s : s + step])
@@ -341,27 +337,27 @@ def _run_degrees(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
     )
 
 
-def _run_subgraph(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
-    """The mean of the trials' labeled copy counts against their exact
-    expectation.  A star's counts need only the loop-free degrees, which
-    the stratified sampler gives with no graph built (_trial_rows): its
-    pairs do not depend on the loops, which it draws from their own
-    streams."""
+def _copy_counts(config: ExperimentConfig, seed: SeedSpec, pattern) -> list:
+    """Each trial's labeled copy count of the pattern (_trial_rows), an
+    exact int.  A star's counts need only the loop-free degrees, which the
+    stratified sampler gives with no graph built: its pairs do not depend
+    on the loops, which it draws from their own streams."""
     params = config.params
-    pattern = parse_pattern(config.pattern)
     arms = star_arms(pattern)
 
     def star_counts(seeds):
         return [star_count(row, arms) for row in stratified_degrees(params, False, seeds=seeds)]
 
-    counts = list(
-        _trial_rows(
-            config,
-            seed,
-            lambda graph: count_labeled_copies(graph, pattern),
-            None if arms is None else star_counts,
-        )
-    )
+    of_core = None if arms is None else star_counts
+    return list(_trial_rows(config, seed, lambda g: count_labeled_copies(g, pattern), of_core))
+
+
+def _run_subgraph(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
+    """The mean of the trials' labeled copy counts (_copy_counts) against
+    their exact expectation."""
+    params = config.params
+    pattern = parse_pattern(config.pattern)
+    counts = _copy_counts(config, seed, pattern)
     # Exact ints go to the report; the statistics use their float64 values.
     values = np.array(counts, dtype=float)
     mean = float(values.mean())
@@ -501,10 +497,8 @@ def _run_thresholds(config: ExperimentConfig, seed: SeedSpec) -> ValidationRepor
     rows = []
     for i, point in enumerate(points):
         b = base_value(point, pattern)
-        counts = np.zeros(config.trials)
-        for t in range(config.trials):
-            graph = _trial_graph(config, point, seed, "sweep", i, "trial", t)
-            counts[t] = count_labeled_copies(graph, pattern)
+        point_config = dataclasses.replace(config, params=point)
+        counts = np.array(_copy_counts(point_config, seed.child("sweep", i), pattern), dtype=float)
         frac = float((counts > 0).mean())
         rows.append((point.alpha, b, float(counts.mean()), frac))
     _, bases, _, presence = zip(*rows)

@@ -25,6 +25,7 @@ from kronval import (
     SeedSpec,
     count_labeled_copies,
     edge_probability,
+    parse_pattern,
     star,
 )
 from kronval.cli import build_parser, main, parse_args
@@ -609,9 +610,27 @@ class TestCli:
         )
         assert rc == 2 and capsys.readouterr().err == captured.err.replace("n = 40", "n = 29")
 
-    def test_degrees_cap_is_checked_from_the_header_alone(self, tmp_path, capsys, monkeypatch):
-        # A valid n = 40 header over a body that is not an edge list: the cap
-        # answers before the body is read, so the body's fault never shows.
+    @pytest.mark.parametrize(
+        "what, error",
+        [
+            (
+                ["degrees"],
+                "degree arrays of 2^n int64 counts cap at n = 28"
+                " under the memory ceiling, got n = 40",
+            ),
+            (["subgraph"], "measure --what subgraph needs --pattern"),
+            (["subgraph", "--pattern", "star:3"], "copy counting caps at n = 16"),
+            (["subgraph", "--pattern", "bogus:3"], "unknown pattern name 'bogus'"),
+            (["subgraph", "--pattern", "cycle:9"], "copy counting caps at 5 pattern vertices"),
+        ],
+        ids=["degrees", "no-pattern", "n-cap", "unknown-pattern", "vertex-cap"],
+    )
+    def test_degrees_cap_is_checked_from_the_header_alone(
+        self, tmp_path, capsys, monkeypatch, what, error
+    ):
+        # A valid n = 40 header over a body that is not an edge list: the
+        # degree-array cap, and the pattern and its counting caps, answer
+        # before the body is read, so the body's fault never shows.
         path = tmp_path / "g.edges"
         path.write_text("kron n=40 alpha=0.5 beta=0.2 gamma=0.1 loops=1\nnot an edge line\n")
 
@@ -619,13 +638,10 @@ class TestCli:
             raise AssertionError("the edge-list body was read")
 
         monkeypatch.setattr(kronval.cli, "read_edgelist", no_body_read)
-        assert main(["measure", "--input", str(path), "--what", "degrees"]) == 2
+        assert main(["measure", "--input", str(path), "--what", *what]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "error: degree arrays of 2^n int64 counts cap at n = 28"
-            " under the memory ceiling, got n = 40\n"
-        )
+        assert captured.err == f"error: {error}\n"
         monkeypatch.undo()
         assert main(["measure", "--input", str(path), "--what", "hamming"]) == 2
         assert capsys.readouterr().err.startswith("error: line 2:")
@@ -1394,3 +1410,59 @@ class TestStarRoute:
                 cfg(kind="subgraph", pattern=pattern, params=params, generator=generator, trials=2)
             )
             assert len(report.empirical["counts"]) == 2
+
+
+class TestThresholdsRoute:
+    """validate --kind thresholds reads each sweep point i through the trial
+    loop of --kind subgraph, on streams ("sweep", i, "trial", t): a
+    stratified star sweep counts from loop-free degree arrays with no graph
+    built; other patterns, naive runs and runs that dump their edges count
+    each trial's graph."""
+
+    @pytest.mark.parametrize("pattern", ["star:3", "path:2"])
+    def test_star_sweeps_build_no_graph(self, monkeypatch, tmp_path, pattern):
+        config = cfg(kind="thresholds", pattern=pattern, params=KroneckerParams(0.5, 0.3, 0.5, 9),
+                     sweep=(0.3, 0.8, 4), trials=4)
+        with monkeypatch.context() as patch:
+            patch.setattr(kronval.harness, "generate_stratified", _no_generation)
+            plain = run_experiment(config)
+        # The sweep runs from absence to presence, so the counts compared vary.
+        assert plain.empirical["presence_fraction"][0] < plain.empirical["presence_fraction"][-1]
+        prefix = str(tmp_path / "dump")
+        with monkeypatch.context() as patch:
+            patch.setattr(kronval.harness, "stratified_degrees", _no_generation)
+            dumped = run_experiment(dataclasses.replace(config, dump_edges=prefix))
+        assert len(list(tmp_path.iterdir())) == 4 * 4
+        echoed = f'"dump_edges": {json.dumps(prefix)}'
+        assert report_json(dumped) == report_json(plain).replace('"dump_edges": null', echoed)
+
+    def test_other_patterns_and_naive_runs_read_each_trial_graph(self, monkeypatch):
+        streams = []
+        real = kronval.harness.generate_graph
+
+        def spy(params, generator, seed, *args):
+            streams.append(seed.stream)
+            return real(params, generator, seed, *args)
+
+        monkeypatch.setattr(kronval.harness, "stratified_degrees", _no_generation)
+        monkeypatch.setattr(kronval.harness, "generate_graph", spy)
+        params = KroneckerParams(0.5, 0.3, 0.5, 6)
+        alphas = np.linspace(0.4, 0.9, 3).tolist()
+        for generator, text in (("stratified", "cycle:3"), ("naive", "star:3")):
+            streams.clear()
+            report = run_experiment(
+                cfg(kind="thresholds", pattern=text, params=params, generator=generator,
+                    sweep=(0.4, 0.9, 3), trials=2)
+            )
+            assert streams == [("sweep", i, "trial", t) for i in range(3) for t in range(2)]
+            for i, alpha in enumerate(alphas):
+                point = KroneckerParams(alpha, 0.3, alpha, 6)
+                counts = [
+                    count_labeled_copies(
+                        real(point, generator, SeedSpec(17).child("sweep", i, "trial", t)),
+                        parse_pattern(text),
+                    )
+                    for t in range(2)
+                ]
+                assert report.table_rows[i][2] == np.mean(counts)
+            assert report.table_rows[-1][2] > 0

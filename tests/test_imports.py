@@ -6,7 +6,8 @@ imports is used there, or marked as bound for outside readers, and only such
 a name is marked, so that the marks list exactly the names kept for those
 readers.  And the stratified sampler's class and rank logic has one copy:
 one call site each draws the gaps and unranks the pairs, and no module but
-kronval.generate names the sampler core."""
+kronval.generate names the sampler core.  And one trial loop,
+harness._trial_rows, samples every validate trial."""
 
 import ast
 import json
@@ -189,6 +190,20 @@ def test_the_gaps_and_the_unranking_have_one_call_site_each():
     assert sorted(sites) == [
         ("generate._draw_ranks", "standard_exponential"),
         ("generate._unranked", "_unrank_pairs"),
+    ]
+
+
+def test_every_sampled_trial_comes_from_one_trial_loop():
+    # Every sampled validate kind, thresholds sweeps included, reads its
+    # trials through harness._trial_rows, so no second loop samples graphs
+    # or batches the sampler core; the generate command samples its one graph.
+    modules = sorted(Path(kronval.__file__).parent.glob("*.py"))
+    names = ("generate_graph", "batch_trials")
+    sites = [site for path in modules for site in _call_sites(path, names)]
+    assert sorted(sites) == [
+        ("cli._cmd_generate", "generate_graph"),
+        ("harness._trial_rows", "batch_trials"),
+        ("harness._trial_rows", "generate_graph"),
     ]
 
 
