@@ -27,6 +27,9 @@ checked with the graph model's own row comparison (``model.pairs_ascend``),
 which compares the ``(u, v)`` columns lexicographically at every n.  The checked rows then
 go through :meth:`SampledGraph.from_pairs`, which orders them through one
 packed int64 key ``u << n | v`` per row for n <= 31 and ``np.lexsort`` above.
+For n <= 31 the keys are sorted and split back into rows in one buffer of
+two int64 per line, so a read peaks at the two int64 vertex arrays and that
+buffer: 33.1 B per line under tracemalloc for 2.07M lines at n = 20.
 """
 
 from __future__ import annotations

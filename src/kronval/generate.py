@@ -44,23 +44,27 @@ NAIVE_MAX_N = 14
 STRATIFIED_MAX_N = 30
 # The stratified sampler's default budget is a memory ceiling over its
 # measured peak resident bytes per edge.  Each unranking pass writes its
-# packed pair keys into one int64 buffer, so the peak is in
-# SampledGraph.from_keys, which holds the keys, a bool per key and the
-# (E, 2) result at once (25 B per edge).  Before it, the call holds the key
-# buffer as reserved, one round of at most _GAP_ROUND steps (about 24 B per
-# step at its peak), fewer than _UNRANK_BLOCK ranks held for the next block
-# and one pass.  The whole process peaked at 26.4 B per edge at
-# (0.99, 0.99, 0.99), n = 13 (29.5M edges), 26.4 B at (0.001, 0.968, 0.001),
-# n = 27 (28.7M) and 26.2 B at (0.001, 0.9305, 0.001), n = 29 (34.3M), with
-# the interpreter, measured before the draws became a stream, which lowers
-# only what the call holds before from_keys.
+# packed pair keys into one int64 buffer, reserved for the expected count
+# plus 4 standard deviations.  While the passes run, the call holds that
+# buffer, one round of at most _GAP_ROUND steps (about 24 B per step at its
+# peak), fewer than _UNRANK_BLOCK ranks held for the next block and one
+# pass.  Only then does the buffer grow to two slots per edge, in which
+# SampledGraph.from_keys sorts the keys and splits them into the (E, 2)
+# rows, so the peak is 16 B per edge and the loop vertices.  The whole
+# process peaked at 17.4 B per edge at (0.99, 0.99, 0.99), n = 13 (29.4M
+# edges), 17.4 B at (0.001, 0.968, 0.001), n = 27 (28.7M) and 17.2 B at
+# (0.001, 0.9305, 0.001), n = 29 (34.3M), with the interpreter; 26.4, 26.4
+# and 26.2 B while from_keys held the keys, a bool per key and separate
+# rows at once.
 GENERATE_MEMORY_CEILING = 3 << 30  # bytes
 STRATIFIED_PEAK_BYTES_PER_EDGE = 28
 DEFAULT_EDGE_BUDGET = GENERATE_MEMORY_CEILING // STRATIFIED_PEAK_BYTES_PER_EDGE
 # R-MAT's cap on draws is the same ceiling over its peak per draw, measured
 # the same way at its worst, from_pairs' lexsort route: at n = 40, `generate`
 # of 16M distinct draws peaked at 1220 MiB, 80.0 B per draw with the
-# interpreter (48.0 B at n = 20).
+# interpreter.  At n = 20 the packed keys route peaks at 34.8 B per draw
+# (16M uniform draws, 557 MiB): the two int64 ends and from_pairs' buffer
+# of two int64 per draw.
 RMAT_PEAK_BYTES_PER_DRAW = 80
 RMAT_MAX_EDGES = GENERATE_MEMORY_CEILING // RMAT_PEAK_BYTES_PER_DRAW
 _NAIVE_ROW_BLOCK = 128
@@ -626,10 +630,13 @@ def generate_stratified(
     one int64 buffer, reserved for the expected count plus 4 standard
     deviations and grown only if the draws pass it; the passes consume no
     randomness, and their size leaves the output unchanged.  Pair classes
-    come before loop classes, so the leading keys are the edges, which
-    SampledGraph.from_keys sorts in place and splits into rows, and the
-    trailing keys v << n | v name the loops.  The graph then costs its keys,
-    a bool per key and its (E, 2) rows at the peak.  Past n = 30 or
+    come before loop classes, so the leading keys are the edges and the
+    trailing keys v << n | v name the loops.  Once the passes are done, and
+    their temporaries with them, the loop vertices are copied out and the
+    buffer grows to two slots per pair key, in which SampledGraph.from_keys
+    sorts the keys and splits them into the (E, 2) rows: the graph costs
+    16 B per edge at its peak, and the rows' room is never held beside the
+    passes' temporaries.  Past n = 30 or
     DEFAULT_EDGE_BUDGET expected edges, check_stratified refuses the graph
     before any class is sampled.  stratified_degrees and
     stratified_distances read the same passes for degree arrays and
@@ -643,14 +650,17 @@ def generate_stratified(
     at = pairs = 0
     for _, lo, hi, paired in _unranked(params, table, seed):
         if at + len(lo) > len(keys):
-            extra = max(len(keys), at + len(lo) - len(keys))
-            keys = np.concatenate([keys, np.empty_like(keys, shape=extra)])
+            keys.resize(max(2 * len(keys), at + len(lo)), refcheck=False)
         np.left_shift(lo, n, out=keys[at : at + len(lo)], dtype=np.int64)
         keys[at : at + len(lo)] |= hi
         at += len(lo)
         pairs += paired
-    # Pair classes come first: the rest are loop keys v << n | v.
-    return SampledGraph.from_keys(params, keys[:pairs], keys[pairs:at] >> n, include_loops)
+    # Pair classes come first: the rest are loop keys v << n | v.  Only now,
+    # with the passes' temporaries gone, does the buffer take the room
+    # from_keys splits the pair keys into.
+    loops = keys[pairs:at] >> n
+    keys.resize(2 * pairs, refcheck=False)
+    return SampledGraph.from_keys(params, keys, pairs, loops, include_loops)
 
 
 def batch_trials(params: KroneckerParams, include_loops: bool = True) -> int:

@@ -172,25 +172,51 @@ def pairs_ascend(lo, hi) -> np.ndarray:
     return (lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))
 
 
-def _canonical_by_key(key: np.ndarray, n: int) -> np.ndarray:
-    """The sorted distinct ``(lo, hi)`` rows of packed pair keys
-    (n <= ``PAIR_KEY_MAX_N``).
+# Pairs per block of from_pairs' key fill and keys per block of each pass of
+# _canonical_by_key: beside the key buffer, a block holds a few temporaries
+# of at most 64 KiB each.
+_KEY_BLOCK = 1 << 13
 
-    The caller hands over ``key``, an int64 array of :func:`pair_keys` of
-    pairs ``lo < hi``: it is sorted in place, equal neighbours are dropped
-    and each key is split into its row.  Only the ``(E, 2)`` result and a
-    bool per key are allocated, plus a copy of the keys when some repeat.
+
+def _canonical_by_key(buf: np.ndarray, count: int, n: int) -> np.ndarray:
+    """The sorted distinct ``(lo, hi)`` rows of packed pair keys
+    (n <= ``PAIR_KEY_MAX_N``), made in the keys' own buffer.
+
+    The caller hands over ``buf``, an int64 array that owns its data, holds
+    no live view and has at least ``2 * count`` slots, the first ``count``
+    of them :func:`pair_keys` of pairs ``lo < hi``.  The keys are sorted in
+    place; equal neighbours are dropped forward a block at a time, carrying
+    each block's last key into the next; the E distinct keys are split
+    back to front into ``buf[:2E]``, each block copied out before its rows
+    land at or above its own keys, so no unread key is overwritten.  The
+    buffer is then trimmed to 2E, made read-only and viewed as the
+    ``(E, 2)`` rows, so the result costs 16 B per edge and each pass a copy
+    of one block.
     """
-    key.sort()
-    fresh = np.empty(len(key), dtype=bool)
-    fresh[:1] = True
-    np.not_equal(key[1:], key[:-1], out=fresh[1:])
-    if not fresh.all():
-        key = key[fresh]
-    edges = np.empty((len(key), 2), dtype=np.int64)
-    np.right_shift(key, n, out=edges[:, 0])
-    np.bitwise_and(key, (1 << n) - 1, out=edges[:, 1])
-    return edges
+    buf[:count].sort()
+    distinct = 0
+    last = None
+    for s in range(0, count, _KEY_BLOCK):
+        block = buf[s : min(s + _KEY_BLOCK, count)]
+        fresh = np.empty(len(block), dtype=bool)
+        fresh[0] = last is None or block[0] != last
+        np.not_equal(block[1:], block[:-1], out=fresh[1:])
+        last = block[-1]
+        if distinct < s or not fresh.all():
+            kept = block[fresh]
+            buf[distinct : distinct + len(kept)] = kept
+            distinct += len(kept)
+        else:  # every key so far is distinct and already in place
+            distinct += len(block)
+    mask = (1 << n) - 1
+    for s in reversed(range(0, distinct, _KEY_BLOCK)):
+        key = buf[s : min(s + _KEY_BLOCK, distinct)].copy()
+        rows = buf[2 * s : 2 * (s + len(key))].reshape(-1, 2)
+        np.right_shift(key, n, out=rows[:, 0])
+        np.bitwise_and(key, mask, out=rows[:, 1])
+    if len(buf) != 2 * distinct:
+        buf.resize(2 * distinct, refcheck=False)
+    return _readonly(buf).reshape(distinct, 2)
 
 
 def _canonical_by_lexsort(u, v, is_loop) -> np.ndarray:
@@ -217,11 +243,13 @@ class SampledGraph:
     :meth:`from_pairs` or :meth:`from_keys`, which establish this canonical
     form; the constructor takes the arrays as given.  For n <=
     ``PAIR_KEY_MAX_N`` (31) :meth:`from_pairs` packs each pair into one int64
-    key ``lo << n | hi`` (:func:`pair_keys`) and hands the keys to
-    :meth:`from_keys`, which sorts them in place, drops equal neighbours and
-    splits the keys back into rows; above that a pair no longer fits one
-    int64, and the rows are ordered with ``np.lexsort``.  Both routes give
-    the same arrays.
+    key ``lo << n | hi`` (:func:`pair_keys`), a block at a time, in the first
+    half of a buffer of two int64 per pair, and hands the buffer to
+    :meth:`from_keys`, which sorts the keys in place, drops equal neighbours
+    and splits the keys back into rows in the same buffer, trimmed to them:
+    ``edges`` is then a view of a buffer of 16 B per edge.  Above that a
+    pair no longer fits one int64, and the rows are ordered with
+    ``np.lexsort``.  Both routes give the same arrays.
 
     Two graphs are ``==`` when their params, ``include_loops`` flag, edges
     and loops are equal.  Graphs are unhashable.  Instances are immutable
@@ -250,7 +278,10 @@ class SampledGraph:
         ``include_loops`` the graph holds no loops, so such pairs are
         dropped.  Raises ParameterError for non-integer input and
         DimensionError for input of another shape or a vertex that does not
-        fit ``params.n`` digits.  Empty input gives the empty graph.
+        fit ``params.n`` digits.  Empty input gives the empty graph.  For n
+        <= ``PAIR_KEY_MAX_N`` the call holds, beyond int64 ends, one buffer
+        of 16 B per pair and one block's temporaries; the ends are read,
+        never written.
         """
         n = params.n
         if n > GRAPH_MAX_N:
@@ -270,12 +301,23 @@ class SampledGraph:
                 )
         u = u.astype(np.int64, copy=False)
         v = v.astype(np.int64, copy=False)
-        is_loop = u == v
         if n <= PAIR_KEY_MAX_N:
-            key = pair_keys(u, v, n)
-            if is_loop.any():
-                key = key[~is_loop]
-            return cls.from_keys(params, key, u[is_loop], include_loops)
+            # The keys fill the first half of the buffer from_keys splits
+            # them in, a block at a time, each block's loops split off.
+            buf = np.empty(2 * len(u), dtype=np.int64)
+            loops = [np.empty(0, dtype=np.int64)]
+            count = 0
+            for s in range(0, len(u), _KEY_BLOCK):
+                bu, bv = u[s : s + _KEY_BLOCK], v[s : s + _KEY_BLOCK]
+                key = pair_keys(bu, bv, n)
+                is_loop = bu == bv
+                if is_loop.any():
+                    loops.append(bu[is_loop])
+                    key = key[~is_loop]
+                buf[count : count + len(key)] = key
+                count += len(key)
+            return cls.from_keys(params, buf, count, np.concatenate(loops), include_loops)
+        is_loop = u == v
         loops = np.unique(u[is_loop]) if include_loops else np.empty(0, dtype=np.int64)
         return cls(
             params=params,
@@ -288,24 +330,33 @@ class SampledGraph:
     def from_keys(
         cls,
         params: KroneckerParams,
-        keys: np.ndarray,
+        buf: np.ndarray,
+        count: int,
         loops,
         include_loops: bool = True,
     ) -> "SampledGraph":
-        """Canonicalize packed pair keys ``lo << n | hi``, ``lo < hi``, of
-        vertices below ``2^n`` (n <= ``PAIR_KEY_MAX_N``), and loop vertices.
+        """Canonicalize ``count`` packed pair keys ``lo << n | hi``,
+        ``lo < hi``, of vertices below ``2^n`` (n <= ``PAIR_KEY_MAX_N``), and
+        loop vertices.
 
-        The keys may come in any order and may repeat.  ``keys`` must be a
-        writeable int64 array that the caller hands over: it is sorted in
-        place rather than copied.  Nothing is range-checked here;
+        The keys are ``buf[:count]``, in any order and possibly repeated.
+        ``buf`` is an int64 array of at least ``2 * count`` slots that owns
+        its data, and the caller hands it over with no view of it kept: the
+        keys are sorted in place and split into the graph's rows in the
+        same buffer, which is then trimmed to them (``_canonical_by_key``),
+        so ``edges`` is a view of it.  Nothing is range-checked here;
         :meth:`from_pairs` checks its vertices before it builds keys, and the
         stratified sampler checks each pass of vertices it unranks.  Without
         ``include_loops`` the loops are dropped.
         """
+        if buf.base is not None or len(buf) < 2 * count:
+            raise DimensionError(
+                f"the key buffer must own its data and hold 2 x {count} slots, got {len(buf)}"
+            )
         loops = np.unique(loops) if include_loops else np.empty(0, dtype=np.int64)
         return cls(
             params=params,
-            edges=_readonly(_canonical_by_key(keys, params.n)),
+            edges=_canonical_by_key(buf, count, params.n),
             loops=_readonly(loops),
             include_loops=include_loops,
         )

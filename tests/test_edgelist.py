@@ -17,6 +17,7 @@ from kronval import (
 )
 from kronval import edgelist
 from kronval.cli import main
+from kronval.generate import RmatParams, generate_rmat
 
 from conftest import traced_peak
 
@@ -174,6 +175,22 @@ def test_writer_copies_no_column_whole(tmp_path, monkeypatch, stratified_n16):
     g = stratified_n16
     _, peak = traced_peak(lambda: write_edgelist(g, tmp_path / "g.edges"))
     assert peak < g.edges.nbytes // 8
+
+
+def test_reader_holds_its_ends_and_one_key_buffer(tmp_path):
+    # 2^21 R-MAT draws at n = 20, about 2.07M lines: the reader's two int64
+    # ends and from_pairs' buffer of two int64 per line come to 32 B per
+    # line, and the whole read measured 33.1 B.  With separate keys, a copy
+    # without loops, a bool per key and separate rows it read 43.0 B.
+    g = generate_rmat(RmatParams(base=KroneckerParams(0.57, 0.19, 0.05, 20), m=1 << 21), SeedSpec(1))
+    path = tmp_path / "g.edges"
+    write_edgelist(g, path)
+    lines = len(g.edges) + len(g.loops)
+    del g
+    back, peak = traced_peak(lambda: read_edgelist(path))
+    path.unlink()
+    assert len(back.edges) + len(back.loops) == lines
+    assert peak <= 36 * lines
 
 
 @st.composite

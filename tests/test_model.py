@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kronval import model
 from kronval import (
     DimensionError,
     KroneckerParams,
@@ -223,14 +224,27 @@ class TestSampledGraph:
         assert peak < 1.25 * got.nbytes
 
     def test_from_keys_canonicalizes_and_sorts_in_place(self, small_params):
-        keys = np.array([3 << 3 | 4, 1 << 3 | 3, 0 << 3 | 7, 1 << 3 | 3], dtype=np.int64)
-        g = SampledGraph.from_keys(small_params, keys, [5, 2, 5])
+        # The keys fill the first 4 of 8 slots; the rows of the 3 distinct
+        # keys take the first 6, and the buffer is trimmed to them.
+        keys = [3 << 3 | 4, 1 << 3 | 3, 0 << 3 | 7, 1 << 3 | 3]
+        buf = np.empty(8, dtype=np.int64)
+        buf[:4] = keys
+        g = SampledGraph.from_keys(small_params, buf, 4, [5, 2, 5])
         assert g.edges.tolist() == [[0, 7], [1, 3], [3, 4]]
         assert g.loops.tolist() == [2, 5]
-        assert keys.tolist() == sorted(keys.tolist())  # the caller's array, sorted
+        assert g.edges.base is buf and buf.tolist() == [0, 7, 1, 3, 3, 4]
+        assert not buf.flags.writeable
         assert SampledGraph.from_pairs(small_params, [(4, 3), (3, 1), (7, 0), (2, 2), (5, 5)]) == g
-        none = SampledGraph.from_keys(small_params, keys.copy(), [5, 2], include_loops=False)
+        again = np.array(keys * 2, dtype=np.int64)
+        none = SampledGraph.from_keys(small_params, again, 4, [5, 2], include_loops=False)
         assert none.loops.tolist() == [] and np.array_equal(none.edges, g.edges)
+
+    def test_from_keys_refuses_a_buffer_it_cannot_split_in(self, small_params):
+        keys = np.array([1 << 3 | 3, 0 << 3 | 7, 0, 0], dtype=np.int64)
+        with pytest.raises(DimensionError, match="2 x 3 slots"):
+            SampledGraph.from_keys(small_params, keys, 3, [])
+        with pytest.raises(DimensionError, match="own its data"):
+            SampledGraph.from_keys(small_params, np.zeros(8, dtype=np.int64)[:6], 2, [])
 
     def test_edge_array_sorted(self, small_params):
         g = SampledGraph.from_pairs(small_params, [(5, 2), (0, 1), (3, 4)])
@@ -285,3 +299,130 @@ def test_packed_key_route_never_calls_lexsort(monkeypatch, tmp_path):
         assert read_edgelist(tmp_path / "g.edges") == g
     with pytest.raises(AssertionError, match="lexsort"):
         SampledGraph.from_pairs(KroneckerParams(alpha=0.5, beta=0.25, gamma=0.125, n=32), [0], [1])
+
+
+B = model._KEY_BLOCK
+BLOCK_COUNTS = [0, 1, B - 1, B, B + 1, 3 * B + 5]
+
+
+def unique_rows(keys, n: int) -> np.ndarray:
+    """The (lo, hi) rows of the distinct packed keys, by np.unique."""
+    keys = np.unique(np.asarray(keys, dtype=np.int64))
+    return np.column_stack((keys >> n, keys & ((1 << n) - 1))).reshape(-1, 2)
+
+
+def unique_canonical(u, v, n: int, include_loops: bool):
+    """(edges, loops) of the pairs (u[i], v[i]) by np.unique of their keys."""
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    proper = u != v
+    keys = np.minimum(u, v)[proper] * (1 << n) + np.maximum(u, v)[proper]
+    loops = np.unique(u[~proper]) if include_loops else np.empty(0, dtype=np.int64)
+    return unique_rows(keys, n), loops
+
+
+def key_buffer(keys) -> np.ndarray:
+    """A buffer of 2 len(keys) slots whose first half holds the keys."""
+    buf = np.empty(2 * len(keys), dtype=np.int64)
+    buf[: len(keys)] = keys
+    return buf
+
+
+def assert_split_in_place(g, count: int):
+    """The edges view a buffer of exactly their own 2E int64 slots."""
+    assert g.edges.base is not None and g.edges.base.size == g.edges.size
+    assert g.edges.base.size <= 2 * count and not g.edges.flags.writeable
+
+
+class TestKeyCanonicalizer:
+    """``from_keys`` sorts, merges and splits keys in their own buffer, a
+    block of ``_KEY_BLOCK`` keys at a time, and ``from_pairs`` fills that
+    buffer a block of pairs at a time: both against an np.unique oracle."""
+
+    N = 12
+
+    def params(self):
+        return KroneckerParams(0.6, 0.5, 0.6, self.N)
+
+    def random_pairs(self, count: int, seed: int):
+        """count pairs over about count / 2 distinct ones, a few loops."""
+        rng = np.random.default_rng(seed)
+        pool = rng.integers(0, 1 << self.N, size=(max(count // 2, 1), 2))
+        pairs = pool[rng.integers(0, len(pool), size=count)]
+        flip = rng.random(count) < 0.5
+        pairs[flip] = pairs[flip, ::-1]
+        return pairs[:, 0].copy(), pairs[:, 1].copy()
+
+    @pytest.mark.parametrize("count", BLOCK_COUNTS)
+    def test_from_keys_matches_unique(self, count):
+        u, v = self.random_pairs(count, count)
+        proper = u != v
+        keys = np.minimum(u, v)[proper] << self.N | np.maximum(u, v)[proper]
+        want = unique_rows(keys, self.N)
+        g = SampledGraph.from_keys(self.params(), key_buffer(keys), len(keys), [3, 3])
+        assert np.array_equal(g.edges, want) and g.loops.tolist() == [3]
+        assert_split_in_place(g, len(keys))
+
+    @pytest.mark.parametrize("count", BLOCK_COUNTS)
+    @pytest.mark.parametrize("include_loops", [True, False])
+    def test_from_pairs_matches_unique(self, count, include_loops):
+        u, v = self.random_pairs(count, count + 1)
+        g = SampledGraph.from_pairs(self.params(), u, v, include_loops=include_loops)
+        edges, loops = unique_canonical(u, v, self.N, include_loops)
+        assert np.array_equal(g.edges, edges) and np.array_equal(g.loops, loops)
+        assert g.edges.dtype == g.loops.dtype == np.int64
+        assert_split_in_place(g, count)
+
+    @pytest.mark.parametrize("span", [(B - 1, B + 1), (B - 5, 2 * B + 5), (0, 3 * B)])
+    def test_repeats_across_block_boundaries(self, span):
+        # After the sort one key fills positions span[0] to span[1] - 1, so
+        # its run starts in one block and ends in a later one (or is all).
+        keys = np.arange(3 * B, dtype=np.int64) * 3 + 1
+        keys[span[0] : span[1]] = keys[span[0]]
+        keys = np.random.default_rng(span[1]).permutation(keys)
+        g = SampledGraph.from_keys(self.params(), key_buffer(keys), len(keys), [])
+        assert np.array_equal(g.edges, unique_rows(keys, self.N))
+        assert len(g.edges) == 3 * B - (span[1] - span[0]) + 1
+
+    @pytest.mark.parametrize("row", ["first", "last", "both"])
+    def test_loops_at_the_first_and_last_row_of_blocks(self, row):
+        count = 3 * B + 5
+        u, v = self.random_pairs(count, 7)
+        v[u == v] ^= 1  # the given loops alone
+        first, last = [0, B, 2 * B, 3 * B], [B - 1, 2 * B - 1, 3 * B - 1, count - 1]
+        at = {"first": first, "last": last, "both": first + last}[row]
+        v[at] = u[at]
+        g = SampledGraph.from_pairs(self.params(), u, v)
+        edges, loops = unique_canonical(u, v, self.N, True)
+        assert np.array_equal(g.edges, edges) and np.array_equal(g.loops, loops)
+        assert set(u[at].tolist()) <= set(g.loops.tolist())
+
+    @pytest.mark.parametrize("include_loops", [True, False])
+    def test_all_loop_input(self, include_loops):
+        w = np.arange(B + 3, dtype=np.int64)[::-1] % 100
+        g = SampledGraph.from_pairs(self.params(), w, w, include_loops=include_loops)
+        assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64
+        assert g.loops.tolist() == (list(range(100)) if include_loops else [])
+
+    @pytest.mark.parametrize("form", ["ends", "rows"])
+    def test_from_pairs_leaves_the_callers_arrays_alone(self, form):
+        u, v = self.random_pairs(2 * B + 3, 11)
+        u[::50] = v[::50]
+        before = u.copy(), v.copy()
+        if form == "ends":
+            SampledGraph.from_pairs(self.params(), u, v)
+        else:
+            rows = np.column_stack((u, v))
+            copy = rows.copy()
+            SampledGraph.from_pairs(self.params(), rows)
+            assert np.array_equal(rows, copy)
+        assert np.array_equal(u, before[0]) and np.array_equal(v, before[1])
+
+    def test_repeated_draws_keep_16_bytes_per_edge(self):
+        # 90% of the pairs repeat: the buffer of 2 x count slots is trimmed
+        # to the 2E slots of the rows.
+        count = 5 * B
+        u, v = self.random_pairs(count // 10, 13)
+        u, v = np.tile(u, 10), np.tile(v, 10)
+        g = SampledGraph.from_pairs(self.params(), u, v)
+        assert len(g.edges) <= count // 10
+        assert g.edges.base.size == g.edges.size == 2 * len(g.edges)
