@@ -12,8 +12,8 @@ costs a handful of numpy calls rather than a few per class.
 
 The stratified sampler is one core, a stream: _draw_ranks hands out its
 ranks a block of _UNRANK_BLOCK at a time, and _unranked unranks each block
-as it arrives.  It has three consumers.  generate_stratified packs each
-pass's pairs into keys for a sorted graph.  stratified_degrees and
+as it arrives.  It has three consumers.  generate_stratified feeds each
+pass's pairs to SampledGraph.from_blocks.  stratified_degrees and
 stratified_distances reduce each pass of a batch of trials, drawn together
 (_trial_passes), into degree arrays and edge-distance histograms and drop
 it, so they hold one gap round, one pass and their counts, whatever the
@@ -43,28 +43,29 @@ from .streams import SeedSpec
 NAIVE_MAX_N = 14
 STRATIFIED_MAX_N = 30
 # The stratified sampler's default budget is a memory ceiling over its
-# measured peak resident bytes per edge.  Each unranking pass writes its
-# packed pair keys into one int64 buffer, reserved for the expected count
-# plus 4 standard deviations.  While the passes run, the call holds that
-# buffer, one round of at most _GAP_ROUND steps (about 24 B per step at its
-# peak), fewer than _UNRANK_BLOCK ranks held for the next block and one
-# pass.  Only then does the buffer grow to two slots per edge, in which
-# SampledGraph.from_keys sorts the keys and splits them into the (E, 2)
+# measured peak resident bytes per edge.  SampledGraph.from_blocks writes
+# each unranking pass's packed pair keys into one int64 buffer, reserved
+# for the expected count plus 4 standard deviations.  While the passes run,
+# the call holds that buffer, one round of at most _GAP_ROUND steps (about
+# 24 B per step at its peak), fewer than _UNRANK_BLOCK ranks held for the
+# next block and one pass.  Only then does the buffer grow to two slots per
+# edge, in which the builder sorts the keys and splits them into the (E, 2)
 # rows, so the peak is 16 B per edge and the loop vertices.  The whole
 # process peaked at 17.4 B per edge at (0.99, 0.99, 0.99), n = 13 (29.4M
 # edges), 17.4 B at (0.001, 0.968, 0.001), n = 27 (28.7M) and 17.2 B at
 # (0.001, 0.9305, 0.001), n = 29 (34.3M), with the interpreter; 26.4, 26.4
-# and 26.2 B while from_keys held the keys, a bool per key and separate
-# rows at once.
+# and 26.2 B while the keys, a bool per key and separate rows were held at
+# once.
 GENERATE_MEMORY_CEILING = 3 << 30  # bytes
 STRATIFIED_PEAK_BYTES_PER_EDGE = 28
 DEFAULT_EDGE_BUDGET = GENERATE_MEMORY_CEILING // STRATIFIED_PEAK_BYTES_PER_EDGE
 # R-MAT's cap on draws is the same ceiling over its peak per draw, measured
-# the same way at its worst, from_pairs' lexsort route: at n = 40, `generate`
-# of 16M distinct draws peaked at 1220 MiB, 80.0 B per draw with the
-# interpreter.  At n = 20 the packed keys route peaks at 34.8 B per draw
-# (16M uniform draws, 557 MiB): the two int64 ends and from_pairs' buffer
-# of two int64 per draw.
+# the same way at its worst, the graph builder's lexsort route: at n = 40,
+# `generate` of 16M distinct draws peaked at 1220 MiB, 80.0 B per draw with
+# the interpreter, while the builder kept its blocks through the sort
+# (under tracemalloc, 2^21 draws read 74.0 B then and 65.0 B now).  At
+# n = 20 the packed keys route peaks at 34.8 B per draw (16M uniform draws,
+# 557 MiB): the two int64 ends and from_pairs' buffer of two int64 per draw.
 RMAT_PEAK_BYTES_PER_DRAW = 80
 RMAT_MAX_EDGES = GENERATE_MEMORY_CEILING // RMAT_PEAK_BYTES_PER_DRAW
 _NAIVE_ROW_BLOCK = 128
@@ -81,7 +82,7 @@ _UNRANK_BLOCK = 1 << 13
 # Digits unranked from one _subset_table: 2^16 int32 masks, 256 KiB.
 # _unrank_pairs walks only the digits below the top _TABLE_MAX_N.  A 2^20
 # table sped hamming-n20 further but was still resident, 4 MiB, when
-# from_keys peaks.
+# the graph builder peaks.
 _TABLE_MAX_N = 16
 # Steps per rng.standard_exponential call of _draw_ranks, over every class
 # still drawing.  Rounds of 2^20 steps drew the ranks of the n = 20 graph
@@ -252,24 +253,24 @@ def generate_naive(
 
     The reference generator: distributionally the model itself.  Rows are
     scanned in blocks of 128, every pair from the stream seed.child("pairs"),
-    and a drawn pair u = v is a loop, which from_pairs drops without
-    include_loops.  Capped at n = 14; use generate_stratified beyond that.
+    each block's drawn pairs go to SampledGraph.from_blocks, and a drawn
+    pair u = v is a loop, which the graph drops without include_loops.  Capped at n = 14; use generate_stratified beyond that.
     """
     check_naive(params)
     size = params.vertex_count
     rng = seed.child("pairs").generator()
-    us = []
-    vs = []
-    for block_start in range(0, size, _NAIVE_ROW_BLOCK):
-        rows = np.arange(block_start, min(block_start + _NAIVE_ROW_BLOCK, size))
-        u_arr = np.repeat(rows, size - rows).astype(np.uint64)
-        v_arr = np.concatenate([np.arange(r, size, dtype=np.uint64) for r in rows])
-        prob = edge_probability(params, u_arr, v_arr)
-        keep = rng.random(len(prob)) < prob
-        us.append(u_arr[keep].astype(np.int64))
-        vs.append(v_arr[keep].astype(np.int64))
-    return SampledGraph.from_pairs(
-        params, np.concatenate(us), np.concatenate(vs), include_loops=include_loops
+
+    def blocks():
+        for block_start in range(0, size, _NAIVE_ROW_BLOCK):
+            rows = np.arange(block_start, min(block_start + _NAIVE_ROW_BLOCK, size))
+            u_arr = np.repeat(rows, size - rows).astype(np.uint64)
+            v_arr = np.concatenate([np.arange(r, size, dtype=np.uint64) for r in rows])
+            prob = edge_probability(params, u_arr, v_arr)
+            keep = rng.random(len(prob)) < prob
+            yield u_arr[keep].astype(np.int64), v_arr[keep].astype(np.int64)
+
+    return SampledGraph.from_blocks(
+        params, blocks(), _key_reserve(params, include_loops), include_loops
     )
 
 
@@ -625,42 +626,31 @@ def generate_stratified(
     over all pairs is exactly independent Bernoulli.  Every pair class draws
     from the stream seed.child("class") and every loop class from
     seed.child("loop_class"), so the edges do not depend on include_loops.
-    The class table of each (n, include_loops) is built once.  Each pass of
-    _unranked writes its packed pair keys min(u, v) << n | max(u, v) into
-    one int64 buffer, reserved for the expected count plus 4 standard
-    deviations and grown only if the draws pass it; the passes consume no
-    randomness, and their size leaves the output unchanged.  Pair classes
-    come before loop classes, so the leading keys are the edges and the
-    trailing keys v << n | v name the loops.  Once the passes are done, and
-    their temporaries with them, the loop vertices are copied out and the
-    buffer grows to two slots per pair key, in which SampledGraph.from_keys
-    sorts the keys and splits them into the (E, 2) rows: the graph costs
-    16 B per edge at its peak, and the rows' room is never held beside the
-    passes' temporaries.  Past n = 30 or
-    DEFAULT_EDGE_BUDGET expected edges, check_stratified refuses the graph
-    before any class is sampled.  stratified_degrees and
-    stratified_distances read the same passes for degree arrays and
-    edge-distance histograms alone.
+    The class table of each (n, include_loops) is built once.  The pairs
+    of each pass of _unranked go to SampledGraph.from_blocks, which packs
+    them into one key buffer reserved for the expected count plus 4
+    standard deviations; the passes consume no randomness, and their size
+    leaves the output unchanged.  Only once the passes are done, and their
+    temporaries with them, does the buffer grow to two slots per key, in
+    which the keys are split into the (E, 2) rows: the graph costs 16 B per
+    edge at its peak.  Past n = 30 or DEFAULT_EDGE_BUDGET expected edges,
+    check_stratified refuses the graph before any class is sampled.  stratified_degrees and stratified_distances read the same
+    passes for degree arrays and edge-distance histograms alone.
     """
-    n = params.n
     check_stratified(params, include_loops)
-    table = _class_table(n, include_loops)
-    reserve = expected_edge_count(params, include_loops)
-    keys = np.empty(int(reserve + 4 * math.sqrt(reserve)) + 16, dtype=np.int64)
-    at = pairs = 0
-    for _, lo, hi, paired in _unranked(params, table, seed):
-        if at + len(lo) > len(keys):
-            keys.resize(max(2 * len(keys), at + len(lo)), refcheck=False)
-        np.left_shift(lo, n, out=keys[at : at + len(lo)], dtype=np.int64)
-        keys[at : at + len(lo)] |= hi
-        at += len(lo)
-        pairs += paired
-    # Pair classes come first: the rest are loop keys v << n | v.  Only now,
-    # with the passes' temporaries gone, does the buffer take the room
-    # from_keys splits the pair keys into.
-    loops = keys[pairs:at] >> n
-    keys.resize(2 * pairs, refcheck=False)
-    return SampledGraph.from_keys(params, keys, pairs, loops, include_loops)
+    table = _class_table(params.n, include_loops)
+    return SampledGraph.from_blocks(
+        params,
+        ((lo, hi) for _, lo, hi, _ in _unranked(params, table, seed)),
+        _key_reserve(params, include_loops),
+        include_loops,
+    )
+
+
+def _key_reserve(params: KroneckerParams, include_loops: bool) -> int:
+    """Key slots for a sampled graph: its expected edges plus 4 sd and 16."""
+    expected = expected_edge_count(params, include_loops)
+    return int(expected + 4 * math.sqrt(expected)) + 16
 
 
 def batch_trials(params: KroneckerParams, include_loops: bool = True) -> int:

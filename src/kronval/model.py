@@ -152,27 +152,13 @@ def _readonly(array: np.ndarray) -> np.ndarray:
 PAIR_KEY_MAX_N = 31
 
 
-def pair_keys(u, v, n: int) -> np.ndarray:
-    """int64 keys ``min(u, v) << n | max(u, v)`` of the pairs ``{u[i], v[i]}``.
-
-    For vertices below 2^n with n <= ``PAIR_KEY_MAX_N`` the key fits int64
-    and orders pairs exactly as their ``(lo, hi)`` rows order
-    lexicographically, so sorting keys sorts rows and equal keys are equal
-    pairs.  ``lo = key >> n`` and ``hi = key & (2^n - 1)`` undo it.
-    """
-    key = np.minimum(u, v)
-    key <<= n
-    key |= np.maximum(u, v)
-    return key
-
-
 def pairs_ascend(lo, hi) -> np.ndarray:
     """Whether each row ``(lo[i], hi[i])`` sorts strictly after the row
     before it, lexicographically; one entry per row but the first."""
     return (lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))
 
 
-# Pairs per block of from_pairs' key fill and keys per block of each pass of
+# Pairs per block of from_pairs and keys per block of each pass of
 # _canonical_by_key: beside the key buffer, a block holds a few temporaries
 # of at most 64 KiB each.
 _KEY_BLOCK = 1 << 13
@@ -184,12 +170,12 @@ def _canonical_by_key(buf: np.ndarray, count: int, n: int) -> np.ndarray:
 
     The caller hands over ``buf``, an int64 array that owns its data, holds
     no live view and has at least ``2 * count`` slots, the first ``count``
-    of them :func:`pair_keys` of pairs ``lo < hi``.  The keys are sorted in
-    place; equal neighbours are dropped forward a block at a time, carrying
-    each block's last key into the next; the E distinct keys are split
-    back to front into ``buf[:2E]``, each block copied out before its rows
-    land at or above its own keys, so no unread key is overwritten.  The
-    buffer is then trimmed to 2E, made read-only and viewed as the
+    of them keys ``lo << n | hi`` of pairs ``lo < hi``.  The keys are sorted
+    in place; equal neighbours are dropped forward a block at a time,
+    carrying each block's last key into the next; the E distinct keys are
+    split back to front into ``buf[:2E]``, each block copied out before its
+    rows land at or above its own keys, so no unread key is overwritten.
+    The buffer is then trimmed to 2E, made read-only and viewed as the
     ``(E, 2)`` rows, so the result costs 16 B per edge and each pass a copy
     of one block.
     """
@@ -219,18 +205,6 @@ def _canonical_by_key(buf: np.ndarray, count: int, n: int) -> np.ndarray:
     return _readonly(buf).reshape(distinct, 2)
 
 
-def _canonical_by_lexsort(u, v, is_loop) -> np.ndarray:
-    """The sorted distinct ``(lo, hi)`` rows of the non-loop pairs for n
-    above ``PAIR_KEY_MAX_N``, where a pair no longer packs into one int64."""
-    lo = np.minimum(u, v)[~is_loop]
-    hi = np.maximum(u, v)[~is_loop]
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
-    fresh = np.ones(len(lo), dtype=bool)
-    fresh[1:] = pairs_ascend(lo, hi)
-    return np.column_stack((lo[fresh], hi[fresh]))
-
-
 @dataclass(frozen=True, eq=False)
 class SampledGraph:
     """One realization of the model: an edge set over the 2^n vertices.
@@ -239,17 +213,12 @@ class SampledGraph:
     each row ``(lo, hi)`` with ``lo < hi``, rows sorted lexicographically and
     distinct.  ``loops`` is a read-only sorted array of the distinct vertices
     carrying a self-loop.  ``include_loops`` records whether loop generation
-    was enabled, so that reports can echo it.  Build instances with
-    :meth:`from_pairs` or :meth:`from_keys`, which establish this canonical
-    form; the constructor takes the arrays as given.  For n <=
-    ``PAIR_KEY_MAX_N`` (31) :meth:`from_pairs` packs each pair into one int64
-    key ``lo << n | hi`` (:func:`pair_keys`), a block at a time, in the first
-    half of a buffer of two int64 per pair, and hands the buffer to
-    :meth:`from_keys`, which sorts the keys in place, drops equal neighbours
-    and splits the keys back into rows in the same buffer, trimmed to them:
-    ``edges`` is then a view of a buffer of 16 B per edge.  Above that a
-    pair no longer fits one int64, and the rows are ordered with
-    ``np.lexsort``.  Both routes give the same arrays.
+    was enabled, so that reports can echo it.  Every graph is built by
+    :meth:`from_blocks`, which establishes this canonical form, from blocks
+    of pairs; :meth:`from_pairs` feeds it checked pairs of any orientation.
+    For n <= ``PAIR_KEY_MAX_N`` (31) ``edges`` views the buffer of packed
+    pair keys it was sorted in, 16 B per edge; above that the rows are
+    ordered with ``np.lexsort``.  Both routes give the same arrays.
 
     Two graphs are ``==`` when their params, ``include_loops`` flag, edges
     and loops are equal.  Graphs are unhashable.  Instances are immutable
@@ -260,6 +229,75 @@ class SampledGraph:
     edges: np.ndarray
     loops: np.ndarray
     include_loops: bool = True
+
+    @classmethod
+    def from_blocks(
+        cls,
+        params: KroneckerParams,
+        blocks,
+        reserve: int,
+        include_loops: bool = True,
+    ) -> "SampledGraph":
+        """Canonicalize the pairs of ``blocks``, an iterable of ``(lo, hi)``
+        integer arrays with ``lo <= hi`` row by row, of vertices below 2^n
+        that the caller has checked.
+
+        Pairs may repeat, within and across blocks; a pair ``lo == hi`` is
+        a loop, dropped without ``include_loops``.  For n <=
+        ``PAIR_KEY_MAX_N`` each block's other pairs are written as keys
+        ``lo << n | hi`` into one int64 buffer of ``reserve`` slots, doubled
+        when the blocks overrun it.  Once the last block and the spent
+        iterable are dropped, the buffer grows to two slots per key if it
+        is short of them, and ``_canonical_by_key`` splits the keys into
+        rows in it.  A caller that knows its pair count reserves twice it,
+        so that the buffer never moves; one with an estimate reserves about
+        the count, so that the rows' room is taken only after its blocks'
+        temporaries are gone.  Above n = 31 the blocks' non-loop ends are
+        joined, the blocks freed and the rows ordered with ``np.lexsort``.
+        """
+        n = params.n
+        packed = n <= PAIR_KEY_MAX_N
+        empty = np.empty(0, dtype=np.int64)
+        # The loop vertices, and above PAIR_KEY_MAX_N each block's non-loop ends.
+        loops, los, his = [empty], [empty], [empty]
+        if packed:
+            buf = np.empty(reserve, dtype=np.int64)
+        count = 0
+        for lo, hi in blocks:
+            is_loop = lo == hi
+            if is_loop.any():
+                if include_loops:
+                    loops.append(lo[is_loop])
+                proper = ~is_loop
+                lo, hi = lo[proper], hi[proper]
+            if packed:
+                if count + len(lo) > len(buf):
+                    buf.resize(max(2 * len(buf), count + len(lo)), refcheck=False)
+                np.left_shift(lo, n, out=buf[count : count + len(lo)], dtype=np.int64)
+                buf[count : count + len(lo)] |= hi
+                count += len(lo)
+            else:
+                los.append(lo)
+                his.append(hi)
+        # The last block and the spent iterable go before the rows' room.
+        blocks = lo = hi = is_loop = proper = None
+        loops = _readonly(np.unique(np.concatenate(loops)))
+        if packed:
+            if len(buf) < 2 * count:
+                buf.resize(2 * count, refcheck=False)
+            edges = _canonical_by_key(buf, count, n)
+        else:
+            lo = np.concatenate(los)
+            del los
+            hi = np.concatenate(his)
+            del his
+            order = np.lexsort((hi, lo))
+            lo, hi = lo[order], hi[order]
+            del order
+            fresh = np.ones(len(lo), dtype=bool)
+            fresh[1:] = pairs_ascend(lo, hi)
+            edges = _readonly(np.column_stack((lo[fresh], hi[fresh])))
+        return cls(params=params, edges=edges, loops=loops, include_loops=include_loops)
 
     @classmethod
     def from_pairs(
@@ -278,10 +316,11 @@ class SampledGraph:
         ``include_loops`` the graph holds no loops, so such pairs are
         dropped.  Raises ParameterError for non-integer input and
         DimensionError for input of another shape or a vertex that does not
-        fit ``params.n`` digits.  Empty input gives the empty graph.  For n
-        <= ``PAIR_KEY_MAX_N`` the call holds, beyond int64 ends, one buffer
-        of 16 B per pair and one block's temporaries; the ends are read,
-        never written.
+        fit ``params.n`` digits.  Empty input gives the empty graph.  The
+        ``(min, max)`` of each ``_KEY_BLOCK`` pairs go to :meth:`from_blocks`
+        with room for two int64 per pair, so for n <= ``PAIR_KEY_MAX_N`` the
+        call holds, beyond int64 ends, that buffer and one block's
+        temporaries; the ends are read, never written.
         """
         n = params.n
         if n > GRAPH_MAX_N:
@@ -301,65 +340,10 @@ class SampledGraph:
                 )
         u = u.astype(np.int64, copy=False)
         v = v.astype(np.int64, copy=False)
-        if n <= PAIR_KEY_MAX_N:
-            # The keys fill the first half of the buffer from_keys splits
-            # them in, a block at a time, each block's loops split off.
-            buf = np.empty(2 * len(u), dtype=np.int64)
-            loops = [np.empty(0, dtype=np.int64)]
-            count = 0
-            for s in range(0, len(u), _KEY_BLOCK):
-                bu, bv = u[s : s + _KEY_BLOCK], v[s : s + _KEY_BLOCK]
-                key = pair_keys(bu, bv, n)
-                is_loop = bu == bv
-                if is_loop.any():
-                    loops.append(bu[is_loop])
-                    key = key[~is_loop]
-                buf[count : count + len(key)] = key
-                count += len(key)
-            return cls.from_keys(params, buf, count, np.concatenate(loops), include_loops)
-        is_loop = u == v
-        loops = np.unique(u[is_loop]) if include_loops else np.empty(0, dtype=np.int64)
-        return cls(
-            params=params,
-            edges=_readonly(_canonical_by_lexsort(u, v, is_loop)),
-            loops=_readonly(loops),
-            include_loops=include_loops,
-        )
-
-    @classmethod
-    def from_keys(
-        cls,
-        params: KroneckerParams,
-        buf: np.ndarray,
-        count: int,
-        loops,
-        include_loops: bool = True,
-    ) -> "SampledGraph":
-        """Canonicalize ``count`` packed pair keys ``lo << n | hi``,
-        ``lo < hi``, of vertices below ``2^n`` (n <= ``PAIR_KEY_MAX_N``), and
-        loop vertices.
-
-        The keys are ``buf[:count]``, in any order and possibly repeated.
-        ``buf`` is an int64 array of at least ``2 * count`` slots that owns
-        its data, and the caller hands it over with no view of it kept: the
-        keys are sorted in place and split into the graph's rows in the
-        same buffer, which is then trimmed to them (``_canonical_by_key``),
-        so ``edges`` is a view of it.  Nothing is range-checked here;
-        :meth:`from_pairs` checks its vertices before it builds keys, and the
-        stratified sampler checks each pass of vertices it unranks.  Without
-        ``include_loops`` the loops are dropped.
-        """
-        if buf.base is not None or len(buf) < 2 * count:
-            raise DimensionError(
-                f"the key buffer must own its data and hold 2 x {count} slots, got {len(buf)}"
-            )
-        loops = np.unique(loops) if include_loops else np.empty(0, dtype=np.int64)
-        return cls(
-            params=params,
-            edges=_canonical_by_key(buf, count, params.n),
-            loops=_readonly(loops),
-            include_loops=include_loops,
-        )
+        cuts = range(0, len(u), _KEY_BLOCK)
+        ends = ((u[s : s + _KEY_BLOCK], v[s : s + _KEY_BLOCK]) for s in cuts)
+        blocks = ((np.minimum(a, b), np.maximum(a, b)) for a, b in ends)
+        return cls.from_blocks(params, blocks, 2 * len(u), include_loops)
 
     def __eq__(self, other):
         if not isinstance(other, SampledGraph):

@@ -92,6 +92,34 @@ def test_a_bad_byte_in_any_column_names_its_line(tmp_path, monkeypatch, n, block
                 assert str(caught.value) == want
 
 
+# (fault, index of the faulty line): each in the second block of three
+# rows, at its first row, where the check carries the first block's last
+# line, and inside it.
+@pytest.mark.parametrize("index", [3, 4])
+@pytest.mark.parametrize("fault", ["out of order", "repeated", "loop under loops=0"])
+def test_a_fault_in_a_later_block_names_its_line(tmp_path, monkeypatch, fault, index):
+    monkeypatch.setattr(edgelist, "_BLOCK_ROWS", 3)
+    n = 5
+    rows = [(0, 1), (0, 3), (1, 2), (2, 6), (3, 9), (4, 5), (7, 8), (9, 30)]
+    loops = "1"
+    if fault == "out of order":
+        rows[index] = (rows[index - 1][0] - 1, 31)
+        message = "lines must be sorted and distinct"
+    elif fault == "repeated":
+        rows[index] = rows[index - 1]
+        message = "lines must be sorted and distinct"
+    else:
+        rows[index] = (rows[index][0], rows[index][0])
+        loops = "0"
+        message = "a loop line under loops=0"
+    header = f"kron n={n} alpha=0.5 beta=0.25 gamma=0.5 loops={loops}\n"
+    path = tmp_path / "g.edges"
+    path.write_text(header + "".join(f"{u:05b} {v:05b}\n" for u, v in rows))
+    with pytest.raises(ParameterError) as caught:
+        read_edgelist(path)
+    assert str(caught.value) == f"line {index + 2}: {message}"
+
+
 # Traced peak of one 2^16-row block, in bytes per row, rounded up, of the
 # byte-mask reader that came before the word decoder: two masks of a byte
 # per column (2 × (2n + 2)), then its digit unpacking.  The word decoder

@@ -30,7 +30,9 @@ from kronval import (
     generate_rmat,
     generate_stratified,
     pair_classes,
+    read_edgelist,
     rmat_pairs,
+    write_edgelist,
 )
 from kronval.generate import (
     _BYTE_DEPOSIT,
@@ -38,6 +40,7 @@ from kronval.generate import (
     _RMAT_SUBBLOCK,
     _TABLE_MAX_N,
     RMAT_MAX_EDGES,
+    RMAT_PEAK_BYTES_PER_DRAW,
     STRATIFIED_MAX_N,
     _class_probabilities,
     _class_table,
@@ -483,6 +486,39 @@ class TestPackedKeys:
         monkeypatch.setattr(kronval.generate, "_unrank_pairs", too_wide)
         with pytest.raises(DimensionError, match="does not fit 6 digits"):
             generate_stratified(KroneckerParams(0.9, 0.5, 0.7, 6), seed=SeedSpec(1))
+
+
+def _read_back(graph, tmp_path):
+    path = tmp_path / "g.edges"
+    write_edgelist(graph, path)
+    return read_edgelist(path)
+
+
+@pytest.mark.parametrize("build", ["naive", "stratified", "rmat", "read"])
+def test_every_graph_views_a_buffer_of_exactly_its_rows(tmp_path, build):
+    # Each generator and the reader feed SampledGraph.from_blocks, whose
+    # key buffer becomes the rows, trimmed to their 2E slots.
+    p = KroneckerParams(0.6, 0.5, 0.6, 12)
+    rmat = RmatParams(base=KroneckerParams(0.57, 0.19, 0.05, 12), m=20_000)
+    graph = {
+        "naive": lambda: generate_naive(p, seed=SeedSpec(3)),
+        "stratified": lambda: generate_stratified(p, seed=SeedSpec(3)),
+        "rmat": lambda: generate_rmat(rmat, SeedSpec(3)),
+        "read": lambda: _read_back(generate_stratified(p, seed=SeedSpec(3)), tmp_path),
+    }[build]()
+    assert len(graph.edges) > 1000 and len(graph.loops) > 0
+    buf = graph.edges.base
+    assert buf.base is None and buf.size == 2 * len(graph.edges)
+
+
+def test_rmat_past_packed_keys_peaks_within_its_declared_bytes_per_draw():
+    # Above n = 31 the builder joins its blocks' ends, frees the blocks and
+    # lexsorts the rows.  Keeping the blocks alive through the lexsort read
+    # 89.1 B per draw here, past the declared 80.
+    r = RmatParams(base=KroneckerParams(0.57, 0.19, 0.05, 40), m=1 << 21)
+    g, peak = traced_peak(lambda: generate_rmat(r, SeedSpec(1)))
+    assert len(g.edges) > 0.9 * r.m
+    assert peak <= RMAT_PEAK_BYTES_PER_DRAW * r.m
 
 
 @st.composite

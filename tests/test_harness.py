@@ -1285,7 +1285,7 @@ class TestHammingRoute:
 
     def test_stratified_runs_build_no_graph(self, monkeypatch):
         monkeypatch.setattr(kronval.harness, "generate_stratified", _no_generation)
-        monkeypatch.setattr(SampledGraph, "from_keys", _no_generation)
+        monkeypatch.setattr(SampledGraph, "from_blocks", _no_generation)
         params = KroneckerParams(0.7, 0.5, 0.7, 8)
         report = run_experiment(cfg(kind="hamming", params=params, trials=5))
         assert report.empirical["trials"] == 5 and report.passed

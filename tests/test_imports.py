@@ -7,7 +7,8 @@ a name is marked, so that the marks list exactly the names kept for those
 readers.  And the stratified sampler's class and rank logic has one copy:
 one call site each draws the gaps and unranks the pairs, and no module but
 kronval.generate names the sampler core.  And one trial loop,
-harness._trial_rows, samples every validate trial."""
+harness._trial_rows, samples every validate trial.  And one builder,
+SampledGraph.from_blocks, makes every graph."""
 
 import ast
 import json
@@ -204,6 +205,24 @@ def test_every_sampled_trial_comes_from_one_trial_loop():
         ("cli._cmd_generate", "generate_graph"),
         ("harness._trial_rows", "batch_trials"),
         ("harness._trial_rows", "generate_graph"),
+    ]
+
+
+def test_every_graph_is_built_by_one_builder():
+    # SampledGraph is constructed, and its keys canonicalized, only inside
+    # SampledGraph.from_blocks, which every generator and the edge-list
+    # reader feed; in kronval.model a SampledGraph method constructs
+    # through cls.
+    modules = sorted(Path(kronval.__file__).parent.glob("*.py"))
+    sites = [
+        site
+        for path in modules
+        for site in _call_sites(path, ("SampledGraph", "_canonical_by_key", "cls"))
+        if site[1] != "cls" or site[0].startswith("model.SampledGraph.")
+    ]
+    assert sorted(sites) == [
+        ("model.SampledGraph.from_blocks", "_canonical_by_key"),
+        ("model.SampledGraph.from_blocks", "cls"),
     ]
 
 

@@ -223,28 +223,22 @@ class TestSampledGraph:
         assert got.sum() == 400 and got.dtype == np.int64
         assert peak < 1.25 * got.nbytes
 
-    def test_from_keys_canonicalizes_and_sorts_in_place(self, small_params):
-        # The keys fill the first 4 of 8 slots; the rows of the 3 distinct
-        # keys take the first 6, and the buffer is trimmed to them.
-        keys = [3 << 3 | 4, 1 << 3 | 3, 0 << 3 | 7, 1 << 3 | 3]
-        buf = np.empty(8, dtype=np.int64)
-        buf[:4] = keys
-        g = SampledGraph.from_keys(small_params, buf, 4, [5, 2, 5])
+    def test_from_blocks_canonicalizes_in_its_own_buffer(self, small_params):
+        # Four pairs and three loops in two blocks; the rows of the 3
+        # distinct pairs take 6 of the 8 reserved slots, trimmed to them.
+        blocks = [
+            (np.array([3, 1, 5]), np.array([4, 3, 5])),
+            (np.array([0, 2, 1, 5]), np.array([7, 2, 3, 5])),
+        ]
+        g = SampledGraph.from_blocks(small_params, iter(blocks), 8)
         assert g.edges.tolist() == [[0, 7], [1, 3], [3, 4]]
         assert g.loops.tolist() == [2, 5]
-        assert g.edges.base is buf and buf.tolist() == [0, 7, 1, 3, 3, 4]
+        buf = g.edges.base
+        assert buf.base is None and buf.tolist() == [0, 7, 1, 3, 3, 4]
         assert not buf.flags.writeable
         assert SampledGraph.from_pairs(small_params, [(4, 3), (3, 1), (7, 0), (2, 2), (5, 5)]) == g
-        again = np.array(keys * 2, dtype=np.int64)
-        none = SampledGraph.from_keys(small_params, again, 4, [5, 2], include_loops=False)
+        none = SampledGraph.from_blocks(small_params, iter(blocks), 8, include_loops=False)
         assert none.loops.tolist() == [] and np.array_equal(none.edges, g.edges)
-
-    def test_from_keys_refuses_a_buffer_it_cannot_split_in(self, small_params):
-        keys = np.array([1 << 3 | 3, 0 << 3 | 7, 0, 0], dtype=np.int64)
-        with pytest.raises(DimensionError, match="2 x 3 slots"):
-            SampledGraph.from_keys(small_params, keys, 3, [])
-        with pytest.raises(DimensionError, match="own its data"):
-            SampledGraph.from_keys(small_params, np.zeros(8, dtype=np.int64)[:6], 2, [])
 
     def test_edge_array_sorted(self, small_params):
         g = SampledGraph.from_pairs(small_params, [(5, 2), (0, 1), (3, 4)])
@@ -320,11 +314,19 @@ def unique_canonical(u, v, n: int, include_loops: bool):
     return unique_rows(keys, n), loops
 
 
-def key_buffer(keys) -> np.ndarray:
-    """A buffer of 2 len(keys) slots whose first half holds the keys."""
-    buf = np.empty(2 * len(keys), dtype=np.int64)
-    buf[: len(keys)] = keys
-    return buf
+def key_blocks(keys, n: int, size: int):
+    """The (lo, hi) blocks of ``size`` packed keys at a time."""
+    keys = np.asarray(keys, dtype=np.int64)
+    for s in range(0, len(keys), size):
+        block = keys[s : s + size]
+        yield block >> n, block & ((1 << n) - 1)
+
+
+def pair_blocks(u, v, size: int):
+    """The (min, max) blocks of ``size`` pairs at a time."""
+    for s in range(0, len(u), size):
+        a, b = u[s : s + size], v[s : s + size]
+        yield np.minimum(a, b), np.maximum(a, b)
 
 
 def assert_split_in_place(g, count: int):
@@ -334,33 +336,68 @@ def assert_split_in_place(g, count: int):
 
 
 class TestKeyCanonicalizer:
-    """``from_keys`` sorts, merges and splits keys in their own buffer, a
-    block of ``_KEY_BLOCK`` keys at a time, and ``from_pairs`` fills that
-    buffer a block of pairs at a time: both against an np.unique oracle."""
+    """``from_blocks`` writes each block's keys into its buffer and sorts,
+    merges and splits them there, a block of ``_KEY_BLOCK`` keys at a
+    time, and ``from_pairs`` feeds it a block of pairs at a time: both
+    against an np.unique oracle."""
 
     N = 12
 
-    def params(self):
-        return KroneckerParams(0.6, 0.5, 0.6, self.N)
+    def params(self, n=N):
+        return KroneckerParams(0.6, 0.5, 0.6, n)
 
-    def random_pairs(self, count: int, seed: int):
+    def random_pairs(self, count: int, seed: int, n: int = N):
         """count pairs over about count / 2 distinct ones, a few loops."""
         rng = np.random.default_rng(seed)
-        pool = rng.integers(0, 1 << self.N, size=(max(count // 2, 1), 2))
+        pool = rng.integers(0, 1 << n, size=(max(count // 2, 1), 2))
         pairs = pool[rng.integers(0, len(pool), size=count)]
         flip = rng.random(count) < 0.5
         pairs[flip] = pairs[flip, ::-1]
         return pairs[:, 0].copy(), pairs[:, 1].copy()
 
     @pytest.mark.parametrize("count", BLOCK_COUNTS)
-    def test_from_keys_matches_unique(self, count):
+    def test_from_blocks_matches_unique(self, count):
+        # Blocks of 1000 pairs, so that they straddle the canonicalizer's
+        # blocks, and a last block of two loops at one vertex.
         u, v = self.random_pairs(count, count)
         proper = u != v
-        keys = np.minimum(u, v)[proper] << self.N | np.maximum(u, v)[proper]
-        want = unique_rows(keys, self.N)
-        g = SampledGraph.from_keys(self.params(), key_buffer(keys), len(keys), [3, 3])
+        u, v = u[proper], v[proper]
+        want = unique_rows(np.minimum(u, v) << self.N | np.maximum(u, v), self.N)
+        blocks = [*pair_blocks(u, v, 1000), (np.array([3, 3]), np.array([3, 3]))]
+        g = SampledGraph.from_blocks(self.params(), iter(blocks), 2 * len(u))
         assert np.array_equal(g.edges, want) and g.loops.tolist() == [3]
-        assert_split_in_place(g, len(keys))
+        assert_split_in_place(g, len(u))
+
+    @pytest.mark.parametrize("n", [N, 40])
+    @pytest.mark.parametrize("include_loops", [True, False])
+    def test_from_blocks_matches_lexsort_at_either_route(self, n, include_loops):
+        u, v = self.random_pairs(3 * B + 5, n, n)
+        u[::97] = v[::97]
+        g = SampledGraph.from_blocks(
+            self.params(n), pair_blocks(u, v, 777), 2 * len(u), include_loops
+        )
+        edges, loops = lexsort_canonical(u, v, include_loops)
+        assert np.array_equal(g.edges, edges) and np.array_equal(g.loops, loops)
+        assert g.edges.dtype == g.loops.dtype == np.int64 and not g.edges.flags.writeable
+
+    @pytest.mark.parametrize("n", [N, 40])
+    @pytest.mark.parametrize("reserve", [0, 10])
+    def test_no_blocks_give_the_empty_graph(self, n, reserve):
+        g = SampledGraph.from_blocks(self.params(n), iter(()), reserve)
+        assert g.edges.shape == (0, 2) and g.edges.dtype == g.loops.dtype == np.int64
+        assert g.loops.shape == (0,)
+        assert g == SampledGraph.from_pairs(self.params(n), [])
+
+    @pytest.mark.parametrize("share", [0, 0.01, 0.5, 1, 2, 3])
+    def test_any_reserve_gives_the_same_rows_in_2e_slots(self, share):
+        # A reserve below the key count makes the buffer double while the
+        # blocks arrive; one of 0 grows it from nothing.
+        count = 3 * B + 5
+        u, v = self.random_pairs(count, 17)
+        g = SampledGraph.from_blocks(self.params(), pair_blocks(u, v, B // 3), int(share * count))
+        edges, loops = unique_canonical(u, v, self.N, True)
+        assert np.array_equal(g.edges, edges) and np.array_equal(g.loops, loops)
+        assert g.edges.base.size == 2 * len(g.edges) and g.edges.base.base is None
 
     @pytest.mark.parametrize("count", BLOCK_COUNTS)
     @pytest.mark.parametrize("include_loops", [True, False])
@@ -376,10 +413,12 @@ class TestKeyCanonicalizer:
     def test_repeats_across_block_boundaries(self, span):
         # After the sort one key fills positions span[0] to span[1] - 1, so
         # its run starts in one block and ends in a later one (or is all).
-        keys = np.arange(3 * B, dtype=np.int64) * 3 + 1
+        # Distinct keys of pairs lo < 2^11 <= hi, ascending, and then the run.
+        i = np.arange(3 * B, dtype=np.int64)
+        keys = (i >> 11) << self.N | (1 << 11) + (i & 2047)
         keys[span[0] : span[1]] = keys[span[0]]
         keys = np.random.default_rng(span[1]).permutation(keys)
-        g = SampledGraph.from_keys(self.params(), key_buffer(keys), len(keys), [])
+        g = SampledGraph.from_blocks(self.params(), key_blocks(keys, self.N, B), len(keys))
         assert np.array_equal(g.edges, unique_rows(keys, self.N))
         assert len(g.edges) == 3 * B - (span[1] - span[0]) + 1
 
