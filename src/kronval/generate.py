@@ -63,13 +63,19 @@ DEFAULT_EDGE_BUDGET = GENERATE_MEMORY_CEILING // STRATIFIED_PEAK_BYTES_PER_EDGE
 # the same way at its worst, the graph builder's lexsort route: at n = 40,
 # `generate` of 16M distinct draws peaked at 1220 MiB, 80.0 B per draw with
 # the interpreter, while the builder kept its blocks through the sort
-# (under tracemalloc, 2^21 draws read 74.0 B then and 65.0 B now).  At
-# n = 20 the packed keys route peaks at 34.8 B per draw (16M uniform draws,
-# 557 MiB): the two int64 ends and from_pairs' buffer of two int64 per draw.
+# (under tracemalloc, 2^21 draws read 74.0 B then and 65.0 B now, with
+# its ends 8 B each past n = 32).  At n = 20 the packed keys route peaks at
+# 26.4 B per draw (16M uniform draws, 422 MiB): the two uint32 ends and
+# from_pairs' buffer of two int64 per draw; 34.8 B (557 MiB) with int64 ends.
 RMAT_PEAK_BYTES_PER_DRAW = 80
 RMAT_MAX_EDGES = GENERATE_MEMORY_CEILING // RMAT_PEAK_BYTES_PER_DRAW
 _NAIVE_ROW_BLOCK = 128
-_RMAT_SUBBLOCK = 1 << 16  # rows per rng.random call: 32 MB of doubles at n = 62
+# Rows per rng.random call of rmat_pairs: one buffer of 8n B per row, reused
+# by every sub-block, 1.3 MB at n = 20 and 4.1 MB at n = 62.  Rows of 2^16
+# (10.5 MB at n = 20) left rmat-file-n20 about 7 MB higher in peak RSS with
+# its vertex arrays narrowed, though the doubles are freed before from_pairs
+# runs.
+_RMAT_SUBBLOCK = 1 << 13
 # Ranks per block of the stratified rank stream and per unranking pass, any
 # mix of classes.  A pass peaks at about 47 B per rank at n <= 16
 # (0.37 MiB), where the int64 ranks are split, and at about 66 B (0.52 MiB)
@@ -254,7 +260,8 @@ def generate_naive(
     The reference generator: distributionally the model itself.  Rows are
     scanned in blocks of 128, every pair from the stream seed.child("pairs"),
     each block's drawn pairs go to SampledGraph.from_blocks, and a drawn
-    pair u = v is a loop, which the graph drops without include_loops.  Capped at n = 14; use generate_stratified beyond that.
+    pair u = v is a loop, which the graph drops without include_loops.
+    Capped at n = 14; use generate_stratified beyond that.
     """
     check_naive(params)
     size = params.vertex_count
@@ -634,8 +641,9 @@ def generate_stratified(
     temporaries with them, does the buffer grow to two slots per key, in
     which the keys are split into the (E, 2) rows: the graph costs 16 B per
     edge at its peak.  Past n = 30 or DEFAULT_EDGE_BUDGET expected edges,
-    check_stratified refuses the graph before any class is sampled.  stratified_degrees and stratified_distances read the same
-    passes for degree arrays and edge-distance histograms alone.
+    check_stratified refuses the graph before any class is sampled.
+    stratified_degrees and stratified_distances read the same passes for
+    degree arrays and edge-distance histograms alone.
     """
     check_stratified(params, include_loops)
     table = _class_table(params.n, include_loops)
@@ -737,12 +745,17 @@ def rmat_pairs(rmat: RmatParams, seed: SeedSpec) -> tuple[np.ndarray, np.ndarray
     The rounded thresholds never descend, so that parity is exactly
     [x < alpha or alpha + beta <= x < alpha + 2 beta].  Each sub-block's
     digit bytes are packed eight per multiply (``model._pack_digits``).
+
+    Both arrays have the narrowest unsigned type that holds a vertex below
+    2^n, ``np.min_scalar_type(2^n - 1)``: uint8 up to n = 8, uint16 up to
+    16, uint32 up to 32 and uint64 past it.
     """
     params = rmat.base
     n = params.n
     alpha, beta = params.alpha, params.beta
-    us = np.empty(rmat.m, dtype=np.int64)
-    vs = np.empty(rmat.m, dtype=np.int64)
+    vertex_type = np.min_scalar_type((1 << n) - 1)
+    us = np.empty(rmat.m, dtype=vertex_type)
+    vs = np.empty(rmat.m, dtype=vertex_type)
     # Labelled as the first of the 2^20-draw chunks that once had a stream
     # each, so graphs of at most 2^20 draws keep their bytes.
     rng = seed.child("pairs", 0).generator()

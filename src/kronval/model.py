@@ -317,10 +317,11 @@ class SampledGraph:
         dropped.  Raises ParameterError for non-integer input and
         DimensionError for input of another shape or a vertex that does not
         fit ``params.n`` digits.  Empty input gives the empty graph.  The
-        ``(min, max)`` of each ``_KEY_BLOCK`` pairs go to :meth:`from_blocks`
-        with room for two int64 per pair, so for n <= ``PAIR_KEY_MAX_N`` the
-        call holds, beyond int64 ends, that buffer and one block's
-        temporaries; the ends are read, never written.
+        ``(min, max)`` of each ``_KEY_BLOCK`` pairs, taken as int64 a block
+        at a time, go to :meth:`from_blocks` with room for two int64 per
+        pair, so for n <= ``PAIR_KEY_MAX_N`` the call holds, beyond the
+        ends of any integer type, that buffer and one block's temporaries;
+        the ends are read, never written.
         """
         n = params.n
         if n > GRAPH_MAX_N:
@@ -338,11 +339,11 @@ class SampledGraph:
                 raise DimensionError(
                     f"u and v must be 1-D and of equal length, got shapes {u.shape} and {v.shape}"
                 )
-        u = u.astype(np.int64, copy=False)
-        v = v.astype(np.int64, copy=False)
         cuts = range(0, len(u), _KEY_BLOCK)
         ends = ((u[s : s + _KEY_BLOCK], v[s : s + _KEY_BLOCK]) for s in cuts)
-        blocks = ((np.minimum(a, b), np.maximum(a, b)) for a, b in ends)
+        blocks = (
+            (np.minimum(a, b, dtype=np.int64), np.maximum(a, b, dtype=np.int64)) for a, b in ends
+        )
         return cls.from_blocks(params, blocks, 2 * len(u), include_loops)
 
     def __eq__(self, other):

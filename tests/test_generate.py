@@ -359,14 +359,15 @@ class TestRmat:
         assert np.array_equal(u, want_u)
         assert np.array_equal(v, want_v)
 
-    # m at and around the sub-block of 2^16 rows, and two sub-blocks and a bit
+    # m at and around one sub-block, and many sub-blocks and a bit; the ends
+    # come in the narrowest unsigned type that holds a vertex below 2^n.
     @pytest.mark.parametrize("m", [1, _RMAT_SUBBLOCK - 1, _RMAT_SUBBLOCK + 1, (1 << 17) + 3])
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 31, 32, 62])
     def test_matches_the_matmul_oracle(self, n, m):
         r = RmatParams(base=KroneckerParams(0.45, 0.2, 0.15, n), m=m)
         u, v = rmat_pairs(r, seed=SeedSpec(15))
         want_u, want_v = rmat_pairs_oracle(r, SeedSpec(15))
-        assert u.dtype == v.dtype == np.int64
+        assert u.dtype == v.dtype == np.min_scalar_type((1 << n) - 1)
         assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
 
     # The thresholds alpha, alpha + beta and alpha + 2 beta as rounded: three
@@ -396,15 +397,25 @@ class TestRmat:
         assert peak - u.nbytes - v.nbytes - doubles < rows * n * 8
 
     def test_from_pairs_holds_one_key_buffer_beyond_the_ends(self):
-        # Beyond the caller's ends, from_pairs holds one buffer of two int64
-        # per draw, the keys and then the rows, and one block's temporaries.
-        # A key per draw, a copy without loops, a bool per key, a copy
-        # without repeats and separate rows held 33.6 B per draw.
+        # Beyond the caller's uint32 ends, from_pairs holds one buffer of two
+        # int64 per draw, the keys and then the rows, and one block's
+        # temporaries: 16.2 B per draw.  A key per draw, a copy without
+        # loops, a bool per key, a copy without repeats and separate rows
+        # held 33.6 B per draw, and an int64 copy of both ends 32.1 B.
         r = RmatParams(base=KroneckerParams(0.57, 0.19, 0.05, 20), m=1 << 21)
         u, v = rmat_pairs(r, seed=SeedSpec(1))
+        assert u.dtype == v.dtype == np.uint32
         g, peak = traced_peak(lambda: SampledGraph.from_pairs(r.base, u, v))
         assert len(g.edges) > 0.9 * r.m
         assert peak <= 18 * r.m
+
+    def test_generate_holds_the_narrow_ends_and_one_key_buffer(self):
+        # The uint32 ends, 8 B per draw, beside from_pairs' buffer of 16 B:
+        # 24.2 B per draw, against 32.1 B with int64 ends.
+        r = RmatParams(base=KroneckerParams(0.57, 0.19, 0.05, 20), m=1 << 21)
+        g, peak = traced_peak(lambda: generate_rmat(r, SeedSpec(1)))
+        assert len(g.edges) > 0.9 * r.m
+        assert peak <= 25 * r.m
 
     def test_deterministic(self):
         r = RmatParams(base=KroneckerParams(0.45, 0.2, 0.15, 8), m=5000)
@@ -513,8 +524,9 @@ def test_every_graph_views_a_buffer_of_exactly_its_rows(tmp_path, build):
 
 def test_rmat_past_packed_keys_peaks_within_its_declared_bytes_per_draw():
     # Above n = 31 the builder joins its blocks' ends, frees the blocks and
-    # lexsorts the rows.  Keeping the blocks alive through the lexsort read
-    # 89.1 B per draw here, past the declared 80.
+    # lexsorts the rows: 65.0 B per draw here, with the ends 8 B each past
+    # n = 32.  Keeping the blocks alive through the lexsort read 89.1 B per
+    # draw, past the declared 80.
     r = RmatParams(base=KroneckerParams(0.57, 0.19, 0.05, 40), m=1 << 21)
     g, peak = traced_peak(lambda: generate_rmat(r, SeedSpec(1)))
     assert len(g.edges) > 0.9 * r.m

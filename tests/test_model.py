@@ -456,6 +456,27 @@ class TestKeyCanonicalizer:
             assert np.array_equal(rows, copy)
         assert np.array_equal(u, before[0]) and np.array_equal(v, before[1])
 
+    @pytest.mark.parametrize(
+        "n, dtype",
+        [(8, np.uint8), (8, np.uint16), (8, np.uint32), (8, np.uint64), (8, np.int64),
+         (40, np.uint64), (62, np.uint64)],
+    )
+    @pytest.mark.parametrize("form", ["ends", "rows"])
+    def test_from_pairs_takes_ends_of_any_integer_type(self, n, dtype, form):
+        # Each block of ends is taken as int64 on its own; the top vertex
+        # of n = 62 sets bit 61 of uint64 ends.
+        u, v = self.random_pairs(3 * B + 5, n, n)
+        u[::97] = v[::97]
+        u[5] = (1 << n) - 1
+        want = lexsort_canonical(u, v, True)
+        u, v = u.astype(dtype), v.astype(dtype)
+        if form == "ends":
+            g = SampledGraph.from_pairs(self.params(n), u, v)
+        else:
+            g = SampledGraph.from_pairs(self.params(n), np.column_stack((u, v)))
+        assert np.array_equal(g.edges, want[0]) and np.array_equal(g.loops, want[1])
+        assert g == SampledGraph.from_pairs(self.params(n), u.astype(np.int64), v.astype(np.int64))
+
     def test_repeated_draws_keep_16_bytes_per_edge(self):
         # 90% of the pairs repeat: the buffer of 2 x count slots is trimmed
         # to the 2E slots of the rows.
