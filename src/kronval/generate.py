@@ -12,12 +12,14 @@ costs a handful of numpy calls rather than a few per class.
 
 The stratified sampler is one core, a stream: _draw_ranks hands out its
 ranks a block of _UNRANK_BLOCK at a time, and _unranked unranks each block
-as it arrives.  It has three consumers.  generate_stratified feeds each
-pass's pairs to SampledGraph.from_blocks.  stratified_degrees and
-stratified_distances reduce each pass of a batch of trials, drawn together
-(_trial_passes), into degree arrays and edge-distance histograms and drop
-it, so they hold one gap round, one pass and their counts, whatever the
-edge count, and build no graph.
+as it arrives into the pairs (lo, hi), lo <= hi, a loop being lo == hi.
+It has three consumers, and each knows a loop by lo == hi alone, not by
+where it sits in the stream.  generate_stratified feeds each pass's pairs
+to SampledGraph.from_blocks.  stratified_degrees and stratified_distances
+reduce each pass of a batch of trials, drawn together (_trial_passes),
+into degree arrays and edge-distance histograms and drop it, so they hold
+one gap round, one pass and their counts, whatever the edge count, and
+build no graph.
 """
 
 from __future__ import annotations
@@ -464,15 +466,14 @@ def _unrank_pairs(
 
 def _draw_ranks(
     params: KroneckerParams, table: _ClassTable, *seeds: SeedSpec
-) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-    """(ranks, lanes, paired) per block of the ranks of one trial per seed,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(ranks, lanes) per block of the ranks of one trial per seed,
     in order: the ranks every pair class draws, then those every loop class
     draws, trial t's from seeds[t].child("class") and
     seeds[t].child("loop_class").  A rank's lane is t * classes + its
     class, so with one seed the lanes are the class indices; they are
     unsigned, of the fewest bytes that hold every lane.  The blocks are the
-    consecutive _UNRANK_BLOCK slices of that sequence, the last one short,
-    and the first paired ranks of a block are pairs, the rest loops.
+    consecutive _UNRANK_BLOCK slices of that sequence, the last one short.
 
     Each pair of a class of probability p is an independent Bernoulli(p)
     coin, so a class is walked by geometric gaps (Batagelj and Brandes,
@@ -507,7 +508,7 @@ def _draw_ranks(
     rates = -np.log1p(-probs)  # finite, as every entry, and so every p, is below 1
     sizes = np.tile(table.size, len(seeds))
     lane_type = np.min_scalar_type(len(sizes) - 1)
-    held, held_count, paired = [], 0, 0  # the next block so far: (ranks, lanes) pieces
+    held, held_count = [], 0  # the next block so far: (ranks, lanes) pieces
     for f, (label, part) in enumerate(table.families):
         rngs = [seed.child(label).generator() for seed in seeds]
         lanes = np.add.outer(np.arange(0, len(sizes), classes), np.arange(part.start, part.stop))
@@ -566,13 +567,12 @@ def _draw_ranks(
             # Free the round's temporaries before any block leaves.
             del pos, size, left, mean, batch, trial, starts, now, take, drawn, ends, first
             del cuts, rate, count, going
-            pair = f == 0  # the pair family is drawn first
             s = 0
             while held_count + kept - s >= _UNRANK_BLOCK:
                 e = s + _UNRANK_BLOCK - held_count
                 held.append((ranks[s:e], lane_of[s:e]))
-                block = *_joined(held), paired + pair * (e - s)
-                held, held_count, paired, s = [], 0, 0, e
+                block = _joined(held)
+                held, held_count, s = [], 0, e
                 yield block
             if s < kept:
                 piece = ranks[s:], lane_of[s:]
@@ -580,11 +580,10 @@ def _draw_ranks(
                     piece = tuple(x.copy() for x in piece)  # so the round can go
                 held.append(piece)
                 held_count += kept - s
-                paired += pair * (kept - s)
                 del piece  # held alone keeps it, until its block is joined
             del ranks, lane_of
     if held:
-        block = *_joined(held), paired
+        block = _joined(held)
         del held  # the pieces, which block copied if there were several
         yield block
 
@@ -600,25 +599,26 @@ def _joined(pieces: list) -> tuple[np.ndarray, np.ndarray]:
 
 def _unranked(
     params: KroneckerParams, table: _ClassTable, *seeds: SeedSpec
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
-    """(lanes, lo, hi, paired) per block of _draw_ranks(params, table,
-    *seeds), unranked as it arrives: lo and hi are the ends min(u, v) and
-    max(u, v) of each rank's pair, whose class (a, b) is gathered per rank
-    from int8 columns over the lanes.  A pass mixes any classes, so a small
-    graph pays one pass rather than one per class.  Each pass reads the
-    subsets of the top min(n, _TABLE_MAX_N) digits from one subset table,
-    built once per digit count, and walks only the digits below them; its
-    temporaries peak at about 47 B per rank at n <= 16 and 66 B past it.
-    It checks that its vertices fit n digits (DimensionError).  A consumer
-    that drops each pass before the next holds one pass and one round."""
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(lanes, lo, hi) per block of _draw_ranks(params, table, *seeds),
+    unranked as it arrives: lo and hi are the ends min(u, v) and max(u, v)
+    of each rank's pair, equal for a loop, whose class (a, b) is gathered
+    per rank from int8 columns over the lanes.  A pass mixes any classes,
+    so a small graph pays one pass rather than one per class.  Each pass
+    reads the subsets of the top min(n, _TABLE_MAX_N) digits from one
+    subset table, built once per digit count, and walks only the digits
+    below them; its temporaries peak at about 47 B per rank at n <= 16 and
+    66 B past it.  It checks that its vertices fit n digits
+    (DimensionError).  A consumer that drops each pass before the next
+    holds one pass and one round."""
     n = params.n
     a, b = (np.tile(column.astype(np.int8), len(seeds)) for column in (table.a, table.b))
-    for ranks, lanes, paired in _draw_ranks(params, table, *seeds):
+    for ranks, lanes in _draw_ranks(params, table, *seeds):
         u, v = _unrank_pairs(n, a[lanes], b[lanes], ranks)
         hi = np.maximum(u, v)
         if hi.max() >> n:
             raise DimensionError(f"a vertex does not fit {n} digits")
-        yield lanes, np.minimum(u, v), hi, paired
+        yield lanes, np.minimum(u, v), hi
 
 
 def generate_stratified(
@@ -649,7 +649,7 @@ def generate_stratified(
     table = _class_table(params.n, include_loops)
     return SampledGraph.from_blocks(
         params,
-        ((lo, hi) for _, lo, hi, _ in _unranked(params, table, seed)),
+        ((lo, hi) for _, lo, hi in _unranked(params, table, seed)),
         _key_reserve(params, include_loops),
         include_loops,
     )
@@ -674,19 +674,18 @@ def batch_trials(params: KroneckerParams, include_loops: bool = True) -> int:
 
 def _trial_passes(
     params: KroneckerParams, include_loops: bool, seeds, stride: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
-    """(at, lo, hi, paired) per pass of _unranked over the ranks of one
-    trial per seed, drawn together as one stream: at is t * stride for
-    each rank of trial t, lo and hi are the ends of its pair, and the first
-    paired ranks of the pass are pairs, the rest loops (lo = hi).  The
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(at, lo, hi) per pass of _unranked over the ranks of one trial per
+    seed, drawn together as one stream: at is t * stride for each rank of
+    trial t, and lo <= hi are the ends of its pair, equal for a loop.  The
     reductions of stratified_degrees and stratified_distances index their
     counts by at.  check_stratified refuses before any stream is made."""
     n = params.n
     check_stratified(params, include_loops)
     table = _class_table(n, include_loops)
     offset = np.repeat(np.arange(len(seeds), dtype=np.int64) * stride, len(table.size))
-    for lanes, lo, hi, paired in _unranked(params, table, *seeds):
-        yield offset[lanes], lo, hi, paired
+    for lanes, lo, hi in _unranked(params, table, *seeds):
+        yield offset[lanes], lo, hi
 
 
 def stratified_degrees(
@@ -697,17 +696,17 @@ def stratified_degrees(
     and no graph is built.
 
     The passes of _trial_passes add a count at t << n | vertex for both
-    ends of a pair and the one vertex of a loop.  Stratified pairs are
-    distinct, so nothing is sorted or merged.  Each pass is dropped once
-    counted, so the call holds one gap round, one pass and the counts,
-    whatever the rank count; batch_trials sizes the batches of a run of
-    many trials.
+    ends of a pair; a loop adds 1, at its one vertex, found by lo == hi.
+    Stratified pairs are distinct, so nothing is sorted or merged.  Each
+    pass is dropped once counted, so the call holds one gap round, one
+    pass and the counts, whatever the rank count; batch_trials sizes the
+    batches of a run of many trials.
     """
     n = params.n
     counts = np.zeros(len(seeds) << n, dtype=np.int64)
-    for at, lo, hi, paired in _trial_passes(params, include_loops, seeds, 1 << n):
+    for at, lo, hi in _trial_passes(params, include_loops, seeds, 1 << n):
         np.add.at(counts, at + hi, 1)
-        np.add.at(counts, at[:paired] + lo[:paired], 1)
+        np.add.at(counts, (at + lo)[lo != hi], 1)
     return counts.reshape(len(seeds), 1 << n)
 
 
@@ -726,7 +725,7 @@ def stratified_distances(
     """
     width = params.n + 1
     hist = np.zeros(len(seeds) * width, dtype=np.int64)
-    for at, lo, hi, _ in _trial_passes(params, include_loops, seeds, width):
+    for at, lo, hi in _trial_passes(params, include_loops, seeds, width):
         at += np.bitwise_count(np.bitwise_xor(lo, hi, out=lo))
         hist += np.bincount(at, minlength=len(hist))
     return hist.reshape(len(seeds), width)

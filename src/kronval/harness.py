@@ -59,7 +59,6 @@ from .predict import (
 )
 from .streams import SeedSpec
 
-KINDS = ("degrees", "subgraph", "hamming", "regime", "thresholds")
 GENERATORS = ("naive", "stratified", "rmat")
 # The generators whose graphs follow the closed forms validate judges by (rmat's do not).
 MODEL_GENERATORS = ("naive", "stratified")
@@ -122,9 +121,6 @@ class ExperimentConfig:
                 raise ConfigError("the hamming experiment requires alpha = gamma")
             if self.params.alpha + self.params.beta <= 1.0:
                 raise ConfigError("the hamming experiment requires alpha + beta > 1")
-
-    def echo(self) -> dict:
-        return asdict(self)
 
 
 def _sample_points(config: ExperimentConfig) -> list:
@@ -297,10 +293,11 @@ def _degree_counts(config: ExperimentConfig, seed: SeedSpec) -> np.ndarray:
     return np.array(list(rows), dtype=float)
 
 
-def _run_degrees(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
+def _run_degrees(config: ExperimentConfig, seed: SeedSpec):
     """The mean and sd over the trials of the vertices of each degree
     0..degree_max (_degree_counts), each against the Poisson-mixture
-    degree-count formula by a |z| criterion."""
+    degree-count formula by a |z| criterion; the report parts as
+    run_experiment takes them."""
     params = config.params
     d_max = config.degree_max
     counts = _degree_counts(config, seed)
@@ -326,15 +323,8 @@ def _run_degrees(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
         "mean_counts": [float(x) for x in means],
         "sd_counts": [float(x) for x in sds],
     }
-    return ValidationReport(
-        kind="degrees",
-        config=config.echo(),
-        analytic=analytic,
-        empirical=empirical,
-        criteria=tuple(criteria),
-        table_columns=("d", "empirical_mean_count", "predicted_count", "z_score"),
-        table_rows=tuple(rows),
-    )
+    columns = ("d", "empirical_mean_count", "predicted_count", "z_score")
+    return analytic, empirical, criteria, columns, rows
 
 
 def _copy_counts(config: ExperimentConfig, seed: SeedSpec, pattern) -> list:
@@ -352,9 +342,9 @@ def _copy_counts(config: ExperimentConfig, seed: SeedSpec, pattern) -> list:
     return list(_trial_rows(config, seed, lambda g: count_labeled_copies(g, pattern), of_core))
 
 
-def _run_subgraph(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
+def _run_subgraph(config: ExperimentConfig, seed: SeedSpec):
     """The mean of the trials' labeled copy counts (_copy_counts) against
-    their exact expectation."""
+    their exact expectation; the report parts as run_experiment takes them."""
     params = config.params
     pattern = parse_pattern(config.pattern)
     counts = _copy_counts(config, seed, pattern)
@@ -377,24 +367,16 @@ def _run_subgraph(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
         "sd_count": sd,
         "counts": counts,
     }
-    rows = tuple(enumerate(counts))
-    return ValidationReport(
-        kind="subgraph",
-        config=config.echo(),
-        analytic=analytic,
-        empirical=empirical,
-        criteria=(criterion,),
-        table_columns=("trial", "labeled_copies"),
-        table_rows=rows,
-    )
+    return analytic, empirical, [criterion], ("trial", "labeled_copies"), enumerate(counts)
 
 
-def _run_hamming(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
+def _run_hamming(config: ExperimentConfig, seed: SeedSpec):
     """Two totals per trial, the edge distance and the degree, against
     their exact moments, and each trial's concentration_report.  Both read
     the trial's edges at each Hamming distance 0..n, loops at 0: the
     stratified sampler's from stratified_distances, with no graph built,
-    the others' from edge_distance_histogram of each trial's graph."""
+    the others' from edge_distance_histogram of each trial's graph.  The
+    report parts as run_experiment takes them."""
     params, loops = config.params, config.include_loops
     n = params.n
     a, b = params.alpha, params.beta
@@ -442,21 +424,16 @@ def _run_hamming(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
         "mean_edge_distance": float(np.mean([r.mean_edge_distance for r in reports])),
     }
     profile_mean = entries.sum(axis=0) / params.vertex_count / config.trials
-    rows = tuple(
+    rows = [
         (k, float(profile_mean[k]), hamming_profile_prediction(params, k)) for k in range(n + 1)
-    )
-    return ValidationReport(
-        kind="hamming",
-        config=config.echo(),
-        analytic=analytic,
-        empirical=empirical,
-        criteria=tuple(criteria),
-        table_columns=("k", "empirical_mean", "predicted"),
-        table_rows=rows,
-    )
+    ]
+    return analytic, empirical, criteria, ("k", "empirical_mean", "predicted"), rows
 
 
-def _run_regime(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
+def _run_regime(config: ExperimentConfig, seed: SeedSpec):
+    """The six-case regime verdict and, per degree 0..degree_max, its
+    predicted count and vanishing verdict; no trial is sampled and no
+    criterion judged.  The report parts as run_experiment takes them."""
     params = config.params
     headline = classify_regime(params, 1)
     analytic = [
@@ -480,18 +457,14 @@ def _run_regime(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
             )
         )
     empirical = {"verdict": headline.describe()}
-    return ValidationReport(
-        kind="regime",
-        config=config.echo(),
-        analytic=tuple(analytic),
-        empirical=empirical,
-        criteria=(),
-        table_columns=("d", "predicted_count", "vanishing", "theta_base"),
-        table_rows=tuple(rows),
-    )
+    return analytic, empirical, [], ("d", "predicted_count", "vanishing", "theta_base"), rows
 
 
-def _run_thresholds(config: ExperimentConfig, seed: SeedSpec) -> ValidationReport:
+def _run_thresholds(config: ExperimentConfig, seed: SeedSpec):
+    """Per alpha = gamma point of the sweep, the pattern's base value and
+    the mean and presence of its copies over the trials, with the base
+    value's crossing of 1 and whether presence rises across it.  The
+    report parts as run_experiment takes them."""
     pattern = parse_pattern(config.pattern)
     points = _sample_points(config)
     rows = []
@@ -533,15 +506,8 @@ def _run_thresholds(config: ExperimentConfig, seed: SeedSpec) -> ValidationRepor
             )
         )
     empirical = {"presence_fraction": presence}
-    return ValidationReport(
-        kind="thresholds",
-        config=config.echo(),
-        analytic=tuple(analytic),
-        empirical=empirical,
-        criteria=tuple(criteria),
-        table_columns=("alpha", "base_value", "mean_count", "presence_fraction"),
-        table_rows=tuple(rows),
-    )
+    columns = ("alpha", "base_value", "mean_count", "presence_fraction")
+    return analytic, empirical, criteria, columns, rows
 
 
 _RUNNERS = {
@@ -551,13 +517,27 @@ _RUNNERS = {
     "regime": _run_regime,
     "thresholds": _run_thresholds,
 }
+KINDS = tuple(_RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig) -> ValidationReport:
-    """Validate the configuration, run its trials, and assemble the report."""
+    """Validate the configuration, run its trials, and assemble the report.
+
+    The kind's runner returns the report's parts: its analytic values,
+    empirical dict, criteria, table columns and table rows, each sequence
+    in any form; the report states the kind and the config once, here."""
     config.validate()
-    seed = SeedSpec(config.seed)
-    return _RUNNERS[config.kind](config, seed)
+    run = _RUNNERS[config.kind]
+    analytic, empirical, criteria, columns, rows = run(config, SeedSpec(config.seed))
+    return ValidationReport(
+        kind=config.kind,
+        config=asdict(config),
+        analytic=tuple(analytic),
+        empirical=empirical,
+        criteria=tuple(criteria),
+        table_columns=tuple(columns),
+        table_rows=tuple(rows),
+    )
 
 
 def _json_value(obj):

@@ -36,7 +36,6 @@ def _label_words(label) -> tuple[int, ...]:
     raise ParameterError(f"unsupported stream label {label!r}")
 
 
-@functools.lru_cache(maxsize=65536)
 def _spawn_key(labels: tuple) -> tuple[int, ...]:
     return tuple(w for label in labels for w in _label_words(label))
 

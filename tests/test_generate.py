@@ -723,25 +723,21 @@ def _sparse_params(n: int, alpha: float, beta: float, gamma: float, edges: float
     return KroneckerParams(alpha * scale, beta * scale, gamma * scale, n)
 
 
-def _collected(blocks) -> tuple[np.ndarray, np.ndarray, int]:
-    """(ranks, lanes, pair count) of a whole _draw_ranks stream, its blocks
-    joined in order, once its blocks are checked: consecutive slices of
+def _collected(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """(ranks, lanes) of a whole _draw_ranks stream, its blocks joined in
+    order, once its blocks are checked: consecutive slices of
     _UNRANK_BLOCK ranks, only the last one short, each with a lane per
-    rank, and each block's paired count the part of it that lies within
-    the stream's leading pairs."""
+    rank."""
     blocks = list(blocks)
     if not blocks:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8), 0
-    ranks, lanes, paired = zip(*blocks)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
+    ranks, lanes = zip(*blocks)
     sizes = [len(x) for x in ranks]
     block = kronval.generate._UNRANK_BLOCK
     assert sizes == [len(x) for x in lanes]
     assert all(size == block for size in sizes[:-1]) and all(0 < size <= block for size in sizes)
     assert all(x.dtype == np.int64 for x in ranks)
-    pairs = sum(paired)
-    starts = np.cumsum([0, *sizes[:-1]]).tolist()
-    assert list(paired) == [min(max(pairs - s, 0), size) for s, size in zip(starts, sizes)]
-    return np.concatenate(ranks), np.concatenate(lanes), pairs
+    return np.concatenate(ranks), np.concatenate(lanes)
 
 
 def _draw(params: KroneckerParams, include_loops: bool = True, seed=None):
@@ -766,7 +762,8 @@ class TestDrawRanks:
         # Ranks reach the unranker in ascending order within each class, and
         # no report number would catch a pair unranked into the wrong class.
         params = _sparse_params(n, 0.9, 0.25, 0.6, 1e5)  # 36-634 loops expected
-        (ranks, class_of, pairs), table = _draw(params)
+        (ranks, class_of), table = _draw(params)
+        pairs = np.count_nonzero(table.b[class_of])
         assert 0 < pairs < len(ranks) and 50_000 < len(ranks) < 200_000
         assert (table.b[class_of[:pairs]] > 0).all() and not table.b[class_of[pairs:]].any()
         a, b = table.a[class_of], table.b[class_of]
@@ -794,11 +791,12 @@ class TestDrawRanks:
     @pytest.mark.filterwarnings("error")
     def test_extreme_probabilities_draw_silently_within_their_classes(self, params):
         for seed in range(20):
-            (ranks, class_of, pairs), table = _draw(params, seed=SeedSpec(seed))
+            (ranks, class_of), table = _draw(params, seed=SeedSpec(seed))
             _check_ranks(ranks, class_of, table)
             probs = _class_probabilities(params, table)
             assert (probs[class_of] > 0).all()
             if params.alpha == 1 - 2.0**-53:  # p within 1e-15 of 1: every pair and loop is drawn
+                pairs = np.count_nonzero(table.b[class_of])
                 assert len(ranks) == table.size.sum() and pairs == table.size[table.b > 0].sum()
         if params.n == 30:
             assert probs.min() == 0 and (probs[table.a + table.c == 1] < np.finfo(float).tiny).all()
@@ -819,8 +817,8 @@ class TestDrawRanks:
                 return np.full(size, np.inf)
 
         params = _sparse_params(30, 0.6, 0.5, 0.6, 1e5)
-        (ranks, class_of, pairs), table = _draw(params, seed=InfiniteDraws())
-        assert len(ranks) == len(class_of) == pairs == 0
+        (ranks, class_of), table = _draw(params, seed=InfiniteDraws())
+        assert len(ranks) == len(class_of) == 0
         assert table.size.max() >= 1 << 52
 
     # Rounds of 5 steps split most classes; the default round holds each
@@ -842,12 +840,11 @@ class TestDrawRanks:
         table = _class_table(params.n, True)
         probs = _class_probabilities(params, table)
         for seed in range(3):
-            ranks, class_of, pairs = _collected(_draw_ranks(params, table, SeedSpec(seed)))
+            ranks, class_of = _collected(_draw_ranks(params, table, SeedSpec(seed)))
             want = gap_ranks_oracle(
                 table.size, probs, table.families, SeedSpec(seed), kronval.generate._GAP_ROUND
             )
             assert list(zip(class_of.tolist(), ranks.tolist())) == want
-            assert pairs == sum(1 for i, _ in want if table.b[i])
 
     def test_class_over_several_rounds_keeps_its_binomial_law(self, monkeypatch):
         # Rounds of 64 steps split class (2, 4, 2) of n = 8, 3360 pairs of
@@ -862,7 +859,7 @@ class TestDrawRanks:
         hits = np.zeros(size, dtype=np.int64)
         for t in range(trials):
             stream = _draw_ranks(params, table, SeedSpec(6).child("t", t))
-            ranks, class_of, pairs = _collected(stream)
+            ranks, class_of = _collected(stream)
             _check_ranks(ranks, class_of, table)
             mine = ranks[class_of == watched]
             counts[t] = len(mine)
@@ -880,7 +877,7 @@ class TestDrawRanks:
         params = KroneckerParams(0.6, 0.5, 0.6, 16)
         want = generate_stratified(params, include_loops=include_loops, seed=SeedSpec(3))
         monkeypatch.setattr(kronval.generate, "expected_edge_count", lambda *args: 0.0)
-        (ranks, _, _), _ = _draw(params, include_loops, seed=SeedSpec(3))
+        (ranks, _), _ = _draw(params, include_loops, seed=SeedSpec(3))
         assert len(ranks) == len(want.edges) + len(want.loops) > 100_000
         got = generate_stratified(params, include_loops=include_loops, seed=SeedSpec(3))
         assert got == want
@@ -1121,10 +1118,42 @@ class TestStream:
             assert g.edges.tolist() == sorted([min(u, v), max(u, v)] for u, v in pairs if u != v)
             assert g.loops.tolist() == sorted(u for u, v in pairs if u == v)
             blocks = list(_draw_ranks(params, table, *seeds))
-            assert sum(len(ranks) for ranks, _, _ in blocks) == sum(map(len, drawn))
+            assert sum(len(ranks) for ranks, _ in blocks) == sum(map(len, drawn))
             assert block is None or len(blocks) > 2 * trials
-            split |= any(0 < paired < len(ranks) for ranks, _, paired in blocks)
+            looped = [table.b[lanes % len(table.b)] == 0 for _, lanes in blocks]
+            split |= any(loop.any() and not loop.all() for loop in looped)
         assert split == include_loops
+
+    @pytest.mark.parametrize("include_loops", [True, False])
+    def test_consumers_read_loops_anywhere_in_the_stream(self, monkeypatch, include_loops):
+        # Every consumer knows a loop by lo == hi alone, so a stream that
+        # hands out its blocks, and the ranks within each, in reverse order
+        # gives the same degrees, histograms and graph.  Blocks of 7 then
+        # put loops before pairs within one block.
+        monkeypatch.setattr(kronval.generate, "_UNRANK_BLOCK", 7)
+        params = KroneckerParams(0.9, 0.7, 0.7, 6)
+        seeds = [SeedSpec(8).child("trial", t) for t in range(3)]
+        calls = {
+            "degrees": lambda: stratified_degrees(params, include_loops, seeds=seeds),
+            "distances": lambda: stratified_distances(params, include_loops, seeds=seeds),
+            "graph": lambda: generate_stratified(params, include_loops, seed=seeds[0]),
+        }
+        want = {name: call() for name, call in calls.items()}
+        assert (len(want["graph"].loops) > 0) == include_loops
+        loops_first = []  # per block read: a loop comes before a pair in it
+
+        def reversed_stream(params, table, *seeds):
+            for ranks, lanes in reversed(list(_draw_ranks(params, table, *seeds))):
+                loop = table.b[lanes[::-1] % len(table.b)] == 0
+                loops_first.append(bool((loop[:-1] & ~loop[1:]).any()))
+                yield ranks[::-1], lanes[::-1]
+
+        monkeypatch.setattr(kronval.generate, "_draw_ranks", reversed_stream)
+        got = {name: call() for name, call in calls.items()}
+        assert np.array_equal(got["degrees"], want["degrees"])
+        assert np.array_equal(got["distances"], want["distances"])
+        assert got["graph"] == want["graph"]
+        assert any(loops_first) == include_loops
 
     @pytest.mark.parametrize("block", [7, None])
     def test_each_call_runs_one_pass_per_block(self, monkeypatch, block):

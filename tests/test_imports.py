@@ -8,7 +8,8 @@ readers.  And the stratified sampler's class and rank logic has one copy:
 one call site each draws the gaps and unranks the pairs, and no module but
 kronval.generate names the sampler core.  And one trial loop,
 harness._trial_rows, samples every validate trial.  And one builder,
-SampledGraph.from_blocks, makes every graph."""
+SampledGraph.from_blocks, makes every graph.  And one assembler,
+harness.run_experiment, makes every validation report."""
 
 import ast
 import json
@@ -224,6 +225,15 @@ def test_every_graph_is_built_by_one_builder():
         ("model.SampledGraph.from_blocks", "_canonical_by_key"),
         ("model.SampledGraph.from_blocks", "cls"),
     ]
+
+
+def test_every_report_is_assembled_in_one_place():
+    # Each validate kind's runner returns the report's parts, and only
+    # harness.run_experiment makes the ValidationReport, stating its kind
+    # and config once for every kind.
+    modules = sorted(Path(kronval.__file__).parent.glob("*.py"))
+    sites = [site for path in modules for site in _call_sites(path, ("ValidationReport",))]
+    assert sites == [("harness.run_experiment", "ValidationReport")]
 
 
 def test_call_sites_name_their_scope(tmp_path):
