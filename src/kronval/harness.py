@@ -67,6 +67,8 @@ DEGREE_ARRAY_MAX_N = (GENERATE_MEMORY_CEILING // 8).bit_length() - 1
 
 # Every criterion's |z| tolerance, pinned here rather than per call site.
 Z_TOLERANCE = 4.0
+# The version of the report JSON's layout, written in every report beside the package's.
+REPORT_SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -159,8 +161,6 @@ class ValidationReport:
     criteria: tuple
     table_columns: tuple
     table_rows: tuple
-    schema: int = 2
-    version: str = __version__
 
     @property
     def passed(self) -> bool:
@@ -168,8 +168,8 @@ class ValidationReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema": self.schema,
-            "version": self.version,
+            "schema": REPORT_SCHEMA,
+            "version": __version__,
             "kind": self.kind,
             "config": self.config,
             "analytic": [asdict(a) for a in self.analytic],

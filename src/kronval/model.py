@@ -47,7 +47,7 @@ class KroneckerParams:
                 raise ParameterError(
                     f"{name} must lie strictly in (0, 1), got {value!r}"
                 )
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ParameterError(f"n must be a positive integer, got {self.n!r}")
 
     @property

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError
 from .model import GRAPH_MAX_N, KroneckerParams
+from .predict import _exp_within_float
 
 MAX_PATTERN_VERTICES = 12
 BASE_VALUE_MAX_VERTICES = 10
@@ -243,13 +244,16 @@ def expected_copies_asymptotic(params: KroneckerParams, pattern: PatternGraph) -
     Also an exact upper bound for the expectation, since it counts all
     vertex maps rather than only the injective ones.  Formed from the log
     base value, so it is 0.0 rather than an error where the base value
-    underflows.
+    underflows, and a ParameterError where the count is beyond the largest
+    float.
     """
     b = base_value(params, pattern)
-    return math.exp(params.n * _log_base_value(params, pattern, b))
+    return _exp_within_float(
+        f"the leading-order copy count at n = {params.n}",
+        params.n * _log_base_value(params, pattern, b),
+    )
 
 
-@functools.lru_cache(maxsize=None)
 def _set_partitions(v: int) -> tuple:
     """The set partitions of range(v) as restricted growth strings: element i
     joins a block opened before it or opens the next one."""

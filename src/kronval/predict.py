@@ -32,6 +32,17 @@ class DegreeMoments:
     weight: int
 
 
+def _exp_within_float(what: str, log_value: float) -> float:
+    """e^log_value, or ParameterError naming ``what`` where it is beyond the
+    largest float."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise ParameterError(
+            f"{what} is e^{log_value:.6g}, beyond the largest float {sys.float_info.max:.6g}"
+        ) from None
+
+
 def _power_product(what: str, x: float, p: int, y: float, q: int) -> float:
     """x^p * y^q from direct powers, or through logs where a power or the
     product leaves the float range; ParameterError when the value does."""
@@ -46,12 +57,7 @@ def _power_product(what: str, x: float, p: int, y: float, q: int) -> float:
         # 1e-161, so the other base is below 1 and the product underflows.
         return 0.0
     log_value = (p * math.log(x) if p else 0.0) + (q * math.log(y) if q else 0.0)
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise ParameterError(
-            f"{what} is e^{log_value:.6g}, beyond the largest float {sys.float_info.max:.6g}"
-        ) from None
+    return _exp_within_float(what, log_value)
 
 
 def degree_moments(params: KroneckerParams, w: int) -> DegreeMoments:
@@ -85,10 +91,8 @@ def _log_binomials(n: int) -> np.ndarray:
     return row
 
 
-@functools.lru_cache(maxsize=8)
 def _mean_degrees(params: KroneckerParams) -> tuple[np.ndarray, np.ndarray]:
-    """(log lam_w, lam_w) for w = 0..n, the mean degree at each weight,
-    built once per parameters (read-only)."""
+    """(log lam_w, lam_w) for w = 0..n, the mean degree at each weight."""
     n = params.n
     w = np.arange(n + 1, dtype=float)
     log_lam = w * math.log(params.alpha + params.beta) + (n - w) * math.log(
@@ -96,8 +100,6 @@ def _mean_degrees(params: KroneckerParams) -> tuple[np.ndarray, np.ndarray]:
     )
     with np.errstate(over="ignore"):  # lam = inf gives a vanishing term
         lam = np.exp(log_lam)
-    log_lam.flags.writeable = False
-    lam.flags.writeable = False
     return log_lam, lam
 
 
@@ -156,20 +158,23 @@ class RegimeVerdict:
 
     Exactly one of two orders holds: Theta((x^d + y^d)^n) with
     x = alpha+beta, y = beta+gamma (``vanishing`` False, ``theta_base`` set),
-    or o(2^n) (``vanishing`` True).  ``power_law_possible`` is True only when
-    alpha+beta = beta+gamma = 1, and even then the distribution is Poisson(1)
-    rather than a power law.  ``boundary`` marks verdicts that relied on an
+    or o(2^n) (``vanishing`` True).  ``power_law_possible`` is True only in
+    case 6, alpha+beta = beta+gamma = 1, and even then the distribution is
+    Poisson(1) rather than a power law.  ``boundary`` marks verdicts that relied on an
     equality test at tolerance.
     """
 
     case_id: int
     vanishing: bool
     theta_base: float | None
-    power_law_possible: bool
     boundary: bool
     subcase: str | None = None
     c1: float | None = None
     c2: float | None = None
+
+    @property
+    def power_law_possible(self) -> bool:
+        return self.case_id == 6
 
     def describe(self) -> str:
         parts = [f"case {self.case_id}"]
@@ -206,8 +211,10 @@ def classify_regime(params: KroneckerParams, d: int) -> RegimeVerdict:
     0/1 digit flip swaps alpha and gamma), so they are ordered before the
     case split.  Case 3 splits further on the binomial peak c1 versus the
     root c2 of hi^c * lo^(1-c) = 1, a linear equation in c whose root is
-    log lo / (log lo - log hi).  The base is computed only for the
-    verdicts that report it, and c1 through logs where hi^d overflows.
+    log lo / (log lo - log hi).  Each case sets only its number and whether
+    the count vanishes (case 3 also subcase, c1 and c2); the base and the
+    boundary flag follow from those by one rule each, the base computed only
+    for the verdicts that report it, and c1 through logs where hi^d overflows.
     """
     if d < 0:
         raise ParameterError(f"degree must be >= 0, got {d}")
@@ -218,53 +225,44 @@ def classify_regime(params: KroneckerParams, d: int) -> RegimeVerdict:
     hi_is_one = abs(hi - 1.0) <= PROB_TOL
     lo_is_one = abs(lo - 1.0) <= PROB_TOL
 
+    subcase = c1 = c2 = None
     if hi_is_one and lo_is_one:
-        return RegimeVerdict(
-            case_id=6, vanishing=False, theta_base=2.0,
-            power_law_possible=True, boundary=True,
-        )
-    if hi_is_one:
-        return RegimeVerdict(
-            case_id=1, vanishing=False, theta_base=_theta_base(hi, lo, d),
-            power_law_possible=False, boundary=True,
-        )
-    if lo_is_one:
-        return RegimeVerdict(
-            case_id=2, vanishing=True, theta_base=None,
-            power_law_possible=False, boundary=True,
-        )
-    if hi < 1.0:
-        return RegimeVerdict(
-            case_id=4, vanishing=False, theta_base=_theta_base(hi, lo, d),
-            power_law_possible=False,
-            boundary=abs(hi - lo) <= PROB_TOL,
-        )
-    if lo > 1.0:
-        return RegimeVerdict(
-            case_id=5, vanishing=True, theta_base=None,
-            power_law_possible=False,
-            boundary=abs(hi - lo) <= PROB_TOL,
-        )
-
-    # Case 3: lo < 1 < hi.  c1 is where the binomial part of the summand
-    # peaks; c2 is where the exponential part starts to bite.
-    try:
-        c1 = hi**d / (hi**d + lo**d)
-    except OverflowError:
-        c1 = 1.0 / (1.0 + math.exp(d * (math.log(lo) - math.log(hi))))
-    c2 = math.log(lo) / (math.log(lo) - math.log(hi))
-    if abs(c1 - c2) <= PROB_TOL:
-        subcase, vanishing = "ii", False
-    elif c1 < c2:
-        subcase, vanishing = "i", False
+        case_id, vanishing = 6, False
+    elif hi_is_one:
+        case_id, vanishing = 1, False
+    elif lo_is_one:
+        case_id, vanishing = 2, True
+    elif hi < 1.0:
+        case_id, vanishing = 4, False
+    elif lo > 1.0:
+        case_id, vanishing = 5, True
     else:
-        subcase, vanishing = "iii", True
+        # Case 3: lo < 1 < hi.  c1 is where the binomial part of the summand
+        # peaks; c2 is where the exponential part starts to bite.
+        case_id = 3
+        try:
+            c1 = hi**d / (hi**d + lo**d)
+        except OverflowError:
+            c1 = 1.0 / (1.0 + math.exp(d * (math.log(lo) - math.log(hi))))
+        c2 = math.log(lo) / (math.log(lo) - math.log(hi))
+        if abs(c1 - c2) <= PROB_TOL:
+            subcase, vanishing = "ii", False
+        elif c1 < c2:
+            subcase, vanishing = "i", False
+        else:
+            subcase, vanishing = "iii", True
+
+    if case_id == 3:
+        boundary = subcase == "ii"
+    elif case_id in (4, 5):
+        boundary = abs(hi - lo) <= PROB_TOL
+    else:
+        boundary = True
     return RegimeVerdict(
-        case_id=3,
+        case_id=case_id,
         vanishing=vanishing,
-        theta_base=None if vanishing else _theta_base(hi, lo, d),
-        power_law_possible=False,
-        boundary=subcase == "ii",
+        theta_base=2.0 if case_id == 6 else None if vanishing else _theta_base(hi, lo, d),
+        boundary=boundary,
         subcase=subcase,
         c1=c1,
         c2=c2,
@@ -366,13 +364,7 @@ def hamming_profile_prediction(params: KroneckerParams, k: int) -> float:
         + (n - k) * math.log(params.alpha)
         + k * math.log(params.beta)
     )
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise ParameterError(
-            f"expected neighbors at distance {k} is e^{log_value:.6g}, beyond the"
-            f" largest float {sys.float_info.max:.6g}"
-        ) from None
+    return _exp_within_float(f"expected neighbors at distance {k}", log_value)
 
 
 def hamming_window(params: KroneckerParams) -> tuple[float, float]:

@@ -48,8 +48,9 @@ class SeedSpec:
     stream: tuple = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or not 0 <= self.seed < (1 << 64):
-            raise ParameterError(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
+        seed = self.seed
+        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < (1 << 64):
+            raise ParameterError(f"seed must be a 64-bit unsigned int, got {seed!r}")
         object.__setattr__(self, "stream", tuple(self.stream))
         for label in self.stream:
             _label_words(label)

@@ -236,6 +236,14 @@ def test_every_report_is_assembled_in_one_place():
     assert sites == [("harness.run_experiment", "ValidationReport")]
 
 
+def test_every_regime_verdict_is_built_in_one_place():
+    # classify_regime sets each case's case_id and vanishing (and case 3's
+    # subcase, c1 and c2) and derives the other fields in one construction.
+    modules = sorted(Path(kronval.__file__).parent.glob("*.py"))
+    sites = [site for path in modules for site in _call_sites(path, ("RegimeVerdict",))]
+    assert sites == [("predict.classify_regime", "RegimeVerdict")]
+
+
 def test_call_sites_name_their_scope(tmp_path):
     module = tmp_path / "module.py"
     module.write_text(

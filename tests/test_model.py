@@ -30,6 +30,11 @@ class TestParams:
         with pytest.raises(ParameterError):
             KroneckerParams(alpha=0.5, beta=0.5, gamma=0.5, n=0)
 
+    def test_rejects_a_bool_n(self):
+        # a bool is an int to isinstance, and a report's config would echo "n": true
+        with pytest.raises(ParameterError, match="positive integer, got True"):
+            KroneckerParams(alpha=0.5, beta=0.5, gamma=0.5, n=True)
+
     def test_no_ordering_required_between_alpha_and_gamma(self):
         KroneckerParams(alpha=0.2, beta=0.5, gamma=0.9, n=4)  # gamma > alpha is fine
 

@@ -300,6 +300,12 @@ class TestExpectedCopies:
         assert all(a < b for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] < 1
 
+    def test_asymptotic_beyond_the_float_range_is_refused(self):
+        # (2 * 1.8^9)^200 = e^1196.65: a ParameterError naming the float
+        # limit, not a bare OverflowError
+        with pytest.raises(ParameterError, match=r"is e\^1196.65, beyond the largest float"):
+            expected_copies_asymptotic(KroneckerParams(0.9, 0.9, 0.9, 200), star(9))
+
     def test_exact_capacity(self):
         p = KroneckerParams(0.6, 0.4, 0.3, 62)
         assert 0 < expected_copies_exact(p, path(5)) < expected_copies_asymptotic(p, path(5))

@@ -219,6 +219,37 @@ class TestClassifyRegime:
         with pytest.raises(ParameterError, match="largest float"):
             classify_regime(KroneckerParams(0.7, 0.3 + 5e-13, 0.3, 8), 2 * 10**15)
 
+    # Every field of one verdict per case and subcase, and of the case 4 and
+    # case 5 verdicts whose equal row sums are resolved at tolerance (an
+    # entry 5e-13 off): (case_id, subcase, vanishing, theta_base,
+    # power_law_possible, boundary, c1, c2), every float to the bit.
+    @pytest.mark.parametrize(
+        "entries,d,fields",
+        [
+            ((0.7, 0.3, 0.3), 2, (1, None, False, 1.3599999999999999, False, True, None, None)),
+            ((0.9, 0.4, 0.6), 2, (2, None, True, None, False, True, None, None)),
+            ((0.9, 0.25, 0.3), 1,
+             (3, "i", False, 1.7, False, False, 0.676470588235294, 0.8105177025038411)),
+            ((0.75, 0.5, 0.3), 0, (3, "ii", False, 2.0, False, True, 0.5, 0.49999999999999994)),
+            ((0.9, 0.25, 0.3), 20,
+             (3, "iii", True, None, False, False, 0.9999996079903007, 0.8105177025038411)),
+            ((0.4, 0.3, 0.35), 2, (4, None, False, 0.9124999999999999, False, False, None, None)),
+            ((0.3, 0.4, 0.3), 2, (4, None, False, 0.9799999999999999, False, True, None, None)),
+            ((0.3 + 5e-13, 0.4, 0.3), 2,
+             (4, None, False, 0.9800000000006999, False, True, None, None)),
+            ((0.8, 0.7, 0.9), 2, (5, None, True, None, False, False, None, None)),
+            ((0.8, 0.7, 0.8), 2, (5, None, True, None, False, True, None, None)),
+            ((0.8, 0.7, 0.8 + 5e-13), 2, (5, None, True, None, False, True, None, None)),
+            ((0.5, 0.5, 0.5), 3, (6, None, False, 2.0, True, True, None, None)),
+        ],
+    )
+    def test_every_verdict_field_pinned(self, entries, d, fields):
+        v = classify_regime(KroneckerParams(*entries, 8), d)
+        assert (
+            v.case_id, v.subcase, v.vanishing, v.theta_base,
+            v.power_law_possible, v.boundary, v.c1, v.c2,
+        ) == fields
+
     def test_power_law_flag_requires_double_boundary(self):
         assert classify_regime(KroneckerParams(0.7, 0.3, 0.3, 5), 1).power_law_possible is False
         assert classify_regime(KroneckerParams(0.6, 0.4, 0.6, 5), 1).power_law_possible is True

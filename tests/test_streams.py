@@ -47,3 +47,10 @@ def test_label_validation():
     with pytest.raises(ParameterError):
         SeedSpec(1 << 64)
 
+
+def test_a_bool_seed_is_refused_like_a_bool_label():
+    with pytest.raises(ParameterError, match="64-bit unsigned int, got True"):
+        SeedSpec(True)
+    with pytest.raises(ParameterError, match="ints or strings"):
+        SeedSpec(1).child(True)
+
