@@ -19,9 +19,9 @@ in front with "0", and checks every word at once: a word is good when
 first bad line.  It then gathers each word's eight digits with one
 multiply (``model._pack_digits``) into the block's two vertex columns.  The
 reader is strict: a line of the wrong shape, a digit other than 0/1, a line
-out of sorted order or repeated, a ``v v`` line under ``loops=0``, a header
-field without ``=`` and lines past the file's size at open all raise
-:class:`ParameterError`.  A missing newline after the last line is
+out of sorted order or repeated, a ``v v`` line under ``loops=0``, a bad,
+unknown or repeated header field and lines past the file's size at open all
+raise :class:`ParameterError`.  A missing newline after the last line is
 accepted; blank lines are not.  Each block is checked as it is read, so an
 order fault can be reported before a malformed line in a later block.
 Order is checked with the graph model's own row comparison
@@ -104,6 +104,8 @@ def _parse_header(line: bytes) -> tuple[KroneckerParams, bool]:
         key, sep, value = item.partition("=")
         if not sep:
             raise ParameterError(f"header field {item!r} is not key=value")
+        if key not in ("n", "alpha", "beta", "gamma", "loops"):
+            raise ParameterError(f"header field {key!r} is unknown")
         if key in values:
             raise ParameterError(f"header field {key!r} is repeated")
         values[key] = value

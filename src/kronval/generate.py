@@ -62,14 +62,11 @@ GENERATE_MEMORY_CEILING = 3 << 30  # bytes
 STRATIFIED_PEAK_BYTES_PER_EDGE = 28
 DEFAULT_EDGE_BUDGET = GENERATE_MEMORY_CEILING // STRATIFIED_PEAK_BYTES_PER_EDGE
 # R-MAT's cap on draws is the same ceiling over its peak per draw, measured
-# the same way at its worst, the graph builder's lexsort route: at n = 40,
-# `generate` of 16M distinct draws peaked at 1220 MiB, 80.0 B per draw with
-# the interpreter, while the builder kept its blocks through the sort
-# (under tracemalloc, 2^21 draws read 74.0 B then and 65.0 B now, with
-# its ends 8 B each past n = 32).  At n = 20 the packed keys route peaks at
-# 26.4 B per draw (16M uniform draws, 422 MiB): the two uint32 ends and
-# from_pairs' buffer of two int64 per draw; 34.8 B (557 MiB) with int64 ends.
-RMAT_PEAK_BYTES_PER_DRAW = 80
+# the same way: `generate --out /dev/null` of 16M draws at (0.25, 0.25,
+# 0.25) peaked at 34.4 B per draw at n = 40 and 62 (550 MiB), two uint64
+# ends beside from_pairs' buffer of 16 B per draw, and 26.3 B at n = 20
+# (uint32 ends); nearly all loops, at (0.5, 0.000001, 0.499998), alike.
+RMAT_PEAK_BYTES_PER_DRAW = 36
 RMAT_MAX_EDGES = GENERATE_MEMORY_CEILING // RMAT_PEAK_BYTES_PER_DRAW
 _NAIVE_ROW_BLOCK = 128
 # Rows per rng.random call of rmat_pairs: one buffer of 8n B per row, reused

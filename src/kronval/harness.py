@@ -189,6 +189,8 @@ def _check_generator(
     """The generator's argument rules and its limits (kept in kronval.generate)
     for one graph, raised as ConfigError before any sampling."""
     try:
+        if rmat_edges is not None and generator != "rmat":
+            raise ConfigError("--rmat-edges applies to the rmat generator alone")
         if generator == "naive":
             check_naive(params)
         elif generator == "stratified":

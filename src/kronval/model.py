@@ -158,50 +158,60 @@ def pairs_ascend(lo, hi) -> np.ndarray:
     return (lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))
 
 
-# Pairs per block of from_pairs and keys per block of each pass of
-# _canonical_by_key: beside the key buffer, a block holds a few temporaries
-# of at most 64 KiB each.
+# Pairs per block of from_pairs and values per block of each pass over a
+# sorted buffer, beside which a block holds temporaries of <= 128 KiB each.
 _KEY_BLOCK = 1 << 13
 
 
-def _canonical_by_key(buf: np.ndarray, count: int, n: int) -> np.ndarray:
-    """The sorted distinct ``(lo, hi)`` rows of packed pair keys
-    (n <= ``PAIR_KEY_MAX_N``), made in the keys' own buffer.
-
-    The caller hands over ``buf``, an int64 array that owns its data, holds
-    no live view and has at least ``2 * count`` slots, the first ``count``
-    of them keys ``lo << n | hi`` of pairs ``lo < hi``.  The keys are sorted
-    in place; equal neighbours are dropped forward a block at a time,
-    carrying each block's last key into the next; the E distinct keys are
-    split back to front into ``buf[:2E]``, each block copied out before its
-    rows land at or above its own keys, so no unread key is overwritten.
-    The buffer is then trimmed to 2E, made read-only and viewed as the
-    ``(E, 2)`` rows, so the result costs 16 B per edge and each pass a copy
-    of one block.
-    """
-    buf[:count].sort()
+def _sort_distinct(values: np.ndarray) -> int:
+    """Sort ``values`` in place and move its distinct values, in order, to
+    its front; return how many there are.  Equal neighbours are dropped
+    forward a block at a time, carrying each block's last value into the
+    next, so each pass copies at most one block."""
+    values.sort()
     distinct = 0
     last = None
-    for s in range(0, count, _KEY_BLOCK):
-        block = buf[s : min(s + _KEY_BLOCK, count)]
+    for s in range(0, len(values), _KEY_BLOCK):
+        block = values[s : s + _KEY_BLOCK]
         fresh = np.empty(len(block), dtype=bool)
         fresh[0] = last is None or block[0] != last
-        np.not_equal(block[1:], block[:-1], out=fresh[1:])
+        fresh[1:] = block[1:] != block[:-1]
         last = block[-1]
         if distinct < s or not fresh.all():
             kept = block[fresh]
-            buf[distinct : distinct + len(kept)] = kept
+            values[distinct : distinct + len(kept)] = kept
             distinct += len(kept)
-        else:  # every key so far is distinct and already in place
+        else:  # every value so far is distinct and already in place
             distinct += len(block)
-    mask = (1 << n) - 1
-    for s in reversed(range(0, distinct, _KEY_BLOCK)):
-        key = buf[s : min(s + _KEY_BLOCK, distinct)].copy()
-        rows = buf[2 * s : 2 * (s + len(key))].reshape(-1, 2)
-        np.right_shift(key, n, out=rows[:, 0])
-        np.bitwise_and(key, mask, out=rows[:, 1])
-    if len(buf) != 2 * distinct:
-        buf.resize(2 * distinct, refcheck=False)
+    return distinct
+
+
+def _canonical_by_key(buf: np.ndarray, count: int, n: int) -> np.ndarray:
+    """The sorted distinct ``(lo, hi)`` rows of the ``count`` pair records
+    at the front of ``buf``, made in that buffer: keys ``lo << n | hi`` for
+    n <= ``PAIR_KEY_MAX_N``, else big-endian rows, whose 16 bytes viewed
+    as ``V16`` sort as the pair since vertices are non-negative.
+
+    ``buf`` is handed over: an int64 array that owns its data, holds no
+    live view and has at least ``2 * count`` slots.  After
+    ``_sort_distinct``, the E distinct keys are split back to front into
+    ``buf[:2E]``, each block copied out before its rows land at or above
+    its keys, or the 2E slots of rows are byteswapped to native order.  The
+    buffer is trimmed to 2E, made read-only and viewed as the ``(E, 2)``
+    rows, 16 B per edge.
+    """
+    keys = n <= PAIR_KEY_MAX_N
+    distinct = _sort_distinct(buf[:count] if keys else buf[: 2 * count].view("V16"))
+    if keys:
+        mask = (1 << n) - 1
+        for s in reversed(range(0, distinct, _KEY_BLOCK)):
+            key = buf[s : min(s + _KEY_BLOCK, distinct)].copy()
+            rows = buf[2 * s : 2 * (s + len(key))].reshape(-1, 2)
+            np.right_shift(key, n, out=rows[:, 0])
+            np.bitwise_and(key, mask, out=rows[:, 1])
+    elif np.little_endian:
+        buf[: 2 * distinct].byteswap(inplace=True)
+    buf.resize(2 * distinct, refcheck=False)
     return _readonly(buf).reshape(distinct, 2)
 
 
@@ -216,9 +226,8 @@ class SampledGraph:
     was enabled, so that reports can echo it.  Every graph is built by
     :meth:`from_blocks`, which establishes this canonical form, from blocks
     of pairs; :meth:`from_pairs` feeds it checked pairs of any orientation.
-    For n <= ``PAIR_KEY_MAX_N`` (31) ``edges`` views the buffer of packed
-    pair keys it was sorted in, 16 B per edge; above that the rows are
-    ordered with ``np.lexsort``.  Both routes give the same arrays.
+    ``edges`` views the one buffer its pairs were sorted in, 16 B per edge:
+    as packed keys for n <= ``PAIR_KEY_MAX_N`` (31), as rows above that.
 
     Two graphs are ``==`` when their params, ``include_loops`` flag, edges
     and loops are equal.  Graphs are unhashable.  Instances are immutable
@@ -243,25 +252,22 @@ class SampledGraph:
         that the caller has checked.
 
         Pairs may repeat, within and across blocks; a pair ``lo == hi`` is
-        a loop, dropped without ``include_loops``.  For n <=
-        ``PAIR_KEY_MAX_N`` each block's other pairs are written as keys
-        ``lo << n | hi`` into one int64 buffer of ``reserve`` slots, doubled
-        when the blocks overrun it.  Once the last block and the spent
-        iterable are dropped, the buffer grows to two slots per key if it
-        is short of them, and ``_canonical_by_key`` splits the keys into
-        rows in it.  A caller that knows its pair count reserves twice it,
-        so that the buffer never moves; one with an estimate reserves about
-        the count, so that the rows' room is taken only after its blocks'
-        temporaries are gone.  Above n = 31 the blocks' non-loop ends are
-        joined, the blocks freed and the rows ordered with ``np.lexsort``.
+        a loop, dropped without ``include_loops``.  Each block's other
+        pairs go as records into one int64 buffer of ``reserve`` slots,
+        doubled when the blocks overrun it: the key ``lo << n | hi``, one
+        slot, for n <= ``PAIR_KEY_MAX_N``, else the big-endian row, two.
+        Once the last block and the spent iterable are dropped, the buffer
+        grows to two slots per record if short of them, and
+        ``_canonical_by_key`` makes the rows in it.  A caller that knows
+        its pair count reserves twice it, so that the buffer never moves;
+        one with an estimate (n <= 30) reserves about the count, so that
+        the rows' room is taken only after its blocks' temporaries are
+        gone.
         """
         n = params.n
-        packed = n <= PAIR_KEY_MAX_N
-        empty = np.empty(0, dtype=np.int64)
-        # The loop vertices, and above PAIR_KEY_MAX_N each block's non-loop ends.
-        loops, los, his = [empty], [empty], [empty]
-        if packed:
-            buf = np.empty(reserve, dtype=np.int64)
+        width = 1 if n <= PAIR_KEY_MAX_N else 2  # slots per record
+        loops = [np.empty(0, dtype=np.int64)]
+        buf = np.empty(reserve, dtype=np.int64)
         count = 0
         for lo, hi in blocks:
             is_loop = lo == hi
@@ -270,33 +276,24 @@ class SampledGraph:
                     loops.append(lo[is_loop])
                 proper = ~is_loop
                 lo, hi = lo[proper], hi[proper]
-            if packed:
-                if count + len(lo) > len(buf):
-                    buf.resize(max(2 * len(buf), count + len(lo)), refcheck=False)
-                np.left_shift(lo, n, out=buf[count : count + len(lo)], dtype=np.int64)
-                buf[count : count + len(lo)] |= hi
-                count += len(lo)
+            end = width * (count + len(lo))
+            if end > len(buf):
+                buf.resize(max(2 * len(buf), end), refcheck=False)
+            if width == 1:
+                np.left_shift(lo, n, out=buf[count:end], dtype=np.int64)
+                buf[count:end] |= hi
             else:
-                los.append(lo)
-                his.append(hi)
+                rows = buf[2 * count : end].view(">i8")
+                rows[0::2], rows[1::2] = lo, hi
+            count += len(lo)
         # The last block and the spent iterable go before the rows' room.
-        blocks = lo = hi = is_loop = proper = None
-        loops = _readonly(np.unique(np.concatenate(loops)))
-        if packed:
-            if len(buf) < 2 * count:
-                buf.resize(2 * count, refcheck=False)
-            edges = _canonical_by_key(buf, count, n)
-        else:
-            lo = np.concatenate(los)
-            del los
-            hi = np.concatenate(his)
-            del his
-            order = np.lexsort((hi, lo))
-            lo, hi = lo[order], hi[order]
-            del order
-            fresh = np.ones(len(lo), dtype=bool)
-            fresh[1:] = pairs_ascend(lo, hi)
-            edges = _readonly(np.column_stack((lo[fresh], hi[fresh])))
+        blocks = lo = hi = is_loop = proper = rows = None
+        loops = np.concatenate(loops)
+        loops.resize(_sort_distinct(loops), refcheck=False)
+        loops = _readonly(loops)
+        if len(buf) < 2 * count:
+            buf.resize(2 * count, refcheck=False)
+        edges = _canonical_by_key(buf, count, n)
         return cls(params=params, edges=edges, loops=loops, include_loops=include_loops)
 
     @classmethod
@@ -319,9 +316,9 @@ class SampledGraph:
         fit ``params.n`` digits.  Empty input gives the empty graph.  The
         ``(min, max)`` of each ``_KEY_BLOCK`` pairs, taken as int64 a block
         at a time, go to :meth:`from_blocks` with room for two int64 per
-        pair, so for n <= ``PAIR_KEY_MAX_N`` the call holds, beyond the
-        ends of any integer type, that buffer and one block's temporaries;
-        the ends are read, never written.
+        pair, so the call holds, beyond the ends of any integer type, that
+        buffer and one block's temporaries; the ends are read, never
+        written.
         """
         n = params.n
         if n > GRAPH_MAX_N:

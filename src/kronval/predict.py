@@ -81,9 +81,9 @@ def degree_moments(params: KroneckerParams, w: int) -> DegreeMoments:
     return DegreeMoments(mean=mean, sum_sq_probs=sum_sq, variance=mean - sum_sq, weight=w)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)
 def _log_binomials(n: int) -> np.ndarray:
-    """log C(n, k) for k = 0..n, built once per n (read-only)."""
+    """log C(n, k) for k = 0..n (read-only), kept for the 8 latest n."""
     row = math.lgamma(n + 1) - np.array(
         [math.lgamma(k + 1) + math.lgamma(n - k + 1) for k in range(n + 1)]
     )

@@ -87,6 +87,7 @@ HEADER = "kron n=3 alpha=0.5 beta=0.25 gamma=0.5 loops=1\n"
         pytest.param(HEADER + "000 021\n", id="non-binary-digit"),
         pytest.param(HEADER + "000 001\n0001 0010\n", id="wrong-vertex-width"),
         pytest.param("kron n=3 alpha=0.5 beta beta=0.25 gamma=0.5 loops=1\n", id="header-field-without-equals"),
+        pytest.param(HEADER.replace("loops=1", "loops=1 extra=3") + "000 001\n", id="unknown-header-field"),
         pytest.param(HEADER.replace("loops=1", "loops=0") + "000 001\n011 011\n", id="loop-under-loops-0"),
         pytest.param(HEADER + "000 001\n000 001\n", id="duplicate-line"),
         pytest.param(HEADER + "000 010\n000 001\n", id="out-of-order-line"),
@@ -177,14 +178,17 @@ def test_writer_copies_no_column_whole(tmp_path, monkeypatch, stratified_n16):
     assert peak < g.edges.nbytes // 8
 
 
-def test_reader_holds_one_key_buffer_and_no_whole_file_vertex_array(tmp_path):
-    # 2^21 R-MAT draws at n = 20, about 2.07M lines: the reader hands each
-    # block to from_blocks, whose buffer of two int64 per line comes to
-    # 16 B per line, and the whole read measured 20.7 B.  Reading two
-    # int64 vertex arrays whole beside that buffer measured 33.1 B; with
-    # separate keys, a copy without loops, a bool per key and separate rows
-    # as well it read 43.0 B.
-    g = generate_rmat(RmatParams(base=KroneckerParams(0.57, 0.19, 0.05, 20), m=1 << 21), SeedSpec(1))
+@pytest.mark.parametrize("n, bytes_per_line", [(20, 24), (40, 26)])
+def test_reader_holds_one_key_buffer_and_no_whole_file_vertex_array(tmp_path, n, bytes_per_line):
+    # 2^21 R-MAT draws, about 2.07M lines: the reader hands each block to
+    # from_blocks, whose buffer of two int64 per line comes to 16 B per
+    # line, as keys at n = 20 and big-endian rows at n = 40; the whole read
+    # measured 20.7 and 22.5 B.  Reading two int64 vertex arrays whole
+    # beside that buffer measured 33.1 B at n = 20; with separate keys, a
+    # copy without loops, a bool per key and separate rows as well it read
+    # 43.0 B.  Joining the blocks' ends and ordering them with np.lexsort
+    # read 49.0 B at n = 40.
+    g = generate_rmat(RmatParams(base=KroneckerParams(0.57, 0.19, 0.05, n), m=1 << 21), SeedSpec(1))
     path = tmp_path / "g.edges"
     write_edgelist(g, path)
     lines = len(g.edges) + len(g.loops)
@@ -192,7 +196,7 @@ def test_reader_holds_one_key_buffer_and_no_whole_file_vertex_array(tmp_path):
     back, peak = traced_peak(lambda: read_edgelist(path))
     path.unlink()
     assert len(back.edges) + len(back.loops) == lines
-    assert peak <= 24 * lines
+    assert peak <= bytes_per_line * lines
 
 
 @st.composite

@@ -505,17 +505,23 @@ def _read_back(graph, tmp_path):
     return read_edgelist(path)
 
 
-@pytest.mark.parametrize("build", ["naive", "stratified", "rmat", "read"])
+@pytest.mark.parametrize(
+    "build", ["naive", "stratified", "rmat", "read", "rmat-n40", "read-n40"]
+)
 def test_every_graph_views_a_buffer_of_exactly_its_rows(tmp_path, build):
     # Each generator and the reader feed SampledGraph.from_blocks, whose
-    # key buffer becomes the rows, trimmed to their 2E slots.
+    # record buffer becomes the rows, trimmed to their 2E slots: packed
+    # keys at n = 12, big-endian rows at n = 40.
     p = KroneckerParams(0.6, 0.5, 0.6, 12)
     rmat = RmatParams(base=KroneckerParams(0.57, 0.19, 0.05, 12), m=20_000)
+    rmat40 = RmatParams(base=KroneckerParams(0.9, 0.04, 0.02, 40), m=20_000)
     graph = {
         "naive": lambda: generate_naive(p, seed=SeedSpec(3)),
         "stratified": lambda: generate_stratified(p, seed=SeedSpec(3)),
         "rmat": lambda: generate_rmat(rmat, SeedSpec(3)),
         "read": lambda: _read_back(generate_stratified(p, seed=SeedSpec(3)), tmp_path),
+        "rmat-n40": lambda: generate_rmat(rmat40, SeedSpec(3)),
+        "read-n40": lambda: _read_back(generate_rmat(rmat40, SeedSpec(3)), tmp_path),
     }[build]()
     assert len(graph.edges) > 1000 and len(graph.loops) > 0
     buf = graph.edges.base
@@ -523,10 +529,10 @@ def test_every_graph_views_a_buffer_of_exactly_its_rows(tmp_path, build):
 
 
 def test_rmat_past_packed_keys_peaks_within_its_declared_bytes_per_draw():
-    # Above n = 31 the builder joins its blocks' ends, frees the blocks and
-    # lexsorts the rows: 65.0 B per draw here, with the ends 8 B each past
-    # n = 32.  Keeping the blocks alive through the lexsort read 89.1 B per
-    # draw, past the declared 80.
+    # Above n = 31 the builder sorts big-endian rows of two int64 in its
+    # one buffer of 16 B per draw, beside the two uint64 ends of
+    # rmat_pairs: 32.2 B per draw here.  Joining the blocks' ends and
+    # ordering them with np.lexsort read 65.0 B.
     r = RmatParams(base=KroneckerParams(0.57, 0.19, 0.05, 40), m=1 << 21)
     g, peak = traced_peak(lambda: generate_rmat(r, SeedSpec(1)))
     assert len(g.edges) > 0.9 * r.m

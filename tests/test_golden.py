@@ -5,9 +5,11 @@ The R-MAT digests were recorded before the graph representation
 moved from frozensets of tuples to sorted int64 arrays, and the two R-MAT
 cases before edges were canonicalized through packed int64 pair keys: at
 n=16, 200000 draws merge into 190467 distinct edges, and at n=40, past the
-packed key's n <= 31, the lexsort route merges about 2650 repeated draws and
-keeps 191 loops.  A pass means those changes, and any later one, left these
-bytes alone.
+packed key's n <= 31, about 2650 repeated draws merge and 191 loops are
+kept.  The n=40 digest was recorded while the builder ordered such rows with
+np.lexsort, as its key's name says; it now sorts them as big-endian V16
+records in its one buffer.  A pass means those changes, and any later one,
+left these bytes alone.
 
 The three stratified digests and the two validate reports, which sample
 with the default stratified generator, were re-recorded when the stratified

@@ -1169,6 +1169,22 @@ class TestGeneratorArguments:
         assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("generator", ["naive", "stratified"])
+    def test_rmat_edges_refused_for_other_generators(self, monkeypatch, tmp_path, capsys, generator):
+        # --rmat-edges sets R-MAT's draw count; no other generator reads it.
+        for name in ("generate_naive", "generate_stratified"):
+            monkeypatch.setattr(kronval.harness, name, _no_generation)
+        message = "--rmat-edges applies to the rmat generator alone"
+        with pytest.raises(ConfigError, match=message):
+            generate_graph(KroneckerParams(0.5, 0.5, 0.5, 3), generator, SeedSpec(1), rmat_edges=5)
+        args = ["--n", "3", "--alpha", "0.5", "--beta", "0.5", "--gamma", "0.5", "--seed", "1"]
+        out = tmp_path / "g.edges"
+        generated = self._run(
+            capsys, ["generate", "--generator", generator, *args, "--rmat-edges", "5", "--out", str(out)]
+        )
+        assert generated == (2, f"error: {message}\n")
+        assert not out.exists()
+
     def test_validate_refuses_before_sampling(self, monkeypatch, tmp_path, capsys):
         # Sweep point 0 fits the budget; point 1, alpha = gamma = 0.99, does not.
         monkeypatch.setattr(kronval.harness, "generate_graph", _no_generation)

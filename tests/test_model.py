@@ -282,22 +282,22 @@ def test_from_pairs_matches_lexsort_oracle(case):
     assert np.array_equal(g.edges, edges) and np.array_equal(g.loops, all_loops)
 
 
-def test_packed_key_route_never_calls_lexsort(monkeypatch, tmp_path):
+def test_no_route_calls_lexsort(monkeypatch, tmp_path):
+    # Keys for n <= 31 and big-endian rows above sort in the builder's one
+    # buffer; np.lexsort is left to the test oracle.
     from kronval import read_edgelist, write_edgelist
 
     def no_lexsort(*args, **kwargs):
         raise AssertionError("np.lexsort was called")
 
     monkeypatch.setattr(np, "lexsort", no_lexsort)
-    for n in (1, 12, 31):
+    for n in (1, 12, 31, 32, 40, 62):
         top = (1 << n) - 1
         p = KroneckerParams(alpha=0.5, beta=0.25, gamma=0.125, n=n)
         g = SampledGraph.from_pairs(p, [top, 0, top, 0, 0], [0, top, 0, top, 0])
         assert g.edges.tolist() == [[0, top]] and g.loops.tolist() == [0]
         write_edgelist(g, tmp_path / "g.edges")
         assert read_edgelist(tmp_path / "g.edges") == g
-    with pytest.raises(AssertionError, match="lexsort"):
-        SampledGraph.from_pairs(KroneckerParams(alpha=0.5, beta=0.25, gamma=0.125, n=32), [0], [1])
 
 
 B = model._KEY_BLOCK
@@ -402,6 +402,28 @@ class TestKeyCanonicalizer:
         g = SampledGraph.from_blocks(self.params(), pair_blocks(u, v, B // 3), int(share * count))
         edges, loops = unique_canonical(u, v, self.N, True)
         assert np.array_equal(g.edges, edges) and np.array_equal(g.loops, loops)
+        assert g.edges.base.size == 2 * len(g.edges) and g.edges.base.base is None
+
+    @pytest.mark.parametrize("n", [N, 40])
+    @pytest.mark.parametrize("reserve", [0, 10])
+    def test_short_reserve_and_repeated_loops_at_either_record_width(
+        self, monkeypatch, n, reserve
+    ):
+        # A reserve short of the records doubles the buffer while the
+        # blocks arrive, at one slot per key or two per row; every third
+        # pair is a loop, repeated across blocks, and the loops are
+        # deduplicated in place, never by np.unique's hash set.
+        u, v = self.random_pairs(3 * B + 5, n + 7, n)
+        u[::3] = v[::3]
+        edges, loops = lexsort_canonical(u, v, True)
+
+        def no_unique(*args, **kwargs):
+            raise AssertionError("np.unique was called")
+
+        monkeypatch.setattr(np, "unique", no_unique)
+        g = SampledGraph.from_blocks(self.params(n), pair_blocks(u, v, B // 3), reserve)
+        assert np.array_equal(g.edges, edges) and np.array_equal(g.loops, loops)
+        assert len(loops) < len(u[::3]) and not g.loops.flags.writeable
         assert g.edges.base.size == 2 * len(g.edges) and g.edges.base.base is None
 
     @pytest.mark.parametrize("count", BLOCK_COUNTS)

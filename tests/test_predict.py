@@ -139,6 +139,16 @@ class TestExpectedDegreeCount:
             else:
                 assert expected_degree_count(p, d) == single
 
+    def test_log_binomial_rows_are_bounded(self):
+        # one row of n + 1 doubles per n predicted; a long sweep of n keeps
+        # only the latest 8
+        from kronval.predict import _log_binomials
+
+        _log_binomials.cache_clear()
+        for n in range(10, 410, 20):
+            expected_degree_count(KroneckerParams(0.7, 0.3, 0.3, n), 2)
+        assert _log_binomials.cache_info().currsize <= 8
+
     def test_stable_for_large_n_and_d(self):
         p = KroneckerParams(0.9, 0.8, 0.9, 200)
         value = expected_degree_count(p, 3)
